@@ -1,4 +1,4 @@
-// Compiled-kernel inference benchmark: flat-node SoA traversal
+// Compiled-kernel inference benchmark: 16-byte flat-node traversal
 // (ml/compiled_ensemble.h) vs the interpreted per-model prediction path,
 // single thread, median of --reps passes over a --rows probe set.
 //
@@ -8,11 +8,17 @@
 //    the tree families the pool trains: deep and shallow AdaBoost, a
 //    bagged random forest, and a single CART. This is the kernel itself,
 //    no routing around it.
-//  * End-to-end — FalccModel::ClassifyBatch with the fused per-cluster
-//    kernels on vs off on a trained FALCC model. Includes validation,
-//    transform, and cluster matching, so the speedup is diluted by the
-//    stages compilation does not touch (Amdahl), and is reported
-//    separately from the kernel-level ratio.
+//  * End-to-end — FalccModel::ClassifyBatch with the compiled pool on vs
+//    off on a trained FALCC model. Includes validation, transform, and
+//    cluster matching, so the speedup is diluted by the stages
+//    compilation does not touch (Amdahl), and is reported separately
+//    from the kernel-level ratio.
+//  * Serving-shaped — the serving-scale model (24 AdaBoost ensembles of
+//    30–60 depth-8/9 trees, k = 32) called with one row per ClassifyBatch,
+//    --rows calls on probe rows drawn at random (so random clusters and
+//    pool models), the shape of open-loop serving. Besides ns/row it reports
+//    the roofline inputs: the compiled pool's table bytes and the mean
+//    number of distinct 64-byte lines one row's kernel walk touches.
 //
 // Every timed pass re-checks bit-identity: compiled probabilities (and,
 // end-to-end, whole decisions) must equal the interpreted ones exactly;
@@ -46,6 +52,8 @@ struct CaseResult {
   std::string name;
   size_t num_trees = 0;
   size_t num_nodes = 0;
+  size_t table_bytes = 0;          ///< serving case only: node + leaf tables
+  double cache_lines_per_row = 0;  ///< serving case only
   double interpreted_ns_per_row = 0.0;
   double compiled_ns_per_row = 0.0;
   double speedup = 0.0;  ///< interpreted / compiled; 0 when not measured
@@ -153,8 +161,10 @@ CaseResult RunEndToEnd(FalccModel* model, const std::vector<double>& flat,
   }
 
   model->set_use_compiled(true);
-  for (size_t c = 0; c < model->num_clusters(); ++c) {
-    result.num_nodes += model->compiled_combo(c)->num_nodes();
+  for (const auto& kernel : *model->compiled_pool()) {
+    if (!kernel.has_value()) continue;
+    result.num_trees += kernel->num_trees();
+    result.num_nodes += kernel->num_nodes();
   }
   result.compiled_ns_per_row = MedianNsPerRow(rows, reps, [&] {
     Result<ClassifyResponse> r = model->ClassifyBatch(request);
@@ -171,6 +181,124 @@ CaseResult RunEndToEnd(FalccModel* model, const std::vector<double>& flat,
     }
   }
   return result;
+}
+
+/// The serving-scale model of bench_serve and the end-to-end benchmark:
+/// 24 AdaBoost ensembles (30–60 trees of depth 8–9), k = 32.
+FalccOptions ServingOptions() {
+  FalccOptions opt;
+  opt.seed = 42;
+  opt.fixed_k = 32;
+  opt.trainer.pool_size = 24;
+  opt.trainer.estimator_grid = {30, 35, 40, 45, 50, 60};
+  opt.trainer.depth_grid = {8, 9};
+  opt.trainer.accuracy_tolerance = 1.0;
+  return opt;
+}
+
+/// Distinct 64-byte lines of node and leaf tables one row's walk of
+/// `kernel` reads — the same steps as the kernel's one-row walk.
+void CountLines(const CompiledEnsemble& kernel, const double* row,
+                std::vector<uintptr_t>* lines) {
+  const CompiledEnsemble::Parts& parts = kernel.parts();
+  for (const TreeRef& tree : parts.trees) {
+    uint32_t i = tree.root;
+    for (uint32_t step = 0; step < tree.steps; ++step) {
+      const FlatNode& node = parts.nodes[i];
+      lines->push_back(reinterpret_cast<uintptr_t>(&node) / 64);
+      const uint32_t next =
+          node.left + static_cast<uint32_t>(row[node.feature] > node.threshold);
+      if (next == i) break;
+      i = next;
+    }
+    lines->push_back(reinterpret_cast<uintptr_t>(&parts.leaf_proba[i]) / 64);
+  }
+}
+
+/// One row per ClassifyBatch call, compiled vs interpreted, over as many
+/// calls as `probe` has rows, each on a probe row drawn at random (fixed
+/// seed).
+CaseResult RunServing(FalccModel* model, const Dataset& probe, size_t reps,
+                      bool run_compiled) {
+  CaseResult result;
+  result.name = "serving_one_row";
+  result.end_to_end = true;
+  const size_t width = probe.num_features();
+  const size_t calls = probe.num_rows();
+  std::vector<size_t> picks(calls);
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (size_t& pick : picks) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    pick = static_cast<size_t>(state % probe.num_rows());
+  }
+  ClassifyScratch scratch;
+  auto run = [&](std::vector<SampleDecision>* out) {
+    out->resize(calls);
+    for (size_t c = 0; c < calls; ++c) {
+      const ClassifyRequest request{probe.Row(picks[c]), width};
+      Result<ClassifyResponse> r = model->ClassifyBatch(request, &scratch);
+      FALCC_CHECK(r.ok(), "bench_infer: one-row ClassifyBatch failed");
+      (*out)[c] = r.value().decisions[0];
+    }
+  };
+  std::vector<SampleDecision> interpreted, compiled;
+  model->set_use_compiled(false);
+  result.interpreted_ns_per_row =
+      MedianNsPerRow(calls, reps, [&] { run(&interpreted); });
+  model->set_use_compiled(true);
+  if (!run_compiled) return result;
+
+  for (const auto& kernel : *model->compiled_pool()) {
+    if (!kernel.has_value()) continue;
+    result.num_trees += kernel->num_trees();
+    result.num_nodes += kernel->num_nodes();
+    result.table_bytes += kernel->table_bytes();
+  }
+  result.compiled_ns_per_row =
+      MedianNsPerRow(calls, reps, [&] { run(&compiled); });
+  result.speedup = result.interpreted_ns_per_row / result.compiled_ns_per_row;
+
+  size_t lines_total = 0;
+  std::vector<uintptr_t> lines;
+  for (size_t c = 0; c < calls; ++c) {
+    const SampleDecision& a = interpreted[c];
+    const SampleDecision& b = compiled[c];
+    if (a.label != b.label || a.probability != b.probability ||
+        a.cluster != b.cluster || a.group != b.group || a.model != b.model) {
+      result.decisions_identical = false;
+    }
+    const auto& kernel = (*model->compiled_pool())[b.model];
+    if (!kernel.has_value()) continue;
+    lines.clear();
+    CountLines(*kernel, probe.Row(picks[c]).data(), &lines);
+    std::sort(lines.begin(), lines.end());
+    lines_total += static_cast<size_t>(
+        std::unique(lines.begin(), lines.end()) - lines.begin());
+  }
+  result.cache_lines_per_row =
+      static_cast<double>(lines_total) / static_cast<double>(calls);
+  return result;
+}
+
+/// The checkout's revision (`-dirty` when it has uncommitted changes),
+/// or "unknown" outside a git checkout.
+std::string GitRevision() {
+  std::string revision = "unknown";
+  if (FILE* pipe = popen("git describe --always --dirty --abbrev=12 "
+                         "2>/dev/null", "r")) {
+    char buffer[64] = {0};
+    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
+      revision = buffer;
+      while (!revision.empty() &&
+             (revision.back() == '\n' || revision.back() == '\r')) {
+        revision.pop_back();
+      }
+    }
+    pclose(pipe);
+  }
+  return revision;
 }
 
 void WriteJson(const std::string& path, size_t rows, size_t reps,
@@ -191,21 +319,36 @@ void WriteJson(const std::string& path, size_t rows, size_t reps,
   out << "  \"reps\": " << reps << ",\n";
   out << "  \"threads\": " << Parallelism() << ",\n";
   out << "  \"compiled\": " << (run_compiled ? "true" : "false") << ",\n";
-  out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-      << ",\n";
+  out << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
+#ifdef NDEBUG
+  out << "  \"build_type\": \"Release\",\n";
+#else
+  out << "  \"build_type\": \"Debug\",\n";
+#endif
+  out << "  \"git_revision\": \"" << GitRevision() << "\",\n";
   out << "  \"note\": \"ns_per_row = median of reps passes; model-level "
          "cases time the bare kernels, falcc_classify_batch is the full "
          "online path (validate + transform + match + predict) so its "
-         "ratio is Amdahl-diluted; decisions_identical = compiled output "
-         "bit-equal to interpreted\",\n";
+         "ratio is Amdahl-diluted; serving_one_row is the same path at one "
+         "row per call on the serving-scale model, with table_bytes = the "
+         "compiled pool's node + leaf tables and cache_lines_per_row = "
+         "distinct 64-byte lines one row's walk reads (one 16-byte node "
+         "per level + one leaf value per tree; the former structure-of-"
+         "arrays layout read feature, threshold and children from three "
+         "arrays, ~3 lines per level); decisions_identical = compiled "
+         "output bit-equal to interpreted\",\n";
   out << "  \"cases\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];
     out << "    {\"case\": \"" << r.name << "\", \"end_to_end\": "
         << (r.end_to_end ? "true" : "false")
         << ", \"num_trees\": " << r.num_trees
-        << ", \"num_nodes\": " << r.num_nodes
-        << ", \"interpreted_ns_per_row\": " << r.interpreted_ns_per_row
+        << ", \"num_nodes\": " << r.num_nodes;
+    if (r.table_bytes > 0) {
+      out << ", \"table_bytes\": " << r.table_bytes
+          << ", \"cache_lines_per_row\": " << r.cache_lines_per_row;
+    }
+    out << ", \"interpreted_ns_per_row\": " << r.interpreted_ns_per_row
         << ", \"compiled_ns_per_row\": " << r.compiled_ns_per_row
         << ", \"speedup\": " << r.speedup << ", \"decisions_identical\": "
         << (r.decisions_identical ? "true" : "false") << "}"
@@ -297,6 +440,24 @@ int Main(int argc, char** argv) {
     results.push_back(RunEndToEnd(&model.value(), flat, probe.num_features(),
                                   reps, run_compiled));
   }
+  {
+    // Training is deterministic at any thread count; only the timed
+    // passes run on one thread.
+    const size_t timed_threads = Parallelism();
+    SetParallelism(std::thread::hardware_concurrency());
+    cfg.num_samples = 6000;
+    cfg.seed = 71;
+    const Dataset serving_train = GenerateImplicitBias(cfg).value();
+    cfg.num_samples = 2000;
+    cfg.seed = 72;
+    const Dataset serving_validation = GenerateImplicitBias(cfg).value();
+    Result<FalccModel> model = FalccModel::Train(
+        serving_train, serving_validation, ServingOptions());
+    FALCC_CHECK(model.ok(), "bench_infer: serving model train failed");
+    SetParallelism(timed_threads);
+    results.push_back(
+        RunServing(&model.value(), probe, reps, run_compiled));
+  }
 
   bool all_identical = true;
   for (const CaseResult& r : results) {
@@ -305,6 +466,11 @@ int Main(int argc, char** argv) {
         "speedup %5.2fx   identical=%s\n",
         r.name.c_str(), r.interpreted_ns_per_row, r.compiled_ns_per_row,
         r.speedup, r.decisions_identical ? "true" : "false");
+    if (r.table_bytes > 0) {
+      std::printf("%-22s tables %.1f MB   %.1f cache lines/row\n", "",
+                  static_cast<double>(r.table_bytes) / 1e6,
+                  r.cache_lines_per_row);
+    }
     all_identical = all_identical && r.decisions_identical;
   }
   WriteJson(json_path, rows, reps, run_compiled, results);

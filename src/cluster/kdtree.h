@@ -43,7 +43,8 @@ class KdTree {
   /// scan `NearestCentroid` (cluster/kmeans.h): among equidistant points
   /// the lowest index wins, so subtrees are pruned only when their bound
   /// strictly exceeds the best distance. Used by the online phase's
-  /// centroid lookup.
+  /// centroid lookup; allocation-free (its search stack is a fixed
+  /// array bounded by the tree height).
   size_t Nearest1(std::span<const double> query) const;
 
  private:
@@ -57,12 +58,13 @@ class KdTree {
 
   KdTree() = default;
 
-  int BuildNode(size_t begin, size_t end);
+  int BuildNode(size_t begin, size_t end, size_t depth);
 
   std::vector<std::vector<double>> points_;
   std::vector<size_t> order_;  // permutation of point indices
   std::vector<Node> nodes_;
   size_t dims_ = 0;
+  size_t height_ = 0;  // deepest node's depth (root = 0)
   int root_ = -1;
 };
 

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <ostream>
@@ -262,44 +261,26 @@ Result<FalccModel> FalccModel::RunOfflinePhase(ModelPool pool,
     FALCC_RETURN_IF_ERROR(status);
   }
   FALCC_RETURN_IF_ERROR(model.BuildCentroidIndex());
-  FALCC_RETURN_IF_ERROR(model.CompileKernels());
+  model.CompileKernels();
   if (stage_times != nullptr) {
     stage_times->assess_seconds = assess_timer.ElapsedSeconds();
   }
   return model;
 }
 
-Status FalccModel::CompileKernels() {
-  const size_t k = centroids_.size();
-  compiled_.assign(k, nullptr);
-  // Clusters frequently select the same combination (the global best in
-  // particular); they share one fused kernel.
-  std::map<ModelCombination, std::shared_ptr<const CompiledCombo>> dedup;
-  for (size_t c = 0; c < k; ++c) {
-    auto [it, inserted] = dedup.try_emplace(selected_[c]);
-    if (inserted) {
-      Result<std::shared_ptr<const CompiledCombo>> combo =
-          CompiledCombo::Compile(*pool_, selected_[c]);
-      if (!combo.ok()) return combo.status();
-      it->second = std::move(combo).value();
-    }
-    compiled_[c] = it->second;
+void FalccModel::CompileKernels() {
+  // Every pool model compiles, not only the selected ones: a refresh may
+  // pick any of them, and the kernels must not depend on selected_.
+  auto kernels = std::make_shared<CompiledPool>(pool_->size());
+  for (size_t m = 0; m < pool_->size(); ++m) {
+    Result<CompiledEnsemble> kernel =
+        CompiledEnsemble::Compile(pool_->model(m));
+    // A model that does not lower — not a tree ensemble, or an accepted
+    // tree whose nodes share a subtree — keeps its rows on the
+    // interpreted path; the other models still serve from kernels.
+    if (kernel.ok()) (*kernels)[m] = std::move(kernel).value();
   }
-  RebuildComboSlots();
-  return Status::OK();
-}
-
-void FalccModel::RebuildComboSlots() {
-  combo_slot_.assign(compiled_.size(), 0);
-  slot_kernel_.clear();
-  std::map<const CompiledCombo*, uint32_t> slots;
-  for (size_t c = 0; c < compiled_.size(); ++c) {
-    const CompiledCombo* kernel = compiled_[c].get();
-    auto [it, inserted] = slots.try_emplace(
-        kernel, static_cast<uint32_t>(slot_kernel_.size()));
-    if (inserted) slot_kernel_.push_back(kernel);
-    combo_slot_[c] = it->second;
-  }
+  kernels_ = std::move(kernels);
 }
 
 Status FalccModel::BuildCentroidIndex() {
@@ -417,19 +398,6 @@ void FalccModel::WriteComboSection(std::ostream* out, size_t cluster) const {
   }
 }
 
-void FalccModel::CanonicalSlots(std::vector<uint32_t>* slot_of_cluster,
-                                std::vector<size_t>* slot_clusters) const {
-  slot_of_cluster->assign(selected_.size(), 0);
-  slot_clusters->clear();
-  std::map<ModelCombination, uint32_t> slots;
-  for (size_t c = 0; c < selected_.size(); ++c) {
-    auto [it, inserted] = slots.try_emplace(
-        selected_[c], static_cast<uint32_t>(slot_clusters->size()));
-    if (inserted) slot_clusters->push_back(c);
-    (*slot_of_cluster)[c] = it->second;
-  }
-}
-
 Status FalccModel::SaveV2(std::ostream* out,
                           io::SnapshotManifest* manifest_out) const {
   io::SnapshotWriter writer(out);
@@ -460,22 +428,12 @@ Status FalccModel::SaveV2(std::ostream* out,
     FALCC_RETURN_IF_ERROR(writer.EndSection());
   }
   // The flat section is derived state: written when kernels exist,
-  // rebuilt (or verified) by Load when absent (or present). Slots are
-  // keyed by combination value, not kernel pointer, so the bytes are a
-  // pure function of (pool, selected_) — clones and fresh compiles
+  // rebuilt (or verified) by Load when absent (or present). Its bytes
+  // are a pure function of (pool, centroids) — clones and fresh compiles
   // serialize identically.
   if (has_compiled_kernels()) {
-    std::vector<uint32_t> slot_of_cluster;
-    std::vector<size_t> slot_clusters;
-    CanonicalSlots(&slot_of_cluster, &slot_clusters);
-    std::vector<const CompiledCombo*> slots;
-    slots.reserve(slot_clusters.size());
-    for (size_t first_cluster : slot_clusters) {
-      slots.push_back(compiled_[first_cluster].get());
-    }
     FALCC_RETURN_IF_ERROR(io::EncodeFlatSection(
-        writer.BeginSection(io::kFlatSectionName), centroids_,
-        slot_of_cluster, slots));
+        writer.BeginSection(io::kFlatSectionName), centroids_, *kernels_));
     FALCC_RETURN_IF_ERROR(writer.EndSection());
   }
   return writer.Finish(manifest_out);
@@ -637,9 +595,7 @@ Result<FalccModel> FalccModel::LoadImpl(std::istream* in, bool compile) {
   // Compile after every validation pass above: the kernels gather
   // through feature indices the width checks just vetted, so nothing an
   // accepted artifact contains can make a kernel read out of bounds.
-  if (compile) {
-    FALCC_RETURN_IF_ERROR(model.CompileKernels());
-  }
+  if (compile) model.CompileKernels();
   return model;
 }
 
@@ -847,72 +803,54 @@ Result<FalccModel> FalccModel::LoadV2(io::SnapshotReader reader,
   }
   FALCC_RETURN_IF_ERROR(model.BuildCentroidIndex());
 
+  // A flat section in the superseded per-cluster layout is skipped: the
+  // kernels compile from the pool exactly as if it were absent.
+  std::string_view flat;
+  bool current_flat = false;
   if (has_flat) {
     Result<std::string_view> payload = section(io::kFlatSectionName);
     if (!payload.ok()) return payload.status();
-    Result<io::DecodedFlat> decoded = io::DecodeFlatSection(
-        payload.value(), num_groups, width, model.pool_->size(), backing);
+    flat = payload.value();
+    current_flat = !io::IsLegacyFlatSection(flat);
+  }
+  auto flat_mismatch = [](const std::string& what) {
+    return Status::InvalidArgument(
+        "FalccModel: flat section does not match the semantic sections (" +
+        what + ")");
+  };
+  if (current_flat && backing != nullptr) {
+    // Zero-copy install: the kernels alias the mapping (structural
+    // safety was established by CompiledEnsemble::View; `falcc_cli
+    // snapshot verify` provides the full recompile check offline).
+    Result<io::DecodedFlat> decoded =
+        io::DecodeFlatSection(flat, width, model.pool_->size(), backing);
     if (!decoded.ok()) return decoded.status();
-    const io::DecodedFlat& flat = decoded.value();
-    auto flat_mismatch = [](const std::string& what) {
-      return Status::InvalidArgument(
-          "FalccModel: flat section does not match the semantic sections (" +
-          what + ")");
-    };
-    if (flat.slot_of_cluster.size() != k) {
-      return flat_mismatch("cluster count");
+    const io::DecodedFlat& kernels = decoded.value();
+    if (kernels.centroid_width !=
+            model.clustering_transform_.num_output_features() ||
+        kernels.centroids.size() != k * kernels.centroid_width) {
+      return flat_mismatch("centroid shape");
     }
-    if (flat.centroid_width !=
-        model.clustering_transform_.num_output_features()) {
-      return flat_mismatch("centroid width");
-    }
-    // Centroid bit-equality against the authoritative text section: the
-    // flat copy exists so the match stage can gather from one contiguous
-    // array, and any divergence would silently re-route samples.
+    // Centroid bit-equality against the authoritative text section.
     for (size_t c = 0; c < k; ++c) {
       if (std::memcmp(model.centroids_[c].data(),
-                      flat.centroids.data() + c * flat.centroid_width,
-                      flat.centroid_width * sizeof(double)) != 0) {
+                      kernels.centroids.data() + c * kernels.centroid_width,
+                      kernels.centroid_width * sizeof(double)) != 0) {
         return flat_mismatch("centroid bits of cluster " + std::to_string(c));
       }
     }
-    // Routing honesty: every (cluster, group) entry in the flat section
-    // must dispatch to exactly the pool model the combo sections select.
-    for (size_t c = 0; c < k; ++c) {
-      const CompiledCombo& kernel =
-          *flat.slot_kernels[flat.slot_of_cluster[c]];
-      for (size_t g = 0; g < num_groups; ++g) {
-        if (kernel.GroupModel(g) != model.selected_[c][g]) {
-          return flat_mismatch("entry model of cluster " + std::to_string(c) +
-                               ", group " + std::to_string(g));
-        }
-      }
-    }
-    if (backing != nullptr) {
-      // Zero-copy install: the kernels alias the mapping (structural
-      // safety was established by FromParts; `falcc_cli snapshot verify`
-      // provides the full recompile check offline).
-      model.compiled_.assign(k, nullptr);
-      for (size_t c = 0; c < k; ++c) {
-        model.compiled_[c] = flat.slot_kernels[flat.slot_of_cluster[c]];
-      }
-      model.RebuildComboSlots();
-    } else {
-      // Stream load: the pool stays authoritative — compile from it and
-      // require the flat section to match bit for bit.
-      FALCC_RETURN_IF_ERROR(model.CompileKernels());
-      if (model.combo_slot_ != flat.slot_of_cluster ||
-          model.slot_kernel_.size() != flat.slot_kernels.size()) {
-        return flat_mismatch("kernel slot layout");
-      }
-      for (size_t s = 0; s < model.slot_kernel_.size(); ++s) {
-        if (!model.slot_kernel_[s]->SameBits(*flat.slot_kernels[s])) {
-          return flat_mismatch("kernel bits of slot " + std::to_string(s));
-        }
-      }
-    }
+    model.kernels_ = std::make_shared<const CompiledPool>(
+        std::move(decoded).value().kernels);
   } else {
-    FALCC_RETURN_IF_ERROR(model.CompileKernels());
+    model.CompileKernels();
+    if (current_flat) {
+      // Stream load: the pool stays authoritative — the section must be
+      // exactly what the freshly compiled kernels encode to.
+      std::ostringstream expected;
+      FALCC_RETURN_IF_ERROR(
+          io::EncodeFlatSection(&expected, model.centroids_, *model.kernels_));
+      if (expected.view() != flat) return flat_mismatch("kernel bytes");
+    }
   }
   model.manifest_ = manifest;
   return model;
@@ -1073,13 +1011,15 @@ Result<uint64_t> FalccModel::ContentHash() const {
 
 Result<FalccModel> FalccModel::CloneWithRefreshes(
     std::span<const ClusterRefresh> refreshes) const {
-  // In-memory clone: the pool is shared (immutable, by far the largest
-  // component) and everything else is copied, so the clone costs
+  // In-memory clone: the pool and its compiled kernels are shared
+  // (immutable, by far the largest components; a refresh only re-picks
+  // among them) and everything else is copied, so the clone costs
   // O(refreshed clusters + routing tables), not a serialization round
   // trip of the whole model. Training diagnostics (assignment_) are not
   // carried over, matching what a save/load round trip would drop.
   FalccModel model;
   model.pool_ = pool_;
+  model.kernels_ = kernels_;
   model.pool_entropy_ = pool_entropy_;
   model.group_index_ = group_index_;
   model.clustering_transform_ = clustering_transform_;
@@ -1119,30 +1059,12 @@ Result<FalccModel> FalccModel::CloneWithRefreshes(
       model.baseline_loss_[refresh.cluster] = refresh.baseline_loss;
     }
   }
-  if (has_compiled_kernels()) {
-    // Kernel reuse: untouched clusters share this model's compiled
-    // combos pointer-for-pointer; each distinct refreshed combination
-    // compiles exactly once.
-    model.compiled_ = compiled_;
-    std::map<ModelCombination, std::shared_ptr<const CompiledCombo>> fresh;
-    for (const ClusterRefresh& refresh : refreshes) {
-      auto [it, inserted] = fresh.try_emplace(refresh.combination);
-      if (inserted) {
-        Result<std::shared_ptr<const CompiledCombo>> combo =
-            CompiledCombo::Compile(*model.pool_, refresh.combination);
-        if (!combo.ok()) return combo.status();
-        it->second = std::move(combo).value();
-      }
-      model.compiled_[refresh.cluster] = it->second;
-    }
-    model.RebuildComboSlots();
-  }
   // Incremental manifest update: a refresh changes only the refreshed
-  // clusters' combo sections (and invalidates the derived flat cache),
-  // so the clone's content hash is recomputed from per-section metadata
-  // without serializing the model. Offsets go stale but nothing reads
-  // them (ContentHash folds name/length/checksum only); EnsureManifest
-  // on a fresh save restores exact offsets.
+  // clusters' combo sections (the flat section depends on the pool and
+  // centroids alone), so the clone's content hash is recomputed from
+  // per-section metadata without serializing the model. Offsets go stale
+  // but nothing reads them (ContentHash folds name/length/checksum
+  // only); EnsureManifest on a fresh save restores exact offsets.
   if (manifest_.has_value()) {
     io::SnapshotManifest manifest = *manifest_;
     bool consistent = true;
@@ -1162,9 +1084,6 @@ Result<FalccModel> FalccModel::CloneWithRefreshes(
       }
       consistent = consistent && found;
     }
-    std::erase_if(manifest.sections, [](const io::SectionInfo& info) {
-      return info.name == io::kFlatSectionName;
-    });
     if (consistent) model.manifest_ = std::move(manifest);
   }
   return model;
@@ -1237,36 +1156,32 @@ void FalccModel::ClassifyRowsInto(const Dataset& data,
   decisions.assign(n, SampleDecision{});
   Timer stage_timer;
 
-  // Stage 1 — sample processing (§3.7 step 1) into one contiguous
-  // row-major matrix (caller scratch, reused across batches). One
-  // transform buffer per chunk: the per-sample Apply allocation
-  // dominates the nearest-centroid lookup on small models.
+  // Stage 1 — sample processing (§3.7 step 1) straight into one
+  // contiguous row-major matrix (caller scratch, reused across batches):
+  // no per-sample or per-chunk buffer.
   const size_t width = clustering_transform_.num_output_features();
   std::vector<double>& transformed = scratch->transformed;
   transformed.resize(n * width);
   ParallelFor(0, n, 256, [&](size_t /*chunk*/, size_t lo, size_t hi) {
-    std::vector<double> scratch;
     for (size_t i = lo; i < hi; ++i) {
-      clustering_transform_.ApplyInto(data.Row(i), &scratch);
-      std::copy(scratch.begin(), scratch.end(),
-                transformed.begin() + static_cast<ptrdiff_t>(i * width));
+      clustering_transform_.ApplyInto(
+          data.Row(i), std::span<double>(transformed.data() + i * width,
+                                         width));
     }
   });
   response->stages.transform = stage_timer.ElapsedSeconds();
   stage_timer.Restart();
 
   // Stage 2 — route every row to the model stored for its (region,
-  // group). The sensitive-key scratch buffer is reused across the chunk.
+  // group). Neither lookup allocates.
   ParallelFor(0, n, 256, [&](size_t /*chunk*/, size_t lo, size_t hi) {
-    std::vector<double> key_scratch;
     for (size_t i = lo; i < hi; ++i) {
       const std::span<const double> point(transformed.data() + i * width,
                                           width);
       const size_t cluster = centroid_index_.has_value()
                                  ? centroid_index_->Nearest1(point)
                                  : NearestCentroid(centroids_, point);
-      const size_t group =
-          group_index_.GroupOfOrNearest(data.Row(i), &key_scratch);
+      const size_t group = group_index_.GroupOfOrNearest(data.Row(i));
       decisions[i].cluster = cluster;
       decisions[i].group = group;
       decisions[i].model = selected_[cluster][group];
@@ -1275,51 +1190,38 @@ void FalccModel::ClassifyRowsInto(const Dataset& data,
   response->stages.match = stage_timer.ElapsedSeconds();
   stage_timer.Restart();
 
-  // Stage 3 — batch inference. With compiled kernels, rows group by
-  // (kernel slot, group): each segment runs one fused flat-node walk —
-  // no group routing or per-model virtual dispatch inside the segment —
-  // with non-lowerable models falling back to the interpreted batch
-  // path. Without kernels, rows group by model exactly as before. The
-  // counting sort keeps row ids ascending within each segment and
-  // per-row results are independent, so the regrouping cannot change any
-  // prediction; segments write disjoint slices of the shared scratch
-  // probability buffer, so the parallel loop allocates nothing.
-  const bool fused = use_compiled_ && has_compiled_kernels();
-  const size_t groups = num_groups();
-  const size_t num_keys =
-      fused ? slot_kernel_.size() * groups : pool_->size();
-  auto key_of = [&](const SampleDecision& d) {
-    return fused ? combo_slot_[d.cluster] * groups + d.group : d.model;
-  };
+  // Stage 3 — batch inference, rows grouped by the pool model that
+  // fires. Each segment runs that model's compiled kernel (the shared
+  // flat-node walk) or, for models that do not lower or with kernels
+  // off, the interpreted batch path. The counting sort keeps row ids
+  // ascending within each segment and per-row results are independent,
+  // so the regrouping cannot change any prediction; segments write
+  // disjoint slices of the shared scratch probability buffer, so the
+  // parallel loop allocates nothing.
+  const CompiledPool* kernels = use_compiled_ ? kernels_.get() : nullptr;
+  const size_t num_models = pool_->size();
   std::vector<size_t>& offsets = scratch->offsets;
   std::vector<size_t>& cursor = scratch->cursor;
   std::vector<size_t>& rows = scratch->rows;
   std::vector<double>& proba = scratch->proba;
-  offsets.assign(num_keys + 1, 0);
-  for (size_t i = 0; i < n; ++i) ++offsets[key_of(decisions[i]) + 1];
-  for (size_t s = 0; s < num_keys; ++s) offsets[s + 1] += offsets[s];
+  offsets.assign(num_models + 1, 0);
+  for (size_t i = 0; i < n; ++i) ++offsets[decisions[i].model + 1];
+  for (size_t m = 0; m < num_models; ++m) offsets[m + 1] += offsets[m];
   rows.resize(n);
   proba.resize(n);
   cursor.assign(offsets.begin(), offsets.end() - 1);
-  for (size_t i = 0; i < n; ++i) rows[cursor[key_of(decisions[i])]++] = i;
-  ParallelFor(0, num_keys, 1, [&](size_t /*chunk*/, size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      const std::span<const size_t> segment_rows(rows.data() + offsets[s],
-                                                 offsets[s + 1] - offsets[s]);
+  for (size_t i = 0; i < n; ++i) rows[cursor[decisions[i].model]++] = i;
+  ParallelFor(0, num_models, 1, [&](size_t /*chunk*/, size_t lo, size_t hi) {
+    for (size_t m = lo; m < hi; ++m) {
+      const std::span<const size_t> segment_rows(rows.data() + offsets[m],
+                                                 offsets[m + 1] - offsets[m]);
       if (segment_rows.empty()) continue;
-      const std::span<double> segment_proba(proba.data() + offsets[s],
+      const std::span<double> segment_proba(proba.data() + offsets[m],
                                             segment_rows.size());
-      if (fused) {
-        const CompiledCombo& combo = *slot_kernel_[s / groups];
-        const size_t g = s % groups;
-        if (combo.GroupCompiled(g)) {
-          combo.PredictGroup(data, g, segment_rows, segment_proba);
-        } else {
-          pool_->model(combo.GroupModel(g))
-              .PredictProbaBatch(data, segment_rows, segment_proba);
-        }
+      if (kernels != nullptr && (*kernels)[m].has_value()) {
+        (*kernels)[m]->PredictProbaBatch(data, segment_rows, segment_proba);
       } else {
-        pool_->model(s).PredictProbaBatch(data, segment_rows, segment_proba);
+        pool_->model(m).PredictProbaBatch(data, segment_rows, segment_proba);
       }
       for (size_t j = 0; j < segment_rows.size(); ++j) {
         SampleDecision& d = decisions[segment_rows[j]];

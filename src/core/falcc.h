@@ -195,12 +195,12 @@ class FalccModel {
   /// Same, with an explicit format (v2 → v1 downgrade or forced upgrade).
   Status Save(std::ostream* out, SnapshotFormat format) const;
   /// Deserializes (either format, sniffed from the first bytes),
-  /// validates, and compiles the per-cluster inference kernels (see
+  /// validates, and compiles the pool's inference kernels (see
   /// "Compiled inference" below), so a loaded model serves from the
-  /// fused path immediately. For v2 artifacts every section checksum is
-  /// verified and a failure names the section and its file offset; the
-  /// `flat` section, when present, is additionally checked bit-for-bit
-  /// against freshly compiled kernels.
+  /// compiled path immediately. For v2 artifacts every section checksum
+  /// is verified and a failure names the section and its file offset;
+  /// the `flat` section, when present, must match the freshly compiled
+  /// kernels byte for byte.
   static Result<FalccModel> Load(std::istream* in);
   /// File-path convenience wrappers.
   Status SaveToFile(const std::string& path) const;
@@ -222,8 +222,7 @@ class FalccModel {
   // writes a `falcc-delta-v2` artifact holding only the listed clusters'
   // combo sections plus the content hash of the snapshot it applies to;
   // ApplyDeltaBytes replays it onto a loaded model, re-validating only
-  // the shipped sections and leaving every untouched cluster's compiled
-  // kernel pointer-identical.
+  // the shipped sections and sharing the compiled pool pointer-identically.
 
   /// Serializes only `clusters`' combo sections as a delta against the
   /// snapshot whose content hash is `base_hash` (normally the hash of
@@ -257,8 +256,8 @@ class FalccModel {
 
   /// Clone with the listed clusters' combinations (and baseline L̂)
   /// replaced — the monitor's refresh primitive. The clone shares this
-  /// model's pool and every untouched cluster's compiled kernel pointer
-  /// for pointer, so the clone is O(refreshed clusters), not O(model);
+  /// model's pool and compiled pool pointer for pointer and compiles
+  /// nothing, so the clone is O(refreshed clusters), not O(model);
   /// it classifies bit-identically to this model on every cluster not
   /// listed. Each refresh is validated: cluster in range, one applicable
   /// pool model per sensitive group.
@@ -291,38 +290,33 @@ class FalccModel {
 
   // --- Compiled inference ----------------------------------------------
   //
-  // Train and Load lower every cluster's model combination into a fused
-  // flat-node kernel (ml/compiled_ensemble.h); the online batch path
-  // then walks one node table per (cluster, group) row segment instead
-  // of dispatching per model. Kernels are derived state: never
-  // serialized, shared between clusters that selected the same
-  // combination, and shared with refresh clones for untouched clusters.
+  // Train and Load lower every pool model, once, into a flat-node kernel
+  // (ml/compiled_ensemble.h); the online batch path then walks the
+  // kernel of the model each row segment selected instead of calling the
+  // interpreted model. The compiled pool depends only on the pool, so
+  // every cluster serves from it and refresh clones share it by pointer.
   // Decisions are bit-identical with the kernels on or off.
 
-  /// (Re)compiles the per-cluster kernels from the current pool and
-  /// combinations. Idempotent in effect; called by Train and Load, and
-  /// by FalccEngine::Install for models that bypassed both.
-  Status CompileKernels();
-  /// Whether per-cluster kernels are built.
-  bool has_compiled_kernels() const {
-    return !compiled_.empty() && compiled_.size() == centroids_.size();
-  }
+  /// (Re)compiles the pool's kernels. Idempotent in effect; called by
+  /// Train and Load, and by FalccEngine::Install for models that
+  /// bypassed both. Never fails: a pool model that does not lower keeps
+  /// an empty entry and serves through the interpreted path.
+  void CompileKernels();
+  /// Whether the pool's kernels are built.
+  bool has_compiled_kernels() const { return kernels_ != nullptr; }
   /// Routing toggle for the online batch path (A/B runs, tests). The
   /// single-sample entry points always use the interpreted path.
   void set_use_compiled(bool use_compiled) { use_compiled_ = use_compiled; }
   bool use_compiled() const { return use_compiled_; }
-  /// Compiled kernel serving `cluster` (nullptr when not compiled).
-  std::shared_ptr<const CompiledCombo> compiled_combo(size_t cluster) const {
-    return cluster < compiled_.size() ? compiled_[cluster] : nullptr;
+  /// The compiled pool every cluster serves from (nullptr when not
+  /// compiled): entry m is pool model m's kernel.
+  const std::shared_ptr<const CompiledPool>& compiled_pool() const {
+    return kernels_;
   }
   /// Drops the kernels (memory reclaim for offline-only use; tests force
   /// FalccEngine::Install's recompile path with this). Classification
   /// falls back to the interpreted path until CompileKernels runs again.
-  void ClearCompiledKernels() {
-    compiled_.clear();
-    combo_slot_.clear();
-    slot_kernel_.clear();
-  }
+  void ClearCompiledKernels() { kernels_.reset(); }
 
   /// Checks one sample against the input contract above.
   Status ValidateSample(std::span<const double> features) const;
@@ -415,25 +409,14 @@ class FalccModel {
   /// Serializes one cluster's combo section (combination + optional
   /// baseline) — the unit a delta ships.
   void WriteComboSection(std::ostream* out, size_t cluster) const;
-  /// Canonical kernel-slot layout: clusters dedup by combination value
-  /// in first-appearance order (a pure function of selected_, unlike the
-  /// pointer-identity slots of RebuildComboSlots). `slot_clusters[s]` is
-  /// the first cluster of slot s.
-  void CanonicalSlots(std::vector<uint32_t>* slot_of_cluster,
-                      std::vector<size_t>* slot_clusters) const;
 
   /// (Re)builds centroid_index_ from centroids_. Called after training
   /// and after Load — the index is derived state and never serialized.
   Status BuildCentroidIndex();
 
-  /// Rebuilds the cluster → kernel-slot mapping from compiled_ (slots
-  /// dedup by kernel identity, so the counting sort keys stay dense).
-  void RebuildComboSlots();
-
   /// Shared online-phase kernel behind ClassifyAll and ClassifyBatch:
   /// transform → nearest-centroid match + group routing → batch
-  /// inference grouped by fused kernel segment (or by model on the
-  /// interpreted path). `data` rows must already satisfy the width
+  /// inference grouped by the selected pool model. `data` rows must already satisfy the width
   /// contract. Writes one SampleDecision per row (row order) and the
   /// per-stage wall clock into `*response`.
   void ClassifyRowsInto(const Dataset& data, ClassifyResponse* response,
@@ -453,13 +436,9 @@ class FalccModel {
   std::vector<size_t> assignment_;            // validation rows -> cluster
   std::vector<ModelCombination> selected_;    // cluster -> combination
   std::vector<double> baseline_loss_;         // cluster -> offline L̂
-  /// Fused per-cluster kernels (derived, never serialized). Clusters
-  /// with equal combinations share one CompiledCombo; combo_slot_ maps
-  /// each cluster to a dense kernel slot and slot_kernel_ back to the
-  /// kernel, which keys stage-3 row grouping.
-  std::vector<std::shared_ptr<const CompiledCombo>> compiled_;
-  std::vector<uint32_t> combo_slot_;
-  std::vector<const CompiledCombo*> slot_kernel_;
+  /// Per-model kernels (derived state, cached in the `flat` section).
+  /// Shared by every cluster and with refresh clones, like pool_.
+  std::shared_ptr<const CompiledPool> kernels_;
   bool use_compiled_ = true;
   double assess_lambda_ = 0.5;
   FairnessMetric assess_metric_ = FairnessMetric::kDemographicParity;

@@ -19,6 +19,26 @@ std::vector<double> SensitiveKey(std::span<const double> features,
 
 }  // namespace
 
+bool GroupIndex::KeyLess::operator()(const std::vector<double>& a,
+                                     const SampleKey& b) const {
+  for (size_t i = 0; i < a.size() && i < b.columns.size(); ++i) {
+    const double v = b.features[b.columns[i]];
+    if (a[i] < v) return true;
+    if (v < a[i]) return false;
+  }
+  return a.size() < b.columns.size();
+}
+
+bool GroupIndex::KeyLess::operator()(const SampleKey& a,
+                                     const std::vector<double>& b) const {
+  for (size_t i = 0; i < a.columns.size() && i < b.size(); ++i) {
+    const double v = a.features[a.columns[i]];
+    if (v < b[i]) return true;
+    if (b[i] < v) return false;
+  }
+  return a.columns.size() < b.size();
+}
+
 Result<GroupIndex> GroupIndex::Build(const Dataset& data) {
   if (data.sensitive_features().empty()) {
     return Status::InvalidArgument(
@@ -40,8 +60,7 @@ Result<GroupIndex> GroupIndex::Build(const Dataset& data) {
 }
 
 Result<size_t> GroupIndex::GroupOf(std::span<const double> features) const {
-  const std::vector<double> key = SensitiveKey(features, sensitive_features_);
-  const auto it = key_to_group_.find(key);
+  const auto it = key_to_group_.find(SampleKey{features, sensitive_features_});
   if (it == key_to_group_.end()) {
     return Status::NotFound("sensitive value combination not seen at build");
   }
@@ -49,24 +68,16 @@ Result<size_t> GroupIndex::GroupOf(std::span<const double> features) const {
 }
 
 size_t GroupIndex::GroupOfOrNearest(std::span<const double> features) const {
-  std::vector<double> scratch;
-  return GroupOfOrNearest(features, &scratch);
-}
-
-size_t GroupIndex::GroupOfOrNearest(std::span<const double> features,
-                                    std::vector<double>* key_scratch) const {
   FALCC_CHECK(!group_keys_.empty(), "GroupOfOrNearest on empty index");
-  std::vector<double>& key = *key_scratch;
-  key.clear();
-  for (size_t col : sensitive_features_) key.push_back(features[col]);
-  const auto it = key_to_group_.find(key);
+  const auto it =
+      key_to_group_.find(SampleKey{features, sensitive_features_});
   if (it != key_to_group_.end()) return it->second;
   size_t best = 0;
   double best_d2 = 1e300;
   for (size_t g = 0; g < group_keys_.size(); ++g) {
     double d2 = 0.0;
-    for (size_t i = 0; i < key.size(); ++i) {
-      const double diff = key[i] - group_keys_[g][i];
+    for (size_t i = 0; i < sensitive_features_.size(); ++i) {
+      const double diff = features[sensitive_features_[i]] - group_keys_[g][i];
       d2 += diff * diff;
     }
     if (d2 < best_d2) {

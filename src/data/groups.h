@@ -46,12 +46,8 @@ class GroupIndex {
   /// nearest sensitive-attribute key (Euclidean). Never fails on a built
   /// index; used by online classification of arbitrary test samples.
   /// `features` must cover every sensitive column of the index.
+  /// Allocation-free: the key is compared in place.
   size_t GroupOfOrNearest(std::span<const double> features) const;
-
-  /// Allocation-free variant for batch callers: `key_scratch` holds the
-  /// extracted sensitive key between calls and is overwritten each time.
-  size_t GroupOfOrNearest(std::span<const double> features,
-                          std::vector<double>* key_scratch) const;
 
   /// Group id per row of `data` (must have the same sensitive columns).
   /// Rows with unseen combinations fail.
@@ -68,8 +64,26 @@ class GroupIndex {
   static Result<GroupIndex> Deserialize(std::istream* in);
 
  private:
+  /// A sample's sensitive values, read in place from its feature vector
+  /// — the heterogeneous lookup key, so a query builds no key vector.
+  struct SampleKey {
+    std::span<const double> features;
+    std::span<const size_t> columns;
+  };
+  /// Lexicographic order over stored keys and SampleKeys alike (the
+  /// order std::vector<double>::operator< defines).
+  struct KeyLess {
+    using is_transparent = void;
+    bool operator()(const std::vector<double>& a,
+                    const std::vector<double>& b) const {
+      return a < b;
+    }
+    bool operator()(const std::vector<double>& a, const SampleKey& b) const;
+    bool operator()(const SampleKey& a, const std::vector<double>& b) const;
+  };
+
   std::vector<size_t> sensitive_features_;
-  std::map<std::vector<double>, size_t> key_to_group_;
+  std::map<std::vector<double>, size_t, KeyLess> key_to_group_;
   std::vector<std::vector<double>> group_keys_;  // by group id
 };
 

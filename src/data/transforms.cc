@@ -47,19 +47,20 @@ void ColumnTransform::DropColumns(std::span<const size_t> cols) {
 
 std::vector<double> ColumnTransform::Apply(
     std::span<const double> features) const {
-  std::vector<double> out;
-  ApplyInto(features, &out);
+  std::vector<double> out(kept_columns_.size());
+  ApplyInto(features, out);
   return out;
 }
 
 void ColumnTransform::ApplyInto(std::span<const double> features,
-                                std::vector<double>* out) const {
+                                std::span<double> out) const {
   FALCC_CHECK(features.size() == offsets_.size(),
               "ColumnTransform::Apply: width mismatch");
-  out->resize(kept_columns_.size());
+  FALCC_CHECK(out.size() == kept_columns_.size(),
+              "ColumnTransform::ApplyInto: output width mismatch");
   for (size_t i = 0; i < kept_columns_.size(); ++i) {
     const size_t c = kept_columns_[i];
-    (*out)[i] = (features[c] - offsets_[c]) * scales_[c];
+    out[i] = (features[c] - offsets_[c]) * scales_[c];
   }
 }
 

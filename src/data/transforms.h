@@ -58,11 +58,11 @@ class ColumnTransform {
   /// Transforms one sample. `features` must have num_input_features().
   std::vector<double> Apply(std::span<const double> features) const;
 
-  /// Allocation-free variant: writes the transformed sample into `*out`
-  /// (resized to num_output_features()). Lets batch callers reuse one
-  /// scratch buffer per thread instead of allocating per sample.
+  /// Allocation-free variant: writes the transformed sample into `out`,
+  /// which must have num_output_features() elements (e.g. one row of a
+  /// caller-owned matrix).
   void ApplyInto(std::span<const double> features,
-                 std::vector<double>* out) const;
+                 std::span<double> out) const;
 
   /// Transforms every row of `data`; the result is a plain matrix
   /// (row-major) since labels/sensitive metadata are unaffected.

@@ -1,5 +1,6 @@
 #include "io/flat_kernel.h"
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -8,17 +9,22 @@ namespace falcc::io {
 
 namespace {
 
-// "falcc-f2" as the little-endian byte sequence of one u64. A reader on
-// a byte order other than the writer's sees a scrambled magic and
-// rejects before touching any other field.
-constexpr uint64_t kFlatMagic =
-    uint64_t{'f'} | (uint64_t{'a'} << 8) | (uint64_t{'l'} << 16) |
-    (uint64_t{'c'} << 24) | (uint64_t{'c'} << 32) | (uint64_t{'-'} << 40) |
-    (uint64_t{'f'} << 48) | (uint64_t{'2'} << 56);
+// "falcc-f<version>" as the little-endian byte sequence of one u64. A
+// reader on a byte order other than the writer's sees a scrambled magic
+// and rejects before touching any other field.
+constexpr uint64_t FlatMagic(char version) {
+  return uint64_t{'f'} | (uint64_t{'a'} << 8) | (uint64_t{'l'} << 16) |
+         (uint64_t{'c'} << 24) | (uint64_t{'c'} << 32) |
+         (uint64_t{'-'} << 40) | (uint64_t{'f'} << 48) |
+         (uint64_t(version) << 56);
+}
+constexpr uint64_t kFlatMagic = FlatMagic('3');
+// Per-cluster stitched kernels, superseded by the per-model layout.
+constexpr uint64_t kLegacyFlatMagic = FlatMagic('2');
 
+constexpr uint32_t kNotLowered = 0xffffffffu;
 constexpr uint64_t kMaxClusters = 10000000;
 constexpr uint64_t kMaxWidth = 1000000;
-constexpr uint64_t kMaxGroups = 1000000;
 constexpr uint64_t kMaxNodes = 1u << 30;
 constexpr uint64_t kMaxTrees = 1u << 30;
 
@@ -34,23 +40,12 @@ void PutU64(std::string* buffer, uint64_t v) {
   buffer->append(bytes, sizeof(v));
 }
 
-void PutF64(std::string* buffer, double v) {
-  char bytes[sizeof(v)];
-  std::memcpy(bytes, &v, sizeof(v));
-  buffer->append(bytes, sizeof(v));
-}
-
 template <typename T>
 void PutArray(std::string* buffer, std::span<const T> values) {
   if (!values.empty()) {
     buffer->append(reinterpret_cast<const char*>(values.data()),
                    values.size() * sizeof(T));
   }
-}
-
-// Keeps the next field 8-byte aligned after an odd-count 4-byte array.
-void PutPad4IfOdd(std::string* buffer, size_t count) {
-  if (count % 2 != 0) buffer->append(4, '\0');
 }
 
 Status FlatError(std::string what) {
@@ -73,7 +68,6 @@ class Cursor {
 
   bool U32(uint32_t* v) { return Scalar(v); }
   bool U64(uint64_t* v) { return Scalar(v); }
-  bool F64(double* v) { return Scalar(v); }
 
   bool AtEnd() const { return next_ == end_; }
   size_t remaining() const { return static_cast<size_t>(end_ - next_); }
@@ -111,31 +105,13 @@ bool TakeArray(Cursor* cursor, size_t count, std::span<const T>* view,
   return true;
 }
 
-bool SkipZeroPad4IfOdd(Cursor* cursor, size_t count) {
-  if (count % 2 == 0) return true;
-  const char* p;
-  if (!cursor->Bytes(4, &p)) return false;
-  return p[0] == 0 && p[1] == 0 && p[2] == 0 && p[3] == 0;
-}
-
-// Owned copies of one slot's arrays for the unaligned fallback.
-struct OwnedSlotArrays {
-  std::vector<TreeRef> trees;
-  std::vector<double> alphas;
-  std::vector<int32_t> feature;
-  std::vector<double> threshold;
-  std::vector<uint32_t> children;
-  std::vector<double> leaf_proba;
-};
-
 }  // namespace
 
 Status EncodeFlatSection(std::ostream* out,
                          std::span<const std::vector<double>> centroids,
-                         std::span<const uint32_t> slot_of_cluster,
-                         std::span<const CompiledCombo* const> slots) {
-  const size_t k = slot_of_cluster.size();
-  if (k == 0 || k > kMaxClusters || centroids.size() != k) {
+                         const CompiledPool& kernels) {
+  const size_t k = centroids.size();
+  if (k == 0 || k > kMaxClusters) {
     return Status::Internal("EncodeFlatSection: bad cluster count");
   }
   const size_t width = centroids[0].size();
@@ -147,62 +123,34 @@ Status EncodeFlatSection(std::ostream* out,
       return Status::Internal("EncodeFlatSection: ragged centroids");
     }
   }
-  if (slots.empty() || slots.size() > k) {
-    return Status::Internal("EncodeFlatSection: bad slot count");
-  }
-  const size_t num_groups = slots[0]->num_groups();
-  if (num_groups == 0 || num_groups > kMaxGroups) {
-    return Status::Internal("EncodeFlatSection: bad group count");
-  }
-  // Canonical slot order: first references in increasing order, every
-  // slot referenced. Violations are encoder bugs, not artifact states.
-  size_t seen = 0;
-  for (uint32_t slot : slot_of_cluster) {
-    if (slot > seen || slot >= slots.size()) {
-      return Status::Internal("EncodeFlatSection: non-canonical slot order");
-    }
-    if (slot == seen) ++seen;
-  }
-  if (seen != slots.size()) {
-    return Status::Internal("EncodeFlatSection: unreferenced slot");
+  if (kernels.empty()) {
+    return Status::Internal("EncodeFlatSection: empty kernel pool");
   }
 
   std::string buffer;
   PutU64(&buffer, kFlatMagic);
   PutU64(&buffer, k);
   PutU64(&buffer, width);
-  PutU64(&buffer, num_groups);
-  PutU64(&buffer, slots.size());
-  PutArray(&buffer, slot_of_cluster);
-  PutPad4IfOdd(&buffer, k);
+  PutU64(&buffer, kernels.size());
   for (const std::vector<double>& centroid : centroids) {
     PutArray(&buffer, std::span<const double>(centroid));
   }
-  for (const CompiledCombo* slot : slots) {
-    if (slot == nullptr || slot->num_groups() != num_groups) {
-      return Status::Internal("EncodeFlatSection: inconsistent slot kernel");
-    }
-    const CompiledCombo::FlatParts& parts = slot->parts();
-    PutU64(&buffer, parts.trees.size());
-    PutU64(&buffer, parts.feature.size());
-    for (const CompiledCombo::GroupEntry& entry : slot->groups()) {
-      PutU32(&buffer, static_cast<uint32_t>(entry.kind));
-      PutU32(&buffer, entry.model);
-      PutU32(&buffer, entry.tree_begin);
-      PutU32(&buffer, entry.tree_end);
-      PutU32(&buffer, entry.compiled ? 1 : 0);
+  for (const std::optional<CompiledEnsemble>& kernel : kernels) {
+    if (!kernel.has_value()) {
+      PutU32(&buffer, kNotLowered);
       PutU32(&buffer, 0);
-      PutF64(&buffer, entry.alpha_sum);
+      PutU64(&buffer, 0);
+      PutU64(&buffer, 0);
+      continue;
     }
-    for (const TreeRef& tree : parts.trees) {
-      PutU32(&buffer, tree.root);
-      PutU32(&buffer, tree.steps);
-    }
+    const CompiledEnsemble::Parts& parts = kernel->parts();
+    PutU32(&buffer, static_cast<uint32_t>(parts.kind));
+    PutU32(&buffer, 0);
+    PutU64(&buffer, parts.trees.size());
+    PutU64(&buffer, parts.nodes.size());
+    PutArray(&buffer, parts.trees);
     PutArray(&buffer, parts.alphas);
-    PutArray(&buffer, parts.feature);
-    PutPad4IfOdd(&buffer, parts.feature.size());
-    PutArray(&buffer, parts.threshold);
-    PutArray(&buffer, parts.children);
+    PutArray(&buffer, parts.nodes);
     PutArray(&buffer, parts.leaf_proba);
   }
   out->write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
@@ -212,9 +160,13 @@ Status EncodeFlatSection(std::ostream* out,
   return Status::OK();
 }
 
+bool IsLegacyFlatSection(std::string_view payload) {
+  uint64_t magic = 0;
+  return Cursor(payload).U64(&magic) && magic == kLegacyFlatMagic;
+}
+
 Result<DecodedFlat> DecodeFlatSection(std::string_view payload,
-                                      size_t num_groups, size_t num_features,
-                                      size_t pool_size,
+                                      size_t num_features, size_t pool_size,
                                       std::shared_ptr<const void> backing) {
   Cursor cursor(payload);
   uint64_t magic = 0;
@@ -222,52 +174,22 @@ Result<DecodedFlat> DecodeFlatSection(std::string_view payload,
   if (magic != kFlatMagic) {
     return FlatError("bad magic (not a flat section, or wrong byte order)");
   }
-  uint64_t k = 0, width = 0, groups_in_file = 0, num_slots = 0;
-  if (!cursor.U64(&k) || !cursor.U64(&width) || !cursor.U64(&groups_in_file) ||
-      !cursor.U64(&num_slots)) {
+  uint64_t k = 0, width = 0, num_models = 0;
+  if (!cursor.U64(&k) || !cursor.U64(&width) || !cursor.U64(&num_models)) {
     return FlatError("truncated header");
   }
   if (k == 0 || k > kMaxClusters) return FlatError("cluster count out of range");
   if (width == 0 || width > kMaxWidth) {
     return FlatError("centroid width out of range");
   }
-  if (groups_in_file != num_groups) {
-    return FlatError("group count does not match the snapshot's sections");
+  if (num_models != pool_size) {
+    return FlatError("model count does not match the snapshot's pool");
   }
-  if (num_slots == 0 || num_slots > k) {
-    return FlatError("slot count out of range");
-  }
-
-  // Zero copy requires the payload base to sit on an 8-byte boundary
-  // (every array offset is a multiple of 8 by layout). Mapped files
-  // always qualify; an unaligned in-memory buffer decodes via copies.
-  const bool copy =
-      reinterpret_cast<uintptr_t>(payload.data()) % 8 != 0;
-  auto owned = copy ? std::make_shared<std::vector<OwnedSlotArrays>>()
-                    : nullptr;
-  if (owned) owned->resize(num_slots);
 
   DecodedFlat decoded;
   decoded.centroid_width = static_cast<size_t>(width);
-  // Routing and centroids are always copied out (they are small and only
-  // compared against the text sections), so alignment never matters.
-  std::span<const uint32_t> routing;
-  if (!TakeArray(&cursor, static_cast<size_t>(k), &routing,
-                 &decoded.slot_of_cluster)) {
-    return FlatError("truncated cluster routing");
-  }
-  if (!SkipZeroPad4IfOdd(&cursor, static_cast<size_t>(k))) {
-    return FlatError("bad routing padding");
-  }
-  size_t seen = 0;
-  for (uint32_t slot : decoded.slot_of_cluster) {
-    if (slot > seen || slot >= num_slots) {
-      return FlatError("cluster routing is not in canonical slot order");
-    }
-    if (slot == seen) ++seen;
-  }
-  if (seen != num_slots) return FlatError("unreferenced kernel slot");
-
+  // Centroids are always copied out (they are small and only compared
+  // against the text section), so alignment never matters for them.
   std::span<const double> centroid_view;
   if (static_cast<size_t>(width) > cursor.remaining() / sizeof(double) / k ||
       !TakeArray(&cursor, static_cast<size_t>(k * width), &centroid_view,
@@ -275,60 +197,52 @@ Result<DecodedFlat> DecodeFlatSection(std::string_view payload,
     return FlatError("truncated centroids");
   }
 
-  decoded.slot_kernels.reserve(num_slots);
-  for (size_t s = 0; s < num_slots; ++s) {
+  // Zero copy requires the payload base to sit on an 8-byte boundary
+  // (every array offset is a multiple of 8 by layout). Mapped files
+  // always qualify; an unaligned in-memory buffer decodes via copies,
+  // one owned table per model.
+  const bool copy = reinterpret_cast<uintptr_t>(payload.data()) % 8 != 0;
+  decoded.kernels.resize(pool_size);
+  for (size_t m = 0; m < pool_size; ++m) {
+    uint32_t kind = 0, pad = 0;
     uint64_t num_trees = 0, num_nodes = 0;
-    if (!cursor.U64(&num_trees) || !cursor.U64(&num_nodes)) {
-      return FlatError("truncated slot header");
+    if (!cursor.U32(&kind) || !cursor.U32(&pad) || !cursor.U64(&num_trees) ||
+        !cursor.U64(&num_nodes)) {
+      return FlatError("truncated kernel header");
     }
+    if (pad != 0) return FlatError("nonzero kernel header padding");
+    if (kind == kNotLowered) {
+      if (num_trees != 0 || num_nodes != 0) {
+        return FlatError("interpreted model with kernel arrays");
+      }
+      continue;
+    }
+    if (kind > 2) return FlatError("unknown ensemble kind");
     if (num_trees > kMaxTrees) return FlatError("tree count out of range");
     if (num_nodes > kMaxNodes) return FlatError("node count out of range");
-    std::vector<CompiledCombo::GroupEntry> entries(num_groups);
-    for (CompiledCombo::GroupEntry& entry : entries) {
-      uint32_t kind = 0, compiled = 0, pad = 0;
-      double alpha_sum = 0.0;
-      if (!cursor.U32(&kind) || !cursor.U32(&entry.model) ||
-          !cursor.U32(&entry.tree_begin) || !cursor.U32(&entry.tree_end) ||
-          !cursor.U32(&compiled) || !cursor.U32(&pad) ||
-          !cursor.F64(&alpha_sum)) {
-        return FlatError("truncated group entry");
-      }
-      if (kind > 2) return FlatError("unknown ensemble kind");
-      if (compiled > 1) return FlatError("bad compiled flag");
-      if (pad != 0) return FlatError("nonzero entry padding");
-      entry.kind = static_cast<EnsembleKind>(kind);
-      entry.compiled = compiled == 1;
-      entry.alpha_sum = alpha_sum;
-    }
-    OwnedSlotArrays* slot_storage = owned ? &(*owned)[s] : nullptr;
-    CompiledCombo::FlatParts parts;
+    auto owned = copy ? std::make_shared<FlatTable>() : nullptr;
+    CompiledEnsemble::Parts parts;
+    parts.kind = static_cast<EnsembleKind>(kind);
     if (!TakeArray(&cursor, static_cast<size_t>(num_trees), &parts.trees,
-                   slot_storage ? &slot_storage->trees : nullptr) ||
+                   owned ? &owned->trees : nullptr) ||
         !TakeArray(&cursor, static_cast<size_t>(num_trees), &parts.alphas,
-                   slot_storage ? &slot_storage->alphas : nullptr) ||
-        !TakeArray(&cursor, static_cast<size_t>(num_nodes), &parts.feature,
-                   slot_storage ? &slot_storage->feature : nullptr) ||
-        !SkipZeroPad4IfOdd(&cursor, static_cast<size_t>(num_nodes)) ||
-        !TakeArray(&cursor, static_cast<size_t>(num_nodes), &parts.threshold,
-                   slot_storage ? &slot_storage->threshold : nullptr) ||
-        !TakeArray(&cursor, static_cast<size_t>(2 * num_nodes),
-                   &parts.children,
-                   slot_storage ? &slot_storage->children : nullptr) ||
+                   owned ? &owned->alphas : nullptr) ||
+        !TakeArray(&cursor, static_cast<size_t>(num_nodes), &parts.nodes,
+                   owned ? &owned->nodes : nullptr) ||
         !TakeArray(&cursor, static_cast<size_t>(num_nodes), &parts.leaf_proba,
-                   slot_storage ? &slot_storage->leaf_proba : nullptr)) {
-      return FlatError("truncated slot " + std::to_string(s) + " arrays");
+                   owned ? &owned->leaf_proba : nullptr)) {
+      return FlatError("truncated kernel " + std::to_string(m) + " arrays");
     }
-    // Copied arrays live in `owned`; aliased arrays live in the payload
-    // kept alive by the caller's backing.
-    std::shared_ptr<const void> slot_backing =
-        owned ? std::shared_ptr<const void>(owned, owned.get()) : backing;
-    auto kernel =
-        CompiledCombo::FromParts(parts, std::move(entries), num_features,
-                                 pool_size, std::move(slot_backing));
-    if (!kernel.ok()) return kernel.status();
-    decoded.slot_kernels.push_back(std::move(kernel).value());
+    Result<CompiledEnsemble> kernel = CompiledEnsemble::View(
+        parts, num_features,
+        owned ? std::shared_ptr<const void>(std::move(owned)) : backing);
+    if (!kernel.ok()) {
+      return FlatError("kernel " + std::to_string(m) + ": " +
+                       kernel.status().message());
+    }
+    decoded.kernels[m] = std::move(kernel).value();
   }
-  if (!cursor.AtEnd()) return FlatError("trailing bytes after last slot");
+  if (!cursor.AtEnd()) return FlatError("trailing bytes after last kernel");
   return decoded;
 }
 

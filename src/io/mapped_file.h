@@ -3,7 +3,7 @@
 // The zero-copy load path serves compiled kernel tables directly out of
 // the page cache: MappedFile mmaps the artifact PROT_READ/MAP_PRIVATE
 // and the decoded sections alias the mapping (kept alive by shared_ptr
-// ownership threaded through CompiledCombo::backing). On platforms or
+// ownership threaded through CompiledEnsemble::View). On platforms or
 // filesystems where mmap is unavailable the file is read into an owned
 // buffer instead — same interface, one copy, identical bytes.
 //

@@ -3,99 +3,106 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
 namespace falcc {
 
 namespace {
 
-// Rows per traversal block: enough independent walks to hide the
-// dependent-load latency of `children[2i + b]`, small enough that the
-// row pointers, node cursors, and accumulators stay in registers / L1.
-constexpr size_t kRowBlock = 32;
+// Cursors per traversal block: enough independent walks to hide the
+// dependent-load latency of the next node, small enough that the row
+// pointers, node cursors, and accumulators stay in registers / L1.
+constexpr size_t kCursors = 32;
 
-using FlatParts = CompiledCombo::FlatParts;
+constexpr double kLeafThreshold = std::numeric_limits<double>::infinity();
+constexpr uint32_t kUnplaced = std::numeric_limits<uint32_t>::max();
+constexpr size_t kMaxNodes = size_t{1} << 30;
 
 bool SameDoubleBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-template <typename T>
-bool SameSpanBits(std::span<const T> a, std::span<const T> b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+// One traversal step: `v > threshold` picks the right child (left + 1),
+// exactly like the interpreted `v <= threshold ? left : right`; a leaf's
+// +inf threshold keeps the cursor on the leaf.
+inline uint32_t Step(const FlatNode& node, const double* row) {
+  return node.left + static_cast<uint32_t>(row[node.feature] > node.threshold);
 }
 
-// Advances every row's node cursor until it rests on a leaf (at most
-// `tree.steps` levels). Each step is one gather plus a branchless child
-// select — `v > threshold` indexes the children pair, which decides
-// exactly like the interpreted `v <= threshold ? left : right`. Leaves
-// self-loop, so a converged row spins in place; children sit strictly
-// after their parent, so `next != i` iff some row is still descending,
-// and the level loop stops as soon as the whole block has converged
-// (real trees are unbalanced — most blocks finish well before the
-// worst-case depth). The exit cannot change where any cursor lands.
-inline void WalkTree(const FlatParts& parts, const TreeRef& tree,
-                     const double* const* row, size_t n, uint32_t* node) {
-  const int32_t* feature = parts.feature.data();
-  const double* threshold = parts.threshold.data();
-  const uint32_t* children = parts.children.data();
-  for (size_t r = 0; r < n; ++r) node[r] = tree.root;
-  for (uint32_t step = 0; step < tree.steps; ++step) {
-    uint32_t moved = 0;
-    for (size_t r = 0; r < n; ++r) {
-      const uint32_t i = node[r];
-      const double v = row[r][feature[i]];
-      const uint32_t next =
-          children[2 * i + static_cast<uint32_t>(v > threshold[i])];
-      moved |= next ^ i;
-      node[r] = next;
-    }
-    if (moved == 0) break;
-  }
-}
-
-// The shared fused kernel: walks every tree of one entry over `rows` in
-// blocks and combines leaves per `kind`. Accumulation mirrors the
-// interpreted batch paths operation for operation (margins in boosting-
-// round order against a precomputed alpha_sum; forest votes divided by
-// the tree count), so the output is bit-identical to PredictProbaBatch.
-void PredictFlat(const FlatParts& parts, std::span<const TreeRef> trees,
-                 std::span<const double> alphas, EnsembleKind kind,
-                 double alpha_sum, const Dataset& data,
-                 std::span<const size_t> rows, std::span<double> out) {
+// Walks every tree of one kernel over `rows` and combines leaves per
+// kind. Rows go in blocks of up to kCursors; each walk advances a block
+// of independent cursors — one per (tree, row) pair — one level per step
+// with no data-dependent branch, so the cursors' node loads overlap in
+// the memory system instead of queueing behind each other. A block of n
+// rows walks max(1, kCursors / n) trees at once: a single row walks 32
+// trees side by side, a full block one tree. A converged cursor spins on
+// its leaf; the level loop stops as soon as the whole block has
+// converged (real trees are unbalanced — most blocks finish well before
+// the worst-case depth), which cannot change where any cursor lands.
+// Leaves are then combined per row in tree order, mirroring the
+// interpreted batch paths operation for operation (margins in
+// boosting-round order against a precomputed alpha_sum; forest votes
+// divided by the tree count), so the output is bit-identical to
+// PredictProbaBatch.
+void PredictFlat(const CompiledEnsemble::Parts& parts, double alpha_sum,
+                 const Dataset& data, std::span<const size_t> rows,
+                 std::span<double> out) {
+  const FlatNode* nodes = parts.nodes.data();
   const double* leaf = parts.leaf_proba.data();
-  const double num_trees = static_cast<double>(trees.size());
-  for (size_t begin = 0; begin < rows.size(); begin += kRowBlock) {
-    const size_t n = std::min(kRowBlock, rows.size() - begin);
-    const double* row[kRowBlock];
-    double acc[kRowBlock];
-    uint32_t node[kRowBlock];
+  const size_t num_trees = parts.trees.size();
+  for (size_t begin = 0; begin < rows.size(); begin += kCursors) {
+    const size_t n = std::min(kCursors, rows.size() - begin);
+    const size_t trees_per_walk = kCursors / n;
+    const double* row[kCursors];
+    double acc[kCursors];
+    uint32_t node[kCursors];
     for (size_t r = 0; r < n; ++r) {
       row[r] = data.Row(rows[begin + r]).data();
       acc[r] = 0.0;
     }
-    for (size_t t = 0; t < trees.size(); ++t) {
-      WalkTree(parts, trees[t], row, n, node);
-      switch (kind) {
-        case EnsembleKind::kTree:
-          for (size_t r = 0; r < n; ++r) acc[r] = leaf[node[r]];
-          break;
-        case EnsembleKind::kAdaBoost: {
-          const double alpha = alphas[t];
+    for (size_t t0 = 0; t0 < num_trees; t0 += trees_per_walk) {
+      const size_t m = std::min(trees_per_walk, num_trees - t0);
+      uint32_t steps = 0;
+      for (size_t j = 0; j < m; ++j) {
+        const TreeRef& tree = parts.trees[t0 + j];
+        steps = std::max(steps, tree.steps);
+        for (size_t r = 0; r < n; ++r) node[j * n + r] = tree.root;
+      }
+      for (uint32_t step = 0; step < steps; ++step) {
+        uint32_t moved = 0;
+        for (size_t j = 0; j < m; ++j) {
           for (size_t r = 0; r < n; ++r) {
-            acc[r] += alpha * (leaf[node[r]] >= 0.5 ? 1.0 : -1.0);
+            const uint32_t i = node[j * n + r];
+            const uint32_t next = Step(nodes[i], row[r]);
+            moved |= next ^ i;
+            node[j * n + r] = next;
           }
-          break;
         }
-        case EnsembleKind::kForest:
-          for (size_t r = 0; r < n; ++r) {
-            if (leaf[node[r]] >= 0.5) acc[r] += 1.0;
+        if (moved == 0) break;
+      }
+      for (size_t j = 0; j < m; ++j) {
+        const uint32_t* at = node + j * n;
+        switch (parts.kind) {
+          case EnsembleKind::kTree:
+            for (size_t r = 0; r < n; ++r) acc[r] = leaf[at[r]];
+            break;
+          case EnsembleKind::kAdaBoost: {
+            const double alpha = parts.alphas[t0 + j];
+            for (size_t r = 0; r < n; ++r) {
+              acc[r] += alpha * (leaf[at[r]] >= 0.5 ? 1.0 : -1.0);
+            }
+            break;
           }
-          break;
+          case EnsembleKind::kForest:
+            for (size_t r = 0; r < n; ++r) {
+              if (leaf[at[r]] >= 0.5) acc[r] += 1.0;
+            }
+            break;
+        }
       }
     }
-    switch (kind) {
+    switch (parts.kind) {
       case EnsembleKind::kTree:
         for (size_t r = 0; r < n; ++r) out[begin + r] = acc[r];
         break;
@@ -108,16 +115,18 @@ void PredictFlat(const FlatParts& parts, std::span<const TreeRef> trees,
           }
         }
         break;
-      case EnsembleKind::kForest:
-        for (size_t r = 0; r < n; ++r) out[begin + r] = acc[r] / num_trees;
+      case EnsembleKind::kForest: {
+        const double count = static_cast<double>(num_trees);
+        for (size_t r = 0; r < n; ++r) out[begin + r] = acc[r] / count;
         break;
+      }
     }
   }
 }
 
-// |alpha| sum over one entry's trees, in round order — the same
-// floating-point sequence the interpreted AdaBoost batch accumulates, so
-// precomputing it at compile time cannot change a probability bit.
+// |alpha| sum over the trees, in round order — the same floating-point
+// sequence the interpreted AdaBoost batch accumulates, so precomputing
+// it cannot change a probability bit.
 double AlphaSum(std::span<const double> alphas) {
   double sum = 0.0;
   for (double alpha : alphas) sum += std::fabs(alpha);
@@ -147,85 +156,158 @@ void FlatEnsembleBuilder::AddTree(std::span<const TreeNode> nodes,
     status_ = Status::Internal("FlatEnsembleBuilder: empty tree");
     return;
   }
-  const size_t base = table_->num_nodes();
-  if (base + nodes.size() > (1u << 30)) {
+  const size_t base = table_->nodes.size();
+  if (base + nodes.size() > kMaxNodes) {
     status_ = Status::Internal("FlatEnsembleBuilder: node table overflow");
     return;
   }
 
-  // Recompute the walk length from the node structure — a serialized
-  // depth field is never trusted. Children sit strictly after their
-  // parent (the shape deserialization enforces), so one forward pass
-  // sees every parent before its children; taking the max over incoming
-  // edges makes the walk long enough for every root-to-leaf path even if
-  // a corrupt-but-accepted artifact shares subtrees.
-  depth_scratch_.assign(nodes.size(), 0);
+  // Breadth-first relayout: order_scratch_ lists source nodes in output
+  // order, slot_scratch_ maps a source node to its output position. Each
+  // interior node appends its two children back to back, which is what
+  // lets a node store only `left`. The walk length (the deepest level)
+  // is recomputed here — a serialized depth field is never trusted.
+  const size_t n = nodes.size();
+  slot_scratch_.assign(n, kUnplaced);
+  order_scratch_.assign(1, 0);
+  slot_scratch_[0] = 0;
   uint32_t steps = 0;
-  const int n = static_cast<int>(nodes.size());
-  for (int i = 0; i < n; ++i) {
-    const TreeNode& node = nodes[static_cast<size_t>(i)];
-    if (node.feature >= 0) {
-      if (node.left <= i || node.left >= n || node.right <= i ||
-          node.right >= n) {
-        status_ = Status::Internal(
-            "FlatEnsembleBuilder: tree children not strictly forward");
-        return;
-      }
-      const uint32_t child_depth = depth_scratch_[static_cast<size_t>(i)] + 1;
-      auto& left = depth_scratch_[static_cast<size_t>(node.left)];
-      auto& right = depth_scratch_[static_cast<size_t>(node.right)];
-      left = std::max(left, child_depth);
-      right = std::max(right, child_depth);
-    } else {
-      steps = std::max(steps, depth_scratch_[static_cast<size_t>(i)]);
+  size_t level_end = 1;
+  for (size_t head = 0; head < order_scratch_.size(); ++head) {
+    if (head == level_end) {
+      ++steps;
+      level_end = order_scratch_.size();
     }
+    const int i = static_cast<int>(order_scratch_[head]);
+    const TreeNode& node = nodes[static_cast<size_t>(i)];
+    if (node.feature < 0) continue;
+    const int count = static_cast<int>(n);
+    if (node.left <= i || node.left >= count || node.right <= i ||
+        node.right >= count) {
+      status_ = Status::Internal(
+          "FlatEnsembleBuilder: tree children not strictly forward");
+      return;
+    }
+    const size_t left = static_cast<size_t>(node.left);
+    const size_t right = static_cast<size_t>(node.right);
+    if (left == right || slot_scratch_[left] != kUnplaced ||
+        slot_scratch_[right] != kUnplaced) {
+      status_ = Status::Internal("FlatEnsembleBuilder: tree shares a subtree");
+      return;
+    }
+    slot_scratch_[left] = static_cast<uint32_t>(order_scratch_.size());
+    order_scratch_.push_back(static_cast<uint32_t>(left));
+    slot_scratch_[right] = static_cast<uint32_t>(order_scratch_.size());
+    order_scratch_.push_back(static_cast<uint32_t>(right));
   }
 
-  table_->feature.reserve(base + nodes.size());
-  table_->threshold.reserve(base + nodes.size());
-  table_->children.reserve(2 * (base + nodes.size()));
-  table_->leaf_proba.reserve(base + nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const TreeNode& node = nodes[i];
-    const uint32_t self = static_cast<uint32_t>(base + i);
+  // Unreachable source nodes are dropped: no walk can land on them.
+  table_->nodes.reserve(base + order_scratch_.size());
+  table_->leaf_proba.reserve(base + order_scratch_.size());
+  for (size_t pos = 0; pos < order_scratch_.size(); ++pos) {
+    const TreeNode& node = nodes[order_scratch_[pos]];
+    FlatNode flat;
     if (node.feature >= 0) {
-      table_->feature.push_back(node.feature);
-      table_->threshold.push_back(node.threshold);
-      table_->children.push_back(static_cast<uint32_t>(base) +
-                                 static_cast<uint32_t>(node.left));
-      table_->children.push_back(static_cast<uint32_t>(base) +
-                                 static_cast<uint32_t>(node.right));
+      flat.threshold = node.threshold;
+      flat.feature = node.feature;
+      flat.left = static_cast<uint32_t>(base) +
+                  slot_scratch_[static_cast<size_t>(node.left)];
       table_->leaf_proba.push_back(0.0);
     } else {
-      // Leaf: feature 0 keeps the gather in bounds, the self-loop makes
-      // the fixed-length walk idempotent once the leaf is reached.
-      table_->feature.push_back(0);
-      table_->threshold.push_back(0.0);
-      table_->children.push_back(self);
-      table_->children.push_back(self);
+      flat.threshold = kLeafThreshold;
+      flat.feature = 0;
+      flat.left = static_cast<uint32_t>(base + pos);
       table_->leaf_proba.push_back(node.proba);
     }
+    table_->nodes.push_back(flat);
   }
-  trees_->push_back(TreeRef{static_cast<uint32_t>(base), steps});
-  alphas_->push_back(alpha);
-  ++num_trees_added_;
+  table_->trees.push_back(TreeRef{static_cast<uint32_t>(base), steps});
+  table_->alphas.push_back(alpha);
 }
 
 Result<CompiledEnsemble> CompiledEnsemble::Compile(const Classifier& model) {
-  CompiledEnsemble compiled;
-  FlatEnsembleBuilder builder(&compiled.table_, &compiled.trees_,
-                              &compiled.alphas_);
+  auto table = std::make_shared<FlatTable>();
+  FlatEnsembleBuilder builder(table.get());
   if (!model.LowerToFlat(&builder)) {
     return Status::FailedPrecondition("CompiledEnsemble: " + model.Name() +
                                       " does not lower to a flat ensemble");
   }
   FALCC_RETURN_IF_ERROR(builder.status());
-  if (!builder.has_kind() || compiled.trees_.empty()) {
+  if (!builder.has_kind() || table->trees.empty()) {
     return Status::Internal("CompiledEnsemble: lowering produced no trees");
   }
-  compiled.kind_ = builder.kind();
-  compiled.alpha_sum_ = AlphaSum(compiled.alphas_);
+  CompiledEnsemble compiled;
+  compiled.parts_.kind = builder.kind();
+  compiled.parts_.nodes = table->nodes;
+  compiled.parts_.leaf_proba = table->leaf_proba;
+  compiled.parts_.trees = table->trees;
+  compiled.parts_.alphas = table->alphas;
+  compiled.alpha_sum_ = AlphaSum(table->alphas);
+  compiled.backing_ = std::move(table);
   return compiled;
+}
+
+Result<CompiledEnsemble> CompiledEnsemble::View(
+    const Parts& parts, size_t num_features,
+    std::shared_ptr<const void> backing) {
+  auto invalid = [](const std::string& what) {
+    return Status::InvalidArgument("CompiledEnsemble: flat " + what);
+  };
+  switch (parts.kind) {
+    case EnsembleKind::kTree:
+    case EnsembleKind::kAdaBoost:
+    case EnsembleKind::kForest:
+      break;
+    default:
+      return invalid("unknown ensemble kind");
+  }
+  const size_t n = parts.nodes.size();
+  if (parts.leaf_proba.size() != n) return invalid("node array sizes disagree");
+  if (n > kMaxNodes) return invalid("node table overflow");
+  if (parts.trees.empty()) return invalid("kernel without trees");
+  if (parts.alphas.size() != parts.trees.size()) {
+    return invalid("tree/alpha count mismatch");
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const FlatNode& node = parts.nodes[i];
+    if (node.left == i) {
+      // Leaf: the canonical encoding is fully pinned, so the section is a
+      // pure function of the model and corruption cannot hide in ignored
+      // fields.
+      if (node.feature != 0) return invalid("leaf with nonzero feature");
+      if (!SameDoubleBits(node.threshold, kLeafThreshold)) {
+        return invalid("leaf threshold is not +inf");
+      }
+      const double p = parts.leaf_proba[i];
+      if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
+        return invalid("leaf probability outside [0, 1]");
+      }
+    } else {
+      if (node.left < i || uint64_t{node.left} + 1 >= n) {
+        return invalid("children not strictly forward");
+      }
+      if (node.feature < 0 ||
+          static_cast<size_t>(node.feature) >= num_features) {
+        return invalid("feature index out of range");
+      }
+      if (std::isnan(node.threshold)) return invalid("NaN threshold");
+      if (!SameDoubleBits(parts.leaf_proba[i], 0.0)) {
+        return invalid("interior node with nonzero leaf probability");
+      }
+    }
+  }
+  for (const TreeRef& tree : parts.trees) {
+    if (tree.root >= n) return invalid("tree root out of range");
+    if (tree.steps > n) return invalid("tree walk length too long");
+  }
+  for (double alpha : parts.alphas) {
+    if (!std::isfinite(alpha)) return invalid("non-finite alpha");
+  }
+  CompiledEnsemble viewed;
+  viewed.parts_ = parts;
+  viewed.alpha_sum_ = AlphaSum(parts.alphas);
+  viewed.backing_ = std::move(backing);
+  return viewed;
 }
 
 void CompiledEnsemble::PredictProbaBatch(const Dataset& data,
@@ -233,196 +315,7 @@ void CompiledEnsemble::PredictProbaBatch(const Dataset& data,
                                          std::span<double> out) const {
   FALCC_CHECK(rows.size() == out.size(),
               "CompiledEnsemble: rows/out size mismatch");
-  FlatParts parts;
-  parts.feature = table_.feature;
-  parts.threshold = table_.threshold;
-  parts.children = table_.children;
-  parts.leaf_proba = table_.leaf_proba;
-  parts.trees = trees_;
-  parts.alphas = alphas_;
-  PredictFlat(parts, trees_, alphas_, kind_, alpha_sum_, data, rows, out);
-}
-
-void CompiledCombo::BindOwned() {
-  parts_.feature = table_.feature;
-  parts_.threshold = table_.threshold;
-  parts_.children = table_.children;
-  parts_.leaf_proba = table_.leaf_proba;
-  parts_.trees = trees_;
-  parts_.alphas = alphas_;
-}
-
-Result<std::shared_ptr<const CompiledCombo>> CompiledCombo::Compile(
-    const ModelPool& pool, const ModelCombination& combo) {
-  std::shared_ptr<CompiledCombo> compiled(new CompiledCombo());
-  compiled->groups_.resize(combo.size());
-  // Groups served by the same pool model share one lowered entry — the
-  // common case when a cluster's best combination repeats a model.
-  std::vector<int> entry_of_model(pool.size(), -1);
-  for (size_t g = 0; g < combo.size(); ++g) {
-    const size_t m = combo[g];
-    if (m >= pool.size()) {
-      return Status::InvalidArgument("CompiledCombo: model index " +
-                                     std::to_string(m) + " out of range");
-    }
-    GroupEntry& entry = compiled->groups_[g];
-    entry.model = static_cast<uint32_t>(m);
-    if (entry_of_model[m] >= 0) {
-      entry = compiled->groups_[static_cast<size_t>(entry_of_model[m])];
-      continue;
-    }
-    const uint32_t tree_begin = static_cast<uint32_t>(compiled->trees_.size());
-    FlatEnsembleBuilder builder(&compiled->table_, &compiled->trees_,
-                                &compiled->alphas_);
-    if (!pool.model(m).LowerToFlat(&builder)) {
-      // Not a tree ensemble: the group keeps the interpreted path.
-      entry_of_model[m] = static_cast<int>(g);
-      continue;
-    }
-    FALCC_RETURN_IF_ERROR(builder.status());
-    if (builder.num_trees_added() == 0) {
-      return Status::Internal("CompiledCombo: model lowered zero trees");
-    }
-    entry.kind = builder.kind();
-    entry.tree_begin = tree_begin;
-    entry.tree_end = static_cast<uint32_t>(compiled->trees_.size());
-    entry.alpha_sum = AlphaSum(std::span<const double>(compiled->alphas_)
-                                   .subspan(tree_begin));
-    entry.compiled = true;
-    entry_of_model[m] = static_cast<int>(g);
-  }
-  compiled->BindOwned();
-  return std::shared_ptr<const CompiledCombo>(std::move(compiled));
-}
-
-Result<std::shared_ptr<const CompiledCombo>> CompiledCombo::FromParts(
-    const FlatParts& parts, std::vector<GroupEntry> groups,
-    size_t num_features, size_t pool_size,
-    std::shared_ptr<const void> backing) {
-  auto invalid = [](const std::string& what) {
-    return Status::InvalidArgument("CompiledCombo: flat " + what);
-  };
-  const size_t n = parts.feature.size();
-  if (parts.threshold.size() != n || parts.leaf_proba.size() != n ||
-      parts.children.size() != 2 * n) {
-    return invalid("node array sizes disagree");
-  }
-  if (n > (1u << 30)) return invalid("node table overflow");
-  if (parts.alphas.size() != parts.trees.size()) {
-    return invalid("tree/alpha count mismatch");
-  }
-  const uint32_t node_count = static_cast<uint32_t>(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t self = static_cast<uint32_t>(i);
-    const uint32_t left = parts.children[2 * i];
-    const uint32_t right = parts.children[2 * i + 1];
-    if (left == self && right == self) {
-      // Leaf: the canonical encoding is fully pinned so a flat section is
-      // a pure function of the model (and corruption cannot hide in
-      // ignored fields).
-      if (parts.feature[i] != 0) return invalid("leaf with nonzero feature");
-      if (!SameDoubleBits(parts.threshold[i], 0.0)) {
-        return invalid("leaf with nonzero threshold");
-      }
-      const double p = parts.leaf_proba[i];
-      if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
-        return invalid("leaf probability outside [0, 1]");
-      }
-    } else {
-      if (left <= self || left >= node_count || right <= self ||
-          right >= node_count) {
-        return invalid("children not strictly forward");
-      }
-      if (parts.feature[i] < 0 ||
-          static_cast<size_t>(parts.feature[i]) >= num_features) {
-        return invalid("feature index out of range");
-      }
-      if (!std::isfinite(parts.threshold[i])) {
-        return invalid("non-finite threshold");
-      }
-      if (!SameDoubleBits(parts.leaf_proba[i], 0.0)) {
-        return invalid("interior node with nonzero leaf probability");
-      }
-    }
-  }
-  for (const TreeRef& tree : parts.trees) {
-    if (tree.root >= node_count) return invalid("tree root out of range");
-    if (tree.steps > node_count) return invalid("tree walk length too long");
-  }
-  for (double alpha : parts.alphas) {
-    if (!std::isfinite(alpha)) return invalid("non-finite alpha");
-  }
-  for (const GroupEntry& entry : groups) {
-    switch (entry.kind) {
-      case EnsembleKind::kTree:
-      case EnsembleKind::kAdaBoost:
-      case EnsembleKind::kForest:
-        break;
-      default:
-        return invalid("unknown ensemble kind");
-    }
-    if (entry.model >= pool_size) return invalid("entry model out of range");
-    if (entry.compiled) {
-      if (entry.tree_begin >= entry.tree_end ||
-          entry.tree_end > parts.trees.size()) {
-        return invalid("entry tree slice out of range");
-      }
-      const double recomputed = AlphaSum(parts.alphas.subspan(
-          entry.tree_begin, entry.tree_end - entry.tree_begin));
-      if (!SameDoubleBits(entry.alpha_sum, recomputed)) {
-        return invalid("entry alpha normalizer does not match its trees");
-      }
-    } else if (entry.tree_begin != 0 || entry.tree_end != 0 ||
-               !SameDoubleBits(entry.alpha_sum, 0.0)) {
-      return invalid("fallback entry with kernel state");
-    }
-  }
-  std::shared_ptr<CompiledCombo> compiled(new CompiledCombo());
-  compiled->parts_ = parts;
-  compiled->groups_ = std::move(groups);
-  compiled->backing_ = std::move(backing);
-  return std::shared_ptr<const CompiledCombo>(std::move(compiled));
-}
-
-void CompiledCombo::PredictGroup(const Dataset& data, size_t g,
-                                 std::span<const size_t> rows,
-                                 std::span<double> out) const {
-  FALCC_CHECK(g < groups_.size(), "CompiledCombo: group out of range");
-  FALCC_CHECK(rows.size() == out.size(),
-              "CompiledCombo: rows/out size mismatch");
-  const GroupEntry& entry = groups_[g];
-  FALCC_CHECK(entry.compiled, "CompiledCombo: PredictGroup on fallback group");
-  const size_t count = entry.tree_end - entry.tree_begin;
-  PredictFlat(parts_, parts_.trees.subspan(entry.tree_begin, count),
-              parts_.alphas.subspan(entry.tree_begin, count), entry.kind,
-              entry.alpha_sum, data, rows, out);
-}
-
-bool CompiledCombo::SameBits(const CompiledCombo& other) const {
-  if (groups_.size() != other.groups_.size()) return false;
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    const GroupEntry& a = groups_[g];
-    const GroupEntry& b = other.groups_[g];
-    if (a.kind != b.kind || a.tree_begin != b.tree_begin ||
-        a.tree_end != b.tree_end || a.model != b.model ||
-        a.compiled != b.compiled || !SameDoubleBits(a.alpha_sum, b.alpha_sum)) {
-      return false;
-    }
-  }
-  return SameSpanBits(parts_.trees, other.parts_.trees) &&
-         SameSpanBits(parts_.alphas, other.parts_.alphas) &&
-         SameSpanBits(parts_.feature, other.parts_.feature) &&
-         SameSpanBits(parts_.threshold, other.parts_.threshold) &&
-         SameSpanBits(parts_.children, other.parts_.children) &&
-         SameSpanBits(parts_.leaf_proba, other.parts_.leaf_proba);
-}
-
-size_t CompiledCombo::num_compiled_groups() const {
-  size_t count = 0;
-  for (const GroupEntry& entry : groups_) {
-    if (entry.compiled) ++count;
-  }
-  return count;
+  PredictFlat(parts_, alpha_sum_, data, rows, out);
 }
 
 }  // namespace falcc

@@ -31,17 +31,12 @@ void FalccEngine::Install(FalccModel model) {
   // Compile the flat-node inference kernels before the snapshot is
   // published, so the serving path never pays compilation latency and
   // never observes a half-compiled model. Models arriving from Load
-  // already carry kernels; this covers hand-assembled or clone-derived
-  // models. Compilation failure is not fatal — the snapshot serves
-  // through the interpreted path instead.
+  // already carry kernels; this covers hand-assembled models and ones
+  // whose kernels were cleared.
   if (model.use_compiled() && !model.has_compiled_kernels()) {
     Timer compile_timer;
-    const Status compiled = model.CompileKernels();
-    if (compiled.ok()) {
-      metrics_.compile().Record(compile_timer.ElapsedSeconds());
-    } else {
-      model.set_use_compiled(false);
-    }
+    model.CompileKernels();
+    metrics_.compile().Record(compile_timer.ElapsedSeconds());
   }
   // Cache the v2 manifest (and with it the content hash) while the model
   // is still mutable, so delta application against the frozen snapshot
@@ -50,7 +45,6 @@ void FalccEngine::Install(FalccModel model) {
   (void)model.EnsureManifest();
   auto snapshot = std::make_shared<const FalccModel>(std::move(model));
   snapshot_.store(std::move(snapshot));
-  version_.fetch_add(1, std::memory_order_acq_rel);
   metrics_.AddReloads(1);
 }
 
@@ -64,11 +58,11 @@ void FalccEngine::SetObserver(std::shared_ptr<DecisionObserver> observer) {
 }
 
 void FalccEngine::NotifyObserver(const ClassifyResponse& response,
-                                 std::span<const double> features) const {
+                                 std::span<const double> features,
+                                 uint64_t version) const {
   DecisionObserver* observer =
       observer_raw_.load(std::memory_order_acquire);
   if (observer == nullptr || response.decisions.empty()) return;
-  const uint64_t version = version_.load(std::memory_order_acquire);
   const size_t width = features.size() / response.decisions.size();
   for (size_t i = 0; i < response.decisions.size(); ++i) {
     observer->OnDecision(response.decisions[i],
@@ -100,16 +94,15 @@ Status FalccEngine::ReloadMapped(const std::string& path) {
 }
 
 Status FalccEngine::ApplyDeltaBytes(std::string_view bytes) {
-  const std::shared_ptr<const FalccModel> base = snapshot_.load();
+  const std::shared_ptr<const FalccModel> base = snapshot();
   if (base == nullptr) {
     metrics_.AddErrors(1);
     return Status::Unavailable(
         "FalccEngine: no model snapshot installed to apply a delta to");
   }
-  // Validation and the per-cluster recompile happen off the serving
-  // path, against the immutable base; a failed delta leaves the current
-  // snapshot serving. Untouched clusters share the base's compiled
-  // kernels pointer-identically.
+  // Validation happens off the serving path, against the immutable base;
+  // a failed delta leaves the current snapshot serving. The result
+  // shares the base's pool and compiled kernels pointer-identically.
   Result<FalccModel> next = base->ApplyDeltaBytes(bytes);
   if (!next.ok()) {
     metrics_.AddErrors(1);
@@ -131,14 +124,13 @@ Status FalccEngine::ApplyDeltaBytes(std::string_view bytes) {
 Result<ClassifyResponse> FalccEngine::ClassifyBatch(
     const ClassifyRequest& request) const {
   metrics_.AddRequests(1);
-  const std::shared_ptr<const FalccModel> snapshot =
-      snapshot_.load();
-  if (snapshot == nullptr) {
+  const VersionedSnapshot snapshot = snapshot_.load();
+  if (snapshot.model == nullptr) {
     metrics_.AddErrors(1);
     return Status::Unavailable("FalccEngine: no model snapshot installed");
   }
   Timer timer;
-  Result<ClassifyResponse> response = snapshot->ClassifyBatch(request);
+  Result<ClassifyResponse> response = snapshot.model->ClassifyBatch(request);
   if (!response.ok()) {
     metrics_.AddErrors(1);
     return response;
@@ -150,14 +142,13 @@ Result<ClassifyResponse> FalccEngine::ClassifyBatch(
   metrics_.predict().Record(stages.predict);
   metrics_.total().Record(timer.ElapsedSeconds());
   metrics_.AddSamples(response.value().decisions.size());
-  NotifyObserver(response.value(), request.features);
+  NotifyObserver(response.value(), request.features, snapshot.version);
   return response;
 }
 
 Result<Ticket> FalccEngine::Submit(std::span<const double> features) {
   metrics_.AddRequests(1);
-  const std::shared_ptr<const FalccModel> snapshot =
-      snapshot_.load();
+  const std::shared_ptr<const FalccModel> snapshot = this->snapshot();
   if (snapshot == nullptr) {
     metrics_.AddErrors(1);
     return Status::Unavailable("FalccEngine: no model snapshot installed");
@@ -186,9 +177,8 @@ void FalccEngine::FlusherLoop() {
     for (const auto& submitted : batch->submitted) {
       metrics_.queue_wait().Record(Seconds(submitted, flush_start));
     }
-    const std::shared_ptr<const FalccModel> snapshot =
-        snapshot_.load();
-    if (snapshot == nullptr) {
+    const VersionedSnapshot snapshot = snapshot_.load();
+    if (snapshot.model == nullptr) {
       metrics_.AddErrors(1);
       batch->Complete(
           Status::Unavailable("FalccEngine: no model snapshot installed"), {});
@@ -199,8 +189,9 @@ void FalccEngine::FlusherLoop() {
     // whole batch fails gracefully in that case.
     ClassifyRequest request;
     request.features = batch->features;
-    request.num_features = snapshot->num_features();
-    Result<ClassifyResponse> response = snapshot->ClassifyBatch(request);
+    request.num_features = snapshot.model->num_features();
+    Result<ClassifyResponse> response =
+        snapshot.model->ClassifyBatch(request);
     if (!response.ok()) {
       metrics_.AddErrors(1);
       batch->Complete(response.status(), {});
@@ -219,7 +210,7 @@ void FalccEngine::FlusherLoop() {
     // this batch.
     queue_.ReportServiceTime(
         batch_rows, Seconds(flush_start, std::chrono::steady_clock::now()));
-    NotifyObserver(response.value(), batch->features);
+    NotifyObserver(response.value(), batch->features, snapshot.version);
     batch->Complete(Status::OK(),
                     std::move(response.value().decisions));
     // True submit-to-completion latency: stamped after Complete has

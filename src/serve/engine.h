@@ -59,26 +59,43 @@ class DecisionObserver {
                           uint64_t snapshot_version) = 0;
 };
 
-/// Atomically swappable shared_ptr<const FalccModel>: the pointer is
+/// A published snapshot together with the install count it was
+/// published under. Read as one unit, so a decision can never be
+/// attributed to a version other than the snapshot that made it.
+struct VersionedSnapshot {
+  std::shared_ptr<const FalccModel> model;
+  uint64_t version = 0;
+};
+
+/// Atomically swappable (shared_ptr<const FalccModel>, version) pair:
 /// guarded by a one-bit spinlock held only for a reference-count bump
-/// (load) or two pointer swaps (store) — the same technique libstdc++
-/// uses for std::atomic<std::shared_ptr>. We spell it out instead
-/// because libstdc++'s reader path (GCC 12) unlocks with relaxed
-/// ordering, which is mutually exclusive in practice but leaves no
-/// happens-before edge ThreadSanitizer can verify; acquire/release on
+/// (load) or a pointer swap plus a counter bump (store) — the same
+/// technique libstdc++ uses for std::atomic<std::shared_ptr>. We spell
+/// it out instead because libstdc++'s reader path (GCC 12) unlocks with
+/// relaxed ordering, which is mutually exclusive in practice but leaves
+/// no happens-before edge ThreadSanitizer can verify; acquire/release on
 /// both sides makes the hot-swap provably race-free.
 class SnapshotPtr {
  public:
-  std::shared_ptr<const FalccModel> load() const {
+  VersionedSnapshot load() const {
     Lock();
-    std::shared_ptr<const FalccModel> copy = ptr_;
+    VersionedSnapshot copy{ptr_, version_};
     Unlock();
     return copy;
   }
 
+  uint64_t version() const {
+    Lock();
+    const uint64_t version = version_;
+    Unlock();
+    return version;
+  }
+
+  /// Publishes `next` under the next version number.
   void store(std::shared_ptr<const FalccModel> next) {
     Lock();
     ptr_.swap(next);
+    ++version_;
     Unlock();
     // `next` now holds the superseded snapshot; it is released here,
     // outside the critical section (destruction can be expensive).
@@ -95,6 +112,7 @@ class SnapshotPtr {
 
   mutable std::atomic<bool> locked_{false};
   std::shared_ptr<const FalccModel> ptr_;
+  uint64_t version_ = 0;
 };
 
 /// A serving wrapper around FalccModel snapshots. Thread-safe: any
@@ -124,9 +142,9 @@ class FalccEngine {
   Status ReloadMapped(const std::string& path);
 
   /// Applies a delta artifact (SaveDelta output) to the installed
-  /// snapshot: only the clusters named in the delta are re-validated and
-  /// recompiled; every untouched cluster's compiled kernel is shared
-  /// pointer-identically with the previous snapshot. Fails without
+  /// snapshot: only the clusters named in the delta are re-validated;
+  /// the pool and its compiled kernels are shared pointer-identically
+  /// with the previous snapshot and nothing is recompiled. Fails without
   /// touching the snapshot when no model is installed, when the delta's
   /// base hash does not match the installed snapshot, or when any delta
   /// section is invalid. Idempotent under at-least-once delivery: a
@@ -136,13 +154,16 @@ class FalccEngine {
 
   /// Current snapshot (nullptr before the first Install/Reload).
   std::shared_ptr<const FalccModel> snapshot() const {
-    return snapshot_.load();
+    return snapshot_.load().model;
   }
 
   /// Monotonic counter, incremented on every successful install.
-  uint64_t snapshot_version() const {
-    return version_.load(std::memory_order_acquire);
-  }
+  uint64_t snapshot_version() const { return snapshot_.version(); }
+
+  /// Current snapshot and its version, read together — what decision
+  /// provenance must use (a separate snapshot_version() call can observe
+  /// a later install than the snapshot that served the batch).
+  VersionedSnapshot versioned_snapshot() const { return snapshot_.load(); }
 
   // --- Decision subscription -------------------------------------------
 
@@ -178,13 +199,14 @@ class FalccEngine {
  private:
   void FlusherLoop();
 
-  /// Fans one successful batch out to the observer, if any.
+  /// Fans one successful batch, served by snapshot `version`, out to the
+  /// observer, if any.
   void NotifyObserver(const ClassifyResponse& response,
-                      std::span<const double> features) const;
+                      std::span<const double> features,
+                      uint64_t version) const;
 
   FalccEngineOptions options_;
   SnapshotPtr snapshot_;
-  std::atomic<uint64_t> version_{0};
   /// Owner + raw publication pointer: hot paths load the raw pointer
   /// (acquire) once per batch instead of taking a shared_ptr reference.
   std::shared_ptr<DecisionObserver> observer_;

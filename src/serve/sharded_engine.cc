@@ -228,8 +228,10 @@ void ShardedEngine::FlushBatch(Shard* shard, std::vector<ShardTask*>* batch,
   owned->clear();
   for (ShardTask* task : *batch) owned->push_back(std::move(task->self));
 
-  const std::shared_ptr<const FalccModel> snapshot = engine_.snapshot();
-  if (snapshot == nullptr) {
+  // The version travels with the snapshot it names: a hot-swap between
+  // this load and the observer fan-in below cannot re-tag the batch.
+  const VersionedSnapshot snapshot = engine_.versioned_snapshot();
+  if (snapshot.model == nullptr) {
     shard->metrics.AddErrors(1);
     const Status unavailable =
         Status::Unavailable("ShardedEngine: no model snapshot installed");
@@ -250,7 +252,7 @@ void ShardedEngine::FlushBatch(Shard* shard, std::vector<ShardTask*>* batch,
 
   Timer service;
   Result<ClassifyResponse> response =
-      snapshot->ClassifyBatch(request, scratch);
+      snapshot.model->ClassifyBatch(request, scratch);
   const double service_seconds = service.ElapsedSeconds();
 
   if (!response.ok()) {
@@ -276,9 +278,9 @@ void ShardedEngine::FlushBatch(Shard* shard, std::vector<ShardTask*>* batch,
   // FalccEngine's notify-then-complete order.
   if (DecisionObserver* observer =
           observer_raw_.load(std::memory_order_acquire)) {
-    const uint64_t version = engine_.snapshot_version();
     for (size_t i = 0; i < n; ++i) {
-      observer->OnDecision(decisions[i], (*batch)[i]->features, version);
+      observer->OnDecision(decisions[i], (*batch)[i]->features,
+                           snapshot.version);
     }
     shard->metrics.AddObserved(n);
   }

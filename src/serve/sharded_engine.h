@@ -120,10 +120,10 @@ class ShardedEngine {
     return engine_.ReloadMapped(path);
   }
 
-  /// Applies a delta artifact to the installed snapshot; untouched
-  /// clusters keep their compiled kernels pointer-identically across the
-  /// swap (see FalccEngine::ApplyDeltaBytes). Shards pick up the new
-  /// snapshot on their next flush.
+  /// Applies a delta artifact to the installed snapshot; the compiled
+  /// kernels are shared pointer-identically across the swap (see
+  /// FalccEngine::ApplyDeltaBytes). Shards pick up the new snapshot on
+  /// their next flush.
   Status ApplyDeltaBytes(std::string_view bytes) {
     return engine_.ApplyDeltaBytes(bytes);
   }

@@ -7,9 +7,8 @@
 //  * `falcc-snapshot-v2` / `falcc-model-v1` → LoadFull (full snapshot
 //    swap; mmap-backed zero-copy load for v2 when prefer_mmap is set).
 //  * `falcc-delta-v2` → ApplyDelta (incremental hot-swap: only the
-//    delta's clusters are validated and recompiled; every untouched
-//    cluster's compiled kernel is shared pointer-identically with the
-//    previous snapshot).
+//    delta's clusters are validated; the compiled kernels are shared
+//    pointer-identically with the previous snapshot, nothing compiles).
 //
 // A failed load or delta never touches the installed snapshot — the
 // engine keeps serving. Not internally synchronized beyond what the

@@ -9,7 +9,6 @@
 
 #include "core/falcc.h"
 #include "data/csv_dataset.h"
-#include "io/snapshot.h"
 #include "replicate/wire.h"
 #include "testing/invariants.h"
 #include "testing/mutator.h"
@@ -145,32 +144,12 @@ Status FuzzDeltaApply(const FalccModel& base, const std::string& data) {
       model.num_clusters() != base.num_clusters()) {
     return Status::Internal("accepted delta changed the model shape");
   }
-  // Clusters the delta does not name must keep the base's compiled
-  // kernel pointer-identically — that is the incremental-hot-swap
-  // guarantee. (Named clusters recompile even when their combination is
-  // unchanged; re-parse the manifest to tell the two apart. The parse
-  // cannot fail: ApplyDeltaBytes just accepted these bytes.)
-  Result<io::SnapshotReader> reader =
-      io::SnapshotReader::ParseView(data);
-  if (!reader.ok()) {
-    return Status::Internal("accepted delta fails to re-parse: " +
-                            reader.status().ToString());
-  }
-  std::vector<bool> refreshed(model.num_clusters(), false);
-  for (const io::SectionInfo& section : reader.value().manifest().sections) {
-    constexpr std::string_view kPrefix = "combo.";
-    if (section.name.size() > kPrefix.size() &&
-        std::string_view(section.name).substr(0, kPrefix.size()) == kPrefix) {
-      const size_t c = std::strtoull(
-          section.name.c_str() + kPrefix.size(), nullptr, 10);
-      if (c < refreshed.size()) refreshed[c] = true;
-    }
-  }
-  for (size_t c = 0; c < model.num_clusters(); ++c) {
-    if (!refreshed[c] && model.compiled_combo(c) != base.compiled_combo(c)) {
-      return Status::Internal("untouched cluster " + std::to_string(c) +
-                              " lost its shared compiled kernel");
-    }
+  // The result must serve from the base's compiled pool itself — that
+  // is the incremental-hot-swap guarantee: applying a delta compiles
+  // nothing.
+  if (model.compiled_pool() != base.compiled_pool()) {
+    return Status::Internal("accepted delta did not share the base's "
+                            "compiled kernels");
   }
 
   // Route the result through the full snapshot contract: probe

@@ -187,13 +187,7 @@ Status CheckSaveLoadSaveIdempotent(const FalccModel& model) {
 
 Status CheckCompiledMatchesInterpreted(FalccModel* model,
                                        const Dataset& data) {
-  if (!model->has_compiled_kernels()) {
-    const Status compiled = model->CompileKernels();
-    if (!compiled.ok()) {
-      return Status::Internal("validated model failed to compile kernels: " +
-                              compiled.ToString());
-    }
-  }
+  if (!model->has_compiled_kernels()) model->CompileKernels();
   const std::vector<double> flat = Flatten(data);
   const bool previous = model->use_compiled();
   model->set_use_compiled(false);

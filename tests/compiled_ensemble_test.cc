@@ -1,15 +1,20 @@
 // Tests of the compiled flat-node inference kernels: bit-identity with
 // the interpreted prediction path for every lowerable model family
-// (including block-edge batch sizes), fallback behaviour for models that
-// do not lower, stitching/dedup in CompiledCombo, bit-identity on the
-// checked-in golden models, and classify-during-hot-swap-recompile
+// (including block-edge batch sizes and the one-row walk), the 16-byte
+// node layout and the validation the mmap path relies on, the per-model
+// compiled pool with an interpreted fallback model, bit-identity on the
+// checked-in golden models, and classify-during-delta-hot-swap
 // concurrency (the TSan target in tools/check.sh).
 
 #include "ml/compiled_ensemble.h"
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -64,7 +69,7 @@ void CheckAllBlockEdges(const Classifier& model, const Dataset& data) {
   ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
   const std::vector<size_t> all = AllRows(data.num_rows());
   for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{17},
-                   size_t{31}, size_t{33}, data.num_rows()}) {
+                   size_t{31}, size_t{32}, size_t{33}, data.num_rows()}) {
     ExpectBitIdentical(model, kernel.value(), data,
                        std::span<const size_t>(all).subspan(0, n));
   }
@@ -132,71 +137,308 @@ TEST(CompiledEnsembleTest, NonLowerableModelsFailPrecondition) {
   EXPECT_EQ(kernel.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(CompiledComboTest, FusedGroupsMatchAndFallbackRoutes) {
-  const Dataset data = MakeData();
-  auto boosted = std::make_unique<AdaBoost>();
-  ASSERT_TRUE(boosted->Fit(data).ok());
-  auto logistic = std::make_unique<LogisticRegression>();
-  ASSERT_TRUE(logistic->Fit(data).ok());
-  const AdaBoost& boosted_ref = *boosted;
+// --- Layout and the mmap validation contract ---------------------------
 
+// Every node is one 16-byte record; an interior node's children are the
+// adjacent pair (left, left + 1) after it, and a leaf loops back to
+// itself through a +inf threshold.
+TEST(CompiledLayoutTest, SixteenByteNodesWithAdjacentChildren) {
+  const Dataset data = MakeData();
+  DecisionTreeOptions options;
+  options.max_depth = 10;
+  DecisionTree tree(options);
+  ASSERT_TRUE(tree.Fit(data).ok());
+  const Result<CompiledEnsemble> kernel = CompiledEnsemble::Compile(tree);
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  const CompiledEnsemble::Parts& parts = kernel.value().parts();
+  ASSERT_EQ(parts.nodes.size(), tree.nodes().size());
+  size_t leaves = 0;
+  for (size_t i = 0; i < parts.nodes.size(); ++i) {
+    const FlatNode& node = parts.nodes[i];
+    if (node.left == i) {
+      ++leaves;
+      EXPECT_EQ(node.threshold, std::numeric_limits<double>::infinity());
+      EXPECT_EQ(node.feature, 0);
+    } else {
+      EXPECT_GT(node.left, i);
+      EXPECT_LT(node.left + 1, parts.nodes.size());
+      EXPECT_EQ(parts.leaf_proba[i], 0.0);
+    }
+  }
+  EXPECT_GT(leaves, 1u);
+  EXPECT_EQ(kernel.value().table_bytes(), parts.nodes.size() * 24);
+}
+
+// A subtree reachable from two parents cannot keep a sibling adjacent to
+// both: lowering rejects it instead of expanding it.
+TEST(CompiledLayoutTest, SharedSubtreeIsRejected) {
+  std::vector<TreeNode> nodes(4);
+  nodes[0] = {0, 0.5, 1, 2, 0.5};
+  nodes[1] = {1, 0.5, 3, 3, 0.5};  // both children are node 3
+  nodes[2].proba = 0.25;
+  nodes[3].proba = 0.75;
+  const DecisionTree dag = DecisionTree::FromParts({}, nodes, 2);
+  const Result<CompiledEnsemble> kernel = CompiledEnsemble::Compile(dag);
+  ASSERT_FALSE(kernel.ok());
+  EXPECT_EQ(kernel.status().code(), StatusCode::kInternal);
+}
+
+// View accepts exactly what Compile produces and rejects every field
+// whose corruption could read out of bounds, loop, or yield a
+// probability outside [0, 1].
+TEST(CompiledLayoutTest, ViewValidatesEveryField) {
+  const Dataset data = MakeData(300, 8);
+  AdaBoostOptions boost;
+  boost.num_estimators = 6;
+  boost.base.max_depth = 4;
+  AdaBoost model(boost);
+  ASSERT_TRUE(model.Fit(data).ok());
+  const CompiledEnsemble kernel = CompiledEnsemble::Compile(model).value();
+  const CompiledEnsemble::Parts& good = kernel.parts();
+  const size_t width = data.num_features();
+
+  const Result<CompiledEnsemble> viewed =
+      CompiledEnsemble::View(good, width, nullptr);
+  ASSERT_TRUE(viewed.ok()) << viewed.status().ToString();
+  ExpectBitIdentical(model, viewed.value(), data, AllRows(data.num_rows()));
+
+  size_t interior = 0;
+  size_t leaf = 0;
+  while (good.nodes[interior].left == interior) ++interior;
+  while (good.nodes[leaf].left != leaf) ++leaf;
+  auto rejects = [&](auto mutate) {
+    std::vector<FlatNode> nodes(good.nodes.begin(), good.nodes.end());
+    std::vector<double> proba(good.leaf_proba.begin(), good.leaf_proba.end());
+    std::vector<TreeRef> trees(good.trees.begin(), good.trees.end());
+    std::vector<double> alphas(good.alphas.begin(), good.alphas.end());
+    mutate(&nodes, &proba, &trees, &alphas);
+    CompiledEnsemble::Parts parts = good;
+    parts.nodes = nodes;
+    parts.leaf_proba = proba;
+    parts.trees = trees;
+    parts.alphas = alphas;
+    return !CompiledEnsemble::View(parts, width, nullptr).ok();
+  };
+  using Nodes = std::vector<FlatNode>*;
+  using Doubles = std::vector<double>*;
+  using Trees = std::vector<TreeRef>*;
+  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
+    (*n)[interior].left = static_cast<uint32_t>(n->size() - 1);
+  }));  // right child one past the end
+  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
+    (*n)[leaf].left = static_cast<uint32_t>(leaf) - 1;
+  }));  // backward edge
+  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
+    (*n)[interior].feature = static_cast<int32_t>(width);
+  }));
+  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
+    (*n)[interior].threshold = std::nan("");
+  }));
+  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
+    (*n)[leaf].threshold = 1.0;
+  }));  // a leaf that could step off itself
+  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
+    (*n)[leaf].feature = 1;
+  }));
+  EXPECT_TRUE(rejects([&](Nodes, Doubles p, Trees, Doubles) {
+    (*p)[leaf] = 1.5;
+  }));
+  EXPECT_TRUE(rejects([&](Nodes, Doubles p, Trees, Doubles) {
+    (*p)[interior] = 0.5;
+  }));
+  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees t, Doubles) {
+    (*t)[0].root = static_cast<uint32_t>(n->size());
+  }));
+  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees t, Doubles) {
+    (*t)[0].steps = static_cast<uint32_t>(n->size()) + 1;
+  }));
+  EXPECT_TRUE(rejects([&](Nodes, Doubles, Trees, Doubles a) {
+    (*a)[0] = std::numeric_limits<double>::infinity();
+  }));
+  EXPECT_TRUE(rejects([&](Nodes, Doubles, Trees t, Doubles a) {
+    t->clear();
+    a->clear();
+  }));  // a forest of zero trees would divide by zero
+}
+
+// --- The compiled pool -------------------------------------------------
+
+TrainValTest MakeSplits() {
+  SyntheticConfig cfg;
+  cfg.num_samples = 1500;
+  cfg.seed = 7;
+  const Dataset d = GenerateImplicitBias(cfg).value();
+  return SplitDatasetDefault(d, 11).value();
+}
+
+FalccOptions FastOptions() {
+  FalccOptions opt;
+  opt.seed = 42;
+  opt.trainer.estimator_grid = {5};
+  opt.trainer.depth_grid = {1, 4};
+  opt.trainer.pool_size = 3;
+  return opt;
+}
+
+std::vector<double> Flatten(const Dataset& data, size_t rows) {
+  std::vector<double> flat;
+  for (size_t i = 0; i < rows; ++i) {
+    const auto row = data.Row(i);
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  return flat;
+}
+
+// Each pool model compiles once into the pool every cluster serves from;
+// a model that does not lower keeps an empty entry and its rows take the
+// interpreted path. Whole decisions match the interpreted path at every
+// batch size around the row-block boundary, with rows of both kinds
+// interleaved in one batch.
+TEST(CompiledPoolTest, PerModelKernelsWithInterpretedFallback) {
+  const TrainValTest s = MakeSplits();
   ModelPool pool;
+  AdaBoostOptions boost;
+  boost.num_estimators = 12;
+  boost.base.max_depth = 6;
+  auto boosted = std::make_unique<AdaBoost>(boost);
+  ASSERT_TRUE(boosted->Fit(s.train).ok());
+  auto logistic = std::make_unique<LogisticRegression>();
+  ASSERT_TRUE(logistic->Fit(s.train).ok());
+  RandomForestOptions forest_options;
+  forest_options.num_trees = 8;
+  auto forest = std::make_unique<RandomForest>(forest_options);
+  ASSERT_TRUE(forest->Fit(s.train).ok());
   pool.Add(std::move(boosted));
   pool.Add(std::move(logistic));
+  pool.Add(std::move(forest));
 
-  const ModelCombination combo = {0, 1};
-  const auto compiled = CompiledCombo::Compile(pool, combo);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  const CompiledCombo& kernel = *compiled.value();
+  FalccOptions options = FastOptions();
+  options.fixed_k = 3;
+  FalccModel trained =
+      FalccModel::TrainWithPool(std::move(pool), s.validation, options)
+          .value();
+  ASSERT_GE(trained.num_groups(), 2u);
+  // Route group 0 of every cluster through the logistic model so the
+  // fallback path carries real traffic next to the kernels.
+  std::vector<ClusterRefresh> refreshes;
+  for (size_t c = 0; c < trained.num_clusters(); ++c) {
+    ClusterRefresh refresh;
+    refresh.cluster = c;
+    refresh.combination.assign(trained.num_groups(), c % 2 == 0 ? 0 : 2);
+    refresh.combination[0] = 1;
+    refresh.baseline_loss = 0.0;
+    refreshes.push_back(refresh);
+  }
+  FalccModel model = trained.CloneWithRefreshes(refreshes).value();
 
-  ASSERT_EQ(kernel.num_groups(), 2u);
-  EXPECT_TRUE(kernel.GroupCompiled(0));
-  EXPECT_FALSE(kernel.GroupCompiled(1));  // logistic: interpreted fallback
-  EXPECT_EQ(kernel.GroupModel(0), 0u);
-  EXPECT_EQ(kernel.GroupModel(1), 1u);
-  EXPECT_EQ(kernel.num_compiled_groups(), 1u);
+  ASSERT_TRUE(model.has_compiled_kernels());
+  const CompiledPool& kernels = *model.compiled_pool();
+  ASSERT_EQ(kernels.size(), 3u);
+  EXPECT_TRUE(kernels[0].has_value());
+  EXPECT_FALSE(kernels[1].has_value());  // logistic: interpreted
+  EXPECT_TRUE(kernels[2].has_value());
+  EXPECT_EQ(kernels[0]->kind(), EnsembleKind::kAdaBoost);
+  EXPECT_EQ(kernels[2]->kind(), EnsembleKind::kForest);
 
-  const std::vector<size_t> rows = AllRows(data.num_rows());
-  std::vector<double> interpreted(rows.size());
-  std::vector<double> fused(rows.size());
-  boosted_ref.PredictProbaBatch(data, rows, interpreted);
-  kernel.PredictGroup(data, 0, rows, fused);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(interpreted[i], fused[i]) << "row " << i;
+  FalccModel interpreted = trained.CloneWithRefreshes(refreshes).value();
+  interpreted.set_use_compiled(false);
+  const size_t width = s.test.num_features();
+  for (size_t n : {size_t{1}, size_t{15}, size_t{16}, size_t{17},
+                   size_t{31}, size_t{32}, size_t{33}, size_t{200}}) {
+    SCOPED_TRACE(n);
+    const std::vector<double> flat = Flatten(s.test, n);
+    const ClassifyRequest request{flat, width};
+    const ClassifyResponse a = model.ClassifyBatch(request).value();
+    const ClassifyResponse b = interpreted.ClassifyBatch(request).value();
+    ASSERT_EQ(a.decisions.size(), n);
+    std::set<size_t> models;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(a.decisions[i].probability, b.decisions[i].probability) << i;
+      EXPECT_EQ(a.decisions[i].label, b.decisions[i].label) << i;
+      EXPECT_EQ(a.decisions[i].model, b.decisions[i].model) << i;
+      models.insert(a.decisions[i].model);
+    }
+    if (n == 200) {
+      EXPECT_GE(models.size(), 2u);
+    }
   }
 }
 
-TEST(CompiledComboTest, GroupsSharingAModelShareOneLoweredEntry) {
-  const Dataset data = MakeData(300, 6);
-  auto boosted = std::make_unique<AdaBoost>();
-  ASSERT_TRUE(boosted->Fit(data).ok());
-  const Result<CompiledEnsemble> standalone =
-      CompiledEnsemble::Compile(*boosted);
-  ASSERT_TRUE(standalone.ok());
-
+// The deserializer accepts a tree whose nodes share a subtree (it only
+// requires forward children), but such a tree has no 16-byte layout. A
+// snapshot carrying one still loads through every path: that model
+// serves interpreted, the rest of the pool from kernels.
+TEST(CompiledPoolTest, SharedSubtreeModelLoadsAndServesInterpreted) {
+  const TrainValTest s = MakeSplits();
+  std::vector<TreeNode> nodes(4);
+  nodes[0] = {0, s.train.Row(0)[0], 1, 2, 0.5};
+  nodes[1] = {1, s.train.Row(0)[1], 3, 3, 0.5};  // both children: node 3
+  nodes[2].proba = 0.25;
+  nodes[3].proba = 0.75;
+  AdaBoostOptions boost;
+  boost.num_estimators = 6;
+  boost.base.max_depth = 4;
+  auto boosted = std::make_unique<AdaBoost>(boost);
+  ASSERT_TRUE(boosted->Fit(s.train).ok());
   ModelPool pool;
   pool.Add(std::move(boosted));
-  const ModelCombination combo = {0, 0, 0};  // three groups, one model
-  const auto compiled = CompiledCombo::Compile(pool, combo);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  pool.Add(std::make_unique<DecisionTree>(
+      DecisionTree::FromParts({}, std::move(nodes), 2)));
 
-  // The model is lowered once, not once per group.
-  EXPECT_EQ(compiled.value()->num_nodes(), standalone.value().num_nodes());
-  EXPECT_EQ(compiled.value()->num_compiled_groups(), 3u);
-}
+  FalccOptions options = FastOptions();
+  options.fixed_k = 3;
+  const FalccModel trained =
+      FalccModel::TrainWithPool(std::move(pool), s.validation, options)
+          .value();
+  std::vector<ClusterRefresh> refreshes;
+  for (size_t c = 0; c < trained.num_clusters(); ++c) {
+    ClusterRefresh refresh;
+    refresh.cluster = c;
+    refresh.combination.assign(trained.num_groups(), 0);
+    refresh.combination[0] = 1;  // group 0 → the shared-subtree tree
+    refresh.baseline_loss = 0.0;
+    refreshes.push_back(refresh);
+  }
+  FalccModel model = trained.CloneWithRefreshes(refreshes).value();
+  model.set_use_compiled(false);
+  const size_t n = 200;
+  const std::vector<double> flat = Flatten(s.test, n);
+  const ClassifyRequest request{flat, s.test.num_features()};
+  const ClassifyResponse reference = model.ClassifyBatch(request).value();
+  size_t dag_rows = 0;
+  for (const SampleDecision& d : reference.decisions) {
+    dag_rows += d.model == 1 ? 1 : 0;
+  }
+  ASSERT_GT(dag_rows, 0u);
+  ASSERT_LT(dag_rows, n);
+  model.set_use_compiled(true);
 
-TEST(CompiledComboTest, IndependentCompilesOfSameComboAreBitIdentical) {
-  const Dataset data = MakeData(300, 7);
-  auto forest = std::make_unique<RandomForest>();
-  ASSERT_TRUE(forest->Fit(data).ok());
-  ModelPool pool;
-  pool.Add(std::move(forest));
-  const ModelCombination combo = {0, 0};
-  const auto a = CompiledCombo::Compile(pool, combo);
-  const auto b = CompiledCombo::Compile(pool, combo);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(a.value()->SameBits(*b.value()));
-  EXPECT_NE(a.value().get(), b.value().get());
+  auto expect_serves = [&](const Result<FalccModel>& loaded) {
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(loaded.value().has_compiled_kernels());
+    const CompiledPool& kernels = *loaded.value().compiled_pool();
+    ASSERT_EQ(kernels.size(), 2u);
+    EXPECT_TRUE(kernels[0].has_value());
+    EXPECT_FALSE(kernels[1].has_value());
+    const ClassifyResponse got =
+        loaded.value().ClassifyBatch(request).value();
+    ASSERT_EQ(got.decisions.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got.decisions[i].probability,
+                reference.decisions[i].probability) << i;
+      EXPECT_EQ(got.decisions[i].model, reference.decisions[i].model) << i;
+    }
+  };
+  for (SnapshotFormat format : {SnapshotFormat::kV1, SnapshotFormat::kV2}) {
+    std::ostringstream out;
+    ASSERT_TRUE(model.Save(&out, format).ok());
+    std::istringstream in(out.str());
+    expect_serves(FalccModel::Load(&in));
+  }
+  const std::string path = ::testing::TempDir() + "/falcc-shared-subtree.falcc";
+  ASSERT_TRUE(model.SaveToFile(path).ok());
+  expect_serves(FalccModel::LoadMapped(path));
+  std::remove(path.c_str());
 }
 
 // --- Golden models -----------------------------------------------------
@@ -248,46 +490,48 @@ TEST(CompiledGoldenTest, GoldenModelsCompileBitIdentical) {
 
 // --- Concurrency (TSan target) -----------------------------------------
 
-TrainValTest MakeSplits() {
-  SyntheticConfig cfg;
-  cfg.num_samples = 1500;
-  cfg.seed = 7;
-  const Dataset d = GenerateImplicitBias(cfg).value();
-  return SplitDatasetDefault(d, 11).value();
-}
-
-FalccOptions FastOptions() {
-  FalccOptions opt;
-  opt.seed = 42;
-  opt.trainer.estimator_grid = {5};
-  opt.trainer.depth_grid = {1, 4};
-  opt.trainer.pool_size = 3;
-  return opt;
-}
-
-// Readers classify continuously while the main thread repeatedly
-// hot-swaps models whose kernels were dropped — forcing Install's
-// compile-before-publish path to race against serving. Under TSan this
-// is the "concurrent classify during hot-swap recompile" check.
-TEST(CompiledConcurrencyTest, ClassifyDuringHotSwapRecompile) {
+// Readers classify continuously while the main thread hot-swaps the
+// engine's snapshot: delta applies that flip cluster 0 between two
+// combinations (sharing the compiled pool, compiling nothing), and full
+// installs of models whose kernels were dropped (forcing Install's
+// compile-before-publish path). Under TSan this is the "concurrent
+// classify during hot-swap" check.
+TEST(CompiledConcurrencyTest, ClassifyDuringDeltaHotSwap) {
   const TrainValTest s = MakeSplits();
   FalccModel model =
       FalccModel::Train(s.train, s.validation, FastOptions()).value();
+  ASSERT_TRUE(model.EnsureManifest().ok());
   std::ostringstream buffer;
   ASSERT_TRUE(model.Save(&buffer).ok());
   const std::string bytes = buffer.str();
+
+  // Two deltas that undo each other: A → B re-picks cluster 0's model
+  // for group 0, B → A restores it.
+  ClusterRefresh forward;
+  forward.cluster = 0;
+  forward.combination = model.selected_combinations()[0];
+  forward.combination[0] = (forward.combination[0] + 1) % model.pool().size();
+  forward.baseline_loss = model.baseline_losses()[0];
+  ClusterRefresh back = forward;
+  back.combination = model.selected_combinations()[0];
+  const FalccModel refreshed = model.CloneWithRefreshes({&forward, 1}).value();
+  const size_t clusters[] = {0};
+  std::ostringstream to_b, to_a;
+  ASSERT_TRUE(refreshed
+                  .SaveDelta(&to_b, clusters, model.ContentHash().value())
+                  .ok());
+  ASSERT_TRUE(model.CloneWithRefreshes({&back, 1})
+                  .value()
+                  .SaveDelta(&to_a, clusters, refreshed.ContentHash().value())
+                  .ok());
 
   serve::FalccEngineOptions options;
   options.start_flusher = false;
   serve::FalccEngine engine(options);
   engine.Install(std::move(model));
 
-  std::vector<double> batch;
   const size_t width = s.test.num_features();
-  for (size_t i = 0; i < 64; ++i) {
-    const auto row = s.test.Row(i);
-    batch.insert(batch.end(), row.begin(), row.end());
-  }
+  const std::vector<double> batch = Flatten(s.test, 64);
   ClassifyRequest request{batch, width};
 
   std::atomic<bool> stop{false};
@@ -302,6 +546,12 @@ TEST(CompiledConcurrencyTest, ClassifyDuringHotSwapRecompile) {
   });
 
   for (int swap = 0; swap < 8; ++swap) {
+    const std::shared_ptr<const CompiledPool> kernels =
+        engine.snapshot()->compiled_pool();
+    ASSERT_TRUE(engine.ApplyDeltaBytes(to_b.str()).ok());
+    ASSERT_TRUE(engine.ApplyDeltaBytes(to_a.str()).ok());
+    EXPECT_EQ(engine.snapshot()->compiled_pool(), kernels);
+
     std::istringstream in(bytes);
     FalccModel next = FalccModel::Load(&in).value();
     next.ClearCompiledKernels();  // force Install to recompile

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -263,6 +264,52 @@ TEST(SnapshotRegressionTest, V1SnapshotRoundTripsByteIdentically) {
   std::string saved;
   ASSERT_TRUE(testing::SaveToString(model.value(), &saved).ok());
   EXPECT_EQ(saved, v1);
+}
+
+// The checked-in v2 seeds carry a flat section in the superseded
+// per-cluster layout ("falcc-f2", valid-v2.txt) and in the per-model
+// layout ("falcc-f3", valid-v2-flat-f3.txt) of the same model. Both load
+// through the stream and the mmap path to identical decisions; the old
+// section is skipped (kernels compile from the pool) and re-saving
+// either yields the per-model seed byte for byte.
+TEST(SnapshotRegressionTest, LegacyAndCurrentFlatSectionsLoadBothWays) {
+  const std::string dir = std::string(FALCC_CORPUS_DIR) + "/snapshot/";
+  auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  const std::string current = read(dir + "valid-v2-flat-f3.txt");
+  ASSERT_FALSE(current.empty());
+  for (const char* name : {"valid-v2.txt", "valid-v2-flat-f3.txt"}) {
+    SCOPED_TRACE(name);
+    const Result<FalccModel> streamed = FalccModel::LoadFromFile(dir + name);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    const Result<FalccModel> mapped = FalccModel::LoadMapped(dir + name);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ASSERT_TRUE(mapped.value().has_compiled_kernels());
+
+    const size_t width = streamed.value().num_features();
+    std::vector<double> probe;
+    for (size_t i = 0; i < 40; ++i) {
+      for (size_t j = 0; j < width; ++j) {
+        probe.push_back(0.125 * static_cast<double>((i * 5 + j * 3) % 17) -
+                        1.0);
+      }
+    }
+    const ClassifyRequest request{probe, width};
+    const ClassifyResponse a = streamed.value().ClassifyBatch(request).value();
+    const ClassifyResponse b = mapped.value().ClassifyBatch(request).value();
+    ASSERT_EQ(a.decisions.size(), b.decisions.size());
+    for (size_t i = 0; i < a.decisions.size(); ++i) {
+      EXPECT_EQ(a.decisions[i].probability, b.decisions[i].probability) << i;
+      EXPECT_EQ(a.decisions[i].model, b.decisions[i].model) << i;
+    }
+    std::string saved;
+    ASSERT_TRUE(testing::SaveToString(mapped.value(), &saved).ok());
+    EXPECT_EQ(saved, current);
+  }
 }
 
 TEST(SnapshotRegressionTest, CorruptedSectionIsNamedInTheError) {

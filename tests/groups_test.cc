@@ -95,12 +95,12 @@ TEST(RowsByGroupTest, PartitionsRows) {
   EXPECT_EQ(buckets.value()[g], (std::vector<size_t>{0, 4}));
 }
 
-TEST(GroupIndexTest, GroupOfOrNearestScratchOverloadMatchesAllocating) {
+// GroupOfOrNearest compares the sample's sensitive values in place
+// (no key vector): exact keys must resolve like GroupOf, and unseen
+// combinations to the lowest-index group at minimal squared distance.
+TEST(GroupIndexTest, GroupOfOrNearestMatchesExactAndNearestReference) {
   const Dataset d = MakeMultiAttr();
   const GroupIndex index = GroupIndex::Build(d).value();
-  // Seen keys, unseen combinations, and off-grid values; reuse one dirty
-  // scratch vector across all of them — each call must fully overwrite
-  // whatever the previous call (or the garbage seed) left behind.
   const std::vector<std::vector<double>> samples = {
       {0.1, 0.0, 0.0},    // exact key (0,0)
       {0.2, 1.0, 1.0},    // exact key (1,1)
@@ -109,11 +109,29 @@ TEST(GroupIndexTest, GroupOfOrNearestScratchOverloadMatchesAllocating) {
       {0.0, -3.0, 0.4},   // unseen, nearest (0,0)
       {0.0, 0.49, 0.51},  // near the decision boundary between keys
   };
-  std::vector<double> scratch = {1e9, -1e9, 42.0, 7.0};  // deliberately dirty
+  const std::vector<size_t>& columns = index.sensitive_features();
   for (const auto& sample : samples) {
-    EXPECT_EQ(index.GroupOfOrNearest(sample, &scratch),
-              index.GroupOfOrNearest(sample))
-        << "sample starting " << sample[1] << "," << sample[2];
+    SCOPED_TRACE(::testing::Message()
+                 << "sample starting " << sample[1] << "," << sample[2]);
+    const Result<size_t> exact = index.GroupOf(sample);
+    size_t expected = 0;
+    if (exact.ok()) {
+      expected = exact.value();
+    } else {
+      double best = 1e300;
+      for (size_t g = 0; g < index.num_groups(); ++g) {
+        double d2 = 0.0;
+        for (size_t i = 0; i < columns.size(); ++i) {
+          const double diff = sample[columns[i]] - index.GroupKey(g)[i];
+          d2 += diff * diff;
+        }
+        if (d2 < best) {
+          best = d2;
+          expected = g;
+        }
+      }
+    }
+    EXPECT_EQ(index.GroupOfOrNearest(sample), expected);
   }
 }
 

@@ -443,7 +443,7 @@ TEST(SnapshotBaselineTest, LegacyStreamWithoutMonitorSectionStillLoads) {
 // (InvariantsTest.RefreshLeavesUntouchedClustersBitIdentical) via the
 // shared CheckRefreshIsolation helper.
 
-TEST(RefreshCompileTest, UntouchedClustersReuseKernelsAcrossHotSwap) {
+TEST(RefreshCompileTest, RefreshClonesShareTheCompiledPool) {
   const TrainValTest s = MakeSplits();
   FalccModel model =
       FalccModel::Train(s.train, s.validation, FastOptions()).value();
@@ -458,41 +458,25 @@ TEST(RefreshCompileTest, UntouchedClustersReuseKernelsAcrossHotSwap) {
   refresh.combination = replacement;
   refresh.baseline_loss = 0.25;
 
+  // The kernels are per pool model, and a refresh only re-picks among
+  // the pool's models: the clone serves from the source's compiled pool
+  // itself — the refresh path compiles nothing.
   FalccModel clone = model.CloneWithRefreshes({&refresh, 1}).value();
   ASSERT_TRUE(clone.has_compiled_kernels());
+  EXPECT_EQ(clone.compiled_pool(), model.compiled_pool());
 
-  // Untouched clusters share the source's kernel objects verbatim — the
-  // refresh path must reuse, not recompile.
-  for (size_t c = 1; c < model.num_clusters(); ++c) {
-    EXPECT_EQ(clone.compiled_combo(c).get(), model.compiled_combo(c).get())
-        << "cluster " << c;
-  }
-
-  // The refreshed cluster got a new kernel, bit-identical to compiling
-  // its combination from scratch against the clone's pool.
-  ASSERT_NE(clone.compiled_combo(0), nullptr);
-  EXPECT_NE(clone.compiled_combo(0).get(), model.compiled_combo(0).get());
-  const std::shared_ptr<const CompiledCombo> scratch =
-      CompiledCombo::Compile(clone.pool(), replacement).value();
-  EXPECT_TRUE(clone.compiled_combo(0)->SameBits(*scratch));
-
-  // Hot-swapping the clone must not trigger a recompile: the installed
-  // snapshot serves the exact kernel objects the clone carried in.
-  std::vector<const CompiledCombo*> expected;
-  expected.reserve(clone.num_clusters());
-  for (size_t c = 0; c < clone.num_clusters(); ++c) {
-    expected.push_back(clone.compiled_combo(c).get());
-  }
+  // Hot-swapping the clone must not trigger a compile either: the
+  // installed snapshot serves the very pool the clone carried in, and
+  // the engine's compile histogram stays empty.
+  const std::shared_ptr<const CompiledPool> expected = clone.compiled_pool();
   serve::FalccEngineOptions engine_options;
   engine_options.start_flusher = false;
   serve::FalccEngine engine(engine_options);
   engine.Install(std::move(clone));
   const std::shared_ptr<const FalccModel> snapshot = engine.snapshot();
   ASSERT_NE(snapshot, nullptr);
-  for (size_t c = 0; c < snapshot->num_clusters(); ++c) {
-    EXPECT_EQ(snapshot->compiled_combo(c).get(), expected[c])
-        << "cluster " << c;
-  }
+  EXPECT_EQ(snapshot->compiled_pool(), expected);
+  EXPECT_EQ(engine.GetMetrics().compile.count, 0u);
 
   // And the swapped snapshot still serves the refreshed combination
   // through the compiled path exactly as the interpreter would.

@@ -1319,8 +1319,17 @@ TEST(SocketFleetTest, ReplicasConvergeOverAUnixSocketFeed) {
   ReplicaFleet fleet(options);
   ASSERT_TRUE(fleet.Bootstrap(model_path).ok());
   // The replicas subscribed after the checkpoint was published: it
-  // reaches them via catch-up replay, not the filesystem.
+  // reaches them via catch-up replay, not the filesystem. They already
+  // hold its content from the bootstrap file, so convergence alone does
+  // not mean the replay happened: wait for the publisher's thread to
+  // send it.
   ASSERT_TRUE(WaitConverged(&fleet, HashOf(head)));
+  const auto catchup_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (publisher->Stats().catchup_artifacts == 0 &&
+         std::chrono::steady_clock::now() < catchup_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   EXPECT_GE(publisher->Stats().catchup_artifacts, 1u);
 
   for (size_t event = 0; event < 3; ++event) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -423,6 +425,101 @@ TEST(ShardedEngineTest, HotSwapUnderConcurrentShardedSubmits) {
   // Same artifact on every reload: decisions never waver mid-swap.
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(engine.GetMetrics().errors, 0u);
+}
+
+// Records every decision with the snapshot version it was tagged with.
+class VersionRecorder : public serve::DecisionObserver {
+ public:
+  struct Entry {
+    SampleDecision decision;
+    std::vector<double> features;
+    uint64_t version = 0;
+  };
+
+  void OnDecision(const SampleDecision& decision,
+                  std::span<const double> features,
+                  uint64_t snapshot_version) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.push_back(
+        {decision, {features.begin(), features.end()}, snapshot_version});
+  }
+
+  std::vector<Entry> entries() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entries_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Entry> entries_;
+};
+
+// Decision provenance across hot-swaps: two models that disagree are
+// installed alternately (odd versions serve `a`, even versions `b`)
+// while clients classify through the shards and the snapshot store.
+// Every logged decision must be exactly what the snapshot of its tagged
+// version decides — a batch straddling an install must not be logged
+// under the next snapshot's version.
+TEST(ShardedEngineTest, DecisionsCarryTheVersionOfTheirSnapshot) {
+  const TrainValTest s = MakeSplits();
+  FalccOptions options = FastOptions();
+  const FalccModel a =
+      FalccModel::Train(s.train, s.validation, options).value();
+  options.seed = 43;
+  options.trainer.depth_grid = {2, 3};
+  const FalccModel b =
+      FalccModel::Train(s.train, s.validation, options).value();
+
+  serve::ShardedEngineOptions engine_options;
+  engine_options.num_shards = 2;
+  serve::ShardedEngine engine(engine_options);
+  engine.Install(a.CloneWithRefreshes({}).value());
+  auto recorder = std::make_shared<VersionRecorder>();
+  engine.SetDecisionObserver(recorder);
+
+  const size_t width = s.test.num_features();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const size_t row = (i * 7 + c) % (s.test.num_rows() - 8);
+        if (c == 0) {
+          (void)engine.Classify(s.test.Row(row));
+        } else {
+          std::vector<double> batch;
+          for (size_t r = row; r < row + 8; ++r) {
+            const auto features = s.test.Row(r);
+            batch.insert(batch.end(), features.begin(), features.end());
+          }
+          (void)engine.snapshot_store()->ClassifyBatch({batch, width});
+        }
+      }
+    });
+  }
+  for (int swap = 0; swap < 20; ++swap) {
+    const FalccModel& next = swap % 2 == 0 ? b : a;
+    engine.Install(next.CloneWithRefreshes({}).value());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : clients) t.join();
+  engine.Shutdown();
+
+  const std::vector<VersionRecorder::Entry> entries = recorder->entries();
+  ASSERT_FALSE(entries.empty());
+  size_t distinguishing = 0;
+  size_t mislabeled = 0;
+  for (const VersionRecorder::Entry& entry : entries) {
+    ASSERT_GE(entry.version, 1u);
+    const FalccModel& served = entry.version % 2 == 1 ? a : b;
+    const FalccModel& other = entry.version % 2 == 1 ? b : a;
+    const double expected = served.ClassifyProba(entry.features);
+    if (expected != other.ClassifyProba(entry.features)) ++distinguishing;
+    if (entry.decision.probability != expected) ++mislabeled;
+  }
+  EXPECT_GT(distinguishing, 0u);
+  EXPECT_EQ(mislabeled, 0u);
 }
 
 TEST(ShardedEngineTest, FleetMetricsAggregateAllShards) {

@@ -274,10 +274,8 @@ TEST(SnapshotDeltaTest, DeltaMatchesCloneWithRefreshes) {
   EXPECT_EQ(applied.value().ContentHash().value(),
             clone.value().ContentHash().value());
 
-  // Untouched clusters share the base's compiled kernels.
-  for (size_t c = 1; c < model.num_clusters(); ++c) {
-    EXPECT_EQ(applied.value().compiled_combo(c), model.compiled_combo(c));
-  }
+  // The applied model shares the base's compiled pool: nothing compiles.
+  EXPECT_EQ(applied.value().compiled_pool(), model.compiled_pool());
 }
 
 TEST(SnapshotDeltaTest, IncrementalManifestMatchesFullRecompute) {
@@ -382,12 +380,10 @@ TEST(SnapshotSourceTest, DispatchesFullMappedAndDeltaLoads) {
   EXPECT_EQ(kind.value(), serve::SnapshotLoadKind::kDelta);
   const std::shared_ptr<const FalccModel> after = engine.snapshot();
 
-  // Incremental hot-swap: untouched clusters keep the mapped snapshot's
-  // kernels pointer-identically.
-  for (size_t c = 1; c < before->num_clusters(); ++c) {
-    EXPECT_EQ(after->compiled_combo(c), before->compiled_combo(c));
-  }
-  EXPECT_NE(after->compiled_combo(0), before->compiled_combo(0));
+  // Incremental hot-swap: the delta's snapshot keeps serving the mapped
+  // snapshot's kernels pointer-identically.
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after->compiled_pool(), before->compiled_pool());
 
   const std::vector<double> probe = ProbeRows(model, 8);
   ExpectSameDecisions(Decide(next.value(), probe), Decide(*after, probe));

@@ -6,7 +6,8 @@
 #      bench/bench_serve.cc, and bench/bench_monitor.cc surface here, and
 #      a short bench_infer run — the binary exits non-zero if the
 #      compiled flat-node kernels' decisions diverge from the
-#      interpreted path (golden-model bit-identity itself runs in ctest
+#      interpreted path, in the model-level, batch and one-row-per-call
+#      serving cases (golden-model bit-identity itself runs in ctest
 #      via compiled_ensemble_test in every build below) — and a
 #      bench_serve --smoke run, which exits non-zero if sharded-fleet
 #      decisions diverge from the single-loop reference at any shard
@@ -24,8 +25,10 @@
 #      with decisions bit-identical to the primary's,
 #   2. ThreadSanitizer build run with FALCC_THREADS=4 so data races in the
 #      parallel runtime, the serving engine's hot-swap/micro-batch paths
-#      (including concurrent classify during a hot-swap kernel recompile,
-#      tests/compiled_ensemble_test.cc), the sharded fleet's lock-free
+#      (including concurrent classify during delta hot-swaps that share
+#      the compiled kernels and installs that compile them,
+#      tests/compiled_ensemble_test.cc; decision-version tagging across
+#      installs, tests/sharded_engine_test.cc), the sharded fleet's lock-free
 #      submit rings, wakeup protocol, and shutdown drain under concurrent
 #      submits racing hot-swaps (tests/sharded_engine_test.cc), and the
 #      drift monitor's lock-free decision log under concurrent logging +
@@ -38,7 +41,8 @@
 #      split engine (ml/tree_builder.cc) and the compiled-kernel table
 #      walks (ml/compiled_ensemble.cc) fail loudly; the serving tests run
 #      here too, plus a short ASan bench_infer pass over the same
-#      compiled-vs-interpreted decision check.
+#      compiled-vs-interpreted decision check, one-row (n = 1) walks
+#      included.
 #
 # --fuzz-only instead runs the adversarial harness (`ctest -L fuzz`:
 # tests/fuzz_test.cc mutation loops over v1 snapshots, v2 sectioned
@@ -78,7 +82,8 @@ if [[ "$run_plain" == 1 ]]; then
   cmake --build build -j "$jobs" --target bench_monitor
   cmake --build build -j "$jobs" --target bench_infer
   echo "=== check 1/3 (cont.): compiled-kernel decision check ==="
-  ./build/bench/bench_infer --rows=4000 --reps=2 --out=build/BENCH_infer_check.json
+  ./build/bench/bench_infer --rows=4000 --reps=2 \
+    --out=build/BENCH_infer_check.json
   echo "=== check 1/3 (cont.): sharded-serving smoke (divergence + 10x-SLO gate) ==="
   ./build/bench/bench_serve --smoke --out=build/BENCH_serve_smoke.json
   echo "=== check 1/3 (cont.): replication tests + fleet-divergence smoke ==="
