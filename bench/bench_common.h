@@ -2,7 +2,8 @@
 //
 // Every bench accepts --threads=N (default: FALCC_THREADS / hardware
 // concurrency) and reports the effective thread count in its header so
-// recorded numbers are attributable to a parallelism level.
+// recorded numbers are attributable to a parallelism level. BENCH_*.json
+// writers share one provenance header (nproc, build type, git revision).
 
 #ifndef FALCC_BENCH_BENCH_COMMON_H_
 #define FALCC_BENCH_BENCH_COMMON_H_
@@ -10,7 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 #include <string>
+#include <thread>
 
 #include "util/parallel.h"
 
@@ -48,6 +51,38 @@ inline size_t ApplyThreadsFlag(int* argc, char** argv) {
 /// Standard report-header line naming the binary and thread count.
 inline void PrintThreadHeader(const char* binary_name) {
   std::printf("[%s] threads: %zu\n\n", binary_name, Parallelism());
+}
+
+/// The checkout's revision (`-dirty` when it has uncommitted changes),
+/// or "unknown" outside a git checkout.
+inline std::string GitRevision() {
+  std::string revision = "unknown";
+  if (FILE* pipe = popen("git describe --always --dirty --abbrev=12 "
+                         "2>/dev/null", "r")) {
+    char buffer[64] = {0};
+    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
+      revision = buffer;
+      while (!revision.empty() &&
+             (revision.back() == '\n' || revision.back() == '\r')) {
+        revision.pop_back();
+      }
+    }
+    pclose(pipe);
+  }
+  return revision;
+}
+
+/// Writes the shared provenance fields of a BENCH_*.json object (each
+/// line indented two spaces and comma-terminated): core count, build
+/// type, and git revision.
+inline void WriteProvenance(std::ostream& out) {
+  out << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
+#ifdef NDEBUG
+  out << "  \"build_type\": \"Release\",\n";
+#else
+  out << "  \"build_type\": \"Debug\",\n";
+#endif
+  out << "  \"git_revision\": \"" << GitRevision() << "\",\n";
 }
 
 }  // namespace bench

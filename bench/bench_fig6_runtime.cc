@@ -213,11 +213,11 @@ void WriteRuntimeJson(const std::string& path, const std::string& dataset,
   out << "  \"dataset\": \"" << dataset << "\",\n";
   out << "  \"rows\": " << rows << ",\n";
   out << "  \"reps\": " << kSweepReps << ",\n";
-  out << "  \"hardware_concurrency\": " << hw << ",\n";
+  bench::WriteProvenance(out);
   out << "  \"note\": \"offline_seconds is the median of " << kSweepReps
       << " runs; stage breakdown is from the median run; thread counts "
-         "above hardware_concurrency oversubscribe the machine and "
-         "measure scheduling overhead, not parallel speedup\",\n";
+         "above nproc oversubscribe the machine and measure scheduling "
+         "overhead, not parallel speedup\",\n";
   out << "  \"sweep\": [\n";
   const double base = sweep.empty() ? 0.0 : sweep.front().offline_seconds;
   for (size_t i = 0; i < sweep.size(); ++i) {

@@ -282,25 +282,6 @@ CaseResult RunServing(FalccModel* model, const Dataset& probe, size_t reps,
   return result;
 }
 
-/// The checkout's revision (`-dirty` when it has uncommitted changes),
-/// or "unknown" outside a git checkout.
-std::string GitRevision() {
-  std::string revision = "unknown";
-  if (FILE* pipe = popen("git describe --always --dirty --abbrev=12 "
-                         "2>/dev/null", "r")) {
-    char buffer[64] = {0};
-    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-      revision = buffer;
-      while (!revision.empty() &&
-             (revision.back() == '\n' || revision.back() == '\r')) {
-        revision.pop_back();
-      }
-    }
-    pclose(pipe);
-  }
-  return revision;
-}
-
 void WriteJson(const std::string& path, size_t rows, size_t reps,
                bool run_compiled, const std::vector<CaseResult>& results) {
   double min_kernel_speedup = 0.0;
@@ -319,13 +300,7 @@ void WriteJson(const std::string& path, size_t rows, size_t reps,
   out << "  \"reps\": " << reps << ",\n";
   out << "  \"threads\": " << Parallelism() << ",\n";
   out << "  \"compiled\": " << (run_compiled ? "true" : "false") << ",\n";
-  out << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
-#ifdef NDEBUG
-  out << "  \"build_type\": \"Release\",\n";
-#else
-  out << "  \"build_type\": \"Debug\",\n";
-#endif
-  out << "  \"git_revision\": \"" << GitRevision() << "\",\n";
+  bench::WriteProvenance(out);
   out << "  \"note\": \"ns_per_row = median of reps passes; model-level "
          "cases time the bare kernels, falcc_classify_batch is the full "
          "online path (validate + transform + match + predict) so its "

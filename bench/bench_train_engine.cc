@@ -24,7 +24,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -240,12 +239,12 @@ void WriteTrainJson(const std::string& path, const Dataset& data, size_t reps,
   out << "  \"dataset\": \"implicit30\",\n";
   out << "  \"rows\": " << data.num_rows() << ",\n";
   out << "  \"reps\": " << reps << ",\n";
-  out << "  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n";
+  bench::WriteProvenance(out);
   out << "  \"note\": \"reference = frozen seed trainer "
          "(ml/reference_trainer.h); engine = presorted column-cache "
-         "builder (ml/tree_builder.h); thread counts above "
-         "hardware_concurrency measure oversubscription, not speedup\",\n";
+         "builder with the two-pass split scan (ml/tree_builder.h); "
+         "seconds = median of reps; thread counts above nproc measure "
+         "oversubscription, not speedup\",\n";
   out << "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];

@@ -1,5 +1,6 @@
 #include "ml/classifier.h"
 
+#include <cmath>
 #include <ostream>
 
 #include "util/parallel.h"
@@ -63,8 +64,14 @@ Status ValidateWeights(const Dataset& data, std::span<const double> weights) {
   }
   double sum = 0.0;
   for (double w : weights) {
+    if (!std::isfinite(w)) {
+      return Status::InvalidArgument("non-finite sample weight");
+    }
     if (w < 0.0) return Status::InvalidArgument("negative sample weight");
     sum += w;
+  }
+  if (!std::isfinite(sum)) {
+    return Status::InvalidArgument("sample weights overflow when summed");
   }
   if (sum <= 0.0) {
     return Status::InvalidArgument("sample weights sum to zero");

@@ -97,8 +97,8 @@ std::vector<int> PredictAll(const Classifier& model, const Dataset& data);
 double Accuracy(const Classifier& model, const Dataset& data);
 
 /// Validates sample weights against a dataset: empty is allowed
-/// (uniform); otherwise size must match and weights must be non-negative
-/// with a positive sum.
+/// (uniform); otherwise size must match and weights must be finite and
+/// non-negative with a positive, finite sum.
 Status ValidateWeights(const Dataset& data, std::span<const double> weights);
 
 }  // namespace falcc

@@ -1,7 +1,9 @@
 #include "ml/tree_builder.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/rng.h"
 
@@ -9,9 +11,37 @@ namespace falcc {
 
 namespace {
 
-// Impurity of a weighted binary class distribution (w1 positives out of
-// total weight w). Identical to the seed trainer's.
-double Impurity(double w1, double w, SplitCriterion criterion) {
+// log2(t) in single precision without a division, for normal t > 0:
+// t = 2^e·m with m in [1, 2), and log2(m) from a degree-7 Chebyshev
+// interpolant in m − 1 (|error| ≤ 3.7e-7 over every float in [1, 2),
+// float rounding included). Zero and subnormal t get e = -127 and a
+// wrong mantissa term, which callers multiply by a weight below
+// FLT_MIN. Branch-free so the calling loop vectorizes.
+inline float Log2(float t) {
+  const uint32_t bits = std::bit_cast<uint32_t>(t);
+  const float e = static_cast<float>(static_cast<int32_t>(bits >> 23) - 127);
+  const float x =
+      std::bit_cast<float>((bits & 0x007fffffu) | 0x3f800000u) - 1.0f;
+  float p = 1.4440352495e-2f;
+  p = p * x - 7.5651374686e-2f;
+  p = p * x + 1.8875273774e-1f;
+  p = p * x - 3.2196028546e-1f;
+  p = p * x + 4.7208691624e-1f;
+  p = p * x - 7.2031606436e-1f;
+  p = p * x + 1.4426475487e+0f;
+  p = p * x + 3.6856140976e-7f;
+  return e + p;
+}
+
+// a·H(x/a) for a side of weight a = x + n: −x·log2(x/a) − n·log2(n/a).
+inline float SideEntropy(float x, float n, float a) {
+  const float r = 1.0f / a;
+  return -(x * Log2(x * r) + n * Log2(n * r));
+}
+
+}  // namespace
+
+double SplitImpurity(double w1, double w, SplitCriterion criterion) {
   if (w <= 0.0) return 0.0;
   const double p = w1 / w;
   if (criterion == SplitCriterion::kGini) {
@@ -23,7 +53,72 @@ double Impurity(double w1, double w, SplitCriterion criterion) {
   return h;
 }
 
+double ExactSplitGain(const SplitNode& node, double wl, double wl_pos) {
+  const double wr = node.w_total - wl;
+  const double wr_pos = node.w_pos - wl_pos;
+  const double child_impurity =
+      (wl * SplitImpurity(wl_pos, wl, node.criterion) +
+       wr * SplitImpurity(wr_pos, wr, node.criterion)) /
+      node.w_total;
+  return node.parent_impurity - child_impurity;
+}
+
+namespace {
+
+// ApproxSplitGains for one criterion. Each side's weight a and its
+// positive and negative parts x, n are normalized by the node weight in
+// double and only then narrowed, so the float work sees values in [0, 1]
+// and neither the right side nor a negative part ever comes from a float
+// subtraction. With p = x/a, a·Gini(p) = 2·x·n/a and
+// a·H(p) = −x·log2(x/a) − n·log2(n/a).
+template <SplitCriterion kCriterion>
+void ApproxGains(const SplitNode& node, const double* wl,
+                 const double* wl_pos, size_t count, float* out) {
+  const double scale = 1.0 / node.w_total;
+  const float parent = static_cast<float>(node.parent_impurity);
+  const float kInvalid = -std::numeric_limits<float>::infinity();
+  const float kRescore = std::numeric_limits<float>::quiet_NaN();
+  const float kFractionSlack = 0x1p-24f;
+  for (size_t i = 0; i < count; ++i) {
+    const double a_d = wl[i] * scale;
+    const double x_d = wl_pos[i] * scale;
+    const double b_d = (node.w_total - wl[i]) * scale;
+    const double y_d = (node.w_pos - wl_pos[i]) * scale;
+    const float a = static_cast<float>(a_d);
+    const float x = static_cast<float>(x_d);
+    const float n = static_cast<float>(a_d - x_d);
+    const float b = static_cast<float>(b_d);
+    const float y = static_cast<float>(y_d);
+    const float m = static_cast<float>(b_d - y_d);
+    float child;
+    if constexpr (kCriterion == SplitCriterion::kGini) {
+      child = 2.0f * (x * n / a + y * m / b);
+    } else {
+      child = SideEntropy(x, n, a) +
+              SideEntropy(std::max(y, 0.0f), std::max(m, 0.0f), b);
+    }
+    const float gain = parent - child;
+    // The right side's class weights come from a difference of sums
+    // accumulated in different orders, so a pure right side can round
+    // to a fraction just outside [0, 1]; within kFractionSlack of it the
+    // exact impurity stays below 2.1·kFractionSlack·b and the formulas
+    // above track it. Beyond that, only the exact code is trusted.
+    const float slack = -kFractionSlack * b;
+    const bool in_range = y >= slack && m >= slack;
+    out[i] = wl[i] > 0.0 ? (in_range ? gain : kRescore) : kInvalid;
+  }
+}
+
 }  // namespace
+
+void ApproxSplitGains(const SplitNode& node, const double* wl,
+                      const double* wl_pos, size_t count, float* out) {
+  if (node.criterion == SplitCriterion::kGini) {
+    ApproxGains<SplitCriterion::kGini>(node, wl, wl_pos, count, out);
+  } else {
+    ApproxGains<SplitCriterion::kEntropy>(node, wl, wl_pos, count, out);
+  }
+}
 
 Status TreeBuilder::Build(const FeatureColumns& columns,
                           std::span<const double> weights,
@@ -38,7 +133,6 @@ Status TreeBuilder::Build(const FeatureColumns& columns,
 
   columns_ = &columns;
   data_ = &data;
-  weights_ = weights;
   options_ = &options;
   nodes_ = nodes;
   depth_ = 0;
@@ -57,6 +151,14 @@ Status TreeBuilder::Build(const FeatureColumns& columns,
     std::copy(values.begin(), values.end(),
               list_values_.begin() + f * num_rows_);
   }
+  row_weights_.resize(num_rows_);
+  for (size_t row = 0; row < num_rows_; ++row) {
+    row_weights_[row] = {weights[row],
+                         data.Label(row) == 1 ? weights[row] : 0.0};
+  }
+  prefix_w_.resize(num_rows_);
+  prefix_pos_.resize(num_rows_);
+  approx_gain_.resize(num_rows_);
   indices_.resize(num_rows_);
   for (size_t i = 0; i < num_rows_; ++i) indices_[i] = i;
   goes_left_.resize(num_rows_);
@@ -83,9 +185,9 @@ int TreeBuilder::BuildNode(size_t begin, size_t end, size_t depth) {
   // seed trainer's.
   double w_total = 0.0, w_pos = 0.0;
   for (size_t i = begin; i < end; ++i) {
-    const size_t row = indices_[i];
-    w_total += weights_[row];
-    if (data.Label(row) == 1) w_pos += weights_[row];
+    const std::array<double, 2>& rw = row_weights_[indices_[i]];
+    w_total += rw[0];
+    w_pos += rw[1];
   }
   (*nodes_)[node_id].proba = w_total > 0.0 ? w_pos / w_total : 0.5;
 
@@ -108,43 +210,60 @@ int TreeBuilder::BuildNode(size_t begin, size_t end, size_t depth) {
     candidates_.resize(options.max_features);
   }
 
-  const double parent_impurity = Impurity(w_pos, w_total, options.criterion);
+  const SplitNode node{w_total, w_pos,
+                       SplitImpurity(w_pos, w_total, options.criterion),
+                       options.criterion};
   double best_gain = 1e-12;  // require strictly positive gain
   int best_feature = -1;
   double best_threshold = 0.0;
+  float best_approx = std::numeric_limits<float>::lowest();
 
-  // Threshold scan per candidate: the node's segment of each presorted
-  // column replaces the seed's per-feature sort. The prefix sums, the
-  // equal-value skip, the leaf-size guards, and the strictly-positive
-  // first-candidate-wins gain rule are the seed's, term for term.
+  // Thresholds i in [lo, hi) pass the leaf-size guards: i + 1 and
+  // n - i - 1 rows on the two sides are both at least min_samples_leaf.
+  const size_t min_leaf = options.min_samples_leaf;
+  const size_t lo = min_leaf > 0 ? min_leaf - 1 : 0;
+  const size_t hi = n > min_leaf ? std::min(n - 1, n - min_leaf) : 0;
+
+  // Two-pass threshold scan per candidate feature over the node's segment
+  // of its presorted column (tree_builder.h; DESIGN.md §8).
   for (const size_t f : candidates_) {
+    if (lo >= hi) break;
     const uint32_t* rows = lists_.data() + f * num_rows_ + begin;
     const double* values = list_values_.data() + f * num_rows_ + begin;
+
+    // Pass 1: the seed's prefix sums, in the seed's order, then every
+    // threshold's approximate gain. The seed's invalid thresholds (equal
+    // neighbours, an empty side) store wl = 0, which the kernel scores
+    // -inf; pass 2 never reads them.
     double wl = 0.0, wl_pos = 0.0;
-    for (size_t i = 0; i + 1 < n; ++i) {
-      const uint32_t row = rows[i];
-      const double w = weights_[row];
-      wl += w;
-      if (data.Label(row) == 1) wl_pos += w;
-      const double v = values[i];
-      const double v_next = values[i + 1];
-      if (v_next <= v) continue;  // no valid threshold between equal values
-      if (i + 1 < options.min_samples_leaf ||
-          n - i - 1 < options.min_samples_leaf) {
-        continue;
-      }
-      const double wr = w_total - wl;
-      const double wr_pos = w_pos - wl_pos;
-      if (wl <= 0.0 || wr <= 0.0) continue;
-      const double child_impurity =
-          (wl * Impurity(wl_pos, wl, options.criterion) +
-           wr * Impurity(wr_pos, wr, options.criterion)) /
-          w_total;
-      const double gain = parent_impurity - child_impurity;
+    for (size_t i = 0; i < hi; ++i) {
+      const std::array<double, 2>& rw = row_weights_[rows[i]];
+      wl += rw[0];
+      wl_pos += rw[1];
+      const bool invalid =
+          values[i + 1] <= values[i] || wl <= 0.0 || wl >= w_total;
+      prefix_w_[i] = invalid ? 0.0 : wl;
+      prefix_pos_[i] = wl_pos;
+    }
+    float* approx = approx_gain_.data();
+    ApproxSplitGains(node, prefix_w_.data() + lo, prefix_pos_.data() + lo,
+                     hi - lo, approx + lo);
+    for (size_t i = lo; i < hi; ++i) {
+      best_approx = std::max(best_approx, approx[i]);
+    }
+
+    // Pass 2: exact re-score, in candidate order with the seed's strict
+    // test, of every threshold that can tie or beat the best. NaN fails
+    // the comparison and is re-scored; invalid thresholds (-inf) never
+    // are.
+    const float cut = best_approx - kSplitGainMargin;
+    for (size_t i = lo; i < hi; ++i) {
+      if (approx[i] < cut) continue;
+      const double gain = ExactSplitGain(node, prefix_w_[i], prefix_pos_[i]);
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = static_cast<int>(f);
-        best_threshold = (v + v_next) / 2.0;
+        best_threshold = (values[i] + values[i + 1]) / 2.0;
       }
     }
   }

@@ -1,7 +1,11 @@
 #include "ml/adaboost.h"
 
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "data/feature_columns.h"
 #include "util/rng.h"
 
 namespace falcc {
@@ -124,6 +128,24 @@ TEST(AdaBoostTest, RejectsBadConfig) {
   Dataset empty;
   AdaBoost model2;
   EXPECT_FALSE(model2.Fit(empty).ok());
+}
+
+// Non-finite weights, or finite ones whose sum overflows, would
+// normalize every boosting weight to NaN and train a broken model.
+TEST(AdaBoostTest, RejectsNonFiniteWeights) {
+  const Dataset d = MakeXor(50, 7);
+  AdaBoost model;
+  std::vector<double> nan(50, 1.0);
+  nan[10] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(model.Fit(d, nan).ok());
+  std::vector<double> inf(50, 1.0);
+  inf[20] = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(model.Fit(d, inf).ok());
+  std::vector<double> overflow(50, 0.0);
+  overflow[0] = overflow[1] = 1e308;
+  EXPECT_FALSE(model.Fit(d, overflow).ok());
+  // The same guard holds for the column-cache overload.
+  EXPECT_FALSE(model.Fit(FeatureColumns(d), overflow).ok());
 }
 
 TEST(AdaBoostTest, NameReflectsOptions) {

@@ -1,5 +1,7 @@
 #include "ml/decision_tree.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "datagen/synthetic.h"
@@ -150,6 +152,17 @@ TEST(DecisionTreeTest, RejectsBadWeights) {
   EXPECT_FALSE(tree.Fit(d, neg).ok());
   const std::vector<double> wrong_size = {1.0};
   EXPECT_FALSE(tree.Fit(d, wrong_size).ok());
+  // NaN and +inf slip past `w < 0` and `sum <= 0`; so does a finite set
+  // whose sum overflows.
+  std::vector<double> nan(10, 1.0);
+  nan[3] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(tree.Fit(d, nan).ok());
+  std::vector<double> inf(10, 1.0);
+  inf[5] = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(tree.Fit(d, inf).ok());
+  std::vector<double> overflow(10, 0.0);
+  overflow[0] = overflow[1] = 1e308;
+  EXPECT_FALSE(tree.Fit(d, overflow).ok());
 }
 
 TEST(DecisionTreeTest, ProbaIsLeafPositiveFraction) {

@@ -13,7 +13,11 @@
 //     deserialized from the golden file, bit for bit, on held-out data.
 //
 // The cases cover weighted samples, duplicate feature values (tied
-// thresholds), max_features subsampling, and min-leaf constraints.
+// thresholds), max_features subsampling, and min-leaf constraints. A
+// second group checks engine == reference only, with no golden file:
+// duplicated columns (gains tied across features), a 60-round depth-9
+// entropy AdaBoost, and both criteria under min_samples_leaf and
+// max_features.
 //
 // Regenerate the golden files after an *intentional* behaviour change
 // with: FALCC_REGEN_GOLDENS=1 ./train_engine_golden_test
@@ -211,6 +215,121 @@ TEST(TrainEngineGolden, RandomForestBootstrap) {
   ASSERT_TRUE(reference.ok());
   ExpectGoldenEquivalence("random_forest_bootstrap", forest,
                           reference.value(), probe);
+}
+
+// Engine-vs-reference identity without golden files: the engine's
+// serialized bytes and probe predictions must equal the frozen seed
+// trainer's (ml/reference_trainer.h). These cases stress the two-pass
+// split scan (tree_builder.h): exact gain ties, wide weight ranges, and
+// restricted candidate sets.
+void ExpectMatchesReference(const std::string& name,
+                            const Classifier& engine_model,
+                            const Classifier& reference_model,
+                            const Dataset& probe) {
+  EXPECT_EQ(Bytes(engine_model), Bytes(reference_model))
+      << name << ": engine diverges from the seed trainer";
+  EXPECT_EQ(PredictAll(engine_model, probe),
+            PredictAll(reference_model, probe))
+      << name;
+}
+
+// Every feature twice, side by side: the copies' thresholds tie exactly
+// on gain, so the first candidate feature must win every split.
+Dataset DuplicateColumns(const Dataset& data) {
+  const size_t d = data.num_features();
+  std::vector<std::string> names;
+  for (size_t copy = 0; copy < 2; ++copy) {
+    for (size_t f = 0; f < d; ++f) {
+      names.push_back(data.feature_names()[f] + (copy == 0 ? "" : "_dup"));
+    }
+  }
+  std::vector<double> features;
+  std::vector<int> labels;
+  for (size_t i = 0; i < data.num_rows(); ++i) {
+    const auto row = data.Row(i);
+    for (size_t copy = 0; copy < 2; ++copy) {
+      features.insert(features.end(), row.begin(), row.end());
+    }
+    labels.push_back(data.Label(i));
+  }
+  return Dataset::Create(std::move(names), std::move(features), 2 * d,
+                         std::move(labels), data.sensitive_features())
+      .value();
+}
+
+TEST(TrainEngineGolden, DuplicatedColumnsTieAcrossFeatures) {
+  const Dataset train = DuplicateColumns(Implicit(800, 91));
+  const Dataset probe = DuplicateColumns(Implicit(300, 92));
+  const std::vector<double> weights = PatternWeights(train.num_rows());
+  for (SplitCriterion criterion :
+       {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
+    DecisionTreeOptions opt;
+    opt.max_depth = 8;
+    opt.criterion = criterion;
+    DecisionTree tree(opt);
+    ASSERT_TRUE(tree.Fit(train, weights).ok());
+    Result<DecisionTree> reference = reference::TrainTree(train, weights, opt);
+    ASSERT_TRUE(reference.ok());
+    ExpectMatchesReference("duplicated_columns", tree, reference.value(),
+                           probe);
+    // Ties resolve to the first copy: no split ever uses a duplicate.
+    for (const TreeNode& node : tree.nodes()) {
+      EXPECT_LT(node.feature, static_cast<int>(train.num_features() / 2));
+    }
+  }
+}
+
+// Late boosting rounds put weights across many orders of magnitude —
+// the regime where the approximation's scale invariance matters.
+TEST(TrainEngineGolden, DeepEntropyAdaBoostSixtyRounds) {
+  const Dataset train = Implicit(6000, 101);
+  const Dataset probe = Implicit(1000, 102);
+  AdaBoostOptions opt;
+  opt.num_estimators = 60;
+  opt.base.max_depth = 9;
+  opt.base.criterion = SplitCriterion::kEntropy;
+  AdaBoost boost(opt);
+  ASSERT_TRUE(boost.Fit(train).ok());
+  Result<AdaBoost> reference = reference::TrainAdaBoost(train, {}, opt);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(boost.num_fitted(), reference.value().num_fitted());
+  ExpectMatchesReference("adaboost_entropy_60x9", boost, reference.value(),
+                         probe);
+}
+
+TEST(TrainEngineGolden, MinLeafAndMaxFeaturesBothCriteria) {
+  const Dataset train = Quantize(Social(700, 111));
+  const Dataset probe = Quantize(Social(300, 112));
+  const std::vector<double> weights = PatternWeights(train.num_rows());
+  for (SplitCriterion criterion :
+       {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
+    DecisionTreeOptions min_leaf;
+    min_leaf.max_depth = 9;
+    min_leaf.min_samples_leaf = 7;
+    min_leaf.criterion = criterion;
+    DecisionTree leaf_tree(min_leaf);
+    ASSERT_TRUE(leaf_tree.Fit(train, weights).ok());
+    Result<DecisionTree> leaf_reference =
+        reference::TrainTree(train, weights, min_leaf);
+    ASSERT_TRUE(leaf_reference.ok());
+    ExpectMatchesReference("min_samples_leaf", leaf_tree,
+                           leaf_reference.value(), probe);
+
+    RandomForestOptions forest_opt;
+    forest_opt.num_trees = 8;
+    forest_opt.base.max_depth = 8;
+    forest_opt.base.max_features = 2;
+    forest_opt.base.min_samples_leaf = 3;
+    forest_opt.base.criterion = criterion;
+    forest_opt.seed = 13;
+    RandomForest forest(forest_opt);
+    ASSERT_TRUE(forest.Fit(train, weights).ok());
+    Result<RandomForest> forest_reference =
+        reference::TrainRandomForest(train, weights, forest_opt);
+    ASSERT_TRUE(forest_reference.ok());
+    ExpectMatchesReference("max_features", forest, forest_reference.value(),
+                           probe);
+  }
 }
 
 // The column-cache Fit overloads must match the Dataset overloads

@@ -3,8 +3,11 @@
 #   1. plain Release build + ctest (the ROADMAP tier-1 command), plus
 #      Release builds of the train-engine, serving, and monitoring
 #      microbenchmarks so perf regressions in bench/bench_train_engine.cc,
-#      bench/bench_serve.cc, and bench/bench_monitor.cc surface here, and
-#      a short bench_infer run — the binary exits non-zero if the
+#      bench/bench_serve.cc, and bench/bench_monitor.cc surface here, a
+#      bench_train_engine --reps=1 run — the binary exits non-zero if any
+#      model the presorted split engine trains (tree, AdaBoost, forest,
+#      the gini/entropy AdaBoost grid) differs in bytes or predictions
+#      from the frozen seed trainer's — and a short bench_infer run — the binary exits non-zero if the
 #      compiled flat-node kernels' decisions diverge from the
 #      interpreted path, in the model-level, batch and one-row-per-call
 #      serving cases (golden-model bit-identity itself runs in ctest
@@ -40,9 +43,10 @@
 #   3. ASan+UBSan build so memory and UB errors in the pointer-heavy
 #      split engine (ml/tree_builder.cc) and the compiled-kernel table
 #      walks (ml/compiled_ensemble.cc) fail loudly; the serving tests run
-#      here too, plus a short ASan bench_infer pass over the same
-#      compiled-vs-interpreted decision check, one-row (n = 1) walks
-#      included.
+#      here too, plus an ASan bench_train_engine --reps=1 pass over the
+#      same engine-vs-seed-trainer identity check and a short ASan
+#      bench_infer pass over the same compiled-vs-interpreted decision
+#      check, one-row (n = 1) walks included.
 #
 # --fuzz-only instead runs the adversarial harness (`ctest -L fuzz`:
 # tests/fuzz_test.cc mutation loops over v1 snapshots, v2 sectioned
@@ -81,6 +85,9 @@ if [[ "$run_plain" == 1 ]]; then
   cmake --build build -j "$jobs" --target bench_serve
   cmake --build build -j "$jobs" --target bench_monitor
   cmake --build build -j "$jobs" --target bench_infer
+  echo "=== check 1/3 (cont.): train-engine identity check (engine == seed trainer) ==="
+  ./build/bench/bench_train_engine --reps=1 \
+    --out=build/BENCH_train_check.json
   echo "=== check 1/3 (cont.): compiled-kernel decision check ==="
   ./build/bench/bench_infer --rows=4000 --reps=2 \
     --out=build/BENCH_infer_check.json
@@ -113,6 +120,10 @@ if [[ "$run_asan" == 1 ]]; then
     ctest --test-dir build-asan --output-on-failure -j "$jobs"
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan -L replicate --output-on-failure
+  cmake --build build-asan -j "$jobs" --target bench_train_engine
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/bench/bench_train_engine --reps=1 \
+    --out=build-asan/BENCH_train_check.json
   cmake --build build-asan -j "$jobs" --target bench_infer
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/bench/bench_infer --rows=1000 --reps=1 \
