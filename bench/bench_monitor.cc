@@ -117,9 +117,7 @@ double ReplayOnce(serve::FalccEngine* engine, const std::vector<double>& flat,
 /// Builds a fresh no-flusher engine serving a deserialized copy of the
 /// model (FalccModel is move-only; engines each own a snapshot).
 std::unique_ptr<serve::FalccEngine> MakeEngine(const std::string& model_bytes) {
-  serve::FalccEngineOptions options;
-  options.start_flusher = false;
-  auto engine = std::make_unique<serve::FalccEngine>(options);
+  auto engine = std::make_unique<serve::FalccEngine>();
   std::istringstream in(model_bytes);
   engine->Install(FalccModel::Load(&in).value());
   return engine;

@@ -578,7 +578,7 @@ int Main(int argc, char** argv) {
       std::istringstream in(model_bytes);
       engine.Install(FalccModel::Load(&in).value());
       if (observe) {
-        engine.SetDecisionObserver(
+        engine.SetObserver(
             std::make_shared<monitor::DecisionLog>(1 << 15, width));
       }
       Timer wall;

@@ -1,27 +1,21 @@
-// Serving benchmark: the sharded SLO-driven fleet vs the single-queue
-// micro-batcher vs the bare single-sample loop.
+// Serving benchmark: the sharded SLO-driven fleet vs the bare
+// single-sample loop.
 //
-// Open-loop modes (whole probe set submitted up front, median of --reps):
+// Open-loop mode (whole probe set, median of --reps):
 //
 //  * single_loop — each client thread walks its partition calling
-//    FalccModel::Classify per sample (the pre-existing per-request path).
-//  * micro_batch — each client submits its partition into a single-queue
-//    serve::FalccEngine (max_batch 16384, max_delay 200 µs) and then
-//    waits on the tickets. Peak-throughput shape: queue wait dominates
-//    latency by design.
+//    FalccModel::Classify per sample (the unqueued per-request path).
 //
-// Closed-loop modes (each client submits ONE sample, waits for its
+// Closed-loop mode (each client submits ONE sample, waits for its
 // decision, repeats — the latency-honest load shape an online service
 // sees):
 //
-//  * single_queue_closed — closed loop through the same single-queue
-//    FalccEngine. Its fixed max_delay flush stalls every near-empty
-//    batch, which is the pathology the sharded engine removes.
 //  * sharded — closed loop through serve::ShardedEngine at each shard
 //    count in the sweep, mixing round-robin and keyed routing. Adaptive
 //    deadline-driven flush: batches collapse to ~1 when idle and grow
 //    only while the oldest ticket's predicted completion stays inside
-//    --slo-us.
+//    --slo-us. One shard is the single-queue configuration, and every
+//    row's throughput at the SLO is reported relative to it.
 //
 // Every decision in every mode is compared against a ClassifyBatch
 // reference computed on the original (pre-round-trip) model; the binary
@@ -29,8 +23,8 @@
 // (small model, 2 shard counts) and additionally fails when the sharded
 // fleet's best achieved p99 exceeds 10x the configured SLO — the
 // tools/check.sh regression gate. Results go to BENCH_serve.json
-// (schema v2: per-shard-count rows with offered load, achieved p99, and
-// throughput at SLO vs the single-queue baseline).
+// (schema v3: per-shard-count rows with offered load, achieved p99, and
+// throughput at SLO vs one shard).
 
 #include <algorithm>
 #include <cstdio>
@@ -77,7 +71,7 @@ struct ShardedRow {
   double offered_load = 0.0;    ///< at the point backing throughput_at_slo
   double achieved_p99 = 0.0;    ///< ditto
   double throughput_at_slo = 0.0;
-  double ratio_vs_single_queue = 0.0;
+  double ratio_vs_one_shard = 0.0;
   bool predictions_identical = true;
 };
 
@@ -92,9 +86,6 @@ struct ReloadResult {
   double delta_apply_seconds = 0.0;
   bool predictions_identical = true;
 };
-
-constexpr size_t kMaxBatch = 16384;
-constexpr double kMaxDelaySeconds = 200e-6;
 
 /// Flattens the feature matrix of `data` into a row-major vector.
 std::vector<double> Flatten(const Dataset& data) {
@@ -175,76 +166,7 @@ ModeResult RunSingleLoop(const FalccModel& model,
   return result;
 }
 
-ModeResult RunMicroBatch(const std::string& model_bytes,
-                         const std::vector<double>& flat, size_t width,
-                         size_t threads, size_t reps,
-                         const ClassifyResponse& reference) {
-  const size_t rows = flat.size() / width;
-  ModeResult result;
-  result.mode = "micro_batch";
-  result.threads = threads;
-
-  serve::FalccEngineOptions options;
-  options.queue.max_batch = kMaxBatch;
-  options.queue.max_delay_seconds = kMaxDelaySeconds;
-  serve::FalccEngine engine(options);
-  {
-    // Serve a round-trip of the trained model — the reference decisions
-    // come from the original, so the comparison below also covers
-    // serialization identity.
-    std::istringstream in(model_bytes);
-    engine.Install(FalccModel::Load(&in).value());
-  }
-
-  std::vector<SampleDecision> decisions(rows);
-  std::vector<double> times(reps);
-  for (size_t rep = 0; rep < reps; ++rep) {
-    Timer wall;
-    std::vector<std::thread> clients;
-    clients.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) {
-      clients.emplace_back([&, t] {
-        const size_t begin = t * rows / threads;
-        const size_t end = (t + 1) * rows / threads;
-        std::vector<serve::Ticket> tickets;
-        tickets.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          const std::span<const double> sample(flat.data() + i * width, width);
-          Result<serve::Ticket> ticket = engine.Submit(sample);
-          FALCC_CHECK(ticket.ok(), "bench: Submit failed");
-          tickets.push_back(std::move(ticket).value());
-        }
-        for (size_t i = begin; i < end; ++i) {
-          Result<SampleDecision> decision = tickets[i - begin].Wait();
-          FALCC_CHECK(decision.ok(), "bench: Wait failed");
-          decisions[i] = decision.value();
-        }
-      });
-    }
-    for (std::thread& client : clients) client.join();
-    times[rep] = wall.ElapsedSeconds();
-    for (size_t i = 0; i < rows; ++i) {
-      if (decisions[i].label != reference.decisions[i].label ||
-          decisions[i].probability != reference.decisions[i].probability) {
-        result.predictions_identical = false;
-      }
-    }
-  }
-  std::sort(times.begin(), times.end());
-  result.seconds = times[times.size() / 2];
-  result.throughput = rows / result.seconds;
-  // Per-ticket totals are recorded after Complete() wakes the waiter, so
-  // join the flusher before reading the histogram.
-  engine.Shutdown();
-  result.latency = engine.GetMetrics().total;
-  if (std::getenv("FALCC_BENCH_VERBOSE") != nullptr) {
-    std::printf("--- micro_batch threads=%zu engine metrics ---\n%s",
-                threads, engine.GetMetrics().ToString().c_str());
-  }
-  return result;
-}
-
-/// Closed-loop driver shared by both engines: each client thread walks
+/// Closed-loop driver: each client thread walks
 /// its partition of the first `rows` samples submitting one and waiting
 /// for its decision before the next. `submit` maps a row index to a
 /// decision; rows are compared against `reference`.
@@ -283,31 +205,6 @@ LoadPoint RunClosedLoop(size_t rows, size_t clients, size_t reps,
   std::sort(times.begin(), times.end());
   point.offered_load = rows / times[times.size() / 2];
   return point;
-}
-
-std::vector<LoadPoint> RunSingleQueueClosed(
-    const std::string& model_bytes, const std::vector<double>& flat,
-    size_t width, size_t rows, const std::vector<size_t>& client_sweep,
-    size_t reps, const ClassifyResponse& reference) {
-  std::vector<LoadPoint> points;
-  for (size_t clients : client_sweep) {
-    serve::FalccEngineOptions options;
-    options.queue.max_batch = kMaxBatch;
-    options.queue.max_delay_seconds = kMaxDelaySeconds;
-    serve::FalccEngine engine(options);
-    std::istringstream in(model_bytes);
-    engine.Install(FalccModel::Load(&in).value());
-    LoadPoint point = RunClosedLoop(
-        rows, clients, reps, reference,
-        [&](size_t /*client*/, size_t i) {
-          return engine.Classify(
-              std::span<const double>(flat.data() + i * width, width));
-        });
-    engine.Shutdown();  // join the flusher before reading per-ticket totals
-    point.latency = engine.GetMetrics().total;
-    points.push_back(point);
-  }
-  return points;
 }
 
 ShardedRow RunSharded(const std::string& model_bytes,
@@ -399,9 +296,7 @@ ReloadResult RunReloadBench(const FalccModel& model,
   }
   result.delta_bytes = delta_bytes.size();
 
-  serve::FalccEngineOptions options;
-  options.start_flusher = false;
-  serve::FalccEngine engine(options);
+  serve::FalccEngine engine;
 
   std::vector<double> full_times(reps), mapped_times(reps), delta_times(reps);
   for (size_t rep = 0; rep < reps; ++rep) {
@@ -451,20 +346,40 @@ ReloadResult RunReloadBench(const FalccModel& model,
   return result;
 }
 
+/// The measured answer to "do 4 shards reach >= 3x one shard's
+/// throughput at the SLO?", for the JSON's hardware_note.
+std::string ScalingAnswer(const std::vector<ShardedRow>& sharded,
+                          double slo_seconds) {
+  const ShardedRow* four = nullptr;
+  for (const ShardedRow& row : sharded) {
+    if (row.shards == 4) four = &row;
+  }
+  std::ostringstream note;
+  note << std::thread::hardware_concurrency() << " core(s): ";
+  if (four == nullptr) {
+    note << "no 4-shard row in this sweep, so the 4-shard scaling question "
+            "is not measured";
+    return note.str();
+  }
+  note << (four->ratio_vs_one_shard >= 3.0 ? "yes" : "no")
+       << ", 4 shards reach " << four->ratio_vs_one_shard
+       << "x one shard's closed-loop throughput at a p99 <= "
+       << slo_seconds * 1e6 << " us (criterion: >= 3x)";
+  return note.str();
+}
+
 void WriteServeJson(const std::string& path, size_t train_rows,
                     size_t probe_rows, size_t closed_loop_rows,
                     const FalccModel& model, size_t reps, double slo_seconds,
                     const std::vector<ModeResult>& results,
-                    const std::vector<LoadPoint>& single_queue,
-                    double single_queue_at_slo, double single_queue_best,
                     const std::vector<ShardedRow>& sharded,
-                    const ReloadResult& reload, double ratio_4threads) {
-  const unsigned cores = std::thread::hardware_concurrency();
+                    const ReloadResult& reload) {
   std::ofstream out(path);
   FALCC_CHECK(static_cast<bool>(out), "cannot open BENCH_serve.json");
   out << "{\n";
   out << "  \"benchmark\": \"serve_engine\",\n";
-  out << "  \"schema_version\": 2,\n";
+  out << "  \"schema_version\": 3,\n";
+  bench::WriteProvenance(out);
   out << "  \"dataset\": \"implicit\",\n";
   out << "  \"train_rows\": " << train_rows << ",\n";
   out << "  \"probe_rows\": " << probe_rows << ",\n";
@@ -473,26 +388,18 @@ void WriteServeJson(const std::string& path, size_t train_rows,
   out << "  \"clusters\": " << model.num_clusters() << ",\n";
   out << "  \"reps\": " << reps << ",\n";
   out << "  \"slo_us\": " << slo_seconds * 1e6 << ",\n";
-  out << "  \"hardware_concurrency\": " << cores << ",\n";
-  if (cores < 4) {
-    out << "  \"hardware_note\": \"this host has " << cores
-        << " core(s): shard workers time-share one CPU, so the sweep "
-           "measures the adaptive-flush latency win, not shard scaling; "
-           "the >=3x-at-4-shards throughput criterion needs >=4 cores\",\n";
-  }
-  out << "  \"engine\": {\"max_batch\": " << kMaxBatch
-      << ", \"max_delay_us\": " << kMaxDelaySeconds * 1e6 << "},\n";
+  out << "  \"hardware_note\": \"" << ScalingAnswer(sharded, slo_seconds)
+      << "\",\n";
   out << "  \"note\": \"open-loop rows: throughput = probe_rows / median "
-         "wall-clock (single_loop latency per Classify call, micro_batch "
-         "the engine's per-sample submit-to-completion total). "
+         "wall-clock, latency per Classify call. "
          "closed_loop: each client submits one sample and waits; "
          "offered_load_rows_per_sec = closed_loop_rows / median wall-clock; "
          "achieved p-values are true per-ticket submit-to-completion "
          "latencies from log-linear histograms (<=2% relative error). "
          "throughput_at_slo = best offered load whose achieved p99 met "
-         "slo_us (0 = no point met it); ratio_vs_single_queue divides by "
-         "the single-queue closed-loop baseline (its at-SLO throughput, "
-         "or its best throughput when it never met the SLO)\",\n";
+         "slo_us (0 = no point met it); ratio_vs_one_shard divides by the "
+         "one-shard row (its at-SLO throughput, or its best throughput "
+         "when it never met the SLO)\",\n";
   out << "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const ModeResult& r = results[i];
@@ -507,22 +414,6 @@ void WriteServeJson(const std::string& path, size_t train_rows,
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"single_queue_closed\": {\n";
-  out << "    \"load_points\": [\n";
-  for (size_t i = 0; i < single_queue.size(); ++i) {
-    const LoadPoint& p = single_queue[i];
-    out << "      {\"clients\": " << p.clients
-        << ", \"offered_load_rows_per_sec\": " << p.offered_load
-        << ", \"achieved_p50_us\": " << p.latency.p50_seconds * 1e6
-        << ", \"achieved_p99_us\": " << p.latency.p99_seconds * 1e6
-        << ", \"predictions_identical\": "
-        << (p.predictions_identical ? "true" : "false") << "}"
-        << (i + 1 < single_queue.size() ? "," : "") << "\n";
-  }
-  out << "    ],\n";
-  out << "    \"throughput_at_slo\": " << single_queue_at_slo << ",\n";
-  out << "    \"best_throughput\": " << single_queue_best << "\n";
-  out << "  },\n";
   out << "  \"sharded\": [\n";
   for (size_t i = 0; i < sharded.size(); ++i) {
     const ShardedRow& row = sharded[i];
@@ -531,7 +422,7 @@ void WriteServeJson(const std::string& path, size_t train_rows,
         << ", \"offered_load_rows_per_sec\": " << row.offered_load
         << ", \"achieved_p99_us\": " << row.achieved_p99 * 1e6
         << ", \"throughput_at_slo\": " << row.throughput_at_slo
-        << ", \"ratio_vs_single_queue\": " << row.ratio_vs_single_queue
+        << ", \"ratio_vs_one_shard\": " << row.ratio_vs_one_shard
         << ", \"predictions_identical\": "
         << (row.predictions_identical ? "true" : "false")
         << ",\n     \"load_points\": [\n";
@@ -559,8 +450,7 @@ void WriteServeJson(const std::string& path, size_t train_rows,
       << ", \"mapped_reload_ms\": " << reload.mapped_reload_seconds * 1e3
       << ", \"delta_apply_ms\": " << reload.delta_apply_seconds * 1e3
       << ", \"predictions_identical\": "
-      << (reload.predictions_identical ? "true" : "false") << "},\n";
-  out << "  \"ratio_4threads\": " << ratio_4threads << "\n";
+      << (reload.predictions_identical ? "true" : "false") << "}\n";
   out << "}\n";
 }
 
@@ -651,13 +541,9 @@ int Main(int argc, char** argv) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     results.push_back(
         RunSingleLoop(model, flat, width, threads, reps, reference));
-    results.push_back(
-        RunMicroBatch(model_bytes, flat, width, threads, reps, reference));
   }
 
   bool all_identical = true;
-  double single_4 = 0.0;
-  double batch_4 = 0.0;
   for (const ModeResult& r : results) {
     std::printf("  %-12s threads=%zu  %.3fs  %.0f rows/s  "
                 "p50=%.0fus p95=%.0fus p99=%.0fus  identical=%s\n",
@@ -666,14 +552,9 @@ int Main(int argc, char** argv) {
                 r.latency.p99_seconds * 1e6,
                 r.predictions_identical ? "yes" : "NO");
     all_identical = all_identical && r.predictions_identical;
-    if (r.threads == 4 && r.mode == "single_loop") single_4 = r.throughput;
-    if (r.threads == 4 && r.mode == "micro_batch") batch_4 = r.throughput;
   }
-  const double ratio = single_4 > 0.0 ? batch_4 / single_4 : 0.0;
-  std::printf("  micro_batch/single_loop throughput at 4 threads: %.2fx\n",
-              ratio);
 
-  // --- Closed-loop sweep: single-queue baseline, then the fleet. ---------
+  // --- Closed-loop sweep over shard counts. -------------------------------
   const size_t closed_rows =
       std::min(probe.num_rows(), smoke ? size_t{1000} : size_t{4000});
   const std::vector<size_t> client_sweep =
@@ -682,40 +563,23 @@ int Main(int argc, char** argv) {
       smoke ? std::vector<size_t>{1, 2} : std::vector<size_t>{1, 2, 4};
 
   std::printf("--- closed loop (%zu rows per point) ---\n", closed_rows);
-  const std::vector<LoadPoint> single_queue = RunSingleQueueClosed(
-      model_bytes, flat, width, closed_rows, client_sweep, reps, reference);
-  double single_queue_at_slo = 0.0;
-  double single_queue_best = 0.0;
-  for (const LoadPoint& p : single_queue) {
-    std::printf("  single_queue clients=%zu  %.0f rows/s  "
-                "p50=%.0fus p99=%.0fus  identical=%s\n",
-                p.clients, p.offered_load, p.latency.p50_seconds * 1e6,
-                p.latency.p99_seconds * 1e6,
-                p.predictions_identical ? "yes" : "NO");
-    all_identical = all_identical && p.predictions_identical;
-    single_queue_best = std::max(single_queue_best, p.offered_load);
-    if (p.latency.p99_seconds <= slo_seconds) {
-      single_queue_at_slo = std::max(single_queue_at_slo, p.offered_load);
-    }
-  }
-  // Denominator for ratio_vs_single_queue: prefer the honest at-SLO
-  // number; when the single queue never meets the SLO, compare against
-  // its best throughput anyway (a conservative, larger denominator).
-  const double single_queue_denominator =
-      single_queue_at_slo > 0.0 ? single_queue_at_slo : single_queue_best;
-
   std::vector<ShardedRow> sharded;
+  double one_shard = 0.0;
   bool smoke_p99_ok = true;
   for (size_t shards : shard_sweep) {
     ShardedRow row = RunSharded(model_bytes, flat, width, closed_rows, shards,
                                 client_sweep, reps, slo_seconds, reference);
-    row.ratio_vs_single_queue =
-        single_queue_denominator > 0.0
-            ? row.throughput_at_slo / single_queue_denominator
-            : 0.0;
-    std::printf("  sharded shards=%zu  at-slo=%.0f rows/s (%.2fx single "
-                "queue)  best-point p99=%.0fus  identical=%s\n",
-                row.shards, row.throughput_at_slo, row.ratio_vs_single_queue,
+    // Denominator: the one-shard row (the sweep starts there) — its
+    // at-SLO throughput, or its best point when it never met the SLO.
+    if (sharded.empty()) {
+      one_shard = row.throughput_at_slo > 0.0 ? row.throughput_at_slo
+                                              : row.offered_load;
+    }
+    row.ratio_vs_one_shard =
+        one_shard > 0.0 ? row.throughput_at_slo / one_shard : 0.0;
+    std::printf("  sharded shards=%zu  at-slo=%.0f rows/s (%.2fx one "
+                "shard)  best-point p99=%.0fus  identical=%s\n",
+                row.shards, row.throughput_at_slo, row.ratio_vs_one_shard,
                 row.achieved_p99 * 1e6,
                 row.predictions_identical ? "yes" : "NO");
     all_identical = all_identical && row.predictions_identical;
@@ -740,9 +604,7 @@ int Main(int argc, char** argv) {
   all_identical = all_identical && reload.predictions_identical;
 
   WriteServeJson(json_path, train.num_rows(), probe.num_rows(), closed_rows,
-                 model, reps, slo_seconds, results, single_queue,
-                 single_queue_at_slo, single_queue_best, sharded, reload,
-                 ratio);
+                 model, reps, slo_seconds, results, sharded, reload);
   std::printf("  -> %s\n", json_path.c_str());
   if (!all_identical) {
     std::fprintf(stderr, "ERROR: serving decisions differ from the "

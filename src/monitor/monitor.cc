@@ -3,47 +3,7 @@
 #include <sstream>
 #include <utility>
 
-#include "serve/sharded_engine.h"
-
 namespace falcc::monitor {
-
-namespace {
-
-/// Shared by both Attach overloads: validates the serving snapshot and
-/// derives the monitor's window/log configuration from it.
-struct AttachParts {
-  WindowStatsOptions window_options;
-  std::shared_ptr<DecisionLog> log;
-  std::vector<double> baselines;
-};
-
-Result<AttachParts> PrepareAttach(
-    const std::shared_ptr<const FalccModel>& snapshot,
-    const MonitorOptions& options) {
-  if (snapshot == nullptr) {
-    return Status::FailedPrecondition(
-        "FairnessMonitor: attach after the first Install/Reload");
-  }
-  if (!snapshot->has_baseline_losses()) {
-    return Status::FailedPrecondition(
-        "FairnessMonitor: snapshot lacks per-cluster baseline losses "
-        "(legacy artifact — retrain or re-save the model)");
-  }
-  AttachParts parts;
-  parts.window_options.window = options.window;
-  parts.window_options.num_clusters = snapshot->num_clusters();
-  parts.window_options.num_groups = snapshot->num_groups();
-  parts.window_options.num_features = snapshot->num_features();
-  parts.window_options.lambda = snapshot->assess_lambda();
-  parts.window_options.metric = snapshot->assess_metric();
-  parts.window_options.mode = snapshot->assess_mode();
-  parts.log = std::make_shared<DecisionLog>(options.log_capacity,
-                                            snapshot->num_features());
-  parts.baselines = snapshot->baseline_losses();
-  return parts;
-}
-
-}  // namespace
 
 FairnessMonitor::FairnessMonitor(serve::FalccEngine* engine,
                                  MonitorOptions options,
@@ -64,30 +24,29 @@ Result<std::unique_ptr<FairnessMonitor>> FairnessMonitor::Attach(
   if (engine == nullptr) {
     return Status::InvalidArgument("FairnessMonitor: null engine");
   }
-  Result<AttachParts> parts = PrepareAttach(engine->snapshot(), options);
-  if (!parts.ok()) return parts.status();
-  std::unique_ptr<FairnessMonitor> monitor(new FairnessMonitor(
-      engine, options, parts.value().log, parts.value().window_options,
-      std::move(parts.value().baselines)));
-  engine->SetObserver(std::move(parts.value().log));
-  return monitor;
-}
-
-Result<std::unique_ptr<FairnessMonitor>> FairnessMonitor::Attach(
-    serve::ShardedEngine* engine, MonitorOptions options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("FairnessMonitor: null engine");
+  const std::shared_ptr<const FalccModel> snapshot = engine->snapshot();
+  if (snapshot == nullptr) {
+    return Status::FailedPrecondition(
+        "FairnessMonitor: attach after the first Install/Reload");
   }
-  Result<AttachParts> parts = PrepareAttach(engine->snapshot(), options);
-  if (!parts.ok()) return parts.status();
-  // The monitor (and its Refresher) works against the fleet's snapshot
-  // store: an installed refresh is the snapshot every shard serves on
-  // its next flush. Decisions fan in from all shards through the
-  // fleet-wide observer hook.
+  if (!snapshot->has_baseline_losses()) {
+    return Status::FailedPrecondition(
+        "FairnessMonitor: snapshot lacks per-cluster baseline losses "
+        "(legacy artifact — retrain or re-save the model)");
+  }
+  WindowStatsOptions window_options;
+  window_options.window = options.window;
+  window_options.num_clusters = snapshot->num_clusters();
+  window_options.num_groups = snapshot->num_groups();
+  window_options.num_features = snapshot->num_features();
+  window_options.lambda = snapshot->assess_lambda();
+  window_options.metric = snapshot->assess_metric();
+  window_options.mode = snapshot->assess_mode();
+  auto log = std::make_shared<DecisionLog>(options.log_capacity,
+                                           snapshot->num_features());
   std::unique_ptr<FairnessMonitor> monitor(new FairnessMonitor(
-      engine->snapshot_store(), options, parts.value().log,
-      parts.value().window_options, std::move(parts.value().baselines)));
-  engine->SetDecisionObserver(std::move(parts.value().log));
+      engine, options, log, window_options, snapshot->baseline_losses()));
+  engine->SetObserver(std::move(log));
   return monitor;
 }
 

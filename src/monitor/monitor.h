@@ -33,10 +33,6 @@
 #include "monitor/window_stats.h"
 #include "serve/engine.h"
 
-namespace falcc::serve {
-class ShardedEngine;
-}  // namespace falcc::serve
-
 namespace falcc::monitor {
 
 struct MonitorOptions {
@@ -99,18 +95,12 @@ class FairnessMonitor {
   /// Subscribes a monitor to `engine`'s decision stream. Requires an
   /// installed snapshot with baseline losses (has_baseline_losses());
   /// claims the engine's (set-once) observer slot. The engine must
-  /// outlive the monitor.
+  /// outlive the monitor. A ShardedEngine passes as its snapshot store:
+  /// decisions fan in from every shard (the DecisionLog ring is
+  /// multi-writer safe), and a refresh installed on the store is what
+  /// every shard serves on its next flush.
   static Result<std::unique_ptr<FairnessMonitor>> Attach(
       serve::FalccEngine* engine, MonitorOptions options = {});
-
-  /// Sharded variant: one monitor watches the whole fleet. Decisions fan
-  /// in from every shard via ShardedEngine::SetDecisionObserver (the
-  /// DecisionLog ring is multi-writer safe), and refreshes hot-swap
-  /// through the fleet's snapshot store, so every shard serves the
-  /// refreshed snapshot on its next flush. Same preconditions and
-  /// set-once observer discipline as the single-engine overload.
-  static Result<std::unique_ptr<FairnessMonitor>> Attach(
-      serve::ShardedEngine* engine, MonitorOptions options = {});
 
   /// Reports ground truth for decision `id` (ids are assigned in
   /// append order; see DecisionLog). Thread-safe, wait-free. Returns

@@ -4,19 +4,6 @@
 
 namespace falcc::replicate {
 
-namespace {
-
-serve::FalccEngineOptions ReplicaEngineOptions() {
-  serve::FalccEngineOptions options;
-  // Replicas classify through the direct batch path; no flusher thread.
-  options.start_flusher = false;
-  return options;
-}
-
-}  // namespace
-
-ReplicaFleet::Replica::Replica() : engine(ReplicaEngineOptions()) {}
-
 ReplicaFleet::ReplicaFleet(ReplicaFleetOptions options)
     : options_(std::move(options)) {
   FALCC_CHECK(options_.num_replicas > 0, "ReplicaFleet: no replicas");

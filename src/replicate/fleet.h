@@ -1,10 +1,10 @@
 // ReplicaFleet: N serving replicas following one feed.
 //
-// Each replica is an independent FalccEngine (flusher off — callers
-// classify through the direct batch path) with its own DeltaPuller over
-// its own DirectoryFeed cursor, exactly the shape of a multi-process
-// deployment collapsed into one address space for tests and
-// bench_replicate. Convergence is defined by content hash: the fleet has
+// Each replica is an independent FalccEngine snapshot store (callers
+// classify through its direct ClassifyBatch path) with its own
+// DeltaPuller over its own feed cursor, exactly the shape of a
+// multi-process deployment collapsed into one address space for tests
+// and bench_replicate. Convergence is defined by content hash: the fleet has
 // converged when every replica's serving snapshot hashes identically to
 // the primary's — and because delta application preserves bit-identical
 // decisions for untouched clusters (and installs the published
@@ -72,7 +72,6 @@ class ReplicaFleet {
 
  private:
   struct Replica {
-    Replica();
     serve::FalccEngine engine;
     std::unique_ptr<DeltaPuller> puller;
   };

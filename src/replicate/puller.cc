@@ -38,22 +38,10 @@ DeltaPuller::DeltaPuller(serve::FalccEngine* engine,
   FALCC_CHECK(feed_ != nullptr, "DeltaPuller: null feed");
 }
 
-DeltaPuller::DeltaPuller(serve::ShardedEngine* engine,
-                         std::unique_ptr<DeltaFeed> feed,
-                         DeltaPullerOptions options)
-    : source_(engine, SourceOptions(options)),
-      sharded_engine_(engine),
-      feed_(std::move(feed)),
-      options_(options),
-      jitter_state_(options.jitter_seed) {
-  FALCC_CHECK(feed_ != nullptr, "DeltaPuller: null feed");
-}
-
 DeltaPuller::~DeltaPuller() { Stop(); }
 
 bool DeltaPuller::HasSnapshot() const {
-  return (engine_ != nullptr ? engine_->snapshot()
-                             : sharded_engine_->snapshot()) != nullptr;
+  return engine_->snapshot() != nullptr;
 }
 
 Status DeltaPuller::LoadFull(const std::string& path) {
@@ -65,8 +53,7 @@ Status DeltaPuller::ApplyDelta(const std::string& path) {
 }
 
 Result<uint64_t> DeltaPuller::ServingHash() const {
-  const std::shared_ptr<const FalccModel> snapshot =
-      engine_ != nullptr ? engine_->snapshot() : sharded_engine_->snapshot();
+  const std::shared_ptr<const FalccModel> snapshot = engine_->snapshot();
   if (snapshot == nullptr) {
     return Status::Unavailable("DeltaPuller: no snapshot installed");
   }

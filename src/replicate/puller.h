@@ -96,8 +96,6 @@ class DeltaPuller {
   /// The engine must outlive the puller; the feed is owned.
   DeltaPuller(serve::FalccEngine* engine, std::unique_ptr<DeltaFeed> feed,
               DeltaPullerOptions options = {});
-  DeltaPuller(serve::ShardedEngine* engine, std::unique_ptr<DeltaFeed> feed,
-              DeltaPullerOptions options = {});
   ~DeltaPuller();
 
   DeltaPuller(const DeltaPuller&) = delete;
@@ -142,7 +140,6 @@ class DeltaPuller {
 
   serve::SnapshotSource source_;
   serve::FalccEngine* engine_ = nullptr;
-  serve::ShardedEngine* sharded_engine_ = nullptr;
   std::unique_ptr<DeltaFeed> feed_;
   DeltaPullerOptions options_;
 

@@ -1,31 +1,10 @@
 #include "serve/engine.h"
 
-#include <chrono>
 #include <utility>
-#include <vector>
 
 #include "util/timer.h"
 
 namespace falcc::serve {
-
-namespace {
-
-/// Seconds between two steady_clock points.
-double Seconds(std::chrono::steady_clock::time_point from,
-               std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-}  // namespace
-
-FalccEngine::FalccEngine(FalccEngineOptions options)
-    : options_(options), queue_(options.queue) {
-  if (options_.start_flusher) {
-    flusher_ = std::thread([this] { FlusherLoop(); });
-  }
-}
-
-FalccEngine::~FalccEngine() { Shutdown(); }
 
 void FalccEngine::Install(FalccModel model) {
   // Compile the flat-node inference kernels before the snapshot is
@@ -59,7 +38,7 @@ void FalccEngine::SetObserver(std::shared_ptr<DecisionObserver> observer) {
 
 void FalccEngine::NotifyObserver(const ClassifyResponse& response,
                                  std::span<const double> features,
-                                 uint64_t version) const {
+                                 uint64_t version, Metrics* metrics) const {
   DecisionObserver* observer =
       observer_raw_.load(std::memory_order_acquire);
   if (observer == nullptr || response.decisions.empty()) return;
@@ -68,7 +47,7 @@ void FalccEngine::NotifyObserver(const ClassifyResponse& response,
     observer->OnDecision(response.decisions[i],
                          features.subspan(i * width, width), version);
   }
-  metrics_.AddObserved(response.decisions.size());
+  metrics->AddObserved(response.decisions.size());
 }
 
 Status FalccEngine::ReloadFromFile(const std::string& path) {
@@ -142,91 +121,9 @@ Result<ClassifyResponse> FalccEngine::ClassifyBatch(
   metrics_.predict().Record(stages.predict);
   metrics_.total().Record(timer.ElapsedSeconds());
   metrics_.AddSamples(response.value().decisions.size());
-  NotifyObserver(response.value(), request.features, snapshot.version);
+  NotifyObserver(response.value(), request.features, snapshot.version,
+                 &metrics_);
   return response;
-}
-
-Result<Ticket> FalccEngine::Submit(std::span<const double> features) {
-  metrics_.AddRequests(1);
-  const std::shared_ptr<const FalccModel> snapshot = this->snapshot();
-  if (snapshot == nullptr) {
-    metrics_.AddErrors(1);
-    return Status::Unavailable("FalccEngine: no model snapshot installed");
-  }
-  // Validate on the submitting thread: rejects never reach the queue,
-  // and validation cost parallelizes across client threads.
-  const Status valid = snapshot->ValidateSample(features);
-  if (!valid.ok()) {
-    metrics_.AddErrors(1);
-    return valid;
-  }
-  Result<Ticket> ticket = queue_.Submit(features);
-  if (!ticket.ok()) metrics_.AddErrors(1);
-  return ticket;
-}
-
-Result<SampleDecision> FalccEngine::Classify(std::span<const double> features) {
-  Result<Ticket> ticket = Submit(features);
-  if (!ticket.ok()) return ticket.status();
-  return ticket.value().Wait();
-}
-
-void FalccEngine::FlusherLoop() {
-  while (std::shared_ptr<MicroBatch> batch = queue_.NextBatch()) {
-    const auto flush_start = std::chrono::steady_clock::now();
-    for (const auto& submitted : batch->submitted) {
-      metrics_.queue_wait().Record(Seconds(submitted, flush_start));
-    }
-    const VersionedSnapshot snapshot = snapshot_.load();
-    if (snapshot.model == nullptr) {
-      metrics_.AddErrors(1);
-      batch->Complete(
-          Status::Unavailable("FalccEngine: no model snapshot installed"), {});
-      continue;
-    }
-    // Samples were validated at submit time, but a hot-swap in between
-    // may have changed the schema — ClassifyBatch re-checks and the
-    // whole batch fails gracefully in that case.
-    ClassifyRequest request;
-    request.features = batch->features;
-    request.num_features = snapshot.model->num_features();
-    Result<ClassifyResponse> response =
-        snapshot.model->ClassifyBatch(request);
-    if (!response.ok()) {
-      metrics_.AddErrors(1);
-      batch->Complete(response.status(), {});
-      continue;
-    }
-    const size_t batch_rows = response.value().decisions.size();
-    metrics_.AddFlushes(1);
-    metrics_.AddSamples(batch_rows);
-    const ClassifyStageSeconds& stages = response.value().stages;
-    metrics_.validate().Record(stages.validate);
-    metrics_.transform().Record(stages.transform);
-    metrics_.match().Record(stages.match);
-    metrics_.predict().Record(stages.predict);
-    // Feed the observed service time back into the queue's deadline
-    // model before waking anyone, so the very next flush decision sees
-    // this batch.
-    queue_.ReportServiceTime(
-        batch_rows, Seconds(flush_start, std::chrono::steady_clock::now()));
-    NotifyObserver(response.value(), batch->features, snapshot.version);
-    batch->Complete(Status::OK(),
-                    std::move(response.value().decisions));
-    // True submit-to-completion latency: stamped after Complete has
-    // published the decisions, when a Ticket::Wait can actually observe
-    // them — not the batch-granular pre-completion time used before.
-    const auto completed = std::chrono::steady_clock::now();
-    for (const auto& submitted : batch->submitted) {
-      metrics_.total().Record(Seconds(submitted, completed));
-    }
-  }
-}
-
-void FalccEngine::Shutdown() {
-  if (shutdown_.exchange(true)) return;  // idempotent
-  queue_.Stop();
-  if (flusher_.joinable()) flusher_.join();
 }
 
 }  // namespace falcc::serve

@@ -1,5 +1,5 @@
-// Online serving engine: immutable model snapshots with atomic hot-swap
-// plus a micro-batching classification front end.
+// Online serving snapshot store: immutable model snapshots with atomic
+// hot-swap plus direct, caller-thread batch classification.
 //
 // Concurrency model:
 //  * The current model lives in a SnapshotPtr (an atomic<shared_ptr>
@@ -11,13 +11,13 @@
 //  * ReloadFromFile/Install build and validate the new model entirely
 //    off the serving path (on the calling thread), then publish it with
 //    a single atomic store.
-//  * Micro-batching: Submit/Classify enqueue single samples into a
-//    BatchQueue; a dedicated flusher thread drains micro-batches through
-//    FalccModel::ClassifyBatch, which amortizes transform, centroid
-//    match, and per-model tree traversal across the batch.
+//  * Queued single-sample traffic goes through ShardedEngine
+//    (serve/sharded_engine.h), which is a FalccEngine plus per-shard
+//    submit rings and workers; a one-shard ShardedEngine is the
+//    single-queue configuration.
 //
 // Every entry point reports failures as Status (kUnavailable when no
-// snapshot is installed or the engine is shut down); nothing throws.
+// snapshot is installed); nothing throws.
 
 #ifndef FALCC_SERVE_ENGINE_H_
 #define FALCC_SERVE_ENGINE_H_
@@ -31,23 +31,15 @@
 #include <thread>
 
 #include "core/falcc.h"
-#include "serve/batch_queue.h"
 #include "serve/metrics.h"
 #include "util/status.h"
 
 namespace falcc::serve {
 
-struct FalccEngineOptions {
-  BatchQueueOptions queue;
-  /// Start the micro-batching flusher thread. Disable for engines used
-  /// only via the direct ClassifyBatch path.
-  bool start_flusher = true;
-};
-
 /// Subscriber to the engine's decision stream (the monitoring hook).
 /// OnDecision is invoked once per successfully classified sample, on
 /// whatever thread produced the decision — direct ClassifyBatch callers
-/// and the flusher thread concurrently — so implementations must be
+/// and shard workers concurrently — so implementations must be
 /// thread-safe and cheap: the call sits on the serving hot path.
 /// `features` is the sample's original feature vector and is only valid
 /// for the duration of the call.
@@ -115,12 +107,12 @@ class SnapshotPtr {
   uint64_t version_ = 0;
 };
 
-/// A serving wrapper around FalccModel snapshots. Thread-safe: any
-/// number of threads may classify, submit, and reload concurrently.
+/// The snapshot store around FalccModel snapshots. Thread-safe: any
+/// number of threads may classify and reload concurrently.
 class FalccEngine {
  public:
-  explicit FalccEngine(FalccEngineOptions options = {});
-  ~FalccEngine();
+  FalccEngine() = default;
+  virtual ~FalccEngine() = default;
 
   FalccEngine(const FalccEngine&) = delete;
   FalccEngine& operator=(const FalccEngine&) = delete;
@@ -180,32 +172,18 @@ class FalccEngine {
   /// snapshot. kUnavailable when no snapshot is installed.
   Result<ClassifyResponse> ClassifyBatch(const ClassifyRequest& request) const;
 
-  /// Enqueues one sample for micro-batched classification. Validates
-  /// against the current snapshot before queuing; the Ticket resolves
-  /// when the sample's micro-batch is flushed.
-  Result<Ticket> Submit(std::span<const double> features);
-
-  /// Synchronous convenience: Submit + Wait.
-  Result<SampleDecision> Classify(std::span<const double> features);
-
-  /// Stops the queue, drains already-submitted batches, and joins the
-  /// flusher. Subsequent submissions fail with kUnavailable. Idempotent;
-  /// also run by the destructor.
-  void Shutdown();
-
   const Metrics& metrics() const { return metrics_; }
   MetricsSnapshot GetMetrics() const { return metrics_.Snapshot(); }
 
- private:
-  void FlusherLoop();
-
-  /// Fans one successful batch, served by snapshot `version`, out to the
-  /// observer, if any.
+ protected:
+  /// Fans one successful batch (row-major `features`), served by
+  /// snapshot `version`, out to the observer, if any, counting the
+  /// notified decisions in `metrics`.
   void NotifyObserver(const ClassifyResponse& response,
-                      std::span<const double> features,
-                      uint64_t version) const;
+                      std::span<const double> features, uint64_t version,
+                      Metrics* metrics) const;
 
-  FalccEngineOptions options_;
+ private:
   SnapshotPtr snapshot_;
   /// Owner + raw publication pointer: hot paths load the raw pointer
   /// (acquire) once per batch instead of taking a shared_ptr reference.
@@ -215,9 +193,6 @@ class FalccEngine {
   /// does not change the engine's logical state. Metrics is internally
   /// thread-safe (relaxed atomics only).
   mutable Metrics metrics_;
-  BatchQueue queue_;
-  std::thread flusher_;
-  std::atomic<bool> shutdown_{false};
 };
 
 }  // namespace falcc::serve

@@ -15,8 +15,7 @@
 // sequence number; producers claim a slot with one CAS and publish with
 // one release store, the consumer reclaims with one release store — no
 // locks anywhere on the submit path. A full ring fails Push immediately
-// (backpressure surfaces as kUnavailable at Submit, same contract as the
-// single-queue BatchQueue's max_pending).
+// (backpressure surfaces as kUnavailable at Submit).
 
 #ifndef FALCC_SERVE_SHARD_ROUTER_H_
 #define FALCC_SERVE_SHARD_ROUTER_H_

@@ -16,14 +16,6 @@ double Seconds(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
-FalccEngineOptions SnapshotStoreOptions() {
-  FalccEngineOptions options;
-  // The inner engine is a snapshot store + validator only; micro-batching
-  // is the shards' job.
-  options.start_flusher = false;
-  return options;
-}
-
 size_t DefaultNumShards() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<size_t>(hw) : 1;
@@ -31,9 +23,22 @@ size_t DefaultNumShards() {
 
 }  // namespace
 
+void ServiceTimeModel::Update(size_t rows, double seconds) {
+  if (rows == 0 || !(seconds > 0.0)) return;
+  // Attribute the observation with the other term held at its current
+  // estimate; alternating the two EWMAs keeps both identifiable without
+  // a regression solve on the hot path.
+  const double row_obs =
+      std::max(0.0, seconds - overhead_) / static_cast<double>(rows);
+  per_row_ += alpha_ * (row_obs - per_row_);
+  if (per_row_ < 1e-9) per_row_ = 1e-9;
+  const double overhead_obs =
+      std::max(0.0, seconds - per_row_ * static_cast<double>(rows));
+  overhead_ += alpha_ * (overhead_obs - overhead_);
+}
+
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(options),
-      engine_(SnapshotStoreOptions()),
       router_(options.num_shards == 0 ? DefaultNumShards()
                                       : options.num_shards) {
   FALCC_CHECK(options_.slo_seconds > 0.0,
@@ -53,27 +58,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
 }
 
 ShardedEngine::~ShardedEngine() { Shutdown(); }
-
-void ShardedEngine::Install(FalccModel model) {
-  engine_.Install(std::move(model));
-}
-
-Status ShardedEngine::ReloadFromFile(const std::string& path) {
-  return engine_.ReloadFromFile(path);
-}
-
-void ShardedEngine::SetDecisionObserver(
-    std::shared_ptr<DecisionObserver> observer) {
-  FALCC_CHECK(observer != nullptr,
-              "ShardedEngine::SetDecisionObserver: null observer");
-  DecisionObserver* raw = observer.get();
-  // The inner engine owns the observer (and enforces set-once); it also
-  // notifies for any classification routed directly through the
-  // snapshot store. Shard flushes bypass the inner engine's classify
-  // path entirely, so they fan in through the raw pointer below.
-  engine_.SetObserver(std::move(observer));
-  observer_raw_.store(raw, std::memory_order_release);
-}
 
 Result<ShardTicket> ShardedEngine::Submit(std::span<const double> features) {
   return SubmitToShard(router_.RouteNext(), features);
@@ -105,7 +89,7 @@ Result<ShardTicket> ShardedEngine::SubmitToShard(
     shard.metrics.AddErrors(1);
     return Status::Unavailable("ShardedEngine: shut down, no new submissions");
   }
-  const std::shared_ptr<const FalccModel> snapshot = engine_.snapshot();
+  const std::shared_ptr<const FalccModel> snapshot = this->snapshot();
   if (snapshot == nullptr) {
     in_flight_submits_.fetch_sub(1, std::memory_order_release);
     shard.metrics.AddErrors(1);
@@ -230,7 +214,7 @@ void ShardedEngine::FlushBatch(Shard* shard, std::vector<ShardTask*>* batch,
 
   // The version travels with the snapshot it names: a hot-swap between
   // this load and the observer fan-in below cannot re-tag the batch.
-  const VersionedSnapshot snapshot = engine_.versioned_snapshot();
+  const VersionedSnapshot snapshot = versioned_snapshot();
   if (snapshot.model == nullptr) {
     shard->metrics.AddErrors(1);
     const Status unavailable =
@@ -273,17 +257,11 @@ void ShardedEngine::FlushBatch(Shard* shard, std::vector<ShardTask*>* batch,
   shard->metrics.predict().Record(stages.predict);
 
   const std::vector<SampleDecision>& decisions = response.value().decisions;
-  // Fleet-wide observer fan-in: every shard notifies the one observer
-  // (multi-writer safe by contract) before completing tickets, matching
-  // FalccEngine's notify-then-complete order.
-  if (DecisionObserver* observer =
-          observer_raw_.load(std::memory_order_acquire)) {
-    for (size_t i = 0; i < n; ++i) {
-      observer->OnDecision(decisions[i], (*batch)[i]->features,
-                           snapshot.version);
-    }
-    shard->metrics.AddObserved(n);
-  }
+  // Fleet-wide observer fan-in: every shard notifies the store's one
+  // observer (multi-writer safe by contract) before completing tickets,
+  // so a waiter never sees a decision the observer has not.
+  NotifyObserver(response.value(), request.features, snapshot.version,
+                 &shard->metrics);
   for (size_t i = 0; i < n; ++i) {
     (*batch)[i]->Complete(Status::OK(), decisions[i]);
   }
@@ -330,9 +308,9 @@ void ShardedEngine::Shutdown() {
 MetricsSnapshot ShardedEngine::GetMetrics() const {
   Metrics aggregate;
   for (const auto& shard : shards_) aggregate.MergeFrom(shard->metrics);
-  // Install/compile accounting (and any direct use of the inner engine)
-  // lives in the snapshot store's metrics.
-  aggregate.MergeFrom(engine_.metrics());
+  // Install/compile accounting (and any direct ClassifyBatch) lives in
+  // the snapshot store's metrics.
+  aggregate.MergeFrom(metrics());
   return aggregate.Snapshot();
 }
 

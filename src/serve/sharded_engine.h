@@ -1,15 +1,13 @@
-// Sharded serving fleet: N independent shards in front of one snapshot
-// store, each owning a lock-free MPSC submit ring drained by a dedicated
-// worker into the caller-scratch ClassifyBatch path, with SLO-driven
-// adaptive batch sizing.
+// Sharded serving fleet: the one queued serving path. A ShardedEngine is
+// a FalccEngine snapshot store with N independent shards in front of it,
+// each owning a lock-free MPSC submit ring drained by a dedicated worker
+// into the caller-scratch ClassifyBatch path, with SLO-driven adaptive
+// batch sizing. One shard is the single-queue configuration.
 //
-// Why shards: the single-queue micro-batcher (FalccEngine's BatchQueue)
-// funnels every client through one mutex and one flusher thread, and its
-// fixed max_delay flush trades ~65 ms closed-loop p50 for throughput.
-// FALCC inherits the decoupled per-(cluster, group) structure of
-// decoupled classifiers, so serving partitions perfectly: shards share
-// nothing but the immutable model snapshot, scale linearly with cores,
-// and routing can never change a decision — only where it is computed.
+// Why shards: FALCC inherits the decoupled per-(cluster, group) structure
+// of decoupled classifiers, so serving partitions perfectly: shards share
+// nothing but the immutable model snapshot, and routing can never change
+// a decision — only where it is computed.
 // Decisions are bit-identical to the single-sample loop at any shard
 // count (CheckShardedMatchesSingleLoop is part of the invariant suite
 // and the fuzz harness).
@@ -39,13 +37,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/falcc.h"
-#include "serve/batch_queue.h"
 #include "serve/engine.h"
 #include "serve/metrics.h"
 #include "serve/shard_router.h"
@@ -58,7 +53,7 @@ struct ShardedEngineOptions {
   size_t num_shards = 0;
   /// Per-shard submit-ring capacity (rounded up to a power of two).
   /// A full ring rejects Submit with kUnavailable — the backpressure
-  /// contract, mirroring BatchQueue's max_pending.
+  /// contract.
   size_t ring_capacity = 1 << 14;
   /// Hard upper bound on one flush, whatever the SLO math allows.
   size_t max_batch = 8192;
@@ -82,6 +77,36 @@ struct ShardedEngineOptions {
   bool start_workers = true;
 };
 
+/// Online linear model of batch service time: Predict(n) = overhead +
+/// n · per_row, both terms exponentially-weighted moving averages fed by
+/// Update after every classified batch. Seeds come from the compiled-
+/// kernel benchmark numbers so the very first flush decisions are sane;
+/// the estimate then tracks the deployed model and hardware. Not
+/// thread-safe — owned by one shard worker.
+class ServiceTimeModel {
+ public:
+  ServiceTimeModel(double seed_row_seconds, double seed_overhead_seconds,
+                   double alpha)
+      : per_row_(seed_row_seconds), overhead_(seed_overhead_seconds),
+        alpha_(alpha) {}
+
+  /// Predicted wall-clock seconds to classify a batch of `rows`.
+  double Predict(size_t rows) const {
+    return overhead_ + static_cast<double>(rows) * per_row_;
+  }
+
+  /// Folds one observed (rows, seconds) batch into the estimate.
+  void Update(size_t rows, double seconds);
+
+  double per_row_seconds() const { return per_row_; }
+  double overhead_seconds() const { return overhead_; }
+
+ private:
+  double per_row_;
+  double overhead_;
+  double alpha_;
+};
+
 /// Point-in-time view of one shard's adaptive state (diagnostics).
 struct ShardStatus {
   size_t shard = 0;
@@ -93,61 +118,21 @@ struct ShardStatus {
 
 /// N-shard serving front end over immutable FalccModel snapshots.
 /// Thread-safe: any number of threads may submit, classify, and reload
-/// concurrently. Snapshot management (install, validated reload,
-/// compile-before-publish, versioning) is delegated to an inner
-/// FalccEngine whose single-queue flusher is disabled.
-class ShardedEngine {
+/// concurrently. Snapshot management (install, validated reload, delta
+/// apply, versioning) and the decision observer are the inherited
+/// FalccEngine's: every shard serves the store's current snapshot on its
+/// next flush, and every shard flush — like a direct ClassifyBatch on
+/// the store — notifies the one observer set through SetObserver.
+class ShardedEngine : public FalccEngine {
  public:
   explicit ShardedEngine(ShardedEngineOptions options = {});
-  ~ShardedEngine();
+  ~ShardedEngine() override;
 
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-
-  // --- Snapshot management ---------------------------------------------
-
-  /// Publishes `model` as the new immutable snapshot (all shards see it
-  /// on their next flush).
-  void Install(FalccModel model);
-
-  /// Loads, validates, and swaps in a serialized model; a failed load
-  /// keeps every shard serving the current snapshot.
-  Status ReloadFromFile(const std::string& path);
-
-  /// Zero-copy variant: serves v2 compiled kernels straight out of a
-  /// read-only file mapping (see FalccEngine::ReloadMapped).
-  Status ReloadMapped(const std::string& path) {
-    return engine_.ReloadMapped(path);
-  }
-
-  /// Applies a delta artifact to the installed snapshot; the compiled
-  /// kernels are shared pointer-identically across the swap (see
-  /// FalccEngine::ApplyDeltaBytes). Shards pick up the new snapshot on
-  /// their next flush.
-  Status ApplyDeltaBytes(std::string_view bytes) {
-    return engine_.ApplyDeltaBytes(bytes);
-  }
-
-  std::shared_ptr<const FalccModel> snapshot() const {
-    return engine_.snapshot();
-  }
-  uint64_t snapshot_version() const { return engine_.snapshot_version(); }
-
-  /// The inner snapshot store. Installs and reloads through it are what
-  /// every shard serves (shards read its snapshot per flush), which is
-  /// how the monitor's Refresher hot-swaps the whole fleet at once.
-  /// Classifying through it directly bypasses the shards.
-  FalccEngine* snapshot_store() { return &engine_; }
-
-  // --- Decision subscription -------------------------------------------
-
-  /// Fleet-wide decision fan-in: subscribes `observer` to every decision
-  /// any shard flushes, plus direct classifications through the snapshot
-  /// store. Set-once, before serving traffic — the same discipline as
-  /// FalccEngine::SetObserver (which keeps ownership). One thread-safe
-  /// observer (e.g. the monitor's DecisionLog, a multi-writer ring)
-  /// watches the whole fleet.
-  void SetDecisionObserver(std::shared_ptr<DecisionObserver> observer);
+  /// The snapshot store, i.e. this engine seen as a FalccEngine.
+  /// Installs and reloads through it are what every shard serves, which
+  /// is how the monitor's Refresher hot-swaps the whole fleet at once.
+  /// ClassifyBatch through it bypasses the shards.
+  FalccEngine* snapshot_store() { return this; }
 
   // --- Classification ---------------------------------------------------
 
@@ -175,8 +160,8 @@ class ShardedEngine {
 
   size_t num_shards() const { return shards_.size(); }
 
-  /// Fleet-level metrics: all shards merged, plus the inner engine's
-  /// install/compile accounting. Per-ticket `total` latencies here are
+  /// Fleet-level metrics: all shards merged, plus the snapshot store's
+  /// install/compile and direct-classification accounting. Per-ticket `total` latencies here are
   /// true submit-to-completion times.
   MetricsSnapshot GetMetrics() const;
 
@@ -214,16 +199,12 @@ class ShardedEngine {
                                     std::span<const double> features);
   void WorkerLoop(size_t shard_index);
   /// Classifies `batch` (all tasks same width) on the current snapshot
-  /// and completes every ticket. Returns the observed service seconds.
+  /// and completes every ticket.
   void FlushBatch(Shard* shard, std::vector<ShardTask*>* batch,
                   std::vector<double>* features, ClassifyScratch* scratch,
                   std::vector<std::shared_ptr<ShardTask>>* owned);
 
   ShardedEngineOptions options_;
-  FalccEngine engine_;  ///< snapshot store + validation; flusher disabled
-  /// Raw fan-in pointer for the shard flush path; owned by engine_ (set
-  /// through SetDecisionObserver, which forwards ownership there).
-  std::atomic<DecisionObserver*> observer_raw_{nullptr};
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stopping_{false};

@@ -52,19 +52,9 @@ SnapshotSource::SnapshotSource(FalccEngine* engine,
   FALCC_CHECK(engine_ != nullptr, "SnapshotSource: null engine");
 }
 
-SnapshotSource::SnapshotSource(ShardedEngine* engine,
-                               SnapshotSourceOptions options)
-    : sharded_(engine), options_(options) {
-  FALCC_CHECK(sharded_ != nullptr, "SnapshotSource: null engine");
-}
-
 Status SnapshotSource::LoadFull(const std::string& path) {
-  if (options_.prefer_mmap) {
-    return engine_ != nullptr ? engine_->ReloadMapped(path)
-                              : sharded_->ReloadMapped(path);
-  }
-  return engine_ != nullptr ? engine_->ReloadFromFile(path)
-                            : sharded_->ReloadFromFile(path);
+  return options_.prefer_mmap ? engine_->ReloadMapped(path)
+                              : engine_->ReloadFromFile(path);
 }
 
 Status SnapshotSource::ApplyDelta(const std::string& path) {
@@ -74,8 +64,7 @@ Status SnapshotSource::ApplyDelta(const std::string& path) {
 }
 
 Status SnapshotSource::ApplyDeltaBytes(std::string_view bytes) {
-  return engine_ != nullptr ? engine_->ApplyDeltaBytes(bytes)
-                            : sharded_->ApplyDeltaBytes(bytes);
+  return engine_->ApplyDeltaBytes(bytes);
 }
 
 Result<SnapshotLoadKind> SnapshotSource::Load(const std::string& path) {

@@ -1,7 +1,6 @@
 // SnapshotSource: the one reload entry point in front of a serving
-// engine. Before this existed, FalccEngine::ReloadFromFile, the
-// ShardedEngine install path, and the CLI's model loading each sniffed
-// and loaded artifacts their own way; SnapshotSource unifies them.
+// engine's snapshot store (a FalccEngine, or a ShardedEngine seen as
+// one). The CLI, the DeltaPuller, and tests load artifacts through it.
 //
 // Dispatch is by artifact header:
 //  * `falcc-snapshot-v2` / `falcc-model-v1` → LoadFull (full snapshot
@@ -22,7 +21,6 @@
 #include <string_view>
 
 #include "serve/engine.h"
-#include "serve/sharded_engine.h"
 #include "util/status.h"
 
 namespace falcc::serve {
@@ -49,8 +47,6 @@ class SnapshotSource {
  public:
   explicit SnapshotSource(FalccEngine* engine,
                           SnapshotSourceOptions options = {});
-  explicit SnapshotSource(ShardedEngine* engine,
-                          SnapshotSourceOptions options = {});
 
   /// Loads `path` as a full snapshot (v1 or v2) and installs it.
   Status LoadFull(const std::string& path);
@@ -68,8 +64,7 @@ class SnapshotSource {
   Result<SnapshotLoadKind> Load(const std::string& path);
 
  private:
-  FalccEngine* engine_ = nullptr;        ///< exactly one of these is set
-  ShardedEngine* sharded_ = nullptr;
+  FalccEngine* engine_ = nullptr;
   SnapshotSourceOptions options_;
 };
 

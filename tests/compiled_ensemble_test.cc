@@ -525,9 +525,7 @@ TEST(CompiledConcurrencyTest, ClassifyDuringDeltaHotSwap) {
                   .SaveDelta(&to_a, clusters, refreshed.ContentHash().value())
                   .ok());
 
-  serve::FalccEngineOptions options;
-  options.start_flusher = false;
-  serve::FalccEngine engine(options);
+  serve::FalccEngine engine;
   engine.Install(std::move(model));
 
   const size_t width = s.test.num_features();

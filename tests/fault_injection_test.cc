@@ -127,9 +127,7 @@ TEST(FaultInjectionTest, ReloadKeepsServingAcrossPrefixSweep) {
   request.features = probe;
   request.num_features = s.test.num_features();
 
-  serve::FalccEngineOptions eopt;
-  eopt.start_flusher = false;
-  serve::FalccEngine engine(eopt);
+  serve::FalccEngine engine;
   engine.Install(TrainTinyModel(42));
 
   // Decisions the engine is expected to produce: those of the last
@@ -190,9 +188,7 @@ TEST(FaultInjectionTest, PerSectionCorruptionNamesTheSectionAndKeepsServing) {
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   const size_t payload = reader.value().payload_file_offset();
 
-  serve::FalccEngineOptions eopt;
-  eopt.start_flusher = false;
-  serve::FalccEngine engine(eopt);
+  serve::FalccEngine engine;
   engine.Install(TrainTinyModel(42));
   const std::vector<double> probe(model.num_features(), 0.5);
   const std::string path = ::testing::TempDir() + "/falcc-section-corrupt.bin";
@@ -231,9 +227,7 @@ TEST(FaultInjectionTest, DeltaFaultsNeverKillAServingEngine) {
   const FalccModel a = TrainTinyModel(42);
   const FalccModel b = TrainTinyModel(43);
 
-  serve::FalccEngineOptions eopt;
-  eopt.start_flusher = false;
-  serve::FalccEngine engine(eopt);
+  serve::FalccEngine engine;
 
   // No snapshot installed yet: a delta has nothing to apply to.
   EXPECT_EQ(engine.ApplyDeltaBytes("falcc-delta-v2\n").code(),

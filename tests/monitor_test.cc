@@ -425,9 +425,7 @@ TEST(SnapshotBaselineTest, LegacyStreamWithoutMonitorSectionStillLoads) {
   }
 
   // But the monitor refuses to attach without baselines.
-  serve::FalccEngineOptions engine_options;
-  engine_options.start_flusher = false;
-  serve::FalccEngine engine(engine_options);
+  serve::FalccEngine engine;
   std::stringstream legacy_again(bytes.substr(0, marker));
   engine.Install(FalccModel::Load(&legacy_again).value());
   Result<std::unique_ptr<FairnessMonitor>> monitor =
@@ -469,9 +467,7 @@ TEST(RefreshCompileTest, RefreshClonesShareTheCompiledPool) {
   // installed snapshot serves the very pool the clone carried in, and
   // the engine's compile histogram stays empty.
   const std::shared_ptr<const CompiledPool> expected = clone.compiled_pool();
-  serve::FalccEngineOptions engine_options;
-  engine_options.start_flusher = false;
-  serve::FalccEngine engine(engine_options);
+  serve::FalccEngine engine;
   engine.Install(std::move(clone));
   const std::shared_ptr<const FalccModel> snapshot = engine.snapshot();
   ASSERT_NE(snapshot, nullptr);
@@ -564,9 +560,7 @@ TEST(MonitorE2ETest, AlarmOnlyOnShiftedClusterAndRefreshImproves) {
       std::max_element(per_cluster.begin(), per_cluster.end()) -
       per_cluster.begin());
 
-  serve::FalccEngineOptions engine_options;
-  engine_options.start_flusher = false;
-  serve::FalccEngine engine(engine_options);
+  serve::FalccEngine engine;
   engine.Install(std::move(model));
 
   MonitorOptions options;
@@ -642,7 +636,7 @@ TEST(MonitorE2ETest, AlarmOnlyOnShiftedClusterAndRefreshImproves) {
 
   // A replica serving the base snapshot applies the delta and converges
   // on the primary's refreshed snapshot without a full reload.
-  serve::FalccEngine replica(engine_options);
+  serve::FalccEngine replica;
   std::istringstream base_in(base_bytes.str());
   replica.Install(FalccModel::Load(&base_in).value());
   ASSERT_TRUE(replica.ApplyDeltaBytes(delta_bytes.str()).ok());
@@ -693,7 +687,7 @@ TEST(MonitorE2ETest, AlarmOnlyOnShiftedClusterAndRefreshImproves) {
 // --- Monitor over a sharded fleet --------------------------------------
 
 // The same drift → alarm → refresh loop, but decisions fan in from a
-// ShardedEngine's flush workers through SetDecisionObserver and the
+// ShardedEngine's flush workers through the store's one observer and the
 // refresh installs through the fleet's snapshot store — every shard
 // serves the refreshed combination on its next flush.
 TEST(MonitorShardedTest, ObserverFanInDrivesRefreshAcrossShards) {
@@ -777,15 +771,17 @@ TEST(MonitorShardedTest, ObserverFanInDrivesRefreshAcrossShards) {
 
 // --- Concurrency (ThreadSanitizer coverage) ----------------------------
 
-// Concurrent decision logging (direct + micro-batched paths), feedback
-// ingestion, polling with auto-refresh, and snapshot hot-swaps — the
-// full monitor surface under race detection.
+// Concurrent decision logging (direct batches and one-shard queued
+// submissions), feedback ingestion, polling with auto-refresh, and
+// snapshot hot-swaps — the full monitor surface under race detection.
 TEST(MonitorConcurrencyTest, LoggingFeedbackPollAndHotSwapRace) {
   const TrainValTest s = MakeSplits(11, 1200);
   FalccModel model =
       FalccModel::Train(s.train, s.validation, FastOptions()).value();
 
-  serve::FalccEngine engine;  // flusher running
+  serve::ShardedEngineOptions engine_options;
+  engine_options.num_shards = 1;
+  serve::ShardedEngine engine(engine_options);
   engine.Install(std::move(model));
 
   MonitorOptions options;

@@ -168,12 +168,6 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   FALCC_CHECK(static_cast<bool>(out), "test: artifact write failed");
 }
 
-serve::FalccEngineOptions NoFlusher() {
-  serve::FalccEngineOptions options;
-  options.start_flusher = false;
-  return options;
-}
-
 /// Puller options tuned for deterministic tests: retry instantly so a
 /// recovery test needs no wall-clock sleeps.
 DeltaPullerOptions FastPuller() {
@@ -348,7 +342,7 @@ TEST(PullerTest, BootstrapsFromCheckpointAndAppliesDeltasInOrder) {
   const size_t c1[] = {1};
   publisher.PublishDelta(v2, c1, HashOf(v1)).value();
 
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   DeltaPuller puller(&engine, std::make_unique<DirectoryFeed>(dir),
                      FastPuller());
   EXPECT_FALSE(puller.ServingHash().ok());  // empty replica
@@ -440,7 +434,7 @@ TEST(DeltaIdempotencyTest, RedeliveredDeltaIsASuccessNoOp) {
 
   // Engine level: the redelivery succeeds without reinstalling (no
   // version churn, snapshot untouched).
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   engine.Install(FreshModel());
   ASSERT_TRUE(engine.ApplyDeltaBytes(delta).ok());
   const uint64_t version = engine.snapshot_version();
@@ -471,7 +465,7 @@ TEST(PullerTest, BuffersOutOfOrderArrivalsUntilTheGapFills) {
   ScriptedFeed* script = feed.get();
   DeltaPullerOptions options = FastPuller();
   options.gap_patience_polls = 10;  // patient: this test never falls back
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   DeltaPuller puller(&engine, std::move(feed), options);
 
   // Sequence 3 arrives before sequence 2: it waits in the buffer.
@@ -512,7 +506,7 @@ TEST(PullerTest, PersistentGapFallsBackAndCheckpointJumpsIt) {
   ScriptedFeed* script = feed.get();
   DeltaPullerOptions options = FastPuller();
   options.gap_patience_polls = 1;
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   DeltaPuller puller(&engine, std::move(feed), options);
 
   // Sequence 2 never arrives; the replica keeps serving v0 throughout.
@@ -561,7 +555,7 @@ TEST(PullerFaultTest, MutatedDeltaNeverStopsServingAndRecovers) {
     WriteFile(dir + "/" + SequencedName(2, "delta.falcc"),
               mutator.Mutate(delta));
 
-    serve::FalccEngine engine(NoFlusher());
+    serve::FalccEngine engine;
     DeltaPuller puller(&engine, std::make_unique<DirectoryFeed>(dir),
                        FastPuller());
     for (int p = 0; p < 6; ++p) puller.PollOnce();
@@ -616,7 +610,7 @@ TEST(PullerFaultTest, TruncatedArtifactsFailCleanAndQuarantine) {
   WriteFile(dir + "/" + SequencedName(1, "checkpoint.falcc"), full);
   WriteFile(dir + "/" + SequencedName(2, "delta.falcc"),
             delta.substr(0, delta.size() / 2));
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   DeltaPuller puller(&engine, std::make_unique<DirectoryFeed>(dir),
                      FastPuller());
   for (int p = 0; p < 4; ++p) puller.PollOnce();
@@ -633,7 +627,7 @@ TEST(PullerFaultTest, ChainBreakWithDeletedCheckpointKeepsServingUntilRepair) {
   const PublishedArtifact checkpoint =
       publisher.PublishCheckpoint(v0).value().artifacts[0];
 
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   DeltaPuller puller(&engine, std::make_unique<DirectoryFeed>(dir),
                      FastPuller());
   puller.PollOnce();
@@ -685,7 +679,7 @@ TEST(PullerTest, LateJoinerBootstrapsFromTheRetainedTail) {
   const size_t remaining = feed.Poll(0).value().size();
   EXPECT_LT(remaining, published);
 
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   DeltaPuller puller(&engine, std::make_unique<DirectoryFeed>(dir),
                      FastPuller());
   puller.PollOnce();
@@ -760,7 +754,7 @@ TEST(PullerConcurrencyTest, BackgroundPullWhileClassifyRace) {
   FalccModel head = FreshModel();
   publisher.PublishCheckpoint(head).value();
 
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   engine.Install(FreshModel());
 
   DeltaPullerOptions options = FastPuller();
@@ -1115,14 +1109,14 @@ TEST(DirectoryWatcherTest, WatcherAndPollDrivenPullersConvergeIdentically) {
 
   // Same feed directory, two wake strategies: a watcher-driven puller
   // with a long poll interval, and a pure poller with a short one.
-  serve::FalccEngine watched_engine(NoFlusher());
+  serve::FalccEngine watched_engine;
   DeltaPullerOptions watched_options = FastPuller();
   watched_options.poll_interval_seconds = 0.5;
   DeltaPuller watched(&watched_engine,
                       std::make_unique<DirectoryFeed>(dir, true),
                       watched_options);
 
-  serve::FalccEngine polled_engine(NoFlusher());
+  serve::FalccEngine polled_engine;
   DeltaPullerOptions polled_options = FastPuller();
   polled_options.poll_interval_seconds = 1e-3;
   DeltaPuller polled(&polled_engine,
@@ -1444,7 +1438,7 @@ TEST(SocketPartitionTest, HeartbeatTimeoutTearsDownAndReconnects) {
       SocketFeed::Connect(server.endpoint(), options).value();
 
   // Meanwhile the replica keeps serving its installed snapshot.
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   engine.Install(FreshModel());
   const TrainValTest s = MakeSplits();
   std::vector<double> flat;
@@ -1598,7 +1592,7 @@ TEST(PullerConcurrencyTest, SocketPullWhileClassifyRace) {
   FalccModel head = FreshModel();
   publisher->PublishCheckpoint(head).value();
 
-  serve::FalccEngine engine(NoFlusher());
+  serve::FalccEngine engine;
   engine.Install(FreshModel());
 
   SocketFeedOptions feed_options;

@@ -13,7 +13,6 @@
 #include "core/falcc.h"
 #include "data/split.h"
 #include "datagen/synthetic.h"
-#include "serve/batch_queue.h"
 #include "serve/metrics.h"
 
 namespace falcc {
@@ -121,109 +120,18 @@ TEST(ServeEngineTest, UnavailableBeforeFirstLoad) {
   serve::FalccEngine engine;
   const std::vector<double> sample(9, 0.0);
 
-  const Result<SampleDecision> classified = engine.Classify(sample);
-  ASSERT_FALSE(classified.ok());
-  EXPECT_EQ(classified.status().code(), StatusCode::kUnavailable);
-
   ClassifyRequest request;
   request.features = sample;
   request.num_features = sample.size();
-  const Result<ClassifyResponse> batch = engine.ClassifyBatch(request);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const Result<ClassifyResponse> batch = engine.ClassifyBatch(request);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable);
+  }
 
   EXPECT_EQ(engine.snapshot(), nullptr);
   EXPECT_EQ(engine.snapshot_version(), 0u);
   EXPECT_EQ(engine.GetMetrics().errors, 2u);
-}
-
-TEST(ServeEngineTest, MicroBatchedMatchesSequential) {
-  const TrainValTest s = MakeSplits();
-  serve::FalccEngineOptions options;
-  options.queue.max_batch = 32;
-  serve::FalccEngine engine(options);
-  engine.Install(
-      FalccModel::Train(s.train, s.validation, FastOptions()).value());
-  EXPECT_EQ(engine.snapshot_version(), 1u);
-
-  const std::shared_ptr<const FalccModel> model = engine.snapshot();
-  ASSERT_NE(model, nullptr);
-
-  // Pipeline all rows through the micro-batching path, then compare
-  // against the sequential per-sample path.
-  std::vector<serve::Ticket> tickets;
-  tickets.reserve(s.test.num_rows());
-  for (size_t i = 0; i < s.test.num_rows(); ++i) {
-    tickets.push_back(engine.Submit(s.test.Row(i)).value());
-  }
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    const SampleDecision d = tickets[i].Wait().value();
-    EXPECT_EQ(d.label, model->Classify(s.test.Row(i))) << "row " << i;
-    EXPECT_EQ(d.probability, model->ClassifyProba(s.test.Row(i)))
-        << "row " << i;
-  }
-
-  const serve::MetricsSnapshot metrics = engine.GetMetrics();
-  EXPECT_EQ(metrics.samples, s.test.num_rows());
-  EXPECT_EQ(metrics.requests, s.test.num_rows());
-  EXPECT_EQ(metrics.errors, 0u);
-  EXPECT_GE(metrics.flushes, s.test.num_rows() / options.queue.max_batch);
-  EXPECT_EQ(metrics.total.count, s.test.num_rows());
-  EXPECT_EQ(metrics.queue_wait.count, s.test.num_rows());
-  EXPECT_GT(metrics.total.p50_seconds, 0.0);
-}
-
-TEST(ServeEngineTest, SubmitRejectsMalformedSamples) {
-  serve::FalccEngine engine;
-  engine.Install(TrainSmallModel());
-  const std::shared_ptr<const FalccModel> model = engine.snapshot();
-
-  const std::vector<double> short_sample(model->num_features() - 1, 0.0);
-  const Result<serve::Ticket> wrong_width = engine.Submit(short_sample);
-  ASSERT_FALSE(wrong_width.ok());
-  EXPECT_EQ(wrong_width.status().code(), StatusCode::kInvalidArgument);
-
-  std::vector<double> nan_sample(model->num_features(), 0.0);
-  nan_sample.back() = std::nan("");
-  const Result<serve::Ticket> with_nan = engine.Submit(nan_sample);
-  ASSERT_FALSE(with_nan.ok());
-  EXPECT_EQ(with_nan.status().code(), StatusCode::kInvalidArgument);
-
-  EXPECT_EQ(engine.GetMetrics().errors, 2u);
-}
-
-TEST(ServeEngineTest, MaxDelayFlushesPartialBatches) {
-  serve::FalccEngineOptions options;
-  options.queue.max_batch = 1 << 20;  // never fills: delay must trigger
-  options.queue.max_delay_seconds = 1e-3;
-  serve::FalccEngine engine(options);
-  engine.Install(TrainSmallModel());
-  const std::shared_ptr<const FalccModel> model = engine.snapshot();
-
-  const std::vector<double> sample(model->num_features(), 0.25);
-  const SampleDecision d = engine.Classify(sample).value();
-  EXPECT_EQ(d.label, model->Classify(sample));
-}
-
-TEST(ServeEngineTest, ShutdownDrainsAndRejects) {
-  serve::FalccEngineOptions options;
-  options.queue.max_batch = 1 << 20;
-  options.queue.max_delay_seconds = 10.0;  // drain only via shutdown
-  serve::FalccEngine engine(options);
-  engine.Install(TrainSmallModel());
-  const std::shared_ptr<const FalccModel> model = engine.snapshot();
-
-  const std::vector<double> sample(model->num_features(), 0.75);
-  const serve::Ticket ticket = engine.Submit(sample).value();
-  engine.Shutdown();
-
-  // The queued sample was drained and classified before the flusher
-  // exited; new submissions are rejected.
-  const SampleDecision d = ticket.Wait().value();
-  EXPECT_EQ(d.label, model->Classify(sample));
-  const Result<serve::Ticket> after = engine.Submit(sample);
-  ASSERT_FALSE(after.ok());
-  EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
 }
 
 TEST(ServeEngineTest, ReloadFromFileFailureKeepsServing) {
@@ -237,12 +145,13 @@ TEST(ServeEngineTest, ReloadFromFileFailureKeepsServing) {
   ASSERT_NE(engine.snapshot(), nullptr);
 
   const std::vector<double> sample(engine.snapshot()->num_features(), 0.5);
-  EXPECT_TRUE(engine.Classify(sample).ok());
+  EXPECT_TRUE(engine.ClassifyBatch({sample, sample.size()}).ok());
 }
 
-// The TSan target of tools/check.sh: hot-swaps (file reloads and
-// installs) racing batched and micro-batched classification. Any data
-// race in the snapshot handoff or queue fails the sanitizer build.
+// The TSan target of tools/check.sh: hot-swaps (file reloads) racing
+// direct batch classification from two threads, one with full-test
+// batches and one with single rows. Any data race in the snapshot
+// handoff fails the sanitizer build.
 TEST(ServeEngineTest, HotSwapUnderConcurrentClassification) {
   const TrainValTest s = MakeSplits();
   const FalccModel original =
@@ -250,9 +159,7 @@ TEST(ServeEngineTest, HotSwapUnderConcurrentClassification) {
   const std::string path = ::testing::TempDir() + "/serve_hot_swap.falcc";
   ASSERT_TRUE(original.SaveToFile(path).ok());
 
-  serve::FalccEngineOptions options;
-  options.queue.max_batch = 16;
-  serve::FalccEngine engine(options);
+  serve::FalccEngine engine;
   ASSERT_TRUE(engine.ReloadFromFile(path).ok());
 
   const std::vector<double> flat = Flatten(s.test);
@@ -282,13 +189,14 @@ TEST(ServeEngineTest, HotSwapUnderConcurrentClassification) {
     }
   });
 
-  // Reader B: micro-batched single-sample submissions.
-  std::thread micro([&] {
+  // Reader B: one-row batches, the per-request shape.
+  std::thread single([&] {
     size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const auto row = s.test.Row(i % s.test.num_rows());
-      const Result<SampleDecision> d = engine.Classify(row);
-      if (!d.ok() || d.value().label != expected[i % expected.size()]) {
+      const Result<ClassifyResponse> d = engine.ClassifyBatch({row, width});
+      if (!d.ok() ||
+          d.value().decisions[0].label != expected[i % expected.size()]) {
         failures.fetch_add(1);
       }
       ++i;
@@ -301,7 +209,7 @@ TEST(ServeEngineTest, HotSwapUnderConcurrentClassification) {
   }
   stop.store(true, std::memory_order_relaxed);
   direct.join();
-  micro.join();
+  single.join();
   std::remove(path.c_str());
 
   // Every reload installed the same artifact, so decisions must never

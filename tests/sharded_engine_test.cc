@@ -14,7 +14,6 @@
 #include "core/falcc.h"
 #include "data/split.h"
 #include "datagen/synthetic.h"
-#include "serve/batch_queue.h"
 #include "serve/shard_router.h"
 #include "testing/invariants.h"
 #include "util/parallel.h"
@@ -324,6 +323,55 @@ TEST(ShardedEngineTest, RingBackpressureIsUnavailable) {
   EXPECT_NE(overflow.status().message().find("ring"), std::string::npos);
 }
 
+// Many submitters racing for the last ring slots: exactly the ring's
+// capacity is accepted, every other submission fails with kUnavailable,
+// and no accepted ticket is stranded — Shutdown resolves each one.
+TEST(ShardedEngineTest, ConcurrentSubmittersAgainstAFullRing) {
+  serve::ShardedEngineOptions options;
+  options.num_shards = 1;
+  options.ring_capacity = 32;
+  options.start_workers = false;  // nothing drains: the ring must fill
+  serve::ShardedEngine engine(options);
+  engine.Install(TrainSmallModel());
+  const size_t width = engine.snapshot()->num_features();
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kPerThread = 16;  // 128 attempts for 32 slots
+  std::atomic<size_t> rejected{0};
+  std::vector<std::vector<serve::ShardTicket>> accepted(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        const std::vector<double> sample(
+            width, static_cast<double>(t * kPerThread + i) / 128.0);
+        Result<serve::ShardTicket> ticket = engine.Submit(sample);
+        if (ticket.ok()) {
+          accepted[t].push_back(std::move(ticket).value());
+        } else {
+          EXPECT_EQ(ticket.status().code(), StatusCode::kUnavailable);
+          rejected.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  size_t accepted_count = 0;
+  for (const auto& per_thread : accepted) accepted_count += per_thread.size();
+  EXPECT_EQ(accepted_count, options.ring_capacity);
+  EXPECT_EQ(rejected.load(), kThreads * kPerThread - options.ring_capacity);
+
+  engine.Shutdown();
+  for (const auto& per_thread : accepted) {
+    for (const serve::ShardTicket& ticket : per_thread) {
+      const Result<SampleDecision> d = ticket.Wait();
+      ASSERT_FALSE(d.ok());
+      EXPECT_EQ(d.status().code(), StatusCode::kUnavailable);
+    }
+  }
+}
+
 TEST(ShardedEngineTest, ShutdownDrainsPendingAndRejectsNew) {
   serve::ShardedEngineOptions options;
   options.num_shards = 2;
@@ -475,7 +523,7 @@ TEST(ShardedEngineTest, DecisionsCarryTheVersionOfTheirSnapshot) {
   serve::ShardedEngine engine(engine_options);
   engine.Install(a.CloneWithRefreshes({}).value());
   auto recorder = std::make_shared<VersionRecorder>();
-  engine.SetDecisionObserver(recorder);
+  engine.SetObserver(recorder);
 
   const size_t width = s.test.num_features();
   std::atomic<bool> stop{false};
@@ -547,7 +595,7 @@ TEST(ShardedEngineTest, FleetMetricsAggregateAllShards) {
   EXPECT_EQ(fleet.samples, kRequests);
   EXPECT_EQ(fleet.requests, kRequests);
   EXPECT_EQ(fleet.total.count, kRequests);
-  EXPECT_EQ(fleet.reloads, 1u);  // the Install, from the inner engine
+  EXPECT_EQ(fleet.reloads, 1u);  // the Install, from the snapshot store
   EXPECT_GT(fleet.total.p50_seconds, 0.0);
   EXPECT_LE(fleet.total.p50_seconds, fleet.total.p99_seconds);
 }

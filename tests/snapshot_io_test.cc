@@ -362,9 +362,7 @@ TEST(SnapshotSourceTest, DispatchesFullMappedAndDeltaLoads) {
                     .ok());
   }
 
-  serve::FalccEngineOptions eopt;
-  eopt.start_flusher = false;
-  serve::FalccEngine engine(eopt);
+  serve::FalccEngine engine;
   serve::SnapshotSourceOptions sopt;
   sopt.prefer_mmap = true;
   serve::SnapshotSource source(&engine, sopt);
@@ -425,9 +423,7 @@ TEST(SnapshotSourceTest, WorksAgainstAShardedEngine) {
 }
 
 TEST(SnapshotSourceTest, EngineInstallCachesTheManifest) {
-  serve::FalccEngineOptions eopt;
-  eopt.start_flusher = false;
-  serve::FalccEngine engine(eopt);
+  serve::FalccEngine engine;
   engine.Install(TrainTinyModel(42));
   // The manifest (and so the content hash) is frozen into the snapshot
   // at install time — delta application never recomputes it.

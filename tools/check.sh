@@ -25,9 +25,13 @@
 #      bench_replicate --smoke --transport=socket run gating the
 #      socket-push transport alone: a 4-replica fleet following a
 #      unix-socket SocketPublisher feed must converge on every event
-#      with decisions bit-identical to the primary's,
+#      with decisions bit-identical to the primary's, and
+#      `python3 e2ebench/run.py --selftest`, which builds the end-to-end
+#      benchmark against src/ and runs its self-test, so an API break in
+#      serve/, monitor/ or replicate/ fails here before the benchmark
+#      does,
 #   2. ThreadSanitizer build run with FALCC_THREADS=4 so data races in the
-#      parallel runtime, the serving engine's hot-swap/micro-batch paths
+#      parallel runtime, the serving engine's hot-swap paths
 #      (including concurrent classify during delta hot-swaps that share
 #      the compiled kernels and installs that compile them,
 #      tests/compiled_ensemble_test.cc; decision-version tagging across
@@ -100,6 +104,8 @@ if [[ "$run_plain" == 1 ]]; then
   echo "=== check 1/3 (cont.): socket-transport smoke (convergence + identity gate) ==="
   ./build/bench/bench_replicate --smoke --transport=socket \
     --out=build/BENCH_replicate_socket_smoke.json
+  echo "=== check 1/3 (cont.): e2ebench build against src/ + self-test ==="
+  python3 e2ebench/run.py --selftest
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -73,6 +73,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -339,10 +340,9 @@ Result<std::unique_ptr<replicate::DeltaFeed>> OpenFeed(
 // is drained as fast as Poll can scan it; a socket feed subscribes in
 // the background, so an empty poll there waits briefly for the catch-up
 // replay to land (up to ~2s of cumulative idle) instead of concluding
-// the feed is empty on the first look. Works for both engine shapes via
-// the puller's overloads.
-template <typename Engine>
-Status DrainFeed(Engine* engine, const std::string& spec) {
+// the feed is empty on the first look. A ShardedEngine drains through
+// its snapshot store.
+Status DrainFeed(serve::FalccEngine* engine, const std::string& spec) {
   Result<std::unique_ptr<replicate::DeltaFeed>> feed = OpenFeed(spec);
   if (!feed.ok()) return feed.status();
   replicate::DeltaFeed* raw = feed.value().get();
@@ -393,7 +393,7 @@ int ClassifySamples(const Args& args) {
   if (shards < 0) {
     return Fail(Status::InvalidArgument("--shards must be >= 0"));
   }
-  if (slo_us <= 0.0) {
+  if (!std::isfinite(slo_us) || slo_us <= 0.0) {
     return Fail(Status::InvalidArgument("--slo-us must be positive"));
   }
   // --compiled=off serves through the interpreted per-model path instead
@@ -481,9 +481,7 @@ int ClassifySamples(const Args& args) {
     engine.Shutdown();  // join workers so per-ticket totals are recorded
     metrics = engine.GetMetrics();
   } else {
-    serve::FalccEngineOptions options;
-    options.start_flusher = false;  // one-shot batch, no micro-batching
-    serve::FalccEngine engine(options);
+    serve::FalccEngine engine;
     engine.Install(std::move(model).value());
     const std::string follow = args.Get("follow", "");
     if (!follow.empty()) {
@@ -535,9 +533,7 @@ int Monitor(const Args& args) {
   if (model_path.empty() || data_path.empty()) {
     return Fail(Status::InvalidArgument("--model and --data required"));
   }
-  serve::FalccEngineOptions engine_options;
-  engine_options.start_flusher = false;  // synchronous replay
-  serve::FalccEngine engine(engine_options);
+  serve::FalccEngine engine;
   serve::SnapshotSourceOptions source_options;
   source_options.prefer_mmap = args.Get("mmap", "off") == "on";
   serve::SnapshotSource source(&engine, source_options);
