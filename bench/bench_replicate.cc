@@ -2,15 +2,14 @@
 // replica fleet, and what it costs to keep the fleet converged.
 //
 // A primary publishes refresh events into a DirectoryFeed; a
-// ReplicaFleet of --replicas pullers follows it. Three propagation modes
+// ReplicaFleet of --replicas pullers follows it. Two propagation modes
 // are measured over the same event stream (one rotated cluster
 // combination per event, the monitor Refresher's exact artifact shape):
 //
 //  * delta  — ~150-byte delta artifacts applied incrementally
 //             (checkpoints disabled, so every event is a pure delta)
-//  * full   — every event shipped as a full-snapshot checkpoint,
-//             replicas reload through the streaming loader
-//  * mapped — the same checkpoints served zero-copy via LoadMapped
+//  * full   — every event shipped as a full-snapshot checkpoint, which
+//             every replica reloads (decoded from a file mapping)
 //
 // Per event, the lag is publish → every replica's ContentHash equal to
 // the primary's (PollAll in a tight loop); p50/p99 over the events. The
@@ -51,6 +50,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -140,13 +140,12 @@ FalccModel NextVersion(const FalccModel& base, size_t cluster) {
 
 uint64_t HashOf(const FalccModel& model) { return model.ContentHash().value(); }
 
-enum class Mode { kDelta, kFull, kMapped };
+enum class Mode { kDelta, kFull };
 
 const char* ModeName(Mode mode) {
   switch (mode) {
     case Mode::kDelta: return "delta";
     case Mode::kFull: return "full";
-    case Mode::kMapped: return "mapped";
   }
   return "?";
 }
@@ -173,7 +172,6 @@ ModeResult RunMode(Mode mode, const std::string& model_path,
   replicate::ReplicaFleetOptions fleet_options;
   fleet_options.num_replicas = replicas;
   fleet_options.feed_dir = dir;
-  fleet_options.puller.prefer_mmap = (mode == Mode::kMapped);
   fleet_options.puller.backoff_initial_seconds = 0.001;
   replicate::ReplicaFleet fleet(fleet_options);
   FALCC_CHECK(fleet.Bootstrap(model_path).ok(), "bench: bootstrap failed");
@@ -468,9 +466,10 @@ int Main(int argc, char** argv) {
 
   // --- propagation lag per mode ---------------------------------------
   size_t diverged_total = 0;
-  ModeResult results[3];
-  const Mode modes[] = {Mode::kDelta, Mode::kFull, Mode::kMapped};
-  for (size_t m = 0; m < 3; ++m) {
+  const Mode modes[] = {Mode::kDelta, Mode::kFull};
+  constexpr size_t kModes = std::size(modes);
+  ModeResult results[kModes];
+  for (size_t m = 0; m < kModes; ++m) {
     results[m] = RunMode(modes[m], model_path, model, replicas, events);
     diverged_total += results[m].diverged;
     std::printf("=== %s (%zu replicas, %zu events) ===\n", ModeName(modes[m]),
@@ -629,8 +628,7 @@ int Main(int argc, char** argv) {
   out << "  \"events_per_transport\": " << events << ",\n";
   out << "  \"snapshot_bytes\": " << snapshot_bytes << ",\n";
   out << "  \"delta_bytes\": " << results[0].delta_bytes << ",\n";
-  out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-      << ",\n";
+  bench::WriteProvenance(out);
   out << "  \"note\": \"per-mode lag is publish -> every replica's "
          "ContentHash equals the primary's, over one rotated-combination "
          "event per entry; chain_break injects a delta against a bogus "
@@ -640,7 +638,7 @@ int Main(int argc, char** argv) {
          "the probe through a 4-shard engine with and without a "
          "DecisionLog observer (best-of-reps minima)\",\n";
   out << "  \"modes\": {";
-  for (size_t m = 0; m < 3; ++m) {
+  for (size_t m = 0; m < kModes; ++m) {
     const ModeResult& r = results[m];
     out << (m == 0 ? "\n" : ",\n");
     out << "    \"" << ModeName(modes[m]) << "\": {";

@@ -76,8 +76,8 @@ struct ShardedRow {
 };
 
 /// Snapshot-distribution costs: what a replica pays to pick up a new
-/// model the three ways the engine supports (full stream reload, mmapped
-/// zero-copy reload, incremental delta apply).
+/// model the three ways the engine supports (full stream reload, reload
+/// decoded from a file mapping, incremental delta apply).
 struct ReloadResult {
   size_t full_bytes = 0;
   size_t delta_bytes = 0;

@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "cluster/kdtree.h"
-#include "io/flat_kernel.h"
 #include "io/mapped_file.h"
 #include "ml/adaboost.h"
 #include "util/math.h"
@@ -323,6 +322,18 @@ Status ExpectSectionEnd(std::istream* in, const std::string& name) {
   return Status::OK();
 }
 
+/// The v2 pool section: binary (ModelPool::SerializeBinary), or the text
+/// pool of snapshots written before the binary layout existed.
+Result<ModelPool> DecodePoolSection(std::string_view payload) {
+  if (ModelPool::IsBinary(payload)) {
+    return ModelPool::DeserializeBinary(payload);
+  }
+  std::istringstream s{std::string(payload)};
+  Result<ModelPool> pool = ModelPool::Deserialize(&s);
+  if (pool.ok()) FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionPool));
+  return pool;
+}
+
 /// Strict "combo.<index>" parser for delta manifests: digits only, no
 /// leading zeros, value below `num_clusters`.
 Result<size_t> ParseComboSectionName(const std::string& name,
@@ -403,8 +414,11 @@ Status FalccModel::SaveV2(std::ostream* out,
   io::SnapshotWriter writer(out);
   *writer.BeginSection(kSectionMeta) << "entropy " << pool_entropy_ << '\n';
   FALCC_RETURN_IF_ERROR(writer.EndSection());
-  FALCC_RETURN_IF_ERROR(pool_->Serialize(writer.BeginSection(kSectionPool)));
-  FALCC_RETURN_IF_ERROR(writer.EndSection());
+  {
+    std::string pool;
+    FALCC_RETURN_IF_ERROR(pool_->SerializeBinary(&pool));
+    FALCC_RETURN_IF_ERROR(writer.AddSection(kSectionPool, std::move(pool)));
+  }
   FALCC_RETURN_IF_ERROR(
       group_index_.Serialize(writer.BeginSection(kSectionGroups)));
   FALCC_RETURN_IF_ERROR(writer.EndSection());
@@ -425,15 +439,6 @@ Status FalccModel::SaveV2(std::ostream* out,
     *writer.BeginSection(kSectionMonitor)
         << assess_lambda_ << ' ' << static_cast<int>(assess_metric_) << ' '
         << static_cast<int>(assess_mode_) << '\n';
-    FALCC_RETURN_IF_ERROR(writer.EndSection());
-  }
-  // The flat section is derived state: written when kernels exist,
-  // rebuilt (or verified) by Load when absent (or present). Its bytes
-  // are a pure function of (pool, centroids) — clones and fresh compiles
-  // serialize identically.
-  if (has_compiled_kernels()) {
-    FALCC_RETURN_IF_ERROR(io::EncodeFlatSection(
-        writer.BeginSection(io::kFlatSectionName), centroids_, *kernels_));
     FALCC_RETURN_IF_ERROR(writer.EndSection());
   }
   return writer.Finish(manifest_out);
@@ -461,7 +466,7 @@ Result<FalccModel> FalccModel::Load(std::istream* in) {
     Result<io::SnapshotReader> reader =
         io::SnapshotReader::Parse(std::move(bytes));
     if (!reader.ok()) return reader.status();
-    return LoadV2(std::move(reader).value(), nullptr);
+    return LoadV2(reader.value());
   }
   if (starts_with(io::kDeltaHeaderV2)) {
     return Status::InvalidArgument(
@@ -469,10 +474,10 @@ Result<FalccModel> FalccModel::Load(std::istream* in) {
         "with ApplyDelta instead of loading it directly");
   }
   std::istringstream stream{std::move(bytes)};
-  return LoadImpl(&stream, /*compile=*/true);
+  return LoadV1(&stream);
 }
 
-Result<FalccModel> FalccModel::LoadImpl(std::istream* in, bool compile) {
+Result<FalccModel> FalccModel::LoadV1(std::istream* in) {
   FALCC_RETURN_IF_ERROR(io::Expect(in, kModelHeader));
   FalccModel model;
   // Sticky format: a legacy artifact keeps saving as v1 so the golden
@@ -492,24 +497,8 @@ Result<FalccModel> FalccModel::LoadImpl(std::istream* in, bool compile) {
   if (!transform.ok()) return transform.status();
   model.clustering_transform_ = std::move(transform).value();
 
-  size_t num_centroids = 0;
-  FALCC_RETURN_IF_ERROR(io::Read(in, &num_centroids));
-  if (num_centroids == 0 || num_centroids > 10000000) {
-    return Status::InvalidArgument("FalccModel: implausible centroid count");
-  }
-  model.centroids_.resize(num_centroids);
-  for (auto& c : model.centroids_) {
-    FALCC_RETURN_IF_ERROR(io::ReadVector(in, &c));
-    if (c.size() != model.clustering_transform_.num_output_features()) {
-      return Status::InvalidArgument("FalccModel: centroid width mismatch");
-    }
-    for (double v : c) {
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument("FalccModel: non-finite centroid");
-      }
-    }
-  }
-
+  FALCC_RETURN_IF_ERROR(model.ReadCentroids(in));
+  const size_t num_centroids = model.centroids_.size();
   size_t num_selected = 0;
   FALCC_RETURN_IF_ERROR(io::Read(in, &num_selected));
   if (num_selected != num_centroids) {
@@ -519,39 +508,9 @@ Result<FalccModel> FalccModel::LoadImpl(std::istream* in, bool compile) {
   model.selected_.resize(num_selected);
   for (auto& combo : model.selected_) {
     FALCC_RETURN_IF_ERROR(io::ReadVector(in, &combo));
-    if (combo.size() != model.group_index_.num_groups()) {
-      return Status::InvalidArgument("FalccModel: combination width");
-    }
-    for (size_t g = 0; g < combo.size(); ++g) {
-      const size_t m = combo[g];
-      if (m >= model.pool_->size()) {
-        return Status::InvalidArgument("FalccModel: model index range");
-      }
-      if (!model.pool_->Applicable(m, g)) {
-        return Status::InvalidArgument(
-            "FalccModel: model " + std::to_string(m) +
-            " selected for group " + std::to_string(g) +
-            " it is not applicable to");
-      }
-    }
+    FALCC_RETURN_IF_ERROR(model.CheckCombination(combo));
   }
-
-  // Cross-component consistency: the sections above are individually
-  // well-formed, but classification indexes samples of width
-  // num_features() through the group index and every pool model, so a
-  // mismatched pair of sections would read out of bounds (or trip an
-  // internal abort) at serving time. Reject it here instead.
-  const size_t width = model.num_features();
-  for (size_t col : model.group_index_.sensitive_features()) {
-    if (col >= width) {
-      return Status::InvalidArgument(
-          "FalccModel: sensitive column " + std::to_string(col) +
-          " out of range for " + std::to_string(width) + " features");
-    }
-  }
-  for (size_t m = 0; m < model.pool_->size(); ++m) {
-    FALCC_RETURN_IF_ERROR(model.pool_->model(m).ValidateForWidth(width));
-  }
+  FALCC_RETURN_IF_ERROR(model.CheckFeatureWidth());
 
   // Monitoring anchors: optional trailing section (absent in artifacts
   // saved before the drift monitor existed — those load with empty
@@ -562,23 +521,7 @@ Result<FalccModel> FalccModel::LoadImpl(std::istream* in, bool compile) {
       return Status::InvalidArgument(
           "FalccModel: unexpected trailing token '" + marker + "'");
     }
-    int metric = 0;
-    int mode = 0;
-    FALCC_RETURN_IF_ERROR(io::Read(in, &model.assess_lambda_));
-    FALCC_RETURN_IF_ERROR(io::Read(in, &metric));
-    FALCC_RETURN_IF_ERROR(io::Read(in, &mode));
-    if (model.assess_lambda_ < 0.0 || model.assess_lambda_ > 1.0) {
-      return Status::InvalidArgument("FalccModel: lambda out of range");
-    }
-    if (metric < 0 ||
-        metric > static_cast<int>(FairnessMetric::kTreatmentEquality)) {
-      return Status::InvalidArgument("FalccModel: unknown fairness metric");
-    }
-    if (mode < 0 || mode > static_cast<int>(AssessmentMode::kConsistency)) {
-      return Status::InvalidArgument("FalccModel: unknown assessment mode");
-    }
-    model.assess_metric_ = static_cast<FairnessMetric>(metric);
-    model.assess_mode_ = static_cast<AssessmentMode>(mode);
+    FALCC_RETURN_IF_ERROR(model.ReadAssessParams(in));
     FALCC_RETURN_IF_ERROR(io::ReadVector(in, &model.baseline_loss_));
     if (!model.baseline_loss_.empty() &&
         model.baseline_loss_.size() != num_centroids) {
@@ -595,12 +538,11 @@ Result<FalccModel> FalccModel::LoadImpl(std::istream* in, bool compile) {
   // Compile after every validation pass above: the kernels gather
   // through feature indices the width checks just vetted, so nothing an
   // accepted artifact contains can make a kernel read out of bounds.
-  if (compile) model.CompileKernels();
+  model.CompileKernels();
   return model;
 }
 
-Result<FalccModel> FalccModel::LoadV2(io::SnapshotReader reader,
-                                      std::shared_ptr<const void> backing) {
+Result<FalccModel> FalccModel::LoadV2(const io::SnapshotReader& reader) {
   if (reader.is_delta()) {
     return Status::InvalidArgument(
         "FalccModel: artifact is a delta snapshot; apply it to its base "
@@ -620,6 +562,7 @@ Result<FalccModel> FalccModel::LoadV2(io::SnapshotReader reader,
 
   FalccModel model;
   model.save_format_ = SnapshotFormat::kV2;
+  bool binary_pool = false;
   {
     Result<std::string_view> payload = section(kSectionMeta);
     if (!payload.ok()) return payload.status();
@@ -631,11 +574,10 @@ Result<FalccModel> FalccModel::LoadV2(io::SnapshotReader reader,
   {
     Result<std::string_view> payload = section(kSectionPool);
     if (!payload.ok()) return payload.status();
-    std::istringstream s{std::string(payload.value())};
-    Result<ModelPool> pool = ModelPool::Deserialize(&s);
+    binary_pool = ModelPool::IsBinary(payload.value());
+    Result<ModelPool> pool = DecodePoolSection(payload.value());
     if (!pool.ok()) return pool.status();
     model.pool_ = std::make_shared<const ModelPool>(std::move(pool).value());
-    FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionPool));
   }
   {
     Result<std::string_view> payload = section(kSectionGroups);
@@ -659,27 +601,10 @@ Result<FalccModel> FalccModel::LoadV2(io::SnapshotReader reader,
     Result<std::string_view> payload = section(kSectionClustering);
     if (!payload.ok()) return payload.status();
     std::istringstream s{std::string(payload.value())};
-    size_t num_centroids = 0;
-    FALCC_RETURN_IF_ERROR(io::Read(&s, &num_centroids));
-    if (num_centroids == 0 || num_centroids > 10000000) {
-      return Status::InvalidArgument("FalccModel: implausible centroid count");
-    }
-    model.centroids_.resize(num_centroids);
-    for (auto& c : model.centroids_) {
-      FALCC_RETURN_IF_ERROR(io::ReadVector(&s, &c));
-      if (c.size() != model.clustering_transform_.num_output_features()) {
-        return Status::InvalidArgument("FalccModel: centroid width mismatch");
-      }
-      for (double v : c) {
-        if (!std::isfinite(v)) {
-          return Status::InvalidArgument("FalccModel: non-finite centroid");
-        }
-      }
-    }
+    FALCC_RETURN_IF_ERROR(model.ReadCentroids(&s));
     FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionClustering));
   }
   const size_t k = model.centroids_.size();
-  const size_t num_groups = model.group_index_.num_groups();
 
   // The manifest must list exactly the canonical sections in canonical
   // order — section layout is part of the format, and enforcing it keeps
@@ -713,23 +638,7 @@ Result<FalccModel> FalccModel::LoadV2(io::SnapshotReader reader,
     Result<std::string_view> payload = section(kSectionMonitor);
     if (!payload.ok()) return payload.status();
     std::istringstream s{std::string(payload.value())};
-    int metric = 0;
-    int mode = 0;
-    FALCC_RETURN_IF_ERROR(io::Read(&s, &model.assess_lambda_));
-    FALCC_RETURN_IF_ERROR(io::Read(&s, &metric));
-    FALCC_RETURN_IF_ERROR(io::Read(&s, &mode));
-    if (model.assess_lambda_ < 0.0 || model.assess_lambda_ > 1.0) {
-      return Status::InvalidArgument("FalccModel: lambda out of range");
-    }
-    if (metric < 0 ||
-        metric > static_cast<int>(FairnessMetric::kTreatmentEquality)) {
-      return Status::InvalidArgument("FalccModel: unknown fairness metric");
-    }
-    if (mode < 0 || mode > static_cast<int>(AssessmentMode::kConsistency)) {
-      return Status::InvalidArgument("FalccModel: unknown assessment mode");
-    }
-    model.assess_metric_ = static_cast<FairnessMetric>(metric);
-    model.assess_mode_ = static_cast<AssessmentMode>(mode);
+    FALCC_RETURN_IF_ERROR(model.ReadAssessParams(&s));
     FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionMonitor));
     model.baseline_loss_.assign(k, 0.0);
   }
@@ -742,20 +651,7 @@ Result<FalccModel> FalccModel::LoadV2(io::SnapshotReader reader,
     std::istringstream s{std::string(payload.value())};
     ModelCombination& combo = model.selected_[c];
     FALCC_RETURN_IF_ERROR(io::ReadVector(&s, &combo));
-    if (combo.size() != num_groups) {
-      return Status::InvalidArgument("FalccModel: combination width");
-    }
-    for (size_t g = 0; g < combo.size(); ++g) {
-      const size_t m = combo[g];
-      if (m >= model.pool_->size()) {
-        return Status::InvalidArgument("FalccModel: model index range");
-      }
-      if (!model.pool_->Applicable(m, g)) {
-        return Status::InvalidArgument(
-            "FalccModel: model " + std::to_string(m) + " selected for group " +
-            std::to_string(g) + " it is not applicable to");
-      }
-    }
+    FALCC_RETURN_IF_ERROR(model.CheckCombination(combo));
     std::string tag;
     if (!(s >> tag)) {
       return Status::InvalidArgument("FalccModel: truncated section '" + name +
@@ -786,90 +682,113 @@ Result<FalccModel> FalccModel::LoadV2(io::SnapshotReader reader,
     FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, name));
   }
 
-  // Cross-component consistency (identical to the v1 checks): the online
-  // phase indexes width-num_features() samples through the group index
-  // and every pool model, so a mismatched pair of individually
-  // well-formed sections must be rejected here.
-  const size_t width = model.num_features();
-  for (size_t col : model.group_index_.sensitive_features()) {
+  FALCC_RETURN_IF_ERROR(model.CheckFeatureWidth());
+  FALCC_RETURN_IF_ERROR(model.BuildCentroidIndex());
+
+  // Compile after every validation pass above, exactly like the v1 path.
+  // A `flat` section written by older versions is never read: kernels
+  // always come from the decoded pool.
+  model.CompileKernels();
+  // A text pool re-saves as binary, so that file's manifest is not what
+  // Save writes; the identity is then computed from Save, as for v1.
+  if (binary_pool) model.manifest_ = manifest;
+  return model;
+}
+
+Status FalccModel::ReadCentroids(std::istream* in) {
+  size_t num_centroids = 0;
+  FALCC_RETURN_IF_ERROR(io::Read(in, &num_centroids));
+  if (num_centroids == 0 || num_centroids > 10000000) {
+    return Status::InvalidArgument("FalccModel: implausible centroid count");
+  }
+  centroids_.resize(num_centroids);
+  for (auto& c : centroids_) {
+    FALCC_RETURN_IF_ERROR(io::ReadVector(in, &c));
+    if (c.size() != clustering_transform_.num_output_features()) {
+      return Status::InvalidArgument("FalccModel: centroid width mismatch");
+    }
+    for (double v : c) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("FalccModel: non-finite centroid");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status FalccModel::ReadAssessParams(std::istream* in) {
+  int metric = 0;
+  int mode = 0;
+  FALCC_RETURN_IF_ERROR(io::Read(in, &assess_lambda_));
+  FALCC_RETURN_IF_ERROR(io::Read(in, &metric));
+  FALCC_RETURN_IF_ERROR(io::Read(in, &mode));
+  if (assess_lambda_ < 0.0 || assess_lambda_ > 1.0) {
+    return Status::InvalidArgument("FalccModel: lambda out of range");
+  }
+  if (metric < 0 ||
+      metric > static_cast<int>(FairnessMetric::kTreatmentEquality)) {
+    return Status::InvalidArgument("FalccModel: unknown fairness metric");
+  }
+  if (mode < 0 || mode > static_cast<int>(AssessmentMode::kConsistency)) {
+    return Status::InvalidArgument("FalccModel: unknown assessment mode");
+  }
+  assess_metric_ = static_cast<FairnessMetric>(metric);
+  assess_mode_ = static_cast<AssessmentMode>(mode);
+  return Status::OK();
+}
+
+Status FalccModel::CheckCombination(const ModelCombination& combo) const {
+  if (combo.size() != group_index_.num_groups()) {
+    return Status::InvalidArgument("FalccModel: combination width");
+  }
+  for (size_t g = 0; g < combo.size(); ++g) {
+    const size_t m = combo[g];
+    if (m >= pool_->size()) {
+      return Status::InvalidArgument("FalccModel: model index range");
+    }
+    if (!pool_->Applicable(m, g)) {
+      return Status::InvalidArgument(
+          "FalccModel: model " + std::to_string(m) + " selected for group " +
+          std::to_string(g) + " it is not applicable to");
+    }
+  }
+  return Status::OK();
+}
+
+Status FalccModel::CheckFeatureWidth() const {
+  // The sections are individually well-formed, but classification
+  // indexes samples of width num_features() through the group index and
+  // every pool model, so a mismatched pair of sections would read out of
+  // bounds (or trip an internal abort) at serving time.
+  const size_t width = num_features();
+  for (size_t col : group_index_.sensitive_features()) {
     if (col >= width) {
       return Status::InvalidArgument(
           "FalccModel: sensitive column " + std::to_string(col) +
           " out of range for " + std::to_string(width) + " features");
     }
   }
-  for (size_t m = 0; m < model.pool_->size(); ++m) {
-    FALCC_RETURN_IF_ERROR(model.pool_->model(m).ValidateForWidth(width));
+  for (size_t m = 0; m < pool_->size(); ++m) {
+    FALCC_RETURN_IF_ERROR(pool_->model(m).ValidateForWidth(width));
   }
-  FALCC_RETURN_IF_ERROR(model.BuildCentroidIndex());
-
-  // A flat section in the superseded per-cluster layout is skipped: the
-  // kernels compile from the pool exactly as if it were absent.
-  std::string_view flat;
-  bool current_flat = false;
-  if (has_flat) {
-    Result<std::string_view> payload = section(io::kFlatSectionName);
-    if (!payload.ok()) return payload.status();
-    flat = payload.value();
-    current_flat = !io::IsLegacyFlatSection(flat);
-  }
-  auto flat_mismatch = [](const std::string& what) {
-    return Status::InvalidArgument(
-        "FalccModel: flat section does not match the semantic sections (" +
-        what + ")");
-  };
-  if (current_flat && backing != nullptr) {
-    // Zero-copy install: the kernels alias the mapping (structural
-    // safety was established by CompiledEnsemble::View; `falcc_cli
-    // snapshot verify` provides the full recompile check offline).
-    Result<io::DecodedFlat> decoded =
-        io::DecodeFlatSection(flat, width, model.pool_->size(), backing);
-    if (!decoded.ok()) return decoded.status();
-    const io::DecodedFlat& kernels = decoded.value();
-    if (kernels.centroid_width !=
-            model.clustering_transform_.num_output_features() ||
-        kernels.centroids.size() != k * kernels.centroid_width) {
-      return flat_mismatch("centroid shape");
-    }
-    // Centroid bit-equality against the authoritative text section.
-    for (size_t c = 0; c < k; ++c) {
-      if (std::memcmp(model.centroids_[c].data(),
-                      kernels.centroids.data() + c * kernels.centroid_width,
-                      kernels.centroid_width * sizeof(double)) != 0) {
-        return flat_mismatch("centroid bits of cluster " + std::to_string(c));
-      }
-    }
-    model.kernels_ = std::make_shared<const CompiledPool>(
-        std::move(decoded).value().kernels);
-  } else {
-    model.CompileKernels();
-    if (current_flat) {
-      // Stream load: the pool stays authoritative — the section must be
-      // exactly what the freshly compiled kernels encode to.
-      std::ostringstream expected;
-      FALCC_RETURN_IF_ERROR(
-          io::EncodeFlatSection(&expected, model.centroids_, *model.kernels_));
-      if (expected.view() != flat) return flat_mismatch("kernel bytes");
-    }
-  }
-  model.manifest_ = manifest;
-  return model;
+  return Status::OK();
 }
 
 Result<FalccModel> FalccModel::LoadMapped(const std::string& path) {
   Result<io::MappedFile> file = io::MappedFile::Open(path);
   if (!file.ok()) return file.status();
-  auto holder = std::make_shared<const io::MappedFile>(std::move(file).value());
-  const std::string_view view = holder->view();
+  const std::string_view view = file.value().view();
   const std::string header = std::string(io::kSnapshotHeaderV2) + "\n";
-  if (view.size() <= header.size() || view.substr(0, header.size()) != header) {
-    // Legacy (or delta) artifact: no flat section to alias, so the
-    // stream path is the same work.
+  if (!view.starts_with(header)) {
+    // Legacy (or delta) artifact: the stream loader handles (or rejects)
+    // it with the same work.
     return LoadFromFile(path);
   }
+  // The model copies what it keeps out of the mapping, which is
+  // released on return.
   Result<io::SnapshotReader> reader = io::SnapshotReader::ParseView(view);
   if (!reader.ok()) return reader.status();
-  return LoadV2(std::move(reader).value(), holder);
+  return LoadV2(reader.value());
 }
 
 Status FalccModel::SaveDelta(std::ostream* out,

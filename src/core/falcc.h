@@ -151,8 +151,8 @@ struct ClusterRefresh {
 
 /// On-disk snapshot format. kV1 is the legacy whitespace-token stream
 /// (header `falcc-model-v1`); kV2 is the sectioned container of
-/// io/snapshot.h with per-section checksums, a content hash, an optional
-/// compiled-kernel `flat` section, and delta support. Loading records
+/// io/snapshot.h with per-section checksums, a content hash, a binary
+/// model pool, and delta support. Loading records
 /// the source format and Save reproduces it by default, so a legacy
 /// artifact round-trips byte-identically while everything newly trained
 /// writes v2.
@@ -198,21 +198,18 @@ class FalccModel {
   /// validates, and compiles the pool's inference kernels (see
   /// "Compiled inference" below), so a loaded model serves from the
   /// compiled path immediately. For v2 artifacts every section checksum
-  /// is verified and a failure names the section and its file offset;
-  /// the `flat` section, when present, must match the freshly compiled
-  /// kernels byte for byte.
+  /// is verified and a failure names the section and its file offset.
+  /// The pool section may be binary or, in older snapshots, text; a
+  /// `flat` section written by older versions is skipped.
   static Result<FalccModel> Load(std::istream* in);
   /// File-path convenience wrappers.
   Status SaveToFile(const std::string& path) const;
   static Result<FalccModel> LoadFromFile(const std::string& path);
 
-  /// Zero-copy load of a v2 artifact: the file is mmapped and the
-  /// compiled kernel tables in its `flat` section are served directly
-  /// out of the mapping (after full structural validation) instead of
-  /// being recompiled — decisions are bit-identical to Load. The file
-  /// must not be modified in place while the model is alive (replace
-  /// via write-new + rename). Falls back to Load semantics when the
-  /// artifact has no flat section.
+  /// Same as LoadFromFile, but a v2 artifact is decoded straight out of
+  /// a read-only file mapping instead of being read into a buffer first.
+  /// The model keeps nothing that points into the file; the mapping is
+  /// released before this returns. v1 artifacts take LoadFromFile.
   static Result<FalccModel> LoadMapped(const std::string& path);
 
   // --- Delta publication -----------------------------------------------
@@ -393,16 +390,21 @@ class FalccModel {
                                             OfflineStageTimes* stage_times =
                                                 nullptr);
 
-  /// v1 load body; `compile` gates kernel compilation (tests exercise
-  /// the uncompiled path).
-  static Result<FalccModel> LoadImpl(std::istream* in, bool compile);
+  /// v1 load body.
+  static Result<FalccModel> LoadV1(std::istream* in);
 
-  /// v2 load body over a parsed container. When `backing` is non-null
-  /// the artifact bytes outlive the model (mmap path) and compiled
-  /// kernels alias the flat section; otherwise kernels are compiled from
-  /// the pool and the flat section only cross-checks them.
-  static Result<FalccModel> LoadV2(io::SnapshotReader reader,
-                                   std::shared_ptr<const void> backing);
+  /// v2 load body over a parsed container: decodes and validates every
+  /// section, then compiles the kernels from the decoded pool.
+  static Result<FalccModel> LoadV2(const io::SnapshotReader& reader);
+
+  // Parsing and validation shared by LoadV1 and LoadV2.
+  Status ReadCentroids(std::istream* in);
+  /// λ, fairness metric and assessment mode of the monitor section.
+  Status ReadAssessParams(std::istream* in);
+  /// `combo` assigns an in-range, applicable pool model to every group.
+  Status CheckCombination(const ModelCombination& combo) const;
+  /// Sensitive columns and every pool model fit num_features().
+  Status CheckFeatureWidth() const;
 
   Status SaveV1(std::ostream* out) const;
   Status SaveV2(std::ostream* out, io::SnapshotManifest* manifest_out) const;
@@ -436,7 +438,7 @@ class FalccModel {
   std::vector<size_t> assignment_;            // validation rows -> cluster
   std::vector<ModelCombination> selected_;    // cluster -> combination
   std::vector<double> baseline_loss_;         // cluster -> offline L̂
-  /// Per-model kernels (derived state, cached in the `flat` section).
+  /// Per-model kernels (derived state, compiled on train and load).
   /// Shared by every cluster and with refresh clones, like pool_.
   std::shared_ptr<const CompiledPool> kernels_;
   bool use_compiled_ = true;

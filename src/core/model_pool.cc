@@ -5,10 +5,16 @@
 #include <ostream>
 
 #include "ml/serialize.h"
+#include "util/binary.h"
 #include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace falcc {
+
+namespace {
+constexpr size_t kMaxModels = 100000;
+constexpr std::string_view kBinaryMagic = "falcc-p1";
+}  // namespace
 
 void ModelPool::Add(std::unique_ptr<Classifier> model,
                     std::vector<size_t> applicable_groups) {
@@ -51,7 +57,7 @@ Status ModelPool::Serialize(std::ostream* out) const {
 Result<ModelPool> ModelPool::Deserialize(std::istream* in) {
   size_t num_models = 0;
   FALCC_RETURN_IF_ERROR(io::Read(in, &num_models));
-  if (num_models == 0 || num_models > 100000) {
+  if (num_models == 0 || num_models > kMaxModels) {
     return Status::InvalidArgument("ModelPool: implausible model count");
   }
   ModelPool pool;
@@ -61,6 +67,56 @@ Result<ModelPool> ModelPool::Deserialize(std::istream* in) {
     Result<std::unique_ptr<Classifier>> model = DeserializeClassifier(in);
     if (!model.ok()) return model.status();
     pool.Add(std::move(model).value(), std::move(applicable));
+  }
+  return pool;
+}
+
+Status ModelPool::SerializeBinary(std::string* out) const {
+  io::BinaryWriter writer(out);
+  writer.Bytes(kBinaryMagic);
+  writer.U64(models_.size());
+  for (size_t m = 0; m < models_.size(); ++m) {
+    writer.U64(applicable_[m].size());
+    for (size_t g : applicable_[m]) writer.U64(g);
+    FALCC_RETURN_IF_ERROR(SerializeClassifierBinary(*models_[m], &writer));
+  }
+  return Status::OK();
+}
+
+bool ModelPool::IsBinary(std::string_view payload) {
+  return payload.starts_with(kBinaryMagic);
+}
+
+Result<ModelPool> ModelPool::DeserializeBinary(std::string_view payload) {
+  if (!IsBinary(payload)) {
+    return Status::InvalidArgument("ModelPool: missing binary pool magic");
+  }
+  io::BinaryReader reader(payload.substr(kBinaryMagic.size()));
+  uint64_t num_models = 0;
+  // A model record is at least its group count and classifier header.
+  if (!reader.U64(&num_models) || num_models == 0 ||
+      num_models > kMaxModels || !reader.Fits(num_models, 16)) {
+    return Status::InvalidArgument("ModelPool: implausible model count");
+  }
+  ModelPool pool;
+  for (uint64_t m = 0; m < num_models; ++m) {
+    uint64_t num_groups = 0;
+    if (!reader.U64(&num_groups) ||
+        !reader.Fits(num_groups, sizeof(uint64_t))) {
+      return Status::InvalidArgument("ModelPool: truncated group list");
+    }
+    std::vector<size_t> applicable(num_groups);
+    for (size_t& g : applicable) reader.U64(&g);
+    Result<std::unique_ptr<Classifier>> model =
+        DeserializeClassifierBinary(&reader);
+    if (!model.ok()) {
+      return Status::InvalidArgument("ModelPool: model " + std::to_string(m) +
+                                     ": " + model.status().message());
+    }
+    pool.Add(std::move(model).value(), std::move(applicable));
+  }
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("ModelPool: trailing bytes after the pool");
   }
   return pool;
 }

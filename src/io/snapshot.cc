@@ -151,27 +151,29 @@ void SnapshotWriter::SetDeltaBase(uint64_t base_hash) {
   base_hash_ = base_hash;
 }
 
-std::ostream* SnapshotWriter::BeginSection(std::string_view name) {
-  if (status_.ok()) {
-    if (finished_) {
-      status_ = Status::Internal("SnapshotWriter: BeginSection after Finish");
-    } else if (current_.has_value()) {
-      status_ = Status::Internal(
-          "SnapshotWriter: BeginSection inside open section '" +
-          current_name_ + "'");
-    } else if (!SnapshotManifest::ValidName(name)) {
-      status_ = Status::InvalidArgument(
-          "SnapshotWriter: invalid section name '" + std::string(name) + "'");
-    } else {
-      for (const Pending& section : sections_) {
-        if (section.name == name) {
-          status_ = Status::InvalidArgument(
-              "SnapshotWriter: duplicate section '" + std::string(name) + "'");
-          break;
-        }
+void SnapshotWriter::CheckNewSection(std::string_view name) {
+  if (!status_.ok()) return;
+  if (finished_) {
+    status_ = Status::Internal("SnapshotWriter: section after Finish");
+  } else if (current_.has_value()) {
+    status_ = Status::Internal("SnapshotWriter: section inside open section '" +
+                               current_name_ + "'");
+  } else if (!SnapshotManifest::ValidName(name)) {
+    status_ = Status::InvalidArgument(
+        "SnapshotWriter: invalid section name '" + std::string(name) + "'");
+  } else {
+    for (const Pending& section : sections_) {
+      if (section.name == name) {
+        status_ = Status::InvalidArgument(
+            "SnapshotWriter: duplicate section '" + std::string(name) + "'");
+        break;
       }
     }
   }
+}
+
+std::ostream* SnapshotWriter::BeginSection(std::string_view name) {
+  CheckNewSection(name);
   // Always hand back a usable sink so callers can stream unconditionally;
   // a poisoned writer simply discards everything at Finish.
   current_.emplace();
@@ -192,10 +194,18 @@ Status SnapshotWriter::EndSection() {
                               "' stream failed");
   }
   if (status_.ok()) {
-    sections_.push_back(Pending{current_name_, current_->str()});
+    sections_.push_back(Pending{current_name_, std::move(*current_).str()});
   }
   current_.reset();
   current_name_.clear();
+  return status_;
+}
+
+Status SnapshotWriter::AddSection(std::string_view name, std::string payload) {
+  CheckNewSection(name);
+  if (status_.ok()) {
+    sections_.push_back(Pending{std::string(name), std::move(payload)});
+  }
   return status_;
 }
 

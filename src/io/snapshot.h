@@ -18,10 +18,10 @@
 //
 // The content hash on the `end` line is the artifact's identity: an
 // FNV-1a fold over (name, length, checksum) of every *semantic* section
-// in manifest order. Derived sections (currently `flat`, the compiled
-// kernel cache) are excluded, so adding or dropping them never changes
-// what snapshot this logically is — which is what lets a delta update
-// the hash incrementally after swapping one combo section.
+// in manifest order. Derived sections are excluded, so carrying or
+// dropping them never changes what snapshot this logically is. The one
+// derived name is `flat`, a compiled-kernel cache that older writers
+// appended; nothing writes it any more and loaders skip it.
 //
 // A delta artifact (`falcc-delta-v2`) is the same container with a
 // `base <content-hash-hex>` line after the header; its sections replace
@@ -48,8 +48,8 @@ namespace falcc::io {
 
 inline constexpr char kSnapshotHeaderV2[] = "falcc-snapshot-v2";
 inline constexpr char kDeltaHeaderV2[] = "falcc-delta-v2";
-/// The one derived section name: a cache of compiled state that Load can
-/// rebuild from the semantic sections, excluded from the content hash.
+/// The one derived section name: a compiled-kernel cache written by
+/// older versions, skipped on load and excluded from the content hash.
 inline constexpr char kFlatSectionName[] = "flat";
 
 /// FNV-1a 64-bit over `bytes`, continuing from `seed` (chain calls to
@@ -108,12 +108,18 @@ class SnapshotWriter {
   std::ostream* BeginSection(std::string_view name);
   Status EndSection();
 
+  /// Adds a whole section at once, taking over `payload` without a copy.
+  Status AddSection(std::string_view name, std::string payload);
+
   /// Computes offsets and checksums, then emits header + manifest + the
   /// aligned payload area. When `manifest_out` is non-null the final
   /// manifest is copied there (its ContentHash() is the artifact hash).
   Status Finish(SnapshotManifest* manifest_out = nullptr);
 
  private:
+  /// Latches an error if `name` cannot open a section now.
+  void CheckNewSection(std::string_view name);
+
   struct Pending {
     std::string name;
     std::string payload;

@@ -6,6 +6,7 @@
 
 #include "data/feature_columns.h"
 #include "ml/tree_builder.h"
+#include "util/binary.h"
 #include "util/math.h"
 #include "util/serialize.h"
 
@@ -195,6 +196,46 @@ Result<AdaBoost> AdaBoost::DeserializePayload(std::istream* in) {
   model.trees_.reserve(num_trees);
   for (size_t t = 0; t < num_trees; ++t) {
     Result<DecisionTree> tree = DecisionTree::DeserializePayload(in);
+    if (!tree.ok()) return tree.status();
+    model.trees_.push_back(std::move(tree).value());
+  }
+  return model;
+}
+
+void AdaBoost::SerializeBinary(io::BinaryWriter* out) const {
+  out->U64(options_.num_estimators);
+  out->F64(options_.learning_rate);
+  out->U64(trees_.size());
+  for (double alpha : alphas_) out->F64(alpha);
+  for (const DecisionTree& tree : trees_) tree.SerializeBinary(out);
+}
+
+Result<AdaBoost> AdaBoost::DeserializeBinary(io::BinaryReader* in) {
+  AdaBoostOptions opt;
+  uint64_t num_trees = 0;
+  if (!in->U64(&opt.num_estimators) || !in->F64(&opt.learning_rate) ||
+      !in->U64(&num_trees)) {
+    return Status::InvalidArgument("AdaBoost: truncated header");
+  }
+  // The text reader cannot produce a non-finite rate either.
+  if (!std::isfinite(opt.learning_rate)) {
+    return Status::InvalidArgument("AdaBoost: non-finite learning rate");
+  }
+  if (!in->Fits(num_trees,
+                sizeof(double) + DecisionTree::kBinaryHeaderBytes)) {
+    return Status::InvalidArgument("AdaBoost: tree count exceeds the payload");
+  }
+  AdaBoost model(opt);
+  model.alphas_.resize(num_trees);
+  for (double& alpha : model.alphas_) {
+    in->F64(&alpha);
+    if (!std::isfinite(alpha)) {
+      return Status::InvalidArgument("AdaBoost: non-finite alpha");
+    }
+  }
+  model.trees_.reserve(num_trees);
+  for (uint64_t t = 0; t < num_trees; ++t) {
+    Result<DecisionTree> tree = DecisionTree::DeserializeBinary(in);
     if (!tree.ok()) return tree.status();
     model.trees_.push_back(std::move(tree).value());
   }

@@ -47,6 +47,11 @@ class AdaBoost final : public Classifier {
   std::string TypeTag() const override { return "adaboost"; }
   Status SerializePayload(std::ostream* out) const override;
   static Result<AdaBoost> DeserializePayload(std::istream* in);
+  /// The same fields in the binary pool layout: num_estimators (u64),
+  /// learning_rate (f64), the tree count (u64), the alphas, then each
+  /// tree's DecisionTree::SerializeBinary record.
+  void SerializeBinary(io::BinaryWriter* out) const;
+  static Result<AdaBoost> DeserializeBinary(io::BinaryReader* in);
   bool LowerToFlat(FlatEnsembleBuilder* builder) const override;
 
   /// Number of estimators actually fitted (early stop on perfect fit).

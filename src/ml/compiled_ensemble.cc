@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -18,10 +17,6 @@ constexpr size_t kCursors = 32;
 constexpr double kLeafThreshold = std::numeric_limits<double>::infinity();
 constexpr uint32_t kUnplaced = std::numeric_limits<uint32_t>::max();
 constexpr size_t kMaxNodes = size_t{1} << 30;
-
-bool SameDoubleBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
 
 // One traversal step: `v > threshold` picks the right child (left + 1),
 // exactly like the interpreted `v <= threshold ? left : right`; a leaf's
@@ -243,71 +238,8 @@ Result<CompiledEnsemble> CompiledEnsemble::Compile(const Classifier& model) {
   compiled.parts_.trees = table->trees;
   compiled.parts_.alphas = table->alphas;
   compiled.alpha_sum_ = AlphaSum(table->alphas);
-  compiled.backing_ = std::move(table);
+  compiled.table_ = std::move(table);
   return compiled;
-}
-
-Result<CompiledEnsemble> CompiledEnsemble::View(
-    const Parts& parts, size_t num_features,
-    std::shared_ptr<const void> backing) {
-  auto invalid = [](const std::string& what) {
-    return Status::InvalidArgument("CompiledEnsemble: flat " + what);
-  };
-  switch (parts.kind) {
-    case EnsembleKind::kTree:
-    case EnsembleKind::kAdaBoost:
-    case EnsembleKind::kForest:
-      break;
-    default:
-      return invalid("unknown ensemble kind");
-  }
-  const size_t n = parts.nodes.size();
-  if (parts.leaf_proba.size() != n) return invalid("node array sizes disagree");
-  if (n > kMaxNodes) return invalid("node table overflow");
-  if (parts.trees.empty()) return invalid("kernel without trees");
-  if (parts.alphas.size() != parts.trees.size()) {
-    return invalid("tree/alpha count mismatch");
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const FlatNode& node = parts.nodes[i];
-    if (node.left == i) {
-      // Leaf: the canonical encoding is fully pinned, so the section is a
-      // pure function of the model and corruption cannot hide in ignored
-      // fields.
-      if (node.feature != 0) return invalid("leaf with nonzero feature");
-      if (!SameDoubleBits(node.threshold, kLeafThreshold)) {
-        return invalid("leaf threshold is not +inf");
-      }
-      const double p = parts.leaf_proba[i];
-      if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
-        return invalid("leaf probability outside [0, 1]");
-      }
-    } else {
-      if (node.left < i || uint64_t{node.left} + 1 >= n) {
-        return invalid("children not strictly forward");
-      }
-      if (node.feature < 0 ||
-          static_cast<size_t>(node.feature) >= num_features) {
-        return invalid("feature index out of range");
-      }
-      if (std::isnan(node.threshold)) return invalid("NaN threshold");
-      if (!SameDoubleBits(parts.leaf_proba[i], 0.0)) {
-        return invalid("interior node with nonzero leaf probability");
-      }
-    }
-  }
-  for (const TreeRef& tree : parts.trees) {
-    if (tree.root >= n) return invalid("tree root out of range");
-    if (tree.steps > n) return invalid("tree walk length too long");
-  }
-  for (double alpha : parts.alphas) {
-    if (!std::isfinite(alpha)) return invalid("non-finite alpha");
-  }
-  CompiledEnsemble viewed;
-  viewed.parts_ = parts;
-  viewed.alpha_sum_ = AlphaSum(parts.alphas);
-  viewed.backing_ = std::move(backing);
-  return viewed;
 }
 
 void CompiledEnsemble::PredictProbaBatch(const Dataset& data,

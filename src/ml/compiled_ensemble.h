@@ -5,8 +5,8 @@
 // dispatch per model. This layer lowers every CART / AdaBoost /
 // RandomForest, once, into one contiguous table of 16-byte nodes
 // `{threshold, feature, left}` with the right child stored at left + 1,
-// so one traversal step reads exactly one node — one cache line when the
-// table is 16-byte aligned, as heap-allocated tables are. Leaf
+// so one traversal step reads exactly one node — one cache line, since
+// the tables always live on the heap, 16-byte aligned. Leaf
 // probabilities live in a side array read once per tree. Leaves loop
 // back to themselves through a comparison that is always false
 // (threshold = +inf), so a walk that runs past its leaf stays put.
@@ -15,6 +15,9 @@
 // (cluster, group), and every cluster that picks model m serves from the
 // same CompiledEnsemble. FalccModel keeps one CompiledPool (kernel m
 // serves pool model m) shared by every cluster and every refresh clone.
+// Kernels are derived state and never serialized: Train and every Load
+// path compile them from the pool, so no snapshot carries a second copy
+// of the models and no kernel ever points into a file.
 //
 // Bit-identity contract: for every lowered model the compiled kernel
 // reproduces the interpreted PredictProbaBatch output exactly — same
@@ -66,8 +69,7 @@ struct TreeRef {
   uint32_t steps = 0;
 };
 
-/// Owned storage of one model's kernel: what lowering fills, and what a
-/// copying decode of a snapshot's flat section fills.
+/// Owned storage of one model's kernel, filled by lowering.
 struct FlatTable {
   std::vector<FlatNode> nodes;
   std::vector<double> leaf_proba;  ///< per node; 0 at interior nodes
@@ -111,8 +113,7 @@ class FlatEnsembleBuilder {
 };
 
 /// One classifier's kernel. Immutable and cheap to copy: the arrays are
-/// spans over storage kept alive by `backing` — the kernel's own
-/// FlatTable when compiled, a read-only snapshot mapping when viewed.
+/// spans over the kernel's own FlatTable, shared by every copy.
 class CompiledEnsemble {
  public:
   /// The arrays one kernel walks, as views.
@@ -127,19 +128,6 @@ class CompiledEnsemble {
   /// Lowers `model`. Fails with FailedPrecondition for classifier types
   /// that do not lower, Internal for structurally invalid trees.
   static Result<CompiledEnsemble> Compile(const Classifier& model);
-
-  /// A kernel over arrays it does not own (kept alive by `backing`),
-  /// after full structural validation: every interior node's children
-  /// (left, left + 1) strictly after it and in range, features inside
-  /// [0, num_features), thresholds not NaN, leaves in canonical form
-  /// (self-loop, +inf threshold, feature 0) with probabilities in
-  /// [0, 1], tree roots in range, walk lengths bounded by the node
-  /// count, finite alphas. An accepted table therefore cannot read out
-  /// of bounds, loop, or produce an out-of-range probability — the mmap
-  /// path's safety contract.
-  static Result<CompiledEnsemble> View(const Parts& parts,
-                                       size_t num_features,
-                                       std::shared_ptr<const void> backing);
 
   /// Exactly Classifier::PredictProbaBatch of the source model, bit for
   /// bit: P(y = 1) for `rows` of `data`, written to `out` (same length).
@@ -160,7 +148,7 @@ class CompiledEnsemble {
 
   Parts parts_;
   double alpha_sum_ = 0.0;
-  std::shared_ptr<const void> backing_;
+  std::shared_ptr<const FlatTable> table_;
 };
 
 /// Kernels of one model pool: entry m serves pool model m and is empty

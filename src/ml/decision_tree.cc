@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "data/feature_columns.h"
 #include "ml/tree_builder.h"
+#include "util/binary.h"
 #include "util/serialize.h"
 
 namespace falcc {
@@ -123,7 +125,7 @@ Result<DecisionTree> DecisionTree::DeserializePayload(std::istream* in) {
   size_t num_nodes = 0;
   FALCC_RETURN_IF_ERROR(io::Read(in, &tree.depth_));
   FALCC_RETURN_IF_ERROR(io::Read(in, &num_nodes));
-  if (num_nodes == 0 || num_nodes > 100000000) {
+  if (num_nodes == 0 || num_nodes > kMaxSerializedNodes) {
     return Status::InvalidArgument("implausible node count");
   }
   // Incremental growth: a corrupted count over a truncated stream fails
@@ -136,23 +138,117 @@ Result<DecisionTree> DecisionTree::DeserializePayload(std::istream* in) {
     FALCC_RETURN_IF_ERROR(io::Read(in, &n.left));
     FALCC_RETURN_IF_ERROR(io::Read(in, &n.right));
     FALCC_RETURN_IF_ERROR(io::Read(in, &n.proba));
-    const int limit = static_cast<int>(num_nodes);
-    if (n.left >= limit || n.right >= limit ||
-        (n.feature >= 0 && (n.left < 0 || n.right < 0))) {
-      return Status::InvalidArgument("corrupt decision tree node");
-    }
-    // Both builders emit children strictly after their parent, so any
-    // backward (or self) edge is corruption — and would make the
-    // prediction loop cycle forever if admitted.
-    const int self = static_cast<int>(i);
-    if (n.feature >= 0 && (n.left <= self || n.right <= self)) {
-      return Status::InvalidArgument("decision tree node cycle");
-    }
-    if (!std::isfinite(n.threshold) || !std::isfinite(n.proba) ||
-        n.proba < 0.0 || n.proba > 1.0) {
-      return Status::InvalidArgument("non-finite decision tree parameters");
-    }
+    FALCC_RETURN_IF_ERROR(CheckNode(n, i, num_nodes));
     tree.nodes_.push_back(n);
+  }
+  return tree;
+}
+
+Status DecisionTree::CheckNode(const TreeNode& n, size_t index,
+                               size_t num_nodes) {
+  const int limit = static_cast<int>(num_nodes);
+  if (n.left >= limit || n.right >= limit ||
+      (n.feature >= 0 && (n.left < 0 || n.right < 0))) {
+    return Status::InvalidArgument("corrupt decision tree node");
+  }
+  // Both builders emit children strictly after their parent, so any
+  // backward (or self) edge is corruption — and would make the
+  // prediction loop cycle forever if admitted.
+  const int self = static_cast<int>(index);
+  if (n.feature >= 0 && (n.left <= self || n.right <= self)) {
+    return Status::InvalidArgument("decision tree node cycle");
+  }
+  if (!std::isfinite(n.threshold) || !std::isfinite(n.proba) ||
+      n.proba < 0.0 || n.proba > 1.0) {
+    return Status::InvalidArgument("non-finite decision tree parameters");
+  }
+  return Status::OK();
+}
+
+namespace {
+
+// Encoded bytes per node: threshold and proba (f64), feature, left and
+// right (i32).
+constexpr size_t kNodeBytes = 2 * sizeof(double) + 3 * sizeof(int32_t);
+
+template <typename Field>
+void PutNodeField(io::BinaryWriter* out, std::span<const TreeNode> nodes,
+                  Field TreeNode::*field) {
+  char* at = out->Extend(nodes.size() * sizeof(Field));
+  for (const TreeNode& node : nodes) {
+    std::memcpy(at, &(node.*field), sizeof(Field));
+    at += sizeof(Field);
+  }
+}
+
+template <typename Field>
+void GetNodeField(const char* at, std::span<TreeNode> nodes,
+                  Field TreeNode::*field) {
+  for (TreeNode& node : nodes) {
+    std::memcpy(&(node.*field), at, sizeof(Field));
+    at += sizeof(Field);
+  }
+}
+
+}  // namespace
+
+void DecisionTree::SerializeBinary(io::BinaryWriter* out) const {
+  static_assert(sizeof(int) == sizeof(int32_t), "node fields are i32");
+  out->U64(options_.max_depth);
+  out->U64(options_.min_samples_split);
+  out->U64(options_.min_samples_leaf);
+  out->U64(options_.criterion == SplitCriterion::kGini ? 0 : 1);
+  out->U64(options_.max_features);
+  out->U64(options_.seed);
+  out->U64(depth_);
+  out->U64(nodes_.size());
+  PutNodeField(out, nodes_, &Node::threshold);
+  PutNodeField(out, nodes_, &Node::proba);
+  PutNodeField(out, nodes_, &Node::feature);
+  PutNodeField(out, nodes_, &Node::left);
+  PutNodeField(out, nodes_, &Node::right);
+  out->Align8();
+}
+
+Result<DecisionTree> DecisionTree::DeserializeBinary(io::BinaryReader* in) {
+  DecisionTreeOptions opt;
+  uint64_t criterion = 0;
+  uint64_t depth = 0;
+  uint64_t num_nodes = 0;
+  if (!in->U64(&opt.max_depth) || !in->U64(&opt.min_samples_split) ||
+      !in->U64(&opt.min_samples_leaf) || !in->U64(&criterion) ||
+      !in->U64(&opt.max_features) || !in->U64(&opt.seed) ||
+      !in->U64(&depth) || !in->U64(&num_nodes)) {
+    return Status::InvalidArgument("DecisionTree: truncated header");
+  }
+  if (criterion > 1) {
+    return Status::InvalidArgument("DecisionTree: unknown split criterion");
+  }
+  opt.criterion =
+      criterion == 0 ? SplitCriterion::kGini : SplitCriterion::kEntropy;
+  if (num_nodes == 0 || num_nodes > kMaxSerializedNodes) {
+    return Status::InvalidArgument("implausible node count");
+  }
+  const char* at;
+  if (!in->Fits(num_nodes, kNodeBytes) ||
+      !in->Take(num_nodes * kNodeBytes, &at) || !in->Align8()) {
+    return Status::InvalidArgument("DecisionTree: truncated node arrays");
+  }
+  DecisionTree tree(opt);
+  tree.depth_ = depth;
+  tree.nodes_.resize(num_nodes);
+  const std::span<Node> nodes(tree.nodes_);
+  GetNodeField(at, nodes, &Node::threshold);
+  at += num_nodes * sizeof(double);
+  GetNodeField(at, nodes, &Node::proba);
+  at += num_nodes * sizeof(double);
+  GetNodeField(at, nodes, &Node::feature);
+  at += num_nodes * sizeof(int32_t);
+  GetNodeField(at, nodes, &Node::left);
+  at += num_nodes * sizeof(int32_t);
+  GetNodeField(at, nodes, &Node::right);
+  for (size_t i = 0; i < num_nodes; ++i) {
+    FALCC_RETURN_IF_ERROR(CheckNode(nodes[i], i, num_nodes));
   }
   return tree;
 }

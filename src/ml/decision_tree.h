@@ -15,6 +15,11 @@
 
 namespace falcc {
 
+namespace io {
+class BinaryReader;
+class BinaryWriter;
+}  // namespace io
+
 class FeatureColumns;
 class TreeBuilder;
 
@@ -70,6 +75,22 @@ class DecisionTree final : public Classifier {
   std::string TypeTag() const override { return "decision_tree"; }
   Status SerializePayload(std::ostream* out) const override;
   static Result<DecisionTree> DeserializePayload(std::istream* in);
+  /// The same fields in the binary pool layout (core/model_pool.h):
+  /// options and depth as u64, then the nodes as struct-of-arrays.
+  void SerializeBinary(io::BinaryWriter* out) const;
+  static Result<DecisionTree> DeserializeBinary(io::BinaryReader* in);
+
+  /// Most nodes a serialized tree may declare.
+  static constexpr size_t kMaxSerializedNodes = 100000000;
+  /// Bytes of a binary tree record before its node arrays (a lower bound
+  /// on any record's size, for count checks against the payload).
+  static constexpr size_t kBinaryHeaderBytes = 8 * sizeof(uint64_t);
+  /// The structural checks both readers apply to node `index` of a
+  /// `num_nodes`-node tree: children in range and strictly after their
+  /// parent (so prediction cannot cycle), finite threshold, proba in
+  /// [0, 1].
+  static Status CheckNode(const TreeNode& node, size_t index,
+                          size_t num_nodes);
 
   bool LowerToFlat(FlatEnsembleBuilder* builder) const override;
 

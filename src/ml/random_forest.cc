@@ -6,11 +6,16 @@
 
 #include "data/feature_columns.h"
 #include "ml/tree_builder.h"
+#include "util/binary.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
 namespace falcc {
+
+namespace {
+constexpr size_t kMaxSerializedTrees = 1000000;
+}  // namespace
 
 Status RandomForest::Fit(const Dataset& data,
                          std::span<const double> sample_weights) {
@@ -169,12 +174,44 @@ Result<RandomForest> RandomForest::DeserializePayload(std::istream* in) {
   RandomForest model(opt);
   size_t num_trees = 0;
   FALCC_RETURN_IF_ERROR(io::Read(in, &num_trees));
-  if (num_trees == 0 || num_trees > 1000000) {
+  if (num_trees == 0 || num_trees > kMaxSerializedTrees) {
     return Status::InvalidArgument("RandomForest: implausible tree count");
   }
   model.trees_.reserve(num_trees);
   for (size_t t = 0; t < num_trees; ++t) {
     Result<DecisionTree> tree = DecisionTree::DeserializePayload(in);
+    if (!tree.ok()) return tree.status();
+    model.trees_.push_back(std::move(tree).value());
+  }
+  return model;
+}
+
+void RandomForest::SerializeBinary(io::BinaryWriter* out) const {
+  out->U64(options_.num_trees);
+  out->U64(options_.max_features);
+  out->U64(options_.seed);
+  out->U64(trees_.size());
+  for (const DecisionTree& tree : trees_) tree.SerializeBinary(out);
+}
+
+Result<RandomForest> RandomForest::DeserializeBinary(io::BinaryReader* in) {
+  RandomForestOptions opt;
+  uint64_t num_trees = 0;
+  if (!in->U64(&opt.num_trees) || !in->U64(&opt.max_features) ||
+      !in->U64(&opt.seed) || !in->U64(&num_trees)) {
+    return Status::InvalidArgument("RandomForest: truncated header");
+  }
+  if (num_trees == 0 || num_trees > kMaxSerializedTrees) {
+    return Status::InvalidArgument("RandomForest: implausible tree count");
+  }
+  if (!in->Fits(num_trees, DecisionTree::kBinaryHeaderBytes)) {
+    return Status::InvalidArgument(
+        "RandomForest: tree count exceeds the payload");
+  }
+  RandomForest model(opt);
+  model.trees_.reserve(num_trees);
+  for (uint64_t t = 0; t < num_trees; ++t) {
+    Result<DecisionTree> tree = DecisionTree::DeserializeBinary(in);
     if (!tree.ok()) return tree.status();
     model.trees_.push_back(std::move(tree).value());
   }

@@ -46,6 +46,11 @@ class RandomForest final : public Classifier {
   std::string TypeTag() const override { return "random_forest"; }
   Status SerializePayload(std::ostream* out) const override;
   static Result<RandomForest> DeserializePayload(std::istream* in);
+  /// The same fields in the binary pool layout: num_trees, max_features
+  /// and seed (u64), the fitted tree count (u64), then each tree's
+  /// DecisionTree::SerializeBinary record.
+  void SerializeBinary(io::BinaryWriter* out) const;
+  static Result<RandomForest> DeserializeBinary(io::BinaryReader* in);
   bool LowerToFlat(FlatEnsembleBuilder* builder) const override;
 
   /// Assembles a fitted forest from externally built parts. Used by the

@@ -23,6 +23,19 @@ Status SerializeClassifier(const Classifier& model, std::ostream* out);
 /// Reads one classifier written by SerializeClassifier.
 Result<std::unique_ptr<Classifier>> DeserializeClassifier(std::istream* in);
 
+namespace io {
+class BinaryReader;
+class BinaryWriter;
+}  // namespace io
+
+/// Appends `model` in the binary format. Fails for unsupported types.
+Status SerializeClassifierBinary(const Classifier& model,
+                                 io::BinaryWriter* out);
+
+/// Reads one classifier written by SerializeClassifierBinary.
+Result<std::unique_ptr<Classifier>> DeserializeClassifierBinary(
+    io::BinaryReader* in);
+
 }  // namespace falcc
 
 #endif  // FALCC_ML_SERIALIZE_H_

@@ -37,9 +37,7 @@ ReplicaFleet::ReplicaFleet(ReplicaFleetOptions options)
 
 Status ReplicaFleet::Bootstrap(const std::string& snapshot_path) {
   for (auto& replica : replicas_) {
-    FALCC_RETURN_IF_ERROR(options_.puller.prefer_mmap
-                              ? replica->engine.ReloadMapped(snapshot_path)
-                              : replica->engine.ReloadFromFile(snapshot_path));
+    FALCC_RETURN_IF_ERROR(replica->engine.ReloadMapped(snapshot_path));
   }
   return Status::OK();
 }

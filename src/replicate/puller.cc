@@ -8,12 +8,6 @@ namespace falcc::replicate {
 
 namespace {
 
-serve::SnapshotSourceOptions SourceOptions(const DeltaPullerOptions& options) {
-  serve::SnapshotSourceOptions source;
-  source.prefer_mmap = options.prefer_mmap;
-  return source;
-}
-
 /// SplitMix64 step → uniform double in [0, 1). Deterministic per-puller
 /// jitter without dragging in the full Rng (one stream, one use).
 double NextUniform(uint64_t* state) {
@@ -30,7 +24,7 @@ double NextUniform(uint64_t* state) {
 DeltaPuller::DeltaPuller(serve::FalccEngine* engine,
                          std::unique_ptr<DeltaFeed> feed,
                          DeltaPullerOptions options)
-    : source_(engine, SourceOptions(options)),
+    : source_(engine),
       engine_(engine),
       feed_(std::move(feed)),
       options_(options),

@@ -2,7 +2,7 @@
 //
 // Tracks the engine's current ContentHash and applies feed artifacts in
 // sequence order through serve::SnapshotSource — deltas as incremental
-// hot-swaps, checkpoints as full (preferably mmapped) reloads. Bounded
+// hot-swaps, checkpoints as full reloads. Bounded
 // out-of-order arrivals wait in a buffer until the sequence gap in front
 // of them fills; a gap that persists, a delta whose base-hash chain does
 // not match the serving snapshot, or a corrupt artifact all route to the
@@ -40,10 +40,6 @@
 namespace falcc::replicate {
 
 struct DeltaPullerOptions {
-  /// Full reloads (checkpoints, recovery) serve v2 compiled kernels
-  /// straight out of a read-only file mapping. Safe against the
-  /// publisher because artifacts are immutable once renamed into place.
-  bool prefer_mmap = true;
   /// Out-of-order entries held while the gap in front of them fills.
   /// Overflow is treated as a lost gap: recovery via checkpoint.
   size_t max_buffered = 64;

@@ -127,10 +127,9 @@ class FalccEngine {
   /// continues uninterrupted.
   Status ReloadFromFile(const std::string& path);
 
-  /// Like ReloadFromFile, but serves v2 snapshots' compiled kernels
-  /// directly out of a read-only file mapping — no deserialize copy of
-  /// the hot tables. Decisions are bit-identical to the copying path.
-  /// Falls back to the regular loader for v1 artifacts.
+  /// Like ReloadFromFile, but decodes a v2 snapshot straight out of a
+  /// read-only file mapping (FalccModel::LoadMapped). Decisions are
+  /// bit-identical; v1 artifacts take the regular loader.
   Status ReloadMapped(const std::string& path);
 
   /// Applies a delta artifact (SaveDelta output) to the installed

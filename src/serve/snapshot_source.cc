@@ -46,15 +46,12 @@ Result<std::string> ReadHeaderLine(const std::string& path) {
 
 }  // namespace
 
-SnapshotSource::SnapshotSource(FalccEngine* engine,
-                               SnapshotSourceOptions options)
-    : engine_(engine), options_(options) {
+SnapshotSource::SnapshotSource(FalccEngine* engine) : engine_(engine) {
   FALCC_CHECK(engine_ != nullptr, "SnapshotSource: null engine");
 }
 
 Status SnapshotSource::LoadFull(const std::string& path) {
-  return options_.prefer_mmap ? engine_->ReloadMapped(path)
-                              : engine_->ReloadFromFile(path);
+  return engine_->ReloadMapped(path);
 }
 
 Status SnapshotSource::ApplyDelta(const std::string& path) {
@@ -78,11 +75,7 @@ Result<SnapshotLoadKind> SnapshotSource::Load(const std::string& path) {
   // through the regular loader, which does its own header validation
   // and rejects anything unrecognized.
   FALCC_RETURN_IF_ERROR(LoadFull(path));
-  // Only v2 snapshots actually serve from a mapping; LoadMapped falls
-  // back to the copying loader for v1, so report that truthfully.
-  const bool mapped =
-      options_.prefer_mmap && header.value() == io::kSnapshotHeaderV2;
-  return mapped ? SnapshotLoadKind::kMapped : SnapshotLoadKind::kFull;
+  return SnapshotLoadKind::kFull;
 }
 
 }  // namespace falcc::serve

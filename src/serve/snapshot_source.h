@@ -4,7 +4,7 @@
 //
 // Dispatch is by artifact header:
 //  * `falcc-snapshot-v2` / `falcc-model-v1` → LoadFull (full snapshot
-//    swap; mmap-backed zero-copy load for v2 when prefer_mmap is set).
+//    swap; v2 is decoded straight out of a read-only file mapping).
 //  * `falcc-delta-v2` → ApplyDelta (incremental hot-swap: only the
 //    delta's clusters are validated; the compiled kernels are shared
 //    pointer-identically with the previous snapshot, nothing compiles).
@@ -25,19 +25,9 @@
 
 namespace falcc::serve {
 
-struct SnapshotSourceOptions {
-  /// Serve v2 snapshots' compiled kernels directly out of a read-only
-  /// file mapping instead of copying them onto the heap. Decisions are
-  /// bit-identical either way. v1 artifacts always take the copying
-  /// path. The mapped file must not be modified in place while the
-  /// snapshot serves — publish new artifacts via write-new + rename.
-  bool prefer_mmap = false;
-};
-
 /// What a Load call did, for callers that log or assert on it.
 enum class SnapshotLoadKind {
-  kFull,   ///< full snapshot install (copying load)
-  kMapped, ///< full snapshot install served from a file mapping
+  kFull,   ///< full snapshot install
   kDelta,  ///< incremental install: delta applied to the base snapshot
 };
 
@@ -45,8 +35,7 @@ enum class SnapshotLoadKind {
 /// non-owning pointer to the engine, which must outlive the source.
 class SnapshotSource {
  public:
-  explicit SnapshotSource(FalccEngine* engine,
-                          SnapshotSourceOptions options = {});
+  explicit SnapshotSource(FalccEngine* engine);
 
   /// Loads `path` as a full snapshot (v1 or v2) and installs it.
   Status LoadFull(const std::string& path);
@@ -65,7 +54,6 @@ class SnapshotSource {
 
  private:
   FalccEngine* engine_ = nullptr;
-  SnapshotSourceOptions options_;
 };
 
 }  // namespace falcc::serve

@@ -160,6 +160,34 @@ Status FuzzDeltaApply(const FalccModel& base, const std::string& data) {
   return FuzzSnapshotLoad(saved);
 }
 
+Status FuzzPoolDecode(const std::string& data) {
+  Result<ModelPool> decoded = ModelPool::DeserializeBinary(data);
+  if (!decoded.ok()) {
+    if (decoded.status().message().empty()) {
+      return Status::Internal("rejection with empty error message");
+    }
+    return Status::OK();
+  }
+  std::string first;
+  FALCC_RETURN_IF_ERROR(decoded.value().SerializeBinary(&first));
+  Result<ModelPool> again = ModelPool::DeserializeBinary(first);
+  std::string second;
+  if (!again.ok() || !again.value().SerializeBinary(&second).ok() ||
+      first != second) {
+    return Status::Internal("binary pool encoding is not a fixed point");
+  }
+  std::ostringstream text;
+  FALCC_RETURN_IF_ERROR(decoded.value().Serialize(&text));
+  std::istringstream in(text.str());
+  Result<ModelPool> from_text = ModelPool::Deserialize(&in);
+  std::ostringstream text_again;
+  if (!from_text.ok() || !from_text.value().Serialize(&text_again).ok() ||
+      text_again.str() != text.str()) {
+    return Status::Internal("decoded pool does not round-trip as text");
+  }
+  return Status::OK();
+}
+
 Status FuzzCsvParse(const std::string& data) {
   Result<CsvTable> parsed = ParseCsv(data);
   if (!parsed.ok()) {

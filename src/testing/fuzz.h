@@ -52,6 +52,13 @@ struct FuzzStats {
 /// a fixed point of Save∘Load.
 Status FuzzSnapshotLoad(const std::string& data);
 
+/// Contract for ModelPool::DeserializeBinary (the v2 `pool` section
+/// payload) on arbitrary bytes: a clean rejection, or a pool whose binary
+/// encoding is a fixed point and whose text form the text reader parses
+/// back to the same text. Reaches the decoder directly: mutated snapshot
+/// bytes mostly stop at the section checksum.
+Status FuzzPoolDecode(const std::string& data);
+
 /// Contract for ParseCsv / DatasetFromCsv on arbitrary bytes.
 Status FuzzCsvParse(const std::string& data);
 

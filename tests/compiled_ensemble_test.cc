@@ -9,6 +9,7 @@
 #include "ml/compiled_ensemble.h"
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -181,84 +182,6 @@ TEST(CompiledLayoutTest, SharedSubtreeIsRejected) {
   const Result<CompiledEnsemble> kernel = CompiledEnsemble::Compile(dag);
   ASSERT_FALSE(kernel.ok());
   EXPECT_EQ(kernel.status().code(), StatusCode::kInternal);
-}
-
-// View accepts exactly what Compile produces and rejects every field
-// whose corruption could read out of bounds, loop, or yield a
-// probability outside [0, 1].
-TEST(CompiledLayoutTest, ViewValidatesEveryField) {
-  const Dataset data = MakeData(300, 8);
-  AdaBoostOptions boost;
-  boost.num_estimators = 6;
-  boost.base.max_depth = 4;
-  AdaBoost model(boost);
-  ASSERT_TRUE(model.Fit(data).ok());
-  const CompiledEnsemble kernel = CompiledEnsemble::Compile(model).value();
-  const CompiledEnsemble::Parts& good = kernel.parts();
-  const size_t width = data.num_features();
-
-  const Result<CompiledEnsemble> viewed =
-      CompiledEnsemble::View(good, width, nullptr);
-  ASSERT_TRUE(viewed.ok()) << viewed.status().ToString();
-  ExpectBitIdentical(model, viewed.value(), data, AllRows(data.num_rows()));
-
-  size_t interior = 0;
-  size_t leaf = 0;
-  while (good.nodes[interior].left == interior) ++interior;
-  while (good.nodes[leaf].left != leaf) ++leaf;
-  auto rejects = [&](auto mutate) {
-    std::vector<FlatNode> nodes(good.nodes.begin(), good.nodes.end());
-    std::vector<double> proba(good.leaf_proba.begin(), good.leaf_proba.end());
-    std::vector<TreeRef> trees(good.trees.begin(), good.trees.end());
-    std::vector<double> alphas(good.alphas.begin(), good.alphas.end());
-    mutate(&nodes, &proba, &trees, &alphas);
-    CompiledEnsemble::Parts parts = good;
-    parts.nodes = nodes;
-    parts.leaf_proba = proba;
-    parts.trees = trees;
-    parts.alphas = alphas;
-    return !CompiledEnsemble::View(parts, width, nullptr).ok();
-  };
-  using Nodes = std::vector<FlatNode>*;
-  using Doubles = std::vector<double>*;
-  using Trees = std::vector<TreeRef>*;
-  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
-    (*n)[interior].left = static_cast<uint32_t>(n->size() - 1);
-  }));  // right child one past the end
-  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
-    (*n)[leaf].left = static_cast<uint32_t>(leaf) - 1;
-  }));  // backward edge
-  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
-    (*n)[interior].feature = static_cast<int32_t>(width);
-  }));
-  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
-    (*n)[interior].threshold = std::nan("");
-  }));
-  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
-    (*n)[leaf].threshold = 1.0;
-  }));  // a leaf that could step off itself
-  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees, Doubles) {
-    (*n)[leaf].feature = 1;
-  }));
-  EXPECT_TRUE(rejects([&](Nodes, Doubles p, Trees, Doubles) {
-    (*p)[leaf] = 1.5;
-  }));
-  EXPECT_TRUE(rejects([&](Nodes, Doubles p, Trees, Doubles) {
-    (*p)[interior] = 0.5;
-  }));
-  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees t, Doubles) {
-    (*t)[0].root = static_cast<uint32_t>(n->size());
-  }));
-  EXPECT_TRUE(rejects([&](Nodes n, Doubles, Trees t, Doubles) {
-    (*t)[0].steps = static_cast<uint32_t>(n->size()) + 1;
-  }));
-  EXPECT_TRUE(rejects([&](Nodes, Doubles, Trees, Doubles a) {
-    (*a)[0] = std::numeric_limits<double>::infinity();
-  }));
-  EXPECT_TRUE(rejects([&](Nodes, Doubles, Trees t, Doubles a) {
-    t->clear();
-    a->clear();
-  }));  // a forest of zero trees would divide by zero
 }
 
 // --- The compiled pool -------------------------------------------------
@@ -543,6 +466,14 @@ TEST(CompiledConcurrencyTest, ClassifyDuringDeltaHotSwap) {
     }
   });
 
+  // Let the reader serve once before the first swap, so the swaps below
+  // race a running classification loop however fast they are.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (served.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   for (int swap = 0; swap < 8; ++swap) {
     const std::shared_ptr<const CompiledPool> kernels =
         engine.snapshot()->compiled_pool();

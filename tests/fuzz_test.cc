@@ -14,14 +14,18 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/falcc.h"
 #include "data/csv_dataset.h"
 #include "data/split.h"
 #include "datagen/synthetic.h"
+#include "io/snapshot.h"
+#include "ml/logistic_regression.h"
 #include "replicate/wire.h"
 #include "testing/invariants.h"
 #include "util/csv.h"
@@ -266,23 +270,31 @@ TEST(SnapshotRegressionTest, V1SnapshotRoundTripsByteIdentically) {
   EXPECT_EQ(saved, v1);
 }
 
-// The checked-in v2 seeds carry a flat section in the superseded
-// per-cluster layout ("falcc-f2", valid-v2.txt) and in the per-model
-// layout ("falcc-f3", valid-v2-flat-f3.txt) of the same model. Both load
-// through the stream and the mmap path to identical decisions; the old
-// section is skipped (kernels compile from the pool) and re-saving
-// either yields the per-model seed byte for byte.
+std::string ReadCorpusFile(const std::string& name) {
+  std::ifstream in(std::string(FALCC_CORPUS_DIR) + "/snapshot/" + name,
+                   std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// Three checked-in v2 seeds hold the same model: valid-v2.txt with a text
+// pool and a legacy "falcc-f2" flat section, valid-v2-flat-f3.txt with a
+// text pool and a "falcc-f3" flat section, and valid-v2-pool-p1.txt with
+// the binary pool and no flat section. All three load through the stream
+// and the mmap path to identical decisions (flat sections are skipped,
+// kernels compile from the pool), and re-saving any of them yields the
+// binary seed byte for byte, under the content hash the model reports.
 TEST(SnapshotRegressionTest, LegacyAndCurrentFlatSectionsLoadBothWays) {
   const std::string dir = std::string(FALCC_CORPUS_DIR) + "/snapshot/";
-  auto read = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    return bytes.str();
-  };
-  const std::string current = read(dir + "valid-v2-flat-f3.txt");
-  ASSERT_FALSE(current.empty());
-  for (const char* name : {"valid-v2.txt", "valid-v2-flat-f3.txt"}) {
+  const std::string current = ReadCorpusFile("valid-v2-pool-p1.txt");
+  const Result<io::SnapshotReader> current_reader =
+      io::SnapshotReader::ParseView(current);
+  ASSERT_TRUE(current_reader.ok()) << current_reader.status().ToString();
+  const uint64_t current_hash = current_reader.value().manifest().ContentHash();
+  std::optional<ClassifyResponse> reference;
+  for (const char* name :
+       {"valid-v2.txt", "valid-v2-flat-f3.txt", "valid-v2-pool-p1.txt"}) {
     SCOPED_TRACE(name);
     const Result<FalccModel> streamed = FalccModel::LoadFromFile(dir + name);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
@@ -301,14 +313,45 @@ TEST(SnapshotRegressionTest, LegacyAndCurrentFlatSectionsLoadBothWays) {
     const ClassifyRequest request{probe, width};
     const ClassifyResponse a = streamed.value().ClassifyBatch(request).value();
     const ClassifyResponse b = mapped.value().ClassifyBatch(request).value();
+    if (!reference.has_value()) reference = a;
     ASSERT_EQ(a.decisions.size(), b.decisions.size());
+    ASSERT_EQ(a.decisions.size(), reference->decisions.size());
     for (size_t i = 0; i < a.decisions.size(); ++i) {
       EXPECT_EQ(a.decisions[i].probability, b.decisions[i].probability) << i;
       EXPECT_EQ(a.decisions[i].model, b.decisions[i].model) << i;
+      EXPECT_EQ(a.decisions[i].probability,
+                reference->decisions[i].probability)
+          << i;
+      EXPECT_EQ(a.decisions[i].model, reference->decisions[i].model) << i;
     }
-    std::string saved;
-    ASSERT_TRUE(testing::SaveToString(mapped.value(), &saved).ok());
-    EXPECT_EQ(saved, current);
+    // The identity a loaded model reports (the base hash of every delta
+    // it publishes) is that of the artifact it saves.
+    for (const FalccModel* model : {&streamed.value(), &mapped.value()}) {
+      std::string saved;
+      ASSERT_TRUE(testing::SaveToString(*model, &saved).ok());
+      EXPECT_EQ(saved, current);
+      EXPECT_EQ(model->ContentHash().value(), current_hash);
+    }
+  }
+}
+
+// The checked-in corruptions of the binary pool carry valid checksums,
+// so they reach the pool decoder, which must reject each one for the
+// reason its name gives.
+TEST(SnapshotRegressionTest, BinaryPoolCorruptionsAreRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"v2-pool-truncated-nodes.txt", "truncated node arrays"},
+      {"v2-pool-node-count-overflow.txt", "truncated node arrays"},
+      {"v2-pool-backward-edge.txt", "node cycle"},
+      {"v2-pool-nan-threshold.txt", "non-finite"},
+      {"v2-pool-proba-above-one.txt", "non-finite"},
+  };
+  for (const auto& [name, reason] : cases) {
+    const Result<FalccModel> r =
+        testing::LoadFromString(ReadCorpusFile(name));
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_NE(r.status().message().find(reason), std::string::npos)
+        << name << ": " << r.status().message();
   }
 }
 
@@ -317,10 +360,14 @@ TEST(SnapshotRegressionTest, CorruptedSectionIsNamedInTheError) {
   // verification with the section's name and offset in the message —
   // incremental validation is the operator's first triage tool.
   const std::string& bytes = TinySnapshot();
-  const size_t pool_payload = bytes.find("\nadaboost");
-  ASSERT_NE(pool_payload, std::string::npos);
+  const Result<io::SnapshotReader> reader =
+      io::SnapshotReader::ParseView(bytes);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const io::SectionInfo* pool = reader.value().manifest().Find("pool");
+  ASSERT_NE(pool, nullptr);
   std::string corrupt = bytes;
-  corrupt[pool_payload + 1] ^= 0x20;
+  corrupt[reader.value().payload_file_offset() + pool->offset +
+          pool->length / 2] ^= 0x20;
   const Result<FalccModel> r = testing::LoadFromString(corrupt);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("'pool'"), std::string::npos)
@@ -364,6 +411,53 @@ TEST(FuzzSmokeTest, SnapshotLoad) {
   options.failure_dir = ::testing::TempDir() + "/falcc-fuzz-snapshot";
   FuzzStats stats;
   const Status st = RunFuzz(seeds, FuzzSnapshotLoad, options, &stats);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(stats.iterations, options.iterations);
+}
+
+// The `pool` section payload of every v2 seed that has a binary pool,
+// plus a pool holding a text-record model, as seeds for the decoder.
+std::vector<std::string> BinaryPoolSeeds() {
+  std::vector<std::string> snapshots = {TinySnapshot()};
+  for (std::string& input : CorpusOrDie("snapshot")) {
+    snapshots.push_back(std::move(input));
+  }
+  std::vector<std::string> pools;
+  for (const std::string& bytes : snapshots) {
+    const Result<io::SnapshotReader> reader =
+        io::SnapshotReader::ParseView(bytes);
+    if (!reader.ok() || !reader.value().manifest().Has("pool")) continue;
+    const Result<std::string_view> pool = reader.value().ReadSection("pool");
+    if (pool.ok() && ModelPool::IsBinary(pool.value())) {
+      pools.emplace_back(pool.value());
+    }
+  }
+  SyntheticConfig cfg;
+  cfg.num_samples = 60;
+  cfg.seed = 7;
+  auto logistic = std::make_unique<LogisticRegression>();
+  EXPECT_TRUE(logistic->Fit(GenerateImplicitBias(cfg).value()).ok());
+  ModelPool mixed;
+  mixed.Add(TinyModel().pool().model(0).Clone(), {1});
+  mixed.Add(std::move(logistic));
+  std::string bytes;
+  EXPECT_TRUE(mixed.SerializeBinary(&bytes).ok());
+  pools.push_back(std::move(bytes));
+  return pools;
+}
+
+TEST(FuzzSmokeTest, BinaryPoolDecode) {
+  const std::vector<std::string> seeds = BinaryPoolSeeds();
+  ASSERT_GE(seeds.size(), 3u);
+  for (const std::string& seed : seeds) {
+    EXPECT_TRUE(testing::FuzzPoolDecode(seed).ok());
+  }
+  FuzzOptions options;
+  options.seed = 0x9001f00d;
+  options.iterations = FuzzIterationsFromEnv(2000);
+  options.failure_dir = ::testing::TempDir() + "/falcc-fuzz-pool";
+  FuzzStats stats;
+  const Status st = RunFuzz(seeds, testing::FuzzPoolDecode, options, &stats);
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(stats.iterations, options.iterations);
 }

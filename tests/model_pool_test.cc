@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+#include <string>
+
+#include "ml/adaboost.h"
 #include "ml/decision_tree.h"
+#include "ml/logistic_regression.h"
+#include "ml/random_forest.h"
+#include "util/rng.h"
 
 namespace falcc {
 namespace {
@@ -56,6 +64,149 @@ TEST(ModelPoolTest, PredictMatrixShape) {
   for (const auto& row : votes) {
     for (int v : row) EXPECT_TRUE(v == 0 || v == 1);
   }
+}
+
+// --- Binary pool layout ------------------------------------------------
+
+// A double drawn across signs and magnitudes, zeros of both signs
+// included (every value the text format round-trips exactly).
+double RandomDouble(Rng* rng) {
+  switch (rng->UniformInt(5)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    case 2: return rng->Uniform(-1.0, 1.0);
+    case 3: return rng->Normal(0.0, 1e6);
+    default: return std::ldexp(rng->Uniform(-1.0, 1.0), -300);
+  }
+}
+
+// A random valid tree: children appended after their parent, arbitrary
+// leaf fields (the readers accept any feature < 0 and any in-range
+// child index on a leaf), random options.
+DecisionTree RandomTree(Rng* rng) {
+  DecisionTreeOptions options;
+  options.max_depth = rng->UniformInt(20);
+  options.min_samples_split = rng->UniformInt(10);
+  options.min_samples_leaf = rng->UniformInt(10);
+  options.criterion =
+      rng->Bernoulli(0.5) ? SplitCriterion::kGini : SplitCriterion::kEntropy;
+  options.max_features = rng->UniformInt(5);
+  options.seed = rng->Next();
+  std::vector<TreeNode> nodes(1);
+  const size_t limit = 1 + rng->UniformInt(40);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    TreeNode& node = nodes[i];
+    node.proba = rng->Uniform();
+    node.threshold = RandomDouble(rng);
+    if (nodes.size() + 2 <= limit && rng->Bernoulli(0.6)) {
+      node.feature = static_cast<int>(rng->UniformInt(12));
+      node.left = static_cast<int>(nodes.size());
+      node.right = node.left + 1;
+      nodes.resize(nodes.size() + 2);
+    } else {
+      node.feature = -1 - static_cast<int>(rng->UniformInt(3));
+      node.left = static_cast<int>(rng->UniformInt(i + 1)) - 1;
+      node.right = -1;
+    }
+  }
+  return DecisionTree::FromParts(options, std::move(nodes),
+                                 rng->UniformInt(30));
+}
+
+std::vector<DecisionTree> RandomTrees(Rng* rng, size_t count) {
+  std::vector<DecisionTree> trees;
+  for (size_t t = 0; t < count; ++t) trees.push_back(RandomTree(rng));
+  return trees;
+}
+
+std::string TextOf(const ModelPool& pool) {
+  std::ostringstream out;
+  EXPECT_TRUE(pool.Serialize(&out).ok());
+  return out.str();
+}
+
+// The binary layout stores exactly what the text format stores: a pool
+// decoded from binary re-serializes through SerializeClassifier to the
+// same text bytes as the pool parsed from text, for random trees,
+// AdaBoost ensembles (zero trees included), forests and a model kept as
+// a text record.
+TEST(BinaryPoolTest, DecodesToTheSameTextAsTheTextReader) {
+  const Dataset d = MakeData();
+  LogisticRegression logistic;
+  ASSERT_TRUE(logistic.Fit(d).ok());
+  Rng rng(20240611);
+  for (int round = 0; round < 40; ++round) {
+    ModelPool pool;
+    const size_t num_models = 1 + rng.UniformInt(5);
+    for (size_t m = 0; m < num_models; ++m) {
+      std::vector<size_t> groups(rng.UniformInt(3));
+      for (size_t& g : groups) g = rng.UniformInt(4);
+      switch (rng.UniformInt(4)) {
+        case 0:
+          pool.Add(std::make_unique<DecisionTree>(RandomTree(&rng)), groups);
+          break;
+        case 1: {
+          AdaBoostOptions options;
+          options.num_estimators = rng.UniformInt(50);
+          options.learning_rate = RandomDouble(&rng);
+          const size_t count = rng.UniformInt(4);
+          std::vector<double> alphas(count);
+          for (double& alpha : alphas) alpha = RandomDouble(&rng);
+          pool.Add(std::make_unique<AdaBoost>(AdaBoost::FromParts(
+                       options, RandomTrees(&rng, count), alphas)),
+                   groups);
+          break;
+        }
+        case 2: {
+          RandomForestOptions options;
+          options.num_trees = rng.UniformInt(50);
+          options.max_features = rng.UniformInt(5);
+          options.seed = rng.Next();
+          pool.Add(std::make_unique<RandomForest>(RandomForest::FromParts(
+                       options, RandomTrees(&rng, 1 + rng.UniformInt(4)))),
+                   groups);
+          break;
+        }
+        default:
+          pool.Add(logistic.Clone(), groups);
+      }
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::string text = TextOf(pool);
+    std::istringstream in(text);
+    const Result<ModelPool> from_text = ModelPool::Deserialize(&in);
+    ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
+
+    std::string binary;
+    ASSERT_TRUE(pool.SerializeBinary(&binary).ok());
+    ASSERT_TRUE(ModelPool::IsBinary(binary));
+    EXPECT_EQ(binary.size() % 8, 0u);
+    const Result<ModelPool> from_binary = ModelPool::DeserializeBinary(binary);
+    ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
+
+    EXPECT_EQ(TextOf(from_binary.value()), TextOf(from_text.value()));
+    std::string again;
+    ASSERT_TRUE(from_binary.value().SerializeBinary(&again).ok());
+    EXPECT_EQ(again, binary);
+  }
+}
+
+// Every strict prefix of a binary pool is rejected, and a text pool is
+// never mistaken for a binary one.
+TEST(BinaryPoolTest, RejectsEveryTruncation) {
+  const Dataset d = MakeData();
+  ModelPool pool;
+  pool.Add(TrainedTree(d, 1), {1});
+  pool.Add(TrainedTree(d, 2));
+  std::string binary;
+  ASSERT_TRUE(pool.SerializeBinary(&binary).ok());
+  for (size_t cut = 0; cut < binary.size(); ++cut) {
+    EXPECT_FALSE(ModelPool::DeserializeBinary(binary.substr(0, cut)).ok())
+        << cut;
+  }
+  EXPECT_FALSE(ModelPool::IsBinary(TextOf(pool)));
+  EXPECT_FALSE(
+      ModelPool::DeserializeBinary(binary + std::string(8, '\0')).ok());
 }
 
 TEST(EnumerateCombinationsTest, FullCrossProduct) {

@@ -1488,6 +1488,18 @@ TEST(SocketPartitionTest, SlowSubscriberIsDroppedToTheNewestCheckpoint) {
   // only then can the bounded queue overflow and force a re-plan.
   FalccModel head = FreshModel();
   publisher->PublishCheckpoint(head).value();
+  // Read that first checkpoint, so the sender is past its catch-up
+  // replay and streams from its bounded queue before the burst below. A
+  // burst that finished before the catch-up poll would reach the
+  // subscriber as catch-up, with no queue left to overflow.
+  bool streaming = false;
+  while (!streaming) {
+    const std::vector<WireFrame> frames = RecvFrames(fd, &decoder, 1, 10.0);
+    ASSERT_FALSE(frames.empty());
+    for (const WireFrame& frame : frames) {
+      streaming = streaming || frame.type == FrameType::kArtifact;
+    }
+  }
   for (size_t event = 0; event < 16; ++event) {
     FalccModel next = NextVersion(head, event % head.num_clusters());
     const size_t clusters[] = {event % head.num_clusters()};

@@ -15,7 +15,7 @@
 #      bench_serve --smoke run, which exits non-zero if sharded-fleet
 #      decisions diverge from the single-loop reference at any shard
 #      count, the fleet's achieved p99 exceeds 10x the configured SLO,
-#      or the snapshot-distribution row (full reload vs mmapped reload
+#      or the snapshot-distribution row (stream reload vs mapped reload
 #      vs delta apply, the "reload" object in BENCH_serve.json) serves
 #      decisions diverging from the reference, and a bench_replicate
 #      --smoke run, which exits non-zero if any fleet replica fails to
@@ -54,9 +54,13 @@
 #
 # --fuzz-only instead runs the adversarial harness (`ctest -L fuzz`:
 # tests/fuzz_test.cc mutation loops over v1 snapshots, v2 sectioned
-# snapshots, and v2 delta artifacts, + tests/fault_injection_test.cc byte
-# sweeps including the per-section corruption sweep and the delta-prefix
-# sweep against a live engine) in the ASan+UBSan build with a
+# snapshots, v2 delta artifacts and binary `pool` section payloads (the
+# decoder every v2 load, checkpoint reload and replica reload runs; kernels
+# are compiled from its output, never read from the file), +
+# tests/fault_injection_test.cc byte sweeps including the per-section
+# corruption sweep and the delta-prefix sweep against a live engine, +
+# tests/cli_snapshot_test.cmake driving `falcc_cli snapshot inspect|verify`
+# over every corpus seed layout) in the ASan+UBSan build with a
 # 10k-iteration budget per fuzz target. Override the budget with
 # FALCC_FUZZ_ITERS=<n>.
 #

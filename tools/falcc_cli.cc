@@ -39,9 +39,7 @@
 // sensitive group, pool model) — with --shards N the rows go through the
 // sharded serving fleet (per-row affinity keys, SLO-driven adaptive
 // batching at p99 < K µs) instead of one direct batch call, and the
-// audit output is bit-identical either way, and `--mmap on` serves a v2
-// model's compiled kernels straight out of a read-only file mapping
-// (bit-identical decisions, no deserialize copy); `monitor` replays a labeled stream
+// audit output is bit-identical either way; `monitor` replays a labeled stream
 // through the serving engine with the drift monitor attached —
 // classifying in chunks, feeding the CSV labels back as delayed ground
 // truth (optionally injecting a targeted label shift into one cluster
@@ -83,6 +81,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -403,17 +402,7 @@ int ClassifySamples(const Args& args) {
   if (compiled != "on" && compiled != "off") {
     return Fail(Status::InvalidArgument("--compiled must be on or off"));
   }
-  // --mmap=on serves a v2 snapshot's compiled kernels directly out of a
-  // read-only file mapping; decisions are bit-identical to the copying
-  // load. (Implies the compiled path: a mapped model's kernels ARE the
-  // artifact's flat section.)
-  const std::string mmap = args.Get("mmap", "off");
-  if (mmap != "on" && mmap != "off") {
-    return Fail(Status::InvalidArgument("--mmap must be on or off"));
-  }
-  Result<FalccModel> model = mmap == "on"
-                                 ? FalccModel::LoadMapped(model_path)
-                                 : FalccModel::LoadFromFile(model_path);
+  Result<FalccModel> model = FalccModel::LoadMapped(model_path);
   if (!model.ok()) return Fail(model.status());
   model.value().set_use_compiled(compiled == "on");
 
@@ -534,9 +523,7 @@ int Monitor(const Args& args) {
     return Fail(Status::InvalidArgument("--model and --data required"));
   }
   serve::FalccEngine engine;
-  serve::SnapshotSourceOptions source_options;
-  source_options.prefer_mmap = args.Get("mmap", "off") == "on";
-  serve::SnapshotSource source(&engine, source_options);
+  serve::SnapshotSource source(&engine);
   const Status loaded = source.LoadFull(model_path);
   if (!loaded.ok()) return Fail(loaded);
 
@@ -761,12 +748,37 @@ bool IsV1Artifact(const std::string& bytes) {
   return bytes.rfind("falcc-model-v1\n", 0) == 0;
 }
 
+/// `text` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else passed through.
+std::string JsonString(std::string_view text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char escaped[8];
+          std::snprintf(escaped, sizeof(escaped), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += escaped;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out + "\"";
+}
+
 /// One artifact's manifest as a JSON object (keys always in the same
 /// order so diffs of inspect output are stable).
 std::string ManifestJson(const std::string& path,
                          const io::SnapshotReader& reader) {
   std::ostringstream json;
-  json << "{\"path\": \"" << path << "\", \"format\": \""
+  json << "{\"path\": " << JsonString(path) << ", \"format\": \""
        << (reader.is_delta() ? io::kDeltaHeaderV2 : io::kSnapshotHeaderV2)
        << "\", \"content_hash\": \""
        << io::HashHex(reader.manifest().ContentHash()) << "\"";
@@ -793,9 +805,9 @@ int SnapshotInspect(const std::string& path) {
   if (!bytes.ok()) return Fail(bytes.status());
   if (IsV1Artifact(bytes.value())) {
     // v1 has no manifest; report what there is to know.
-    std::printf("{\"path\": \"%s\", \"format\": \"falcc-model-v1\", "
+    std::printf("{\"path\": %s, \"format\": \"falcc-model-v1\", "
                 "\"bytes\": %zu}\n",
-                path.c_str(), bytes.value().size());
+                JsonString(path).c_str(), bytes.value().size());
     return 0;
   }
   Result<io::SnapshotReader> reader =
