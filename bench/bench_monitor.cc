@@ -118,8 +118,7 @@ double ReplayOnce(serve::FalccEngine* engine, const std::vector<double>& flat,
 /// model (FalccModel is move-only; engines each own a snapshot).
 std::unique_ptr<serve::FalccEngine> MakeEngine(const std::string& model_bytes) {
   auto engine = std::make_unique<serve::FalccEngine>();
-  std::istringstream in(model_bytes);
-  engine->Install(FalccModel::Load(&in).value());
+  engine->Install(FalccModel::LoadBytes(model_bytes).value());
   return engine;
 }
 
@@ -156,7 +155,7 @@ int Main(int argc, char** argv) {
 
   const FalccModel model = [&] {
     if (!model_cache.empty()) {
-      Result<FalccModel> cached = FalccModel::LoadFromFile(model_cache);
+      Result<FalccModel> cached = FalccModel::LoadMapped(model_cache);
       if (cached.ok() && cached.value().has_baseline_losses()) {
         std::printf("loaded cached model from %s\n", model_cache.c_str());
         return std::move(cached).value();

@@ -27,9 +27,8 @@
 // DecisionLog observer attached (best of --reps).
 //
 // A fifth section compares feed TRANSPORTS end to end: the same delta
-// stream is followed by background-pulling fleets over (a) a purely
-// polled directory (watch_directory=false, the poll-interval baseline),
-// (b) an inotify-woken directory, and (c) a unix-socket push feed
+// stream is followed by background-pulling fleets over (a) an
+// inotify-woken directory and (b) a unix-socket push feed
 // (SocketPublisher/SocketFeed). Lag here is publish → converged WALL
 // time with the pullers free-running on their own threads, so the poll
 // interval is part of the cost — the number a deployment actually sees,
@@ -177,7 +176,7 @@ ModeResult RunMode(Mode mode, const std::string& model_path,
   FALCC_CHECK(fleet.Bootstrap(model_path).ok(), "bench: bootstrap failed");
 
   ModeResult result;
-  FalccModel head = FalccModel::LoadFromFile(model_path).value();
+  FalccModel head = FalccModel::LoadMapped(model_path).value();
   FALCC_CHECK(HashOf(head) == HashOf(v0), "bench: v0 hash drift");
   for (size_t event = 0; event < events; ++event) {
     const size_t cluster = event % head.num_clusters();
@@ -216,8 +215,8 @@ struct TransportResult {
 };
 
 /// End-to-end transport lag: a background-pulling fleet follows the
-/// delta stream over `transport` (directory_poll, directory_inotify, or
-/// socket); per event the clock runs from publish to every replica
+/// delta stream over `transport` (directory_inotify or socket); per
+/// event the clock runs from publish to every replica
 /// serving the new hash, with the pullers pacing themselves — so the
 /// poll interval (the re-poll ceiling pushes and inotify wakes cut
 /// short) is part of the measured cost. Afterwards every replica's
@@ -227,9 +226,8 @@ TransportResult RunTransport(const std::string& transport,
                              const FalccModel& v0, size_t replicas,
                              size_t events, const ClassifyRequest& probe) {
   const std::string dir = FreshDir("bench_replicate_t_" + transport);
-  // The deployment-shaped cadence: long enough that pure polling pays a
-  // visible latency tax, short enough that the baseline row finishes
-  // quickly. Event-woken transports should come in far under it.
+  // The re-poll ceiling: event-woken transports should come in far
+  // under it.
   const double poll_interval = 0.05;
 
   std::unique_ptr<replicate::SocketPublisher> socket_publisher;
@@ -256,7 +254,6 @@ TransportResult RunTransport(const std::string& transport,
     options.checkpoint_every = 0;
     dir_publisher.emplace(replicate::DeltaPublisher::Open(options).value());
     fleet_options.feed_dir = dir;
-    fleet_options.watch_directory = (transport == "directory_inotify");
   }
 
   replicate::ReplicaFleet fleet(fleet_options);
@@ -264,7 +261,7 @@ TransportResult RunTransport(const std::string& transport,
   fleet.StartAll();
 
   TransportResult result;
-  FalccModel head = FalccModel::LoadFromFile(model_path).value();
+  FalccModel head = FalccModel::LoadMapped(model_path).value();
   FALCC_CHECK(HashOf(head) == HashOf(v0), "bench: v0 hash drift");
   for (size_t event = 0; event < events; ++event) {
     const size_t cluster = event % head.num_clusters();
@@ -358,7 +355,7 @@ int Main(int argc, char** argv) {
 
   const FalccModel model = [&] {
     if (!model_cache.empty()) {
-      Result<FalccModel> cached = FalccModel::LoadFromFile(model_cache);
+      Result<FalccModel> cached = FalccModel::LoadMapped(model_cache);
       if (cached.ok() && cached.value().has_baseline_losses()) {
         std::printf("loaded cached model from %s\n", model_cache.c_str());
         return std::move(cached).value();
@@ -392,7 +389,6 @@ int Main(int argc, char** argv) {
   // --- transport lag (free-running pullers) ---------------------------
   std::vector<std::string> transport_names;
   if (transport == "all" || transport == "directory") {
-    transport_names.push_back("directory_poll");
     transport_names.push_back("directory_inotify");
   }
   if (transport == "all" || transport == "socket") {
@@ -574,8 +570,7 @@ int Main(int argc, char** argv) {
       serve::ShardedEngineOptions sharded_options;
       sharded_options.num_shards = 4;
       serve::ShardedEngine engine(sharded_options);
-      std::istringstream in(model_bytes);
-      engine.Install(FalccModel::Load(&in).value());
+      engine.Install(FalccModel::LoadBytes(model_bytes).value());
       if (observe) {
         engine.SetObserver(
             std::make_shared<monitor::DecisionLog>(1 << 15, width));
@@ -655,8 +650,8 @@ int Main(int argc, char** argv) {
   out << "  \"transport_note\": \"transports follow the same delta stream "
          "with FREE-RUNNING background pullers (50ms re-poll ceiling), so "
          "lag includes the waiting a deployment actually pays: "
-         "directory_poll waits out the interval, directory_inotify wakes "
-         "on the rename, socket wakes on the pushed frame; "
+         "directory_inotify wakes on the rename, socket wakes on the "
+         "pushed frame; "
          "decision_mismatches compares every replica's probe decisions "
          "field-by-field against the primary's\",\n";
   transports_json(out);
@@ -672,17 +667,6 @@ int Main(int argc, char** argv) {
       << ", \"overhead_percent\": " << observer_overhead_percent << "}\n";
   out << "}\n";
   std::printf("  -> %s\n", json_path.c_str());
-
-  // Informational: the push transport should beat the polled directory
-  // by roughly the poll interval.
-  if (transport_results.size() == 3 &&
-      !transport_results[0].lag_seconds.empty() &&
-      !transport_results[2].lag_seconds.empty() &&
-      PercentileMs(transport_results[2].lag_seconds, 99) >=
-          PercentileMs(transport_results[0].lag_seconds, 99)) {
-    std::fprintf(stderr,
-                 "WARNING: socket p99 did not beat directory-poll p99\n");
-  }
 
   // Informational comparison (not gated): delta apply should beat the
   // full-reload path once the model is big enough to matter.

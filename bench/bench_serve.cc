@@ -23,8 +23,9 @@
 // (small model, 2 shard counts) and additionally fails when the sharded
 // fleet's best achieved p99 exceeds 10x the configured SLO — the
 // tools/check.sh regression gate. Results go to BENCH_serve.json
-// (schema v3: per-shard-count rows with offered load, achieved p99, and
-// throughput at SLO vs one shard).
+// (schema v4: per-shard-count rows with offered load, achieved p99, and
+// throughput at SLO vs one shard; one `reload_ms` for a full snapshot
+// reload next to `delta_apply_ms`).
 
 #include <algorithm>
 #include <cstdio>
@@ -76,13 +77,12 @@ struct ShardedRow {
 };
 
 /// Snapshot-distribution costs: what a replica pays to pick up a new
-/// model the three ways the engine supports (full stream reload, reload
-/// decoded from a file mapping, incremental delta apply).
+/// model the two ways the engine supports (full reload of a snapshot
+/// file, incremental delta apply).
 struct ReloadResult {
   size_t full_bytes = 0;
   size_t delta_bytes = 0;
-  double full_reload_seconds = 0.0;
-  double mapped_reload_seconds = 0.0;
+  double reload_seconds = 0.0;
   double delta_apply_seconds = 0.0;
   bool predictions_identical = true;
 };
@@ -220,8 +220,7 @@ ShardedRow RunSharded(const std::string& model_bytes,
     options.slo_seconds = slo_seconds;
     serve::ShardedEngine engine(options);
     {
-      std::istringstream in(model_bytes);
-      engine.Install(FalccModel::Load(&in).value());
+      engine.Install(FalccModel::LoadBytes(model_bytes).value());
     }
     // Odd clients use keyed affinity routing, even ones round-robin —
     // both paths must stay bit-identical to the reference.
@@ -298,28 +297,22 @@ ReloadResult RunReloadBench(const FalccModel& model,
 
   serve::FalccEngine engine;
 
-  std::vector<double> full_times(reps), mapped_times(reps), delta_times(reps);
+  std::vector<double> reload_times(reps), delta_times(reps);
   for (size_t rep = 0; rep < reps; ++rep) {
-    Timer full;
-    FALCC_CHECK(engine.ReloadFromFile(path).ok(), "bench: reload failed");
-    full_times[rep] = full.ElapsedSeconds();
+    Timer reload;
+    FALCC_CHECK(engine.ReloadMapped(path).ok(), "bench: reload failed");
+    reload_times[rep] = reload.ElapsedSeconds();
 
-    Timer mapped;
-    FALCC_CHECK(engine.ReloadMapped(path).ok(), "bench: mmap reload failed");
-    mapped_times[rep] = mapped.ElapsedSeconds();
-
-    // The mapped snapshot is the delta's base, so apply is timed from
+    // The reloaded snapshot is the delta's base, so apply is timed from
     // exactly the state a replica would be in.
     Timer delta;
     FALCC_CHECK(engine.ApplyDeltaBytes(delta_bytes).ok(),
                 "bench: delta apply failed");
     delta_times[rep] = delta.ElapsedSeconds();
   }
-  std::sort(full_times.begin(), full_times.end());
-  std::sort(mapped_times.begin(), mapped_times.end());
+  std::sort(reload_times.begin(), reload_times.end());
   std::sort(delta_times.begin(), delta_times.end());
-  result.full_reload_seconds = full_times[reps / 2];
-  result.mapped_reload_seconds = mapped_times[reps / 2];
+  result.reload_seconds = reload_times[reps / 2];
   result.delta_apply_seconds = delta_times[reps / 2];
 
   // The post-delta engine serves the refreshed model bit-identically;
@@ -378,7 +371,7 @@ void WriteServeJson(const std::string& path, size_t train_rows,
   FALCC_CHECK(static_cast<bool>(out), "cannot open BENCH_serve.json");
   out << "{\n";
   out << "  \"benchmark\": \"serve_engine\",\n";
-  out << "  \"schema_version\": 3,\n";
+  out << "  \"schema_version\": 4,\n";
   bench::WriteProvenance(out);
   out << "  \"dataset\": \"implicit\",\n";
   out << "  \"train_rows\": " << train_rows << ",\n";
@@ -445,9 +438,7 @@ void WriteServeJson(const std::string& path, size_t train_rows,
       << (reload.full_bytes > 0
               ? static_cast<double>(reload.delta_bytes) / reload.full_bytes
               : 0.0)
-      << ",\n             \"full_reload_ms\": "
-      << reload.full_reload_seconds * 1e3
-      << ", \"mapped_reload_ms\": " << reload.mapped_reload_seconds * 1e3
+      << ",\n             \"reload_ms\": " << reload.reload_seconds * 1e3
       << ", \"delta_apply_ms\": " << reload.delta_apply_seconds * 1e3
       << ", \"predictions_identical\": "
       << (reload.predictions_identical ? "true" : "false") << "}\n";
@@ -495,7 +486,7 @@ int Main(int argc, char** argv) {
 
   const FalccModel model = [&] {
     if (!smoke && !model_cache.empty()) {
-      Result<FalccModel> cached = FalccModel::LoadFromFile(model_cache);
+      Result<FalccModel> cached = FalccModel::LoadMapped(model_cache);
       if (cached.ok()) {
         std::printf("loaded cached model from %s\n", model_cache.c_str());
         return std::move(cached).value();
@@ -589,15 +580,15 @@ int Main(int argc, char** argv) {
     sharded.push_back(std::move(row));
   }
 
-  // --- Snapshot distribution: full reload vs mmap vs delta apply. --------
+  // --- Snapshot distribution: full reload vs delta apply. ---------------
   const ReloadResult reload =
       RunReloadBench(model, model_bytes, reps, flat, width, reference);
   std::printf("--- snapshot distribution ---\n"
-              "  full=%zu bytes (%.2f ms reload, %.2f ms mmapped)  "
+              "  full=%zu bytes (%.2f ms reload)  "
               "delta=%zu bytes (%.3f ms apply, %.4fx of full)  "
               "identical=%s\n",
-              reload.full_bytes, reload.full_reload_seconds * 1e3,
-              reload.mapped_reload_seconds * 1e3, reload.delta_bytes,
+              reload.full_bytes, reload.reload_seconds * 1e3,
+              reload.delta_bytes,
               reload.delta_apply_seconds * 1e3,
               static_cast<double>(reload.delta_bytes) / reload.full_bytes,
               reload.predictions_identical ? "yes" : "NO");

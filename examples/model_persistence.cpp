@@ -1,6 +1,7 @@
 // Deploying FALCC: train once, save the model, load it in a "serving
 // process", and verify the loaded model classifies identically — the
 // offline/online split of the paper taken to its operational conclusion.
+// Exits 1 unless every decision agrees.
 
 #include <cstdio>
 #include <string>
@@ -38,7 +39,7 @@ int main() {
   std::printf("saved model to %s\n", path.c_str());
 
   // Online phase ("serving process"): load and classify.
-  Result<FalccModel> served = FalccModel::LoadFromFile(path);
+  Result<FalccModel> served = FalccModel::LoadMapped(path);
   if (!served.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
                  served.status().ToString().c_str());

@@ -290,7 +290,6 @@ Status FalccModel::BuildCentroidIndex() {
 }
 
 namespace {
-constexpr char kModelHeader[] = "falcc-model-v1";
 /// Optional trailing v1 section holding the monitoring anchors:
 /// assessment parameters and the per-cluster baseline L̂. Artifacts
 /// written before monitoring existed simply end after the combinations;
@@ -367,35 +366,7 @@ Result<size_t> ParseComboSectionName(const std::string& name,
 }  // namespace
 
 Status FalccModel::Save(std::ostream* out) const {
-  return Save(out, save_format_);
-}
-
-Status FalccModel::Save(std::ostream* out, SnapshotFormat format) const {
-  return format == SnapshotFormat::kV1 ? SaveV1(out) : SaveV2(out, nullptr);
-}
-
-Status FalccModel::SaveV1(std::ostream* out) const {
-  io::PrepareStream(out);
-  *out << kModelHeader << '\n';
-  *out << pool_entropy_ << '\n';
-  FALCC_RETURN_IF_ERROR(pool_->Serialize(out));
-  FALCC_RETURN_IF_ERROR(group_index_.Serialize(out));
-  FALCC_RETURN_IF_ERROR(clustering_transform_.Serialize(out));
-  *out << centroids_.size() << '\n';
-  for (const auto& c : centroids_) io::WriteVector(out, c);
-  *out << selected_.size() << '\n';
-  for (const auto& combo : selected_) io::WriteVector(out, combo);
-  // The monitor section is written only when monitoring anchors exist, so
-  // a legacy artifact (no baselines) round-trips byte-identically through
-  // Load → Save instead of growing a section it never had.
-  if (!baseline_loss_.empty()) {
-    *out << kMonitorSection << '\n';
-    *out << assess_lambda_ << ' ' << static_cast<int>(assess_metric_) << ' '
-         << static_cast<int>(assess_mode_) << '\n';
-    io::WriteVector(out, baseline_loss_);
-  }
-  if (!*out) return Status::IOError("FalccModel serialization failed");
-  return Status::OK();
+  return SaveV2(out, nullptr);
 }
 
 void FalccModel::WriteComboSection(std::ostream* out, size_t cluster) const {
@@ -444,45 +415,25 @@ Status FalccModel::SaveV2(std::ostream* out,
   return writer.Finish(manifest_out);
 }
 
-Result<FalccModel> FalccModel::Load(std::istream* in) {
-  // Slurp once, then sniff the format from the first bytes. Incremental
-  // token reads would work for v1 but a v2 manifest needs the byte
-  // layout, and a single read path keeps stream-fault handling uniform.
-  std::string bytes;
-  char chunk[65536];
-  for (;;) {
-    in->read(chunk, sizeof(chunk));
-    bytes.append(chunk, static_cast<size_t>(in->gcount()));
-    if (!*in) break;
-  }
-  if (in->bad()) return Status::IOError("FalccModel: stream read failed");
-  const std::string_view view(bytes);
-  const auto starts_with = [view](const char* header) {
-    const std::string_view h(header);
-    return view.size() > h.size() && view.substr(0, h.size()) == h &&
-           view[h.size()] == '\n';
-  };
-  if (starts_with(io::kSnapshotHeaderV2)) {
-    Result<io::SnapshotReader> reader =
-        io::SnapshotReader::Parse(std::move(bytes));
+Result<FalccModel> FalccModel::LoadBytes(std::string_view bytes) {
+  const io::ArtifactHeader header = io::SniffHeader(bytes);
+  if (header == io::ArtifactHeader::kSnapshotV2) {
+    Result<io::SnapshotReader> reader = io::SnapshotReader::ParseView(bytes);
     if (!reader.ok()) return reader.status();
     return LoadV2(reader.value());
   }
-  if (starts_with(io::kDeltaHeaderV2)) {
+  if (header == io::ArtifactHeader::kDeltaV2) {
     return Status::InvalidArgument(
         "FalccModel: artifact is a delta snapshot; apply it to its base "
         "with ApplyDelta instead of loading it directly");
   }
-  std::istringstream stream{std::move(bytes)};
+  std::istringstream stream{std::string(bytes)};
   return LoadV1(&stream);
 }
 
 Result<FalccModel> FalccModel::LoadV1(std::istream* in) {
-  FALCC_RETURN_IF_ERROR(io::Expect(in, kModelHeader));
+  FALCC_RETURN_IF_ERROR(io::Expect(in, io::kModelHeaderV1));
   FalccModel model;
-  // Sticky format: a legacy artifact keeps saving as v1 so the golden
-  // byte-identity contract holds for existing snapshots.
-  model.save_format_ = SnapshotFormat::kV1;
   FALCC_RETURN_IF_ERROR(io::Read(in, &model.pool_entropy_));
 
   Result<ModelPool> pool = ModelPool::Deserialize(in);
@@ -561,7 +512,6 @@ Result<FalccModel> FalccModel::LoadV2(const io::SnapshotReader& reader) {
   };
 
   FalccModel model;
-  model.save_format_ = SnapshotFormat::kV2;
   bool binary_pool = false;
   {
     Result<std::string_view> payload = section(kSectionMeta);
@@ -690,7 +640,8 @@ Result<FalccModel> FalccModel::LoadV2(const io::SnapshotReader& reader) {
   // always come from the decoded pool.
   model.CompileKernels();
   // A text pool re-saves as binary, so that file's manifest is not what
-  // Save writes; the identity is then computed from Save, as for v1.
+  // Save writes; the identity is then computed from Save, as for a v1
+  // artifact.
   if (binary_pool) model.manifest_ = manifest;
   return model;
 }
@@ -777,18 +728,9 @@ Status FalccModel::CheckFeatureWidth() const {
 Result<FalccModel> FalccModel::LoadMapped(const std::string& path) {
   Result<io::MappedFile> file = io::MappedFile::Open(path);
   if (!file.ok()) return file.status();
-  const std::string_view view = file.value().view();
-  const std::string header = std::string(io::kSnapshotHeaderV2) + "\n";
-  if (!view.starts_with(header)) {
-    // Legacy (or delta) artifact: the stream loader handles (or rejects)
-    // it with the same work.
-    return LoadFromFile(path);
-  }
   // The model copies what it keeps out of the mapping, which is
   // released on return.
-  Result<io::SnapshotReader> reader = io::SnapshotReader::ParseView(view);
-  if (!reader.ok()) return reader.status();
-  return LoadV2(reader.value());
+  return LoadBytes(file.value().view());
 }
 
 Status FalccModel::SaveDelta(std::ostream* out,
@@ -950,7 +892,6 @@ Result<FalccModel> FalccModel::CloneWithRefreshes(
   model.assess_lambda_ = assess_lambda_;
   model.assess_metric_ = assess_metric_;
   model.assess_mode_ = assess_mode_;
-  model.save_format_ = save_format_;
   for (const ClusterRefresh& refresh : refreshes) {
     if (refresh.cluster >= model.centroids_.size()) {
       return Status::InvalidArgument("CloneWithRefreshes: cluster " +
@@ -979,8 +920,8 @@ Result<FalccModel> FalccModel::CloneWithRefreshes(
     }
   }
   // Incremental manifest update: a refresh changes only the refreshed
-  // clusters' combo sections (the flat section depends on the pool and
-  // centroids alone), so the clone's content hash is recomputed from
+  // clusters' combo sections (every other section, the pool included,
+  // is shared unchanged), so the clone's content hash is recomputed from
   // per-section metadata without serializing the model. Offsets go stale
   // but nothing reads them (ContentHash folds name/length/checksum
   // only); EnsureManifest on a fresh save restores exact offsets.
@@ -1015,12 +956,6 @@ Status FalccModel::SaveToFile(const std::string& path) const {
   out.flush();
   if (!out) return Status::IOError("write to " + path + " failed");
   return Status::OK();
-}
-
-Result<FalccModel> FalccModel::LoadFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return Load(&in);
 }
 
 Status FalccModel::ValidateSample(std::span<const double> features) const {

@@ -149,18 +149,6 @@ struct ClusterRefresh {
   double baseline_loss = 0.0;
 };
 
-/// On-disk snapshot format. kV1 is the legacy whitespace-token stream
-/// (header `falcc-model-v1`); kV2 is the sectioned container of
-/// io/snapshot.h with per-section checksums, a content hash, a binary
-/// model pool, and delta support. Loading records
-/// the source format and Save reproduces it by default, so a legacy
-/// artifact round-trips byte-identically while everything newly trained
-/// writes v2.
-enum class SnapshotFormat {
-  kV1,
-  kV2,
-};
-
 /// A trained FALCC classifier (offline phase output + online phase).
 class FalccModel {
  public:
@@ -185,31 +173,28 @@ class FalccModel {
                                           double pool_entropy = 0.0);
 
   /// Serializes the full trained model (pool, transform, centroids,
-  /// group index, per-cluster combinations) in the model's sticky format
-  /// (see SnapshotFormat). Requires every pool model's type to support
-  /// serialization (true for everything the built-in diverse trainer
-  /// produces). Training-time diagnostics (validation_assignment) are
-  /// not persisted — a loaded model classifies identically but reports
-  /// an empty assignment.
+  /// group index, per-cluster combinations) as a `falcc-snapshot-v2`
+  /// artifact (io/snapshot.h). Requires every pool model's type to
+  /// support serialization (true for everything the built-in diverse
+  /// trainer produces). Training-time diagnostics (validation_assignment)
+  /// are not persisted — a loaded model classifies identically but
+  /// reports an empty assignment.
   Status Save(std::ostream* out) const;
-  /// Same, with an explicit format (v2 → v1 downgrade or forced upgrade).
-  Status Save(std::ostream* out, SnapshotFormat format) const;
-  /// Deserializes (either format, sniffed from the first bytes),
-  /// validates, and compiles the pool's inference kernels (see
-  /// "Compiled inference" below), so a loaded model serves from the
-  /// compiled path immediately. For v2 artifacts every section checksum
-  /// is verified and a failure names the section and its file offset.
-  /// The pool section may be binary or, in older snapshots, text; a
-  /// `flat` section written by older versions is skipped.
-  static Result<FalccModel> Load(std::istream* in);
-  /// File-path convenience wrappers.
+  /// The one loader. Sniffs the header of `bytes`: a v2 snapshot has
+  /// every section checksum verified (a failure names the section and
+  /// its file offset), a delta is rejected (apply it with
+  /// ApplyDeltaBytes), and anything else goes to the legacy v1 reader
+  /// (io::kModelHeaderV1). The model is validated and its inference
+  /// kernels compiled (see "Compiled inference" below), so it serves from
+  /// the compiled path immediately. It keeps nothing that points into
+  /// `bytes`. The v2 pool section may be binary or, in older snapshots,
+  /// text; a `flat` section written by older versions is skipped. A
+  /// loaded v1 artifact re-saves as v2.
+  static Result<FalccModel> LoadBytes(std::string_view bytes);
+  /// File-path convenience: Save to `path`, or LoadBytes over a
+  /// read-only mapping of `path` (io::MappedFile, released before
+  /// LoadMapped returns).
   Status SaveToFile(const std::string& path) const;
-  static Result<FalccModel> LoadFromFile(const std::string& path);
-
-  /// Same as LoadFromFile, but a v2 artifact is decoded straight out of
-  /// a read-only file mapping instead of being read into a buffer first.
-  /// The model keeps nothing that points into the file; the mapping is
-  /// released before this returns. v1 artifacts take LoadFromFile.
   static Result<FalccModel> LoadMapped(const std::string& path);
 
   // --- Delta publication -----------------------------------------------
@@ -248,8 +233,6 @@ class FalccModel {
   const std::optional<io::SnapshotManifest>& manifest() const {
     return manifest_;
   }
-  /// The format Save reproduces by default.
-  SnapshotFormat save_format() const { return save_format_; }
 
   /// Clone with the listed clusters' combinations (and baseline L̂)
   /// replaced — the monitor's refresh primitive. The clone shares this
@@ -390,7 +373,7 @@ class FalccModel {
                                             OfflineStageTimes* stage_times =
                                                 nullptr);
 
-  /// v1 load body.
+  /// Legacy v1 reader (io::kModelHeaderV1). Nothing writes v1 any more.
   static Result<FalccModel> LoadV1(std::istream* in);
 
   /// v2 load body over a parsed container: decodes and validates every
@@ -406,7 +389,6 @@ class FalccModel {
   /// Sensitive columns and every pool model fit num_features().
   Status CheckFeatureWidth() const;
 
-  Status SaveV1(std::ostream* out) const;
   Status SaveV2(std::ostream* out, io::SnapshotManifest* manifest_out) const;
   /// Serializes one cluster's combo section (combination + optional
   /// baseline) — the unit a delta ships.
@@ -445,9 +427,6 @@ class FalccModel {
   double assess_lambda_ = 0.5;
   FairnessMetric assess_metric_ = FairnessMetric::kDemographicParity;
   AssessmentMode assess_mode_ = AssessmentMode::kGroupFairness;
-  /// Format Load recorded (trained models default to v2) — Save's
-  /// default, so legacy artifacts round-trip byte-identically.
-  SnapshotFormat save_format_ = SnapshotFormat::kV2;
   /// Manifest of this model's v2 serialization (cached by a v2 load,
   /// EnsureManifest, or an ApplyDeltaBytes/CloneWithRefreshes update).
   std::optional<io::SnapshotManifest> manifest_;

@@ -1,16 +1,18 @@
-// Read-only memory-mapped file with a heap fallback.
+// Read-only whole-file view: the one way this library reads an artifact
+// (snapshot, delta or feed entry) from disk.
 //
-// The zero-copy load path serves compiled kernel tables directly out of
-// the page cache: MappedFile mmaps the artifact PROT_READ/MAP_PRIVATE
-// and the decoded sections alias the mapping (kept alive by shared_ptr
-// ownership threaded through CompiledEnsemble::View). On platforms or
-// filesystems where mmap is unavailable the file is read into an owned
-// buffer instead — same interface, one copy, identical bytes.
+// MappedFile mmaps the file PROT_READ/MAP_PRIVATE, so a load parses the
+// page cache directly instead of copying the file into a buffer first.
+// On platforms or filesystems where mmap is unavailable the file is read
+// into an owned buffer instead: same interface, one copy, identical
+// bytes.
 //
-// Aliasing rule: the artifact must not be modified or truncated while a
-// model loaded from it is alive. Replacing a snapshot in place is done
-// by writing a new file and renaming over the old path — the mapping
-// keeps the old inode's pages alive until the model drops it.
+// Nothing outlives the view: FalccModel::LoadBytes and ApplyDeltaBytes
+// copy or decode what they keep, so the mapping is released as soon as
+// the MappedFile goes out of scope. The file must not be truncated while
+// it is mapped; publishers replace artifacts by writing a new file and
+// renaming it over the old path, which leaves a live mapping on the old
+// inode.
 
 #ifndef FALCC_IO_MAPPED_FILE_H_
 #define FALCC_IO_MAPPED_FILE_H_
@@ -40,8 +42,6 @@ class MappedFile {
     return std::string_view(static_cast<const char*>(data_), size_);
   }
   size_t size() const { return size_; }
-  /// False when the heap fallback was used.
-  bool is_mapped() const { return mapped_; }
 
  private:
   MappedFile() = default;

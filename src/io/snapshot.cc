@@ -99,6 +99,14 @@ uint64_t Fnv1a(std::string_view bytes, uint64_t seed) {
   return hash;
 }
 
+ArtifactHeader SniffHeader(std::string_view bytes) {
+  const std::string_view line = bytes.substr(0, bytes.find('\n'));
+  if (line == kSnapshotHeaderV2) return ArtifactHeader::kSnapshotV2;
+  if (line == kDeltaHeaderV2) return ArtifactHeader::kDeltaV2;
+  if (line == kModelHeaderV1) return ArtifactHeader::kModelV1;
+  return ArtifactHeader::kUnknown;
+}
+
 std::string HashHex(uint64_t hash) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out(16, '0');
@@ -266,21 +274,9 @@ Status SnapshotWriter::Finish(SnapshotManifest* manifest_out) {
   return Status::OK();
 }
 
-Result<SnapshotReader> SnapshotReader::Parse(std::string data) {
-  std::string owned = std::move(data);
-  const std::string_view view = owned;
-  return ParseImpl(view, std::move(owned));
-}
-
 Result<SnapshotReader> SnapshotReader::ParseView(std::string_view data) {
-  return ParseImpl(data, std::string());
-}
-
-Result<SnapshotReader> SnapshotReader::ParseImpl(std::string_view data,
-                                                 std::string owned) {
   SnapshotReader reader;
-  reader.owned_ = std::move(owned);
-  reader.data_ = reader.owned_.empty() ? data : std::string_view(reader.owned_);
+  reader.data_ = data;
 
   std::string_view rest = reader.data_;
   size_t consumed = 0;

@@ -46,6 +46,9 @@
 
 namespace falcc::io {
 
+/// Header line of the legacy whitespace-token snapshot format. It is
+/// read (FalccModel::LoadBytes) but never written.
+inline constexpr char kModelHeaderV1[] = "falcc-model-v1";
 inline constexpr char kSnapshotHeaderV2[] = "falcc-snapshot-v2";
 inline constexpr char kDeltaHeaderV2[] = "falcc-delta-v2";
 /// The one derived section name: a compiled-kernel cache written by
@@ -84,6 +87,13 @@ struct SnapshotManifest {
 /// Serializes `hash` the way manifests spell checksums: 16 lowercase hex
 /// digits, zero padded.
 std::string HashHex(uint64_t hash);
+
+/// What an artifact's header line says it is.
+enum class ArtifactHeader { kUnknown, kModelV1, kSnapshotV2, kDeltaV2 };
+
+/// Classifies `bytes` by its header line: the text before the first
+/// '\n', or all of `bytes` if there is none.
+ArtifactHeader SniffHeader(std::string_view bytes);
 
 /// Buffered writer. Usage:
 ///   SnapshotWriter writer(&out);
@@ -136,30 +146,13 @@ class SnapshotWriter {
 };
 
 /// Parsed view over one artifact. The reader never copies payload bytes:
-/// construct it over storage that outlives it (ParseView) or hand it the
-/// owned string (Parse).
+/// the storage it is parsed over must outlive it.
 class SnapshotReader {
  public:
   /// Parses and strictly validates the manifest + layout (alignment,
   /// ordering, '#' gaps, exact total length, manifest self-hash); does
   /// NOT verify section checksums — use ReadSection / VerifyAll.
-  static Result<SnapshotReader> Parse(std::string data);
   static Result<SnapshotReader> ParseView(std::string_view data);
-
-  // Moves re-anchor data_ to the owned buffer (a small-string move would
-  // otherwise leave the view dangling).
-  SnapshotReader(SnapshotReader&& other) noexcept { *this = std::move(other); }
-  SnapshotReader& operator=(SnapshotReader&& other) noexcept {
-    owned_ = std::move(other.owned_);
-    data_ = owned_.empty() ? other.data_ : std::string_view(owned_);
-    payload_offset_ = other.payload_offset_;
-    is_delta_ = other.is_delta_;
-    base_hash_ = other.base_hash_;
-    manifest_ = std::move(other.manifest_);
-    return *this;
-  }
-  SnapshotReader(const SnapshotReader&) = delete;
-  SnapshotReader& operator=(const SnapshotReader&) = delete;
 
   bool is_delta() const { return is_delta_; }
   /// Content hash of the base snapshot a delta applies to (delta only).
@@ -179,10 +172,6 @@ class SnapshotReader {
  private:
   SnapshotReader() = default;
 
-  static Result<SnapshotReader> ParseImpl(std::string_view data,
-                                          std::string owned);
-
-  std::string owned_;  // empty when constructed over external storage
   std::string_view data_;
   size_t payload_offset_ = 0;
   bool is_delta_ = false;

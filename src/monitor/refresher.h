@@ -39,7 +39,7 @@ struct RefresherOptions {
   /// temp+rename so a replica never reads a partial artifact. The delta
   /// is the refreshed cluster's combination section plus a manifest
   /// referencing the pre-refresh snapshot by content hash; replicas
-  /// serving that base apply it via SnapshotSource::ApplyDelta without
+  /// serving that base apply it via FalccEngine::ApplyDeltaBytes without
   /// revalidating (or recompiling) any untouched section. Publication
   /// failures never block the local install.
   std::string delta_dir;

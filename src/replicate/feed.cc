@@ -18,9 +18,6 @@ namespace {
 
 constexpr char kArtifactSuffix[] = ".falcc";
 constexpr char kTempSuffix[] = ".tmp";
-/// Legacy v1 full-snapshot header (core/falcc.cc); v2 headers come from
-/// io/snapshot.h.
-constexpr char kModelHeaderV1[] = "falcc-model-v1";
 
 bool EndsWith(const std::string& s, const char* suffix) {
   const std::string_view sv(suffix);
@@ -37,11 +34,13 @@ void SniffArtifact(const std::string& path, FeedEntry* entry) {
   if (!in) return;
   std::string line;
   if (!std::getline(in, line)) return;
-  if (line == io::kSnapshotHeaderV2 || line == kModelHeaderV1) {
+  const io::ArtifactHeader header = io::SniffHeader(line);
+  if (header == io::ArtifactHeader::kSnapshotV2 ||
+      header == io::ArtifactHeader::kModelV1) {
     entry->kind = ArtifactKind::kFull;
     return;
   }
-  if (line != io::kDeltaHeaderV2) return;
+  if (header != io::ArtifactHeader::kDeltaV2) return;
   // Delta: the base hash is the chain link the puller orders by, so a
   // delta whose base line is broken is unreadable, not a delta.
   if (!std::getline(in, line)) return;
@@ -133,8 +132,7 @@ Result<uint64_t> ParseSequence(const std::string& filename) {
   return sequence;
 }
 
-DirectoryFeed::DirectoryFeed(std::string dir, bool wake_on_events)
-    : dir_(std::move(dir)), wake_on_events_(wake_on_events) {}
+DirectoryFeed::DirectoryFeed(std::string dir) : dir_(std::move(dir)) {}
 
 DirectoryFeed::~DirectoryFeed() = default;
 
@@ -182,10 +180,6 @@ DirectoryWatcher* DirectoryFeed::EnsureWatcher() {
 }
 
 void DirectoryFeed::WaitForChange(double timeout_seconds) {
-  if (!wake_on_events_) {
-    DeltaFeed::WaitForChange(timeout_seconds);
-    return;
-  }
   // With a live inotify watch this returns early on rename-into-place;
   // under ENOSPC / env override / non-Linux the watcher itself degrades
   // to the same interruptible sleep the base class provides.
@@ -193,10 +187,6 @@ void DirectoryFeed::WaitForChange(double timeout_seconds) {
 }
 
 void DirectoryFeed::CancelWait() {
-  if (!wake_on_events_) {
-    DeltaFeed::CancelWait();
-    return;
-  }
   // Create-on-cancel keeps the wake: a cancel that races the first wait
   // lands in the same watcher the wait will use.
   EnsureWatcher()->Cancel();

@@ -116,8 +116,7 @@ Result<uint64_t> ParseSequence(const std::string& filename);
 /// the watcher is created lazily on first wait).
 class DirectoryFeed final : public DeltaFeed {
  public:
-  /// `wake_on_events` = false forces pure polling (bench baseline).
-  explicit DirectoryFeed(std::string dir, bool wake_on_events = true);
+  explicit DirectoryFeed(std::string dir);
   ~DirectoryFeed() override;
 
   /// Scans the directory, skipping `.tmp` in-progress writes and any
@@ -138,7 +137,6 @@ class DirectoryFeed final : public DeltaFeed {
   DirectoryWatcher* EnsureWatcher();
 
   std::string dir_;
-  bool wake_on_events_ = true;
   mutable std::mutex watcher_mu_;
   std::unique_ptr<DirectoryWatcher> watcher_;
 };

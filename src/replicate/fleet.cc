@@ -26,8 +26,7 @@ ReplicaFleet::ReplicaFleet(ReplicaFleetOptions options)
                   ("ReplicaFleet: " + connected.status().ToString()).c_str());
       feed = std::move(connected).value();
     } else {
-      feed = std::make_unique<DirectoryFeed>(options_.feed_dir,
-                                             options_.watch_directory);
+      feed = std::make_unique<DirectoryFeed>(options_.feed_dir);
     }
     replica->puller = std::make_unique<DeltaPuller>(
         &replica->engine, std::move(feed), puller_options);

@@ -36,9 +36,6 @@ struct ReplicaFleetOptions {
   /// Per-replica socket feed options (spool_dir is always overridden to
   /// a per-replica temp spool; jitter_seed is offset per replica).
   SocketFeedOptions socket;
-  /// Directory transport: wake pullers via inotify where available
-  /// instead of pure interval polling. Off = the bench baseline.
-  bool watch_directory = true;
   /// Per-replica puller options; jitter_seed is offset per replica so
   /// backoff never synchronizes across the fleet.
   DeltaPullerOptions puller;

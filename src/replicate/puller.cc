@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "io/mapped_file.h"
+
 namespace falcc::replicate {
 
 namespace {
@@ -24,11 +26,11 @@ double NextUniform(uint64_t* state) {
 DeltaPuller::DeltaPuller(serve::FalccEngine* engine,
                          std::unique_ptr<DeltaFeed> feed,
                          DeltaPullerOptions options)
-    : source_(engine),
-      engine_(engine),
+    : engine_(engine),
       feed_(std::move(feed)),
       options_(options),
       jitter_state_(options.jitter_seed) {
+  FALCC_CHECK(engine_ != nullptr, "DeltaPuller: null engine");
   FALCC_CHECK(feed_ != nullptr, "DeltaPuller: null feed");
 }
 
@@ -38,12 +40,10 @@ bool DeltaPuller::HasSnapshot() const {
   return engine_->snapshot() != nullptr;
 }
 
-Status DeltaPuller::LoadFull(const std::string& path) {
-  return source_.LoadFull(path);
-}
-
 Status DeltaPuller::ApplyDelta(const std::string& path) {
-  return source_.ApplyDelta(path);
+  Result<io::MappedFile> file = io::MappedFile::Open(path);
+  if (!file.ok()) return file.status();
+  return engine_->ApplyDeltaBytes(file.value().view());
 }
 
 Result<uint64_t> DeltaPuller::ServingHash() const {
@@ -145,7 +145,7 @@ void DeltaPuller::Advance(PullReport* report) {
       bool jumped = false;
       for (auto rit = fulls.rbegin(); rit != fulls.rend(); ++rit) {
         const FeedEntry full = buffer_.at(*rit);
-        const Status loaded = LoadFull(full.path);
+        const Status loaded = engine_->ReloadMapped(full.path);
         if (loaded.ok()) {
           ++report->full_reloads;
           ++stats_.full_reloads;
@@ -161,7 +161,7 @@ void DeltaPuller::Advance(PullReport* report) {
     }
     switch (entry.kind) {
       case ArtifactKind::kFull: {
-        const Status loaded = LoadFull(entry.path);
+        const Status loaded = engine_->ReloadMapped(entry.path);
         if (loaded.ok()) {
           ++report->full_reloads;
           ++stats_.full_reloads;
@@ -218,7 +218,7 @@ void DeltaPuller::BootstrapFromBuffer(PullReport* report) {
   }
   for (auto rit = fulls.rbegin(); rit != fulls.rend(); ++rit) {
     const FeedEntry entry = buffer_.at(*rit);
-    const Status loaded = LoadFull(entry.path);
+    const Status loaded = engine_->ReloadMapped(entry.path);
     if (loaded.ok()) {
       ++report->full_reloads;
       ++stats_.full_reloads;
@@ -256,7 +256,7 @@ void DeltaPuller::TryRecover(PullReport* report, Clock::time_point now) {
               return a->sequence > b->sequence;
             });
   for (const FeedEntry* entry : fulls) {
-    const Status loaded = LoadFull(entry->path);
+    const Status loaded = engine_->ReloadMapped(entry->path);
     if (loaded.ok()) {
       ++report->recoveries;
       ++stats_.recoveries;

@@ -1,8 +1,10 @@
 // DeltaPuller: a serving replica's feed consumer.
 //
 // Tracks the engine's current ContentHash and applies feed artifacts in
-// sequence order through serve::SnapshotSource — deltas as incremental
-// hot-swaps, checkpoints as full reloads. Bounded
+// sequence order straight to the engine, by the kind the feed reports:
+// deltas as incremental hot-swaps (FalccEngine::ApplyDeltaBytes over a
+// mapped view of the artifact), checkpoints as full reloads
+// (FalccEngine::ReloadMapped). Bounded
 // out-of-order arrivals wait in a buffer until the sequence gap in front
 // of them fills; a gap that persists, a delta whose base-hash chain does
 // not match the serving snapshot, or a corrupt artifact all route to the
@@ -34,7 +36,7 @@
 #include <thread>
 
 #include "replicate/feed.h"
-#include "serve/snapshot_source.h"
+#include "serve/engine.h"
 #include "util/status.h"
 
 namespace falcc::replicate {
@@ -131,10 +133,9 @@ class DeltaPuller {
   void Quarantine(const FeedEntry& entry, PullReport* report,
                   const std::string& why);
   bool HasSnapshot() const;
-  Status LoadFull(const std::string& path);
+  /// Maps the delta at `path` and applies it to the engine's snapshot.
   Status ApplyDelta(const std::string& path);
 
-  serve::SnapshotSource source_;
   serve::FalccEngine* engine_ = nullptr;
   std::unique_ptr<DeltaFeed> feed_;
   DeltaPullerOptions options_;

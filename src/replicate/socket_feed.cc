@@ -15,9 +15,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
+#include "io/mapped_file.h"
 #include "io/snapshot.h"
 
 namespace falcc::replicate {
@@ -307,16 +307,6 @@ std::optional<WireFrame> RecvFrame(int fd, FrameDecoder* decoder,
   return std::nullopt;
 }
 
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) return false;
-  *out = buffer.str();
-  return true;
-}
-
 }  // namespace
 
 bool IsSocketEndpoint(const std::string& spec) {
@@ -362,7 +352,7 @@ SocketPublisher::SocketPublisher(SocketPublisherOptions options,
                                  std::string endpoint)
     : options_(std::move(options)),
       publisher_(std::move(publisher)),
-      dir_feed_(options_.publisher.dir, /*wake_on_events=*/false),
+      dir_feed_(options_.publisher.dir),
       listen_fd_(listen_fd),
       endpoint_(std::move(endpoint)),
       forward_cursor_(publisher_->next_sequence() > 0
@@ -503,8 +493,8 @@ bool SocketPublisher::SendBytes(Subscriber* subscriber,
 
 bool SocketPublisher::SendEntry(Subscriber* subscriber, const FeedEntry& entry,
                                 bool catchup) {
-  std::string payload;
-  if (!ReadFileBytes(entry.path, &payload) || payload.empty()) {
+  Result<io::MappedFile> file = io::MappedFile::Open(entry.path);
+  if (!file.ok()) {
     // GC won the race. Skipping leaves a sequence gap; the next
     // checkpoint in the replay (GC always retains one) heals it, and
     // the replica's gap fallback covers the remainder.
@@ -515,7 +505,7 @@ bool SocketPublisher::SendEntry(Subscriber* subscriber, const FeedEntry& entry,
   frame.kind = entry.kind;
   frame.sequence = entry.sequence;
   frame.base_hash = entry.kind == ArtifactKind::kDelta ? entry.base_hash : 0;
-  frame.payload = std::move(payload);
+  frame.payload = std::string(file.value().view());
   if (!SendBytes(subscriber, EncodeFrame(frame))) return false;
   subscriber->cursor = entry.sequence;
   std::lock_guard<std::mutex> lock(mu_);
@@ -668,7 +658,7 @@ Result<std::unique_ptr<SocketFeed>> SocketFeed::Connect(
       new SocketFeed(endpoint, std::move(spool), own_spool, options));
   // Warm the index from a pre-existing spool (a restarted replica keeps
   // its position instead of re-pulling the retained feed).
-  DirectoryFeed warm(feed->spool_dir_, /*wake_on_events=*/false);
+  DirectoryFeed warm(feed->spool_dir_);
   Result<std::vector<FeedEntry>> existing = warm.Poll(0);
   if (existing.ok()) {
     for (FeedEntry& entry : existing.value()) {

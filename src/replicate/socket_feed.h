@@ -1,13 +1,14 @@
 // Socket transport for the delta feed: publisher pushes, replicas
 // subscribe (DESIGN.md §17).
 //
-// The polled DirectoryFeed caps propagation lag at the poll interval
-// and assumes a shared filesystem. SocketPublisher/SocketFeed remove
-// both limits while keeping the feed contract bit-for-bit: the wire
-// carries the same artifact bytes DeltaPublisher writes to disk, framed
-// with sequence/kind/base-hash metadata (replicate/wire.h), so
-// DeltaPuller's chain ordering, quarantine, and checkpoint recovery
-// work unchanged on either transport.
+// DirectoryFeed assumes a shared filesystem and, where no inotify watch
+// is available, caps propagation lag at the poll interval.
+// SocketPublisher/SocketFeed remove both limits while keeping the feed
+// contract bit-for-bit: the wire carries the same artifact bytes
+// DeltaPublisher writes to disk, framed with sequence/kind/base-hash
+// metadata (replicate/wire.h), so DeltaPuller's chain ordering,
+// quarantine, and checkpoint recovery work unchanged on either
+// transport.
 //
 // SocketPublisher wraps a DeltaPublisher: every artifact is still
 // written to the feed directory first (the durable store and the

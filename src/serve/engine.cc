@@ -50,19 +50,9 @@ void FalccEngine::NotifyObserver(const ClassifyResponse& response,
   metrics->AddObserved(response.decisions.size());
 }
 
-Status FalccEngine::ReloadFromFile(const std::string& path) {
+Status FalccEngine::ReloadMapped(const std::string& path) {
   // Load + validate entirely off the serving path; a failed load leaves
   // the current snapshot serving.
-  Result<FalccModel> loaded = FalccModel::LoadFromFile(path);
-  if (!loaded.ok()) {
-    metrics_.AddErrors(1);
-    return loaded.status();
-  }
-  Install(std::move(loaded).value());
-  return Status::OK();
-}
-
-Status FalccEngine::ReloadMapped(const std::string& path) {
   Result<FalccModel> loaded = FalccModel::LoadMapped(path);
   if (!loaded.ok()) {
     metrics_.AddErrors(1);

@@ -8,7 +8,7 @@
 //    classification path — and keep classifying on it even if a reload
 //    swaps the pointer mid-request; the old model is freed when its
 //    last in-flight request drops the reference.
-//  * ReloadFromFile/Install build and validate the new model entirely
+//  * ReloadMapped/Install build and validate the new model entirely
 //    off the serving path (on the calling thread), then publish it with
 //    a single atomic store.
 //  * Queued single-sample traffic goes through ShardedEngine
@@ -122,14 +122,10 @@ class FalccEngine {
   /// Publishes `model` as the new immutable snapshot.
   void Install(FalccModel model);
 
-  /// Loads and validates a serialized model, then atomically swaps it
-  /// in. On failure the current snapshot stays untouched and serving
-  /// continues uninterrupted.
-  Status ReloadFromFile(const std::string& path);
-
-  /// Like ReloadFromFile, but decodes a v2 snapshot straight out of a
-  /// read-only file mapping (FalccModel::LoadMapped). Decisions are
-  /// bit-identical; v1 artifacts take the regular loader.
+  /// Loads and validates the snapshot at `path` (FalccModel::LoadMapped:
+  /// v2, or a legacy v1 artifact), then atomically swaps it in. On
+  /// failure the current snapshot stays untouched and serving continues
+  /// uninterrupted.
   Status ReloadMapped(const std::string& path);
 
   /// Applies a delta artifact (SaveDelta output) to the installed

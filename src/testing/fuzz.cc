@@ -29,8 +29,7 @@ Status SaveToStringOrError(const FalccModel& model, std::string* out) {
 }  // namespace
 
 Status FuzzSnapshotLoad(const std::string& data) {
-  std::istringstream in(data);
-  Result<FalccModel> loaded = FalccModel::Load(&in);
+  Result<FalccModel> loaded = FalccModel::LoadBytes(data);
   if (!loaded.ok()) {
     // Clean rejection is the expected outcome for corrupt bytes. The
     // error must carry a message — a blank diagnostic is a bug too.
@@ -114,8 +113,7 @@ Status FuzzSnapshotLoad(const std::string& data) {
   // CloneWithRefreshes lean on).
   std::string first;
   FALCC_RETURN_IF_ERROR(SaveToStringOrError(model, &first));
-  std::istringstream again(first);
-  Result<FalccModel> reloaded = FalccModel::Load(&again);
+  Result<FalccModel> reloaded = FalccModel::LoadBytes(first);
   if (!reloaded.ok()) {
     return Status::Internal("Save output does not reload: " +
                             reloaded.status().ToString());

@@ -47,7 +47,7 @@ struct FuzzStats {
   size_t findings = 0;    ///< contract violations
 };
 
-/// Contract for FalccModel::Load on arbitrary bytes: a clean rejection
+/// Contract for FalccModel::LoadBytes on arbitrary bytes: a clean rejection
 /// or a model whose classifications are sane and whose serialization is
 /// a fixed point of Save∘Load.
 Status FuzzSnapshotLoad(const std::string& data);

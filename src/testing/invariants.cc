@@ -60,8 +60,7 @@ Status SaveToString(const FalccModel& model, std::string* out) {
 }
 
 Result<FalccModel> LoadFromString(const std::string& bytes) {
-  std::istringstream in(bytes);
-  return FalccModel::Load(&in);
+  return FalccModel::LoadBytes(bytes);
 }
 
 Status CheckBatchMatchesSequential(const FalccModel& model,

@@ -27,6 +27,7 @@
 #include "core/model_pool.h"
 #include "data/split.h"
 #include "datagen/synthetic.h"
+#include "io/snapshot.h"
 #include "ml/adaboost.h"
 #include "ml/decision_tree.h"
 #include "ml/logistic_regression.h"
@@ -287,10 +288,11 @@ TEST(CompiledPoolTest, PerModelKernelsWithInterpretedFallback) {
   }
 }
 
-// The deserializer accepts a tree whose nodes share a subtree (it only
-// requires forward children), but such a tree has no 16-byte layout. A
-// snapshot carrying one still loads through every path: that model
-// serves interpreted, the rest of the pool from kernels.
+// The deserializers accept a tree whose nodes share a subtree (they only
+// require forward children), but such a tree has no 16-byte layout. A
+// snapshot carrying one still loads from bytes, from a mapping and with a
+// legacy text pool section: that model serves interpreted, the rest of
+// the pool from kernels.
 TEST(CompiledPoolTest, SharedSubtreeModelLoadsAndServesInterpreted) {
   const TrainValTest s = MakeSplits();
   std::vector<TreeNode> nodes(4);
@@ -352,11 +354,31 @@ TEST(CompiledPoolTest, SharedSubtreeModelLoadsAndServesInterpreted) {
       EXPECT_EQ(got.decisions[i].model, reference.decisions[i].model) << i;
     }
   };
-  for (SnapshotFormat format : {SnapshotFormat::kV1, SnapshotFormat::kV2}) {
-    std::ostringstream out;
-    ASSERT_TRUE(model.Save(&out, format).ok());
-    std::istringstream in(out.str());
-    expect_serves(FalccModel::Load(&in));
+  std::ostringstream saved;
+  ASSERT_TRUE(model.Save(&saved).ok());
+  const std::string bytes = saved.str();
+  expect_serves(FalccModel::LoadBytes(bytes));
+  {
+    // The same artifact with its pool section rewritten in the text
+    // format older versions wrote, so the tree goes through the text
+    // pool reader.
+    const io::SnapshotReader reader =
+        io::SnapshotReader::ParseView(bytes).value();
+    std::ostringstream text_pool;
+    ASSERT_TRUE(model.pool().Serialize(&text_pool).ok());
+    ASSERT_FALSE(ModelPool::IsBinary(text_pool.str()));
+    std::ostringstream legacy;
+    io::SnapshotWriter writer(&legacy);
+    for (const io::SectionInfo& section : reader.manifest().sections) {
+      std::string payload =
+          section.name == "pool"
+              ? text_pool.str()
+              : std::string(reader.ReadSection(section.name).value());
+      ASSERT_TRUE(writer.AddSection(section.name, std::move(payload)).ok());
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    ASSERT_NE(legacy.str(), bytes);
+    expect_serves(FalccModel::LoadBytes(legacy.str()));
   }
   const std::string path = ::testing::TempDir() + "/falcc-shared-subtree.falcc";
   ASSERT_TRUE(model.SaveToFile(path).ok());
@@ -481,8 +503,7 @@ TEST(CompiledConcurrencyTest, ClassifyDuringDeltaHotSwap) {
     ASSERT_TRUE(engine.ApplyDeltaBytes(to_a.str()).ok());
     EXPECT_EQ(engine.snapshot()->compiled_pool(), kernels);
 
-    std::istringstream in(bytes);
-    FalccModel next = FalccModel::Load(&in).value();
+    FalccModel next = FalccModel::LoadBytes(bytes).value();
     next.ClearCompiledKernels();  // force Install to recompile
     engine.Install(std::move(next));
   }

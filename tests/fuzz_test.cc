@@ -75,23 +75,20 @@ const std::string& TinySnapshot() {
   return *bytes;
 }
 
-// The same model in the legacy v1 text format.
-const std::string& TinyV1Snapshot() {
-  static const std::string* bytes = [] {
-    std::ostringstream out;
-    EXPECT_TRUE(TinyModel().Save(&out, SnapshotFormat::kV1).ok());
-    return new std::string(out.str());
-  }();
-  return *bytes;
+std::string ReadCorpusFile(const std::string& name) {
+  std::ifstream in(std::string(FALCC_CORPUS_DIR) + "/snapshot/" + name,
+                   std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
-// The v1 artifact without the optional monitor section — the oldest
-// layout, which exercises the end-of-stream path.
-std::string LegacySnapshot() {
-  const std::string& bytes = TinyV1Snapshot();
-  const size_t marker = bytes.find("falcc-monitor-v1");
-  return marker == std::string::npos ? bytes : bytes.substr(0, marker);
-}
+// The checked-in seeds in the legacy v1 text format, which is read but
+// no longer written: valid-full.txt carries the optional monitor
+// section, valid-legacy.txt is the oldest layout without it and
+// exercises the end-of-stream path.
+std::string V1Snapshot() { return ReadCorpusFile("valid-full.txt"); }
+std::string LegacySnapshot() { return ReadCorpusFile("valid-legacy.txt"); }
 
 // A valid one-cluster delta against TinyModel's content hash: the
 // structure-aware seed for delta mutation.
@@ -206,7 +203,7 @@ TEST(FuzzCorpusTest, ValidSeedsPassTheContracts) {
   // The unmutated seeds themselves must satisfy the accept-side checks;
   // otherwise every smoke finding would be noise.
   EXPECT_TRUE(FuzzSnapshotLoad(TinySnapshot()).ok());
-  EXPECT_TRUE(FuzzSnapshotLoad(TinyV1Snapshot()).ok());
+  EXPECT_TRUE(FuzzSnapshotLoad(V1Snapshot()).ok());
   EXPECT_TRUE(FuzzSnapshotLoad(LegacySnapshot()).ok());
   EXPECT_TRUE(testing::FuzzDeltaApply(TinyModel(), TinyDelta()).ok());
   EXPECT_TRUE(FuzzCsvParse(TinyCsv()).ok());
@@ -242,49 +239,63 @@ TEST(SnapshotRegressionTest, MidSectionTruncationsReturnDescriptiveErrors) {
   }
 }
 
-TEST(SnapshotRegressionTest, LegacySnapshotRoundTripsByteIdentically) {
-  // An artifact saved before the drift monitor existed has no
-  // falcc-monitor-v1 section; Load → Save must reproduce it exactly
-  // instead of growing a section the original never had — or silently
-  // migrating it to the v2 container.
-  const std::string legacy = LegacySnapshot();
-  ASSERT_NE(legacy, TinyV1Snapshot());
-  const Result<FalccModel> model = testing::LoadFromString(legacy);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_FALSE(model.value().has_baseline_losses());
-  std::string saved;
-  ASSERT_TRUE(testing::SaveToString(model.value(), &saved).ok());
-  EXPECT_EQ(saved, legacy);
-}
+// v1 is read but no longer written. Each checked-in v1 seed loads and
+// saves as a v2 snapshot, and from there Save → Load → Save is a byte
+// fixed point whose manifest hash is the content hash the model
+// reports. The migrated model keeps the seed's baselines (or their
+// absence) and decides exactly like the v1 original.
+TEST(SnapshotRegressionTest, V1SnapshotsMigrateToV2OnSave) {
+  for (const bool with_monitor : {true, false}) {
+    SCOPED_TRACE(with_monitor ? "valid-full.txt" : "valid-legacy.txt");
+    const Result<FalccModel> v1 = testing::LoadFromString(
+        with_monitor ? V1Snapshot() : LegacySnapshot());
+    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+    EXPECT_EQ(v1.value().has_baseline_losses(), with_monitor);
+    std::string saved;
+    ASSERT_TRUE(testing::SaveToString(v1.value(), &saved).ok());
+    EXPECT_TRUE(saved.starts_with(std::string(io::kSnapshotHeaderV2) + "\n"));
 
-TEST(SnapshotRegressionTest, V1SnapshotRoundTripsByteIdentically) {
-  // Save format is sticky: a model loaded from a v1 artifact saves v1
-  // again by default, so pre-v2 pipelines keep producing the bytes their
-  // golden files expect.
-  const std::string& v1 = TinyV1Snapshot();
-  const Result<FalccModel> model = testing::LoadFromString(v1);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_EQ(model.value().save_format(), SnapshotFormat::kV1);
-  std::string saved;
-  ASSERT_TRUE(testing::SaveToString(model.value(), &saved).ok());
-  EXPECT_EQ(saved, v1);
-}
+    const Result<FalccModel> v2 = testing::LoadFromString(saved);
+    ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+    std::string again;
+    ASSERT_TRUE(testing::SaveToString(v2.value(), &again).ok());
+    EXPECT_EQ(again, saved);
+    const Result<io::SnapshotReader> reader =
+        io::SnapshotReader::ParseView(saved);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_EQ(reader.value().manifest().ContentHash(),
+              v1.value().ContentHash().value());
+    EXPECT_EQ(v2.value().ContentHash().value(),
+              v1.value().ContentHash().value());
+    EXPECT_EQ(v2.value().baseline_losses(), v1.value().baseline_losses());
 
-std::string ReadCorpusFile(const std::string& name) {
-  std::ifstream in(std::string(FALCC_CORPUS_DIR) + "/snapshot/" + name,
-                   std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
+    const size_t width = v1.value().num_features();
+    std::vector<double> probe;
+    for (size_t i = 0; i < 24; ++i) {
+      for (size_t j = 0; j < width; ++j) {
+        probe.push_back(0.25 * static_cast<double>((i * 3 + j) % 11) - 1.0);
+      }
+    }
+    const ClassifyRequest request{probe, width};
+    const ClassifyResponse a = v1.value().ClassifyBatch(request).value();
+    const ClassifyResponse b = v2.value().ClassifyBatch(request).value();
+    ASSERT_EQ(a.decisions.size(), b.decisions.size());
+    for (size_t i = 0; i < a.decisions.size(); ++i) {
+      EXPECT_EQ(a.decisions[i].probability, b.decisions[i].probability) << i;
+      EXPECT_EQ(a.decisions[i].cluster, b.decisions[i].cluster) << i;
+      EXPECT_EQ(a.decisions[i].model, b.decisions[i].model) << i;
+    }
+  }
 }
 
 // Three checked-in v2 seeds hold the same model: valid-v2.txt with a text
 // pool and a legacy "falcc-f2" flat section, valid-v2-flat-f3.txt with a
 // text pool and a "falcc-f3" flat section, and valid-v2-pool-p1.txt with
-// the binary pool and no flat section. All three load through the stream
-// and the mmap path to identical decisions (flat sections are skipped,
-// kernels compile from the pool), and re-saving any of them yields the
-// binary seed byte for byte, under the content hash the model reports.
+// the binary pool and no flat section. All three load from bytes in
+// memory and from a file mapping to identical decisions (flat sections
+// are skipped, kernels compile from the pool), and re-saving any of them
+// yields the binary seed byte for byte, under the content hash the model
+// reports.
 TEST(SnapshotRegressionTest, LegacyAndCurrentFlatSectionsLoadBothWays) {
   const std::string dir = std::string(FALCC_CORPUS_DIR) + "/snapshot/";
   const std::string current = ReadCorpusFile("valid-v2-pool-p1.txt");
@@ -296,13 +307,14 @@ TEST(SnapshotRegressionTest, LegacyAndCurrentFlatSectionsLoadBothWays) {
   for (const char* name :
        {"valid-v2.txt", "valid-v2-flat-f3.txt", "valid-v2-pool-p1.txt"}) {
     SCOPED_TRACE(name);
-    const Result<FalccModel> streamed = FalccModel::LoadFromFile(dir + name);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    const Result<FalccModel> from_bytes =
+        FalccModel::LoadBytes(ReadCorpusFile(name));
+    ASSERT_TRUE(from_bytes.ok()) << from_bytes.status().ToString();
     const Result<FalccModel> mapped = FalccModel::LoadMapped(dir + name);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     ASSERT_TRUE(mapped.value().has_compiled_kernels());
 
-    const size_t width = streamed.value().num_features();
+    const size_t width = from_bytes.value().num_features();
     std::vector<double> probe;
     for (size_t i = 0; i < 40; ++i) {
       for (size_t j = 0; j < width; ++j) {
@@ -311,7 +323,8 @@ TEST(SnapshotRegressionTest, LegacyAndCurrentFlatSectionsLoadBothWays) {
       }
     }
     const ClassifyRequest request{probe, width};
-    const ClassifyResponse a = streamed.value().ClassifyBatch(request).value();
+    const ClassifyResponse a =
+        from_bytes.value().ClassifyBatch(request).value();
     const ClassifyResponse b = mapped.value().ClassifyBatch(request).value();
     if (!reference.has_value()) reference = a;
     ASSERT_EQ(a.decisions.size(), b.decisions.size());
@@ -326,7 +339,7 @@ TEST(SnapshotRegressionTest, LegacyAndCurrentFlatSectionsLoadBothWays) {
     }
     // The identity a loaded model reports (the base hash of every delta
     // it publishes) is that of the artifact it saves.
-    for (const FalccModel* model : {&streamed.value(), &mapped.value()}) {
+    for (const FalccModel* model : {&from_bytes.value(), &mapped.value()}) {
       std::string saved;
       ASSERT_TRUE(testing::SaveToString(*model, &saved).ok());
       EXPECT_EQ(saved, current);
@@ -400,7 +413,7 @@ TEST(SnapshotRegressionTest, DeltaFedToLoadIsRedirected) {
 }
 
 TEST(FuzzSmokeTest, SnapshotLoad) {
-  std::vector<std::string> seeds = {TinySnapshot(), TinyV1Snapshot(),
+  std::vector<std::string> seeds = {TinySnapshot(), V1Snapshot(),
                                     LegacySnapshot()};
   for (std::string& input : CorpusOrDie("snapshot")) {
     seeds.push_back(std::move(input));

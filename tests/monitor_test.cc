@@ -391,9 +391,9 @@ TEST(SnapshotBaselineTest, RoundTripPreservesBaselinesAndParams) {
     EXPECT_GE(loss, 0.0);
   }
 
-  std::stringstream buffer;
+  std::ostringstream buffer;
   ASSERT_TRUE(model.Save(&buffer).ok());
-  const FalccModel loaded = FalccModel::Load(&buffer).value();
+  const FalccModel loaded = FalccModel::LoadBytes(buffer.str()).value();
   ASSERT_TRUE(loaded.has_baseline_losses());
   EXPECT_EQ(loaded.baseline_losses(), model.baseline_losses());
   EXPECT_EQ(loaded.assess_lambda(), 0.4);
@@ -402,32 +402,30 @@ TEST(SnapshotBaselineTest, RoundTripPreservesBaselinesAndParams) {
 }
 
 TEST(SnapshotBaselineTest, LegacyStreamWithoutMonitorSectionStillLoads) {
-  const TrainValTest s = MakeSplits();
+  // Pre-monitoring artifacts only ever existed in the v1 text format. The
+  // checked-in valid-legacy.txt seed is valid-full.txt cut before its
+  // trailing monitor section.
+  const std::string seeds = std::string(FALCC_CORPUS_DIR) + "/snapshot/";
   const FalccModel model =
-      FalccModel::Train(s.train, s.validation, FastOptions()).value();
-  std::stringstream buffer;
-  // Pre-monitoring artifacts only ever existed in the v1 text format.
-  ASSERT_TRUE(model.Save(&buffer, SnapshotFormat::kV1).ok());
-
-  // A pre-monitoring artifact is exactly the bytes before the trailing
-  // monitor section.
-  std::string bytes = buffer.str();
-  const size_t marker = bytes.find("falcc-monitor-v1");
-  ASSERT_NE(marker, std::string::npos);
-  std::stringstream legacy(bytes.substr(0, marker));
-  const FalccModel loaded = FalccModel::Load(&legacy).value();
+      FalccModel::LoadMapped(seeds + "valid-full.txt").value();
+  ASSERT_TRUE(model.has_baseline_losses());
+  const FalccModel loaded =
+      FalccModel::LoadMapped(seeds + "valid-legacy.txt").value();
   EXPECT_FALSE(loaded.has_baseline_losses());
   EXPECT_TRUE(loaded.baseline_losses().empty());
 
   // Classification is unaffected by the missing section.
-  for (size_t i = 0; i < std::min<size_t>(s.test.num_rows(), 50); ++i) {
-    EXPECT_EQ(loaded.Classify(s.test.Row(i)), model.Classify(s.test.Row(i)));
+  for (size_t i = 0; i < 50; ++i) {
+    std::vector<double> row(model.num_features());
+    for (size_t j = 0; j < row.size(); ++j) {
+      row[j] = 0.2 * static_cast<double>((i * 7 + j * 3) % 15) - 1.4;
+    }
+    EXPECT_EQ(loaded.Classify(row), model.Classify(row)) << i;
   }
 
   // But the monitor refuses to attach without baselines.
   serve::FalccEngine engine;
-  std::stringstream legacy_again(bytes.substr(0, marker));
-  engine.Install(FalccModel::Load(&legacy_again).value());
+  ASSERT_TRUE(engine.ReloadMapped(seeds + "valid-legacy.txt").ok());
   Result<std::unique_ptr<FairnessMonitor>> monitor =
       FairnessMonitor::Attach(&engine);
   ASSERT_FALSE(monitor.ok());
@@ -637,8 +635,7 @@ TEST(MonitorE2ETest, AlarmOnlyOnShiftedClusterAndRefreshImproves) {
   // A replica serving the base snapshot applies the delta and converges
   // on the primary's refreshed snapshot without a full reload.
   serve::FalccEngine replica;
-  std::istringstream base_in(base_bytes.str());
-  replica.Install(FalccModel::Load(&base_in).value());
+  replica.Install(FalccModel::LoadBytes(base_bytes.str()).value());
   ASSERT_TRUE(replica.ApplyDeltaBytes(delta_bytes.str()).ok());
 
   // Decisions on every unshifted cluster are bit-identical before and
@@ -817,13 +814,17 @@ TEST(MonitorConcurrencyTest, LoggingFeedbackPollAndHotSwapRace) {
     }
   });
   // Feedback thread: labels whatever ids exist so far, repeatedly (the
-  // misses on already-labeled ids exercise the CAS failure path).
+  // misses on already-labeled ids exercise the CAS failure path). Its
+  // last pass starts after `done`, so it labels every appended id however
+  // the scheduler ran it before.
   std::thread feedback([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    for (;;) {
+      const bool last = done.load(std::memory_order_acquire);
       const uint64_t n = monitor->log().next_id();
       for (uint64_t id = 0; id < n; ++id) {
         monitor->AddFeedback(id, static_cast<int>(id & 1));
       }
+      if (last) break;
       std::this_thread::yield();
     }
   });

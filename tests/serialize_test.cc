@@ -137,9 +137,9 @@ TEST(SerializeTest, FalccModelRoundTrip) {
   const FalccModel model =
       FalccModel::Train(s.train, s.validation, opt).value();
 
-  std::stringstream stream;
+  std::ostringstream stream;
   ASSERT_TRUE(model.Save(&stream).ok());
-  Result<FalccModel> loaded = FalccModel::Load(&stream);
+  Result<FalccModel> loaded = FalccModel::LoadBytes(stream.str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_EQ(loaded.value().num_clusters(), model.num_clusters());
@@ -164,15 +164,14 @@ TEST(SerializeTest, FalccModelFileRoundTrip) {
 
   const std::string path = ::testing::TempDir() + "/falcc_model.txt";
   ASSERT_TRUE(model.SaveToFile(path).ok());
-  Result<FalccModel> loaded = FalccModel::LoadFromFile(path);
+  Result<FalccModel> loaded = FalccModel::LoadMapped(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().ClassifyAll(s.test), model.ClassifyAll(s.test));
   std::remove(path.c_str());
 }
 
 TEST(SerializeTest, FalccModelLoadRejectsGarbage) {
-  std::stringstream stream("not-a-falcc-model");
-  EXPECT_FALSE(FalccModel::Load(&stream).ok());
+  EXPECT_FALSE(FalccModel::LoadBytes("not-a-falcc-model").ok());
 }
 
 TEST(SerializeTest, MultipleModelsInOneStream) {

@@ -134,12 +134,12 @@ TEST(ServeEngineTest, UnavailableBeforeFirstLoad) {
   EXPECT_EQ(engine.GetMetrics().errors, 2u);
 }
 
-TEST(ServeEngineTest, ReloadFromFileFailureKeepsServing) {
+TEST(ServeEngineTest, ReloadMappedFailureKeepsServing) {
   serve::FalccEngine engine;
   engine.Install(TrainSmallModel());
   const uint64_t version = engine.snapshot_version();
 
-  const Status bad = engine.ReloadFromFile("/nonexistent/model.falcc");
+  const Status bad = engine.ReloadMapped("/nonexistent/model.falcc");
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(engine.snapshot_version(), version);
   ASSERT_NE(engine.snapshot(), nullptr);
@@ -160,7 +160,7 @@ TEST(ServeEngineTest, HotSwapUnderConcurrentClassification) {
   ASSERT_TRUE(original.SaveToFile(path).ok());
 
   serve::FalccEngine engine;
-  ASSERT_TRUE(engine.ReloadFromFile(path).ok());
+  ASSERT_TRUE(engine.ReloadMapped(path).ok());
 
   const std::vector<double> flat = Flatten(s.test);
   const size_t width = s.test.num_features();
@@ -205,7 +205,7 @@ TEST(ServeEngineTest, HotSwapUnderConcurrentClassification) {
 
   // Writer: a storm of hot-swaps while both readers run.
   for (int swap = 0; swap < 20; ++swap) {
-    ASSERT_TRUE(engine.ReloadFromFile(path).ok());
+    ASSERT_TRUE(engine.ReloadMapped(path).ok());
   }
   stop.store(true, std::memory_order_relaxed);
   direct.join();

@@ -440,7 +440,7 @@ TEST(ShardedEngineTest, HotSwapUnderConcurrentShardedSubmits) {
   serve::ShardedEngineOptions options;
   options.num_shards = 2;
   serve::ShardedEngine engine(options);
-  ASSERT_TRUE(engine.ReloadFromFile(path).ok());
+  ASSERT_TRUE(engine.ReloadMapped(path).ok());
   const std::vector<int> expected = original.ClassifyAll(s.test);
 
   std::atomic<bool> stop{false};
@@ -464,7 +464,7 @@ TEST(ShardedEngineTest, HotSwapUnderConcurrentShardedSubmits) {
     });
   }
   for (int swap = 0; swap < 10; ++swap) {
-    ASSERT_TRUE(engine.ReloadFromFile(path).ok());
+    ASSERT_TRUE(engine.ReloadMapped(path).ok());
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : clients) t.join();

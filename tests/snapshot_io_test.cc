@@ -1,6 +1,7 @@
 // The sectioned snapshot stack (src/io + the FalccModel v2 API): writer
 // and reader round trips, per-section checksums, delta artifacts,
-// mapped loads, and the serve-layer SnapshotSource dispatch.
+// mapped and in-memory loads, v1 migration, and engine reloads and
+// delta applies.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include "io/snapshot.h"
 #include "serve/engine.h"
 #include "serve/sharded_engine.h"
-#include "serve/snapshot_source.h"
 
 namespace falcc {
 namespace {
@@ -41,8 +41,9 @@ TEST(SnapshotWriterTest, RoundTripsSectionsWithAlignedOffsets) {
   EXPECT_EQ(manifest.sections[0].offset % 8, 0u);
   EXPECT_EQ(manifest.sections[1].offset % 8, 0u);
 
+  const std::string bytes = out.str();
   const Result<io::SnapshotReader> reader =
-      io::SnapshotReader::Parse(out.str());
+      io::SnapshotReader::ParseView(bytes);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_FALSE(reader.value().is_delta());
   EXPECT_EQ(reader.value().payload_file_offset() % 8, 0u);
@@ -86,7 +87,8 @@ TEST(SnapshotReaderTest, ChecksumFailureNamesSectionAndOffset) {
 
   std::string corrupt = out.str();
   corrupt[corrupt.size() - 3] ^= 0x40;
-  const Result<io::SnapshotReader> reader = io::SnapshotReader::Parse(corrupt);
+  const Result<io::SnapshotReader> reader =
+      io::SnapshotReader::ParseView(corrupt);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();  // manifest intact
   const Result<std::string_view> section =
       reader.value().ReadSection("pool");
@@ -104,12 +106,14 @@ TEST(SnapshotReaderTest, TruncatedManifestAndPayloadAreRejected) {
   ASSERT_TRUE(writer.EndSection().ok());
   ASSERT_TRUE(writer.Finish().ok());
   const std::string bytes = out.str();
+  const std::string_view view = bytes;
   for (const size_t keep : {0u, 5u, 20u}) {
-    EXPECT_FALSE(io::SnapshotReader::Parse(bytes.substr(0, keep)).ok());
+    EXPECT_FALSE(io::SnapshotReader::ParseView(view.substr(0, keep)).ok());
   }
   EXPECT_FALSE(
-      io::SnapshotReader::Parse(bytes.substr(0, bytes.size() - 1)).ok());
-  EXPECT_FALSE(io::SnapshotReader::Parse(bytes + "x").ok());
+      io::SnapshotReader::ParseView(view.substr(0, view.size() - 1)).ok());
+  const std::string extended = bytes + "x";
+  EXPECT_FALSE(io::SnapshotReader::ParseView(extended).ok());
 }
 
 TEST(MappedFileTest, MapsBytesAndRejectsMissing) {
@@ -182,13 +186,14 @@ void ExpectSameDecisions(const std::vector<SampleDecision>& a,
 
 TEST(SnapshotV2Test, SaveLoadSaveIsByteIdentical) {
   const FalccModel model = TrainTinyModel(42);
-  EXPECT_EQ(model.save_format(), SnapshotFormat::kV2);
   const std::string bytes = SaveBytes(model);
-  std::istringstream in(bytes);
-  const Result<FalccModel> loaded = FalccModel::Load(&in);
+  const Result<FalccModel> loaded = FalccModel::LoadBytes(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().save_format(), SnapshotFormat::kV2);
   EXPECT_EQ(SaveBytes(loaded.value()), bytes);
+  // A v2 load caches the artifact's own manifest as the model identity.
+  ASSERT_TRUE(loaded.value().manifest().has_value());
+  EXPECT_EQ(loaded.value().manifest()->ContentHash(),
+            model.ContentHash().value());
 }
 
 // Kernels are derived state and never reach the artifact: a model saves
@@ -216,36 +221,51 @@ TEST(SnapshotV2Test, ContentHashIgnoresTheDerivedFlatSection) {
   EXPECT_EQ(legacy.ContentHash(), reader.value().manifest().ContentHash());
 }
 
-TEST(SnapshotV2Test, MappedLoadIsBitIdenticalToStreamLoad) {
+TEST(SnapshotV2Test, MappedLoadIsBitIdenticalToByteLoad) {
   const FalccModel model = TrainTinyModel(42);
   const std::string path = ::testing::TempDir() + "/falcc-mapped-model.falcc";
   ASSERT_TRUE(model.SaveToFile(path).ok());
 
-  const Result<FalccModel> streamed = FalccModel::LoadFromFile(path);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  const Result<FalccModel> from_bytes = FalccModel::LoadBytes(SaveBytes(model));
+  ASSERT_TRUE(from_bytes.ok()) << from_bytes.status().ToString();
   const Result<FalccModel> mapped = FalccModel::LoadMapped(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   const std::vector<double> probe = ProbeRows(model, 16);
-  ExpectSameDecisions(Decide(streamed.value(), probe),
+  ExpectSameDecisions(Decide(from_bytes.value(), probe),
                       Decide(mapped.value(), probe));
   ExpectSameDecisions(Decide(model, probe), Decide(mapped.value(), probe));
-  EXPECT_EQ(SaveBytes(mapped.value()), SaveBytes(streamed.value()));
+  EXPECT_EQ(SaveBytes(mapped.value()), SaveBytes(from_bytes.value()));
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV2Test, MappedLoadFallsBackForV1Artifacts) {
-  const FalccModel model = TrainTinyModel(42);
-  const std::string path = ::testing::TempDir() + "/falcc-v1-model.falcc";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(model.Save(&out, SnapshotFormat::kV1).ok());
+// The checked-in v1 seeds, with (valid-full.txt) and without
+// (valid-legacy.txt) the monitor section, load to the same model from a
+// file mapping as from bytes in memory, and both save as v2.
+TEST(SnapshotV2Test, V1SeedsLoadIdenticallyMappedAndFromBytes) {
+  for (const char* name : {"valid-full.txt", "valid-legacy.txt"}) {
+    SCOPED_TRACE(name);
+    const std::string path =
+        std::string(FALCC_CORPUS_DIR) + "/snapshot/" + name;
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    ASSERT_TRUE(bytes.str().starts_with(std::string(io::kModelHeaderV1)));
+
+    const Result<FalccModel> from_bytes = FalccModel::LoadBytes(bytes.str());
+    ASSERT_TRUE(from_bytes.ok()) << from_bytes.status().ToString();
+    const Result<FalccModel> mapped = FalccModel::LoadMapped(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+    const std::vector<double> probe = ProbeRows(mapped.value(), 16);
+    ExpectSameDecisions(Decide(from_bytes.value(), probe),
+                        Decide(mapped.value(), probe));
+    EXPECT_EQ(from_bytes.value().baseline_losses(),
+              mapped.value().baseline_losses());
+    const std::string saved = SaveBytes(mapped.value());
+    EXPECT_TRUE(saved.starts_with(std::string(io::kSnapshotHeaderV2) + "\n"));
+    EXPECT_EQ(SaveBytes(from_bytes.value()), saved);
   }
-  const Result<FalccModel> loaded = FalccModel::LoadMapped(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const std::vector<double> probe = ProbeRows(model, 8);
-  ExpectSameDecisions(Decide(model, probe), Decide(loaded.value(), probe));
-  std::remove(path.c_str());
 }
 
 TEST(SnapshotDeltaTest, DeltaMatchesCloneWithRefreshes) {
@@ -295,8 +315,8 @@ TEST(SnapshotDeltaTest, IncrementalManifestMatchesFullRecompute) {
   ASSERT_TRUE(clone.ok());
   const uint64_t incremental = clone.value().ContentHash().value();
 
-  std::istringstream in(SaveBytes(clone.value()));
-  const Result<FalccModel> reloaded = FalccModel::Load(&in);
+  const Result<FalccModel> reloaded =
+      FalccModel::LoadBytes(SaveBytes(clone.value()));
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded.value().ContentHash().value(), incremental);
 }
@@ -314,8 +334,7 @@ TEST(SnapshotDeltaTest, WrongAndMissingBasesAreRejected) {
 
   // Full snapshots are not deltas and vice versa.
   EXPECT_FALSE(a.ApplyDeltaBytes(SaveBytes(a)).ok());
-  std::istringstream in(delta.str());
-  EXPECT_FALSE(FalccModel::Load(&in).ok());
+  EXPECT_FALSE(FalccModel::LoadBytes(delta.str()).ok());
 }
 
 TEST(SnapshotDeltaTest, SaveDeltaValidatesClusterList) {
@@ -341,7 +360,7 @@ TEST(SnapshotDeltaTest, SaveDeltaValidatesClusterList) {
 
 // --- serve layer -------------------------------------------------------
 
-TEST(SnapshotSourceTest, DispatchesFullAndDeltaLoads) {
+TEST(EngineSnapshotTest, ReloadsFullSnapshotsAndAppliesDeltas) {
   const FalccModel model = TrainTinyModel(42);
   const std::string dir = ::testing::TempDir();
   const std::string full_path = dir + "/falcc-source-full.falcc";
@@ -365,17 +384,17 @@ TEST(SnapshotSourceTest, DispatchesFullAndDeltaLoads) {
   }
 
   serve::FalccEngine engine;
-  serve::SnapshotSource source(&engine);
-
-  Result<serve::SnapshotLoadKind> kind = source.Load(full_path);
-  ASSERT_TRUE(kind.ok()) << kind.status().ToString();
-  EXPECT_EQ(kind.value(), serve::SnapshotLoadKind::kFull);
+  const Status reloaded = engine.ReloadMapped(full_path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
   const std::shared_ptr<const FalccModel> before = engine.snapshot();
   ASSERT_NE(before, nullptr);
 
-  kind = source.Load(delta_path);
-  ASSERT_TRUE(kind.ok()) << kind.status().ToString();
-  EXPECT_EQ(kind.value(), serve::SnapshotLoadKind::kDelta);
+  {
+    Result<io::MappedFile> delta = io::MappedFile::Open(delta_path);
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    const Status applied = engine.ApplyDeltaBytes(delta.value().view());
+    ASSERT_TRUE(applied.ok()) << applied.ToString();
+  }
   const std::shared_ptr<const FalccModel> after = engine.snapshot();
 
   // Incremental hot-swap: the delta's snapshot keeps serving the full
@@ -386,14 +405,18 @@ TEST(SnapshotSourceTest, DispatchesFullAndDeltaLoads) {
   const std::vector<double> probe = ProbeRows(model, 8);
   ExpectSameDecisions(Decide(next.value(), probe), Decide(*after, probe));
 
-  // Garbage headers fail without touching the engine.
+  // Garbage fails without touching the engine, whichever way it comes
+  // in; so does a full snapshot handed to the delta path.
   const std::string junk_path = dir + "/falcc-source-junk.falcc";
   {
     std::ofstream out(junk_path, std::ios::binary | std::ios::trunc);
     out << "not a snapshot\n";
   }
   const uint64_t version = engine.snapshot_version();
-  EXPECT_FALSE(source.Load(junk_path).ok());
+  EXPECT_FALSE(engine.ReloadMapped(junk_path).ok());
+  EXPECT_FALSE(engine.ReloadMapped(delta_path).ok());
+  EXPECT_FALSE(engine.ApplyDeltaBytes("not a snapshot\n").ok());
+  EXPECT_FALSE(engine.ApplyDeltaBytes(SaveBytes(model)).ok());
   EXPECT_EQ(engine.snapshot_version(), version);
 
   std::remove(full_path.c_str());
@@ -401,7 +424,7 @@ TEST(SnapshotSourceTest, DispatchesFullAndDeltaLoads) {
   std::remove(junk_path.c_str());
 }
 
-TEST(SnapshotSourceTest, WorksAgainstAShardedEngine) {
+TEST(EngineSnapshotTest, ReloadsIntoAShardedEngine) {
   const FalccModel model = TrainTinyModel(42);
   const std::string path = ::testing::TempDir() + "/falcc-sharded-full.falcc";
   ASSERT_TRUE(model.SaveToFile(path).ok());
@@ -409,10 +432,8 @@ TEST(SnapshotSourceTest, WorksAgainstAShardedEngine) {
   serve::ShardedEngineOptions sopt;
   sopt.num_shards = 2;
   serve::ShardedEngine engine(sopt);
-  serve::SnapshotSource source(&engine);
-  const Result<serve::SnapshotLoadKind> kind = source.Load(path);
-  ASSERT_TRUE(kind.ok()) << kind.status().ToString();
-  EXPECT_EQ(kind.value(), serve::SnapshotLoadKind::kFull);
+  const Status reloaded = engine.ReloadMapped(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
 
   const std::vector<double> sample(model.num_features(), 0.5);
   const Result<SampleDecision> decision = engine.Classify(sample);
@@ -422,7 +443,7 @@ TEST(SnapshotSourceTest, WorksAgainstAShardedEngine) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotSourceTest, EngineInstallCachesTheManifest) {
+TEST(EngineSnapshotTest, InstallCachesTheManifest) {
   serve::FalccEngine engine;
   engine.Install(TrainTinyModel(42));
   // The manifest (and so the content hash) is frozen into the snapshot

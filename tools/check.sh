@@ -15,8 +15,8 @@
 #      bench_serve --smoke run, which exits non-zero if sharded-fleet
 #      decisions diverge from the single-loop reference at any shard
 #      count, the fleet's achieved p99 exceeds 10x the configured SLO,
-#      or the snapshot-distribution row (stream reload vs mapped reload
-#      vs delta apply, the "reload" object in BENCH_serve.json) serves
+#      or the snapshot-distribution row (full reload vs delta apply,
+#      the "reload" object in BENCH_serve.json) serves
 #      decisions diverging from the reference, and a bench_replicate
 #      --smoke run, which exits non-zero if any fleet replica fails to
 #      converge on the primary's content hash, serves decisions that
@@ -53,7 +53,8 @@
 #      check, one-row (n = 1) walks included.
 #
 # --fuzz-only instead runs the adversarial harness (`ctest -L fuzz`:
-# tests/fuzz_test.cc mutation loops over v1 snapshots, v2 sectioned
+# tests/fuzz_test.cc mutation loops over the checked-in v1 snapshot
+# seeds (v1 is read, never written), v2 sectioned
 # snapshots, v2 delta artifacts and binary `pool` section payloads (the
 # decoder every v2 load, checkpoint reload and replica reload runs; kernels
 # are compiled from its output, never read from the file), +

@@ -54,16 +54,18 @@
 // section — between a base and the snapshot a delta produces, it shows
 // exactly the combo sections the delta carries; `replicate status` lists
 // a feed directory's artifacts in apply order and walks the delta chain
-// (checkpoint loads + delta applications), reporting breaks and the head
-// content hash; `replicate serve-feed` is the push gateway: it serves a
-// feed directory over a socket endpoint (SocketPublisher), waking on
-// directory events (inotify where available) to forward artifacts an
-// external publisher writes, so replicas on other hosts follow without
-// a shared filesystem. `classify --follow SPEC` drains the feed through
-// a DeltaPuller before classifying, so the decisions come from the
-// feed's head snapshot rather than the --model file as shipped — SPEC
-// is a feed directory, or a `tcp://host:port` / `unix://path` endpoint
-// to subscribe to a serve-feed (or `monitor --listen`) publisher.
+// (checkpoint loads + delta applications), reporting breaks, failed
+// loads and applies, and the head content hash, and exits 1 if anything
+// in the feed is broken; `replicate serve-feed` is the push gateway: it
+// serves a feed directory over a socket endpoint (SocketPublisher),
+// waking on directory events (inotify where available) to forward
+// artifacts an external publisher writes, so replicas on other hosts
+// follow without a shared filesystem. `classify --follow SPEC` drains
+// the feed through a DeltaPuller before classifying, so the decisions
+// come from the feed's head snapshot rather than the --model file as
+// shipped — SPEC is a feed directory, or a `tcp://host:port` /
+// `unix://path` endpoint to subscribe to a serve-feed (or
+// `monitor --listen`) publisher.
 // `monitor --delta-dir D --listen EP` publishes refreshes through a
 // socket publisher: artifacts land in D (the durable store) and are
 // pushed to subscribers on EP.
@@ -75,7 +77,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -95,6 +96,7 @@
 #include "fairness/audit.h"
 #include "fairness/loss.h"
 #include "fairness/proxy.h"
+#include "io/mapped_file.h"
 #include "io/snapshot.h"
 #include "monitor/monitor.h"
 #include "replicate/dir_watcher.h"
@@ -103,7 +105,6 @@
 #include "replicate/socket_feed.h"
 #include "serve/engine.h"
 #include "serve/sharded_engine.h"
-#include "serve/snapshot_source.h"
 
 namespace falcc {
 namespace {
@@ -281,7 +282,7 @@ int Predict(const Args& args) {
   if (model_path.empty() || data_path.empty()) {
     return Fail(Status::InvalidArgument("--model and --data required"));
   }
-  Result<FalccModel> model = FalccModel::LoadFromFile(model_path);
+  Result<FalccModel> model = FalccModel::LoadMapped(model_path);
   if (!model.ok()) return Fail(model.status());
   Result<CsvTable> table = ReadCsvFile(data_path);
   if (!table.ok()) return Fail(table.status());
@@ -523,8 +524,7 @@ int Monitor(const Args& args) {
     return Fail(Status::InvalidArgument("--model and --data required"));
   }
   serve::FalccEngine engine;
-  serve::SnapshotSource source(&engine);
-  const Status loaded = source.LoadFull(model_path);
+  const Status loaded = engine.ReloadMapped(model_path);
   if (!loaded.ok()) return Fail(loaded);
 
   Result<CsvTable> table = ReadCsvFile(data_path);
@@ -735,19 +735,6 @@ int Inspect(const Args& args) {
 
 // --- snapshot subcommand ------------------------------------------------
 
-Result<std::string> ReadArtifact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("read error on '" + path + "'");
-  return buffer.str();
-}
-
-bool IsV1Artifact(const std::string& bytes) {
-  return bytes.rfind("falcc-model-v1\n", 0) == 0;
-}
-
 /// `text` as a JSON string literal: quotes, backslashes and control
 /// characters escaped, everything else passed through.
 std::string JsonString(std::string_view text) {
@@ -801,34 +788,33 @@ std::string ManifestJson(const std::string& path,
 }
 
 int SnapshotInspect(const std::string& path) {
-  Result<std::string> bytes = ReadArtifact(path);
-  if (!bytes.ok()) return Fail(bytes.status());
-  if (IsV1Artifact(bytes.value())) {
+  Result<io::MappedFile> file = io::MappedFile::Open(path);
+  if (!file.ok()) return Fail(file.status());
+  const std::string_view bytes = file.value().view();
+  if (io::SniffHeader(bytes) == io::ArtifactHeader::kModelV1) {
     // v1 has no manifest; report what there is to know.
-    std::printf("{\"path\": %s, \"format\": \"falcc-model-v1\", "
-                "\"bytes\": %zu}\n",
-                JsonString(path).c_str(), bytes.value().size());
+    std::printf("{\"path\": %s, \"format\": \"%s\", \"bytes\": %zu}\n",
+                JsonString(path).c_str(), io::kModelHeaderV1, bytes.size());
     return 0;
   }
-  Result<io::SnapshotReader> reader =
-      io::SnapshotReader::Parse(std::move(bytes).value());
+  Result<io::SnapshotReader> reader = io::SnapshotReader::ParseView(bytes);
   if (!reader.ok()) return Fail(reader.status());
   std::printf("%s\n", ManifestJson(path, reader.value()).c_str());
   return 0;
 }
 
 int SnapshotVerify(const std::string& path) {
-  Result<std::string> bytes = ReadArtifact(path);
-  if (!bytes.ok()) return Fail(bytes.status());
-  if (IsV1Artifact(bytes.value())) {
+  Result<io::MappedFile> file = io::MappedFile::Open(path);
+  if (!file.ok()) return Fail(file.status());
+  const std::string_view bytes = file.value().view();
+  if (io::SniffHeader(bytes) == io::ArtifactHeader::kModelV1) {
     // No per-section checksums in v1: a full load is the only check.
-    Result<FalccModel> model = FalccModel::LoadFromFile(path);
+    Result<FalccModel> model = FalccModel::LoadBytes(bytes);
     if (!model.ok()) return Fail(model.status());
-    std::printf("%s: ok (falcc-model-v1, full load)\n", path.c_str());
+    std::printf("%s: ok (%s, full load)\n", path.c_str(), io::kModelHeaderV1);
     return 0;
   }
-  Result<io::SnapshotReader> reader =
-      io::SnapshotReader::Parse(std::move(bytes).value());
+  Result<io::SnapshotReader> reader = io::SnapshotReader::ParseView(bytes);
   if (!reader.ok()) return Fail(reader.status());
   // Per-section checksums first: a corrupt artifact is reported by
   // failing section name + offset, not as a generic load error.
@@ -840,9 +826,9 @@ int SnapshotVerify(const std::string& path) {
                 sections, io::HashHex(reader.value().base_hash()).c_str());
     return 0;
   }
-  // Checksums say the bytes are intact; a full load says the sections
-  // also make semantic sense together.
-  Result<FalccModel> model = FalccModel::LoadFromFile(path);
+  // Checksums say the bytes are intact; a full load of the same bytes
+  // says the sections also make semantic sense together.
+  Result<FalccModel> model = FalccModel::LoadBytes(bytes);
   if (!model.ok()) return Fail(model.status());
   std::printf("%s: ok (%zu sections, content hash %s, full load)\n",
               path.c_str(), sections,
@@ -851,19 +837,20 @@ int SnapshotVerify(const std::string& path) {
 }
 
 int SnapshotDiff(const std::string& path_a, const std::string& path_b) {
-  Result<std::string> bytes_a = ReadArtifact(path_a);
-  if (!bytes_a.ok()) return Fail(bytes_a.status());
-  Result<std::string> bytes_b = ReadArtifact(path_b);
-  if (!bytes_b.ok()) return Fail(bytes_b.status());
-  if (IsV1Artifact(bytes_a.value()) || IsV1Artifact(bytes_b.value())) {
+  Result<io::MappedFile> file_a = io::MappedFile::Open(path_a);
+  if (!file_a.ok()) return Fail(file_a.status());
+  Result<io::MappedFile> file_b = io::MappedFile::Open(path_b);
+  if (!file_b.ok()) return Fail(file_b.status());
+  if (io::SniffHeader(file_a.value().view()) == io::ArtifactHeader::kModelV1 ||
+      io::SniffHeader(file_b.value().view()) == io::ArtifactHeader::kModelV1) {
     return Fail(Status::InvalidArgument(
         "snapshot diff needs v2 artifacts (v1 has no section manifest)"));
   }
   Result<io::SnapshotReader> a =
-      io::SnapshotReader::Parse(std::move(bytes_a).value());
+      io::SnapshotReader::ParseView(file_a.value().view());
   if (!a.ok()) return Fail(a.status());
   Result<io::SnapshotReader> b =
-      io::SnapshotReader::Parse(std::move(bytes_b).value());
+      io::SnapshotReader::ParseView(file_b.value().view());
   if (!b.ok()) return Fail(b.status());
 
   const uint64_t hash_a = a.value().manifest().ContentHash();
@@ -932,7 +919,9 @@ int Snapshot(int argc, char** argv) {
 /// delta chain exactly as a replica would: checkpoints load, deltas
 /// apply to the walked state; base-hash mismatches are reported as
 /// chain breaks (the puller's full-reload-fallback trigger) without
-/// aborting the walk — the next checkpoint re-anchors it.
+/// aborting the walk — the next checkpoint re-anchors it. Exits 1 when
+/// any artifact is unreadable, breaks the chain, fails to load or fails
+/// to apply: each is something a replica would quarantine.
 int ReplicateStatus(const Args& args) {
   const std::string dir = args.Get("dir", "");
   if (dir.empty()) return Fail(Status::InvalidArgument("--dir required"));
@@ -944,6 +933,7 @@ int ReplicateStatus(const Args& args) {
   std::optional<FalccModel> state;  // the walked replica state
   uint64_t head_hash = 0;
   size_t checkpoints = 0, deltas = 0, unreadable = 0, breaks = 0;
+  size_t load_failures = 0, apply_failures = 0;
   std::printf("sequence,kind,bytes,base,status,path\n");
   for (const replicate::FeedEntry& entry : entries) {
     std::string kind, base, status;
@@ -951,18 +941,17 @@ int ReplicateStatus(const Args& args) {
       case replicate::ArtifactKind::kFull: {
         kind = "full";
         ++checkpoints;
-        Result<FalccModel> loaded = FalccModel::LoadFromFile(entry.path);
-        if (loaded.ok()) {
-          const Result<uint64_t> hash = loaded.value().ContentHash();
-          if (hash.ok()) {
-            state.emplace(std::move(loaded).value());
-            head_hash = hash.value();
-            status = "ok " + io::HashHex(head_hash);
-          } else {
-            status = "unhashable";
-          }
+        Result<FalccModel> loaded = FalccModel::LoadMapped(entry.path);
+        const Result<uint64_t> hash =
+            loaded.ok() ? loaded.value().ContentHash()
+                        : Result<uint64_t>(loaded.status());
+        if (hash.ok()) {
+          state.emplace(std::move(loaded).value());
+          head_hash = hash.value();
+          status = "ok " + io::HashHex(head_hash);
         } else {
           status = "load failed";
+          ++load_failures;
         }
         break;
       }
@@ -977,21 +966,20 @@ int ReplicateStatus(const Args& args) {
                    ")";
           ++breaks;
         } else {
-          Result<std::string> bytes = ReadArtifact(entry.path);
+          Result<io::MappedFile> file = io::MappedFile::Open(entry.path);
           Result<FalccModel> next =
-              bytes.ok() ? state->ApplyDeltaBytes(bytes.value())
-                         : Result<FalccModel>(bytes.status());
-          if (next.ok()) {
-            const Result<uint64_t> hash = next.value().ContentHash();
-            if (hash.ok()) {
-              state.emplace(std::move(next).value());
-              head_hash = hash.value();
-              status = "ok -> " + io::HashHex(head_hash);
-            } else {
-              status = "unhashable";
-            }
+              file.ok() ? state->ApplyDeltaBytes(file.value().view())
+                        : Result<FalccModel>(file.status());
+          const Result<uint64_t> hash =
+              next.ok() ? next.value().ContentHash()
+                        : Result<uint64_t>(next.status());
+          if (hash.ok()) {
+            state.emplace(std::move(next).value());
+            head_hash = hash.value();
+            status = "ok -> " + io::HashHex(head_hash);
           } else {
             status = "apply failed";
+            ++apply_failures;
           }
         }
         break;
@@ -1009,14 +997,15 @@ int ReplicateStatus(const Args& args) {
   }
   std::fprintf(stderr,
                "%zu artifacts: %zu checkpoints, %zu deltas, %zu unreadable, "
-               "%zu chain breaks\n",
-               entries.size(), checkpoints, deltas, unreadable, breaks);
+               "%zu chain breaks, %zu load failures, %zu apply failures\n",
+               entries.size(), checkpoints, deltas, unreadable, breaks,
+               load_failures, apply_failures);
   if (state.has_value()) {
     std::fprintf(stderr, "head: %s\n", io::HashHex(head_hash).c_str());
   } else {
     std::fprintf(stderr, "head: none (no loadable checkpoint)\n");
   }
-  return breaks == 0 && unreadable == 0 ? 0 : 1;
+  return breaks + unreadable + load_failures + apply_failures == 0 ? 0 : 1;
 }
 
 /// Push gateway: serves a feed directory over a socket endpoint. An
