@@ -35,7 +35,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -309,8 +308,7 @@ int Main(int argc, char** argv) {
   out << "  \"reps\": " << reps << ",\n";
   out << "  \"chunk\": " << chunk << ",\n";
   out << "  \"window\": " << kWindow << ",\n";
-  out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-      << ",\n";
+  bench::WriteProvenance(out);
   out << "  \"note\": \"steady_state replays the probe set chunked with "
          "truth = prediction and detection disabled, isolating logging + "
          "feedback + window upkeep (best-of-reps minima, robust to "

@@ -8,20 +8,32 @@
 //  * adaboost_fit    — the heaviest grid cell (T=20, depth 7)
 //  * random_forest_fit — B=20, depth 7, sqrt feature subsampling
 //  * adaboost_grid_fit — all 8 cells of the paper's AdaBoost grid
-//    (estimators {5,20} x depth {1,7} x {gini,entropy}), sharing one
-//    column cache — the workload TrainDiversePool runs per pipeline
+//    (estimators {5,20} x depth {1,7} x {gini,entropy}) fitted in a
+//    ParallelFor: the engine side as TrainDiversePool does it (one shared
+//    column cache, cells claimed largest estimators x depth first), the
+//    reference side in grid order
 //  * batch_predict   — AdaBoost inference over the whole dataset,
 //    per-row virtual dispatch vs PredictProbaBatch
 //
 // Every case also asserts the engine's models serialize byte-identically
-// to the seed trainer's and predict identically on held-out data; the
-// binary exits non-zero on any mismatch. Results go to BENCH_train.json.
+// to the seed trainer's and predict identically on held-out data.
+//
+// A single-threaded split_gain_kernel case then times every pass-1 kernel
+// variant this CPU runs (SplitGainKernels: baseline, avx2, avx512f) in
+// ns per threshold for both criteria, and checks each variant's output
+// bit for bit against the baseline's over node weights 1 down to 1e-300.
+//
+// The binary exits non-zero on any mismatch. Results go to
+// BENCH_train.json.
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,6 +46,9 @@
 #include "ml/random_forest.h"
 #include "ml/reference_trainer.h"
 #include "ml/serialize.h"
+#include "ml/tree_builder.h"
+#include "util/parallel.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace falcc {
@@ -185,23 +200,38 @@ std::vector<CaseResult> RunAllCases(const Dataset& data, const Dataset& probe,
   results.push_back(RunFitCase(
       "adaboost_grid_fit", threads, reps, probe,
       [&] {
-        std::vector<std::unique_ptr<Classifier>> models;
-        for (const AdaBoostOptions& opt : cells) {
-          models.push_back(std::make_unique<AdaBoost>(
-              reference::TrainAdaBoost(data, {}, opt).value()));
-        }
+        std::vector<std::unique_ptr<Classifier>> models(cells.size());
+        ParallelFor(0, cells.size(), 1, [&](size_t, size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) {
+            models[i] = std::make_unique<AdaBoost>(
+                reference::TrainAdaBoost(data, {}, cells[i]).value());
+          }
+        });
         return models;
       },
       [&] {
-        // What TrainDiversePool does now: one presorted cache shared by
-        // every cell.
+        // What TrainDiversePool does: one presorted cache shared by every
+        // cell, cells claimed largest estimators x depth first, each model
+        // in its grid slot.
+        std::vector<size_t> claim_order(cells.size());
+        std::iota(claim_order.begin(), claim_order.end(), size_t{0});
+        std::stable_sort(claim_order.begin(), claim_order.end(),
+                         [&](size_t a, size_t b) {
+                           return cells[a].num_estimators *
+                                      cells[a].base.max_depth >
+                                  cells[b].num_estimators *
+                                      cells[b].base.max_depth;
+                         });
         const FeatureColumns columns(data);
-        std::vector<std::unique_ptr<Classifier>> models;
-        for (const AdaBoostOptions& opt : cells) {
-          auto boost = std::make_unique<AdaBoost>(opt);
-          FALCC_CHECK(boost->Fit(columns).ok(), "grid cell fit failed");
-          models.push_back(std::move(boost));
-        }
+        std::vector<std::unique_ptr<Classifier>> models(cells.size());
+        ParallelFor(0, cells.size(), 1, [&](size_t, size_t lo, size_t hi) {
+          for (size_t k = lo; k < hi; ++k) {
+            const size_t i = claim_order[k];
+            auto boost = std::make_unique<AdaBoost>(cells[i]);
+            FALCC_CHECK(boost->Fit(columns).ok(), "grid cell fit failed");
+            models[i] = std::move(boost);
+          }
+        });
         return models;
       }));
 
@@ -230,8 +260,96 @@ std::vector<CaseResult> RunAllCases(const Dataset& data, const Dataset& probe,
   return results;
 }
 
+struct KernelResult {
+  std::string variant;
+  SplitCriterion criterion = SplitCriterion::kGini;
+  double ns_per_threshold = 0.0;
+  bool identical = false;
+};
+
+// One node's threshold prefix sums, as pass 1 hands them to the kernel:
+// `count` rows with weights scale·(0.05 + U[0, 1)), ~40 % positive, one
+// more row on the right of the last threshold, and every tenth threshold
+// ruled out (wl = 0) as the scan does for equal neighbours.
+struct KernelInput {
+  SplitNode node;
+  std::vector<double> wl;
+  std::vector<double> wl_pos;
+};
+
+KernelInput MakeKernelInput(SplitCriterion criterion, double scale,
+                            size_t count) {
+  Rng rng(77);
+  KernelInput input;
+  input.wl.resize(count);
+  input.wl_pos.resize(count);
+  double w = 0.0;
+  double pos = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    const double weight = scale * (0.05 + rng.Uniform());
+    w += weight;
+    if (rng.Uniform() < 0.4) pos += weight;
+    input.wl[i] = i % 10 == 9 ? 0.0 : w;
+    input.wl_pos[i] = pos;
+  }
+  const double last = scale * 0.5;
+  input.node = {w + last, pos,
+                SplitImpurity(pos, w + last, criterion), criterion};
+  return input;
+}
+
+// Times every kernel variant on both criteria and checks each against the
+// baseline variant bit for bit, at node weights from 1 down to 1e-300.
+std::vector<KernelResult> RunKernelCase(size_t reps) {
+  constexpr size_t kCount = 4096;
+  constexpr size_t kCalls = 2048;
+  const std::span<const SplitGainKernel> kernels = SplitGainKernels();
+  std::vector<KernelResult> results;
+  for (SplitCriterion criterion :
+       {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
+    for (const SplitGainKernel& kernel : kernels) {
+      KernelResult result;
+      result.variant = kernel.name;
+      result.criterion = criterion;
+      result.identical = true;
+      for (double scale : {1.0, 1e-20, 1e-150, 1e-300}) {
+        const KernelInput input = MakeKernelInput(criterion, scale, kCount);
+        std::vector<float> baseline(kCount);
+        std::vector<float> out(kCount);
+        kernels.front().fn(input.node, input.wl.data(), input.wl_pos.data(),
+                           kCount, baseline.data());
+        kernel.fn(input.node, input.wl.data(), input.wl_pos.data(), kCount,
+                  out.data());
+        for (size_t i = 0; i < kCount; ++i) {
+          if (std::bit_cast<uint32_t>(out[i]) !=
+              std::bit_cast<uint32_t>(baseline[i])) {
+            result.identical = false;
+          }
+        }
+      }
+      const KernelInput input = MakeKernelInput(criterion, 1.0, kCount);
+      std::vector<float> out(kCount);
+      const double seconds = MedianSeconds(reps, [&] {
+        for (size_t call = 0; call < kCalls; ++call) {
+          kernel.fn(input.node, input.wl.data(), input.wl_pos.data(), kCount,
+                    out.data());
+        }
+      });
+      result.ns_per_threshold =
+          seconds * 1e9 / static_cast<double>(kCalls * kCount);
+      results.push_back(result);
+    }
+  }
+  return results;
+}
+
+const char* CriterionName(SplitCriterion criterion) {
+  return criterion == SplitCriterion::kGini ? "gini" : "entropy";
+}
+
 void WriteTrainJson(const std::string& path, const Dataset& data, size_t reps,
-                    const std::vector<CaseResult>& results) {
+                    const std::vector<CaseResult>& results,
+                    const std::vector<KernelResult>& kernel_results) {
   std::ofstream out(path);
   FALCC_CHECK(static_cast<bool>(out), "cannot open BENCH_train.json");
   out << "{\n";
@@ -243,8 +361,12 @@ void WriteTrainJson(const std::string& path, const Dataset& data, size_t reps,
   out << "  \"note\": \"reference = frozen seed trainer "
          "(ml/reference_trainer.h); engine = presorted column-cache "
          "builder with the two-pass split scan (ml/tree_builder.h); "
-         "seconds = median of reps; thread counts above nproc measure "
-         "oversubscription, not speedup\",\n";
+         "adaboost_grid_fit fits its cells in a ParallelFor on both sides "
+         "(engine: largest estimators x depth first, as TrainDiversePool; "
+         "reference: grid order); seconds = median of reps; thread counts "
+         "above nproc measure oversubscription, not speedup; "
+         "split_gain_kernel = pass-1 kernel variants on one thread, "
+         "4096 thresholds per call, identical = bit-equal to baseline\",\n";
   out << "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];
@@ -256,6 +378,16 @@ void WriteTrainJson(const std::string& path, const Dataset& data, size_t reps,
         << ", \"predictions_identical\": "
         << (r.predictions_identical ? "true" : "false") << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"split_gain_kernel\": [\n";
+  for (size_t i = 0; i < kernel_results.size(); ++i) {
+    const KernelResult& r = kernel_results[i];
+    out << "    {\"variant\": \"" << r.variant << "\", \"criterion\": \""
+        << CriterionName(r.criterion)
+        << "\", \"ns_per_threshold\": " << r.ns_per_threshold
+        << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
+        << (i + 1 < kernel_results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
@@ -291,6 +423,7 @@ int Main(int argc, char** argv) {
     results.insert(results.end(), batch.begin(), batch.end());
   }
   SetParallelism(restore);
+  const std::vector<KernelResult> kernel_results = RunKernelCase(reps);
 
   bool all_identical = true;
   for (const CaseResult& r : results) {
@@ -304,11 +437,24 @@ int Main(int argc, char** argv) {
     all_identical =
         all_identical && r.model_identical && r.predictions_identical;
   }
-  WriteTrainJson(json_path, data, reps, results);
+  bool kernels_identical = true;
+  for (const KernelResult& r : kernel_results) {
+    std::printf("  split_gain_kernel  %-8s %-7s  %.2f ns/threshold  "
+                "identical=%s\n",
+                r.variant.c_str(), CriterionName(r.criterion),
+                r.ns_per_threshold, r.identical ? "yes" : "NO");
+    kernels_identical = kernels_identical && r.identical;
+  }
+  WriteTrainJson(json_path, data, reps, results, kernel_results);
   std::printf("  -> %s\n", json_path.c_str());
   if (!all_identical) {
     std::fprintf(stderr, "ERROR: engine output differs from the seed "
                          "trainer\n");
+    return 1;
+  }
+  if (!kernels_identical) {
+    std::fprintf(stderr, "ERROR: a split gain kernel variant differs from "
+                         "the baseline\n");
     return 1;
   }
   return 0;

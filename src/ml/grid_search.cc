@@ -1,6 +1,7 @@
 #include "ml/grid_search.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "data/feature_columns.h"
 #include "fairness/diversity.h"
@@ -83,7 +84,17 @@ Result<DiversePool> TrainDiversePool(const Dataset& train,
 
   // Train every grid configuration and collect validation votes. Fits are
   // independent; results land in slots indexed by grid position. All
-  // cells share one presorted column cache of the training data.
+  // cells share one presorted column cache of the training data. Cells
+  // are claimed largest first (estimators × depth, descending, ties in
+  // grid order), so the longest fits do not start last and leave the
+  // other threads idle at the end.
+  std::vector<size_t> claim_order(grid.size());
+  std::iota(claim_order.begin(), claim_order.end(), size_t{0});
+  std::stable_sort(claim_order.begin(), claim_order.end(),
+                   [&](size_t a, size_t b) {
+                     return grid[a].estimators * grid[a].depth >
+                            grid[b].estimators * grid[b].depth;
+                   });
   const FeatureColumns columns(train);
   std::vector<std::unique_ptr<Classifier>> candidates(grid.size());
   std::vector<std::vector<int>> votes(grid.size());
@@ -91,7 +102,8 @@ Result<DiversePool> TrainDiversePool(const Dataset& train,
   std::vector<Status> fit_status(grid.size());
   ParallelFor(0, grid.size(), 1,
               [&](size_t /*chunk*/, size_t lo, size_t hi) {
-                for (size_t i = lo; i < hi; ++i) {
+                for (size_t k = lo; k < hi; ++k) {
+                  const size_t i = claim_order[k];
                   const GridPoint& p = grid[i];
                   Result<std::unique_ptr<Classifier>> model = TrainCandidate(
                       columns, options.family, p.estimators, p.depth,

@@ -16,8 +16,9 @@ namespace {
 // interpolant in m − 1 (|error| ≤ 3.7e-7 over every float in [1, 2),
 // float rounding included). Zero and subnormal t get e = -127 and a
 // wrong mantissa term, which callers multiply by a weight below
-// FLT_MIN. Branch-free so the calling loop vectorizes.
-inline float Log2(float t) {
+// FLT_MIN. Branch-free so the calling loop vectorizes; always inlined
+// so each kernel variant below compiles it for its own instruction set.
+[[gnu::always_inline]] inline float Log2(float t) {
   const uint32_t bits = std::bit_cast<uint32_t>(t);
   const float e = static_cast<float>(static_cast<int32_t>(bits >> 23) - 127);
   const float x =
@@ -34,7 +35,8 @@ inline float Log2(float t) {
 }
 
 // a·H(x/a) for a side of weight a = x + n: −x·log2(x/a) − n·log2(n/a).
-inline float SideEntropy(float x, float n, float a) {
+[[gnu::always_inline]] inline float SideEntropy(float x, float n,
+                                                float a) {
   const float r = 1.0f / a;
   return -(x * Log2(x * r) + n * Log2(n * r));
 }
@@ -72,8 +74,10 @@ namespace {
 // subtraction. With p = x/a, a·Gini(p) = 2·x·n/a and
 // a·H(p) = −x·log2(x/a) − n·log2(n/a).
 template <SplitCriterion kCriterion>
-void ApproxGains(const SplitNode& node, const double* wl,
-                 const double* wl_pos, size_t count, float* out) {
+[[gnu::always_inline]] inline void ApproxGains(const SplitNode& node,
+                                               const double* wl,
+                                               const double* wl_pos,
+                                               size_t count, float* out) {
   const double scale = 1.0 / node.w_total;
   const float parent = static_cast<float>(node.parent_impurity);
   const float kInvalid = -std::numeric_limits<float>::infinity();
@@ -109,15 +113,67 @@ void ApproxGains(const SplitNode& node, const double* wl,
   }
 }
 
-}  // namespace
-
-void ApproxSplitGains(const SplitNode& node, const double* wl,
-                      const double* wl_pos, size_t count, float* out) {
+[[gnu::always_inline]] inline void ApproxGainsAnyCriterion(
+    const SplitNode& node, const double* wl, const double* wl_pos,
+    size_t count, float* out) {
   if (node.criterion == SplitCriterion::kGini) {
     ApproxGains<SplitCriterion::kGini>(node, wl, wl_pos, count, out);
   } else {
     ApproxGains<SplitCriterion::kEntropy>(node, wl, wl_pos, count, out);
   }
+}
+
+// The kernel variants: one source, compiled per instruction set. They
+// are bit-identical because the loop only does IEEE operations that
+// every target rounds alike, and -ffp-contract=off on this file keeps
+// the avx512f clone (which GCC lets use FMA) from fusing them
+// (tests/split_scan_test.cc checks every variant against the baseline).
+void ApproxGainsBaseline(const SplitNode& node, const double* wl,
+                         const double* wl_pos, size_t count, float* out) {
+  ApproxGainsAnyCriterion(node, wl, wl_pos, count, out);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void ApproxGainsAvx2(const SplitNode& node,
+                                             const double* wl,
+                                             const double* wl_pos,
+                                             size_t count, float* out) {
+  ApproxGainsAnyCriterion(node, wl, wl_pos, count, out);
+}
+
+[[gnu::target("avx512f")]] void ApproxGainsAvx512(const SplitNode& node,
+                                                  const double* wl,
+                                                  const double* wl_pos,
+                                                  size_t count, float* out) {
+  ApproxGainsAnyCriterion(node, wl, wl_pos, count, out);
+}
+#endif
+
+std::vector<SplitGainKernel> SupportedKernels() {
+  std::vector<SplitGainKernel> kernels = {{"baseline", &ApproxGainsBaseline}};
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    kernels.push_back({"avx2", &ApproxGainsAvx2});
+  }
+  if (__builtin_cpu_supports("avx512f")) {
+    kernels.push_back({"avx512f", &ApproxGainsAvx512});
+  }
+#endif
+  return kernels;
+}
+
+}  // namespace
+
+std::span<const SplitGainKernel> SplitGainKernels() {
+  static const std::vector<SplitGainKernel> kernels = SupportedKernels();
+  return kernels;
+}
+
+void ApproxSplitGains(const SplitNode& node, const double* wl,
+                      const double* wl_pos, size_t count, float* out) {
+  static const auto fn = SplitGainKernels().back().fn;
+  fn(node, wl, wl_pos, count, out);
 }
 
 Status TreeBuilder::Build(const FeatureColumns& columns,
@@ -162,8 +218,8 @@ Status TreeBuilder::Build(const FeatureColumns& columns,
   indices_.resize(num_rows_);
   for (size_t i = 0; i < num_rows_; ++i) indices_[i] = i;
   goes_left_.resize(num_rows_);
-  scratch_rows_.reserve(num_rows_);
-  scratch_values_.reserve(num_rows_);
+  scratch_rows_.resize(num_rows_);
+  scratch_values_.resize(num_rows_);
 
   nodes_->clear();
   nodes_->reserve(64);
@@ -248,9 +304,15 @@ int TreeBuilder::BuildNode(size_t begin, size_t end, size_t depth) {
     float* approx = approx_gain_.data();
     ApproxSplitGains(node, prefix_w_.data() + lo, prefix_pos_.data() + lo,
                      hi - lo, approx + lo);
+    // This feature's max goes through a local: best_approx lives across
+    // the kernel call, and GCC kept it in a stack slot inside this loop,
+    // a store-to-load round trip per threshold. Only the sign of a zero
+    // maximum can differ, and the cut below is the same for both zeros.
+    float feature_best = std::numeric_limits<float>::lowest();
     for (size_t i = lo; i < hi; ++i) {
-      best_approx = std::max(best_approx, approx[i]);
+      feature_best = std::max(feature_best, approx[i]);
     }
+    best_approx = std::max(best_approx, feature_best);
 
     // Pass 2: exact re-score, in candidate order with the seed's strict
     // test, of every threshold that can tie or beat the best. NaN fails
@@ -283,31 +345,13 @@ int TreeBuilder::BuildNode(size_t begin, size_t end, size_t depth) {
   const size_t mid = static_cast<size_t>(mid_it - indices_.begin());
   if (mid == begin || mid == end) return node_id;  // degenerate partition
 
-  // Stable-partition every feature's presorted segment on the chosen
-  // split: value order survives into the children, so no sort ever
-  // happens below the root.
-  for (size_t i = begin; i < mid; ++i) goes_left_[indices_[i]] = 1;
-  for (size_t i = mid; i < end; ++i) goes_left_[indices_[i]] = 0;
-  for (size_t f = 0; f < num_features_; ++f) {
-    uint32_t* rows = lists_.data() + f * num_rows_;
-    double* values = list_values_.data() + f * num_rows_;
-    scratch_rows_.clear();
-    scratch_values_.clear();
-    size_t out = begin;
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t row = rows[i];
-      if (goes_left_[row]) {
-        rows[out] = row;
-        values[out] = values[i];
-        ++out;
-      } else {
-        scratch_rows_.push_back(row);
-        scratch_values_.push_back(values[i]);
-      }
-    }
-    std::copy(scratch_rows_.begin(), scratch_rows_.end(), rows + out);
-    std::copy(scratch_values_.begin(), scratch_values_.end(), values + out);
-  }
+  // A child at max_depth or below min_samples_split is a leaf before it
+  // reads a list, so the lists are partitioned only if a child may scan.
+  const bool child_scans =
+      depth + 1 < options.max_depth &&
+      (mid - begin >= options.min_samples_split ||
+       end - mid >= options.min_samples_split);
+  if (child_scans) PartitionLists(begin, mid, end);
 
   // nodes_ may reallocate in recursion; write fields via node_id after.
   const int left = BuildNode(begin, mid, depth + 1);
@@ -317,6 +361,38 @@ int TreeBuilder::BuildNode(size_t begin, size_t end, size_t depth) {
   (*nodes_)[node_id].left = left;
   (*nodes_)[node_id].right = right;
   return node_id;
+}
+
+void TreeBuilder::PartitionLists(size_t begin, size_t mid, size_t end) {
+  // Stable-partition every feature's presorted segment on the chosen
+  // split: value order survives into the children, so no sort ever
+  // happens below the root.
+  for (size_t i = begin; i < mid; ++i) goes_left_[indices_[i]] = 1;
+  for (size_t i = mid; i < end; ++i) goes_left_[indices_[i]] = 0;
+  uint32_t* scratch_rows = scratch_rows_.data();
+  double* scratch_values = scratch_values_.data();
+  for (size_t f = 0; f < num_features_; ++f) {
+    uint32_t* rows = lists_.data() + f * num_rows_;
+    double* values = list_values_.data() + f * num_rows_;
+    // Branch-free, with two cursors: every element is written at both
+    // the left cursor (never past i) and the scratch cursor, and only the
+    // cursor of the row's side advances.
+    size_t left = begin;
+    size_t right = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t row = rows[i];
+      const double value = values[i];
+      const size_t goes_left = goes_left_[row];
+      rows[left] = row;
+      values[left] = value;
+      scratch_rows[right] = row;
+      scratch_values[right] = value;
+      left += goes_left;
+      right += 1 - goes_left;
+    }
+    std::copy(scratch_rows, scratch_rows + right, rows + left);
+    std::copy(scratch_values, scratch_values + right, values + left);
+  }
 }
 
 }  // namespace falcc

@@ -6,6 +6,7 @@
 // segments, accumulating weighted prefix sums to score thresholds, and
 // partitions the presorted segments *stably* on the chosen split — so the
 // value order survives recursion and no sort ever happens below the root.
+// Segments are partitioned only when a child can split again.
 //
 // Threshold scoring is one two-pass scan per candidate feature
 // (DESIGN.md §8): pass 1 accumulates the exact double prefix sums and
@@ -80,8 +81,24 @@ double ExactSplitGain(const SplitNode& node, double wl, double wl_pos);
 ///    thresholds must be re-scored;
 ///  * otherwise a float approximation of ExactSplitGain, within
 ///    kSplitGainErrorBound of it.
+///
+/// Dispatches to the widest variant in SplitGainKernels(); every variant
+/// returns the same bits.
 void ApproxSplitGains(const SplitNode& node, const double* wl,
                       const double* wl_pos, size_t count, float* out);
+
+/// One compiled variant of the pass-1 kernel: the same source built for
+/// one instruction set, with ApproxSplitGains' contract.
+struct SplitGainKernel {
+  const char* name;
+  void (*fn)(const SplitNode& node, const double* wl, const double* wl_pos,
+             size_t count, float* out);
+};
+
+/// The variants this CPU runs, chosen once with __builtin_cpu_supports:
+/// "baseline" first, then "avx2" and "avx512f" on x86-64 hosts that
+/// support them. ApproxSplitGains calls the last one.
+std::span<const SplitGainKernel> SplitGainKernels();
 
 /// Reusable tree-building engine. One instance per thread; scratch
 /// buffers (presorted working lists, masks, partition scratch) persist
@@ -100,6 +117,9 @@ class TreeBuilder {
 
  private:
   int BuildNode(size_t begin, size_t end, size_t depth);
+  // Stably partitions every feature's list segment [begin, end) so the
+  // rows indices_[begin, mid) put left come first.
+  void PartitionLists(size_t begin, size_t mid, size_t end);
 
   // Per-Build state (set by Build, read by BuildNode).
   const FeatureColumns* columns_ = nullptr;
@@ -128,6 +148,7 @@ class TreeBuilder {
   std::vector<double> prefix_pos_;
   std::vector<float> approx_gain_;
   std::vector<uint8_t> goes_left_;  // per row, valid for the node being split
+  // Right-side rows of a partition; num_rows long.
   std::vector<uint32_t> scratch_rows_;
   std::vector<double> scratch_values_;
   std::vector<size_t> candidates_;

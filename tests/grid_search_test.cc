@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "data/split.h"
 #include "datagen/synthetic.h"
 #include "fairness/diversity.h"
+#include "ml/adaboost.h"
+#include "ml/serialize.h"
+#include "util/parallel.h"
 
 namespace falcc {
 namespace {
@@ -89,6 +95,62 @@ TEST(DiverseTrainerTest, LargerPoolNeverLessDiverseThanGreedyPrefix) {
   EXPECT_LE(e_small, 1.0);
   EXPECT_GE(e_large, 0.0);
   EXPECT_LE(e_large, 1.0);
+}
+
+std::string Bytes(const Classifier& model) {
+  std::ostringstream out;
+  EXPECT_TRUE(SerializeClassifier(model, &out).ok());
+  return out.str();
+}
+
+// Cells are claimed largest-first, not in grid order; each still lands
+// in its grid slot with its grid seed, so the thread count changes
+// nothing. The grid is unsorted so the claim order differs from it.
+TEST(DiverseTrainerTest, ClaimOrderIndependentOfThreadCount) {
+  const TrainValTest s = MakeSplits();
+  DiverseTrainerOptions opt;
+  opt.estimator_grid = {4, 12, 8};
+  opt.depth_grid = {5, 2};
+  opt.pool_size = 12;
+  opt.accuracy_tolerance = 1.0;  // keep every cell selectable
+  const size_t restore = Parallelism();
+  SetParallelism(1);
+  const DiversePool serial =
+      TrainDiversePool(s.train, s.validation, opt).value();
+  SetParallelism(4);
+  const DiversePool parallel =
+      TrainDiversePool(s.train, s.validation, opt).value();
+  SetParallelism(restore);
+  ASSERT_EQ(serial.models.size(), 12u);
+  ASSERT_EQ(parallel.models.size(), serial.models.size());
+  for (size_t m = 0; m < serial.models.size(); ++m) {
+    EXPECT_EQ(Bytes(*serial.models[m]), Bytes(*parallel.models[m]))
+        << "pool model " << m;
+  }
+  EXPECT_EQ(serial.entropy, parallel.entropy);
+
+  // The pool holds every cell, each fitted with the seed of its grid
+  // position (estimators, then depth, then gini before entropy).
+  std::multiset<std::string> expected;
+  uint64_t seed = opt.seed;
+  for (size_t estimators : opt.estimator_grid) {
+    for (size_t depth : opt.depth_grid) {
+      for (SplitCriterion criterion :
+           {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
+        AdaBoostOptions cell;
+        cell.num_estimators = estimators;
+        cell.base.max_depth = depth;
+        cell.base.criterion = criterion;
+        cell.base.seed = seed++;
+        AdaBoost model(cell);
+        ASSERT_TRUE(model.Fit(s.train).ok());
+        expected.insert(Bytes(model));
+      }
+    }
+  }
+  std::multiset<std::string> pooled;
+  for (const auto& m : serial.models) pooled.insert(Bytes(*m));
+  EXPECT_TRUE(pooled == expected);
 }
 
 TEST(DiverseTrainerTest, RandomForestFamilyWorks) {

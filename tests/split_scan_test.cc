@@ -28,10 +28,18 @@
 // kSplitGainErrorBound = 2e-6 covers both criteria. The sweep below
 // checks it from node weight 1 down to 1e-300, with left and positive
 // fractions including 0 and 1; it prints the largest error it saw.
+//
+// Every kernel variant this CPU runs (SplitGainKernels: baseline, avx2,
+// avx512f) must return the baseline's bits at every point of the sweep,
+// in vector lanes and scalar tails alike. A variant compiled with FMA
+// contraction (ml/tree_builder.cc without -ffp-contract=off) fails here.
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,15 +55,44 @@ struct SweepStats {
   double max_error = 0.0;
 };
 
+// Lanes per variant call: more than two 512-bit float vectors plus an
+// odd tail, so a threshold passes through vector bodies and scalar
+// remainders.
+constexpr size_t kLanes = 37;
+
+// Every variant scores `kLanes` copies of one threshold; each lane must
+// hold the bits of the baseline kernel's one-threshold call.
+void CheckVariants(const SplitNode& node, double wl, double wl_pos,
+                   float baseline) {
+  std::array<double, kLanes> wls;
+  std::array<double, kLanes> wl_poss;
+  std::array<float, kLanes> out;
+  wls.fill(wl);
+  wl_poss.fill(wl_pos);
+  for (const SplitGainKernel& kernel : SplitGainKernels()) {
+    kernel.fn(node, wls.data(), wl_poss.data(), kLanes, out.data());
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(out[lane]),
+                std::bit_cast<uint32_t>(baseline))
+          << kernel.name << " lane " << lane << " w_total=" << node.w_total
+          << " w_pos=" << node.w_pos << " wl=" << wl << " wl_pos=" << wl_pos
+          << " got=" << out[lane] << " baseline=" << baseline;
+    }
+  }
+}
+
 // Scores one threshold (prefix sums wl, wl_pos) on a node of weight
-// `w_total` with positive weight `w_pos` and checks the approximation
-// against the exact gain.
+// `w_total` with positive weight `w_pos`, checks every variant against
+// the baseline bit for bit, and checks the approximation against the
+// exact gain.
 void CheckSums(SplitCriterion criterion, double w_total, double w_pos,
                double wl, double wl_pos, SweepStats* stats) {
   const SplitNode node{w_total, w_pos,
                        SplitImpurity(w_pos, w_total, criterion), criterion};
   float approx = 0.0f;
-  ApproxSplitGains(node, &wl, &wl_pos, 1, &approx);
+  SplitGainKernels().front().fn(node, &wl, &wl_pos, 1, &approx);
+  CheckVariants(node, wl, wl_pos, approx);
+  if (::testing::Test::HasFatalFailure()) return;
   if (!std::isfinite(approx)) return;
   const double exact = ExactSplitGain(node, wl, wl_pos);
   const double error = std::fabs(static_cast<double>(approx) - exact);
@@ -125,37 +162,65 @@ TEST_P(SplitScanBound, ApproximationWithinBoundAcrossScales) {
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(stats.finite, 200000u);
-  std::printf("criterion=%s finite=%zu max_error=%.3g bound=%.3g\n",
+  std::printf("criterion=%s finite=%zu max_error=%.3g bound=%.3g "
+              "variants=%zu\n",
               criterion == SplitCriterion::kGini ? "gini" : "entropy",
               stats.finite, stats.max_error,
-              static_cast<double>(kSplitGainErrorBound));
+              static_cast<double>(kSplitGainErrorBound),
+              SplitGainKernels().size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Criteria, SplitScanBound,
                          ::testing::Values(SplitCriterion::kGini,
                                            SplitCriterion::kEntropy));
 
+// The baseline variant comes first and ApproxSplitGains runs the last.
+TEST(SplitScan, BaselineFirstAndDispatchToWidest) {
+  const std::span<const SplitGainKernel> kernels = SplitGainKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().name, "baseline");
+  for (const SplitGainKernel& kernel : kernels) {
+    std::printf("split gain kernel: %s\n", kernel.name);
+  }
+  const SplitNode node{1.0, 0.5,
+                       SplitImpurity(0.5, 1.0, SplitCriterion::kEntropy),
+                       SplitCriterion::kEntropy};
+  const double wl = 0.25;
+  const double wl_pos = 0.125;
+  float dispatched = 0.0f;
+  float widest = 1.0f;
+  ApproxSplitGains(node, &wl, &wl_pos, 1, &dispatched);
+  kernels.back().fn(node, &wl, &wl_pos, 1, &widest);
+  EXPECT_EQ(std::bit_cast<uint32_t>(dispatched),
+            std::bit_cast<uint32_t>(widest));
+}
+
 // Thresholds the caller ruled out (wl = 0) score -inf and are never
 // re-scored; a right side whose class weights went negative by rounding
 // scores NaN and is always re-scored.
 TEST(SplitScan, MarksInvalidAndOutOfRangeThresholds) {
-  for (SplitCriterion criterion :
-       {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
-    const SplitNode node{1.0, 0.5, SplitImpurity(0.5, 1.0, criterion),
-                         criterion};
-    const double wl[5] = {0.25, 0.0, 0.5, 0.6, 1e-50};
-    const double wl_pos[5] = {0.125, 0.0, 0.5 + 1e-6, 0.05, 0.0};
-    float out[5];
-    ApproxSplitGains(node, wl, wl_pos, 5, out);
-    EXPECT_TRUE(std::isfinite(out[0]));
-    EXPECT_EQ(out[1], -std::numeric_limits<float>::infinity());
-    EXPECT_TRUE(std::isnan(out[2]));  // right positive weight < 0
-    EXPECT_TRUE(std::isnan(out[3]));  // right negative weight < 0
-    // Left side underflows in float: gini divides 0 by 0, entropy's
-    // weighted logs vanish; either way nothing within the bound is lost.
-    EXPECT_TRUE(std::isnan(out[4]) ||
-                std::fabs(out[4] - ExactSplitGain(node, wl[4], wl_pos[4])) <=
-                    kSplitGainErrorBound);
+  for (const SplitGainKernel& kernel : SplitGainKernels()) {
+    SCOPED_TRACE(kernel.name);
+    for (SplitCriterion criterion :
+         {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
+      const SplitNode node{1.0, 0.5, SplitImpurity(0.5, 1.0, criterion),
+                           criterion};
+      const double wl[5] = {0.25, 0.0, 0.5, 0.6, 1e-50};
+      const double wl_pos[5] = {0.125, 0.0, 0.5 + 1e-6, 0.05, 0.0};
+      float out[5];
+      kernel.fn(node, wl, wl_pos, 5, out);
+      EXPECT_TRUE(std::isfinite(out[0]));
+      EXPECT_EQ(out[1], -std::numeric_limits<float>::infinity());
+      EXPECT_TRUE(std::isnan(out[2]));  // right positive weight < 0
+      EXPECT_TRUE(std::isnan(out[3]));  // right negative weight < 0
+      // Left side underflows in float: gini divides 0 by 0, entropy's
+      // weighted logs vanish; either way nothing within the bound is
+      // lost.
+      EXPECT_TRUE(std::isnan(out[4]) ||
+                  std::fabs(out[4] - ExactSplitGain(node, wl[4],
+                                                    wl_pos[4])) <=
+                      kSplitGainErrorBound);
+    }
   }
 }
 

@@ -16,8 +16,9 @@
 // thresholds), max_features subsampling, and min-leaf constraints. A
 // second group checks engine == reference only, with no golden file:
 // duplicated columns (gains tied across features), a 60-round depth-9
-// entropy AdaBoost, and both criteria under min_samples_leaf and
-// max_features.
+// entropy AdaBoost, both criteria under min_samples_leaf and
+// max_features, and the splits whose list partition is skipped (large
+// min_samples_split, max_depth 1 and 2).
 //
 // Regenerate the golden files after an *intentional* behaviour change
 // with: FALCC_REGEN_GOLDENS=1 ./train_engine_golden_test
@@ -329,6 +330,78 @@ TEST(TrainEngineGolden, MinLeafAndMaxFeaturesBothCriteria) {
     ASSERT_TRUE(forest_reference.ok());
     ExpectMatchesReference("max_features", forest, forest_reference.value(),
                            probe);
+  }
+}
+
+// The builder partitions its presorted lists only when a child can split
+// again. Here min_samples_split is large, so below the top levels both
+// children of a split usually hold fewer rows than it and the partition
+// is skipped; the leaves still get the seed's statistics.
+TEST(TrainEngineGolden, LargeMinSamplesSplitSkipsPartitions) {
+  const Dataset train = Quantize(Implicit(900, 121));
+  const Dataset probe = Quantize(Implicit(300, 122));
+  const std::vector<double> weights = PatternWeights(train.num_rows());
+  for (SplitCriterion criterion :
+       {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
+    for (size_t min_split : {size_t{150}, size_t{400}}) {
+      DecisionTreeOptions opt;
+      opt.max_depth = 9;
+      opt.min_samples_split = min_split;
+      opt.criterion = criterion;
+      DecisionTree tree(opt);
+      ASSERT_TRUE(tree.Fit(train, weights).ok());
+      Result<DecisionTree> reference =
+          reference::TrainTree(train, weights, opt);
+      ASSERT_TRUE(reference.ok());
+      ExpectMatchesReference("min_samples_split", tree, reference.value(),
+                             probe);
+
+      AdaBoostOptions boost_opt;
+      boost_opt.num_estimators = 8;
+      boost_opt.base = opt;
+      AdaBoost boost(boost_opt);
+      ASSERT_TRUE(boost.Fit(train, weights).ok());
+      Result<AdaBoost> boost_reference =
+          reference::TrainAdaBoost(train, weights, boost_opt);
+      ASSERT_TRUE(boost_reference.ok());
+      ExpectMatchesReference("min_samples_split_adaboost", boost,
+                             boost_reference.value(), probe);
+    }
+  }
+}
+
+// Children at max_depth never scan, so at max_depth 1 (stumps, as in the
+// paper's grid) no list is ever partitioned and at max_depth 2 only the
+// root's lists are.
+TEST(TrainEngineGolden, ShallowTreesSkipPartitions) {
+  const Dataset train = Social(800, 131);
+  const Dataset probe = Social(300, 132);
+  const std::vector<double> weights = PatternWeights(train.num_rows());
+  for (SplitCriterion criterion :
+       {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
+    for (size_t depth : {size_t{1}, size_t{2}}) {
+      DecisionTreeOptions opt;
+      opt.max_depth = depth;
+      opt.criterion = criterion;
+      DecisionTree tree(opt);
+      ASSERT_TRUE(tree.Fit(train, weights).ok());
+      Result<DecisionTree> reference =
+          reference::TrainTree(train, weights, opt);
+      ASSERT_TRUE(reference.ok());
+      ExpectMatchesReference("shallow_tree", tree, reference.value(), probe);
+
+      AdaBoostOptions boost_opt;
+      boost_opt.num_estimators = 12;
+      boost_opt.base = opt;
+      AdaBoost boost(boost_opt);
+      ASSERT_TRUE(boost.Fit(train, weights).ok());
+      Result<AdaBoost> boost_reference =
+          reference::TrainAdaBoost(train, weights, boost_opt);
+      ASSERT_TRUE(boost_reference.ok());
+      ASSERT_EQ(boost.num_fitted(), boost_reference.value().num_fitted());
+      ExpectMatchesReference("shallow_adaboost", boost,
+                             boost_reference.value(), probe);
+    }
   }
 }
 

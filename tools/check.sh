@@ -7,7 +7,11 @@
 #      bench_train_engine --reps=1 run — the binary exits non-zero if any
 #      model the presorted split engine trains (tree, AdaBoost, forest,
 #      the gini/entropy AdaBoost grid) differs in bytes or predictions
-#      from the frozen seed trainer's — and a short bench_infer run — the binary exits non-zero if the
+#      from the frozen seed trainer's, or if any split-gain kernel
+#      variant this CPU runs (baseline, avx2, avx512f) differs from the
+#      baseline variant bit for bit (its split_gain_kernel case; the same
+#      variant check runs in ctest as tests/split_scan_test.cc in every
+#      build below) — and a short bench_infer run — the binary exits non-zero if the
 #      compiled flat-node kernels' decisions diverge from the
 #      interpreted path, in the model-level, batch and one-row-per-call
 #      serving cases (golden-model bit-identity itself runs in ctest
@@ -48,7 +52,8 @@
 #      split engine (ml/tree_builder.cc) and the compiled-kernel table
 #      walks (ml/compiled_ensemble.cc) fail loudly; the serving tests run
 #      here too, plus an ASan bench_train_engine --reps=1 pass over the
-#      same engine-vs-seed-trainer identity check and a short ASan
+#      same engine-vs-seed-trainer identity and kernel-variant bit-identity
+#      checks and a short ASan
 #      bench_infer pass over the same compiled-vs-interpreted decision
 #      check, one-row (n = 1) walks included.
 #
