@@ -51,7 +51,6 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -230,8 +229,12 @@ TransportResult RunTransport(const std::string& transport,
   // under it.
   const double poll_interval = 0.05;
 
-  std::unique_ptr<replicate::SocketPublisher> socket_publisher;
-  std::optional<replicate::DeltaPublisher> dir_publisher;
+  replicate::DeltaPublisherOptions publisher_options;
+  publisher_options.dir = dir;
+  publisher_options.checkpoint_every = 0;  // pure delta stream
+  replicate::DeltaPublisher publisher =
+      replicate::DeltaPublisher::Open(publisher_options).value();
+  std::unique_ptr<replicate::SocketPublisher> server;
 
   replicate::ReplicaFleetOptions fleet_options;
   fleet_options.num_replicas = replicas;
@@ -242,17 +245,11 @@ TransportResult RunTransport(const std::string& transport,
     options.listen =
         "unix://" +
         (fs::temp_directory_path() / "bench_replicate_feed.sock").string();
-    options.publisher.dir = dir;
-    options.publisher.checkpoint_every = 0;  // pure delta stream
-    socket_publisher =
-        replicate::SocketPublisher::Open(std::move(options)).value();
-    fleet_options.feed_endpoint = socket_publisher->endpoint();
+    options.dir = dir;
+    server = replicate::SocketPublisher::Open(std::move(options)).value();
+    fleet_options.feed_endpoint = server->endpoint();
     fleet_options.socket.reconnect_initial_seconds = 0.01;
   } else {
-    replicate::DeltaPublisherOptions options;
-    options.dir = dir;
-    options.checkpoint_every = 0;
-    dir_publisher.emplace(replicate::DeltaPublisher::Open(options).value());
     fleet_options.feed_dir = dir;
   }
 
@@ -269,11 +266,8 @@ TransportResult RunTransport(const std::string& transport,
     const uint64_t target = HashOf(next);
     const size_t clusters[] = {cluster};
     Timer lag;
-    if (socket_publisher != nullptr) {
-      socket_publisher->PublishDelta(next, clusters, HashOf(head)).value();
-    } else {
-      dir_publisher->PublishDelta(next, clusters, HashOf(head)).value();
-    }
+    publisher.PublishDelta(next, clusters, HashOf(head)).value();
+    if (server != nullptr) server->ForwardNewArtifacts().value();
     bool converged = false;
     while (!converged && lag.ElapsedSeconds() < 30.0) {
       converged = fleet.ConvergedTo(target);
@@ -303,7 +297,7 @@ TransportResult RunTransport(const std::string& transport,
       }
     }
   }
-  if (socket_publisher != nullptr) socket_publisher->Close();
+  if (server != nullptr) server->Close();
   return result;
 }
 

@@ -13,6 +13,11 @@
 //                                   ▼
 //                             FalccEngine (hot-swap)
 //
+// With `delta_dir` set, each installed refresh is also published: a
+// DeltaPublisher writes it into the feed directory (with cadence
+// checkpoints and GC), and with `feed_listen` set a SocketPublisher
+// serving that directory pushes it to subscribed replicas.
+//
 // The serving hot path only ever touches the lock-free DecisionLog;
 // everything downstream runs on whichever thread calls Poll() —
 // typically a background loop or the replay driver between chunks.
@@ -56,9 +61,10 @@ struct MonitorOptions {
   /// never).
   size_t checkpoint_every = 8;
   /// Forwarded to RefresherOptions::feed_listen: when non-empty (with
-  /// delta_dir set), published artifacts are also pushed to socket
-  /// subscribers on this endpoint (`tcp://host:port` or `unix://path`)
-  /// so replicas see refreshes without polling the directory.
+  /// delta_dir set), a socket publisher on this endpoint
+  /// (`tcp://host:port` or `unix://path`) serves delta_dir and pushes
+  /// each published artifact to its subscribers, so replicas see
+  /// refreshes without polling the directory.
   std::string feed_listen;
 };
 

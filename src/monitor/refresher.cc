@@ -108,44 +108,43 @@ Result<RefreshOutcome> Refresher::RefreshCluster(const ClusterWindow& window,
 
 void Refresher::PublishDelta(const FalccModel& next, size_t cluster,
                              uint64_t base_hash, RefreshOutcome* outcome) {
-  if (publisher_ == nullptr && socket_publisher_ == nullptr) {
+  if (publisher_ == nullptr) {
     replicate::DeltaPublisherOptions publisher_options;
     publisher_options.dir = options_.delta_dir;
     publisher_options.checkpoint_every = options_.checkpoint_every;
-    if (!options_.feed_listen.empty()) {
-      // Socket mode: the SocketPublisher owns the directory publisher,
-      // so every artifact is still written to delta_dir (durable store,
-      // catch-up source) before being pushed to subscribers.
-      replicate::SocketPublisherOptions socket_options;
-      socket_options.listen = options_.feed_listen;
-      socket_options.publisher = publisher_options;
-      Result<std::unique_ptr<replicate::SocketPublisher>> opened =
-          replicate::SocketPublisher::Open(std::move(socket_options));
-      if (!opened.ok()) {
-        delta_failures_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      socket_publisher_ = std::move(opened).value();
-    } else {
-      Result<replicate::DeltaPublisher> opened =
-          replicate::DeltaPublisher::Open(publisher_options);
-      if (!opened.ok()) {
-        delta_failures_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      publisher_ = std::make_unique<replicate::DeltaPublisher>(
-          std::move(opened).value());
+    Result<replicate::DeltaPublisher> opened =
+        replicate::DeltaPublisher::Open(std::move(publisher_options));
+    if (!opened.ok()) {
+      delta_failures_.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
+    publisher_ = std::make_unique<replicate::DeltaPublisher>(
+        std::move(opened).value());
+  }
+  if (!options_.feed_listen.empty() && server_ == nullptr) {
+    // An install whose listener cannot open publishes nothing (counted
+    // as a failure); the next install retries the open.
+    replicate::SocketPublisherOptions server_options;
+    server_options.listen = options_.feed_listen;
+    server_options.dir = options_.delta_dir;
+    Result<std::unique_ptr<replicate::SocketPublisher>> opened =
+        replicate::SocketPublisher::Open(std::move(server_options));
+    if (!opened.ok()) {
+      delta_failures_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    server_ = std::move(opened).value();
   }
   const size_t clusters[] = {cluster};
   Result<replicate::PublishReport> report =
-      socket_publisher_ != nullptr
-          ? socket_publisher_->PublishDelta(next, clusters, base_hash)
-          : publisher_->PublishDelta(next, clusters, base_hash);
+      publisher_->PublishDelta(next, clusters, base_hash);
   if (!report.ok()) {
     delta_failures_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  // The artifacts are durable in the directory; a failed wake only
+  // delays them to the next wake or a subscriber's catch-up replay.
+  if (server_ != nullptr) (void)server_->ForwardNewArtifacts();
   delta_published_.fetch_add(1, std::memory_order_relaxed);
   // The delta is always the first artifact; a cadence checkpoint (and
   // its GC) may ride along in the same report.

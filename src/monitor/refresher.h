@@ -11,6 +11,14 @@
 // install goes through FalccModel::CloneWithRefreshes + the engine's
 // lock-free hot-swap, which leaves every other cluster's decisions
 // bit-identical.
+//
+// With `delta_dir` set, every install is also published for replicas
+// through one call site: a replicate::DeltaPublisher writes the delta
+// (plus, on cadence, a checkpoint) into the directory, and when
+// `feed_listen` is set a replicate::SocketPublisher serving that same
+// directory is woken to push the new artifacts to its subscribers.
+// Publication is best-effort: failures are counted, never propagated,
+// and never block the local install.
 
 #ifndef FALCC_MONITOR_REFRESHER_H_
 #define FALCC_MONITOR_REFRESHER_H_
@@ -48,14 +56,13 @@ struct RefresherOptions {
   /// superseded artifacts, so late-joining replicas bootstrap without
   /// replaying history. 0 = never checkpoint.
   size_t checkpoint_every = 8;
-  /// When non-empty (requires delta_dir), artifacts are published
-  /// through a replicate::SocketPublisher listening on this endpoint
-  /// (`tcp://host:port` or `unix://path`): the directory stays the
-  /// durable store and catch-up source, and every write is also pushed
-  /// to connected subscribers, cutting propagation lag below any poll
-  /// interval. Like the directory publisher, the listener is opened
-  /// lazily on the first install — subscribers reconnect with backoff,
-  /// so starting them early is fine.
+  /// When non-empty (requires delta_dir), a replicate::SocketPublisher
+  /// listening on this endpoint (`tcp://host:port` or `unix://path`)
+  /// serves delta_dir: after each publish the refresher wakes it, and it
+  /// pushes the new artifacts to connected subscribers, cutting
+  /// propagation lag below any poll interval. Like the directory
+  /// publisher, the listener is opened lazily on the first install —
+  /// subscribers reconnect with backoff, so starting them early is fine.
   std::string feed_listen;
 };
 
@@ -107,11 +114,10 @@ class Refresher {
   RefresherOptions options_;
   /// Lazily opened on the first publish (creating the directory then);
   /// sequencing, temp+rename writes, checkpoint cadence, and GC all
-  /// live in the publisher. Exactly one of the two is ever open:
-  /// socket_publisher_ (which wraps its own directory publisher) when
-  /// feed_listen is set, publisher_ otherwise.
+  /// live in the publisher. server_ serves the same directory and is
+  /// opened alongside it only when feed_listen is set.
   std::unique_ptr<replicate::DeltaPublisher> publisher_;
-  std::unique_ptr<replicate::SocketPublisher> socket_publisher_;
+  std::unique_ptr<replicate::SocketPublisher> server_;
   std::atomic<uint64_t> attempts_{0};
   std::atomic<uint64_t> installed_{0};
   std::atomic<uint64_t> rejected_{0};

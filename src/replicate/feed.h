@@ -8,9 +8,12 @@
 // `<zero-padded sequence>-<kind>-<detail>.falcc`, so lexicographic
 // directory order IS apply order, and a feed needs no index file or
 // broker — `scp`, NFS, or an object-store sync loop is the transport.
-// SocketFeed (replicate/socket_feed.h) is the push transport: a
-// publisher streams the same artifacts over TCP or a unix socket and
-// the feed spools them locally, so Poll semantics are identical.
+// DeltaPublisher (replicate/publisher.h) is the one writer of such a
+// directory. The push transport (replicate/socket_feed.h) reads it
+// too: a SocketPublisher serves the directory over TCP or a unix
+// socket, streaming each subscriber the artifacts after its cursor,
+// and a SocketFeed spools them locally, so Poll semantics are
+// identical on either side of the wire.
 //
 // Partial-write tolerance is by convention, not by locking: publishers
 // write to a `.tmp`-suffixed name in the same directory and rename into

@@ -126,10 +126,8 @@ Result<PublishReport> DeltaPublisher::PublishCheckpoint(
   deltas_since_checkpoint_ = 0;
   PublishReport report;
   report.artifacts.push_back(std::move(artifact));
-  if (options_.gc) {
-    report.gc_removed = GarbageCollect();
-    stats_.gc_removed += report.gc_removed;
-  }
+  report.gc_removed = GarbageCollect();
+  stats_.gc_removed += report.gc_removed;
   return report;
 }
 
@@ -168,17 +166,14 @@ size_t DeltaPublisher::GarbageCollect() {
   DirectoryFeed feed(options_.dir);
   Result<std::vector<FeedEntry>> entries = feed.Poll(0);
   if (!entries.ok()) return 0;
-  // The oldest retained checkpoint's sequence is the GC horizon: a late
-  // joiner bootstraps from a checkpoint at or after it, so everything
-  // strictly older is unreachable. Unreadable artifacts never count as
-  // checkpoints — retention must not anchor on a corrupt file.
-  std::vector<uint64_t> checkpoints;
+  // The newest checkpoint's sequence is the GC horizon: a late joiner
+  // bootstraps from it, so everything strictly older is unreachable.
+  // Unreadable artifacts never count as checkpoints — retention must
+  // not anchor on a corrupt file.
+  uint64_t horizon = 0;
   for (const FeedEntry& entry : entries.value()) {
-    if (entry.kind == ArtifactKind::kFull) checkpoints.push_back(entry.sequence);
+    if (entry.kind == ArtifactKind::kFull) horizon = entry.sequence;
   }
-  const size_t retain = std::max<size_t>(options_.retain_checkpoints, 1);
-  if (checkpoints.size() < retain) return 0;
-  const uint64_t horizon = checkpoints[checkpoints.size() - retain];
   size_t removed = 0;
   for (const FeedEntry& entry : entries.value()) {
     if (entry.sequence >= horizon) continue;

@@ -1,14 +1,16 @@
-// DeltaPublisher: the write side of a DirectoryFeed.
+// DeltaPublisher: the one writer of a feed directory.
 //
 // Assigns every artifact a monotonic sequence number (resumed from the
 // directory on Open, so a restarted publisher continues the feed instead
 // of renumbering it), writes through a `.tmp` + rename so consumers
 // never see a partial artifact, and maintains the feed's retention
 // contract: a full-snapshot checkpoint every `checkpoint_every` deltas,
-// after which artifacts superseded by a retained checkpoint are garbage
-// collected. Late joiners therefore bootstrap from the newest checkpoint
-// plus the deltas behind it — never by replaying the feed's whole
-// history.
+// after each of which every artifact older than that checkpoint is
+// garbage collected. Late joiners therefore bootstrap from the newest
+// checkpoint plus the deltas behind it — never by replaying the feed's
+// whole history. Replicas read the directory through a DirectoryFeed,
+// or over a socket from a SocketPublisher serving it (the writer then
+// calls SocketPublisher::ForwardNewArtifacts after each publish).
 //
 // Not internally synchronized: the monitor's Poll loop (the only
 // publisher in the system today) is single-threaded by contract.
@@ -34,11 +36,6 @@ struct DeltaPublisherOptions {
   /// 0 disables automatic checkpoints (callers may still publish them
   /// explicitly).
   size_t checkpoint_every = 8;
-  /// Checkpoints kept by garbage collection; everything older than the
-  /// oldest retained checkpoint is superseded and removed.
-  size_t retain_checkpoints = 1;
-  /// Run garbage collection after each checkpoint.
-  bool gc = true;
 };
 
 /// One artifact written by a publish call.
@@ -78,7 +75,7 @@ class DeltaPublisher {
                                      uint64_t base_hash);
 
   /// Publishes `model` as a full-snapshot checkpoint, resets the delta
-  /// cadence, and (by option) garbage-collects superseded artifacts.
+  /// cadence, and garbage-collects every artifact older than it.
   Result<PublishReport> PublishCheckpoint(const FalccModel& model);
 
   /// The sequence the next published artifact will carry.
@@ -93,7 +90,7 @@ class DeltaPublisher {
   Status WriteArtifact(const std::string& filename, const std::string& bytes,
                        std::string* final_path);
 
-  /// Removes every artifact superseded by a retained checkpoint.
+  /// Removes every artifact older than the newest checkpoint.
   size_t GarbageCollect();
 
   DeltaPublisherOptions options_;

@@ -10,6 +10,15 @@ namespace falcc::replicate {
 
 namespace {
 
+/// Out-of-order entries held while the gap in front of them fills.
+/// Overflow is treated as a lost gap: recovery via checkpoint.
+constexpr size_t kMaxBuffered = 64;
+/// Recovery retry backoff doubles from backoff_initial_seconds up to
+/// this cap, with ±this relative jitter so a replica fleet does not
+/// retry in lockstep.
+constexpr double kBackoffMaxSeconds = 2.0;
+constexpr double kBackoffJitter = 0.25;
+
 /// SplitMix64 step → uniform double in [0, 1). Deterministic per-puller
 /// jitter without dragging in the full Rng (one stream, one use).
 double NextUniform(uint64_t* state) {
@@ -73,7 +82,7 @@ PullReport DeltaPuller::PollOnce() {
         if (entry.sequence <= last_sequence_) continue;
         if (quarantined_.count(entry.path) > 0) continue;
         if (buffer_.count(entry.sequence) > 0) continue;
-        if (buffer_.size() >= options_.max_buffered) {
+        if (buffer_.size() >= kMaxBuffered) {
           // The gap in front of the buffer is wider than we will ever
           // hold: treat it as lost and recover via checkpoint.
           need_recovery_ = true;
@@ -284,9 +293,9 @@ void DeltaPuller::ScheduleRetry(Clock::time_point now) {
   backoff_seconds_ = backoff_seconds_ <= 0.0
                          ? options_.backoff_initial_seconds
                          : std::min(backoff_seconds_ * 2.0,
-                                    options_.backoff_max_seconds);
+                                    kBackoffMaxSeconds);
   const double jitter =
-      1.0 + options_.backoff_jitter * (2.0 * NextUniform(&jitter_state_) - 1.0);
+      1.0 + kBackoffJitter * (2.0 * NextUniform(&jitter_state_) - 1.0);
   next_retry_ = now + std::chrono::duration_cast<Clock::duration>(
                           std::chrono::duration<double>(
                               std::max(backoff_seconds_ * jitter, 0.0)));

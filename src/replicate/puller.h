@@ -42,17 +42,13 @@
 namespace falcc::replicate {
 
 struct DeltaPullerOptions {
-  /// Out-of-order entries held while the gap in front of them fills.
-  /// Overflow is treated as a lost gap: recovery via checkpoint.
-  size_t max_buffered = 64;
   /// Polls to wait on a sequence gap (with no checkpoint to jump to)
   /// before falling back to recovery.
   size_t gap_patience_polls = 2;
-  /// Recovery retry backoff: initial delay, doubling to the max, with
-  /// ±jitter so a replica fleet does not retry in lockstep.
+  /// Recovery retry backoff: initial delay, doubling to a 2 s cap, with
+  /// ±25 % jitter (seeded here) so a replica fleet does not retry in
+  /// lockstep.
   double backoff_initial_seconds = 0.05;
-  double backoff_max_seconds = 2.0;
-  double backoff_jitter = 0.25;
   uint64_t jitter_seed = 1;
   /// Background-thread mode: delay between polls.
   double poll_interval_seconds = 0.02;

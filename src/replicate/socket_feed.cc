@@ -15,6 +15,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <utility>
 
 #include "io/mapped_file.h"
@@ -25,6 +27,10 @@ namespace falcc::replicate {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Deadline for a subscriber's connect and its SUBSCRIBE → HELLO
+/// handshake.
+constexpr double kConnectTimeoutSeconds = 2.0;
 
 std::chrono::duration<double> Seconds(double s) {
   return std::chrono::duration<double>(std::max(s, 0.0));
@@ -319,12 +325,10 @@ bool IsSocketEndpoint(const std::string& spec) {
 struct SocketPublisher::Subscriber {
   int fd = -1;
   std::thread thread;
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<FeedEntry> queue;
-  bool dropped = false;  ///< queue overflowed; re-plan from the directory
-  bool done = false;
-  /// Highest sequence sent on this connection (sender thread only).
+  bool done = false;  ///< connection over; AcceptLoop joins it (mu_)
+  /// Highest sequence handled on this connection: sent, skipped as
+  /// unreadable, or garbage-collected before it could be sent (sender
+  /// thread only).
   uint64_t cursor = 0;
 };
 
@@ -332,14 +336,25 @@ Result<std::unique_ptr<SocketPublisher>> SocketPublisher::Open(
     SocketPublisherOptions options) {
   Result<ParsedEndpoint> endpoint = ParseEndpointSpec(options.listen);
   FALCC_RETURN_IF_ERROR(endpoint.status());
-  Result<DeltaPublisher> publisher = DeltaPublisher::Open(options.publisher);
-  FALCC_RETURN_IF_ERROR(publisher.status());
+  if (options.dir.empty()) {
+    return Status::InvalidArgument("SocketPublisher: empty directory");
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(options.dir, ec);
+  if (ec) {
+    return Status::IOError("SocketPublisher: cannot create '" + options.dir +
+                           "': " + ec.message());
+  }
+  Result<std::vector<FeedEntry>> existing = DirectoryFeed(options.dir).Poll(0);
+  FALCC_RETURN_IF_ERROR(existing.status());
+  const uint64_t high_water =
+      existing.value().empty() ? 0 : existing.value().back().sequence;
   std::string resolved, unix_path;
   Result<int> listener = OpenListener(endpoint.value(), &resolved, &unix_path);
   FALCC_RETURN_IF_ERROR(listener.status());
   std::unique_ptr<SocketPublisher> out(
-      new SocketPublisher(std::move(options), std::move(publisher).value(),
-                          listener.value(), std::move(resolved)));
+      new SocketPublisher(std::move(options), listener.value(),
+                          std::move(resolved), high_water));
   out->unix_path_ = std::move(unix_path);
   out->accept_thread_ = std::thread([publisher = out.get()] {
     publisher->AcceptLoop();
@@ -347,37 +362,30 @@ Result<std::unique_ptr<SocketPublisher>> SocketPublisher::Open(
   return out;
 }
 
-SocketPublisher::SocketPublisher(SocketPublisherOptions options,
-                                 DeltaPublisher publisher, int listen_fd,
-                                 std::string endpoint)
+SocketPublisher::SocketPublisher(SocketPublisherOptions options, int listen_fd,
+                                 std::string endpoint, uint64_t high_water)
     : options_(std::move(options)),
-      publisher_(std::move(publisher)),
-      dir_feed_(options_.publisher.dir),
+      dir_feed_(options_.dir),
       listen_fd_(listen_fd),
       endpoint_(std::move(endpoint)),
-      forward_cursor_(publisher_->next_sequence() > 0
-                          ? publisher_->next_sequence() - 1
-                          : 0) {
-  next_sequence_hint_.store(publisher_->next_sequence(),
-                            std::memory_order_relaxed);
-}
+      high_water_(high_water) {}
 
 SocketPublisher::~SocketPublisher() { Close(); }
 
 void SocketPublisher::Close() {
   if (closed_) return;
   closed_ = true;
-  stop_.store(true, std::memory_order_relaxed);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::shared_ptr<Subscriber>> subscribers;
   {
+    // Under the lock, so no sender can check the predicate and then
+    // miss the wake.
     std::lock_guard<std::mutex> lock(mu_);
-    subscribers = subscribers_;
+    stop_.store(true, std::memory_order_relaxed);
   }
-  for (auto& subscriber : subscribers) subscriber->cv.notify_all();
-  for (auto& subscriber : subscribers) {
-    if (subscriber->thread.joinable()) subscriber->thread.join();
-  }
+  cv_.notify_all();
+  if (accept_thread_.joinable()) accept_thread_.join();
+  // The accept thread is gone, so the list no longer changes.
+  for (auto& subscriber : subscribers_) subscriber->thread.join();
+  subscribers_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -385,72 +393,43 @@ void SocketPublisher::Close() {
   if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
 }
 
-Result<PublishReport> SocketPublisher::PublishDelta(
-    const FalccModel& next, std::span<const size_t> clusters,
-    uint64_t base_hash) {
-  Result<PublishReport> report =
-      publisher_->PublishDelta(next, clusters, base_hash);
-  if (report.ok()) BroadcastNew();
-  return report;
-}
-
-Result<PublishReport> SocketPublisher::PublishCheckpoint(
-    const FalccModel& model) {
-  Result<PublishReport> report = publisher_->PublishCheckpoint(model);
-  if (report.ok()) BroadcastNew();
-  return report;
-}
-
 Result<size_t> SocketPublisher::ForwardNewArtifacts() {
-  return BroadcastNew();
-}
-
-size_t SocketPublisher::BroadcastNew() {
-  uint64_t cursor;
+  uint64_t after;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    cursor = forward_cursor_;
+    after = high_water_;
   }
-  Result<std::vector<FeedEntry>> polled = dir_feed_.Poll(cursor);
-  if (!polled.ok() || polled.value().empty()) return 0;
-  size_t pushed = 0;
-  for (const FeedEntry& entry : polled.value()) {
-    // Unreadable artifacts cannot be framed; the sequence gap they
-    // leave routes subscribers into checkpoint recovery, the same
-    // fallback a directory consumer reaches via quarantine.
-    if (entry.kind == ArtifactKind::kUnreadable) continue;
-    Broadcast(entry);
-    ++pushed;
-  }
+  Result<std::vector<FeedEntry>> polled = dir_feed_.Poll(after);
+  FALCC_RETURN_IF_ERROR(polled.status());
+  const std::vector<FeedEntry>& entries = polled.value();
+  if (entries.empty()) return size_t{0};
   {
     std::lock_guard<std::mutex> lock(mu_);
-    forward_cursor_ = std::max(forward_cursor_, polled.value().back().sequence);
-    next_sequence_hint_.store(forward_cursor_ + 1, std::memory_order_relaxed);
+    high_water_ = std::max(high_water_, entries.back().sequence);
   }
-  return pushed;
-}
-
-void SocketPublisher::Broadcast(const FeedEntry& entry) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& subscriber : subscribers_) {
-    if (subscriber->done) continue;
-    {
-      std::lock_guard<std::mutex> sub_lock(subscriber->mu);
-      if (subscriber->queue.size() >= options_.max_queue) {
-        // Backpressure: this subscriber is too far behind to stream to.
-        // Drop the queue; its sender re-plans from the directory and
-        // jumps to the newest checkpoint.
-        subscriber->queue.clear();
-        subscriber->dropped = true;
-      }
-      subscriber->queue.push_back(entry);
-    }
-    subscriber->cv.notify_all();
-  }
+  cv_.notify_all();
+  return static_cast<size_t>(
+      std::count_if(entries.begin(), entries.end(), [](const FeedEntry& e) {
+        return e.kind != ArtifactKind::kUnreadable;
+      }));
 }
 
 void SocketPublisher::AcceptLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
+    // Join the subscribers whose connection ended, so reconnecting
+    // replicas do not pile up exited threads (and their stacks).
+    std::vector<std::unique_ptr<Subscriber>> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto live = std::partition(
+          subscribers_.begin(), subscribers_.end(),
+          [](const std::unique_ptr<Subscriber>& s) { return !s->done; });
+      finished.assign(std::make_move_iterator(live),
+                      std::make_move_iterator(subscribers_.end()));
+      subscribers_.erase(live, subscribers_.end());
+    }
+    for (auto& subscriber : finished) subscriber->thread.join();
+
     struct pollfd p = {listen_fd_, POLLIN, 0};
     const int ready = ::poll(&p, 1, 100);
     if (stop_.load(std::memory_order_relaxed)) break;
@@ -464,19 +443,16 @@ void SocketPublisher::AcceptLoop() {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
                    sizeof(options_.send_buffer_bytes));
     }
-    auto subscriber = std::make_shared<Subscriber>();
+    auto subscriber = std::make_unique<Subscriber>();
     subscriber->fd = fd;
+    Subscriber* raw = subscriber.get();
     {
-      // Registered before the handshake so broadcasts racing the
-      // catch-up replay land in the queue; the sender's cursor dedups
-      // the overlap.
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.accepted;
       ++stats_.subscribers;
-      subscribers_.push_back(subscriber);
+      subscribers_.push_back(std::move(subscriber));
     }
-    subscriber->thread = std::thread(
-        [this, subscriber] { ServeSubscriber(subscriber); });
+    raw->thread = std::thread([this, raw] { ServeSubscriber(raw); });
   }
 }
 
@@ -507,7 +483,6 @@ bool SocketPublisher::SendEntry(Subscriber* subscriber, const FeedEntry& entry,
   frame.base_hash = entry.kind == ArtifactKind::kDelta ? entry.base_hash : 0;
   frame.payload = std::string(file.value().view());
   if (!SendBytes(subscriber, EncodeFrame(frame))) return false;
-  subscriber->cursor = entry.sequence;
   std::lock_guard<std::mutex> lock(mu_);
   if (catchup) {
     ++stats_.catchup_artifacts;
@@ -517,103 +492,99 @@ bool SocketPublisher::SendEntry(Subscriber* subscriber, const FeedEntry& entry,
   return true;
 }
 
-bool SocketPublisher::Replay(Subscriber* subscriber, uint64_t after_sequence,
+bool SocketPublisher::Replay(Subscriber* subscriber, uint64_t high_water,
                              bool catchup) {
-  Result<std::vector<FeedEntry>> polled = dir_feed_.Poll(after_sequence);
-  if (!polled.ok()) return true;  // transient; stay connected
-  const std::vector<FeedEntry>& entries = polled.value();
-  if (entries.empty()) return true;
+  const uint64_t after = subscriber->cursor;
+  Result<std::vector<FeedEntry>> polled = dir_feed_.Poll(after);
+  // An unlistable directory counts as every artifact up to the
+  // high-water unreadable: the cursor still advances below, so the
+  // sender never spins, and the replica's gap fallback recovers.
+  std::vector<FeedEntry> entries;
+  if (polled.ok()) entries = std::move(polled).value();
   // When the retained feed no longer starts where the subscriber needs
-  // it to (GC, or a dropped queue), everything before the newest
+  // it to (GC ran while it was behind), everything before the newest
   // checkpoint is superseded — jump straight to it.
   size_t start = 0;
-  const bool jumped = entries.front().sequence != after_sequence + 1;
+  const bool jumped = !entries.empty() && entries.front().sequence != after + 1;
   if (jumped) {
     for (size_t i = 0; i < entries.size(); ++i) {
       if (entries[i].kind == ArtifactKind::kFull) start = i;
     }
   }
-  if (jumped && !catchup && after_sequence > 0) {
-    // A mid-stream re-plan that could not resume contiguously: the
-    // subscriber was dropped to a checkpoint. (Catch-up replays jump
-    // too, but that is the late-joiner bootstrap, not backpressure.)
+  if (jumped && !catchup && after > 0) {
+    // A mid-stream jump: the subscriber fell behind GC and was dropped
+    // to a checkpoint. (Catch-up replays jump too, but that is the
+    // late-joiner bootstrap, not a slow subscriber.)
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.drops_to_checkpoint;
   }
   for (size_t i = start; i < entries.size(); ++i) {
     if (stop_.load(std::memory_order_relaxed)) return false;
     const FeedEntry& entry = entries[i];
-    if (entry.sequence <= subscriber->cursor) continue;
-    if (entry.kind == ArtifactKind::kUnreadable) continue;
-    if (!SendEntry(subscriber, entry, catchup)) return false;
+    // Unreadable artifacts cannot be framed; the sequence gap they
+    // leave routes the replica into checkpoint recovery, the same
+    // fallback a directory consumer reaches via quarantine.
+    if (entry.kind != ArtifactKind::kUnreadable &&
+        !SendEntry(subscriber, entry, catchup)) {
+      return false;
+    }
+    subscriber->cursor = entry.sequence;
   }
+  // Sequences up to the high-water that the scan no longer listed were
+  // garbage-collected first: handled too.
+  subscriber->cursor = std::max(subscriber->cursor, high_water);
   return true;
 }
 
-void SocketPublisher::ServeSubscriber(std::shared_ptr<Subscriber> subscriber) {
+void SocketPublisher::ServeSubscriber(Subscriber* subscriber) {
   FrameDecoder decoder;
   const std::optional<WireFrame> subscribe =
       RecvFrame(subscriber->fd, &decoder, /*timeout_seconds=*/5.0, &stop_);
   bool alive =
       subscribe.has_value() && subscribe->type == FrameType::kSubscribe;
+  uint64_t high_water;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    high_water = high_water_;
+  }
   if (alive) {
     WireFrame hello;
     hello.type = FrameType::kHello;
-    hello.sequence = next_sequence_hint_.load(std::memory_order_relaxed);
+    hello.sequence = high_water + 1;
     hello.payload = kWireGreeting;
-    alive = SendBytes(subscriber.get(), EncodeFrame(hello));
+    alive = SendBytes(subscriber, EncodeFrame(hello));
   }
   if (alive) {
     const uint64_t from = subscribe->sequence;
-    alive = Replay(subscriber.get(), from > 0 ? from - 1 : 0,
-                   /*catchup=*/true);
+    subscriber->cursor = from > 0 ? from - 1 : 0;
+    alive = Replay(subscriber, high_water, /*catchup=*/true);
   }
-  while (alive && !stop_.load(std::memory_order_relaxed)) {
-    FeedEntry entry;
-    bool have = false;
-    bool dropped = false;
-    bool idle = false;
+  while (alive) {
+    bool raised;
     {
-      std::unique_lock<std::mutex> lock(subscriber->mu);
-      const bool signaled = subscriber->cv.wait_for(
+      std::unique_lock<std::mutex> lock(mu_);
+      raised = cv_.wait_for(
           lock, Seconds(options_.heartbeat_interval_seconds), [&] {
             return stop_.load(std::memory_order_relaxed) ||
-                   subscriber->dropped || !subscriber->queue.empty();
+                   high_water_ > subscriber->cursor;
           });
-      if (stop_.load(std::memory_order_relaxed)) break;
-      if (subscriber->dropped) {
-        subscriber->dropped = false;
-        subscriber->queue.clear();
-        dropped = true;
-      } else if (!subscriber->queue.empty()) {
-        entry = subscriber->queue.front();
-        subscriber->queue.pop_front();
-        have = true;
-      } else {
-        idle = !signaled;
-      }
+      high_water = high_water_;
     }
-    if (dropped) {
-      alive = Replay(subscriber.get(), subscriber->cursor, /*catchup=*/false);
+    if (stop_.load(std::memory_order_relaxed)) break;
+    if (raised) {
+      alive = Replay(subscriber, high_water, /*catchup=*/false);
       continue;
     }
-    if (have) {
-      if (entry.sequence <= subscriber->cursor) continue;  // replayed already
-      alive = SendEntry(subscriber.get(), entry, /*catchup=*/false);
-      continue;
-    }
-    if (idle) {
-      WireFrame heartbeat;
-      heartbeat.type = FrameType::kHeartbeat;
-      heartbeat.sequence = subscriber->cursor;
-      alive = SendBytes(subscriber.get(), EncodeFrame(heartbeat));
-      if (alive) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.heartbeats_sent;
-      }
+    WireFrame heartbeat;
+    heartbeat.type = FrameType::kHeartbeat;
+    heartbeat.sequence = subscriber->cursor;
+    alive = SendBytes(subscriber, EncodeFrame(heartbeat));
+    if (alive) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.heartbeats_sent;
     }
   }
-  if (alive && stop_.load(std::memory_order_relaxed)) {
+  if (alive) {
     WireFrame eof;
     eof.type = FrameType::kEof;
     eof.sequence = subscriber->cursor;
@@ -786,7 +757,7 @@ bool SocketFeed::ServeConnection(int fd) {
   subscribe.type = FrameType::kSubscribe;
   subscribe.sequence = from;
   if (!SendAllFd(fd, EncodeFrame(subscribe), &stop_,
-                 options_.connect_timeout_seconds)) {
+                 kConnectTimeoutSeconds)) {
     return false;
   }
   FrameDecoder decoder;
@@ -794,7 +765,7 @@ bool SocketFeed::ServeConnection(int fd) {
   const std::optional<WireFrame> hello = RecvFrame(
       fd, &decoder,
       std::max(options_.liveness_timeout_seconds,
-               options_.connect_timeout_seconds),
+               kConnectTimeoutSeconds),
       &stop_, &decode_error);
   if (!hello.has_value() || hello->type != FrameType::kHello) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -887,7 +858,7 @@ void SocketFeed::ReceiveLoop() {
   double backoff = 0.0;
   while (!Stopping()) {
     const int fd =
-        ConnectFd(parsed.value(), options_.connect_timeout_seconds, &stop_);
+        ConnectFd(parsed.value(), kConnectTimeoutSeconds, &stop_);
     bool resubscribe_now = false;
     if (fd >= 0) {
       const bool subscribed = ServeConnection(fd);

@@ -1,5 +1,5 @@
-// Socket transport for the delta feed: publisher pushes, replicas
-// subscribe (DESIGN.md §17).
+// Socket transport for the delta feed: a publisher serves a feed
+// directory, replicas subscribe (DESIGN.md §17).
 //
 // DirectoryFeed assumes a shared filesystem and, where no inotify watch
 // is available, caps propagation lag at the poll interval.
@@ -10,17 +10,20 @@
 // quarantine, and checkpoint recovery work unchanged on either
 // transport.
 //
-// SocketPublisher wraps a DeltaPublisher: every artifact is still
-// written to the feed directory first (the durable store and the
-// catch-up source), then pushed to every subscriber. Each subscriber
-// has a bounded send queue serviced by its own sender thread; when a
-// slow subscriber falls more than `max_queue` artifacts behind, the
-// queue is dropped and the sender re-plans from the directory, jumping
-// to the newest checkpoint — exactly the late-joiner bootstrap, applied
-// mid-stream. A SUBSCRIBE at sequence `s` replays the retained feed
-// from `s` (0 = from the start), so late joiners never need the
-// directory. HEARTBEAT frames flow while the feed is idle; EOF
-// announces a clean shutdown.
+// SocketPublisher publishes nothing itself: it serves a directory some
+// DeltaPublisher (the monitor's Refresher, or an external process
+// behind `falcc_cli replicate serve-feed`) writes into. The writer calls
+// ForwardNewArtifacts() after each publish; that scans the directory
+// once, raises the publisher-wide high-water sequence and wakes every
+// subscriber's sender thread. Each sender keeps one cursor, the highest
+// sequence it has handled, and has one send path: Replay(cursor)
+// streams the retained feed after it, jumping to the newest checkpoint
+// when GC has already removed the next artifact — the late-joiner
+// bootstrap, which is also what a slow subscriber gets mid-stream. The
+// retained feed is the only buffer; there is no per-subscriber queue. A
+// SUBSCRIBE at sequence `s` starts the cursor at `s - 1` (0 = from the
+// start). HEARTBEAT frames flow while the feed is idle; EOF announces a
+// clean shutdown.
 //
 // SocketFeed implements DeltaFeed for DeltaPuller: a receiver thread
 // maintains the connection (exponential backoff + jitter between
@@ -41,17 +44,14 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "replicate/publisher.h"
+#include "replicate/feed.h"
 #include "replicate/wire.h"
 #include "util/status.h"
 
@@ -65,16 +65,13 @@ struct SocketPublisherOptions {
   /// `tcp://host:port` or `unix://path`. tcp port 0 binds an ephemeral
   /// port; read the resolved one back from endpoint().
   std::string listen;
-  /// The wrapped directory publisher (durable store + catch-up source).
-  DeltaPublisherOptions publisher;
-  /// Artifacts queued per subscriber before the queue is dropped and
-  /// the sender re-plans from the newest checkpoint.
-  size_t max_queue = 64;
+  /// The feed directory to serve (created if missing). Its writer
+  /// calls ForwardNewArtifacts() after each publish.
+  std::string dir;
   /// Idle gap after which a HEARTBEAT is pushed; keep well under the
   /// subscribers' liveness timeout (SocketFeedOptions).
   double heartbeat_interval_seconds = 0.2;
-  /// A send stalled this long marks the subscriber dead. Generous: the
-  /// backpressure path is the queue, not the socket.
+  /// A send stalled this long marks the subscriber dead.
   double send_timeout_seconds = 10.0;
   /// >0 shrinks SO_SNDBUF on subscriber sockets (backpressure tests).
   int send_buffer_bytes = 0;
@@ -86,15 +83,15 @@ struct SocketPublisherStats {
   uint64_t artifacts_sent = 0;      ///< live pushes (excl. catch-up)
   uint64_t catchup_artifacts = 0;   ///< replayed on SUBSCRIBE
   uint64_t heartbeats_sent = 0;
-  uint64_t drops_to_checkpoint = 0; ///< slow-subscriber queue drops
+  uint64_t drops_to_checkpoint = 0; ///< mid-stream jumps over GC'd artifacts
   uint64_t send_errors = 0;         ///< connections lost mid-send
 };
 
-/// The push side. Publish calls are single-threaded by contract, like
-/// DeltaPublisher's (the monitor's Poll loop is the only publisher);
-/// the accept/sender threads only read the directory.
+/// The push side. ForwardNewArtifacts is called by the directory's
+/// writer; the accept and sender threads only read the directory.
 class SocketPublisher {
  public:
+  /// Binds the listener and scans `dir` for its current high-water.
   static Result<std::unique_ptr<SocketPublisher>> Open(
       SocketPublisherOptions options);
   ~SocketPublisher();
@@ -109,18 +106,9 @@ class SocketPublisher {
   /// The resolved listen endpoint (tcp port filled in).
   const std::string& endpoint() const { return endpoint_; }
 
-  /// Publishes through the wrapped DeltaPublisher, then pushes whatever
-  /// it wrote (delta, cadence checkpoint) to every subscriber.
-  Result<PublishReport> PublishDelta(const FalccModel& next,
-                                     std::span<const size_t> clusters,
-                                     uint64_t base_hash);
-  Result<PublishReport> PublishCheckpoint(const FalccModel& model);
-
-  uint64_t next_sequence() const { return publisher_->next_sequence(); }
-
-  /// Gateway mode (`falcc_cli replicate serve-feed`): scans the feed
-  /// directory for artifacts written by an external publisher and
-  /// pushes the new ones. Returns how many were broadcast.
+  /// Scans the directory once, raises the high-water sequence to its
+  /// newest artifact and wakes every sender. Returns how many readable
+  /// artifacts were new.
   Result<size_t> ForwardNewArtifacts();
 
   SocketPublisherStats Stats() const;
@@ -128,25 +116,24 @@ class SocketPublisher {
  private:
   struct Subscriber;
 
-  SocketPublisher(SocketPublisherOptions options, DeltaPublisher publisher,
-                  int listen_fd, std::string endpoint);
+  SocketPublisher(SocketPublisherOptions options, int listen_fd,
+                  std::string endpoint, uint64_t high_water);
 
+  /// Accepts subscribers and joins the ones whose connection ended.
   void AcceptLoop();
-  void ServeSubscriber(std::shared_ptr<Subscriber> subscriber);
-  /// Handshake + stream one subscriber; helpers below return false
-  /// when the connection died.
-  /// Catch-up or post-drop re-plan: stream the retained feed from the
-  /// subscriber's cursor, jumping to the newest checkpoint if one
-  /// supersedes part of it. Returns false when the connection died.
-  bool Replay(Subscriber* subscriber, uint64_t after_sequence, bool catchup);
+  /// Handshake, then: wait for the high-water to pass the cursor (or a
+  /// heartbeat interval), Replay, repeat.
+  void ServeSubscriber(Subscriber* subscriber);
+  /// Streams the retained feed after the subscriber's cursor, jumping
+  /// to the newest checkpoint if GC removed the next artifact, and
+  /// leaves the cursor at or above `high_water`. False when the
+  /// connection died.
+  bool Replay(Subscriber* subscriber, uint64_t high_water, bool catchup);
   bool SendEntry(Subscriber* subscriber, const FeedEntry& entry,
                  bool catchup);
   bool SendBytes(Subscriber* subscriber, const std::string& bytes);
-  void Broadcast(const FeedEntry& entry);
-  size_t BroadcastNew();  ///< forward cursor → broadcast; returns count
 
   SocketPublisherOptions options_;
-  std::optional<DeltaPublisher> publisher_;
   DirectoryFeed dir_feed_;
   int listen_fd_ = -1;
   std::string endpoint_;
@@ -154,13 +141,11 @@ class SocketPublisher {
   std::thread accept_thread_;
   std::atomic<bool> stop_{false};
   bool closed_ = false;
-  /// next_sequence for HELLO frames, readable from sender threads
-  /// while the publish thread advances the wrapped publisher.
-  std::atomic<uint64_t> next_sequence_hint_{1};
 
-  mutable std::mutex mu_;  ///< subscribers list, forward cursor, stats
-  std::vector<std::shared_ptr<Subscriber>> subscribers_;
-  uint64_t forward_cursor_ = 0;
+  mutable std::mutex mu_;  ///< subscribers, high-water, stats
+  std::condition_variable cv_;  ///< high-water raised or stop
+  std::vector<std::unique_ptr<Subscriber>> subscribers_;
+  uint64_t high_water_ = 0;  ///< newest sequence ForwardNewArtifacts saw
   SocketPublisherStats stats_;
 };
 
@@ -178,7 +163,6 @@ struct SocketFeedOptions {
   /// presumed dead and torn down. Keep well above the publisher's
   /// heartbeat interval.
   double liveness_timeout_seconds = 1.0;
-  double connect_timeout_seconds = 2.0;
 };
 
 struct SocketFeedStats {

@@ -16,6 +16,16 @@ double Seconds(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
+/// Hard upper bound on one flush, whatever the SLO math allows.
+constexpr size_t kMaxBatch = 8192;
+/// Service-model seeds — per-row cost and fixed per-flush overhead,
+/// from BENCH_infer's compiled-kernel end-to-end numbers, so the first
+/// flushes are sized sanely before feedback kicks in — and its EWMA
+/// blend factor.
+constexpr double kSeedRowSeconds = 2e-6;
+constexpr double kSeedOverheadSeconds = 20e-6;
+constexpr double kEwmaAlpha = 0.125;
+
 size_t DefaultNumShards() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<size_t>(hw) : 1;
@@ -37,18 +47,20 @@ void ServiceTimeModel::Update(size_t rows, double seconds) {
   overhead_ += alpha_ * (overhead_obs - overhead_);
 }
 
+ShardedEngine::Shard::Shard(size_t ring_capacity)
+    : ring(ring_capacity),
+      service_model(kSeedRowSeconds, kSeedOverheadSeconds, kEwmaAlpha) {}
+
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(options),
       router_(options.num_shards == 0 ? DefaultNumShards()
                                       : options.num_shards) {
   FALCC_CHECK(options_.slo_seconds > 0.0,
               "ShardedEngine: slo_seconds must be > 0");
-  FALCC_CHECK(options_.max_batch > 0, "ShardedEngine: max_batch must be > 0");
   const size_t n = router_.num_shards();
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(options_.ring_capacity,
-                                              options_));
+    shards_.push_back(std::make_unique<Shard>(options_.ring_capacity));
   }
   if (options_.start_workers) {
     for (size_t i = 0; i < n; ++i) {
@@ -130,15 +142,15 @@ void ShardedEngine::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   // Oversubscription guard: this worker is one lane of an N-shard fleet;
   // the batch kernel must not fan out over the global pool on top of it.
-  ScopedParallelismCap cap(options_.worker_parallelism);
+  ScopedParallelismCap cap(1);
   // Worker-owned scratch: steady-state flushes reuse the transform
   // matrix, sort arrays, and wrapper Dataset with zero allocation.
   ClassifyScratch scratch;
   std::vector<ShardTask*> batch;
   std::vector<std::shared_ptr<ShardTask>> owned;
   std::vector<double> features;
-  batch.reserve(options_.max_batch);
-  owned.reserve(options_.max_batch);
+  batch.reserve(kMaxBatch);
+  owned.reserve(kMaxBatch);
   ShardTask* carry = nullptr;  // width-mismatched task, next flush's seed
 
   for (;;) {
@@ -153,7 +165,7 @@ void ShardedEngine::WorkerLoop(size_t shard_index) {
     // (deadline already unmeetable) degrade to one SLO's worth of
     // predicted service per flush: throughput-preserving, instead of
     // collapsing into tiny, already-late batches.
-    while (batch.size() < options_.max_batch) {
+    while (batch.size() < kMaxBatch) {
       if (!batch.empty()) {
         const double age = Seconds(batch.front()->submitted,
                                    std::chrono::steady_clock::now());

@@ -22,11 +22,10 @@
 // cap degrades to "one SLO's worth of service per flush" so throughput
 // is preserved instead of collapsing into tiny late batches.
 //
-// Oversubscription guard: each worker pins ParallelFor to
-// `worker_parallelism` (default 1) via ScopedParallelismCap — N shard
-// workers never fan out N × pool-size threads. Every worker owns one
-// ClassifyScratch, so steady-state flushes allocate nothing in the
-// kernel.
+// Oversubscription guard: each worker pins ParallelFor to one thread
+// via ScopedParallelismCap — N shard workers never fan out N ×
+// pool-size threads. Every worker owns one ClassifyScratch, so
+// steady-state flushes allocate nothing in the kernel.
 
 #ifndef FALCC_SERVE_SHARDED_ENGINE_H_
 #define FALCC_SERVE_SHARDED_ENGINE_H_
@@ -55,23 +54,10 @@ struct ShardedEngineOptions {
   /// A full ring rejects Submit with kUnavailable — the backpressure
   /// contract.
   size_t ring_capacity = 1 << 14;
-  /// Hard upper bound on one flush, whatever the SLO math allows.
-  size_t max_batch = 8192;
   /// Per-ticket latency objective, submit → decision available. The
   /// adaptive flush sizes batches so the oldest ticket's predicted
   /// completion stays inside this budget.
   double slo_seconds = 1e-3;
-  /// EWMA blend factor of the per-shard service-time model.
-  double ewma_alpha = 0.125;
-  /// Service-model seeds: per-row cost and fixed per-flush overhead.
-  /// Defaults come from BENCH_infer's compiled-kernel end-to-end numbers
-  /// so the first flushes are sized sanely before feedback kicks in.
-  double seed_row_seconds = 2e-6;
-  double seed_overhead_seconds = 20e-6;
-  /// ParallelFor cap inside shard workers (ScopedParallelismCap).
-  /// Default 1: shard parallelism comes from the fleet, not from nested
-  /// kernel fan-out.
-  size_t worker_parallelism = 1;
   /// Start the shard worker threads. Tests disable this to exercise
   /// ring backpressure and drain logic deterministically.
   bool start_workers = true;
@@ -177,10 +163,7 @@ class ShardedEngine : public FalccEngine {
 
  private:
   struct Shard {
-    explicit Shard(size_t ring_capacity, const ShardedEngineOptions& options)
-        : ring(ring_capacity),
-          service_model(options.seed_row_seconds,
-                        options.seed_overhead_seconds, options.ewma_alpha) {}
+    explicit Shard(size_t ring_capacity);
 
     SubmitRing ring;
     /// Approximate ring occupancy; drives the empty→non-empty wakeup.

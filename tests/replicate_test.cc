@@ -8,7 +8,8 @@
 // wire-codec round trips and reject sweeps, the directory watcher,
 // socket fleet convergence, and the partition/fault suite (mid-frame
 // drops at every byte offset, heartbeat timeouts, slow-subscriber
-// backpressure, publisher restarts).
+// drops to the newest checkpoint, subscriber-thread reaping, publisher
+// restarts) and the monitor refresher's socket publishing path.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +39,7 @@
 #include "data/split.h"
 #include "datagen/synthetic.h"
 #include "io/snapshot.h"
+#include "monitor/refresher.h"
 #include "replicate/dir_watcher.h"
 #include "replicate/feed.h"
 #include "replicate/fleet.h"
@@ -1289,15 +1291,16 @@ TEST(SocketEndpointTest, SchemesAreRecognizedAndDirectoriesAreNot) {
 
 TEST(SocketFleetTest, ReplicasConvergeOverAUnixSocketFeed) {
   const std::string dir = FreshDir("replicate_sock_fleet");
+  DeltaPublisher writer = OpenPublisher(dir, /*checkpoint_every=*/0);
   SocketPublisherOptions po;
   po.listen = "unix://" + SocketPath("sock_fleet.sock");
-  po.publisher.dir = dir;
-  po.publisher.checkpoint_every = 0;
+  po.dir = dir;
   po.heartbeat_interval_seconds = 0.05;
   std::unique_ptr<SocketPublisher> publisher =
       SocketPublisher::Open(po).value();
   FalccModel head = FreshModel();
-  publisher->PublishCheckpoint(head).value();
+  writer.PublishCheckpoint(head).value();
+  publisher->ForwardNewArtifacts().value();
   const std::string model_path =
       (fs::path(::testing::TempDir()) / "sock_fleet_v0.falcc").string();
   ASSERT_TRUE(head.SaveToFile(model_path).ok());
@@ -1327,7 +1330,8 @@ TEST(SocketFleetTest, ReplicasConvergeOverAUnixSocketFeed) {
   for (size_t event = 0; event < 3; ++event) {
     FalccModel next = NextVersion(head, event % head.num_clusters());
     const size_t clusters[] = {event % head.num_clusters()};
-    publisher->PublishDelta(next, clusters, HashOf(head)).value();
+    writer.PublishDelta(next, clusters, HashOf(head)).value();
+    publisher->ForwardNewArtifacts().value();
     head = std::move(next);
     ASSERT_TRUE(WaitConverged(&fleet, HashOf(head))) << "event " << event;
   }
@@ -1462,11 +1466,12 @@ TEST(SocketPartitionTest, HeartbeatTimeoutTearsDownAndReconnects) {
 TEST(SocketPartitionTest, SlowSubscriberIsDroppedToTheNewestCheckpoint) {
   const std::string dir = FreshDir("replicate_sock_slow");
   const std::string path = SocketPath("sock_slow.sock");
+  // Every delta is chased by a full checkpoint, whose GC removes the
+  // delta at once.
+  DeltaPublisher writer = OpenPublisher(dir, /*checkpoint_every=*/1);
   SocketPublisherOptions po;
   po.listen = "unix://" + path;
-  po.publisher.dir = dir;
-  po.publisher.checkpoint_every = 1;  // every delta is chased by a full
-  po.max_queue = 2;
+  po.dir = dir;
   po.send_buffer_bytes = 4096;  // tiny SO_SNDBUF: sends stall fast
   po.send_timeout_seconds = 60.0;  // the stall must outlive the test, not the socket
   po.heartbeat_interval_seconds = 0.05;
@@ -1482,14 +1487,15 @@ TEST(SocketPartitionTest, SlowSubscriberIsDroppedToTheNewestCheckpoint) {
   ASSERT_EQ(hello[0].type, FrameType::kHello);
 
   // Publish while the subscriber stalls. Enough bytes must go out to
-  // overflow the kernel socket buffer and stall the sender mid-entry —
-  // only then can the bounded queue overflow and force a re-plan.
+  // overflow the kernel socket buffer and stall the sender mid-entry,
+  // so GC removes artifacts it has not sent yet.
   FalccModel head = FreshModel();
-  publisher->PublishCheckpoint(head).value();
+  writer.PublishCheckpoint(head).value();
+  publisher->ForwardNewArtifacts().value();
   // Read that first checkpoint, so the sender is past its catch-up
-  // replay and streams from its bounded queue before the burst below. A
-  // burst that finished before the catch-up poll would reach the
-  // subscriber as catch-up, with no queue left to overflow.
+  // replay and streams live before the burst below. A burst that
+  // finished before the catch-up poll would reach the subscriber as
+  // catch-up, where a jump is the late-joiner bootstrap, not a drop.
   bool streaming = false;
   while (!streaming) {
     const std::vector<WireFrame> frames = RecvFrames(fd, &decoder, 1, 10.0);
@@ -1501,12 +1507,13 @@ TEST(SocketPartitionTest, SlowSubscriberIsDroppedToTheNewestCheckpoint) {
   for (size_t event = 0; event < 16; ++event) {
     FalccModel next = NextVersion(head, event % head.num_clusters());
     const size_t clusters[] = {event % head.num_clusters()};
-    publisher->PublishDelta(next, clusters, HashOf(head)).value();
+    writer.PublishDelta(next, clusters, HashOf(head)).value();
+    publisher->ForwardNewArtifacts().value();
     head = std::move(next);
   }
-  // The overflow happened while the sender was stalled mid-checkpoint;
-  // the re-plan (and its drop-to-checkpoint accounting) happens when the
-  // sender next dequeues — i.e. once the subscriber starts reading.
+  // GC ran while the sender was stalled mid-checkpoint; the jump (and
+  // its drop-to-checkpoint accounting) happens when the sender next
+  // replays — i.e. once the subscriber starts reading.
   // Somewhere in the drained stream is a full checkpoint carrying the
   // publisher's final state, byte-identical to a local save of the same
   // model.
@@ -1530,17 +1537,71 @@ TEST(SocketPartitionTest, SlowSubscriberIsDroppedToTheNewestCheckpoint) {
   publisher->Close();
 }
 
+/// This process's virtual size in kB, from /proc/self/status (0 where
+/// unavailable).
+size_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+// A subscriber whose connection ended is joined by the accept loop, not
+// kept until Close(): a replica that reconnects over and over must not
+// pile up exited threads, each still holding its stack.
+TEST(SocketPartitionTest, FinishedSubscribersAreJoinedBeforeClose) {
+  const std::string dir = FreshDir("replicate_sock_reap");
+  const std::string path = SocketPath("sock_reap.sock");
+  SocketPublisherOptions po;
+  po.listen = "unix://" + path;
+  po.dir = dir;
+  po.heartbeat_interval_seconds = 0.01;  // the next heartbeat finds the close
+  std::unique_ptr<SocketPublisher> publisher =
+      SocketPublisher::Open(po).value();
+  // One SUBSCRIBE/HELLO/close cycle, over once the publisher's sender
+  // thread has seen the connection end.
+  const auto cycle = [&] {
+    const int fd = ConnectUnixSocket(path);
+    SendRaw(fd, EncodeFrame(SubscribeFrame(0)));
+    FrameDecoder decoder;
+    const std::vector<WireFrame> hello = RecvFrames(fd, &decoder, 1, 10.0);
+    ::close(fd);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (publisher->Stats().subscribers > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return hello.size() == 1 && hello[0].type == FrameType::kHello &&
+           publisher->Stats().subscribers == 0;
+  };
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(cycle()) << "warm-up cycle " << i;
+  const size_t warm_kb = VmSizeKb();
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(cycle()) << "cycle " << i;
+  const size_t after_kb = VmSizeKb();
+  ASSERT_GT(warm_kb, 0u);
+  // Left unjoined, 64 exited threads keep 64 stacks mapped (8 MiB each
+  // by default, 512 MB); joined, their stacks are reused.
+  EXPECT_LT(after_kb, warm_kb + 64 * 1024)
+      << "VmSize grew from " << warm_kb << " kB to " << after_kb << " kB";
+  EXPECT_EQ(publisher->Stats().accepted, 128u);
+  publisher->Close();
+}
+
 TEST(SocketPartitionTest, PublisherRestartResubscribesAndReconverges) {
   const std::string dir = FreshDir("replicate_sock_restart");
+  DeltaPublisher writer = OpenPublisher(dir, /*checkpoint_every=*/0);
   SocketPublisherOptions po;
   po.listen = "unix://" + SocketPath("sock_restart.sock");
-  po.publisher.dir = dir;
-  po.publisher.checkpoint_every = 0;
+  po.dir = dir;
   po.heartbeat_interval_seconds = 0.05;
   std::unique_ptr<SocketPublisher> publisher =
       SocketPublisher::Open(po).value();
   FalccModel head = FreshModel();
-  publisher->PublishCheckpoint(head).value();
+  writer.PublishCheckpoint(head).value();
+  publisher->ForwardNewArtifacts().value();
   const std::string model_path =
       (fs::path(::testing::TempDir()) / "sock_restart_v0.falcc").string();
   ASSERT_TRUE(head.SaveToFile(model_path).ok());
@@ -1558,7 +1619,8 @@ TEST(SocketPartitionTest, PublisherRestartResubscribesAndReconverges) {
   {
     FalccModel next = NextVersion(head, 0);
     const size_t clusters[] = {0};
-    publisher->PublishDelta(next, clusters, HashOf(head)).value();
+    writer.PublishDelta(next, clusters, HashOf(head)).value();
+    publisher->ForwardNewArtifacts().value();
     head = std::move(next);
   }
   ASSERT_TRUE(WaitConverged(&fleet, HashOf(head)));
@@ -1576,11 +1638,13 @@ TEST(SocketPartitionTest, PublisherRestartResubscribesAndReconverges) {
   // A new publisher binds the same endpoint over the same durable feed
   // directory: sequences resume, replicas resubscribe from their last
   // applied position, and the next delta converges the fleet again.
+  writer = OpenPublisher(dir, /*checkpoint_every=*/0);
   std::unique_ptr<SocketPublisher> revived = SocketPublisher::Open(po).value();
   {
     FalccModel next = NextVersion(head, 1 % head.num_clusters());
     const size_t clusters[] = {1 % head.num_clusters()};
-    revived->PublishDelta(next, clusters, HashOf(head)).value();
+    writer.PublishDelta(next, clusters, HashOf(head)).value();
+    revived->ForwardNewArtifacts().value();
     head = std::move(next);
   }
   EXPECT_TRUE(WaitConverged(&fleet, HashOf(head)));
@@ -1592,15 +1656,16 @@ TEST(SocketPartitionTest, PublisherRestartResubscribesAndReconverges) {
 // classify thread reads — all concurrently (TSan coverage).
 TEST(PullerConcurrencyTest, SocketPullWhileClassifyRace) {
   const std::string dir = FreshDir("replicate_sock_race");
+  DeltaPublisher writer = OpenPublisher(dir, /*checkpoint_every=*/0);
   SocketPublisherOptions po;
   po.listen = "unix://" + SocketPath("sock_race.sock");
-  po.publisher.dir = dir;
-  po.publisher.checkpoint_every = 0;
+  po.dir = dir;
   po.heartbeat_interval_seconds = 0.05;
   std::unique_ptr<SocketPublisher> publisher =
       SocketPublisher::Open(po).value();
   FalccModel head = FreshModel();
-  publisher->PublishCheckpoint(head).value();
+  writer.PublishCheckpoint(head).value();
+  publisher->ForwardNewArtifacts().value();
 
   serve::FalccEngine engine;
   engine.Install(FreshModel());
@@ -1636,7 +1701,8 @@ TEST(PullerConcurrencyTest, SocketPullWhileClassifyRace) {
   for (size_t event = 0; event < 5; ++event) {
     FalccModel next = NextVersion(head, event % head.num_clusters());
     const size_t clusters[] = {event % head.num_clusters()};
-    ASSERT_TRUE(publisher->PublishDelta(next, clusters, HashOf(head)).ok());
+    ASSERT_TRUE(writer.PublishDelta(next, clusters, HashOf(head)).ok());
+    ASSERT_TRUE(publisher->ForwardNewArtifacts().ok());
     head = std::move(next);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -1655,6 +1721,86 @@ TEST(PullerConcurrencyTest, SocketPullWhileClassifyRace) {
   EXPECT_EQ(puller.ServingHash().value(), target);
   EXPECT_EQ(puller.Stats().deltas_applied, 5u);
   publisher->Close();
+}
+
+// The refresher's socket path: with delta_dir and feed_listen set, an
+// installed refresh is written to the directory and pushed by the
+// listener the refresher opens, a SocketFeed replica converges on the
+// primary's content hash, and the spooled delta is the directory's
+// artifact byte for byte.
+TEST(RefresherSocketTest, InstalledRefreshReachesASocketReplica) {
+  const std::string dir = FreshDir("replicate_refresher_feed");
+  const std::string spool = FreshDir("replicate_refresher_spool");
+  serve::FalccEngine primary;
+  primary.Install(FreshModel());
+  monitor::RefresherOptions options;
+  options.delta_dir = dir;
+  options.feed_listen = "unix://" + SocketPath("refresher_feed.sock");
+  monitor::Refresher refresher(&primary, options);
+
+  // The replica subscribes before the listener exists (it opens on the
+  // first install) and reconnects until it does.
+  serve::FalccEngine replica;
+  replica.Install(FreshModel());
+  SocketFeedOptions feed_options;
+  feed_options.spool_dir = spool;
+  feed_options.reconnect_initial_seconds = 0.01;
+  feed_options.reconnect_max_seconds = 0.05;
+  std::unique_ptr<SocketFeed> feed =
+      SocketFeed::Connect(options.feed_listen, feed_options).value();
+  DeltaPuller puller(&replica, std::move(feed), FastPuller());
+  puller.Start();
+
+  // A window whose labels contradict every serving decision in the most
+  // populated cluster: the serving combination scores worst on it, so a
+  // better one exists and the refresh installs.
+  const TrainValTest s = MakeSplits();
+  const size_t width = s.test.num_features();
+  std::vector<double> flat;
+  for (size_t i = 0; i < s.test.num_rows(); ++i) {
+    const auto row = s.test.Row(i);
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  const ClassifyResponse served =
+      primary.ClassifyBatch(ClassifyRequest{flat, width}).value();
+  std::vector<size_t> per_cluster(primary.snapshot()->num_clusters(), 0);
+  for (const SampleDecision& d : served.decisions) ++per_cluster[d.cluster];
+  const size_t cluster = static_cast<size_t>(
+      std::max_element(per_cluster.begin(), per_cluster.end()) -
+      per_cluster.begin());
+  monitor::ClusterWindow window;
+  for (size_t i = 0; i < served.decisions.size(); ++i) {
+    const SampleDecision& d = served.decisions[i];
+    if (d.cluster != cluster) continue;
+    window.features.insert(window.features.end(), flat.begin() + i * width,
+                           flat.begin() + (i + 1) * width);
+    window.labels.push_back(1 - d.label);
+    window.predictions.push_back(d.label);
+    window.groups.push_back(d.group);
+  }
+  const monitor::RefreshOutcome outcome =
+      refresher.RefreshCluster(window, cluster).value();
+  ASSERT_TRUE(outcome.installed);
+  EXPECT_EQ(refresher.Stats().delta_published, 1u);
+  EXPECT_EQ(refresher.Stats().delta_failures, 0u);
+  ASSERT_FALSE(outcome.delta_path.empty());
+
+  const uint64_t target = HashOf(*primary.snapshot());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const Result<uint64_t> serving = puller.ServingHash();
+    if (serving.ok() && serving.value() == target) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  puller.Stop();
+  EXPECT_EQ(puller.ServingHash().value(), target);
+  EXPECT_EQ(puller.Stats().deltas_applied, 1u);
+
+  const std::vector<FeedEntry> spooled = DirectoryFeed(spool).Poll(0).value();
+  ASSERT_EQ(spooled.size(), 1u);
+  EXPECT_EQ(spooled[0].kind, ArtifactKind::kDelta);
+  EXPECT_EQ(ReadAllBytes(spooled[0].path), ReadAllBytes(outcome.delta_path));
 }
 
 }  // namespace

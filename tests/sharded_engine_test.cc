@@ -399,12 +399,11 @@ TEST(ShardedEngineTest, ShutdownDrainsPendingAndRejectsNew) {
 TEST(ShardedEngineTest, WorkersRunWithParallelismCapped) {
   // The oversubscription guard: a flush inside a shard worker must not
   // fan out through the global pool. Indirect but deterministic probe:
-  // worker_parallelism=1 keeps every kernel on the worker thread, so a
+  // the cap of 1 keeps every kernel on the worker thread, so a
   // fleet-wide storm from a single-core pool cannot deadlock or
   // oversubscribe — and decisions still match the model.
   serve::ShardedEngineOptions options;
   options.num_shards = 4;
-  options.worker_parallelism = 1;
   serve::ShardedEngine engine(options);
   engine.Install(TrainSmallModel());
   const std::shared_ptr<const FalccModel> model = engine.snapshot();

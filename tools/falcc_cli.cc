@@ -1031,11 +1031,7 @@ int ReplicateServeFeed(const Args& args) {
 
   replicate::SocketPublisherOptions options;
   options.listen = listen;
-  options.publisher.dir = dir;
-  // Gateway mode never publishes artifacts itself: the external
-  // publisher owns the checkpoint cadence and GC.
-  options.publisher.checkpoint_every = 0;
-  options.publisher.gc = false;
+  options.dir = dir;
   options.heartbeat_interval_seconds =
       args.GetDouble("heartbeat-s", options.heartbeat_interval_seconds);
   Result<std::unique_ptr<replicate::SocketPublisher>> publisher =
