@@ -19,10 +19,14 @@
 //    pool models), the shape of open-loop serving. Besides ns/row it reports
 //    the roofline inputs: the compiled pool's table bytes and the mean
 //    number of distinct 64-byte lines one row's kernel walk touches.
+//  * Cluster match — the serving model's online centroid match (k = 32)
+//    over the transformed probe rows: CentroidTable::Nearest, the
+//    serving path, vs the NearestCentroid reference scan, in ns/query.
 //
 // Every timed pass re-checks bit-identity: compiled probabilities (and,
-// end-to-end, whole decisions) must equal the interpreted ones exactly;
-// the binary exits non-zero on any divergence. Results go to
+// end-to-end, whole decisions) must equal the interpreted ones exactly,
+// and the table's cluster must equal the reference's for every probe
+// row; the binary exits non-zero on any divergence. Results go to
 // BENCH_infer.json; `--compiled=off` skips the compiled measurements
 // (interpreted baseline only, no speedups).
 
@@ -37,6 +41,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "cluster/kmeans.h"
 #include "core/falcc.h"
 #include "datagen/synthetic.h"
 #include "ml/adaboost.h"
@@ -282,8 +287,50 @@ CaseResult RunServing(FalccModel* model, const Dataset& probe, size_t reps,
   return result;
 }
 
+/// The online centroid match alone, table vs reference scan.
+struct MatchCaseResult {
+  size_t num_centroids = 0;
+  size_t dimensions = 0;
+  double reference_ns_per_query = 0.0;  ///< NearestCentroid
+  double table_ns_per_query = 0.0;      ///< CentroidTable::Nearest
+  bool identical = true;
+};
+
+/// Times the match of every probe row (transformed once, up front) to
+/// the model's centroids, through the serving table and the reference.
+MatchCaseResult RunClusterMatch(const FalccModel& model, const Dataset& probe,
+                                size_t reps) {
+  MatchCaseResult result;
+  const std::vector<std::vector<double>>& centroids = model.centroids();
+  const CentroidTable table = CentroidTable::Build(centroids).value();
+  result.num_centroids = table.size();
+  result.dimensions = table.dimensions();
+  const size_t rows = probe.num_rows();
+  const size_t width = result.dimensions;
+  std::vector<double> points(rows * width);
+  for (size_t i = 0; i < rows; ++i) {
+    model.clustering_transform().ApplyInto(
+        probe.Row(i), std::span<double>(points.data() + i * width, width));
+  }
+  const auto point = [&](size_t i) {
+    return std::span<const double>(points.data() + i * width, width);
+  };
+  std::vector<size_t> reference(rows), scanned(rows);
+  result.reference_ns_per_query = MedianNsPerRow(rows, reps, [&] {
+    for (size_t i = 0; i < rows; ++i) {
+      reference[i] = NearestCentroid(centroids, point(i));
+    }
+  });
+  result.table_ns_per_query = MedianNsPerRow(rows, reps, [&] {
+    for (size_t i = 0; i < rows; ++i) scanned[i] = table.Nearest(point(i));
+  });
+  result.identical = reference == scanned;
+  return result;
+}
+
 void WriteJson(const std::string& path, size_t rows, size_t reps,
-               bool run_compiled, const std::vector<CaseResult>& results) {
+               bool run_compiled, const std::vector<CaseResult>& results,
+               const MatchCaseResult& match) {
   double min_kernel_speedup = 0.0;
   for (const CaseResult& r : results) {
     if (r.end_to_end || r.speedup <= 0.0) continue;
@@ -311,7 +358,10 @@ void WriteJson(const std::string& path, size_t rows, size_t reps,
          "per level + one leaf value per tree; the former structure-of-"
          "arrays layout read feature, threshold and children from three "
          "arrays, ~3 lines per level); decisions_identical = compiled "
-         "output bit-equal to interpreted\",\n";
+         "output bit-equal to interpreted; cluster_match times the serving "
+         "model's centroid match per probe row, CentroidTable (the "
+         "serving path) vs the NearestCentroid reference scan, with "
+         "decisions_identical = same cluster for every row\",\n";
   out << "  \"cases\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];
@@ -326,9 +376,17 @@ void WriteJson(const std::string& path, size_t rows, size_t reps,
     out << ", \"interpreted_ns_per_row\": " << r.interpreted_ns_per_row
         << ", \"compiled_ns_per_row\": " << r.compiled_ns_per_row
         << ", \"speedup\": " << r.speedup << ", \"decisions_identical\": "
-        << (r.decisions_identical ? "true" : "false") << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
+        << (r.decisions_identical ? "true" : "false") << "},\n";
   }
+  out << "    {\"case\": \"cluster_match\", \"end_to_end\": false"
+      << ", \"num_centroids\": " << match.num_centroids
+      << ", \"dimensions\": " << match.dimensions
+      << ", \"reference_ns_per_query\": " << match.reference_ns_per_query
+      << ", \"table_ns_per_query\": " << match.table_ns_per_query
+      << ", \"speedup\": "
+      << match.reference_ns_per_query / match.table_ns_per_query
+      << ", \"decisions_identical\": "
+      << (match.identical ? "true" : "false") << "}\n";
   out << "  ],\n";
   out << "  \"min_kernel_speedup\": " << min_kernel_speedup << "\n";
   out << "}\n";
@@ -368,6 +426,7 @@ int Main(int argc, char** argv) {
   const Dataset probe = GenerateImplicitBias(cfg).value();
 
   std::vector<CaseResult> results;
+  MatchCaseResult match;
 
   {
     AdaBoostOptions opt;
@@ -432,6 +491,7 @@ int Main(int argc, char** argv) {
     SetParallelism(timed_threads);
     results.push_back(
         RunServing(&model.value(), probe, reps, run_compiled));
+    match = RunClusterMatch(model.value(), probe, reps);
   }
 
   bool all_identical = true;
@@ -448,12 +508,26 @@ int Main(int argc, char** argv) {
     }
     all_identical = all_identical && r.decisions_identical;
   }
-  WriteJson(json_path, rows, reps, run_compiled, results);
+  std::printf(
+      "%-22s reference %9.1f ns/query table %9.1f ns/query   "
+      "speedup %5.2fx   identical=%s   (k = %zu, d = %zu)\n",
+      "cluster_match", match.reference_ns_per_query,
+      match.table_ns_per_query,
+      match.reference_ns_per_query / match.table_ns_per_query,
+      match.identical ? "true" : "false", match.num_centroids,
+      match.dimensions);
+  WriteJson(json_path, rows, reps, run_compiled, results, match);
   std::printf("\nwrote %s\n", json_path.c_str());
   if (!all_identical) {
     std::fprintf(stderr,
                  "bench_infer: compiled decisions diverged from the "
                  "interpreted path\n");
+    return 1;
+  }
+  if (!match.identical) {
+    std::fprintf(stderr,
+                 "bench_infer: CentroidTable clusters diverged from the "
+                 "NearestCentroid reference\n");
     return 1;
   }
   return 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <queue>
 
 #include "util/math.h"
@@ -12,11 +11,6 @@ namespace falcc {
 namespace {
 
 constexpr size_t kLeafSize = 16;
-
-// Nearest1's DFS stack holds at most one pending far side per level plus
-// the two children just pushed: height + 1 entries. Median splits halve
-// every node, so the height stays below 64 for any point count.
-constexpr size_t kMaxSearchStack = 66;
 
 // Max-heap entry: (distance², index). The heap keeps the k best seen.
 struct HeapEntry {
@@ -49,14 +43,12 @@ Result<KdTree> KdTree::Build(std::vector<std::vector<double>> points) {
   tree.order_.resize(tree.points_.size());
   for (size_t i = 0; i < tree.order_.size(); ++i) tree.order_[i] = i;
   tree.nodes_.reserve(2 * tree.points_.size() / kLeafSize + 2);
-  tree.root_ = tree.BuildNode(0, tree.order_.size(), 0);
-  FALCC_CHECK(tree.height_ + 1 <= kMaxSearchStack, "KdTree: tree too deep");
+  tree.root_ = tree.BuildNode(0, tree.order_.size());
   return tree;
 }
 
-int KdTree::BuildNode(size_t begin, size_t end, size_t depth) {
+int KdTree::BuildNode(size_t begin, size_t end) {
   const int node_id = static_cast<int>(nodes_.size());
-  height_ = std::max(height_, depth);
   nodes_.emplace_back();
   Node& node = nodes_.back();
   node.begin = begin;
@@ -92,8 +84,8 @@ int KdTree::BuildNode(size_t begin, size_t end, size_t depth) {
                    });
   // nodes_ may reallocate during recursion; don't hold `node` across it.
   const double split_value = points_[order_[mid]][best_dim];
-  const int left = BuildNode(begin, mid, depth + 1);
-  const int right = BuildNode(mid, end, depth + 1);
+  const int left = BuildNode(begin, mid);
+  const int right = BuildNode(mid, end);
   nodes_[node_id].split_dim = static_cast<int>(best_dim);
   nodes_[node_id].split_value = split_value;
   nodes_[node_id].left = left;
@@ -105,45 +97,6 @@ std::vector<size_t> KdTree::Nearest(std::span<const double> query,
                                     size_t k) const {
   static const std::vector<bool> kEmpty;
   return NearestWhere(query, k, kEmpty);
-}
-
-size_t KdTree::Nearest1(std::span<const double> query) const {
-  FALCC_CHECK(query.size() == dims_, "KdTree query dimensionality mismatch");
-  FALCC_CHECK(!points_.empty(), "KdTree::Nearest1 on empty tree");
-
-  double best_d2 = std::numeric_limits<double>::infinity();
-  size_t best_idx = 0;
-
-  // Iterative DFS over a fixed stack. Equal-bound subtrees are still
-  // visited and equal-distance points still update when their index is
-  // lower, so the result matches the lowest-index-wins linear scan bit
-  // for bit.
-  std::pair<int, double> stack[kMaxSearchStack];
-  size_t top = 0;
-  stack[top++] = {root_, 0.0};
-  while (top > 0) {
-    const auto [node_id, bound] = stack[--top];
-    if (bound > best_d2) continue;
-    const Node& node = nodes_[node_id];
-    if (node.split_dim < 0) {
-      for (size_t i = node.begin; i < node.end; ++i) {
-        const size_t idx = order_[i];
-        const double d2 = SquaredDistance(query, points_[idx]);
-        if (d2 < best_d2 || (d2 == best_d2 && idx < best_idx)) {
-          best_d2 = d2;
-          best_idx = idx;
-        }
-      }
-      continue;
-    }
-    const double diff = query[node.split_dim] - node.split_value;
-    const int near = diff < 0.0 ? node.left : node.right;
-    const int far = diff < 0.0 ? node.right : node.left;
-    // Push far side first so the near side is explored first.
-    stack[top++] = {far, std::max(bound, diff * diff)};
-    stack[top++] = {near, bound};
-  }
-  return best_idx;
 }
 
 std::vector<size_t> KdTree::NearestWhere(

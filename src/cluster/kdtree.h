@@ -1,9 +1,13 @@
 // k-d tree for exact k-nearest-neighbor search.
 //
 // Used by: the kNN classifier, FALCES's online local-region lookup, the
-// consistency (individual fairness) metric, cluster gap-filling, and
-// Fair-SMOTE's interpolation neighbors. Points are fixed at build time;
-// queries are const and thread-compatible.
+// consistency (individual fairness) metric and its experiment
+// neighborhoods, FairBoost's situation testing, cluster gap-filling, and
+// Fair-SMOTE's interpolation neighbors. Not by FALCC's online centroid
+// match: at serving's k = 32 the tree's two leaves made it a linear scan
+// plus indirection, and CentroidTable (cluster/kmeans.h) scans flat.
+// Points are fixed at build time; queries are const and
+// thread-compatible.
 
 #ifndef FALCC_CLUSTER_KDTREE_H_
 #define FALCC_CLUSTER_KDTREE_H_
@@ -39,14 +43,6 @@ class KdTree {
       std::span<const double> query, size_t k,
       const std::vector<bool>& accept) const;
 
-  /// Index of the single nearest point. Exactly equivalent to the linear
-  /// scan `NearestCentroid` (cluster/kmeans.h): among equidistant points
-  /// the lowest index wins, so subtrees are pruned only when their bound
-  /// strictly exceeds the best distance. Used by the online phase's
-  /// centroid lookup; allocation-free (its search stack is a fixed
-  /// array bounded by the tree height).
-  size_t Nearest1(std::span<const double> query) const;
-
  private:
   struct Node {
     // Leaf iff split_dim < 0; then [begin, end) indexes order_.
@@ -58,13 +54,12 @@ class KdTree {
 
   KdTree() = default;
 
-  int BuildNode(size_t begin, size_t end, size_t depth);
+  int BuildNode(size_t begin, size_t end);
 
   std::vector<std::vector<double>> points_;
   std::vector<size_t> order_;  // permutation of point indices
   std::vector<Node> nodes_;
   size_t dims_ = 0;
-  size_t height_ = 0;  // deepest node's depth (root = 0)
   int root_ = -1;
 };
 

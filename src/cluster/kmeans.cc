@@ -1,5 +1,6 @@
 #include "cluster/kmeans.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -16,6 +17,10 @@ namespace {
 // only on n and this constant, so results are bit-identical at any
 // thread count.
 constexpr size_t kPointGrain = 256;
+
+// Centroids CentroidTable::Nearest scores per block: the accumulators
+// live in a fixed stack array, so any k is served without allocating.
+constexpr size_t kCentroidBlock = 32;
 
 // k-means++ seeding: first center uniform, subsequent centers sampled
 // proportionally to squared distance from the nearest chosen center.
@@ -183,6 +188,82 @@ size_t NearestCentroid(const std::vector<std::vector<double>>& centroids,
     if (d2 < best_d2) {
       best_d2 = d2;
       best = c;
+    }
+  }
+  return best;
+}
+
+Result<CentroidTable> CentroidTable::Build(
+    const std::vector<std::vector<double>>& centroids) {
+  if (centroids.empty()) {
+    return Status::InvalidArgument("CentroidTable: no centroids");
+  }
+  const size_t dims = centroids[0].size();
+  if (dims == 0) {
+    return Status::InvalidArgument("CentroidTable: zero-dimensional centroids");
+  }
+  CentroidTable table;
+  table.size_ = centroids.size();
+  table.dims_ = dims;
+  table.coords_.resize(table.size_ * dims);
+  for (size_t c = 0; c < table.size_; ++c) {
+    if (centroids[c].size() != dims) {
+      return Status::InvalidArgument(
+          "CentroidTable: inconsistent dimensionality");
+    }
+    for (size_t d = 0; d < dims; ++d) {
+      table.coords_[d * table.size_ + c] = centroids[c][d];
+    }
+  }
+  return table;
+}
+
+size_t CentroidTable::Nearest(std::span<const double> point) const {
+  FALCC_CHECK(point.size() == dims_ && size_ > 0,
+              "CentroidTable::Nearest: empty table or dimensionality mismatch");
+  double acc[kCentroidBlock];
+  // Squared distances from `point` to centroids [base, base + width),
+  // summed dimension by dimension in feature order. The first term
+  // initializes each sum: a square is never -0.0, so 0.0 + x == x and
+  // the sums stay bit-equal to SquaredDistance's. The inner loop is a
+  // unit-stride pass over one dimension's coordinates, which GCC
+  // vectorizes across centroids.
+  const auto score = [&](size_t base, size_t width) {
+    const double* row = coords_.data() + base;
+    for (size_t j = 0; j < width; ++j) {
+      const double diff = point[0] - row[j];
+      acc[j] = diff * diff;
+    }
+    for (size_t d = 1; d < dims_; ++d) {
+      const double q = point[d];
+      row = coords_.data() + d * size_ + base;
+      for (size_t j = 0; j < width; ++j) {
+        const double diff = q - row[j];
+        acc[j] += diff * diff;
+      }
+    }
+  };
+  size_t best = 0;
+  double best_d2 = 0.0;
+  for (size_t base = 0; base < size_; base += kCentroidBlock) {
+    const size_t width = std::min(kCentroidBlock, size_ - base);
+    // A full block passes the constant, so its loops are fixed-length.
+    if (width == kCentroidBlock) {
+      score(base, kCentroidBlock);
+    } else {
+      score(base, width);
+    }
+    // The same comparisons, in the same order, as NearestCentroid.
+    size_t j = 0;
+    if (base == 0) {
+      best_d2 = acc[0];
+      j = 1;
+    }
+    for (; j < width; ++j) {
+      if (acc[j] < best_d2) {
+        best_d2 = acc[j];
+        best = base + j;
+      }
     }
   }
   return best;

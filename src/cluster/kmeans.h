@@ -38,9 +38,40 @@ Result<KMeansResult> RunKMeans(const std::vector<std::vector<double>>& points,
                                size_t k, const KMeansOptions& options = {});
 
 /// Index of the centroid closest to `point` (ties: lowest index).
-/// This is FALCC's online cluster-matching step (paper §3.7 step 2).
+/// The reference for FALCC's online cluster-matching step (paper §3.7
+/// step 2); serving runs the same scan through CentroidTable.
 size_t NearestCentroid(const std::vector<std::vector<double>>& centroids,
                        std::span<const double> point);
+
+/// The centroids of a clustering, laid out for the online match: one
+/// dimension-major d × k array (entry [dim * k + c]), so the scan reads
+/// each dimension's k coordinates contiguously and vectorizes across
+/// centroids. Nearest() returns exactly what NearestCentroid returns.
+/// Immutable after Build; queries are const and allocation-free.
+class CentroidTable {
+ public:
+  CentroidTable() = default;
+
+  /// Fails on an empty set, zero-dimensional or ragged centroids.
+  static Result<CentroidTable> Build(
+      const std::vector<std::vector<double>>& centroids);
+
+  size_t size() const { return size_; }
+  size_t dimensions() const { return dims_; }
+
+  /// Index of the centroid closest to `point`, which must have
+  /// dimensions() entries. Each squared distance is summed dimension by
+  /// dimension in feature order, as SquaredDistance does, so every
+  /// distance is bit-equal to NearestCentroid's; the strict `<` argmin
+  /// then visits centroids in index order, so ties (and +inf distances)
+  /// go to the lowest index exactly as they do there.
+  size_t Nearest(std::span<const double> point) const;
+
+ private:
+  std::vector<double> coords_;  // coords_[dim * size_ + c]
+  size_t size_ = 0;
+  size_t dims_ = 0;
+};
 
 }  // namespace falcc
 

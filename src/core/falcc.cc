@@ -259,7 +259,7 @@ Result<FalccModel> FalccModel::RunOfflinePhase(ModelPool pool,
   for (const Status& status : cluster_status) {
     FALCC_RETURN_IF_ERROR(status);
   }
-  FALCC_RETURN_IF_ERROR(model.BuildCentroidIndex());
+  FALCC_RETURN_IF_ERROR(model.BuildCentroidTable());
   model.CompileKernels();
   if (stage_times != nullptr) {
     stage_times->assess_seconds = assess_timer.ElapsedSeconds();
@@ -282,10 +282,10 @@ void FalccModel::CompileKernels() {
   kernels_ = std::move(kernels);
 }
 
-Status FalccModel::BuildCentroidIndex() {
-  Result<KdTree> index = KdTree::Build(centroids_);
-  if (!index.ok()) return index.status();
-  centroid_index_ = std::move(index).value();
+Status FalccModel::BuildCentroidTable() {
+  Result<CentroidTable> table = CentroidTable::Build(centroids_);
+  if (!table.ok()) return table.status();
+  centroid_table_ = std::move(table).value();
   return Status::OK();
 }
 
@@ -485,7 +485,7 @@ Result<FalccModel> FalccModel::LoadV1(std::istream* in) {
       }
     }
   }
-  FALCC_RETURN_IF_ERROR(model.BuildCentroidIndex());
+  FALCC_RETURN_IF_ERROR(model.BuildCentroidTable());
   // Compile after every validation pass above: the kernels gather
   // through feature indices the width checks just vetted, so nothing an
   // accepted artifact contains can make a kernel read out of bounds.
@@ -633,7 +633,7 @@ Result<FalccModel> FalccModel::LoadV2(const io::SnapshotReader& reader) {
   }
 
   FALCC_RETURN_IF_ERROR(model.CheckFeatureWidth());
-  FALCC_RETURN_IF_ERROR(model.BuildCentroidIndex());
+  FALCC_RETURN_IF_ERROR(model.BuildCentroidTable());
 
   // Compile after every validation pass above, exactly like the v1 path.
   // A `flat` section written by older versions is never read: kernels
@@ -885,7 +885,7 @@ Result<FalccModel> FalccModel::CloneWithRefreshes(
   model.group_index_ = group_index_;
   model.clustering_transform_ = clustering_transform_;
   model.centroids_ = centroids_;
-  model.centroid_index_ = centroid_index_;
+  model.centroid_table_ = centroid_table_;
   model.selected_ = selected_;
   model.baseline_loss_ = baseline_loss_;
   model.use_compiled_ = use_compiled_;
@@ -976,11 +976,20 @@ Status FalccModel::ValidateSample(std::span<const double> features) const {
 size_t FalccModel::MatchCluster(std::span<const double> features) const {
   const Status valid = ValidateSample(features);
   FALCC_CHECK(valid.ok(), valid.ToString().c_str());
-  const std::vector<double> processed = clustering_transform_.Apply(features);
-  if (centroid_index_.has_value()) {
-    return centroid_index_->Nearest1(processed);
+  // Transform into a stack buffer (heap only for unusually wide
+  // samples), so a one-row match allocates nothing.
+  constexpr size_t kStackWidth = 64;
+  double stack_buffer[kStackWidth];
+  std::vector<double> heap_buffer;
+  const size_t width = clustering_transform_.num_output_features();
+  double* buffer = stack_buffer;
+  if (width > kStackWidth) {
+    heap_buffer.resize(width);
+    buffer = heap_buffer.data();
   }
-  return NearestCentroid(centroids_, processed);
+  const std::span<double> processed(buffer, width);
+  clustering_transform_.ApplyInto(features, processed);
+  return centroid_table_.Nearest(processed);
 }
 
 Result<size_t> FalccModel::GroupOf(std::span<const double> features) const {
@@ -1032,9 +1041,7 @@ void FalccModel::ClassifyRowsInto(const Dataset& data,
     for (size_t i = lo; i < hi; ++i) {
       const std::span<const double> point(transformed.data() + i * width,
                                           width);
-      const size_t cluster = centroid_index_.has_value()
-                                 ? centroid_index_->Nearest1(point)
-                                 : NearestCentroid(centroids_, point);
+      const size_t cluster = centroid_table_.Nearest(point);
       const size_t group = group_index_.GroupOfOrNearest(data.Row(i));
       decisions[i].cluster = cluster;
       decisions[i].group = group;

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/kdtree.h"
 #include "cluster/kmeans.h"
 #include "cluster/logmeans.h"
 #include "cluster/xmeans.h"
@@ -328,6 +327,14 @@ class FalccModel {
   Result<size_t> GroupOf(std::span<const double> features) const;
 
   size_t num_clusters() const { return centroids_.size(); }
+  /// Cluster centers, in the clustering transform's output space.
+  const std::vector<std::vector<double>>& centroids() const {
+    return centroids_;
+  }
+  /// §3.7 step 1: maps original features into the centroids' space.
+  const ColumnTransform& clustering_transform() const {
+    return clustering_transform_;
+  }
   size_t num_groups() const { return group_index_.num_groups(); }
   const ModelPool& pool() const { return *pool_; }
   double pool_entropy() const { return pool_entropy_; }
@@ -394,9 +401,9 @@ class FalccModel {
   /// baseline) — the unit a delta ships.
   void WriteComboSection(std::ostream* out, size_t cluster) const;
 
-  /// (Re)builds centroid_index_ from centroids_. Called after training
-  /// and after Load — the index is derived state and never serialized.
-  Status BuildCentroidIndex();
+  /// (Re)builds centroid_table_ from centroids_. Called after training
+  /// and after Load — the table is derived state and never serialized.
+  Status BuildCentroidTable();
 
   /// Shared online-phase kernel behind ClassifyAll and ClassifyBatch:
   /// transform → nearest-centroid match + group routing → batch
@@ -414,9 +421,11 @@ class FalccModel {
   GroupIndex group_index_;
   ColumnTransform clustering_transform_;  // §3.7 step 1 (sample processing)
   std::vector<std::vector<double>> centroids_;
-  /// kd-tree over centroids_ for the online nearest-centroid lookup;
-  /// gives identical answers to the linear scan (KdTree::Nearest1).
-  std::optional<KdTree> centroid_index_;
+  /// centroids_ as one dimension-major table, the online
+  /// nearest-centroid match (derived state, built with the model and
+  /// copied into refresh clones); answers exactly as NearestCentroid
+  /// over centroids_ does.
+  CentroidTable centroid_table_;
   std::vector<size_t> assignment_;            // validation rows -> cluster
   std::vector<ModelCombination> selected_;    // cluster -> combination
   std::vector<double> baseline_loss_;         // cluster -> offline L̂

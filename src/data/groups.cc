@@ -1,42 +1,64 @@
 #include "data/groups.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 #include "util/serialize.h"
 
 namespace falcc {
 
-namespace {
-
-std::vector<double> SensitiveKey(std::span<const double> features,
-                                 const std::vector<size_t>& sensitive) {
-  std::vector<double> key;
-  key.reserve(sensitive.size());
-  for (size_t col : sensitive) key.push_back(features[col]);
-  return key;
+size_t GroupIndex::LowerBound(SampleKey key) const {
+  const size_t width = sensitive_features_.size();
+  // Sorted key `pos` < `key`, lexicographically (equal widths).
+  const auto stored_less = [&](size_t pos) {
+    const double* stored = sorted_keys_.data() + pos * width;
+    for (size_t i = 0; i < width; ++i) {
+      if (stored[i] < key[i]) return true;
+      if (key[i] < stored[i]) return false;
+    }
+    return false;
+  };
+  size_t lo = 0;
+  size_t hi = sorted_groups_.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (stored_less(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
-}  // namespace
-
-bool GroupIndex::KeyLess::operator()(const std::vector<double>& a,
-                                     const SampleKey& b) const {
-  for (size_t i = 0; i < a.size() && i < b.columns.size(); ++i) {
-    const double v = b.features[b.columns[i]];
-    if (a[i] < v) return true;
-    if (v < a[i]) return false;
+bool GroupIndex::KeyEquals(size_t pos, SampleKey key) const {
+  if (pos >= sorted_groups_.size()) return false;
+  const size_t width = sensitive_features_.size();
+  const double* stored = sorted_keys_.data() + pos * width;
+  for (size_t i = 0; i < width; ++i) {
+    if (stored[i] < key[i] || key[i] < stored[i]) return false;
   }
-  return a.size() < b.columns.size();
+  return true;
 }
 
-bool GroupIndex::KeyLess::operator()(const SampleKey& a,
-                                     const std::vector<double>& b) const {
-  for (size_t i = 0; i < a.columns.size() && i < b.size(); ++i) {
-    const double v = a.features[a.columns[i]];
-    if (v < b[i]) return true;
-    if (b[i] < v) return false;
+bool GroupIndex::IndexKeys() {
+  std::vector<size_t> ids(group_keys_.size());
+  std::iota(ids.begin(), ids.end(), size_t{0});
+  std::stable_sort(ids.begin(), ids.end(), [&](size_t a, size_t b) {
+    return group_keys_[a] < group_keys_[b];
+  });
+  sorted_keys_.clear();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0 && !(group_keys_[ids[i - 1]] < group_keys_[ids[i]])) {
+      return false;
+    }
+    sorted_keys_.insert(sorted_keys_.end(), group_keys_[ids[i]].begin(),
+                        group_keys_[ids[i]].end());
   }
-  return a.columns.size() < b.size();
+  sorted_groups_ = std::move(ids);
+  return true;
 }
 
 Result<GroupIndex> GroupIndex::Build(const Dataset& data) {
@@ -44,34 +66,53 @@ Result<GroupIndex> GroupIndex::Build(const Dataset& data) {
     return Status::InvalidArgument(
         "GroupIndex requires at least one sensitive feature");
   }
-  GroupIndex index;
-  index.sensitive_features_ = data.sensitive_features();
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    std::vector<double> key =
-        SensitiveKey(data.Row(i), index.sensitive_features_);
-    auto [it, inserted] =
-        index.key_to_group_.try_emplace(key, index.group_keys_.size());
-    if (inserted) index.group_keys_.push_back(std::move(key));
-  }
-  if (index.group_keys_.empty()) {
+  if (data.num_rows() == 0) {
     return Status::InvalidArgument("GroupIndex built on empty dataset");
   }
+  GroupIndex index;
+  index.sensitive_features_ = data.sensitive_features();
+  const std::vector<size_t>& columns = index.sensitive_features_;
+  // Rows sorted by key; stable, so each run of equal keys starts with
+  // that key's first appearance.
+  const auto row_less = [&](size_t a, size_t b) {
+    const std::span<const double> ra = data.Row(a), rb = data.Row(b);
+    for (size_t col : columns) {
+      if (ra[col] < rb[col]) return true;
+      if (rb[col] < ra[col]) return false;
+    }
+    return false;
+  };
+  std::vector<size_t> rows(data.num_rows());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  std::stable_sort(rows.begin(), rows.end(), row_less);
+  std::vector<size_t> first_rows;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || row_less(rows[i - 1], rows[i])) first_rows.push_back(rows[i]);
+  }
+  // Group ids in order of first appearance.
+  std::sort(first_rows.begin(), first_rows.end());
+  for (size_t row : first_rows) {
+    std::vector<double>& key = index.group_keys_.emplace_back();
+    for (size_t col : columns) key.push_back(data.Row(row)[col]);
+  }
+  index.IndexKeys();  // the keys are distinct by construction
   return index;
 }
 
 Result<size_t> GroupIndex::GroupOf(std::span<const double> features) const {
-  const auto it = key_to_group_.find(SampleKey{features, sensitive_features_});
-  if (it == key_to_group_.end()) {
+  const SampleKey key{features, sensitive_features_};
+  const size_t pos = LowerBound(key);
+  if (!KeyEquals(pos, key)) {
     return Status::NotFound("sensitive value combination not seen at build");
   }
-  return it->second;
+  return sorted_groups_[pos];
 }
 
 size_t GroupIndex::GroupOfOrNearest(std::span<const double> features) const {
   FALCC_CHECK(!group_keys_.empty(), "GroupOfOrNearest on empty index");
-  const auto it =
-      key_to_group_.find(SampleKey{features, sensitive_features_});
-  if (it != key_to_group_.end()) return it->second;
+  const SampleKey key{features, sensitive_features_};
+  const size_t pos = LowerBound(key);
+  if (KeyEquals(pos, key)) return sorted_groups_[pos];
   size_t best = 0;
   double best_d2 = 1e300;
   for (size_t g = 0; g < group_keys_.size(); ++g) {
@@ -144,11 +185,10 @@ Result<GroupIndex> GroupIndex::Deserialize(std::istream* in) {
         return Status::InvalidArgument("GroupIndex: non-finite group key");
       }
     }
-    auto [it, inserted] = index.key_to_group_.try_emplace(key, g);
-    if (!inserted) {
-      return Status::InvalidArgument("GroupIndex: duplicate group key");
-    }
     index.group_keys_.push_back(std::move(key));
+  }
+  if (!index.IndexKeys()) {
+    return Status::InvalidArgument("GroupIndex: duplicate group key");
   }
   return index;
 }

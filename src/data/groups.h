@@ -5,12 +5,17 @@
 // observed domains from a dataset, assigns each value combination a dense
 // group id, and maps arbitrary samples (including unseen test samples) to
 // their group.
+//
+// The keys live in one flat array sorted lexicographically (the order
+// std::vector<double>::operator< defines, so -0.0 and 0.0 are one key),
+// with each key's group id alongside. A lookup binary-searches that
+// array, reading the sample's sensitive values in place: no pointer
+// chase and no key vector per query.
 
 #ifndef FALCC_DATA_GROUPS_H_
 #define FALCC_DATA_GROUPS_H_
 
 #include <iosfwd>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,7 +36,7 @@ class GroupIndex {
   static Result<GroupIndex> Build(const Dataset& data);
 
   /// Number of groups |G|.
-  size_t num_groups() const { return key_to_group_.size(); }
+  size_t num_groups() const { return group_keys_.size(); }
 
   /// Sensitive columns this index was built over.
   const std::vector<size_t>& sensitive_features() const {
@@ -65,25 +70,27 @@ class GroupIndex {
 
  private:
   /// A sample's sensitive values, read in place from its feature vector
-  /// — the heterogeneous lookup key, so a query builds no key vector.
+  /// — the lookup key, so a query builds no key vector.
   struct SampleKey {
     std::span<const double> features;
     std::span<const size_t> columns;
-  };
-  /// Lexicographic order over stored keys and SampleKeys alike (the
-  /// order std::vector<double>::operator< defines).
-  struct KeyLess {
-    using is_transparent = void;
-    bool operator()(const std::vector<double>& a,
-                    const std::vector<double>& b) const {
-      return a < b;
-    }
-    bool operator()(const std::vector<double>& a, const SampleKey& b) const;
-    bool operator()(const SampleKey& a, const std::vector<double>& b) const;
+    double operator[](size_t i) const { return features[columns[i]]; }
   };
 
+  /// Position of the first sorted key not lexicographically less than
+  /// `key` (std::lower_bound over sorted_keys_).
+  size_t LowerBound(SampleKey key) const;
+  /// Whether sorted key `pos` exists and equals `key` (neither is less).
+  bool KeyEquals(size_t pos, SampleKey key) const;
+  /// Fills sorted_keys_ and sorted_groups_ from group_keys_ with one
+  /// sort; false if two keys are equal (neither is less).
+  bool IndexKeys();
+
   std::vector<size_t> sensitive_features_;
-  std::map<std::vector<double>, size_t, KeyLess> key_to_group_;
+  /// Every key, one after another, sensitive_features_.size() values
+  /// each, in ascending lexicographic order.
+  std::vector<double> sorted_keys_;
+  std::vector<size_t> sorted_groups_;  // group id of each sorted key
   std::vector<std::vector<double>> group_keys_;  // by group id
 };
 

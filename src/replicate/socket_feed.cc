@@ -585,10 +585,14 @@ void SocketPublisher::ServeSubscriber(Subscriber* subscriber) {
     }
   }
   if (alive) {
+    // The loop leaves with `alive` only once stop_ is set, so the EOF
+    // must not watch stop_ (it would return before its first send);
+    // the timeout alone bounds a stalled peer.
+    static const std::atomic<bool> kNeverStop{false};
     WireFrame eof;
     eof.type = FrameType::kEof;
     eof.sequence = subscriber->cursor;
-    SendAllFd(subscriber->fd, EncodeFrame(eof), &stop_, /*timeout=*/0.5);
+    SendAllFd(subscriber->fd, EncodeFrame(eof), &kNeverStop, /*timeout=*/0.5);
   }
   ::close(subscriber->fd);
   subscriber->fd = -1;

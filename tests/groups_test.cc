@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <sstream>
+
+#include "util/rng.h"
+
 namespace falcc {
 namespace {
 
@@ -133,6 +139,114 @@ TEST(GroupIndexTest, GroupOfOrNearestMatchesExactAndNearestReference) {
     }
     EXPECT_EQ(index.GroupOfOrNearest(sample), expected);
   }
+}
+
+// The flat sorted key array must answer exactly as the std::map it
+// replaced: group ids by first appearance, -0.0 and 0.0 one key, unseen
+// combinations NotFound for GroupOf and the lowest-index nearest key for
+// GroupOfOrNearest — also after a serialization round trip.
+TEST(GroupIndexTest, FlatKeysMatchAStdMapReference) {
+  // Sensitive values drawn from here; 0.5 and 7.0 only ever in queries.
+  const double built_values[] = {-0.0, 0.0, 1.0, 2.5, -3.0};
+  const double query_values[] = {-0.0, 0.0, 1.0, 2.5, -3.0, 0.5, 7.0};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    for (size_t num_sensitive = 1; num_sensitive <= 3; ++num_sensitive) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                        << " sensitive columns "
+                                        << num_sensitive);
+      Rng rng(seed * 10 + num_sensitive);
+      // Column 0 is a plain feature; the sensitive columns follow.
+      const size_t width = num_sensitive + 1;
+      std::vector<size_t> sensitive;
+      for (size_t c = 1; c <= num_sensitive; ++c) sensitive.push_back(c);
+      std::vector<std::string> names(width, "x");
+      const size_t rows = 1 + rng.UniformInt(60);
+      std::vector<double> features;
+      for (size_t r = 0; r < rows; ++r) {
+        features.push_back(rng.Normal());
+        for (size_t c = 0; c < num_sensitive; ++c) {
+          features.push_back(built_values[rng.UniformInt(5)]);
+        }
+      }
+      const Dataset data =
+          Dataset::Create(names, features, width, std::vector<int>(rows, 0),
+                          sensitive)
+              .value();
+      const GroupIndex index = GroupIndex::Build(data).value();
+
+      std::map<std::vector<double>, size_t> reference;
+      std::vector<std::vector<double>> reference_keys;
+      const auto key_of = [&](std::span<const double> row) {
+        std::vector<double> key;
+        for (size_t col : sensitive) key.push_back(row[col]);
+        return key;
+      };
+      for (size_t r = 0; r < rows; ++r) {
+        std::vector<double> key = key_of(data.Row(r));
+        if (reference.try_emplace(key, reference_keys.size()).second) {
+          reference_keys.push_back(std::move(key));
+        }
+      }
+      ASSERT_EQ(index.num_groups(), reference_keys.size());
+      for (size_t g = 0; g < reference_keys.size(); ++g) {
+        ASSERT_EQ(index.GroupKey(g), reference_keys[g]);
+      }
+
+      std::stringstream bytes;
+      ASSERT_TRUE(index.Serialize(&bytes).ok());
+      const GroupIndex loaded = GroupIndex::Deserialize(&bytes).value();
+
+      for (int q = 0; q < 200; ++q) {
+        std::vector<double> sample(width);
+        sample[0] = rng.Normal();
+        for (size_t c = 1; c < width; ++c) {
+          sample[c] = query_values[rng.UniformInt(7)];
+        }
+        const std::vector<double> key = key_of(sample);
+        const auto it = reference.find(key);
+        size_t nearest = 0;
+        if (it != reference.end()) {
+          nearest = it->second;
+        } else {
+          double best = 1e300;
+          for (size_t g = 0; g < reference_keys.size(); ++g) {
+            double d2 = 0.0;
+            for (size_t i = 0; i < key.size(); ++i) {
+              const double diff = key[i] - reference_keys[g][i];
+              d2 += diff * diff;
+            }
+            if (d2 < best) {
+              best = d2;
+              nearest = g;
+            }
+          }
+        }
+        for (const GroupIndex* under_test : {&index, &loaded}) {
+          const Result<size_t> exact = under_test->GroupOf(sample);
+          ASSERT_EQ(exact.ok(), it != reference.end());
+          if (exact.ok()) ASSERT_EQ(exact.value(), it->second);
+          ASSERT_EQ(under_test->GroupOfOrNearest(sample), nearest);
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupIndexTest, DeserializeRejectsKeysEqualUpToTheSignOfZero) {
+  std::stringstream bytes;
+  {
+    const Dataset d = MakeMultiAttr();
+    const GroupIndex index = GroupIndex::Build(d).value();
+    ASSERT_TRUE(index.Serialize(&bytes).ok());
+  }
+  // Rewrite the second key (0, 1) as (-0, 0): it now equals the first
+  // key (0, 0) under the index's order, which Deserialize must refuse.
+  std::string text = bytes.str();
+  const size_t at = text.find("\n2 0 1\n");
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, 7, "\n2 -0 0\n");
+  std::stringstream patched(text);
+  EXPECT_FALSE(GroupIndex::Deserialize(&patched).ok());
 }
 
 }  // namespace

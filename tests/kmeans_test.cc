@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <set>
 
+#include "cluster/kdtree.h"
 #include "util/math.h"
 #include "util/rng.h"
 
@@ -119,6 +122,165 @@ TEST(NearestCentroidTest, TieGoesToLowerIndex) {
   const std::vector<std::vector<double>> centroids = {{-1, 0}, {1, 0}};
   const std::vector<double> middle = {0.0, 0.0};
   EXPECT_EQ(NearestCentroid(centroids, middle), 0u);
+}
+
+// --- CentroidTable: the serving match must answer as the reference scan.
+
+// Every centroid-set shape the properties below sweep: k straddles the
+// table's 32-centroid block on both sides, d covers 1 to 9.
+const size_t kTableSizes[] = {1, 2, 31, 32, 33, 64, 65, 256};
+constexpr size_t kMaxDims = 9;
+
+// One query's three answers: the table, the NearestCentroid reference
+// and the kd-tree. `tree_exact` demands the kd-tree's index. Without it
+// the kd-tree only has to find a point at the same, bit-equal, squared
+// distance: on exact ties it prunes subtrees whose bound equals the
+// best distance so far, and can miss a lower-index equidistant point.
+void ExpectTableAnswers(const CentroidTable& table, const KdTree& tree,
+                        const std::vector<std::vector<double>>& centroids,
+                        const std::vector<double>& query, bool tree_exact) {
+  const size_t expected = NearestCentroid(centroids, query);
+  ASSERT_EQ(table.Nearest(query), expected);
+  const size_t from_tree = tree.Nearest(query, 1)[0];
+  if (tree_exact) {
+    EXPECT_EQ(from_tree, expected);
+  } else {
+    EXPECT_EQ(SquaredDistance(query, centroids[from_tree]),
+              SquaredDistance(query, centroids[expected]));
+  }
+}
+
+TEST(CentroidTableTest, MatchesReferenceOnRandomCentroidSets) {
+  for (uint64_t round = 1; round <= 3; ++round) {
+    for (size_t k : kTableSizes) {
+      for (size_t d = 1; d <= kMaxDims; ++d) {
+        const uint64_t seed = round * 100000 + k * 10 + d;
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " k " << k << " d " << d);
+        Rng rng(seed);
+        std::vector<std::vector<double>> centroids(k, std::vector<double>(d));
+        for (auto& c : centroids) {
+          for (double& v : c) v = rng.Normal(0.0, 3.0);
+        }
+        const CentroidTable table = CentroidTable::Build(centroids).value();
+        const KdTree tree = KdTree::Build(centroids).value();
+        ASSERT_EQ(table.size(), k);
+        ASSERT_EQ(table.dimensions(), d);
+        for (int q = 0; q < 40; ++q) {
+          std::vector<double> query(d);
+          for (double& v : query) v = rng.Normal(0.0, 4.0);
+          ExpectTableAnswers(table, tree, centroids, query, true);
+        }
+      }
+    }
+  }
+}
+
+// Duplicate centroids tie at every query: the lowest index must win.
+TEST(CentroidTableTest, DuplicateCentroidsGoToTheLowestIndex) {
+  for (size_t k : kTableSizes) {
+    for (size_t d = 1; d <= kMaxDims; ++d) {
+      const uint64_t seed = 7000 + k * 10 + d;
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " k " << k << " d " << d);
+      Rng rng(seed);
+      // Only four distinct points, repeated in shuffled order.
+      std::vector<std::vector<double>> distinct(4, std::vector<double>(d));
+      for (auto& c : distinct) {
+        for (double& v : c) v = rng.Normal(0.0, 2.0);
+      }
+      std::vector<std::vector<double>> centroids;
+      for (size_t c = 0; c < k; ++c) {
+        centroids.push_back(distinct[rng.UniformInt(distinct.size())]);
+      }
+      const CentroidTable table = CentroidTable::Build(centroids).value();
+      const KdTree tree = KdTree::Build(centroids).value();
+      for (const auto& point : distinct) {
+        ExpectTableAnswers(table, tree, centroids, point, false);
+      }
+      for (int q = 0; q < 20; ++q) {
+        std::vector<double> query(d);
+        for (double& v : query) v = rng.Normal(0.0, 2.0);
+        ExpectTableAnswers(table, tree, centroids, query, false);
+      }
+    }
+  }
+}
+
+// Small-integer centroids and queries on the exact midpoint of two of
+// them: every difference, square and sum is exact, so ties are real
+// (often among more than two centroids), not rounding accidents.
+TEST(CentroidTableTest, ExactMidpointTiesGoToTheLowestIndex) {
+  for (size_t k : kTableSizes) {
+    for (size_t d = 1; d <= kMaxDims; ++d) {
+      const uint64_t seed = 9000 + k * 10 + d;
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " k " << k << " d " << d);
+      Rng rng(seed);
+      std::vector<std::vector<double>> centroids(k, std::vector<double>(d));
+      for (auto& c : centroids) {
+        for (double& v : c) v = static_cast<double>(rng.UniformInt(8));
+      }
+      const CentroidTable table = CentroidTable::Build(centroids).value();
+      const KdTree tree = KdTree::Build(centroids).value();
+      for (int q = 0; q < 30; ++q) {
+        const auto& a = centroids[rng.UniformInt(k)];
+        const auto& b = centroids[rng.UniformInt(k)];
+        std::vector<double> midpoint(d);
+        for (size_t i = 0; i < d; ++i) midpoint[i] = (a[i] + b[i]) / 2.0;
+        ExpectTableAnswers(table, tree, centroids, midpoint, false);
+      }
+    }
+  }
+}
+
+// Near 1e154 a squared difference overflows to +inf; a query far from
+// every centroid sees only +inf distances, and the first centroid wins
+// as it does in NearestCentroid.
+TEST(CentroidTableTest, OverflowingDistancesKeepTheReferenceAnswer) {
+  for (size_t k : kTableSizes) {
+    for (size_t d = 1; d <= kMaxDims; ++d) {
+      const uint64_t seed = 11000 + k * 10 + d;
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " k " << k << " d " << d);
+      Rng rng(seed);
+      std::vector<std::vector<double>> centroids(k, std::vector<double>(d));
+      for (auto& c : centroids) {
+        for (double& v : c) v = rng.Uniform(-1.0, 1.0) * 1e154;
+      }
+      const CentroidTable table = CentroidTable::Build(centroids).value();
+      const KdTree tree = KdTree::Build(centroids).value();
+      for (int q = 0; q < 20; ++q) {
+        std::vector<double> query(d);
+        for (double& v : query) v = rng.Uniform(-2.0, 2.0) * 1e154;
+        ExpectTableAnswers(table, tree, centroids, query, false);
+      }
+      const std::vector<double> far(d, 1.5e154);
+      const std::vector<double> far_opposite(d, -1.5e154);
+      ExpectTableAnswers(table, tree, centroids, far, false);
+      ExpectTableAnswers(table, tree, centroids, far_opposite, false);
+    }
+  }
+}
+
+// Rounding depends on the order the squares are added in. From the
+// query at the origin, centroid 0's squares are {2^-54, 2^-54, 2^-54, 1}:
+// in feature order they sum to 1 + 2^-52, but adding the 1 any earlier
+// absorbs the small terms and gives exactly 1, a tie with centroid 1
+// (squares {0, 0, 0, 1}) that centroid 0 would win.
+TEST(CentroidTableTest, SumsSquaresInFeatureOrder) {
+  const double tiny = std::ldexp(1.0, -27);  // squares to 2^-54 exactly
+  const std::vector<std::vector<double>> centroids = {{tiny, tiny, tiny, 1.0},
+                                                      {0.0, 0.0, 0.0, 1.0}};
+  const std::vector<double> origin(4, 0.0);
+  ASSERT_EQ(NearestCentroid(centroids, origin), 1u);
+  EXPECT_EQ(CentroidTable::Build(centroids).value().Nearest(origin), 1u);
+}
+
+TEST(CentroidTableTest, RejectsEmptyZeroWidthAndRaggedSets) {
+  EXPECT_FALSE(CentroidTable::Build({}).ok());
+  EXPECT_FALSE(CentroidTable::Build({{}}).ok());
+  EXPECT_FALSE(CentroidTable::Build({{1.0, 2.0}, {1.0}}).ok());
 }
 
 }  // namespace

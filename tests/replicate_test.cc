@@ -1574,7 +1574,8 @@ TEST(SocketPartitionTest, FinishedSubscribersAreJoinedBeforeClose) {
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    return hello.size() == 1 && hello[0].type == FrameType::kHello &&
+    // A heartbeat sent 10 ms after the HELLO may arrive in the same read.
+    return !hello.empty() && hello[0].type == FrameType::kHello &&
            publisher->Stats().subscribers == 0;
   };
   for (int i = 0; i < 64; ++i) ASSERT_TRUE(cycle()) << "warm-up cycle " << i;
@@ -1588,6 +1589,32 @@ TEST(SocketPartitionTest, FinishedSubscribersAreJoinedBeforeClose) {
       << "VmSize grew from " << warm_kb << " kB to " << after_kb << " kB";
   EXPECT_EQ(publisher->Stats().accepted, 128u);
   publisher->Close();
+}
+
+// A clean Close() tells each connected subscriber so with an EOF frame
+// after everything it was sent, so a replica can tell a shutdown from a
+// partition.
+TEST(SocketPartitionTest, CloseSendsEofToConnectedSubscribers) {
+  const std::string dir = FreshDir("replicate_sock_eof");
+  const std::string path = SocketPath("sock_eof.sock");
+  SocketPublisherOptions po;
+  po.listen = "unix://" + path;
+  po.dir = dir;
+  po.heartbeat_interval_seconds = 60.0;  // no heartbeat before the EOF
+  std::unique_ptr<SocketPublisher> publisher =
+      SocketPublisher::Open(po).value();
+  const int fd = ConnectUnixSocket(path);
+  SendRaw(fd, EncodeFrame(SubscribeFrame(0)));
+  FrameDecoder decoder;
+  const std::vector<WireFrame> hello = RecvFrames(fd, &decoder, 1, 10.0);
+  ASSERT_EQ(hello.size(), 1u);
+  EXPECT_EQ(hello[0].type, FrameType::kHello);
+  // Close() joins the sender, so the EOF (if any) is already buffered.
+  publisher->Close();
+  const std::vector<WireFrame> rest = RecvFrames(fd, &decoder, 1, 10.0);
+  ::close(fd);
+  ASSERT_EQ(rest.size(), 1u) << "no frame after HELLO before the close";
+  EXPECT_EQ(rest[0].type, FrameType::kEof);
 }
 
 TEST(SocketPartitionTest, PublisherRestartResubscribesAndReconverges) {

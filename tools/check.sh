@@ -14,8 +14,11 @@
 #      build below) — and a short bench_infer run — the binary exits non-zero if the
 #      compiled flat-node kernels' decisions diverge from the
 #      interpreted path, in the model-level, batch and one-row-per-call
-#      serving cases (golden-model bit-identity itself runs in ctest
-#      via compiled_ensemble_test in every build below) — and a
+#      serving cases, or if the serving CentroidTable match differs from
+#      the NearestCentroid reference on any probe row (its cluster_match
+#      case, run by the ASan pass below too; golden-model bit-identity
+#      itself runs in ctest via compiled_ensemble_test in every build
+#      below) — and a
 #      bench_serve --smoke run, which exits non-zero if sharded-fleet
 #      decisions diverge from the single-loop reference at any shard
 #      count, the fleet's achieved p99 exceeds 10x the configured SLO,
