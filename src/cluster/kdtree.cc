@@ -114,7 +114,10 @@ std::vector<size_t> KdTree::NearestWhere(
   while (!stack.empty()) {
     const auto [node_id, bound] = stack.back();
     stack.pop_back();
-    if (best.size() == k && bound >= best.top().dist2) continue;
+    // Prune only when the subtree is strictly farther: at an equal bound
+    // it may hold a lower-index point at the k-th distance, which the
+    // lowest-index tie rule must find.
+    if (best.size() == k && bound > best.top().dist2) continue;
     const Node& node = nodes_[node_id];
     if (node.split_dim < 0) {
       for (size_t i = node.begin; i < node.end; ++i) {

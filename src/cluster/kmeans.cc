@@ -69,6 +69,9 @@ Result<KMeansResult> RunKMeans(const std::vector<std::vector<double>>& points,
     return Status::InvalidArgument("k-means: k must be in [1, n]");
   }
   const size_t dims = points[0].size();
+  if (dims == 0) {
+    return Status::InvalidArgument("k-means: zero-dimensional points");
+  }
   for (const auto& p : points) {
     if (p.size() != dims) {
       return Status::InvalidArgument("k-means: inconsistent dimensionality");
@@ -94,13 +97,16 @@ Result<KMeansResult> RunKMeans(const std::vector<std::vector<double>>& points,
       num_chunks, std::vector<size_t>(k, 0));
 
   // Assigns every point to its nearest centroid and returns the SSE.
+  // The match scans a CentroidTable of the current centroids, rebuilt on
+  // every call since the update step moves them; it names the same
+  // centroid as NearestCentroid, ties included.
   auto assign_points = [&]() {
+    const CentroidTable table = CentroidTable::Build(result.centroids).value();
     ParallelFor(0, n, kPointGrain,
                 [&](size_t chunk, size_t lo, size_t hi) {
                   double local = 0.0;
                   for (size_t i = lo; i < hi; ++i) {
-                    const size_t c =
-                        NearestCentroid(result.centroids, points[i]);
+                    const size_t c = table.Nearest(points[i]);
                     result.assignment[i] = c;
                     local += SquaredDistance(points[i], result.centroids[c]);
                   }

@@ -32,14 +32,16 @@ struct KMeansOptions {
   uint64_t seed = 1;
 };
 
-/// Runs k-means++ / Lloyd on `points` (all same dimensionality).
+/// Runs k-means++ / Lloyd on `points` (all the same, positive
+/// dimensionality). Each assignment step matches through a CentroidTable.
 /// k must be in [1, points.size()]. Deterministic for a fixed seed.
 Result<KMeansResult> RunKMeans(const std::vector<std::vector<double>>& points,
                                size_t k, const KMeansOptions& options = {});
 
 /// Index of the centroid closest to `point` (ties: lowest index).
 /// The reference for FALCC's online cluster-matching step (paper §3.7
-/// step 2); serving runs the same scan through CentroidTable.
+/// step 2); serving and RunKMeans run the same scan through
+/// CentroidTable.
 size_t NearestCentroid(const std::vector<std::vector<double>>& centroids,
                        std::span<const double> point);
 

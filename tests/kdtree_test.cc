@@ -125,6 +125,83 @@ TEST(KdTreeTest, DuplicatePointsHandled) {
   for (size_t idx : nn) EXPECT_LT(idx, 50u);  // all duplicates, not (2,2)
 }
 
+// Exact ties must go to the lower index, as in the stable brute force:
+// sets with only a few distinct points repeated (every query ties) and
+// small-integer points queried at midpoints (every difference, square
+// and sum is exact, so ties are real). With or without a filter.
+void ExpectTiesMatchBruteForce(const std::vector<std::vector<double>>& points,
+                               const std::vector<double>& q, Rng* rng) {
+  const KdTree tree = KdTree::Build(points).value();
+  std::vector<bool> accept(points.size());
+  for (size_t i = 0; i < points.size(); ++i) accept[i] = rng->Bernoulli(0.5);
+  std::vector<std::vector<double>> filtered;
+  std::vector<size_t> original_idx;
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (accept[i]) {
+      filtered.push_back(points[i]);
+      original_idx.push_back(i);
+    }
+  }
+  for (size_t k : {1, 2, 5}) {
+    SCOPED_TRACE(::testing::Message() << "k " << k);
+    EXPECT_EQ(tree.Nearest(q, k), BruteForce(points, q, k));
+    std::vector<size_t> expected;
+    for (size_t local : BruteForce(filtered, q, k)) {
+      expected.push_back(original_idx[local]);
+    }
+    EXPECT_EQ(tree.NearestWhere(q, k, accept), expected);
+  }
+}
+
+TEST(KdTreeTest, ExactTiesGoToTheLowestIndex) {
+  for (size_t n : {2, 17, 31, 33, 64, 257}) {
+    for (size_t d = 1; d <= 4; ++d) {
+      const uint64_t seed = 7000 + n * 10 + d;
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " n " << n << " d " << d);
+      Rng rng(seed);
+      std::vector<std::vector<double>> distinct(4, std::vector<double>(d));
+      for (auto& p : distinct) {
+        for (double& v : p) v = rng.Normal(0.0, 2.0);
+      }
+      std::vector<std::vector<double>> duplicates;
+      for (size_t i = 0; i < n; ++i) {
+        duplicates.push_back(distinct[rng.UniformInt(distinct.size())]);
+      }
+      for (const auto& q : distinct) ExpectTiesMatchBruteForce(duplicates, q, &rng);
+
+      std::vector<std::vector<double>> grid(n, std::vector<double>(d));
+      for (auto& p : grid) {
+        for (double& v : p) v = static_cast<double>(rng.UniformInt(8));
+      }
+      for (int trial = 0; trial < 10; ++trial) {
+        const auto& a = grid[rng.UniformInt(n)];
+        const auto& b = grid[rng.UniformInt(n)];
+        std::vector<double> midpoint(d);
+        for (size_t i = 0; i < d; ++i) midpoint[i] = (a[i] + b[i]) / 2.0;
+        ExpectTiesMatchBruteForce(grid, midpoint, &rng);
+      }
+    }
+  }
+}
+
+// The case that showed the bug: 31 one-dimensional points, four distinct
+// values repeated. Pruning at an equal bound returned index 9 where the
+// lowest equidistant index is 1.
+TEST(KdTreeTest, TieAcrossASplitPlaneReturnsTheLowestIndex) {
+  Rng rng(7311);
+  std::vector<std::vector<double>> distinct(4, std::vector<double>(1));
+  for (auto& p : distinct) p[0] = rng.Normal(0.0, 2.0);
+  std::vector<std::vector<double>> points;
+  for (size_t i = 0; i < 31; ++i) {
+    points.push_back(distinct[rng.UniformInt(distinct.size())]);
+  }
+  const KdTree tree = KdTree::Build(points).value();
+  for (const auto& q : distinct) {
+    EXPECT_EQ(tree.Nearest(q, 1), BruteForce(points, q, 1));
+  }
+}
+
 TEST(KdTreeTest, RejectsEmptyAndRagged) {
   EXPECT_FALSE(KdTree::Build({}).ok());
   EXPECT_FALSE(KdTree::Build({{1.0, 2.0}, {1.0}}).ok());

@@ -108,6 +108,7 @@ TEST(KMeansTest, RejectsBadInputs) {
   EXPECT_FALSE(RunKMeans(points, points.size() + 1).ok());
   EXPECT_FALSE(RunKMeans({}, 1).ok());
   EXPECT_FALSE(RunKMeans({{1.0}, {1.0, 2.0}}, 1).ok());
+  EXPECT_FALSE(RunKMeans({{}, {}}, 1).ok());
 }
 
 TEST(NearestCentroidTest, PicksClosest) {
@@ -132,22 +133,13 @@ const size_t kTableSizes[] = {1, 2, 31, 32, 33, 64, 65, 256};
 constexpr size_t kMaxDims = 9;
 
 // One query's three answers: the table, the NearestCentroid reference
-// and the kd-tree. `tree_exact` demands the kd-tree's index. Without it
-// the kd-tree only has to find a point at the same, bit-equal, squared
-// distance: on exact ties it prunes subtrees whose bound equals the
-// best distance so far, and can miss a lower-index equidistant point.
+// and the kd-tree, which must all name the same index, ties included.
 void ExpectTableAnswers(const CentroidTable& table, const KdTree& tree,
                         const std::vector<std::vector<double>>& centroids,
-                        const std::vector<double>& query, bool tree_exact) {
+                        const std::vector<double>& query) {
   const size_t expected = NearestCentroid(centroids, query);
   ASSERT_EQ(table.Nearest(query), expected);
-  const size_t from_tree = tree.Nearest(query, 1)[0];
-  if (tree_exact) {
-    EXPECT_EQ(from_tree, expected);
-  } else {
-    EXPECT_EQ(SquaredDistance(query, centroids[from_tree]),
-              SquaredDistance(query, centroids[expected]));
-  }
+  EXPECT_EQ(tree.Nearest(query, 1)[0], expected);
 }
 
 TEST(CentroidTableTest, MatchesReferenceOnRandomCentroidSets) {
@@ -169,7 +161,7 @@ TEST(CentroidTableTest, MatchesReferenceOnRandomCentroidSets) {
         for (int q = 0; q < 40; ++q) {
           std::vector<double> query(d);
           for (double& v : query) v = rng.Normal(0.0, 4.0);
-          ExpectTableAnswers(table, tree, centroids, query, true);
+          ExpectTableAnswers(table, tree, centroids, query);
         }
       }
     }
@@ -196,12 +188,12 @@ TEST(CentroidTableTest, DuplicateCentroidsGoToTheLowestIndex) {
       const CentroidTable table = CentroidTable::Build(centroids).value();
       const KdTree tree = KdTree::Build(centroids).value();
       for (const auto& point : distinct) {
-        ExpectTableAnswers(table, tree, centroids, point, false);
+        ExpectTableAnswers(table, tree, centroids, point);
       }
       for (int q = 0; q < 20; ++q) {
         std::vector<double> query(d);
         for (double& v : query) v = rng.Normal(0.0, 2.0);
-        ExpectTableAnswers(table, tree, centroids, query, false);
+        ExpectTableAnswers(table, tree, centroids, query);
       }
     }
   }
@@ -228,7 +220,7 @@ TEST(CentroidTableTest, ExactMidpointTiesGoToTheLowestIndex) {
         const auto& b = centroids[rng.UniformInt(k)];
         std::vector<double> midpoint(d);
         for (size_t i = 0; i < d; ++i) midpoint[i] = (a[i] + b[i]) / 2.0;
-        ExpectTableAnswers(table, tree, centroids, midpoint, false);
+        ExpectTableAnswers(table, tree, centroids, midpoint);
       }
     }
   }
@@ -253,12 +245,12 @@ TEST(CentroidTableTest, OverflowingDistancesKeepTheReferenceAnswer) {
       for (int q = 0; q < 20; ++q) {
         std::vector<double> query(d);
         for (double& v : query) v = rng.Uniform(-2.0, 2.0) * 1e154;
-        ExpectTableAnswers(table, tree, centroids, query, false);
+        ExpectTableAnswers(table, tree, centroids, query);
       }
       const std::vector<double> far(d, 1.5e154);
       const std::vector<double> far_opposite(d, -1.5e154);
-      ExpectTableAnswers(table, tree, centroids, far, false);
-      ExpectTableAnswers(table, tree, centroids, far_opposite, false);
+      ExpectTableAnswers(table, tree, centroids, far);
+      ExpectTableAnswers(table, tree, centroids, far_opposite);
     }
   }
 }
