@@ -15,13 +15,22 @@ void ShardTask::Complete(Status task_status, const SampleDecision& result) {
   done_cv.notify_all();
 }
 
+namespace {
+
+thread_local bool waited = false;
+
+}  // namespace
+
 Result<SampleDecision> ShardTicket::Wait() const {
   FALCC_CHECK(task_ != nullptr, "ShardTicket::Wait on an empty ticket");
   std::unique_lock<std::mutex> lock(task_->mu);
   task_->done_cv.wait(lock, [&] { return task_->done; });
+  waited = true;
   if (!task_->status.ok()) return task_->status;
   return task_->decision;
 }
+
+bool TakeWaitedSinceLastCall() { return std::exchange(waited, false); }
 
 namespace {
 

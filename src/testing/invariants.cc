@@ -216,7 +216,8 @@ Status CheckCompiledMatchesInterpreted(FalccModel* model,
 
 Status CheckShardedMatchesSingleLoop(const FalccModel& model,
                                      const Dataset& data,
-                                     std::span<const size_t> shard_counts) {
+                                     std::span<const size_t> shard_counts,
+                                     ShardedFlushCounts* counts) {
   if (data.num_features() != model.num_features()) {
     return Status::InvalidArgument(
         "sharded check: dataset width != model num_features");
@@ -280,6 +281,13 @@ Status CheckShardedMatchesSingleLoop(const FalccModel& model,
             "sharded (" + std::to_string(shards) +
             " shards) decision differs from single loop: " +
             DecisionDiff(i, decision.value(), reference[i]));
+      }
+    }
+    if (counts != nullptr) {
+      for (size_t shard = 0; shard < engine.num_shards(); ++shard) {
+        const serve::ShardStatus status = engine.GetShardStatus(shard);
+        counts->flushes += status.flushes;
+        counts->inline_flushes += status.inline_flushes;
       }
     }
   }

@@ -70,9 +70,20 @@ Status CheckCompiledMatchesInterpreted(FalccModel* model, const Dataset& data);
 /// choice must never leak into any decision field. Requires a
 /// serializable pool (each engine serves a Save/Load round trip of
 /// `model`, so the check also covers serialization identity).
+///
+/// One thread submits every row before waiting — a burst — so the rows
+/// reach the shard workers and are classified in multi-row batches; the
+/// first submissions of the burst find their shards idle and are flushed
+/// inline. `counts`, if given, receives how many flushes each path ran,
+/// summed over the engines, so a caller can confirm both were covered.
+struct ShardedFlushCounts {
+  uint64_t flushes = 0;
+  uint64_t inline_flushes = 0;
+};
 Status CheckShardedMatchesSingleLoop(const FalccModel& model,
                                      const Dataset& data,
-                                     std::span<const size_t> shard_counts);
+                                     std::span<const size_t> shard_counts,
+                                     ShardedFlushCounts* counts = nullptr);
 
 /// CloneWithRefreshes applied to `refreshed_cluster` leaves every other
 /// cluster's combination, baseline, and per-sample decisions on `data`

@@ -130,9 +130,12 @@ TEST(InvariantsTest, ShardedServingMatchesSingleLoop) {
   // single-sample loop bit for bit, under round-robin and keyed routing.
   Fixture& f = Shared();
   const size_t kShardCounts[] = {1, 2, 8};
-  const Status st =
-      CheckShardedMatchesSingleLoop(f.model, f.splits.test, kShardCounts);
+  testing::ShardedFlushCounts counts;
+  const Status st = CheckShardedMatchesSingleLoop(f.model, f.splits.test,
+                                                  kShardCounts, &counts);
   EXPECT_TRUE(st.ok()) << st.ToString();
+  // The burst reached the shard workers: some flushes were queued batches.
+  EXPECT_LT(counts.inline_flushes, counts.flushes);
 }
 
 TEST(InvariantsTest, RefreshLeavesUntouchedClustersBitIdentical) {
