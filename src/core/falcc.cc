@@ -3,21 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
-#include <istream>
 #include <memory>
 #include <numeric>
-#include <ostream>
-#include <sstream>
 #include <string>
 #include <utility>
 
 #include "cluster/kdtree.h"
-#include "io/mapped_file.h"
 #include "ml/adaboost.h"
 #include "util/math.h"
 #include "util/parallel.h"
-#include "util/serialize.h"
 #include "util/timer.h"
 
 namespace falcc {
@@ -286,675 +280,6 @@ Status FalccModel::BuildCentroidTable() {
   Result<CentroidTable> table = CentroidTable::Build(centroids_);
   if (!table.ok()) return table.status();
   centroid_table_ = std::move(table).value();
-  return Status::OK();
-}
-
-namespace {
-/// Optional trailing v1 section holding the monitoring anchors:
-/// assessment parameters and the per-cluster baseline L̂. Artifacts
-/// written before monitoring existed simply end after the combinations;
-/// Load treats the section as absent and leaves the baselines empty.
-constexpr char kMonitorSection[] = "falcc-monitor-v1";
-
-// v2 section names, in canonical manifest order (the combo sections sit
-// between clustering and monitor, one per cluster).
-constexpr char kSectionMeta[] = "meta";
-constexpr char kSectionPool[] = "pool";
-constexpr char kSectionGroups[] = "groups";
-constexpr char kSectionTransform[] = "transform";
-constexpr char kSectionClustering[] = "clustering";
-constexpr char kSectionMonitor[] = "monitor";
-constexpr char kComboSectionPrefix[] = "combo.";
-
-std::string ComboSectionName(size_t cluster) {
-  return kComboSectionPrefix + std::to_string(cluster);
-}
-
-/// Every section parser ends with this: a v2 section is a closed unit,
-/// so trailing tokens mean the artifact disagrees with its manifest.
-Status ExpectSectionEnd(std::istream* in, const std::string& name) {
-  std::string extra;
-  if (*in >> extra) {
-    return Status::InvalidArgument("FalccModel: trailing data in section '" +
-                                   name + "'");
-  }
-  return Status::OK();
-}
-
-/// The v2 pool section: binary (ModelPool::SerializeBinary), or the text
-/// pool of snapshots written before the binary layout existed.
-Result<ModelPool> DecodePoolSection(std::string_view payload) {
-  if (ModelPool::IsBinary(payload)) {
-    return ModelPool::DeserializeBinary(payload);
-  }
-  std::istringstream s{std::string(payload)};
-  Result<ModelPool> pool = ModelPool::Deserialize(&s);
-  if (pool.ok()) FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionPool));
-  return pool;
-}
-
-/// Strict "combo.<index>" parser for delta manifests: digits only, no
-/// leading zeros, value below `num_clusters`.
-Result<size_t> ParseComboSectionName(const std::string& name,
-                                     size_t num_clusters) {
-  const std::string_view prefix = kComboSectionPrefix;
-  if (name.size() <= prefix.size() ||
-      std::string_view(name).substr(0, prefix.size()) != prefix) {
-    return Status::InvalidArgument(
-        "FalccModel: delta may only carry combo sections, found '" + name +
-        "'");
-  }
-  const std::string_view digits = std::string_view(name).substr(prefix.size());
-  if (digits.size() > 1 && digits[0] == '0') {
-    return Status::InvalidArgument("FalccModel: bad combo section name '" +
-                                   name + "'");
-  }
-  size_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9' || value > num_clusters) {
-      return Status::InvalidArgument("FalccModel: bad combo section name '" +
-                                     name + "'");
-    }
-    value = value * 10 + static_cast<size_t>(c - '0');
-  }
-  if (value >= num_clusters) {
-    return Status::InvalidArgument("FalccModel: delta cluster " +
-                                   std::to_string(value) + " out of range");
-  }
-  return value;
-}
-}  // namespace
-
-Status FalccModel::Save(std::ostream* out) const {
-  return SaveV2(out, nullptr);
-}
-
-void FalccModel::WriteComboSection(std::ostream* out, size_t cluster) const {
-  io::WriteVector(out, selected_[cluster]);
-  // Self-describing baseline: a delta section replays without the base
-  // artifact in hand, so it must say whether a baseline exists.
-  if (baseline_loss_.empty()) {
-    *out << "none\n";
-  } else {
-    *out << "baseline " << baseline_loss_[cluster] << '\n';
-  }
-}
-
-Status FalccModel::SaveV2(std::ostream* out,
-                          io::SnapshotManifest* manifest_out) const {
-  io::SnapshotWriter writer(out);
-  *writer.BeginSection(kSectionMeta) << "entropy " << pool_entropy_ << '\n';
-  FALCC_RETURN_IF_ERROR(writer.EndSection());
-  {
-    std::string pool;
-    FALCC_RETURN_IF_ERROR(pool_->SerializeBinary(&pool));
-    FALCC_RETURN_IF_ERROR(writer.AddSection(kSectionPool, std::move(pool)));
-  }
-  FALCC_RETURN_IF_ERROR(
-      group_index_.Serialize(writer.BeginSection(kSectionGroups)));
-  FALCC_RETURN_IF_ERROR(writer.EndSection());
-  FALCC_RETURN_IF_ERROR(
-      clustering_transform_.Serialize(writer.BeginSection(kSectionTransform)));
-  FALCC_RETURN_IF_ERROR(writer.EndSection());
-  {
-    std::ostream* s = writer.BeginSection(kSectionClustering);
-    *s << centroids_.size() << '\n';
-    for (const auto& c : centroids_) io::WriteVector(s, c);
-    FALCC_RETURN_IF_ERROR(writer.EndSection());
-  }
-  for (size_t c = 0; c < selected_.size(); ++c) {
-    WriteComboSection(writer.BeginSection(ComboSectionName(c)), c);
-    FALCC_RETURN_IF_ERROR(writer.EndSection());
-  }
-  if (!baseline_loss_.empty()) {
-    *writer.BeginSection(kSectionMonitor)
-        << assess_lambda_ << ' ' << static_cast<int>(assess_metric_) << ' '
-        << static_cast<int>(assess_mode_) << '\n';
-    FALCC_RETURN_IF_ERROR(writer.EndSection());
-  }
-  return writer.Finish(manifest_out);
-}
-
-Result<FalccModel> FalccModel::LoadBytes(std::string_view bytes) {
-  const io::ArtifactHeader header = io::SniffHeader(bytes);
-  if (header == io::ArtifactHeader::kSnapshotV2) {
-    Result<io::SnapshotReader> reader = io::SnapshotReader::ParseView(bytes);
-    if (!reader.ok()) return reader.status();
-    return LoadV2(reader.value());
-  }
-  if (header == io::ArtifactHeader::kDeltaV2) {
-    return Status::InvalidArgument(
-        "FalccModel: artifact is a delta snapshot; apply it to its base "
-        "with ApplyDelta instead of loading it directly");
-  }
-  std::istringstream stream{std::string(bytes)};
-  return LoadV1(&stream);
-}
-
-Result<FalccModel> FalccModel::LoadV1(std::istream* in) {
-  FALCC_RETURN_IF_ERROR(io::Expect(in, io::kModelHeaderV1));
-  FalccModel model;
-  FALCC_RETURN_IF_ERROR(io::Read(in, &model.pool_entropy_));
-
-  Result<ModelPool> pool = ModelPool::Deserialize(in);
-  if (!pool.ok()) return pool.status();
-  model.pool_ = std::make_shared<const ModelPool>(std::move(pool).value());
-
-  Result<GroupIndex> index = GroupIndex::Deserialize(in);
-  if (!index.ok()) return index.status();
-  model.group_index_ = std::move(index).value();
-
-  Result<ColumnTransform> transform = ColumnTransform::Deserialize(in);
-  if (!transform.ok()) return transform.status();
-  model.clustering_transform_ = std::move(transform).value();
-
-  FALCC_RETURN_IF_ERROR(model.ReadCentroids(in));
-  const size_t num_centroids = model.centroids_.size();
-  size_t num_selected = 0;
-  FALCC_RETURN_IF_ERROR(io::Read(in, &num_selected));
-  if (num_selected != num_centroids) {
-    return Status::InvalidArgument(
-        "FalccModel: combination count != centroid count");
-  }
-  model.selected_.resize(num_selected);
-  for (auto& combo : model.selected_) {
-    FALCC_RETURN_IF_ERROR(io::ReadVector(in, &combo));
-    FALCC_RETURN_IF_ERROR(model.CheckCombination(combo));
-  }
-  FALCC_RETURN_IF_ERROR(model.CheckFeatureWidth());
-
-  // Monitoring anchors: optional trailing section (absent in artifacts
-  // saved before the drift monitor existed — those load with empty
-  // baselines and default assessment parameters).
-  std::string marker;
-  if (*in >> marker) {
-    if (marker != kMonitorSection) {
-      return Status::InvalidArgument(
-          "FalccModel: unexpected trailing token '" + marker + "'");
-    }
-    FALCC_RETURN_IF_ERROR(model.ReadAssessParams(in));
-    FALCC_RETURN_IF_ERROR(io::ReadVector(in, &model.baseline_loss_));
-    if (!model.baseline_loss_.empty() &&
-        model.baseline_loss_.size() != num_centroids) {
-      return Status::InvalidArgument(
-          "FalccModel: baseline count != centroid count");
-    }
-    for (double loss : model.baseline_loss_) {
-      if (!std::isfinite(loss)) {
-        return Status::InvalidArgument("FalccModel: non-finite baseline");
-      }
-    }
-  }
-  FALCC_RETURN_IF_ERROR(model.BuildCentroidTable());
-  // Compile after every validation pass above: the kernels gather
-  // through feature indices the width checks just vetted, so nothing an
-  // accepted artifact contains can make a kernel read out of bounds.
-  model.CompileKernels();
-  return model;
-}
-
-Result<FalccModel> FalccModel::LoadV2(const io::SnapshotReader& reader) {
-  if (reader.is_delta()) {
-    return Status::InvalidArgument(
-        "FalccModel: artifact is a delta snapshot; apply it to its base "
-        "with ApplyDelta instead of loading it directly");
-  }
-  const io::SnapshotManifest& manifest = reader.manifest();
-  // ReadSection verifies the section checksum; its error names the
-  // failing section and file offset, which is the diagnostic v2 exists
-  // to give.
-  auto section = [&](const std::string& name) -> Result<std::string_view> {
-    if (!manifest.Has(name)) {
-      return Status::InvalidArgument("FalccModel: snapshot is missing the '" +
-                                     name + "' section");
-    }
-    return reader.ReadSection(name);
-  };
-
-  FalccModel model;
-  bool binary_pool = false;
-  {
-    Result<std::string_view> payload = section(kSectionMeta);
-    if (!payload.ok()) return payload.status();
-    std::istringstream s{std::string(payload.value())};
-    FALCC_RETURN_IF_ERROR(io::Expect(&s, "entropy"));
-    FALCC_RETURN_IF_ERROR(io::Read(&s, &model.pool_entropy_));
-    FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionMeta));
-  }
-  {
-    Result<std::string_view> payload = section(kSectionPool);
-    if (!payload.ok()) return payload.status();
-    binary_pool = ModelPool::IsBinary(payload.value());
-    Result<ModelPool> pool = DecodePoolSection(payload.value());
-    if (!pool.ok()) return pool.status();
-    model.pool_ = std::make_shared<const ModelPool>(std::move(pool).value());
-  }
-  {
-    Result<std::string_view> payload = section(kSectionGroups);
-    if (!payload.ok()) return payload.status();
-    std::istringstream s{std::string(payload.value())};
-    Result<GroupIndex> index = GroupIndex::Deserialize(&s);
-    if (!index.ok()) return index.status();
-    model.group_index_ = std::move(index).value();
-    FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionGroups));
-  }
-  {
-    Result<std::string_view> payload = section(kSectionTransform);
-    if (!payload.ok()) return payload.status();
-    std::istringstream s{std::string(payload.value())};
-    Result<ColumnTransform> transform = ColumnTransform::Deserialize(&s);
-    if (!transform.ok()) return transform.status();
-    model.clustering_transform_ = std::move(transform).value();
-    FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionTransform));
-  }
-  {
-    Result<std::string_view> payload = section(kSectionClustering);
-    if (!payload.ok()) return payload.status();
-    std::istringstream s{std::string(payload.value())};
-    FALCC_RETURN_IF_ERROR(model.ReadCentroids(&s));
-    FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionClustering));
-  }
-  const size_t k = model.centroids_.size();
-
-  // The manifest must list exactly the canonical sections in canonical
-  // order — section layout is part of the format, and enforcing it keeps
-  // Save ∘ Load ∘ Save a byte fixed point.
-  const bool has_monitor = manifest.Has(kSectionMonitor);
-  const bool has_flat = manifest.Has(io::kFlatSectionName);
-  {
-    std::vector<std::string> expected = {kSectionMeta, kSectionPool,
-                                         kSectionGroups, kSectionTransform,
-                                         kSectionClustering};
-    for (size_t c = 0; c < k; ++c) expected.push_back(ComboSectionName(c));
-    if (has_monitor) expected.push_back(kSectionMonitor);
-    if (has_flat) expected.push_back(io::kFlatSectionName);
-    if (manifest.sections.size() != expected.size()) {
-      return Status::InvalidArgument(
-          "FalccModel: snapshot has " +
-          std::to_string(manifest.sections.size()) + " sections, expected " +
-          std::to_string(expected.size()));
-    }
-    for (size_t i = 0; i < expected.size(); ++i) {
-      if (manifest.sections[i].name != expected[i]) {
-        return Status::InvalidArgument(
-            "FalccModel: unexpected section '" + manifest.sections[i].name +
-            "' at position " + std::to_string(i) + " (expected '" +
-            expected[i] + "')");
-      }
-    }
-  }
-
-  if (has_monitor) {
-    Result<std::string_view> payload = section(kSectionMonitor);
-    if (!payload.ok()) return payload.status();
-    std::istringstream s{std::string(payload.value())};
-    FALCC_RETURN_IF_ERROR(model.ReadAssessParams(&s));
-    FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, kSectionMonitor));
-    model.baseline_loss_.assign(k, 0.0);
-  }
-
-  model.selected_.resize(k);
-  for (size_t c = 0; c < k; ++c) {
-    const std::string name = ComboSectionName(c);
-    Result<std::string_view> payload = section(name);
-    if (!payload.ok()) return payload.status();
-    std::istringstream s{std::string(payload.value())};
-    ModelCombination& combo = model.selected_[c];
-    FALCC_RETURN_IF_ERROR(io::ReadVector(&s, &combo));
-    FALCC_RETURN_IF_ERROR(model.CheckCombination(combo));
-    std::string tag;
-    if (!(s >> tag)) {
-      return Status::InvalidArgument("FalccModel: truncated section '" + name +
-                                     "'");
-    }
-    if (tag == "baseline") {
-      if (!has_monitor) {
-        return Status::InvalidArgument(
-            "FalccModel: section '" + name +
-            "' carries a baseline but the snapshot has no monitor section");
-      }
-      double loss = 0.0;
-      FALCC_RETURN_IF_ERROR(io::Read(&s, &loss));
-      if (!std::isfinite(loss)) {
-        return Status::InvalidArgument("FalccModel: non-finite baseline");
-      }
-      model.baseline_loss_[c] = loss;
-    } else if (tag == "none") {
-      if (has_monitor) {
-        return Status::InvalidArgument(
-            "FalccModel: section '" + name +
-            "' lacks a baseline despite the monitor section");
-      }
-    } else {
-      return Status::InvalidArgument("FalccModel: bad baseline tag '" + tag +
-                                     "' in section '" + name + "'");
-    }
-    FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, name));
-  }
-
-  FALCC_RETURN_IF_ERROR(model.CheckFeatureWidth());
-  FALCC_RETURN_IF_ERROR(model.BuildCentroidTable());
-
-  // Compile after every validation pass above, exactly like the v1 path.
-  // A `flat` section written by older versions is never read: kernels
-  // always come from the decoded pool.
-  model.CompileKernels();
-  // A text pool re-saves as binary, so that file's manifest is not what
-  // Save writes; the identity is then computed from Save, as for a v1
-  // artifact.
-  if (binary_pool) model.manifest_ = manifest;
-  return model;
-}
-
-Status FalccModel::ReadCentroids(std::istream* in) {
-  size_t num_centroids = 0;
-  FALCC_RETURN_IF_ERROR(io::Read(in, &num_centroids));
-  if (num_centroids == 0 || num_centroids > 10000000) {
-    return Status::InvalidArgument("FalccModel: implausible centroid count");
-  }
-  centroids_.resize(num_centroids);
-  for (auto& c : centroids_) {
-    FALCC_RETURN_IF_ERROR(io::ReadVector(in, &c));
-    if (c.size() != clustering_transform_.num_output_features()) {
-      return Status::InvalidArgument("FalccModel: centroid width mismatch");
-    }
-    for (double v : c) {
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument("FalccModel: non-finite centroid");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status FalccModel::ReadAssessParams(std::istream* in) {
-  int metric = 0;
-  int mode = 0;
-  FALCC_RETURN_IF_ERROR(io::Read(in, &assess_lambda_));
-  FALCC_RETURN_IF_ERROR(io::Read(in, &metric));
-  FALCC_RETURN_IF_ERROR(io::Read(in, &mode));
-  if (assess_lambda_ < 0.0 || assess_lambda_ > 1.0) {
-    return Status::InvalidArgument("FalccModel: lambda out of range");
-  }
-  if (metric < 0 ||
-      metric > static_cast<int>(FairnessMetric::kTreatmentEquality)) {
-    return Status::InvalidArgument("FalccModel: unknown fairness metric");
-  }
-  if (mode < 0 || mode > static_cast<int>(AssessmentMode::kConsistency)) {
-    return Status::InvalidArgument("FalccModel: unknown assessment mode");
-  }
-  assess_metric_ = static_cast<FairnessMetric>(metric);
-  assess_mode_ = static_cast<AssessmentMode>(mode);
-  return Status::OK();
-}
-
-Status FalccModel::CheckCombination(const ModelCombination& combo) const {
-  if (combo.size() != group_index_.num_groups()) {
-    return Status::InvalidArgument("FalccModel: combination width");
-  }
-  for (size_t g = 0; g < combo.size(); ++g) {
-    const size_t m = combo[g];
-    if (m >= pool_->size()) {
-      return Status::InvalidArgument("FalccModel: model index range");
-    }
-    if (!pool_->Applicable(m, g)) {
-      return Status::InvalidArgument(
-          "FalccModel: model " + std::to_string(m) + " selected for group " +
-          std::to_string(g) + " it is not applicable to");
-    }
-  }
-  return Status::OK();
-}
-
-Status FalccModel::CheckFeatureWidth() const {
-  // The sections are individually well-formed, but classification
-  // indexes samples of width num_features() through the group index and
-  // every pool model, so a mismatched pair of sections would read out of
-  // bounds (or trip an internal abort) at serving time.
-  const size_t width = num_features();
-  for (size_t col : group_index_.sensitive_features()) {
-    if (col >= width) {
-      return Status::InvalidArgument(
-          "FalccModel: sensitive column " + std::to_string(col) +
-          " out of range for " + std::to_string(width) + " features");
-    }
-  }
-  for (size_t m = 0; m < pool_->size(); ++m) {
-    FALCC_RETURN_IF_ERROR(pool_->model(m).ValidateForWidth(width));
-  }
-  return Status::OK();
-}
-
-Result<FalccModel> FalccModel::LoadMapped(const std::string& path) {
-  Result<io::MappedFile> file = io::MappedFile::Open(path);
-  if (!file.ok()) return file.status();
-  // The model copies what it keeps out of the mapping, which is
-  // released on return.
-  return LoadBytes(file.value().view());
-}
-
-Status FalccModel::SaveDelta(std::ostream* out,
-                             std::span<const size_t> clusters,
-                             uint64_t base_hash) const {
-  if (clusters.empty()) {
-    return Status::InvalidArgument("SaveDelta: no clusters listed");
-  }
-  std::vector<size_t> sorted(clusters.begin(), clusters.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] >= centroids_.size()) {
-      return Status::InvalidArgument("SaveDelta: cluster " +
-                                     std::to_string(sorted[i]) +
-                                     " out of range");
-    }
-    if (i > 0 && sorted[i] == sorted[i - 1]) {
-      return Status::InvalidArgument("SaveDelta: duplicate cluster " +
-                                     std::to_string(sorted[i]));
-    }
-  }
-  io::SnapshotWriter writer(out);
-  writer.SetDeltaBase(base_hash);
-  for (size_t c : sorted) {
-    WriteComboSection(writer.BeginSection(ComboSectionName(c)), c);
-    FALCC_RETURN_IF_ERROR(writer.EndSection());
-  }
-  return writer.Finish();
-}
-
-Result<FalccModel> FalccModel::ApplyDeltaBytes(std::string_view bytes) const {
-  Result<io::SnapshotReader> parsed = io::SnapshotReader::ParseView(bytes);
-  if (!parsed.ok()) return parsed.status();
-  const io::SnapshotReader& reader = parsed.value();
-  if (!reader.is_delta()) {
-    return Status::InvalidArgument(
-        "ApplyDelta: artifact is a full snapshot, not a delta");
-  }
-  Result<uint64_t> hash = ContentHash();
-  if (!hash.ok()) return hash.status();
-  if (reader.base_hash() != hash.value()) {
-    // At-least-once feeds redeliver deltas. If every delta section is
-    // already live bit for bit (same length and checksum as the equally
-    // named section here), the post-apply content hash equals the live
-    // one — the delta's effect is already installed, so accept it as a
-    // success no-op and rebuild the identical model below. Anything
-    // else is a genuine chain break.
-    io::SnapshotManifest computed;
-    const io::SnapshotManifest* live = nullptr;
-    if (manifest_.has_value()) {
-      live = &*manifest_;
-    } else {
-      std::ostringstream sink;
-      if (SaveV2(&sink, &computed).ok()) live = &computed;
-    }
-    bool already_applied = live != nullptr;
-    if (already_applied) {
-      for (const io::SectionInfo& info : reader.manifest().sections) {
-        const io::SectionInfo* have = live->Find(info.name);
-        if (have == nullptr || have->length != info.length ||
-            have->checksum != info.checksum) {
-          already_applied = false;
-          break;
-        }
-      }
-    }
-    if (!already_applied) {
-      return Status::FailedPrecondition(
-          "ApplyDelta: delta applies to base " +
-          io::HashHex(reader.base_hash()) +
-          " but the installed snapshot has content hash " +
-          io::HashHex(hash.value()));
-    }
-  }
-  const bool has_baselines = !baseline_loss_.empty();
-  std::vector<ClusterRefresh> refreshes;
-  std::vector<bool> seen(centroids_.size(), false);
-  for (const io::SectionInfo& info : reader.manifest().sections) {
-    Result<size_t> cluster =
-        ParseComboSectionName(info.name, centroids_.size());
-    if (!cluster.ok()) return cluster.status();
-    if (seen[cluster.value()]) {
-      return Status::InvalidArgument("ApplyDelta: duplicate cluster " +
-                                     std::to_string(cluster.value()));
-    }
-    seen[cluster.value()] = true;
-    Result<std::string_view> payload = reader.ReadSection(info.name);
-    if (!payload.ok()) return payload.status();
-    std::istringstream s{std::string(payload.value())};
-    ClusterRefresh refresh;
-    refresh.cluster = cluster.value();
-    FALCC_RETURN_IF_ERROR(io::ReadVector(&s, &refresh.combination));
-    std::string tag;
-    if (!(s >> tag)) {
-      return Status::InvalidArgument("ApplyDelta: truncated section '" +
-                                     info.name + "'");
-    }
-    if (tag == "baseline") {
-      if (!has_baselines) {
-        return Status::InvalidArgument(
-            "ApplyDelta: delta carries a baseline but the base snapshot "
-            "has none");
-      }
-      FALCC_RETURN_IF_ERROR(io::Read(&s, &refresh.baseline_loss));
-    } else if (tag == "none") {
-      if (has_baselines) {
-        return Status::InvalidArgument(
-            "ApplyDelta: delta lacks a baseline the base snapshot tracks");
-      }
-    } else {
-      return Status::InvalidArgument("ApplyDelta: bad baseline tag '" + tag +
-                                     "' in section '" + info.name + "'");
-    }
-    FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, info.name));
-    refreshes.push_back(std::move(refresh));
-  }
-  // Combination validity (width, range, applicability, finite baseline)
-  // is enforced by CloneWithRefreshes — the same gate the monitor's
-  // in-process refresh goes through.
-  return CloneWithRefreshes(refreshes);
-}
-
-Status FalccModel::EnsureManifest() {
-  if (manifest_.has_value()) return Status::OK();
-  std::ostringstream sink;
-  io::SnapshotManifest manifest;
-  FALCC_RETURN_IF_ERROR(SaveV2(&sink, &manifest));
-  manifest_ = std::move(manifest);
-  return Status::OK();
-}
-
-Result<uint64_t> FalccModel::ContentHash() const {
-  if (manifest_.has_value()) return manifest_->ContentHash();
-  std::ostringstream sink;
-  io::SnapshotManifest manifest;
-  FALCC_RETURN_IF_ERROR(SaveV2(&sink, &manifest));
-  return manifest.ContentHash();
-}
-
-Result<FalccModel> FalccModel::CloneWithRefreshes(
-    std::span<const ClusterRefresh> refreshes) const {
-  // In-memory clone: the pool and its compiled kernels are shared
-  // (immutable, by far the largest components; a refresh only re-picks
-  // among them) and everything else is copied, so the clone costs
-  // O(refreshed clusters + routing tables), not a serialization round
-  // trip of the whole model. Training diagnostics (assignment_) are not
-  // carried over, matching what a save/load round trip would drop.
-  FalccModel model;
-  model.pool_ = pool_;
-  model.kernels_ = kernels_;
-  model.pool_entropy_ = pool_entropy_;
-  model.group_index_ = group_index_;
-  model.clustering_transform_ = clustering_transform_;
-  model.centroids_ = centroids_;
-  model.centroid_table_ = centroid_table_;
-  model.selected_ = selected_;
-  model.baseline_loss_ = baseline_loss_;
-  model.use_compiled_ = use_compiled_;
-  model.assess_lambda_ = assess_lambda_;
-  model.assess_metric_ = assess_metric_;
-  model.assess_mode_ = assess_mode_;
-  for (const ClusterRefresh& refresh : refreshes) {
-    if (refresh.cluster >= model.centroids_.size()) {
-      return Status::InvalidArgument("CloneWithRefreshes: cluster " +
-                                     std::to_string(refresh.cluster) +
-                                     " out of range");
-    }
-    if (refresh.combination.size() != model.group_index_.num_groups()) {
-      return Status::InvalidArgument(
-          "CloneWithRefreshes: combination width != num_groups");
-    }
-    for (size_t g = 0; g < refresh.combination.size(); ++g) {
-      const size_t m = refresh.combination[g];
-      if (m >= model.pool_->size() || !model.pool_->Applicable(m, g)) {
-        return Status::InvalidArgument(
-            "CloneWithRefreshes: model " + std::to_string(m) +
-            " is not applicable to group " + std::to_string(g));
-      }
-    }
-    if (!std::isfinite(refresh.baseline_loss)) {
-      return Status::InvalidArgument(
-          "CloneWithRefreshes: non-finite baseline loss");
-    }
-    model.selected_[refresh.cluster] = refresh.combination;
-    if (model.has_baseline_losses()) {
-      model.baseline_loss_[refresh.cluster] = refresh.baseline_loss;
-    }
-  }
-  // Incremental manifest update: a refresh changes only the refreshed
-  // clusters' combo sections (every other section, the pool included,
-  // is shared unchanged), so the clone's content hash is recomputed from
-  // per-section metadata without serializing the model. Offsets go stale
-  // but nothing reads them (ContentHash folds name/length/checksum
-  // only); EnsureManifest on a fresh save restores exact offsets.
-  if (manifest_.has_value()) {
-    io::SnapshotManifest manifest = *manifest_;
-    bool consistent = true;
-    for (const ClusterRefresh& refresh : refreshes) {
-      std::ostringstream payload;
-      io::PrepareStream(&payload);
-      model.WriteComboSection(&payload, refresh.cluster);
-      const std::string bytes = std::move(payload).str();
-      bool found = false;
-      for (io::SectionInfo& info : manifest.sections) {
-        if (info.name == ComboSectionName(refresh.cluster)) {
-          info.length = bytes.size();
-          info.checksum = io::Fnv1a(bytes);
-          found = true;
-          break;
-        }
-      }
-      consistent = consistent && found;
-    }
-    if (consistent) model.manifest_ = std::move(manifest);
-  }
-  return model;
-}
-
-Status FalccModel::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  FALCC_RETURN_IF_ERROR(Save(&out));
-  out.flush();
-  if (!out) return Status::IOError("write to " + path + " failed");
   return Status::OK();
 }
 
