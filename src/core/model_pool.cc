@@ -1,7 +1,6 @@
 #include "core/model_pool.h"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
 
 #include "ml/serialize.h"
@@ -54,23 +53,6 @@ Status ModelPool::Serialize(std::ostream* out) const {
   return Status::OK();
 }
 
-Result<ModelPool> ModelPool::Deserialize(std::istream* in) {
-  size_t num_models = 0;
-  FALCC_RETURN_IF_ERROR(io::Read(in, &num_models));
-  if (num_models == 0 || num_models > kMaxModels) {
-    return Status::InvalidArgument("ModelPool: implausible model count");
-  }
-  ModelPool pool;
-  for (size_t m = 0; m < num_models; ++m) {
-    std::vector<size_t> applicable;
-    FALCC_RETURN_IF_ERROR(io::ReadVector(in, &applicable));
-    Result<std::unique_ptr<Classifier>> model = DeserializeClassifier(in);
-    if (!model.ok()) return model.status();
-    pool.Add(std::move(model).value(), std::move(applicable));
-  }
-  return pool;
-}
-
 Status ModelPool::SerializeBinary(std::string* out) const {
   io::BinaryWriter writer(out);
   writer.Bytes(kBinaryMagic);
@@ -83,13 +65,10 @@ Status ModelPool::SerializeBinary(std::string* out) const {
   return Status::OK();
 }
 
-bool ModelPool::IsBinary(std::string_view payload) {
-  return payload.starts_with(kBinaryMagic);
-}
-
 Result<ModelPool> ModelPool::DeserializeBinary(std::string_view payload) {
-  if (!IsBinary(payload)) {
-    return Status::InvalidArgument("ModelPool: missing binary pool magic");
+  if (!payload.starts_with(kBinaryMagic)) {
+    return Status::InvalidArgument(
+        "ModelPool: the 'pool' section is not binary (no falcc-p1 magic)");
   }
   io::BinaryReader reader(payload.substr(kBinaryMagic.size()));
   uint64_t num_models = 0;

@@ -47,27 +47,28 @@ class ModelPool {
   /// (the grey Pr_m columns of Tab. 2 in the paper).
   std::vector<std::vector<int>> PredictMatrix(const Dataset& data) const;
 
-  /// Serializes every model plus its group applicability. Fails if any
-  /// model's type does not support serialization (see ml/serialize.h).
+  /// Serializes every model plus its group applicability as text, one
+  /// SerializeClassifier record per model — a readable dump for tests
+  /// and diagnostics; snapshots carry the binary layout below. Fails if
+  /// any model's type does not support serialization (see
+  /// ml/serialize.h).
   Status Serialize(std::ostream* out) const;
-  static Result<ModelPool> Deserialize(std::istream* in);
 
-  /// The same content in the binary layout of the v2 snapshot's `pool`
-  /// section. All integers are fixed-width little-endian and every array
-  /// starts 8-byte aligned from the payload start:
+  /// The binary layout of the v2 snapshot's `pool` section. All integers
+  /// are fixed-width little-endian and every array starts 8-byte aligned
+  /// from the payload start:
   ///
-  ///   u64 magic "falcc-p1"  (a text pool starts with a decimal count)
+  ///   u64 magic "falcc-p1"
   ///   u64 num_models
   ///   per model: u64 n, u64 applicable_groups[n], then the classifier
   ///              record (SerializeClassifierBinary, ml/serialize.h)
   ///
-  /// The reader checks every count against the bytes left before sizing
-  /// anything by it, applies the text reader's limits and per-node checks
+  /// The reader rejects a payload without the magic (a text pool, say),
+  /// checks every count against the bytes left before sizing anything by
+  /// it, applies the text classifier reader's limits and per-node checks
   /// (DecisionTree::CheckNode), and rejects trailing bytes.
   Status SerializeBinary(std::string* out) const;
   static Result<ModelPool> DeserializeBinary(std::string_view payload);
-  /// Whether `payload` starts with the binary layout's magic.
-  static bool IsBinary(std::string_view payload);
 
  private:
   std::vector<std::unique_ptr<Classifier>> models_;

@@ -1,6 +1,7 @@
 #include "io/snapshot.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <ostream>
 #include <utility>
@@ -74,6 +75,27 @@ std::vector<std::string_view> SplitFields(std::string_view line) {
   }
 }
 
+/// `line` in single quotes for an error message: at most 64 bytes, and
+/// every byte outside printable ASCII (and any quote or backslash)
+/// written as \xNN.
+std::string QuoteLine(std::string_view line) {
+  constexpr size_t kMaxQuoted = 64;
+  std::string out = "'";
+  for (const char c : line.substr(0, kMaxQuoted)) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f && c != '\'' && c != '\\') {
+      out += c;
+    } else {
+      char escaped[5];
+      std::snprintf(escaped, sizeof(escaped), "\\x%02x", byte);
+      out += escaped;
+    }
+  }
+  out += '\'';
+  if (line.size() > kMaxQuoted) out += "...";
+  return out;
+}
+
 Status ManifestError(const std::string& what) {
   return Status::InvalidArgument("snapshot manifest: " + what);
 }
@@ -103,7 +125,6 @@ ArtifactHeader SniffHeader(std::string_view bytes) {
   const std::string_view line = bytes.substr(0, bytes.find('\n'));
   if (line == kSnapshotHeaderV2) return ArtifactHeader::kSnapshotV2;
   if (line == kDeltaHeaderV2) return ArtifactHeader::kDeltaV2;
-  if (line == kModelHeaderV1) return ArtifactHeader::kModelV1;
   return ArtifactHeader::kUnknown;
 }
 
@@ -127,17 +148,12 @@ const SectionInfo* SnapshotManifest::Find(std::string_view name) const {
 uint64_t SnapshotManifest::ContentHash() const {
   uint64_t hash = Fnv1a("");
   for (const SectionInfo& section : sections) {
-    if (IsDerived(section.name)) continue;
     hash = Fnv1a(section.name, hash);
     hash = FnvByte(hash, 0);
     hash = FnvU64(hash, section.length);
     hash = FnvU64(hash, section.checksum);
   }
   return hash;
-}
-
-bool SnapshotManifest::IsDerived(std::string_view name) {
-  return name == kFlatSectionName;
 }
 
 bool SnapshotManifest::ValidName(std::string_view name) {
@@ -288,7 +304,7 @@ Result<SnapshotReader> SnapshotReader::ParseView(std::string_view data) {
   } else if (line == kDeltaHeaderV2) {
     reader.is_delta_ = true;
   } else {
-    return ManifestError("unknown header line");
+    return ManifestError("unknown header line " + QuoteLine(line));
   }
 
   if (reader.is_delta_) {

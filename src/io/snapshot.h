@@ -17,11 +17,8 @@
 // failing section by name and offset instead of "stream corrupt".
 //
 // The content hash on the `end` line is the artifact's identity: an
-// FNV-1a fold over (name, length, checksum) of every *semantic* section
-// in manifest order. Derived sections are excluded, so carrying or
-// dropping them never changes what snapshot this logically is. The one
-// derived name is `flat`, a compiled-kernel cache that older writers
-// appended; nothing writes it any more and loaders skip it.
+// FNV-1a fold over (name, length, checksum) of every section in manifest
+// order.
 //
 // A delta artifact (`falcc-delta-v2`) is the same container with a
 // `base <content-hash-hex>` line after the header; its sections replace
@@ -46,14 +43,8 @@
 
 namespace falcc::io {
 
-/// Header line of the legacy whitespace-token snapshot format. It is
-/// read (FalccModel::LoadBytes) but never written.
-inline constexpr char kModelHeaderV1[] = "falcc-model-v1";
 inline constexpr char kSnapshotHeaderV2[] = "falcc-snapshot-v2";
 inline constexpr char kDeltaHeaderV2[] = "falcc-delta-v2";
-/// The one derived section name: a compiled-kernel cache written by
-/// older versions, skipped on load and excluded from the content hash.
-inline constexpr char kFlatSectionName[] = "flat";
 
 /// FNV-1a 64-bit over `bytes`, continuing from `seed` (chain calls to
 /// hash a concatenation).
@@ -75,11 +66,9 @@ struct SnapshotManifest {
   bool Has(std::string_view name) const { return Find(name) != nullptr; }
 
   /// Artifact identity: FNV-1a fold over (name, length, checksum) of
-  /// every non-derived section, in manifest order.
+  /// every section, in manifest order.
   uint64_t ContentHash() const;
 
-  /// Whether `name` is a derived (hash-excluded) section.
-  static bool IsDerived(std::string_view name);
   /// Valid section names: [a-z0-9._-]+, at most 64 chars.
   static bool ValidName(std::string_view name);
 };
@@ -89,7 +78,7 @@ struct SnapshotManifest {
 std::string HashHex(uint64_t hash);
 
 /// What an artifact's header line says it is.
-enum class ArtifactHeader { kUnknown, kModelV1, kSnapshotV2, kDeltaV2 };
+enum class ArtifactHeader { kUnknown, kSnapshotV2, kDeltaV2 };
 
 /// Classifies `bytes` by its header line: the text before the first
 /// '\n', or all of `bytes` if there is none.
@@ -151,7 +140,9 @@ class SnapshotReader {
  public:
   /// Parses and strictly validates the manifest + layout (alignment,
   /// ordering, '#' gaps, exact total length, manifest self-hash); does
-  /// NOT verify section checksums — use ReadSection / VerifyAll.
+  /// NOT verify section checksums — use ReadSection / VerifyAll. Any
+  /// other header line (a v1 `falcc-model-v1` file, say) is rejected
+  /// with that line quoted in the error.
   static Result<SnapshotReader> ParseView(std::string_view data);
 
   bool is_delta() const { return is_delta_; }

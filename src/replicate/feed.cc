@@ -35,8 +35,7 @@ void SniffArtifact(const std::string& path, FeedEntry* entry) {
   std::string line;
   if (!std::getline(in, line)) return;
   const io::ArtifactHeader header = io::SniffHeader(line);
-  if (header == io::ArtifactHeader::kSnapshotV2 ||
-      header == io::ArtifactHeader::kModelV1) {
+  if (header == io::ArtifactHeader::kSnapshotV2) {
     entry->kind = ArtifactKind::kFull;
     return;
   }

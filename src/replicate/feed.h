@@ -42,7 +42,7 @@ class DirectoryWatcher;
 /// What an artifact in the feed is, sniffed from its header line.
 enum class ArtifactKind {
   kDelta,       ///< `falcc-delta-v2`: applies to a base content hash
-  kFull,        ///< full snapshot (v2 sectioned or legacy v1)
+  kFull,        ///< `falcc-snapshot-v2`: a full snapshot
   kUnreadable,  ///< unopenable, empty, or unrecognized header
 };
 

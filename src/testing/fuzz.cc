@@ -9,10 +9,12 @@
 
 #include "core/falcc.h"
 #include "data/csv_dataset.h"
+#include "ml/serialize.h"
 #include "replicate/wire.h"
 #include "testing/invariants.h"
 #include "testing/mutator.h"
 #include "util/csv.h"
+#include "util/serialize.h"
 
 namespace falcc {
 namespace testing {
@@ -23,6 +25,14 @@ Status SaveToStringOrError(const FalccModel& model, std::string* out) {
   std::ostringstream buffer;
   FALCC_RETURN_IF_ERROR(model.Save(&buffer));
   *out = buffer.str();
+  return Status::OK();
+}
+
+Status TextRecordOf(const Classifier& model, std::string* out) {
+  std::ostringstream text;
+  io::PrepareStream(&text);
+  FALCC_RETURN_IF_ERROR(SerializeClassifier(model, &text));
+  *out = text.str();
   return Status::OK();
 }
 
@@ -174,14 +184,20 @@ Status FuzzPoolDecode(const std::string& data) {
       first != second) {
     return Status::Internal("binary pool encoding is not a fixed point");
   }
-  std::ostringstream text;
-  FALCC_RETURN_IF_ERROR(decoded.value().Serialize(&text));
-  std::istringstream in(text.str());
-  Result<ModelPool> from_text = ModelPool::Deserialize(&in);
-  std::ostringstream text_again;
-  if (!from_text.ok() || !from_text.value().Serialize(&text_again).ok() ||
-      text_again.str() != text.str()) {
-    return Status::Internal("decoded pool does not round-trip as text");
+  // Each decoded model's text record (the per-model format the goldens
+  // pin) must read back to the same record.
+  for (size_t m = 0; m < decoded.value().size(); ++m) {
+    std::string text;
+    FALCC_RETURN_IF_ERROR(TextRecordOf(decoded.value().model(m), &text));
+    std::istringstream in(text);
+    Result<std::unique_ptr<Classifier>> from_text = DeserializeClassifier(&in);
+    std::string text_again;
+    if (!from_text.ok() ||
+        !TextRecordOf(*from_text.value(), &text_again).ok() ||
+        text_again != text) {
+      return Status::Internal("decoded model " + std::to_string(m) +
+                              " does not round-trip as text");
+    }
   }
   return Status::OK();
 }

@@ -54,9 +54,10 @@ Status FuzzSnapshotLoad(const std::string& data);
 
 /// Contract for ModelPool::DeserializeBinary (the v2 `pool` section
 /// payload) on arbitrary bytes: a clean rejection, or a pool whose binary
-/// encoding is a fixed point and whose text form the text reader parses
-/// back to the same text. Reaches the decoder directly: mutated snapshot
-/// bytes mostly stop at the section checksum.
+/// encoding is a fixed point and each of whose models' text records
+/// DeserializeClassifier reads back to the same record. Reaches the
+/// decoder directly: mutated snapshot bytes mostly stop at the section
+/// checksum.
 Status FuzzPoolDecode(const std::string& data);
 
 /// Contract for ParseCsv / DatasetFromCsv on arbitrary bytes.

@@ -1,8 +1,10 @@
 # Drives `falcc_cli snapshot` end to end:
 #  * `inspect` of a seed copied under a directory whose name holds '"'
 #    and '\' prints valid JSON whose "path" is that file's path;
-#  * `verify` accepts every valid seed in the snapshot corpus (v1,
-#    text-pool v2 with the f2 and f3 `flat` layouts, binary-pool v2);
+#  * `verify` accepts each valid seed in the snapshot corpus, listed by
+#    name so a missing seed fails by name;
+#  * `verify` and `inspect` reject a v1 (`falcc-model-v1`) file with a
+#    non-zero exit and the header line named on stderr;
 #  * `inspect` of a freshly trained and saved snapshot lists a `pool`
 #    section and no `flat` section.
 #
@@ -32,7 +34,7 @@ execute_process(COMMAND mkdir -p "${odd_dir}" RESULT_VARIABLE code)
 if(NOT code EQUAL 0)
   message(FATAL_ERROR "cannot create '${odd_dir}'")
 endif()
-foreach(seed valid-v2-pool-p1.txt valid-full.txt)
+foreach(seed valid-v2-pool-p1.txt)
   set(model "${odd_dir}/${seed}")
   execute_process(COMMAND cp "${CORPUS_DIR}/${seed}" "${model}"
                   RESULT_VARIABLE code)
@@ -53,16 +55,35 @@ foreach(seed valid-v2-pool-p1.txt valid-full.txt)
   endif()
 endforeach()
 
-# 2. Every valid corpus seed verifies.
-file(GLOB seeds "${CORPUS_DIR}/valid-*.txt")
-list(LENGTH seeds num_seeds)
-if(num_seeds LESS 5)
-  message(FATAL_ERROR "expected at least 5 valid seeds, found ${num_seeds}")
-endif()
+# 2. Every valid corpus seed verifies: the listed ones must exist, and
+# any other valid-*.txt seed is checked too.
+set(valid_seeds valid-v2-pool-p1.txt)
+file(GLOB globbed RELATIVE "${CORPUS_DIR}" "${CORPUS_DIR}/valid-*.txt")
+set(seeds ${valid_seeds} ${globbed})
+list(REMOVE_DUPLICATES seeds)
 foreach(seed IN LISTS seeds)
-  run_cli(out snapshot verify --model "${seed}")
+  if(NOT EXISTS "${CORPUS_DIR}/${seed}")
+    message(FATAL_ERROR "valid seed ${seed} is missing from ${CORPUS_DIR}")
+  endif()
+  run_cli(out snapshot verify --model "${CORPUS_DIR}/${seed}")
   if(NOT out MATCHES ": ok \\(")
     message(FATAL_ERROR "verify ${seed}: unexpected output:\n${out}")
+  endif()
+endforeach()
+
+# 2b. A v1 file is rejected, and the error names its header line.
+foreach(action verify inspect)
+  execute_process(
+    COMMAND ${FALCC_CLI} snapshot ${action} --model "${CORPUS_DIR}/v1-model.txt"
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(code EQUAL 0)
+    message(FATAL_ERROR "snapshot ${action} accepted a v1 file:\n${out}")
+  endif()
+  string(FIND "${err}" "falcc-model-v1" named_at)
+  if(named_at EQUAL -1)
+    message(FATAL_ERROR "snapshot ${action} of a v1 file: header not named:\n${err}")
   endif()
 endforeach()
 

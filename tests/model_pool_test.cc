@@ -127,10 +127,10 @@ std::string TextOf(const ModelPool& pool) {
 
 // The binary layout stores exactly what the text format stores: a pool
 // decoded from binary re-serializes through SerializeClassifier to the
-// same text bytes as the pool parsed from text, for random trees,
-// AdaBoost ensembles (zero trees included), forests and a model kept as
-// a text record.
-TEST(BinaryPoolTest, DecodesToTheSameTextAsTheTextReader) {
+// same text bytes as the original pool, for random trees, AdaBoost
+// ensembles (zero trees included), forests and a model kept as a text
+// record.
+TEST(BinaryPoolTest, DecodesToTheSameTextAsTheOriginalPool) {
   const Dataset d = MakeData();
   LogisticRegression logistic;
   ASSERT_TRUE(logistic.Fit(d).ok());
@@ -172,27 +172,22 @@ TEST(BinaryPoolTest, DecodesToTheSameTextAsTheTextReader) {
       }
     }
     SCOPED_TRACE("round " + std::to_string(round));
-    const std::string text = TextOf(pool);
-    std::istringstream in(text);
-    const Result<ModelPool> from_text = ModelPool::Deserialize(&in);
-    ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-
     std::string binary;
     ASSERT_TRUE(pool.SerializeBinary(&binary).ok());
-    ASSERT_TRUE(ModelPool::IsBinary(binary));
+    ASSERT_TRUE(binary.starts_with("falcc-p1"));
     EXPECT_EQ(binary.size() % 8, 0u);
     const Result<ModelPool> from_binary = ModelPool::DeserializeBinary(binary);
     ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
 
-    EXPECT_EQ(TextOf(from_binary.value()), TextOf(from_text.value()));
+    EXPECT_EQ(TextOf(from_binary.value()), TextOf(pool));
     std::string again;
     ASSERT_TRUE(from_binary.value().SerializeBinary(&again).ok());
     EXPECT_EQ(again, binary);
   }
 }
 
-// Every strict prefix of a binary pool is rejected, and a text pool is
-// never mistaken for a binary one.
+// Every strict prefix of a binary pool is rejected, and so is a text
+// pool.
 TEST(BinaryPoolTest, RejectsEveryTruncation) {
   const Dataset d = MakeData();
   ModelPool pool;
@@ -204,7 +199,7 @@ TEST(BinaryPoolTest, RejectsEveryTruncation) {
     EXPECT_FALSE(ModelPool::DeserializeBinary(binary.substr(0, cut)).ok())
         << cut;
   }
-  EXPECT_FALSE(ModelPool::IsBinary(TextOf(pool)));
+  EXPECT_FALSE(ModelPool::DeserializeBinary(TextOf(pool)).ok());
   EXPECT_FALSE(
       ModelPool::DeserializeBinary(binary + std::string(8, '\0')).ok());
 }

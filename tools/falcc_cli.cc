@@ -48,10 +48,12 @@
 // --delta-dir DIR every installed refresh also publishes a delta
 // artifact there for replicas to apply incrementally; `audit` compares
 // FALCC against Decouple and the plain baselines on a held-out split;
-// `snapshot` operates on serialized artifacts: `inspect` prints the v2
-// section manifest as JSON, `verify` checks every section checksum (and
-// fully loads full snapshots), `diff` compares two artifacts section by
-// section — between a base and the snapshot a delta produces, it shows
+// `snapshot` operates on serialized artifacts (`falcc-snapshot-v2` and
+// `falcc-delta-v2`; any other header, a v1 `falcc-model-v1` file
+// included, is rejected with that header in the error): `inspect` prints
+// the section manifest as JSON, `verify` checks every section checksum
+// (and fully loads full snapshots), `diff` compares two artifacts section
+// by section — between a base and the snapshot a delta produces, it shows
 // exactly the combo sections the delta carries; `replicate status` lists
 // a feed directory's artifacts in apply order and walks the delta chain
 // (checkpoint loads + delta applications), reporting breaks, failed
@@ -779,9 +781,7 @@ std::string ManifestJson(const std::string& path,
     if (i > 0) json << ", ";
     json << "{\"name\": \"" << s.name << "\", \"offset\": " << s.offset
          << ", \"length\": " << s.length << ", \"checksum\": \""
-         << io::HashHex(s.checksum) << "\", \"derived\": "
-         << (io::SnapshotManifest::IsDerived(s.name) ? "true" : "false")
-         << "}";
+         << io::HashHex(s.checksum) << "\"}";
   }
   json << "]}";
   return json.str();
@@ -790,14 +790,8 @@ std::string ManifestJson(const std::string& path,
 int SnapshotInspect(const std::string& path) {
   Result<io::MappedFile> file = io::MappedFile::Open(path);
   if (!file.ok()) return Fail(file.status());
-  const std::string_view bytes = file.value().view();
-  if (io::SniffHeader(bytes) == io::ArtifactHeader::kModelV1) {
-    // v1 has no manifest; report what there is to know.
-    std::printf("{\"path\": %s, \"format\": \"%s\", \"bytes\": %zu}\n",
-                JsonString(path).c_str(), io::kModelHeaderV1, bytes.size());
-    return 0;
-  }
-  Result<io::SnapshotReader> reader = io::SnapshotReader::ParseView(bytes);
+  Result<io::SnapshotReader> reader =
+      io::SnapshotReader::ParseView(file.value().view());
   if (!reader.ok()) return Fail(reader.status());
   std::printf("%s\n", ManifestJson(path, reader.value()).c_str());
   return 0;
@@ -807,13 +801,6 @@ int SnapshotVerify(const std::string& path) {
   Result<io::MappedFile> file = io::MappedFile::Open(path);
   if (!file.ok()) return Fail(file.status());
   const std::string_view bytes = file.value().view();
-  if (io::SniffHeader(bytes) == io::ArtifactHeader::kModelV1) {
-    // No per-section checksums in v1: a full load is the only check.
-    Result<FalccModel> model = FalccModel::LoadBytes(bytes);
-    if (!model.ok()) return Fail(model.status());
-    std::printf("%s: ok (%s, full load)\n", path.c_str(), io::kModelHeaderV1);
-    return 0;
-  }
   Result<io::SnapshotReader> reader = io::SnapshotReader::ParseView(bytes);
   if (!reader.ok()) return Fail(reader.status());
   // Per-section checksums first: a corrupt artifact is reported by
@@ -841,11 +828,6 @@ int SnapshotDiff(const std::string& path_a, const std::string& path_b) {
   if (!file_a.ok()) return Fail(file_a.status());
   Result<io::MappedFile> file_b = io::MappedFile::Open(path_b);
   if (!file_b.ok()) return Fail(file_b.status());
-  if (io::SniffHeader(file_a.value().view()) == io::ArtifactHeader::kModelV1 ||
-      io::SniffHeader(file_b.value().view()) == io::ArtifactHeader::kModelV1) {
-    return Fail(Status::InvalidArgument(
-        "snapshot diff needs v2 artifacts (v1 has no section manifest)"));
-  }
   Result<io::SnapshotReader> a =
       io::SnapshotReader::ParseView(file_a.value().view());
   if (!a.ok()) return Fail(a.status());
