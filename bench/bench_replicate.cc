@@ -350,7 +350,7 @@ int Main(int argc, char** argv) {
   const FalccModel model = [&] {
     if (!model_cache.empty()) {
       Result<FalccModel> cached = FalccModel::LoadMapped(model_cache);
-      if (cached.ok() && cached.value().has_baseline_losses()) {
+      if (cached.ok()) {
         std::printf("loaded cached model from %s\n", model_cache.c_str());
         return std::move(cached).value();
       }

@@ -29,11 +29,6 @@ Result<std::unique_ptr<FairnessMonitor>> FairnessMonitor::Attach(
     return Status::FailedPrecondition(
         "FairnessMonitor: attach after the first Install/Reload");
   }
-  if (!snapshot->has_baseline_losses()) {
-    return Status::FailedPrecondition(
-        "FairnessMonitor: snapshot lacks per-cluster baseline losses "
-        "(legacy artifact — retrain or re-save the model)");
-  }
   WindowStatsOptions window_options;
   window_options.window = options.window;
   window_options.num_clusters = snapshot->num_clusters();

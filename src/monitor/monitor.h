@@ -21,9 +21,8 @@
 // The serving hot path only ever touches the lock-free DecisionLog;
 // everything downstream runs on whichever thread calls Poll() —
 // typically a background loop or the replay driver between chunks.
-// Attach requires a snapshot that carries the offline per-cluster
-// baseline losses (models saved before monitoring existed load without
-// them; retrain or re-save to monitor those).
+// Drift is measured against the offline per-cluster baseline losses
+// every snapshot carries (FalccModel::baseline_losses()).
 
 #ifndef FALCC_MONITOR_MONITOR_H_
 #define FALCC_MONITOR_MONITOR_H_
@@ -99,8 +98,7 @@ struct MonitorSummary {
 class FairnessMonitor {
  public:
   /// Subscribes a monitor to `engine`'s decision stream. Requires an
-  /// installed snapshot with baseline losses (has_baseline_losses());
-  /// claims the engine's (set-once) observer slot. The engine must
+  /// installed snapshot; claims the engine's (set-once) observer slot. The engine must
   /// outlive the monitor. A ShardedEngine passes as its snapshot store:
   /// decisions fan in from every shard (the DecisionLog ring is
   /// multi-writer safe), and a refresh installed on the store is what

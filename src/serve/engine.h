@@ -122,8 +122,8 @@ class FalccEngine {
   /// Publishes `model` as the new immutable snapshot.
   void Install(FalccModel model);
 
-  /// Loads and validates the snapshot at `path` (FalccModel::LoadMapped:
-  /// v2, or a legacy v1 artifact), then atomically swaps it in. On
+  /// Loads and validates the `falcc-snapshot-v2` snapshot at `path`
+  /// (FalccModel::LoadMapped), then atomically swaps it in. On
   /// failure the current snapshot stays untouched and serving continues
   /// uninterrupted.
   Status ReloadMapped(const std::string& path);

@@ -309,8 +309,7 @@ Status CheckRefreshIsolation(const FalccModel& model, const Dataset& data,
       return Status::Internal("refresh touched combination of cluster " +
                               std::to_string(c));
     }
-    if (model.has_baseline_losses() &&
-        clone.baseline_losses()[c] != model.baseline_losses()[c]) {
+    if (clone.baseline_losses()[c] != model.baseline_losses()[c]) {
       return Status::Internal("refresh touched baseline of cluster " +
                               std::to_string(c));
     }
