@@ -110,6 +110,7 @@ Result<ClassifyResponse> FalccEngine::ClassifyBatch(
   metrics_.match().Record(stages.match);
   metrics_.predict().Record(stages.predict);
   metrics_.total().Record(timer.ElapsedSeconds());
+  metrics_.AddFlushes(1);
   metrics_.AddSamples(response.value().decisions.size());
   NotifyObserver(response.value(), request.features, snapshot.version,
                  &metrics_);

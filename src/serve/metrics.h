@@ -65,7 +65,8 @@ struct MetricsSnapshot {
   uint64_t requests = 0;  ///< submissions + direct batch calls
   uint64_t samples = 0;   ///< samples successfully classified
   uint64_t errors = 0;    ///< rejected or failed requests
-  uint64_t flushes = 0;   ///< shard flushes processed
+  uint64_t flushes = 0;   ///< batches classified: shard flushes plus
+                          ///< successful direct ClassifyBatch calls
   uint64_t reloads = 0;   ///< snapshot installs/hot-swaps
   uint64_t observed = 0;  ///< decisions fanned out to the observer
   LatencySummary total;       ///< per sample, submit → decision available

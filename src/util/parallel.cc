@@ -248,9 +248,19 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
   region->errors.assign(num_chunks, nullptr);
   Pool::Instance().Run(region);
 
+  // Take the lowest chunk's exception and drop every stored one here, on
+  // the calling thread: a pool worker may still hold the Region and
+  // release it last, and it must not be the one to destroy an exception
+  // object the caller is reading.
+  std::exception_ptr first;
   for (const std::exception_ptr& error : region->errors) {
-    if (error) std::rethrow_exception(error);
+    if (error) {
+      first = error;
+      break;
+    }
   }
+  region->errors.clear();
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace falcc

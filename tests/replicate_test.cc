@@ -244,8 +244,11 @@ TEST(DirectoryFeedTest, OrdersSniffsAndSkipsInProgressWrites) {
   const uint64_t h0 = HashOf(v0);
   const FalccModel v1 = NextVersion(v0, 0);
 
-  // Written shuffled: a garbage artifact, a full snapshot, a delta, an
-  // in-progress `.tmp`, and an unrelated file.
+  // Written shuffled: a garbage artifact, a full snapshot, a delta, a v1
+  // file (a format no loader reads), an in-progress `.tmp`, and an
+  // unrelated file.
+  WriteFile(dir + "/" + SequencedName(5, "v1.falcc"),
+            "falcc-model-v1\n0\n2\n");
   WriteFile(dir + "/" + SequencedName(3, "delta.falcc"),
             DeltaBytes(v1, 0, h0));
   WriteFile(dir + "/" + SequencedName(1, "garbage.falcc"), "not a snapshot\n");
@@ -255,7 +258,7 @@ TEST(DirectoryFeedTest, OrdersSniffsAndSkipsInProgressWrites) {
 
   DirectoryFeed feed(dir);
   const std::vector<FeedEntry> entries = feed.Poll(0).value();
-  ASSERT_EQ(entries.size(), 3u);
+  ASSERT_EQ(entries.size(), 4u);
   EXPECT_EQ(entries[0].sequence, 1u);
   EXPECT_EQ(entries[0].kind, ArtifactKind::kUnreadable);
   EXPECT_EQ(entries[1].sequence, 2u);
@@ -264,11 +267,14 @@ TEST(DirectoryFeedTest, OrdersSniffsAndSkipsInProgressWrites) {
   EXPECT_EQ(entries[2].kind, ArtifactKind::kDelta);
   EXPECT_EQ(entries[2].base_hash, h0);
   EXPECT_GT(entries[2].bytes, 0u);
+  EXPECT_EQ(entries[3].sequence, 5u);
+  EXPECT_EQ(entries[3].kind, ArtifactKind::kUnreadable);
 
   // The cursor filter.
   const std::vector<FeedEntry> tail = feed.Poll(2).value();
-  ASSERT_EQ(tail.size(), 1u);
+  ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(tail[0].sequence, 3u);
+  EXPECT_EQ(tail[1].sequence, 5u);
 
   // A feed over a missing directory fails the poll, not the process.
   DirectoryFeed missing(dir + "/no-such-subdir");

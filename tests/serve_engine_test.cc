@@ -134,6 +134,26 @@ TEST(ServeEngineTest, UnavailableBeforeFirstLoad) {
   EXPECT_EQ(engine.GetMetrics().errors, 2u);
 }
 
+// Each successful direct ClassifyBatch call is one flush, so samples ÷
+// flushes reads rows per classified batch; a rejected call counts
+// neither.
+TEST(ServeEngineTest, DirectBatchCallsCountOneFlushEach) {
+  serve::FalccEngine engine;
+  engine.Install(TrainSmallModel());
+  const size_t width = engine.snapshot()->num_features();
+  constexpr size_t kCalls = 5;
+  constexpr size_t kRows = 7;
+  const std::vector<double> rows(kRows * width, 0.25);
+  for (size_t k = 0; k < kCalls; ++k) {
+    ASSERT_TRUE(engine.ClassifyBatch({rows, width}).ok());
+  }
+  EXPECT_FALSE(engine.ClassifyBatch({rows, width + 1}).ok());
+  const serve::MetricsSnapshot metrics = engine.GetMetrics();
+  EXPECT_EQ(metrics.flushes, kCalls);
+  EXPECT_EQ(metrics.samples, kCalls * kRows);
+  EXPECT_EQ(metrics.errors, 1u);
+}
+
 TEST(ServeEngineTest, ReloadMappedFailureKeepsServing) {
   serve::FalccEngine engine;
   engine.Install(TrainSmallModel());
