@@ -66,15 +66,15 @@ TEST(FaultInjectionTest, LoadSurvivesTruncationAtEveryByte) {
     const Result<FalccModel> r =
         FalccModel::LoadBytes(std::string_view(bytes).substr(0, off));
     if (r.ok()) {
-      // Legitimate: cutting exactly at the optional monitor section (or
-      // inside the trailing whitespace) yields a valid legacy artifact.
+      // Only the full-length artifact loads: the manifest fixes the
+      // payload length and every section is required.
       ++loads;
       ProbeModel(r.value());
     } else {
       EXPECT_FALSE(r.status().message().empty()) << "offset " << off;
     }
   }
-  EXPECT_GE(loads, 1u);  // the full-length stream must load
+  EXPECT_EQ(loads, 1u);  // exactly the full-length artifact loads
 }
 
 TEST(FaultInjectionTest, CsvReadSurvivesTruncationAtEveryByte) {
@@ -115,8 +115,8 @@ TEST(FaultInjectionTest, ReloadKeepsServingAcrossPrefixSweep) {
   engine.Install(TrainTinyModel(42));
 
   // Decisions the engine is expected to produce: those of the last
-  // successfully installed snapshot (A until some prefix of B loads —
-  // e.g. a cut at the monitor-section boundary is a valid legacy file).
+  // successfully installed snapshot (A until the full length of B
+  // loads; no shorter prefix does).
   std::vector<SampleDecision> expected =
       a.ClassifyBatch(request).value().decisions;
 

@@ -61,9 +61,9 @@
 #      check, one-row (n = 1) walks included.
 #
 # --fuzz-only instead runs the adversarial harness (`ctest -L fuzz`:
-# tests/fuzz_test.cc mutation loops over the checked-in v1 snapshot
-# seeds (v1 is read, never written), v2 sectioned
-# snapshots, v2 delta artifacts and binary `pool` section payloads (the
+# tests/fuzz_test.cc mutation loops over the checked-in snapshot corpus
+# and a freshly trained v2 sectioned snapshot,
+# v2 delta artifacts and binary `pool` section payloads (the
 # decoder every v2 load, checkpoint reload and replica reload runs; kernels
 # are compiled from its output, never read from the file), +
 # tests/fault_injection_test.cc byte sweeps including the per-section
