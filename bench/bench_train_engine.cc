@@ -8,10 +8,12 @@
 //  * adaboost_fit    — the heaviest grid cell (T=20, depth 7)
 //  * random_forest_fit — B=20, depth 7, sqrt feature subsampling
 //  * adaboost_grid_fit — all 8 cells of the paper's AdaBoost grid
-//    (estimators {5,20} x depth {1,7} x {gini,entropy}) fitted in a
-//    ParallelFor: the engine side as TrainDiversePool does it (one shared
-//    column cache, cells claimed largest estimators x depth first), the
-//    reference side in grid order
+//    (estimators {5,20} x depth {1,7} x {gini,entropy}): the engine side
+//    is TrainDiversePool's own FitAdaBoostGrid (ml/grid_search.h: one
+//    shared column cache, one boosting run per (depth, criterion) claimed
+//    largest first, each cell cut from its run as a prefix); the
+//    reference side fits every cell on its own in a ParallelFor, in grid
+//    order. Its model_identical check is the oracle for prefix identity.
 //  * batch_predict   — AdaBoost inference over the whole dataset,
 //    per-row virtual dispatch vs PredictProbaBatch
 //
@@ -32,7 +34,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <span>
 #include <sstream>
 #include <string>
@@ -43,6 +44,7 @@
 #include "datagen/synthetic.h"
 #include "ml/adaboost.h"
 #include "ml/decision_tree.h"
+#include "ml/grid_search.h"
 #include "ml/random_forest.h"
 #include "ml/reference_trainer.h"
 #include "ml/serialize.h"
@@ -210,29 +212,10 @@ std::vector<CaseResult> RunAllCases(const Dataset& data, const Dataset& probe,
         return models;
       },
       [&] {
-        // What TrainDiversePool does: one presorted cache shared by every
-        // cell, cells claimed largest estimators x depth first, each model
-        // in its grid slot.
-        std::vector<size_t> claim_order(cells.size());
-        std::iota(claim_order.begin(), claim_order.end(), size_t{0});
-        std::stable_sort(claim_order.begin(), claim_order.end(),
-                         [&](size_t a, size_t b) {
-                           return cells[a].num_estimators *
-                                      cells[a].base.max_depth >
-                                  cells[b].num_estimators *
-                                      cells[b].base.max_depth;
-                         });
+        // TrainDiversePool's own grid fit: one shared presorted cache, one
+        // run per (depth, criterion), cut to each cell's estimator count.
         const FeatureColumns columns(data);
-        std::vector<std::unique_ptr<Classifier>> models(cells.size());
-        ParallelFor(0, cells.size(), 1, [&](size_t, size_t lo, size_t hi) {
-          for (size_t k = lo; k < hi; ++k) {
-            const size_t i = claim_order[k];
-            auto boost = std::make_unique<AdaBoost>(cells[i]);
-            FALCC_CHECK(boost->Fit(columns).ok(), "grid cell fit failed");
-            models[i] = std::move(boost);
-          }
-        });
-        return models;
+        return FitAdaBoostGrid(columns, cells).value();
       }));
 
   // Batched inference: per-row virtual dispatch (the seed PredictAll)
@@ -361,9 +344,10 @@ void WriteTrainJson(const std::string& path, const Dataset& data, size_t reps,
   out << "  \"note\": \"reference = frozen seed trainer "
          "(ml/reference_trainer.h); engine = presorted column-cache "
          "builder with the two-pass split scan (ml/tree_builder.h); "
-         "adaboost_grid_fit fits its cells in a ParallelFor on both sides "
-         "(engine: largest estimators x depth first, as TrainDiversePool; "
-         "reference: grid order); seconds = median of reps; thread counts "
+         "adaboost_grid_fit: engine = FitAdaBoostGrid (one run per depth x "
+         "criterion, claimed largest first, cells cut as prefixes), "
+         "reference = every cell fitted on its own in a ParallelFor in "
+         "grid order; seconds = median of reps; thread counts "
          "above nproc measure oversubscription, not speedup; "
          "split_gain_kernel = pass-1 kernel variants on one thread, "
          "4096 thresholds per call, identical = bit-equal to baseline\",\n";

@@ -1,12 +1,10 @@
 #include "core/model_pool.h"
 
 #include <algorithm>
-#include <ostream>
 
 #include "ml/serialize.h"
 #include "util/binary.h"
 #include "util/parallel.h"
-#include "util/serialize.h"
 
 namespace falcc {
 
@@ -40,17 +38,6 @@ std::vector<std::vector<int>> ModelPool::PredictMatrix(
                 }
               });
   return votes;
-}
-
-Status ModelPool::Serialize(std::ostream* out) const {
-  io::PrepareStream(out);
-  *out << models_.size() << '\n';
-  for (size_t m = 0; m < models_.size(); ++m) {
-    io::WriteVector(out, applicable_[m]);
-    FALCC_RETURN_IF_ERROR(SerializeClassifier(*models_[m], out));
-  }
-  if (!*out) return Status::IOError("ModelPool serialization failed");
-  return Status::OK();
 }
 
 Status ModelPool::SerializeBinary(std::string* out) const {

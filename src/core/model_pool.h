@@ -10,7 +10,6 @@
 #ifndef FALCC_CORE_MODEL_POOL_H_
 #define FALCC_CORE_MODEL_POOL_H_
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -46,13 +45,6 @@ class ModelPool {
   /// This is the precomputation that makes offline assessment cheap
   /// (the grey Pr_m columns of Tab. 2 in the paper).
   std::vector<std::vector<int>> PredictMatrix(const Dataset& data) const;
-
-  /// Serializes every model plus its group applicability as text, one
-  /// SerializeClassifier record per model — a readable dump for tests
-  /// and diagnostics; snapshots carry the binary layout below. Fails if
-  /// any model's type does not support serialization (see
-  /// ml/serialize.h).
-  Status Serialize(std::ostream* out) const;
 
   /// The binary layout of the v2 snapshot's `pool` section. All integers
   /// are fixed-width little-endian and every array starts 8-byte aligned

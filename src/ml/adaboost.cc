@@ -2,6 +2,7 @@
 
 #include "ml/compiled_ensemble.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/feature_columns.h"
@@ -159,6 +160,36 @@ AdaBoost AdaBoost::FromParts(const AdaBoostOptions& options,
   model.trees_ = std::move(trees);
   model.alphas_ = std::move(alphas);
   return model;
+}
+
+bool AdaBoost::SharesRounds(const AdaBoostOptions& a,
+                            const AdaBoostOptions& b) {
+  const DecisionTreeOptions& x = a.base;
+  const DecisionTreeOptions& y = b.base;
+  return a.learning_rate == b.learning_rate && x.max_depth == y.max_depth &&
+         x.min_samples_split == y.min_samples_split &&
+         x.min_samples_leaf == y.min_samples_leaf &&
+         x.criterion == y.criterion && x.max_features == y.max_features &&
+         (x.max_features == 0 || x.seed == y.seed);
+}
+
+AdaBoost AdaBoost::Prefix(const AdaBoostOptions& options) const {
+  FALCC_CHECK(SharesRounds(options_, options) && options.num_estimators > 0,
+              "AdaBoost::Prefix: options do not share this fit's rounds");
+  const size_t count = std::min(options.num_estimators, trees_.size());
+  std::vector<DecisionTree> trees;
+  trees.reserve(count);
+  for (size_t t = 0; t < count; ++t) {
+    DecisionTreeOptions base = options.base;
+    base.seed = options.base.seed + t;  // as Fit tags round t
+    const std::span<const TreeNode> nodes = trees_[t].nodes();
+    trees.push_back(DecisionTree::FromParts(
+        base, std::vector<TreeNode>(nodes.begin(), nodes.end()),
+        trees_[t].depth()));
+  }
+  return FromParts(options, std::move(trees),
+                   std::vector<double>(alphas_.begin(),
+                                       alphas_.begin() + count));
 }
 
 std::unique_ptr<Classifier> AdaBoost::Clone() const {

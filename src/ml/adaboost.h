@@ -63,6 +63,23 @@ class AdaBoost final : public Classifier {
                             std::vector<DecisionTree> trees,
                             std::vector<double> alphas);
 
+  /// Whether fits under `a` and `b` on the same data boost the same
+  /// rounds up to the shorter count: every option but num_estimators
+  /// agrees, and so does the base seed when it is read (feature
+  /// subsampling, max_features > 0). A SAMME round never depends on the
+  /// total number of rounds.
+  static bool SharesRounds(const AdaBoostOptions& a, const AdaBoostOptions& b);
+
+  /// The ensemble AdaBoost(options).Fit would produce on the data this
+  /// model was fitted on: its first min(options.num_estimators,
+  /// num_fitted()) trees and alphas. An early stop carries over, since a
+  /// fit that stops at round t stops every longer fit there too. Each tree
+  /// is re-tagged with the seed Fit would store for it (options.base.seed
+  /// + t), so the result serializes byte-identically to that fit.
+  /// Requires SharesRounds(this fit's options, options) and
+  /// options.num_estimators > 0.
+  AdaBoost Prefix(const AdaBoostOptions& options) const;
+
  private:
   AdaBoostOptions options_;
   std::vector<DecisionTree> trees_;

@@ -17,34 +17,58 @@ namespace falcc {
 
 namespace {
 
-// Builds and fits one grid cell against the shared presorted column
-// cache: the per-dataset feature sort is paid once for the whole grid,
-// not once per cell (or worse, once per boosting round).
-Result<std::unique_ptr<Classifier>> TrainCandidate(
-    const FeatureColumns& columns, TrainerFamily family, size_t estimators,
-    size_t depth, SplitCriterion criterion, uint64_t seed) {
-  DecisionTreeOptions base;
-  base.max_depth = depth;
-  base.criterion = criterion;
-  base.seed = seed;
-  if (family == TrainerFamily::kAdaBoost) {
-    AdaBoostOptions opt;
-    opt.num_estimators = estimators;
-    opt.base = base;
-    auto model = std::make_unique<AdaBoost>(opt);
-    FALCC_RETURN_IF_ERROR(model->Fit(columns));
-    return std::unique_ptr<Classifier>(std::move(model));
-  }
-  RandomForestOptions opt;
-  opt.num_trees = estimators;
-  opt.base = base;
-  opt.seed = seed;
-  auto model = std::make_unique<RandomForest>(opt);
-  FALCC_RETURN_IF_ERROR(model->Fit(columns));
-  return std::unique_ptr<Classifier>(std::move(model));
+// Runs fit(i) for every entry of `cells` on ParallelFor, claimed largest
+// first (estimators × depth, descending, ties in position order) so the
+// longest fits do not start last and leave the other threads idle at the
+// end. Returns the first failure in position order.
+template <typename Fit>
+Status FitLargestFirst(std::span<const AdaBoostOptions> cells, Fit&& fit) {
+  const auto cost = [&](size_t i) {
+    return cells[i].num_estimators * cells[i].base.max_depth;
+  };
+  std::vector<size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return cost(a) > cost(b); });
+  std::vector<Status> status(cells.size());
+  ParallelFor(0, cells.size(), 1, [&](size_t /*chunk*/, size_t lo, size_t hi) {
+    for (size_t k = lo; k < hi; ++k) status[order[k]] = fit(order[k]);
+  });
+  for (const Status& s : status) FALCC_RETURN_IF_ERROR(s);
+  return Status::OK();
 }
 
 }  // namespace
+
+Result<std::vector<std::unique_ptr<Classifier>>> FitAdaBoostGrid(
+    const FeatureColumns& columns, std::span<const AdaBoostOptions> cells) {
+  // One run per group of cells that share their rounds, boosted to the
+  // group's largest estimator count.
+  std::vector<AdaBoostOptions> runs;
+  std::vector<size_t> run_of(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].num_estimators == 0) {
+      return Status::InvalidArgument("AdaBoost: num_estimators must be > 0");
+    }
+    size_t r = 0;
+    while (r < runs.size() && !AdaBoost::SharesRounds(runs[r], cells[i])) ++r;
+    if (r == runs.size()) runs.push_back(cells[i]);
+    runs[r].num_estimators =
+        std::max(runs[r].num_estimators, cells[i].num_estimators);
+    run_of[i] = r;
+  }
+  std::vector<AdaBoost> fitted(runs.begin(), runs.end());
+  FALCC_RETURN_IF_ERROR(FitLargestFirst(
+      runs, [&](size_t r) { return fitted[r].Fit(columns); }));
+
+  std::vector<std::unique_ptr<Classifier>> models;
+  models.reserve(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    models.push_back(
+        std::make_unique<AdaBoost>(fitted[run_of[i]].Prefix(cells[i])));
+  }
+  return models;
+}
 
 Result<DiversePool> TrainDiversePool(const Dataset& train,
                                      const Dataset& validation,
@@ -66,58 +90,60 @@ Result<DiversePool> TrainDiversePool(const Dataset& train,
   // Enumerate the grid up front: every candidate gets a seed derived from
   // its grid position (options.seed + flat index), so training order —
   // and thus thread count — cannot affect any candidate's randomness.
-  struct GridPoint {
-    size_t estimators;
-    size_t depth;
-    SplitCriterion criterion;
-    uint64_t seed;
-  };
-  std::vector<GridPoint> grid;
+  // The forest family reads the same fields.
+  std::vector<AdaBoostOptions> cells;
   uint64_t seed = options.seed;
   for (size_t estimators : options.estimator_grid) {
     for (size_t depth : options.depth_grid) {
       for (SplitCriterion criterion : criteria) {
-        grid.push_back({estimators, depth, criterion, seed++});
+        AdaBoostOptions cell;
+        cell.num_estimators = estimators;
+        cell.base.max_depth = depth;
+        cell.base.criterion = criterion;
+        cell.base.seed = seed++;
+        cells.push_back(cell);
       }
     }
   }
 
-  // Train every grid configuration and collect validation votes. Fits are
-  // independent; results land in slots indexed by grid position. All
-  // cells share one presorted column cache of the training data. Cells
-  // are claimed largest first (estimators × depth, descending, ties in
-  // grid order), so the longest fits do not start last and leave the
-  // other threads idle at the end.
-  std::vector<size_t> claim_order(grid.size());
-  std::iota(claim_order.begin(), claim_order.end(), size_t{0});
-  std::stable_sort(claim_order.begin(), claim_order.end(),
-                   [&](size_t a, size_t b) {
-                     return grid[a].estimators * grid[a].depth >
-                            grid[b].estimators * grid[b].depth;
-                   });
+  // Train every grid configuration against one presorted column cache of
+  // the training data, then collect validation votes. Results land in
+  // slots indexed by grid position.
   const FeatureColumns columns(train);
-  std::vector<std::unique_ptr<Classifier>> candidates(grid.size());
-  std::vector<std::vector<int>> votes(grid.size());
-  std::vector<double> accuracies(grid.size(), 0.0);
-  std::vector<Status> fit_status(grid.size());
-  ParallelFor(0, grid.size(), 1,
+  std::vector<std::unique_ptr<Classifier>> candidates(cells.size());
+  if (options.family == TrainerFamily::kAdaBoost) {
+    Result<std::vector<std::unique_ptr<Classifier>>> fitted =
+        FitAdaBoostGrid(columns, cells);
+    if (!fitted.ok()) return fitted.status();
+    candidates = std::move(fitted).value();
+  } else {
+    // A forest's trees depend on its seed: one fit per cell.
+    FALCC_RETURN_IF_ERROR(FitLargestFirst(cells, [&](size_t i) {
+      RandomForestOptions opt;
+      opt.num_trees = cells[i].num_estimators;
+      opt.base = cells[i].base;
+      opt.seed = cells[i].base.seed;
+      auto forest = std::make_unique<RandomForest>(opt);
+      const Status status = forest->Fit(columns);
+      candidates[i] = std::move(forest);
+      return status;
+    }));
+  }
+  std::vector<std::vector<int>> votes(candidates.size());
+  std::vector<double> accuracies(candidates.size(), 0.0);
+  const size_t n = validation.num_rows();
+  ParallelFor(0, candidates.size(), 1,
               [&](size_t /*chunk*/, size_t lo, size_t hi) {
-                for (size_t k = lo; k < hi; ++k) {
-                  const size_t i = claim_order[k];
-                  const GridPoint& p = grid[i];
-                  Result<std::unique_ptr<Classifier>> model = TrainCandidate(
-                      columns, options.family, p.estimators, p.depth,
-                      p.criterion, p.seed);
-                  fit_status[i] = model.status();
-                  if (!fit_status[i].ok()) continue;
-                  candidates[i] = std::move(model).value();
+                for (size_t i = lo; i < hi; ++i) {
                   votes[i] = PredictAll(*candidates[i], validation);
-                  accuracies[i] = Accuracy(*candidates[i], validation);
+                  size_t correct = 0;
+                  for (size_t row = 0; row < n; ++row) {
+                    if (votes[i][row] == validation.Label(row)) ++correct;
+                  }
+                  accuracies[i] =
+                      static_cast<double>(correct) / static_cast<double>(n);
                 }
               });
-  for (const Status& status : fit_status) {
-    FALCC_RETURN_IF_ERROR(status);
-  }
 
   // Greedy forward selection maximizing pool entropy, seeded with the
   // most accurate candidate (quality anchor, then diversify around it).

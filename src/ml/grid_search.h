@@ -12,9 +12,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "ml/classifier.h"
+#include "ml/adaboost.h"
 
 namespace falcc {
 
@@ -56,6 +57,16 @@ struct DiversePool {
 Result<DiversePool> TrainDiversePool(const Dataset& train,
                                      const Dataset& validation,
                                      const DiverseTrainerOptions& options = {});
+
+/// Fits one AdaBoost model per entry of `cells` against the shared
+/// presorted column cache and returns them in `cells` order, each
+/// byte-identical to AdaBoost(cells[i]).Fit(columns). Cells that share
+/// their rounds (AdaBoost::SharesRounds) are boosted once, up to their
+/// largest estimator count, and each takes its prefix of that run
+/// (AdaBoost::Prefix). Runs are claimed largest first (estimators ×
+/// depth) on ParallelFor. Fails as AdaBoost::Fit does.
+Result<std::vector<std::unique_ptr<Classifier>>> FitAdaBoostGrid(
+    const FeatureColumns& columns, std::span<const AdaBoostOptions> cells);
 
 /// The five "standard classifiers" the paper hands to Decouple/FALCES:
 /// a depth-7 gini decision tree, a depth-4 entropy decision tree,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "data/feature_columns.h"
+#include "util/binary.h"
 #include "util/rng.h"
 
 namespace falcc {
@@ -153,6 +154,91 @@ TEST(AdaBoostTest, NameReflectsOptions) {
   opt.num_estimators = 5;
   opt.base.max_depth = 1;
   EXPECT_EQ(AdaBoost(opt).Name(), "AdaBoost(T=5,depth=1,gini)");
+}
+
+std::string BinaryBytes(const AdaBoost& model) {
+  std::string bytes;
+  io::BinaryWriter writer(&bytes);
+  model.SerializeBinary(&writer);
+  return bytes;
+}
+
+// For every k <= `rounds`, the k-round prefix of one `rounds`-round fit
+// serializes byte-identically to a fresh k-round fit under a different
+// cell seed, which the prefix's trees must carry. Returns the run's
+// fitted count.
+size_t ExpectPrefixesMatchFreshFits(const Dataset& d, size_t depth,
+                                    size_t rounds) {
+  AdaBoostOptions run_opt;
+  run_opt.num_estimators = rounds;
+  run_opt.base.max_depth = depth;
+  run_opt.base.seed = 7;
+  AdaBoost run(run_opt);
+  EXPECT_TRUE(run.Fit(d).ok());
+  for (size_t k = 1; k <= rounds; ++k) {
+    AdaBoostOptions cell = run_opt;
+    cell.num_estimators = k;
+    cell.base.seed = 40 + k;
+    AdaBoost fresh(cell);
+    EXPECT_TRUE(fresh.Fit(d).ok());
+    EXPECT_EQ(BinaryBytes(run.Prefix(cell)), BinaryBytes(fresh)) << "k=" << k;
+  }
+  return run.num_fitted();
+}
+
+TEST(AdaBoostPrefixTest, MatchesFreshFitsOnOrdinaryData) {
+  EXPECT_EQ(ExpectPrefixesMatchFreshFits(MakeXor(400, 9), 2, 12), 12u);
+}
+
+// A perfect tree (err <= 0) stops the run, and with it every longer cell;
+// shorter cells keep their own counts.
+TEST(AdaBoostPrefixTest, PerfectFitStopCarriesOver) {
+  // The first tree is perfect: the stop precedes every count but 1.
+  const Dataset separable =
+      Dataset::Create({"x"}, {1, 2, 3, 4, 10, 11, 12, 13}, 1,
+                      {0, 0, 0, 0, 1, 1, 1, 1}, {})
+          .value();
+  EXPECT_EQ(ExpectPrefixesMatchFreshFits(separable, 7, 6), 1u);
+  // Depth-2 trees on this small XOR sample reach a perfect tree in round
+  // 8 of 12: between the counts 7 and 9.
+  const Dataset xor_sample = MakeXor(16, 4);
+  EXPECT_EQ(ExpectPrefixesMatchFreshFits(xor_sample, 2, 12), 8u);
+}
+
+// Round 0 at chance (err >= 0.5) keeps its one tree with alpha 1.0, for
+// every count.
+TEST(AdaBoostPrefixTest, ChanceFirstRoundCarriesOver) {
+  const Dataset coin =
+      Dataset::Create({"x"}, {1, 1, 1, 1}, 1, {0, 1, 0, 1}, {}).value();
+  EXPECT_EQ(ExpectPrefixesMatchFreshFits(coin, 7, 5), 1u);
+  AdaBoostOptions opt;
+  opt.num_estimators = 3;
+  AdaBoost run(opt);
+  ASSERT_TRUE(run.Fit(coin).ok());
+  const AdaBoost reference = AdaBoost::FromParts(
+      opt, {DecisionTree::FromParts(opt.base, {TreeNode{}}, 0)}, {1.0});
+  EXPECT_EQ(BinaryBytes(run.Prefix(opt)), BinaryBytes(reference));
+}
+
+TEST(AdaBoostPrefixTest, SharesRoundsIgnoresCountAndUnreadSeed) {
+  AdaBoostOptions a;
+  AdaBoostOptions b = a;
+  b.num_estimators = a.num_estimators + 5;
+  b.base.seed = a.base.seed + 1;
+  EXPECT_TRUE(AdaBoost::SharesRounds(a, b));
+  AdaBoostOptions subsampled_a = a;
+  AdaBoostOptions subsampled_b = b;
+  subsampled_a.base.max_features = subsampled_b.base.max_features = 1;
+  EXPECT_FALSE(AdaBoost::SharesRounds(subsampled_a, subsampled_b));
+  b = a;
+  b.base.criterion = SplitCriterion::kEntropy;
+  EXPECT_FALSE(AdaBoost::SharesRounds(a, b));
+  b = a;
+  b.base.max_depth = a.base.max_depth + 1;
+  EXPECT_FALSE(AdaBoost::SharesRounds(a, b));
+  b = a;
+  b.learning_rate = 0.5;
+  EXPECT_FALSE(AdaBoost::SharesRounds(a, b));
 }
 
 class AdaBoostGridSweep

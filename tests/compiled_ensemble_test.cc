@@ -359,13 +359,15 @@ TEST(CompiledPoolTest, SharedSubtreeModelLoadsAndServesInterpreted) {
   const std::string bytes = saved.str();
   expect_serves(FalccModel::LoadBytes(bytes));
   {
-    // The same artifact with its pool section rewritten in the text
-    // format older versions wrote: the loader reads binary pools only
-    // and says so.
+    // The same artifact with its pool section rewritten as text
+    // classifier records, as older versions wrote it: the loader reads
+    // binary pools only and says so.
     const io::SnapshotReader reader =
         io::SnapshotReader::ParseView(bytes).value();
     std::ostringstream text_pool;
-    ASSERT_TRUE(model.pool().Serialize(&text_pool).ok());
+    for (size_t m = 0; m < model.pool().size(); ++m) {
+      ASSERT_TRUE(SerializeClassifier(model.pool().model(m), &text_pool).ok());
+    }
     std::ostringstream legacy;
     io::SnapshotWriter writer(&legacy);
     for (const io::SectionInfo& section : reader.manifest().sections) {

@@ -103,15 +103,19 @@ std::string Bytes(const Classifier& model) {
   return out.str();
 }
 
-// Cells are claimed largest-first, not in grid order; each still lands
-// in its grid slot with its grid seed, so the thread count changes
-// nothing. The grid is unsorted so the claim order differs from it.
+// AdaBoost cells are boosted once per (depth, criterion) and cut to
+// their estimator counts, runs claimed largest first, not in grid order;
+// each cell still lands in its grid slot with its grid seed, so the
+// thread count changes nothing, and every cell equals a fresh fit of its
+// own. The estimator grid is unsorted, so the claim order differs from
+// it, and repeats a count, so two cells cut the same prefix under
+// different seeds.
 TEST(DiverseTrainerTest, ClaimOrderIndependentOfThreadCount) {
   const TrainValTest s = MakeSplits();
   DiverseTrainerOptions opt;
-  opt.estimator_grid = {4, 12, 8};
+  opt.estimator_grid = {4, 12, 8, 4};
   opt.depth_grid = {5, 2};
-  opt.pool_size = 12;
+  opt.pool_size = 16;
   opt.accuracy_tolerance = 1.0;  // keep every cell selectable
   const size_t restore = Parallelism();
   SetParallelism(1);
@@ -121,7 +125,7 @@ TEST(DiverseTrainerTest, ClaimOrderIndependentOfThreadCount) {
   const DiversePool parallel =
       TrainDiversePool(s.train, s.validation, opt).value();
   SetParallelism(restore);
-  ASSERT_EQ(serial.models.size(), 12u);
+  ASSERT_EQ(serial.models.size(), 16u);
   ASSERT_EQ(parallel.models.size(), serial.models.size());
   for (size_t m = 0; m < serial.models.size(); ++m) {
     EXPECT_EQ(Bytes(*serial.models[m]), Bytes(*parallel.models[m]))
@@ -129,8 +133,8 @@ TEST(DiverseTrainerTest, ClaimOrderIndependentOfThreadCount) {
   }
   EXPECT_EQ(serial.entropy, parallel.entropy);
 
-  // The pool holds every cell, each fitted with the seed of its grid
-  // position (estimators, then depth, then gini before entropy).
+  // The pool holds every cell, each equal to a fresh fit with the seed of
+  // its grid position (estimators, then depth, then gini before entropy).
   std::multiset<std::string> expected;
   uint64_t seed = opt.seed;
   for (size_t estimators : opt.estimator_grid) {
@@ -148,9 +152,12 @@ TEST(DiverseTrainerTest, ClaimOrderIndependentOfThreadCount) {
       }
     }
   }
-  std::multiset<std::string> pooled;
-  for (const auto& m : serial.models) pooled.insert(Bytes(*m));
-  EXPECT_TRUE(pooled == expected);
+  EXPECT_EQ(expected.size(), 16u);
+  for (const DiversePool* pool : {&serial, &parallel}) {
+    std::multiset<std::string> pooled;
+    for (const auto& m : pool->models) pooled.insert(Bytes(*m));
+    EXPECT_TRUE(pooled == expected);
+  }
 }
 
 TEST(DiverseTrainerTest, RandomForestFamilyWorks) {
@@ -188,6 +195,11 @@ TEST(DiverseTrainerTest, RejectsEmptyGrid) {
   EXPECT_FALSE(TrainDiversePool(s.train, s.validation, opt).ok());
   opt = {};
   opt.pool_size = 0;
+  EXPECT_FALSE(TrainDiversePool(s.train, s.validation, opt).ok());
+  // A zero estimator count fails as AdaBoost::Fit does, even beside a
+  // larger count of the same (depth, criterion).
+  opt = {};
+  opt.estimator_grid = {5, 0};
   EXPECT_FALSE(TrainDiversePool(s.train, s.validation, opt).ok());
 }
 

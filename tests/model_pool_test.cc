@@ -10,6 +10,7 @@
 #include "ml/decision_tree.h"
 #include "ml/logistic_regression.h"
 #include "ml/random_forest.h"
+#include "ml/serialize.h"
 #include "util/rng.h"
 
 namespace falcc {
@@ -119,13 +120,17 @@ std::vector<DecisionTree> RandomTrees(Rng* rng, size_t count) {
   return trees;
 }
 
+// Every model's text record (SerializeClassifier, the per-model text the
+// goldens pin), in pool order.
 std::string TextOf(const ModelPool& pool) {
   std::ostringstream out;
-  EXPECT_TRUE(pool.Serialize(&out).ok());
+  for (size_t m = 0; m < pool.size(); ++m) {
+    EXPECT_TRUE(SerializeClassifier(pool.model(m), &out).ok());
+  }
   return out.str();
 }
 
-// The binary layout stores exactly what the text format stores: a pool
+// The binary layout stores exactly what the text records store: a pool
 // decoded from binary re-serializes through SerializeClassifier to the
 // same text bytes as the original pool, for random trees, AdaBoost
 // ensembles (zero trees included), forests and a model kept as a text

@@ -6,8 +6,11 @@
 #      bench/bench_serve.cc, and bench/bench_monitor.cc surface here, a
 #      bench_train_engine --reps=1 run — the binary exits non-zero if any
 #      model the presorted split engine trains (tree, AdaBoost, forest,
-#      the gini/entropy AdaBoost grid) differs in bytes or predictions
-#      from the frozen seed trainer's, or if any split-gain kernel
+#      the gini/entropy AdaBoost grid as TrainDiversePool fits it, one
+#      boosting run per depth x criterion cut into per-cell prefixes by
+#      FitAdaBoostGrid, so this is the CI check of prefix identity)
+#      differs in bytes or predictions from the frozen seed trainer's
+#      cell-by-cell fits, or if any split-gain kernel
 #      variant this CPU runs (baseline, avx2, avx512f) differs from the
 #      baseline variant bit for bit (its split_gain_kernel case; the same
 #      variant check runs in ctest as tests/split_scan_test.cc in every
@@ -55,8 +58,8 @@
 #      split engine (ml/tree_builder.cc) and the compiled-kernel table
 #      walks (ml/compiled_ensemble.cc) fail loudly; the serving tests run
 #      here too, plus an ASan bench_train_engine --reps=1 pass over the
-#      same engine-vs-seed-trainer identity and kernel-variant bit-identity
-#      checks and a short ASan
+#      same engine-vs-seed-trainer identity (grid prefixes included) and
+#      kernel-variant bit-identity checks and a short ASan
 #      bench_infer pass over the same compiled-vs-interpreted decision
 #      check, one-row (n = 1) walks included.
 #
