@@ -1,5 +1,7 @@
 #include "baselines/decouple.h"
 
+#include <numeric>
+
 #include "ml/decision_tree.h"
 
 namespace falcc {
@@ -77,9 +79,11 @@ Result<DecoupleModel> DecoupleModel::TrainWithPool(
   Result<std::vector<ModelCombination>> combos =
       EnumerateCombinations(model.pool_, ctx.num_groups);
   if (!combos.ok()) return combos.status();
-  Result<size_t> best = SelectGlobalBest(ctx, combos.value());
+  std::vector<size_t> all_rows(validation.num_rows());
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  Result<RegionBest> best = ReassessRegion(ctx, combos.value(), all_rows);
   if (!best.ok()) return best.status();
-  model.selected_ = combos.value()[best.value()];
+  model.selected_ = combos.value()[best.value().index];
   return model;
 }
 

@@ -132,21 +132,14 @@ int FalcesModel::Classify(std::span<const double> features) const {
   ctx.metric = options_.metric;
   ctx.lambda = options_.lambda;
 
-  size_t best = 0;
-  double best_loss = 1e300;
-  for (size_t c = 0; c < combinations_.size(); ++c) {
-    Result<double> loss = AssessCombination(ctx, combinations_[c], region);
-    FALCC_CHECK(loss.ok(), "FALCES: assessment failed");
-    if (loss.value() < best_loss) {
-      best_loss = loss.value();
-      best = c;
-    }
-  }
+  const Result<RegionBest> best = ReassessRegion(ctx, combinations_, region);
+  FALCC_CHECK(best.ok(), "FALCES: assessment failed");
 
   // Step 3: classify with the winning combination's model for the
   // sample's group.
   const size_t group = group_index_.GroupOfOrNearest(features);
-  return pool_.model(combinations_[best][group]).Predict(features);
+  return pool_.model(combinations_[best.value().index][group])
+      .Predict(features);
 }
 
 std::vector<int> FalcesModel::ClassifyAll(const Dataset& data) const {

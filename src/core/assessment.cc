@@ -28,70 +28,116 @@ Status ValidateContext(const AssessmentContext& ctx) {
   return Status::OK();
 }
 
-}  // namespace
-
-Result<double> AssessCombination(const AssessmentContext& ctx,
-                                 const ModelCombination& combination,
-                                 std::span<const size_t> rows) {
-  FALCC_RETURN_IF_ERROR(ValidateContext(ctx));
-  if (combination.size() != ctx.num_groups) {
-    return Status::InvalidArgument("combination size != num_groups");
-  }
-  if (rows.empty()) {
-    return Status::InvalidArgument("assessment: empty region");
-  }
-
-  std::vector<int> labels, predictions;
-  std::vector<size_t> groups;
-  labels.reserve(rows.size());
-  predictions.reserve(rows.size());
-  groups.reserve(rows.size());
+// Rows must index the validation set and carry a group id the
+// combinations can be indexed by.
+Status ValidateRows(const AssessmentContext& ctx,
+                    std::span<const size_t> rows) {
+  if (rows.empty()) return Status::InvalidArgument("assessment: empty region");
   for (size_t row : rows) {
     if (row >= ctx.labels.size()) {
       return Status::InvalidArgument("assessment: row out of range");
     }
-    const size_t g = ctx.groups[row];
-    const size_t m = combination[g];
+    if (ctx.groups[row] >= ctx.num_groups) {
+      return Status::InvalidArgument("assessment: group id out of range");
+    }
+  }
+  return Status::OK();
+}
+
+Status ValidateCombination(const AssessmentContext& ctx,
+                           const ModelCombination& combination) {
+  if (combination.size() != ctx.num_groups) {
+    return Status::InvalidArgument("combination size != num_groups");
+  }
+  for (size_t m : combination) {
     if (m >= ctx.votes->size()) {
       return Status::InvalidArgument("assessment: model index out of range");
     }
-    labels.push_back(ctx.labels[row]);
-    predictions.push_back((*ctx.votes)[m][row]);
-    groups.push_back(g);
   }
+  return Status::OK();
+}
 
+// Individual fairness: unfairness = 1 − consistency, where each sample's
+// neighborhood is the rest of the region (cluster-as-kNN approximation,
+// paper §3.6).
+double ConsistencyLoss(const AssessmentContext& ctx,
+                       const ModelCombination& combination,
+                       std::span<const size_t> rows) {
+  const auto vote = [&](size_t row) {
+    return (*ctx.votes)[combination[ctx.groups[row]]][row];
+  };
+  const size_t n = rows.size();
+  double wrong = 0.0, pos = 0.0;
+  for (size_t row : rows) {
+    if (vote(row) != ctx.labels[row]) ++wrong;
+    pos += vote(row);
+  }
+  double inconsistency = 0.0;
+  if (n > 1) {
+    for (size_t row : rows) {
+      const double others_mean =
+          (pos - vote(row)) / static_cast<double>(n - 1);
+      inconsistency += std::fabs(static_cast<double>(vote(row)) - others_mean);
+    }
+    inconsistency /= static_cast<double>(n);
+  }
+  return ctx.lambda * wrong / static_cast<double>(n) +
+         (1.0 - ctx.lambda) * inconsistency;
+}
+
+}  // namespace
+
+Result<std::vector<double>> RegionLosses(
+    const AssessmentContext& ctx, const std::vector<ModelCombination>& combos,
+    std::span<const size_t> rows) {
+  FALCC_RETURN_IF_ERROR(ValidateContext(ctx));
+  FALCC_RETURN_IF_ERROR(ValidateRows(ctx, rows));
+  for (const ModelCombination& combination : combos) {
+    FALCC_RETURN_IF_ERROR(ValidateCombination(ctx, combination));
+  }
+  std::vector<double> losses(combos.size());
   if (ctx.mode == AssessmentMode::kConsistency) {
-    // Individual fairness: unfairness = 1 − consistency, where each
-    // sample's neighborhood is the rest of the region (cluster-as-kNN
-    // approximation, paper §3.6).
-    const size_t n = predictions.size();
-    double wrong = 0.0, pos = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (predictions[i] != labels[i]) ++wrong;
-      pos += predictions[i];
+    for (size_t c = 0; c < combos.size(); ++c) {
+      losses[c] = ConsistencyLoss(ctx, combos[c], rows);
     }
-    double inconsistency = 0.0;
-    if (n > 1) {
-      for (size_t i = 0; i < n; ++i) {
-        const double others_mean =
-            (pos - predictions[i]) / static_cast<double>(n - 1);
-        inconsistency +=
-            std::fabs(static_cast<double>(predictions[i]) - others_mean);
-      }
-      inconsistency /= static_cast<double>(n);
-    }
-    return ctx.lambda * wrong / static_cast<double>(n) +
-           (1.0 - ctx.lambda) * inconsistency;
+    return losses;
   }
 
-  GroupedPredictions in;
-  in.labels = labels;
-  in.predictions = predictions;
-  in.groups = groups;
-  in.num_groups = ctx.num_groups;
-  Result<LossBreakdown> loss = CombinedLoss(in, ctx.metric, ctx.lambda);
-  if (!loss.ok()) return loss.status();
-  return loss.value().combined;
+  // table[m * width + ConfusionIndex(g, y, z)]: rows of group g with
+  // label y that model m votes z for.
+  const size_t width = ctx.num_groups * 4;
+  std::vector<double> table(ctx.votes->size() * width, 0.0);
+  for (size_t m = 0; m < ctx.votes->size(); ++m) {
+    const std::vector<int>& votes = (*ctx.votes)[m];
+    double* counts = table.data() + m * width;
+    for (size_t row : rows) {
+      const int y = ctx.labels[row], z = votes[row];
+      if ((y != 0 && y != 1) || (z != 0 && z != 1)) {
+        return Status::InvalidArgument("metric: labels must be binary");
+      }
+      counts[ConfusionIndex(ctx.groups[row], y, z)] += 1.0;
+    }
+  }
+  std::vector<double> counts(width);
+  for (size_t c = 0; c < combos.size(); ++c) {
+    for (size_t g = 0; g < ctx.num_groups; ++g) {
+      const double* picked = table.data() + combos[c][g] * width + g * 4;
+      std::copy(picked, picked + 4, counts.begin() + g * 4);
+    }
+    Result<LossBreakdown> loss =
+        LossFromCounts(counts, ctx.num_groups, ctx.metric, ctx.lambda);
+    if (!loss.ok()) return loss.status();
+    losses[c] = loss.value().combined;
+  }
+  return losses;
+}
+
+Result<double> AssessCombination(const AssessmentContext& ctx,
+                                 const ModelCombination& combination,
+                                 std::span<const size_t> rows) {
+  Result<std::vector<double>> losses = RegionLosses(ctx, {combination}, rows);
+  if (!losses.ok()) return losses.status();
+  return losses.value()[0];
 }
 
 Result<RegionBest> ReassessRegion(const AssessmentContext& ctx,
@@ -100,52 +146,17 @@ Result<RegionBest> ReassessRegion(const AssessmentContext& ctx,
   if (combos.empty()) {
     return Status::InvalidArgument("assessment: no combinations");
   }
-  if (rows.empty()) {
-    return Status::InvalidArgument("assessment: empty region");
-  }
+  Result<std::vector<double>> losses = RegionLosses(ctx, combos, rows);
+  if (!losses.ok()) return losses.status();
   RegionBest best;
   best.loss = 1e300;
   for (size_t c = 0; c < combos.size(); ++c) {
-    Result<double> loss = AssessCombination(ctx, combos[c], rows);
-    if (!loss.ok()) return loss.status();
-    if (loss.value() < best.loss) {
-      best.loss = loss.value();
+    if (losses.value()[c] < best.loss) {
+      best.loss = losses.value()[c];
       best.index = c;
     }
   }
   return best;
-}
-
-Result<std::vector<size_t>> SelectBestCombinations(
-    const AssessmentContext& ctx,
-    const std::vector<ModelCombination>& combinations,
-    const std::vector<std::vector<size_t>>& region_rows) {
-  if (combinations.empty()) {
-    return Status::InvalidArgument("assessment: no combinations");
-  }
-  std::vector<size_t> best(region_rows.size(), 0);
-  for (size_t r = 0; r < region_rows.size(); ++r) {
-    if (region_rows[r].empty()) {
-      return Status::InvalidArgument("assessment: region " +
-                                     std::to_string(r) + " is empty");
-    }
-    Result<RegionBest> winner =
-        ReassessRegion(ctx, combinations, region_rows[r]);
-    if (!winner.ok()) return winner.status();
-    best[r] = winner.value().index;
-  }
-  return best;
-}
-
-Result<size_t> SelectGlobalBest(const AssessmentContext& ctx,
-                                const std::vector<ModelCombination>& combos) {
-  std::vector<size_t> all(ctx.labels.size());
-  std::iota(all.begin(), all.end(), 0);
-  std::vector<std::vector<size_t>> one_region = {std::move(all)};
-  Result<std::vector<size_t>> best =
-      SelectBestCombinations(ctx, combos, one_region);
-  if (!best.ok()) return best.status();
-  return best.value()[0];
 }
 
 Result<std::vector<size_t>> FilterTopCombinations(
@@ -156,13 +167,13 @@ Result<std::vector<size_t>> FilterTopCombinations(
   }
   std::vector<size_t> all(ctx.labels.size());
   std::iota(all.begin(), all.end(), 0);
+  Result<std::vector<double>> losses = RegionLosses(ctx, combos, all);
+  if (!losses.ok()) return losses.status();
 
   std::vector<std::pair<double, size_t>> scored;
   scored.reserve(combos.size());
   for (size_t c = 0; c < combos.size(); ++c) {
-    Result<double> loss = AssessCombination(ctx, combos[c], all);
-    if (!loss.ok()) return loss.status();
-    scored.emplace_back(loss.value(), c);
+    scored.emplace_back(losses.value()[c], c);
   }
   std::sort(scored.begin(), scored.end());
   scored.resize(std::min(keep, scored.size()));

@@ -35,8 +35,20 @@ struct AssessmentContext {
   double lambda = 0.5;
 };
 
-/// L̂ of one combination over the validation rows in `rows` (a local
-/// region, possibly gap-filled with neighbors of missing groups).
+/// L̂ of every combination in `combos` over the validation rows in `rows`
+/// (a local region, possibly gap-filled with neighbors of missing
+/// groups), in the order of `combos`; empty when `combos` is. In
+/// group-fairness mode one pass over the rows counts an M × G × 4
+/// confusion table (model, group, truth, vote), and each combination's
+/// L̂ is LossFromCounts over the G rows of the table its models pick —
+/// the same doubles CombinedLoss gives over the combination's
+/// predictions. Consistency mode runs a row loop per combination: its
+/// sum depends on row order.
+Result<std::vector<double>> RegionLosses(
+    const AssessmentContext& ctx, const std::vector<ModelCombination>& combos,
+    std::span<const size_t> rows);
+
+/// L̂ of one combination over `rows` (RegionLosses of one combination).
 Result<double> AssessCombination(const AssessmentContext& ctx,
                                  const ModelCombination& combination,
                                  std::span<const size_t> rows);
@@ -49,28 +61,16 @@ struct RegionBest {
 };
 
 /// Assesses every candidate combination over one region's rows and
-/// returns the winner plus its L̂. This is the partial re-assessment
-/// entry point of the online monitor: a drifted cluster is refreshed by
-/// re-running exactly this selection over its windowed stream samples.
-/// The argmin matches SelectBestCombinations on the same region (same
-/// iteration order, ties to the lower index).
+/// returns the winner plus its L̂; ties go to the lower index, so results
+/// are deterministic. This selects each cluster's combination offline
+/// (and, over all validation rows, the global best: the Decouple
+/// baseline's selection), FALCES's per-sample combination, and the
+/// online monitor's partial re-assessment: a drifted cluster is
+/// refreshed by re-running exactly this selection over its windowed
+/// stream samples.
 Result<RegionBest> ReassessRegion(const AssessmentContext& ctx,
                                   const std::vector<ModelCombination>& combos,
                                   std::span<const size_t> rows);
-
-/// For each region, the index (into `combinations`) of the combination
-/// minimizing L̂ over that region's rows. Ties go to the lower index, so
-/// results are deterministic.
-Result<std::vector<size_t>> SelectBestCombinations(
-    const AssessmentContext& ctx,
-    const std::vector<ModelCombination>& combinations,
-    const std::vector<std::vector<size_t>>& region_rows);
-
-/// Globally best combination (single region = whole validation set);
-/// returns the index into `combinations`. This implements the Decouple
-/// baseline's selection and FALCES's global pre-filtering.
-Result<size_t> SelectGlobalBest(const AssessmentContext& ctx,
-                                const std::vector<ModelCombination>& combos);
 
 /// Indices of the `keep` combinations with lowest global L̂, ascending by
 /// loss (FALCES pre-filtering step).

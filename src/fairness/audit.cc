@@ -29,13 +29,18 @@ Result<FairnessAudit> AuditPredictions(const Dataset& data,
   in.groups = groups;
   in.num_groups = num_groups;
 
+  Result<std::vector<double>> counted = CountConfusion(in);
+  if (!counted.ok()) return counted.status();
+  const std::vector<double>& counts = counted.value();
+
+  const auto bias = [&](FairnessMetric metric) {
+    return BiasFromCounts(metric, counts, num_groups).value();
+  };
   FairnessAudit audit;
-  Result<double> dp = DemographicParity(in);
-  if (!dp.ok()) return dp.status();
-  audit.demographic_parity = dp.value();
-  audit.equalized_odds = EqualizedOdds(in).value();
-  audit.equal_opportunity = EqualOpportunity(in).value();
-  audit.treatment_equality = TreatmentEquality(in).value();
+  audit.demographic_parity = bias(FairnessMetric::kDemographicParity);
+  audit.equalized_odds = bias(FairnessMetric::kEqualizedOdds);
+  audit.equal_opportunity = bias(FairnessMetric::kEqualOpportunity);
+  audit.treatment_equality = bias(FairnessMetric::kTreatmentEquality);
 
   // Consistency over the standardized non-sensitive feature space.
   ColumnTransform transform = ColumnTransform::Standardize(data);
@@ -45,44 +50,28 @@ Result<FairnessAudit> AuditPredictions(const Dataset& data,
   if (!consistency.ok()) return consistency.status();
   audit.consistency = consistency.value();
 
-  // Per-group confusion statistics.
-  struct Counts {
-    double n = 0, pos_label = 0, pos_pred = 0, correct = 0;
-    double tp = 0, fp = 0, fn = 0, tn = 0;
-  };
-  std::vector<Counts> counts(num_groups);
+  // Per-group confusion statistics, read off the same table.
   double total_correct = 0.0;
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    Counts& c = counts[groups[i]];
-    const int y = data.Label(i);
-    const int z = predictions[i];
-    c.n += 1.0;
-    c.pos_label += y;
-    c.pos_pred += z;
-    if (y == z) {
-      c.correct += 1.0;
-      total_correct += 1.0;
-    }
-    if (y == 1 && z == 1) c.tp += 1.0;
-    if (y == 0 && z == 1) c.fp += 1.0;
-    if (y == 1 && z == 0) c.fn += 1.0;
-    if (y == 0 && z == 0) c.tn += 1.0;
-  }
-  audit.accuracy = total_correct / static_cast<double>(data.num_rows());
   for (size_t g = 0; g < num_groups; ++g) {
-    const Counts& c = counts[g];
+    const double tn = counts[ConfusionIndex(g, 0, 0)];
+    const double fp = counts[ConfusionIndex(g, 0, 1)];
+    const double fn = counts[ConfusionIndex(g, 1, 0)];
+    const double tp = counts[ConfusionIndex(g, 1, 1)];
+    const double n = tn + fp + fn + tp;
+    total_correct += tn + tp;
     GroupAudit group;
     group.name = index.value().GroupName(g, data);
-    group.size = static_cast<size_t>(c.n);
-    if (c.n > 0.0) {
-      group.base_rate = c.pos_label / c.n;
-      group.positive_rate = c.pos_pred / c.n;
-      group.accuracy = c.correct / c.n;
+    group.size = static_cast<size_t>(n);
+    if (n > 0.0) {
+      group.base_rate = (fn + tp) / n;
+      group.positive_rate = (fp + tp) / n;
+      group.accuracy = (tn + tp) / n;
     }
-    if (c.tp + c.fn > 0.0) group.tpr = c.tp / (c.tp + c.fn);
-    if (c.fp + c.tn > 0.0) group.fpr = c.fp / (c.fp + c.tn);
+    if (tp + fn > 0.0) group.tpr = tp / (tp + fn);
+    if (fp + tn > 0.0) group.fpr = fp / (fp + tn);
     audit.groups.push_back(std::move(group));
   }
+  audit.accuracy = total_correct / static_cast<double>(data.num_rows());
   return audit;
 }
 

@@ -3,6 +3,7 @@
 // The reporting-side companion of the metric primitives in metrics.h —
 // used by the CLI's `inspect` command and convenient for library users
 // who want a dashboard-style summary instead of individual metric calls.
+// Every group figure is read off one CountConfusion table.
 
 #ifndef FALCC_FAIRNESS_AUDIT_H_
 #define FALCC_FAIRNESS_AUDIT_H_

@@ -2,71 +2,67 @@
 
 namespace falcc {
 
-Result<LossBreakdown> CombinedLoss(const GroupedPredictions& in,
-                                   FairnessMetric metric, double lambda) {
+Result<LossBreakdown> LossFromCounts(std::span<const double> counts,
+                                     size_t num_groups, FairnessMetric metric,
+                                     double lambda) {
   if (lambda < 0.0 || lambda > 1.0) {
     return Status::InvalidArgument("lambda must be in [0,1]");
   }
-  const size_t n = in.labels.size();
-  if (n == 0) return Status::InvalidArgument("CombinedLoss: no samples");
-
-  double wrong = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (in.labels[i] != in.predictions[i]) ++wrong;
-  }
-  Result<double> bias = ComputeBias(metric, in);
+  Result<double> bias = BiasFromCounts(metric, counts, num_groups);
   if (!bias.ok()) return bias.status();
+  double n = 0.0, wrong = 0.0;
+  for (size_t g = 0; g < num_groups; ++g) {
+    for (int y = 0; y <= 1; ++y) {
+      for (int z = 0; z <= 1; ++z) {
+        const double c = counts[ConfusionIndex(g, y, z)];
+        n += c;
+        if (y != z) wrong += c;
+      }
+    }
+  }
+  if (n <= 0.0) return Status::InvalidArgument("loss: no samples");
 
   LossBreakdown out;
-  out.inaccuracy = wrong / static_cast<double>(n);
+  out.inaccuracy = wrong / n;
   out.bias = bias.value();
   out.combined = lambda * out.inaccuracy + (1.0 - lambda) * out.bias;
   return out;
+}
+
+Result<LossBreakdown> CombinedLoss(const GroupedPredictions& in,
+                                   FairnessMetric metric, double lambda) {
+  Result<std::vector<double>> counts = CountConfusion(in);
+  if (!counts.ok()) return counts.status();
+  return LossFromCounts(counts.value(), in.num_groups, metric, lambda);
 }
 
 Result<LossBreakdown> LocalLoss(const GroupedPredictions& in,
                                 std::span<const size_t> regions,
                                 size_t num_regions, FairnessMetric metric,
                                 double lambda) {
-  const size_t n = in.labels.size();
-  if (regions.size() != n) {
+  // CountConfusion reads empty `regions` as "one region"; here every
+  // sample needs its own region id.
+  if (regions.size() != in.labels.size()) {
     return Status::InvalidArgument("LocalLoss: regions size mismatch");
   }
-  if (num_regions == 0) {
-    return Status::InvalidArgument("LocalLoss: num_regions must be positive");
-  }
+  Result<std::vector<double>> counts =
+      CountConfusion(in, regions, num_regions);
+  if (!counts.ok()) return counts.status();
 
-  // Bucket sample indices by region.
-  std::vector<std::vector<size_t>> buckets(num_regions);
-  for (size_t i = 0; i < n; ++i) {
-    if (regions[i] >= num_regions) {
-      return Status::InvalidArgument("LocalLoss: region id out of range");
-    }
-    buckets[regions[i]].push_back(i);
-  }
-
+  // One confusion table per region; empty regions are skipped.
+  const size_t width = in.num_groups * 4;
+  const double n = static_cast<double>(in.labels.size());
   LossBreakdown total;
-  for (const auto& bucket : buckets) {
-    if (bucket.empty()) continue;
-    std::vector<int> labels, predictions;
-    std::vector<size_t> groups;
-    labels.reserve(bucket.size());
-    predictions.reserve(bucket.size());
-    groups.reserve(bucket.size());
-    for (size_t i : bucket) {
-      labels.push_back(in.labels[i]);
-      predictions.push_back(in.predictions[i]);
-      groups.push_back(in.groups[i]);
-    }
-    GroupedPredictions region;
-    region.labels = labels;
-    region.predictions = predictions;
-    region.groups = groups;
-    region.num_groups = in.num_groups;
-    Result<LossBreakdown> local = CombinedLoss(region, metric, lambda);
+  for (size_t r = 0; r < num_regions; ++r) {
+    const std::span<const double> table(counts.value().data() + r * width,
+                                        width);
+    double size = 0.0;
+    for (const double c : table) size += c;
+    if (size <= 0.0) continue;
+    Result<LossBreakdown> local =
+        LossFromCounts(table, in.num_groups, metric, lambda);
     if (!local.ok()) return local.status();
-    const double weight =
-        static_cast<double>(bucket.size()) / static_cast<double>(n);
+    const double weight = size / n;
     total.inaccuracy += weight * local.value().inaccuracy;
     total.bias += weight * local.value().bias;
     total.combined += weight * local.value().combined;

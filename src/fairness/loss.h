@@ -20,6 +20,13 @@ struct LossBreakdown {
   double combined = 0.0;  ///< λ·inaccuracy + (1−λ)·bias
 };
 
+/// Evaluates Eq. 2 from one confusion table (num_groups * 4 entries, see
+/// ConfusionIndex): the L̂ of every sample counted into it. Fails on
+/// λ ∉ [0, 1], a table of the wrong size, or a table with no samples.
+Result<LossBreakdown> LossFromCounts(std::span<const double> counts,
+                                     size_t num_groups, FairnessMetric metric,
+                                     double lambda);
+
 /// Evaluates Eq. 2 over the full sample set.
 Result<LossBreakdown> CombinedLoss(const GroupedPredictions& in,
                                    FairnessMetric metric, double lambda);

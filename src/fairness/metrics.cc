@@ -8,52 +8,56 @@ namespace falcc {
 
 namespace {
 
-Status Validate(const GroupedPredictions& in) {
-  const size_t n = in.labels.size();
-  if (n == 0) return Status::InvalidArgument("metric: no samples");
-  if (in.predictions.size() != n || in.groups.size() != n) {
-    return Status::InvalidArgument("metric: input size mismatch");
-  }
-  if (in.num_groups == 0) {
-    return Status::InvalidArgument("metric: num_groups must be positive");
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (in.groups[i] >= in.num_groups) {
-      return Status::InvalidArgument("metric: group id out of range");
+// Mean over groups of |rate_j − rate_overall|, where rate is the
+// positive-prediction rate among samples with label `truth` (every
+// sample when `truth` < 0). Groups with no such samples contribute 0
+// (they have no measurable rate).
+double MeanRateDeviation(std::span<const double> counts, size_t num_groups,
+                         int truth) {
+  const int y_lo = truth < 0 ? 0 : truth, y_hi = truth < 0 ? 1 : truth;
+  const auto tally = [&](size_t g, int z_lo) {
+    double sum = 0.0;
+    for (int y = y_lo; y <= y_hi; ++y) {
+      for (int z = z_lo; z <= 1; ++z) sum += counts[ConfusionIndex(g, y, z)];
     }
-    if ((in.labels[i] != 0 && in.labels[i] != 1) ||
-        (in.predictions[i] != 0 && in.predictions[i] != 1)) {
-      return Status::InvalidArgument("metric: labels must be binary");
-    }
-  }
-  return Status::OK();
-}
-
-// Mean over groups of |rate_j − rate_overall| where rate is the positive-
-// prediction rate among samples with mask true. Groups with no masked
-// samples contribute 0 (they have no measurable rate).
-double MeanRateDeviation(const GroupedPredictions& in,
-                         const std::vector<bool>& mask) {
-  std::vector<double> group_pos(in.num_groups, 0.0);
-  std::vector<double> group_count(in.num_groups, 0.0);
+    return sum;
+  };
   double pos = 0.0, count = 0.0;
-  for (size_t i = 0; i < in.labels.size(); ++i) {
-    if (!mask[i]) continue;
-    ++count;
-    group_count[in.groups[i]] += 1.0;
-    if (in.predictions[i] == 1) {
-      ++pos;
-      group_pos[in.groups[i]] += 1.0;
-    }
+  for (size_t g = 0; g < num_groups; ++g) {
+    count += tally(g, 0);
+    pos += tally(g, 1);
   }
   if (count <= 0.0) return 0.0;
   const double overall = pos / count;
   double dev = 0.0;
-  for (size_t g = 0; g < in.num_groups; ++g) {
-    if (group_count[g] <= 0.0) continue;
-    dev += std::fabs(group_pos[g] / group_count[g] - overall);
+  for (size_t g = 0; g < num_groups; ++g) {
+    const double group_count = tally(g, 0);
+    if (group_count <= 0.0) continue;
+    dev += std::fabs(tally(g, 1) / group_count - overall);
   }
-  return dev / static_cast<double>(in.num_groups);
+  return dev / static_cast<double>(num_groups);
+}
+
+// Mean over groups of the deviation of the group's FP/(FP+FN) ratio
+// from the overall ratio.
+double TreatmentDeviation(std::span<const double> counts,
+                          size_t num_groups) {
+  double fp_total = 0.0, fn_total = 0.0;
+  for (size_t g = 0; g < num_groups; ++g) {
+    fp_total += counts[ConfusionIndex(g, 0, 1)];
+    fn_total += counts[ConfusionIndex(g, 1, 0)];
+  }
+  // With no errors at all, treatment is trivially equal.
+  if (fp_total + fn_total <= 0.0) return 0.0;
+  const double overall = fp_total / (fp_total + fn_total);
+  double dev = 0.0;
+  for (size_t g = 0; g < num_groups; ++g) {
+    const double fp = counts[ConfusionIndex(g, 0, 1)];
+    const double denom = fp + counts[ConfusionIndex(g, 1, 0)];
+    if (denom <= 0.0) continue;  // group has no errors: skip (no ratio)
+    dev += std::fabs(fp / denom - overall);
+  }
+  return dev / static_cast<double>(num_groups);
 }
 
 }  // namespace
@@ -72,72 +76,83 @@ std::string FairnessMetricName(FairnessMetric metric) {
   return "unknown";
 }
 
-Result<double> DemographicParity(const GroupedPredictions& in) {
-  FALCC_RETURN_IF_ERROR(Validate(in));
-  std::vector<bool> all(in.labels.size(), true);
-  return MeanRateDeviation(in, all);
-}
-
-Result<double> EqualizedOdds(const GroupedPredictions& in) {
-  FALCC_RETURN_IF_ERROR(Validate(in));
-  double total = 0.0;
-  for (int y = 0; y <= 1; ++y) {
-    std::vector<bool> mask(in.labels.size());
-    for (size_t i = 0; i < in.labels.size(); ++i) {
-      mask[i] = in.labels[i] == y;
+Result<std::vector<double>> CountConfusion(const GroupedPredictions& in,
+                                           std::span<const size_t> regions,
+                                           size_t num_regions) {
+  const size_t n = in.labels.size();
+  if (n == 0) return Status::InvalidArgument("metric: no samples");
+  if (in.predictions.size() != n || in.groups.size() != n) {
+    return Status::InvalidArgument("metric: input size mismatch");
+  }
+  if (in.num_groups == 0) {
+    return Status::InvalidArgument("metric: num_groups must be positive");
+  }
+  if (num_regions == 0 || (!regions.empty() && regions.size() != n)) {
+    return Status::InvalidArgument("metric: regions size mismatch");
+  }
+  const size_t width = in.num_groups * 4;
+  std::vector<double> counts(num_regions * width, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    if (in.groups[i] >= in.num_groups) {
+      return Status::InvalidArgument("metric: group id out of range");
     }
-    total += MeanRateDeviation(in, mask);
-  }
-  return total / 2.0;
-}
-
-Result<double> EqualOpportunity(const GroupedPredictions& in) {
-  FALCC_RETURN_IF_ERROR(Validate(in));
-  std::vector<bool> mask(in.labels.size());
-  for (size_t i = 0; i < in.labels.size(); ++i) {
-    mask[i] = in.labels[i] == 1;
-  }
-  return MeanRateDeviation(in, mask);
-}
-
-Result<double> TreatmentEquality(const GroupedPredictions& in) {
-  FALCC_RETURN_IF_ERROR(Validate(in));
-  std::vector<double> fp(in.num_groups, 0.0), fn(in.num_groups, 0.0);
-  double fp_total = 0.0, fn_total = 0.0;
-  for (size_t i = 0; i < in.labels.size(); ++i) {
-    if (in.predictions[i] == 1 && in.labels[i] == 0) {
-      fp[in.groups[i]] += 1.0;
-      fp_total += 1.0;
-    } else if (in.predictions[i] == 0 && in.labels[i] == 1) {
-      fn[in.groups[i]] += 1.0;
-      fn_total += 1.0;
+    if ((in.labels[i] != 0 && in.labels[i] != 1) ||
+        (in.predictions[i] != 0 && in.predictions[i] != 1)) {
+      return Status::InvalidArgument("metric: labels must be binary");
     }
+    const size_t region = regions.empty() ? 0 : regions[i];
+    if (region >= num_regions) {
+      return Status::InvalidArgument("metric: region id out of range");
+    }
+    counts[region * width +
+           ConfusionIndex(in.groups[i], in.labels[i], in.predictions[i])] +=
+        1.0;
   }
-  // With no errors at all, treatment is trivially equal.
-  if (fp_total + fn_total <= 0.0) return 0.0;
-  const double overall = fp_total / (fp_total + fn_total);
-  double dev = 0.0;
-  for (size_t g = 0; g < in.num_groups; ++g) {
-    const double denom = fp[g] + fn[g];
-    if (denom <= 0.0) continue;  // group has no errors: skip (no ratio)
-    dev += std::fabs(fp[g] / denom - overall);
+  return counts;
+}
+
+Result<double> BiasFromCounts(FairnessMetric metric,
+                              std::span<const double> counts,
+                              size_t num_groups) {
+  if (num_groups == 0 || counts.size() != num_groups * 4) {
+    return Status::InvalidArgument("metric: confusion table size mismatch");
   }
-  return dev / static_cast<double>(in.num_groups);
+  switch (metric) {
+    case FairnessMetric::kDemographicParity:
+      return MeanRateDeviation(counts, num_groups, -1);
+    case FairnessMetric::kEqualizedOdds:
+      return (MeanRateDeviation(counts, num_groups, 0) +
+              MeanRateDeviation(counts, num_groups, 1)) /
+             2.0;
+    case FairnessMetric::kEqualOpportunity:
+      return MeanRateDeviation(counts, num_groups, 1);
+    case FairnessMetric::kTreatmentEquality:
+      return TreatmentDeviation(counts, num_groups);
+  }
+  return Status::InvalidArgument("unknown fairness metric");
 }
 
 Result<double> ComputeBias(FairnessMetric metric,
                            const GroupedPredictions& in) {
-  switch (metric) {
-    case FairnessMetric::kDemographicParity:
-      return DemographicParity(in);
-    case FairnessMetric::kEqualizedOdds:
-      return EqualizedOdds(in);
-    case FairnessMetric::kEqualOpportunity:
-      return EqualOpportunity(in);
-    case FairnessMetric::kTreatmentEquality:
-      return TreatmentEquality(in);
-  }
-  return Status::InvalidArgument("unknown fairness metric");
+  Result<std::vector<double>> counts = CountConfusion(in);
+  if (!counts.ok()) return counts.status();
+  return BiasFromCounts(metric, counts.value(), in.num_groups);
+}
+
+Result<double> DemographicParity(const GroupedPredictions& in) {
+  return ComputeBias(FairnessMetric::kDemographicParity, in);
+}
+
+Result<double> EqualizedOdds(const GroupedPredictions& in) {
+  return ComputeBias(FairnessMetric::kEqualizedOdds, in);
+}
+
+Result<double> EqualOpportunity(const GroupedPredictions& in) {
+  return ComputeBias(FairnessMetric::kEqualOpportunity, in);
+}
+
+Result<double> TreatmentEquality(const GroupedPredictions& in) {
+  return ComputeBias(FairnessMetric::kTreatmentEquality, in);
 }
 
 Result<double> Consistency(std::span<const int> predictions,

@@ -6,6 +6,12 @@
 // same probability over the whole (sub)population, and average the
 // absolute deviations over groups. Every metric returns a bias value in
 // [0, 1], 0 = perfectly fair.
+//
+// Each group metric is a function of per-group confusion counts, so all
+// of them run as "count, then evaluate": CountConfusion validates the
+// samples and builds the table, BiasFromCounts applies the formula. The
+// counts are exact integers held in doubles, so the result does not
+// depend on the order the samples were counted in.
 
 #ifndef FALCC_FAIRNESS_METRICS_H_
 #define FALCC_FAIRNESS_METRICS_H_
@@ -37,6 +43,28 @@ struct GroupedPredictions {
   std::span<const size_t> groups;    ///< group id per sample
   size_t num_groups = 0;
 };
+
+/// Index of (group, truth y, prediction z) in a confusion table:
+/// counts[(g * 2 + y) * 2 + z], four entries per group.
+inline size_t ConfusionIndex(size_t group, int truth, int predicted) {
+  return (group * 2 + static_cast<size_t>(truth)) * 2 +
+         static_cast<size_t>(predicted);
+}
+
+/// Validates `in` (non-empty, equal sizes, binary labels and
+/// predictions, group ids < num_groups) and counts it into
+/// `num_regions` confusion tables of num_groups * 4 entries, back to
+/// back: sample i goes to table regions[i], or to table 0 when
+/// `regions` is empty. Region ids must be < num_regions.
+Result<std::vector<double>> CountConfusion(
+    const GroupedPredictions& in, std::span<const size_t> regions = {},
+    size_t num_regions = 1);
+
+/// The bias of `metric` from one confusion table (num_groups * 4
+/// entries, see ConfusionIndex). A table with no samples has bias 0.
+Result<double> BiasFromCounts(FairnessMetric metric,
+                              std::span<const double> counts,
+                              size_t num_groups);
 
 /// Demographic parity: mean over groups of |P(z=1|G=j) − P(z=1)|.
 Result<double> DemographicParity(const GroupedPredictions& in);

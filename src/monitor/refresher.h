@@ -96,9 +96,11 @@ class Refresher {
 
   /// Rebuilds `cluster`'s combination over `window` (its labeled stream
   /// samples, see WindowStats::Window) and installs the result if it
-  /// strictly improves the windowed L̂. Pure pool re-assessment:
-  /// PredictMatrix + EnumerateCombinations + ReassessRegion, evaluated
-  /// under the snapshot's stored assessment parameters.
+  /// strictly improves the windowed L̂. Pure pool re-assessment under
+  /// the snapshot's stored assessment parameters: PredictMatrix votes
+  /// the window, then ReassessRegion scores every combination of
+  /// EnumerateCombinations (and AssessCombination the serving one) from
+  /// the window's model × group confusion table (RegionLosses).
   Result<RefreshOutcome> RefreshCluster(const ClusterWindow& window,
                                         size_t cluster);
 

@@ -16,7 +16,7 @@ WindowStats::WindowStats(WindowStatsOptions options) : options_(options) {
     ring.labels.resize(options_.window);
     ring.predictions.resize(options_.window);
     ring.groups.resize(options_.window);
-    ring.counts.assign(options_.num_groups * 4, 0);
+    ring.counts.assign(options_.num_groups * 4, 0.0);
   }
 }
 
@@ -33,8 +33,8 @@ void WindowStats::Add(size_t cluster, size_t group, int truth, int predicted,
   const size_t pos = ring.head;
   if (ring.size == options_.window) {
     // Evict the entry being overwritten from the counts.
-    --ring.counts[CountIndex(ring.groups[pos], ring.labels[pos],
-                             ring.predictions[pos])];
+    ring.counts[ConfusionIndex(ring.groups[pos], ring.labels[pos],
+                               ring.predictions[pos])] -= 1.0;
   } else {
     ++ring.size;
   }
@@ -43,7 +43,7 @@ void WindowStats::Add(size_t cluster, size_t group, int truth, int predicted,
   ring.groups[pos] = group;
   std::copy(features.begin(), features.end(),
             ring.features.begin() + pos * options_.num_features);
-  ++ring.counts[CountIndex(group, truth, predicted)];
+  ring.counts[ConfusionIndex(group, truth, predicted)] += 1.0;
   ring.head = (pos + 1) % options_.window;
   ++ring.seen;
 }
@@ -64,69 +64,9 @@ uint64_t WindowStats::GroupCount(size_t cluster, size_t group, int truth,
               "WindowStats::GroupCount: cluster range");
   FALCC_CHECK(group < options_.num_groups,
               "WindowStats::GroupCount: group range");
-  return rings_[cluster].counts[CountIndex(group, truth, predicted)];
+  return static_cast<uint64_t>(
+      rings_[cluster].counts[ConfusionIndex(group, truth, predicted)]);
 }
-
-namespace {
-
-/// MeanRateDeviation of fairness/metrics.cc computed from (group, truth,
-/// prediction) counts; `use_truth` < 0 means "all samples", otherwise
-/// restrict to samples with that truth label. All intermediate values
-/// are exact small integers, so the result matches the per-sample
-/// implementation bit for bit.
-double CountsRateDeviation(std::span<const uint64_t> counts, size_t num_groups,
-                           int use_truth) {
-  std::vector<double> group_pos(num_groups, 0.0);
-  std::vector<double> group_count(num_groups, 0.0);
-  double pos = 0.0, count = 0.0;
-  for (size_t g = 0; g < num_groups; ++g) {
-    for (int y = 0; y <= 1; ++y) {
-      if (use_truth >= 0 && y != use_truth) continue;
-      for (int z = 0; z <= 1; ++z) {
-        const double c =
-            static_cast<double>(counts[(g * 2 + static_cast<size_t>(y)) * 2 +
-                                       static_cast<size_t>(z)]);
-        count += c;
-        group_count[g] += c;
-        if (z == 1) {
-          pos += c;
-          group_pos[g] += c;
-        }
-      }
-    }
-  }
-  if (count <= 0.0) return 0.0;
-  const double overall = pos / count;
-  double dev = 0.0;
-  for (size_t g = 0; g < num_groups; ++g) {
-    if (group_count[g] <= 0.0) continue;
-    dev += std::fabs(group_pos[g] / group_count[g] - overall);
-  }
-  return dev / static_cast<double>(num_groups);
-}
-
-double CountsTreatmentEquality(std::span<const uint64_t> counts,
-                               size_t num_groups) {
-  std::vector<double> fp(num_groups, 0.0), fn(num_groups, 0.0);
-  double fp_total = 0.0, fn_total = 0.0;
-  for (size_t g = 0; g < num_groups; ++g) {
-    fp[g] = static_cast<double>(counts[(g * 2 + 0) * 2 + 1]);  // y=0, z=1
-    fn[g] = static_cast<double>(counts[(g * 2 + 1) * 2 + 0]);  // y=1, z=0
-    fp_total += fp[g];
-    fn_total += fn[g];
-  }
-  if (fp_total + fn_total <= 0.0) return 0.0;
-  const double overall = fp_total / (fp_total + fn_total);
-  double dev = 0.0;
-  for (size_t g = 0; g < num_groups; ++g) {
-    const double denom = fp[g] + fn[g];
-    if (denom <= 0.0) continue;
-    dev += std::fabs(fp[g] / denom - overall);
-  }
-  return dev / static_cast<double>(num_groups);
-}
-
-}  // namespace
 
 Result<WindowLoss> WindowStats::Loss(size_t cluster) const {
   if (cluster >= rings_.size()) {
@@ -136,23 +76,25 @@ Result<WindowLoss> WindowStats::Loss(size_t cluster) const {
   if (ring.size == 0) {
     return Status::InvalidArgument("WindowStats::Loss: empty window");
   }
-  const double n = static_cast<double>(ring.size);
-  uint64_t wrong = 0, positive = 0;
-  for (size_t g = 0; g < options_.num_groups; ++g) {
-    wrong += ring.counts[CountIndex(g, 0, 1)] + ring.counts[CountIndex(g, 1, 0)];
-    positive +=
-        ring.counts[CountIndex(g, 0, 1)] + ring.counts[CountIndex(g, 1, 1)];
-  }
+  Result<LossBreakdown> counted = LossFromCounts(
+      ring.counts, options_.num_groups, options_.metric, options_.lambda);
+  if (!counted.ok()) return counted.status();
 
   WindowLoss loss;
   loss.count = ring.size;
-  loss.inaccuracy = static_cast<double>(wrong) / n;
-
+  loss.inaccuracy = counted.value().inaccuracy;
+  loss.bias = counted.value().bias;
+  loss.combined = counted.value().combined;
   if (options_.mode == AssessmentMode::kConsistency) {
     // 1 − consistency with the window as its own neighborhood (the
     // cluster-as-kNN approximation of §3.6), in closed form: a sample's
     // term depends only on its own prediction.
-    const double n1 = static_cast<double>(positive);
+    const double n = static_cast<double>(ring.size);
+    double n1 = 0.0;
+    for (size_t g = 0; g < options_.num_groups; ++g) {
+      n1 += ring.counts[ConfusionIndex(g, 0, 1)] +
+            ring.counts[ConfusionIndex(g, 1, 1)];
+    }
     const double n0 = n - n1;
     double inconsistency = 0.0;
     if (ring.size > 1) {
@@ -161,26 +103,9 @@ Result<WindowLoss> WindowStats::Loss(size_t cluster) const {
       inconsistency = (n1 * term1 + n0 * term0) / n;
     }
     loss.bias = inconsistency;
-  } else {
-    switch (options_.metric) {
-      case FairnessMetric::kDemographicParity:
-        loss.bias = CountsRateDeviation(ring.counts, options_.num_groups, -1);
-        break;
-      case FairnessMetric::kEqualizedOdds:
-        loss.bias = (CountsRateDeviation(ring.counts, options_.num_groups, 0) +
-                     CountsRateDeviation(ring.counts, options_.num_groups, 1)) /
-                    2.0;
-        break;
-      case FairnessMetric::kEqualOpportunity:
-        loss.bias = CountsRateDeviation(ring.counts, options_.num_groups, 1);
-        break;
-      case FairnessMetric::kTreatmentEquality:
-        loss.bias = CountsTreatmentEquality(ring.counts, options_.num_groups);
-        break;
-    }
+    loss.combined =
+        options_.lambda * loss.inaccuracy + (1.0 - options_.lambda) * loss.bias;
   }
-  loss.combined =
-      options_.lambda * loss.inaccuracy + (1.0 - options_.lambda) * loss.bias;
   return loss;
 }
 
@@ -212,7 +137,7 @@ void WindowStats::Clear(size_t cluster) {
   Ring& ring = rings_[cluster];
   ring.size = 0;
   ring.head = 0;
-  ring.counts.assign(options_.num_groups * 4, 0);
+  ring.counts.assign(options_.num_groups * 4, 0.0);
 }
 
 }  // namespace falcc::monitor

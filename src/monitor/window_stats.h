@@ -3,13 +3,13 @@
 // For every cluster the monitor keeps the last W labeled decisions
 // (ground truth, prediction, sensitive group, and the raw feature
 // vector, which the refresher needs to re-run assessment). Alongside
-// the ring, per-(group, truth, prediction) counts are maintained
-// incrementally — O(1) per add/evict — and the windowed L̂
-// (λ·inaccuracy + (1−λ)·bias, Eq. 2) is computed from those counts
-// with arithmetic that mirrors fairness/metrics.cc exactly: for the
-// group-fairness metrics the counts determine the same group rates in
-// the same summation order, so the windowed loss is bit-identical to
-// re-running CombinedLoss over the window's samples.
+// the ring, a per-(group, truth, prediction) confusion table is
+// maintained incrementally — O(1) per add/evict — and the windowed L̂
+// (λ·inaccuracy + (1−λ)·bias, Eq. 2) calls fairness/loss.h's
+// LossFromCounts on that table: the same evaluator CombinedLoss runs,
+// so the windowed loss is bit-identical to re-running CombinedLoss over
+// the window's samples. Consistency mode replaces the bias with its
+// closed form over the window's positive count.
 //
 // Single-threaded by design: only the monitor's Poll loop touches it
 // (the cross-thread handoff happens in DecisionLog).
@@ -91,16 +91,11 @@ class WindowStats {
     std::vector<int> labels;
     std::vector<int> predictions;
     std::vector<size_t> groups;
-    std::vector<uint64_t> counts;  // num_groups * 4: ((g * 2 + y) * 2 + z)
+    std::vector<double> counts;  // num_groups * 4, see ConfusionIndex
     size_t size = 0;
     size_t head = 0;  // next write position
     uint64_t seen = 0;
   };
-
-  static size_t CountIndex(size_t group, int truth, int predicted) {
-    return (group * 2 + static_cast<size_t>(truth)) * 2 +
-           static_cast<size_t>(predicted);
-  }
 
   WindowStatsOptions options_;
   std::vector<Ring> rings_;

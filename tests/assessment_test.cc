@@ -1,6 +1,11 @@
 #include "core/assessment.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "testing/reference_loss.h"
+#include "util/rng.h"
 
 namespace falcc {
 namespace {
@@ -82,6 +87,17 @@ TEST(AssessCombinationTest, ValidationErrors) {
   EXPECT_FALSE(AssessCombination(ctx, bad_model, rows).ok());
 }
 
+TEST(AssessCombinationTest, RejectsGroupIdOutOfRange) {
+  // A group id >= num_groups must be rejected, not used to index the
+  // combination.
+  Fixture f;
+  f.groups[5] = 5;
+  const AssessmentContext ctx =
+      f.Context(FairnessMetric::kDemographicParity, 0.5);
+  const std::vector<size_t> rows = {0, 1, 2, 3, 4, 5};
+  EXPECT_FALSE(AssessCombination(ctx, {1, 1}, rows).ok());
+}
+
 TEST(AssessCombinationTest, ConsistencyModeUnanimousRegionIsPureAccuracy) {
   Fixture f;
   AssessmentContext ctx = f.Context(FairnessMetric::kDemographicParity, 0.5);
@@ -113,45 +129,47 @@ TEST(AssessCombinationTest, ConsistencyModeSingleRowRegionIsConsistent) {
   EXPECT_DOUBLE_EQ(AssessCombination(ctx, {1, 1}, one).value(), 0.0);
 }
 
-TEST(SelectBestCombinationsTest, PicksPerRegionBest) {
+TEST(ReassessRegionTest, PicksPerRegionBest) {
   Fixture f;
   const AssessmentContext ctx =
       f.Context(FairnessMetric::kDemographicParity, 1.0);
   const std::vector<ModelCombination> combos = {{0, 0}, {1, 1}};
-  const std::vector<std::vector<size_t>> regions = {{0, 1, 2}, {3, 4, 5}};
-  const std::vector<size_t> best =
-      SelectBestCombinations(ctx, combos, regions).value();
-  ASSERT_EQ(best.size(), 2u);
-  EXPECT_EQ(best[0], 1u);
-  EXPECT_EQ(best[1], 1u);
+  for (const std::vector<size_t>& region :
+       {std::vector<size_t>{0, 1, 2}, std::vector<size_t>{3, 4, 5}}) {
+    const RegionBest best = ReassessRegion(ctx, combos, region).value();
+    EXPECT_EQ(best.index, 1u);
+    EXPECT_EQ(best.loss, 0.0);  // model 1 predicts the labels
+  }
 }
 
-TEST(SelectBestCombinationsTest, TieBreaksToLowerIndex) {
+TEST(ReassessRegionTest, TieBreaksToLowerIndex) {
   Fixture f;
   f.votes[1] = f.votes[0];  // both models identical now
   const AssessmentContext ctx =
       f.Context(FairnessMetric::kDemographicParity, 0.5);
   const std::vector<ModelCombination> combos = {{0, 0}, {1, 1}};
-  const std::vector<std::vector<size_t>> regions = {{0, 1, 2, 3, 4, 5}};
-  EXPECT_EQ(SelectBestCombinations(ctx, combos, regions).value()[0], 0u);
+  const std::vector<size_t> rows = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(ReassessRegion(ctx, combos, rows).value().index, 0u);
 }
 
-TEST(SelectBestCombinationsTest, RejectsEmptyRegion) {
+TEST(ReassessRegionTest, RejectsEmptyRegionAndNoCombinations) {
   Fixture f;
   const AssessmentContext ctx =
       f.Context(FairnessMetric::kDemographicParity, 0.5);
-  const std::vector<ModelCombination> combos = {{0, 0}};
-  const std::vector<std::vector<size_t>> regions = {{}};
-  EXPECT_FALSE(SelectBestCombinations(ctx, combos, regions).ok());
+  const std::vector<size_t> empty;
+  EXPECT_FALSE(ReassessRegion(ctx, {{0, 0}}, empty).ok());
+  const std::vector<size_t> rows = {0, 1};
+  EXPECT_FALSE(ReassessRegion(ctx, {}, rows).ok());
 }
 
-TEST(SelectGlobalBestTest, FindsBestOverall) {
+TEST(ReassessRegionTest, FindsGlobalBestOverAllRows) {
   Fixture f;
   const AssessmentContext ctx =
       f.Context(FairnessMetric::kDemographicParity, 1.0);
   const std::vector<ModelCombination> combos = {{0, 0}, {0, 1}, {1, 0},
                                                 {1, 1}};
-  EXPECT_EQ(SelectGlobalBest(ctx, combos).value(), 3u);
+  const std::vector<size_t> all = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(ReassessRegion(ctx, combos, all).value().index, 3u);
 }
 
 TEST(FilterTopCombinationsTest, KeepsBestAscending) {
@@ -178,6 +196,115 @@ TEST(FilterTopCombinationsTest, RejectsZeroKeep) {
   const AssessmentContext ctx =
       f.Context(FairnessMetric::kDemographicParity, 0.5);
   EXPECT_FALSE(FilterTopCombinations(ctx, {{0, 0}}, 0).ok());
+}
+
+// --- Count-table evaluator against the row-by-row reference ---------
+
+// Random votes, labels and groups; G ∈ {1, 2, 3}; all four metrics and
+// consistency mode; λ ∈ {0, ½, 1}; duplicated models force ties. Every
+// combination's L̂ from RegionLosses must equal the row-by-row reference
+// bit for bit, and ReassessRegion must return the lowest-index argmin of
+// a brute-force loop over the reference.
+TEST(RegionLossesPropertyTest, MatchesRowByRowReferenceExactly) {
+  Rng rng(20261019);
+  size_t ties = 0;
+  for (int trial = 0; trial < 36; ++trial) {
+    const size_t num_groups = 1 + static_cast<size_t>(trial) % 3;
+    const size_t distinct = 2 + rng.UniformInt(3);
+    const size_t n = 8 + rng.UniformInt(60);
+
+    std::vector<std::vector<int>> votes(distinct, std::vector<int>(n));
+    std::vector<int> labels(n);
+    std::vector<size_t> groups(n);
+    for (size_t i = 0; i < n; ++i) {
+      labels[i] = rng.Bernoulli(0.4) ? 1 : 0;
+      groups[i] = rng.UniformInt(num_groups);
+    }
+    for (std::vector<int>& model : votes) {
+      const double positive_rate = rng.Uniform(0.1, 0.9);
+      for (int& v : model) v = rng.Bernoulli(positive_rate) ? 1 : 0;
+    }
+    // Copies of existing models at later indices.
+    for (size_t d = 0; d < 1 + static_cast<size_t>(trial) % 2; ++d) {
+      votes.push_back(votes[rng.UniformInt(distinct)]);
+    }
+    const size_t num_models = votes.size();
+
+    std::vector<ModelCombination> combos;
+    size_t total = 1;
+    for (size_t g = 0; g < num_groups; ++g) total *= num_models;
+    for (size_t code = 0; code < total; ++code) {
+      ModelCombination combo(num_groups);
+      size_t rest = code;
+      for (size_t g = 0; g < num_groups; ++g) {
+        combo[g] = rest % num_models;
+        rest /= num_models;
+      }
+      combos.push_back(combo);
+    }
+
+    // A region: a random subset of rows, some repeated (gap filling can
+    // add a row twice).
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.6)) rows.push_back(i);
+      if (rng.Bernoulli(0.05)) rows.push_back(i);
+    }
+    if (rows.empty()) rows.push_back(0);
+
+    for (const AssessmentMode mode :
+         {AssessmentMode::kGroupFairness, AssessmentMode::kConsistency}) {
+      for (const FairnessMetric metric :
+           {FairnessMetric::kDemographicParity, FairnessMetric::kEqualizedOdds,
+            FairnessMetric::kEqualOpportunity,
+            FairnessMetric::kTreatmentEquality}) {
+        if (mode == AssessmentMode::kConsistency &&
+            metric != FairnessMetric::kDemographicParity) {
+          continue;  // the metric does not enter consistency mode
+        }
+        for (const double lambda : {0.0, 0.5, 1.0}) {
+          AssessmentContext ctx;
+          ctx.votes = &votes;
+          ctx.labels = labels;
+          ctx.groups = groups;
+          ctx.num_groups = num_groups;
+          ctx.mode = mode;
+          ctx.metric = metric;
+          ctx.lambda = lambda;
+          const std::string where =
+              "trial " + std::to_string(trial) + " " +
+              FairnessMetricName(metric) + " lambda " +
+              std::to_string(lambda) +
+              (mode == AssessmentMode::kConsistency ? " consistency" : "");
+
+          const std::vector<double> losses =
+              RegionLosses(ctx, combos, rows).value();
+          ASSERT_EQ(losses.size(), combos.size()) << where;
+          RegionBest expected;
+          expected.loss = 1e300;
+          for (size_t c = 0; c < combos.size(); ++c) {
+            const double reference =
+                testing::ReferenceAssessCombination(ctx, combos[c], rows)
+                    .value();
+            EXPECT_EQ(losses[c], reference) << where << " combo " << c;
+            EXPECT_EQ(AssessCombination(ctx, combos[c], rows).value(),
+                      reference)
+                << where << " combo " << c;
+            if (reference < expected.loss) {
+              expected.loss = reference;
+              expected.index = c;
+            } else if (reference == expected.loss) {
+              ++ties;
+            }
+          }
+          const RegionBest best = ReassessRegion(ctx, combos, rows).value();
+          EXPECT_EQ(best.index, expected.index) << where;
+          EXPECT_EQ(best.loss, expected.loss) << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 0u);  // the duplicated models did force ties
 }
 
 }  // namespace

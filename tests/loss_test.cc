@@ -1,6 +1,11 @@
 #include "fairness/loss.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "testing/reference_loss.h"
+#include "util/rng.h"
 
 namespace falcc {
 namespace {
@@ -63,6 +68,17 @@ TEST(CombinedLossTest, RejectsBadLambda) {
           .ok());
   EXPECT_FALSE(
       CombinedLoss(Make(y, y, g, 1), FairnessMetric::kDemographicParity, -0.1)
+          .ok());
+}
+
+TEST(CombinedLossTest, RejectsShortPredictions) {
+  // Sizes are checked before any prediction is read: a short
+  // predictions span must not be indexed by the label count.
+  const std::vector<int> y = {1, 0, 1, 0, 1, 0, 1, 0};
+  const std::vector<int> z = {1};
+  const std::vector<size_t> g(8, 0);
+  EXPECT_FALSE(
+      CombinedLoss(Make(y, z, g, 1), FairnessMetric::kDemographicParity, 0.5)
           .ok());
 }
 
@@ -149,6 +165,64 @@ TEST(LocalLossTest, RejectsBadRegions) {
   EXPECT_FALSE(LocalLoss(in, short_regions, 1,
                          FairnessMetric::kDemographicParity, 0.5)
                    .ok());
+}
+
+TEST(LocalLossTest, RejectsShortPredictions) {
+  const std::vector<int> y = {1, 0, 1, 0, 1, 0, 1, 0};
+  const std::vector<int> z = {1};
+  const std::vector<size_t> g(8, 0);
+  const std::vector<size_t> regions(8, 0);
+  EXPECT_FALSE(LocalLoss(Make(y, z, g, 1), regions, 1,
+                         FairnessMetric::kDemographicParity, 0.5)
+                   .ok());
+}
+
+// Seeded random samples, G ∈ {1, 2, 3}, all four metrics, λ ∈ {0, ½, 1}:
+// the count-table CombinedLoss and LocalLoss equal the row-by-row
+// reference bit for bit.
+TEST(LossPropertyTest, MatchesRowByRowReferenceExactly) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 30; ++trial) {
+    const size_t num_groups = 1 + static_cast<size_t>(trial) % 3;
+    const size_t num_regions = 1 + rng.UniformInt(4);
+    const size_t n = 1 + rng.UniformInt(80);
+    std::vector<int> y(n), z(n);
+    std::vector<size_t> g(n), regions(n);
+    for (size_t i = 0; i < n; ++i) {
+      y[i] = rng.Bernoulli(0.4) ? 1 : 0;
+      z[i] = rng.Bernoulli(0.5) ? 1 : 0;
+      g[i] = rng.UniformInt(num_groups);
+      regions[i] = rng.UniformInt(num_regions);
+    }
+    const GroupedPredictions in = Make(y, z, g, num_groups);
+    for (const FairnessMetric metric :
+         {FairnessMetric::kDemographicParity, FairnessMetric::kEqualizedOdds,
+          FairnessMetric::kEqualOpportunity,
+          FairnessMetric::kTreatmentEquality}) {
+      EXPECT_EQ(ComputeBias(metric, in).value(),
+                testing::ReferenceBias(metric, in).value());
+      for (const double lambda : {0.0, 0.5, 1.0}) {
+        const std::string where = "trial " + std::to_string(trial) + " " +
+                                  FairnessMetricName(metric) + " lambda " +
+                                  std::to_string(lambda);
+        const LossBreakdown global = CombinedLoss(in, metric, lambda).value();
+        const LossBreakdown global_ref =
+            testing::ReferenceCombinedLoss(in, metric, lambda).value();
+        EXPECT_EQ(global.inaccuracy, global_ref.inaccuracy) << where;
+        EXPECT_EQ(global.bias, global_ref.bias) << where;
+        EXPECT_EQ(global.combined, global_ref.combined) << where;
+        const LossBreakdown local =
+            LocalLoss(in, regions, num_regions, metric, lambda).value();
+        const LossBreakdown local_ref =
+            testing::ReferenceLocalLoss(in, regions, num_regions, metric,
+                                        lambda)
+                .value();
+        EXPECT_EQ(local.inaccuracy, local_ref.inaccuracy) << where;
+        EXPECT_EQ(local.bias, local_ref.bias) << where;
+        EXPECT_EQ(local.combined, local_ref.combined) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

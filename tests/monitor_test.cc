@@ -28,6 +28,7 @@
 #include "monitor/window_stats.h"
 #include "serve/engine.h"
 #include "serve/sharded_engine.h"
+#include "testing/reference_loss.h"
 
 namespace falcc {
 namespace {
@@ -163,8 +164,8 @@ TEST(DecisionLogTest, CapacityRoundsUpToPowerOfTwo) {
 // --- WindowStats -------------------------------------------------------
 
 /// Recomputes the windowed loss from the window's raw samples through
-/// the offline implementation (CombinedLoss), the reference WindowStats
-/// must match bit for bit in group-fairness mode.
+/// the row-by-row reference formulas (testing/reference_loss.h), which
+/// WindowStats must match bit for bit in group-fairness mode.
 WindowLoss ReferenceLoss(const ClusterWindow& window, size_t num_groups,
                          FairnessMetric metric, double lambda) {
   GroupedPredictions in;
@@ -172,7 +173,8 @@ WindowLoss ReferenceLoss(const ClusterWindow& window, size_t num_groups,
   in.predictions = window.predictions;
   in.groups = window.groups;
   in.num_groups = num_groups;
-  const LossBreakdown loss = CombinedLoss(in, metric, lambda).value();
+  const LossBreakdown loss =
+      testing::ReferenceCombinedLoss(in, metric, lambda).value();
   WindowLoss out;
   out.inaccuracy = loss.inaccuracy;
   out.bias = loss.bias;
@@ -212,8 +214,8 @@ TEST(WindowStatsTest, CountsLossMatchesCombinedLossExactly) {
       const WindowLoss actual = stats.Loss(cluster).value();
       const WindowLoss expected = ReferenceLoss(
           stats.Window(cluster), options.num_groups, metric, options.lambda);
-      // Bit-identical: the counts determine the same rates in the same
-      // summation order as fairness/metrics.cc.
+      // Bit-identical: the counts are exact integers, so they give the
+      // same rates as counting one sample at a time.
       EXPECT_EQ(actual.inaccuracy, expected.inaccuracy)
           << FairnessMetricName(metric);
       EXPECT_EQ(actual.bias, expected.bias) << FairnessMetricName(metric);
@@ -333,46 +335,6 @@ TEST(DriftDetectorTest, CusumAccumulatesLatchesAndResets) {
   EXPECT_EQ(detector.State(0).score, 0.0);
   EXPECT_EQ(detector.State(0).baseline, 0.45);
   EXPECT_TRUE(detector.AlarmedClusters().empty());
-}
-
-// --- ReassessRegion ----------------------------------------------------
-
-TEST(ReassessRegionTest, MatchesSelectBestCombinations) {
-  // 3 models, 2 groups, 12 rows of deterministic pseudo-random votes.
-  const size_t n = 12;
-  std::vector<std::vector<int>> votes(3, std::vector<int>(n));
-  std::vector<int> labels(n);
-  std::vector<size_t> groups(n);
-  uint64_t state = 99;
-  for (size_t i = 0; i < n; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    labels[i] = static_cast<int>((state >> 11) & 1);
-    groups[i] = (state >> 22) & 1;
-    for (size_t m = 0; m < 3; ++m) {
-      votes[m][i] = static_cast<int>((state >> (31 + m)) & 1);
-    }
-  }
-  std::vector<ModelCombination> combos;
-  for (size_t a = 0; a < 3; ++a) {
-    for (size_t b = 0; b < 3; ++b) combos.push_back({a, b});
-  }
-  AssessmentContext ctx;
-  ctx.votes = &votes;
-  ctx.labels = labels;
-  ctx.groups = groups;
-  ctx.num_groups = 2;
-  ctx.lambda = 0.5;
-
-  const std::vector<std::vector<size_t>> regions = {
-      {0, 1, 2, 3}, {4, 5, 6, 7, 8}, {9, 10, 11}};
-  const std::vector<size_t> best =
-      SelectBestCombinations(ctx, combos, regions).value();
-  for (size_t r = 0; r < regions.size(); ++r) {
-    const RegionBest region = ReassessRegion(ctx, combos, regions[r]).value();
-    EXPECT_EQ(region.index, best[r]) << "region " << r;
-    EXPECT_EQ(region.loss,
-              AssessCombination(ctx, combos[best[r]], regions[r]).value());
-  }
 }
 
 // --- Snapshot baselines ------------------------------------------------

@@ -68,9 +68,9 @@ TEST_F(RunningExampleTest, ClusterTwoSelectionMatchesPaper) {
   for (size_t a = 0; a < 3; ++a) {
     for (size_t b = 0; b < 3; ++b) combos.push_back({a, b});
   }
-  const std::vector<std::vector<size_t>> regions = {cluster2_};
-  const size_t best = SelectBestCombinations(ctx_, combos, regions).value()[0];
-  EXPECT_EQ(combos[best], (ModelCombination{0, 2}));  // (m1, m3), unique 0
+  const RegionBest best = ReassessRegion(ctx_, combos, cluster2_).value();
+  EXPECT_EQ(combos[best.index], (ModelCombination{0, 2}));  // (m1, m3)
+  EXPECT_EQ(best.loss, 0.0);                                // unique 0
 }
 
 TEST_F(RunningExampleTest, ClusterOneSelectionIsFormulaOptimal) {
@@ -78,11 +78,11 @@ TEST_F(RunningExampleTest, ClusterOneSelectionIsFormulaOptimal) {
   for (size_t a = 0; a < 3; ++a) {
     for (size_t b = 0; b < 3; ++b) combos.push_back({a, b});
   }
-  const std::vector<std::vector<size_t>> regions = {cluster1_};
-  const size_t best_idx =
-      SelectBestCombinations(ctx_, combos, regions).value()[0];
-  const double best_loss =
-      AssessCombination(ctx_, combos[best_idx], cluster1_).value();
+  const RegionBest best = ReassessRegion(ctx_, combos, cluster1_).value();
+  const size_t best_idx = best.index;
+  const double best_loss = best.loss;
+  EXPECT_EQ(best_loss, AssessCombination(ctx_, combos[best_idx], cluster1_)
+                           .value());
   // The formula-faithful optimum is L̂ = 1/8 (see file comment), better
   // than the paper's stated 1/6 for (m3, m3).
   EXPECT_NEAR(best_loss, 0.125, 1e-12);
