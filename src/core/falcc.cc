@@ -254,26 +254,10 @@ Result<FalccModel> FalccModel::RunOfflinePhase(ModelPool pool,
     FALCC_RETURN_IF_ERROR(status);
   }
   FALCC_RETURN_IF_ERROR(model.BuildCentroidTable());
-  model.CompileKernels();
   if (stage_times != nullptr) {
     stage_times->assess_seconds = assess_timer.ElapsedSeconds();
   }
   return model;
-}
-
-void FalccModel::CompileKernels() {
-  // Every pool model compiles, not only the selected ones: a refresh may
-  // pick any of them, and the kernels must not depend on selected_.
-  auto kernels = std::make_shared<CompiledPool>(pool_->size());
-  for (size_t m = 0; m < pool_->size(); ++m) {
-    Result<CompiledEnsemble> kernel =
-        CompiledEnsemble::Compile(pool_->model(m));
-    // A model that does not lower — not a tree ensemble, or an accepted
-    // tree whose nodes share a subtree — keeps its rows on the
-    // interpreted path; the other models still serve from kernels.
-    if (kernel.ok()) (*kernels)[m] = std::move(kernel).value();
-  }
-  kernels_ = std::move(kernels);
 }
 
 Status FalccModel::BuildCentroidTable() {
@@ -377,14 +361,12 @@ void FalccModel::ClassifyRowsInto(const Dataset& data,
   stage_timer.Restart();
 
   // Stage 3 — batch inference, rows grouped by the pool model that
-  // fires. Each segment runs that model's compiled kernel (the shared
-  // flat-node walk) or, for models that do not lower or with kernels
-  // off, the interpreted batch path. The counting sort keeps row ids
-  // ascending within each segment and per-row results are independent,
-  // so the regrouping cannot change any prediction; segments write
-  // disjoint slices of the shared scratch probability buffer, so the
-  // parallel loop allocates nothing.
-  const CompiledPool* kernels = use_compiled_ ? kernels_.get() : nullptr;
+  // fires. Each segment runs ModelPool::PredictProbaBatch (that model's
+  // kernel, or its interpreted path if it does not lower). The counting
+  // sort keeps row ids ascending within each segment and per-row results
+  // are independent, so the regrouping cannot change any prediction;
+  // segments write disjoint slices of the shared scratch probability
+  // buffer, so the parallel loop allocates nothing.
   const size_t num_models = pool_->size();
   std::vector<size_t>& offsets = scratch->offsets;
   std::vector<size_t>& cursor = scratch->cursor;
@@ -404,11 +386,7 @@ void FalccModel::ClassifyRowsInto(const Dataset& data,
       if (segment_rows.empty()) continue;
       const std::span<double> segment_proba(proba.data() + offsets[m],
                                             segment_rows.size());
-      if (kernels != nullptr && (*kernels)[m].has_value()) {
-        (*kernels)[m]->PredictProbaBatch(data, segment_rows, segment_proba);
-      } else {
-        pool_->model(m).PredictProbaBatch(data, segment_rows, segment_proba);
-      }
+      pool_->PredictProbaBatch(m, data, segment_rows, segment_proba);
       for (size_t j = 0; j < segment_rows.size(); ++j) {
         SampleDecision& d = decisions[segment_rows[j]];
         d.probability = segment_proba[j];

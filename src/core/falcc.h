@@ -35,7 +35,6 @@
 #include "data/transforms.h"
 #include "fairness/proxy.h"
 #include "io/snapshot.h"
-#include "ml/compiled_ensemble.h"
 #include "ml/grid_search.h"
 
 namespace falcc {
@@ -184,11 +183,11 @@ class FalccModel {
   /// (`falcc-p1`). Every section checksum is verified (a failure names
   /// the section and its file offset); any other header, a delta (apply
   /// it with ApplyDeltaBytes), a text pool or a missing or extra section
-  /// is rejected with an error naming it. The model is validated and its
-  /// inference kernels compiled (see "Compiled inference" below), so it
-  /// serves from the compiled path immediately; it keeps the file's
-  /// manifest, so ContentHash is O(1), and nothing that points into
-  /// `bytes`. The codec lives in core/snapshot_codec.cc.
+  /// is rejected with an error naming it. The model is validated, and
+  /// its pool lowers every model into a kernel as it decodes
+  /// (ModelPool::Add), so it serves from the kernels immediately; it
+  /// keeps the file's manifest, so ContentHash is O(1), and nothing that
+  /// points into `bytes`. The codec lives in core/snapshot_codec.cc.
   static Result<FalccModel> LoadBytes(std::string_view bytes);
   /// File-path convenience: Save to `path`, or LoadBytes over a
   /// read-only mapping of `path` (io::MappedFile, released before
@@ -203,7 +202,8 @@ class FalccModel {
   // writes a `falcc-delta-v2` artifact holding only the listed clusters'
   // combo sections plus the content hash of the snapshot it applies to;
   // ApplyDeltaBytes replays it onto a loaded model, re-validating only
-  // the shipped sections and sharing the compiled pool pointer-identically.
+  // the shipped sections and sharing the pool (with its kernels)
+  // pointer-identically.
 
   /// Serializes only `clusters`' combo sections as a delta against the
   /// snapshot whose content hash is `base_hash` (normally the hash of
@@ -235,7 +235,7 @@ class FalccModel {
 
   /// Clone with the listed clusters' combinations (and baseline L̂)
   /// replaced — the monitor's refresh primitive. The clone shares this
-  /// model's pool and compiled pool pointer for pointer and compiles
+  /// model's pool (with its kernels) pointer for pointer and compiles
   /// nothing, so the clone is O(refreshed clusters), not O(model);
   /// it classifies bit-identically to this model on every cluster not
   /// listed. Each refresh is validated: cluster in range, one applicable
@@ -266,36 +266,6 @@ class FalccModel {
   /// scratch must not be shared between concurrent calls.
   Result<ClassifyResponse> ClassifyBatch(const ClassifyRequest& request,
                                          ClassifyScratch* scratch) const;
-
-  // --- Compiled inference ----------------------------------------------
-  //
-  // Train and Load lower every pool model, once, into a flat-node kernel
-  // (ml/compiled_ensemble.h); the online batch path then walks the
-  // kernel of the model each row segment selected instead of calling the
-  // interpreted model. The compiled pool depends only on the pool, so
-  // every cluster serves from it and refresh clones share it by pointer.
-  // Decisions are bit-identical with the kernels on or off.
-
-  /// (Re)compiles the pool's kernels. Idempotent in effect; called by
-  /// Train and Load, and by FalccEngine::Install for models that
-  /// bypassed both. Never fails: a pool model that does not lower keeps
-  /// an empty entry and serves through the interpreted path.
-  void CompileKernels();
-  /// Whether the pool's kernels are built.
-  bool has_compiled_kernels() const { return kernels_ != nullptr; }
-  /// Routing toggle for the online batch path (A/B runs, tests). The
-  /// single-sample entry points always use the interpreted path.
-  void set_use_compiled(bool use_compiled) { use_compiled_ = use_compiled; }
-  bool use_compiled() const { return use_compiled_; }
-  /// The compiled pool every cluster serves from (nullptr when not
-  /// compiled): entry m is pool model m's kernel.
-  const std::shared_ptr<const CompiledPool>& compiled_pool() const {
-    return kernels_;
-  }
-  /// Drops the kernels (memory reclaim for offline-only use; tests force
-  /// FalccEngine::Install's recompile path with this). Classification
-  /// falls back to the interpreted path until CompileKernels runs again.
-  void ClearCompiledKernels() { kernels_.reset(); }
 
   /// Checks one sample against the input contract above.
   Status ValidateSample(std::span<const double> features) const;
@@ -378,7 +348,7 @@ class FalccModel {
                                                 nullptr);
 
   /// v2 load body over a parsed container: decodes and validates every
-  /// section, then compiles the kernels from the decoded pool.
+  /// section.
   static Result<FalccModel> LoadV2(const io::SnapshotReader& reader);
 
   // Parsing and validation behind LoadV2.
@@ -423,10 +393,6 @@ class FalccModel {
   std::vector<size_t> assignment_;            // validation rows -> cluster
   std::vector<ModelCombination> selected_;    // cluster -> combination
   std::vector<double> baseline_loss_;         // cluster -> offline L̂
-  /// Per-model kernels (derived state, compiled on train and load).
-  /// Shared by every cluster and with refresh clones, like pool_.
-  std::shared_ptr<const CompiledPool> kernels_;
-  bool use_compiled_ = true;
   double assess_lambda_ = 0.5;
   FairnessMetric assess_metric_ = FairnessMetric::kDemographicParity;
   AssessmentMode assess_mode_ = AssessmentMode::kGroupFairness;

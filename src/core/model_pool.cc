@@ -1,6 +1,7 @@
 #include "core/model_pool.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "ml/serialize.h"
 #include "util/binary.h"
@@ -16,6 +17,17 @@ constexpr std::string_view kBinaryMagic = "falcc-p1";
 void ModelPool::Add(std::unique_ptr<Classifier> model,
                     std::vector<size_t> applicable_groups) {
   FALCC_CHECK(model != nullptr, "ModelPool::Add: null model");
+  // Lowering reads only the model's node arrays (FlatEnsembleBuilder
+  // checks their shape), never a sample. The kernel then gathers through
+  // the same feature indices as the interpreted model, so it runs under
+  // the same condition: a pool decoded from an artifact must not predict,
+  // kernel or interpreted, before FalccModel::CheckFeatureWidth accepts
+  // it. The snapshot loader keeps that order, and a pool it rejects
+  // never predicts.
+  Result<CompiledEnsemble> kernel = CompiledEnsemble::Compile(*model);
+  kernels_.push_back(kernel.ok() ? std::optional<CompiledEnsemble>(
+                                       std::move(kernel).value())
+                                 : std::nullopt);
   models_.push_back(std::move(model));
   applicable_.push_back(std::move(applicable_groups));
 }
@@ -27,14 +39,34 @@ bool ModelPool::Applicable(size_t m, size_t g) const {
   return std::find(groups.begin(), groups.end(), g) != groups.end();
 }
 
+void ModelPool::PredictProbaBatch(size_t m, const Dataset& data,
+                                  std::span<const size_t> rows,
+                                  std::span<double> out) const {
+  FALCC_CHECK(m < models_.size(),
+              "ModelPool::PredictProbaBatch: model out of range");
+  if (kernels_[m].has_value()) {
+    kernels_[m]->PredictProbaBatch(data, rows, out);
+  } else {
+    models_[m]->PredictProbaBatch(data, rows, out);
+  }
+}
+
 std::vector<std::vector<int>> ModelPool::PredictMatrix(
     const Dataset& data) const {
+  const size_t n = data.num_rows();
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
   // One task per model, each writing its own pre-sized slot.
   std::vector<std::vector<int>> votes(models_.size());
   ParallelFor(0, models_.size(), 1,
               [&](size_t /*chunk*/, size_t lo, size_t hi) {
+                std::vector<double> proba(n);
                 for (size_t m = lo; m < hi; ++m) {
-                  votes[m] = PredictAll(*models_[m], data);
+                  PredictProbaBatch(m, data, rows, proba);
+                  votes[m].resize(n);
+                  for (size_t i = 0; i < n; ++i) {
+                    votes[m][i] = proba[i] >= 0.5 ? 1 : 0;
+                  }
                 }
               });
   return votes;

@@ -6,16 +6,24 @@
 // as in Decouple and the FALCES-SBT variants) apply only to their group.
 // A ModelCombination assigns one applicable model to every sensitive
 // group; EnumerateCombinations produces the candidate set MC_cand.
+//
+// Each model's compiled flat-node kernel (ml/compiled_ensemble.h) lives
+// next to it in the pool. PredictProbaBatch is the one place that picks
+// the kernel or the interpreted model, and everything that predicts
+// with the pool — serving, assessment, refresh — goes through it.
 
 #ifndef FALCC_CORE_MODEL_POOL_H_
 #define FALCC_CORE_MODEL_POOL_H_
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "ml/classifier.h"
+#include "ml/compiled_ensemble.h"
 
 namespace falcc {
 
@@ -30,18 +38,34 @@ class ModelPool {
   ModelPool(ModelPool&&) = default;
   ModelPool& operator=(ModelPool&&) = default;
 
-  /// Adds a trained model. `applicable_groups` empty = applies to every
-  /// group; otherwise the listed group ids only.
+  /// Adds a trained model and lowers it into its kernel; a model that
+  /// does not lower (not a tree ensemble, or a tree whose nodes share a
+  /// subtree) gets an empty entry and predicts interpreted.
+  /// `applicable_groups` empty = applies to every group; otherwise the
+  /// listed group ids only.
   void Add(std::unique_ptr<Classifier> model,
            std::vector<size_t> applicable_groups = {});
 
   size_t size() const { return models_.size(); }
+  /// The interpreted model — the reference its kernel must equal.
   const Classifier& model(size_t i) const { return *models_[i]; }
+  /// Model `m`'s kernel, or nullptr when the model does not lower.
+  const CompiledEnsemble* kernel(size_t m) const {
+    return kernels_[m].has_value() ? &*kernels_[m] : nullptr;
+  }
 
   /// Whether model `m` may serve group `g`.
   bool Applicable(size_t m, size_t g) const;
 
-  /// Hard predictions of every model on every row: votes[m][row].
+  /// P(y = 1) of model `m` for `rows` of `data`, written to `out` (same
+  /// length): the model's kernel if it has one, its interpreted
+  /// PredictProbaBatch otherwise — the same doubles either way.
+  void PredictProbaBatch(size_t m, const Dataset& data,
+                         std::span<const size_t> rows,
+                         std::span<double> out) const;
+
+  /// Hard predictions of every model on every row: votes[m][row] =
+  /// PredictProbaBatch >= 0.5, equal to PredictAll of each model.
   /// This is the precomputation that makes offline assessment cheap
   /// (the grey Pr_m columns of Tab. 2 in the paper).
   std::vector<std::vector<int>> PredictMatrix(const Dataset& data) const;
@@ -65,6 +89,8 @@ class ModelPool {
  private:
   std::vector<std::unique_ptr<Classifier>> models_;
   std::vector<std::vector<size_t>> applicable_;  // empty = all groups
+  /// kernels_[m] lowers models_[m]; empty when the model does not lower.
+  std::vector<std::optional<CompiledEnsemble>> kernels_;
 };
 
 /// All combinations assigning one applicable model per group

@@ -254,13 +254,10 @@ Result<FalccModel> FalccModel::LoadV2(const io::SnapshotReader& reader) {
     FALCC_RETURN_IF_ERROR(ExpectSectionEnd(&s, name));
   }
 
+  // No pool model predicts, kernel or interpreted, before this check
+  // (see ModelPool::Add).
   FALCC_RETURN_IF_ERROR(model.CheckFeatureWidth());
   FALCC_RETURN_IF_ERROR(model.BuildCentroidTable());
-
-  // Compile after every validation pass above: the kernels gather
-  // through feature indices the width checks just vetted, so nothing an
-  // accepted artifact contains can make a kernel read out of bounds.
-  model.CompileKernels();
   model.manifest_ = manifest;
   return model;
 }
@@ -471,7 +468,7 @@ Result<uint64_t> FalccModel::ContentHash() const {
 
 Result<FalccModel> FalccModel::CloneWithRefreshes(
     std::span<const ClusterRefresh> refreshes) const {
-  // In-memory clone: the pool and its compiled kernels are shared
+  // In-memory clone: the pool, with its kernels, is shared
   // (immutable, by far the largest components; a refresh only re-picks
   // among them) and everything else is copied, so the clone costs
   // O(refreshed clusters + routing tables), not a serialization round
@@ -479,7 +476,6 @@ Result<FalccModel> FalccModel::CloneWithRefreshes(
   // carried over, matching what a save/load round trip would drop.
   FalccModel model;
   model.pool_ = pool_;
-  model.kernels_ = kernels_;
   model.pool_entropy_ = pool_entropy_;
   model.group_index_ = group_index_;
   model.clustering_transform_ = clustering_transform_;
@@ -487,7 +483,6 @@ Result<FalccModel> FalccModel::CloneWithRefreshes(
   model.centroid_table_ = centroid_table_;
   model.selected_ = selected_;
   model.baseline_loss_ = baseline_loss_;
-  model.use_compiled_ = use_compiled_;
   model.assess_lambda_ = assess_lambda_;
   model.assess_metric_ = assess_metric_;
   model.assess_mode_ = assess_mode_;

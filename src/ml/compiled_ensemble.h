@@ -13,11 +13,13 @@
 //
 // The kernel is per model: a FALCC online phase picks one pool model per
 // (cluster, group), and every cluster that picks model m serves from the
-// same CompiledEnsemble. FalccModel keeps one CompiledPool (kernel m
-// serves pool model m) shared by every cluster and every refresh clone.
-// Kernels are derived state and never serialized: Train and every Load
-// path compile them from the pool, so no snapshot carries a second copy
-// of the models and no kernel ever points into a file.
+// same CompiledEnsemble. ModelPool lowers each model once, when it is
+// added (core/model_pool.h), so the kernels live with the pool and are
+// shared by every cluster, every refresh clone and every assessment
+// that scores the pool. Kernels are derived state and never serialized:
+// a pool decoded from a snapshot lowers them from its models, so no
+// snapshot carries a second copy of the models and no kernel ever
+// points into a file.
 //
 // Bit-identity contract: for every lowered model the compiled kernel
 // reproduces the interpreted PredictProbaBatch output exactly — same
@@ -25,15 +27,14 @@
 // order (AdaBoost margins in boosting-round order, alpha_sum as the sum
 // of |alpha_t| in the same order), same final arithmetic. Models that
 // are not tree ensembles (logistic regression, naive Bayes, kNN), and
-// trees that share a subtree, do not lower; their CompiledPool entry is
-// empty and the caller keeps using the interpreted path for them.
+// trees that share a subtree, do not lower; their pool entry is empty
+// and ModelPool::PredictProbaBatch runs the interpreted path for them.
 
 #ifndef FALCC_ML_COMPILED_ENSEMBLE_H_
 #define FALCC_ML_COMPILED_ENSEMBLE_H_
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -150,11 +151,6 @@ class CompiledEnsemble {
   double alpha_sum_ = 0.0;
   std::shared_ptr<const FlatTable> table_;
 };
-
-/// Kernels of one model pool: entry m serves pool model m and is empty
-/// when that model does not lower (its rows take the interpreted path).
-/// Shared, immutable, by every cluster and every refresh clone.
-using CompiledPool = std::vector<std::optional<CompiledEnsemble>>;
 
 }  // namespace falcc
 

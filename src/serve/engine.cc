@@ -7,16 +7,6 @@
 namespace falcc::serve {
 
 void FalccEngine::Install(FalccModel model) {
-  // Compile the flat-node inference kernels before the snapshot is
-  // published, so the serving path never pays compilation latency and
-  // never observes a half-compiled model. Models arriving from Load
-  // already carry kernels; this covers hand-assembled models and ones
-  // whose kernels were cleared.
-  if (model.use_compiled() && !model.has_compiled_kernels()) {
-    Timer compile_timer;
-    model.CompileKernels();
-    metrics_.compile().Record(compile_timer.ElapsedSeconds());
-  }
   // Cache the v2 manifest (and with it the content hash) while the model
   // is still mutable, so delta application against the frozen snapshot
   // is O(1) and never races on lazily computed state. Failure is benign:
@@ -71,7 +61,7 @@ Status FalccEngine::ApplyDeltaBytes(std::string_view bytes) {
   }
   // Validation happens off the serving path, against the immutable base;
   // a failed delta leaves the current snapshot serving. The result
-  // shares the base's pool and compiled kernels pointer-identically.
+  // shares the base's pool, kernels included, pointer-identically.
   Result<FalccModel> next = base->ApplyDeltaBytes(bytes);
   if (!next.ok()) {
     metrics_.AddErrors(1);

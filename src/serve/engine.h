@@ -119,7 +119,9 @@ class FalccEngine {
 
   // --- Snapshot management ---------------------------------------------
 
-  /// Publishes `model` as the new immutable snapshot.
+  /// Publishes `model` as the new immutable snapshot. Compiles nothing:
+  /// the model's pool lowered its kernels when each model was added
+  /// (ModelPool::Add), so the first request serves from them.
   void Install(FalccModel model);
 
   /// Loads and validates the `falcc-snapshot-v2` snapshot at `path`
@@ -130,8 +132,8 @@ class FalccEngine {
 
   /// Applies a delta artifact (SaveDelta output) to the installed
   /// snapshot: only the clusters named in the delta are re-validated;
-  /// the pool and its compiled kernels are shared pointer-identically
-  /// with the previous snapshot and nothing is recompiled. Fails without
+  /// the pool, with its kernels, is shared pointer-identically with the
+  /// previous snapshot and nothing is recompiled. Fails without
   /// touching the snapshot when no model is installed, when the delta's
   /// base hash does not match the installed snapshot, or when any delta
   /// section is invalid. Idempotent under at-least-once delivery: a

@@ -105,7 +105,6 @@ void Metrics::MergeFrom(const Metrics& other) {
   transform_.MergeFrom(other.transform_);
   match_.MergeFrom(other.match_);
   predict_.MergeFrom(other.predict_);
-  compile_.MergeFrom(other.compile_);
 }
 
 MetricsSnapshot Metrics::Snapshot() const {
@@ -122,7 +121,6 @@ MetricsSnapshot Metrics::Snapshot() const {
   snapshot.transform = transform_.Summarize();
   snapshot.match = match_.Summarize();
   snapshot.predict = predict_.Summarize();
-  snapshot.compile = compile_.Summarize();
   return snapshot;
 }
 
@@ -138,7 +136,6 @@ std::string MetricsSnapshot::ToString() const {
   AppendSummary(&out, "transform", transform);
   AppendSummary(&out, "match", match);
   AppendSummary(&out, "predict", predict);
-  AppendSummary(&out, "compile", compile);
   return out.str();
 }
 
@@ -162,8 +159,6 @@ std::string MetricsSnapshot::ToJson() const {
   AppendJsonSummary(&out, "match", match);
   out << ",\n  ";
   AppendJsonSummary(&out, "predict", predict);
-  out << ",\n  ";
-  AppendJsonSummary(&out, "compile", compile);
   out << "\n}\n";
   return out.str();
 }

@@ -75,7 +75,6 @@ struct MetricsSnapshot {
   LatencySummary transform;
   LatencySummary match;
   LatencySummary predict;
-  LatencySummary compile;     ///< per Install, kernel compilation time
 
   /// Multi-line human-readable rendering (CLI diagnostics).
   std::string ToString() const;
@@ -102,7 +101,6 @@ class Metrics {
   LatencyHistogram& transform() { return transform_; }
   LatencyHistogram& match() { return match_; }
   LatencyHistogram& predict() { return predict_; }
-  LatencyHistogram& compile() { return compile_; }
 
   MetricsSnapshot Snapshot() const;
   /// Convenience: Snapshot().ToJson().
@@ -130,7 +128,6 @@ class Metrics {
   LatencyHistogram transform_;
   LatencyHistogram match_;
   LatencyHistogram predict_;
-  LatencyHistogram compile_;
 };
 
 }  // namespace falcc::serve

@@ -369,7 +369,7 @@ void ShardedEngine::Shutdown() {
 MetricsSnapshot ShardedEngine::GetMetrics() const {
   Metrics aggregate;
   for (const auto& shard : shards_) aggregate.MergeFrom(shard->metrics);
-  // Install/compile accounting (and any direct ClassifyBatch) lives in
+  // Install accounting (and any direct ClassifyBatch) lives in
   // the snapshot store's metrics.
   aggregate.MergeFrom(metrics());
   return aggregate.Snapshot();

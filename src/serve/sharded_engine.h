@@ -191,7 +191,7 @@ class ShardedEngine : public FalccEngine {
   size_t num_shards() const { return shards_.size(); }
 
   /// Fleet-level metrics: all shards merged, plus the snapshot store's
-  /// install/compile and direct-classification accounting. Per-ticket `total` latencies here are
+  /// install and direct-classification accounting. Per-ticket `total` latencies here are
   /// true submit-to-completion times.
   MetricsSnapshot GetMetrics() const;
 

@@ -52,7 +52,7 @@ Status FuzzSnapshotLoad(const std::string& data) {
   // The input was accepted: everything the serving path relies on must
   // now actually hold. A model that loads but then misbehaves is the
   // worst outcome a corrupt artifact can produce.
-  FalccModel& model = loaded.value();
+  const FalccModel& model = loaded.value();
   const size_t width = model.num_features();
   if (width == 0) {
     return Status::Internal("loaded model reports zero features");
@@ -96,8 +96,9 @@ Status FuzzSnapshotLoad(const std::string& data) {
     }
   }
 
-  // Whatever the artifact loaded into, its compiled flat-node kernels
-  // must agree bit-for-bit with the interpreted models on the probes.
+  // Whatever the artifact loaded into, every pool model's kernel must
+  // agree bit for bit with its interpreted model on the probes — the
+  // models no cluster selects too, since a refresh may pick any of them.
   std::vector<std::string> names(width);
   for (size_t j = 0; j < width; ++j) names[j] = "f" + std::to_string(j);
   Result<Dataset> probe_data =
@@ -108,7 +109,7 @@ Status FuzzSnapshotLoad(const std::string& data) {
                             probe_data.status().ToString());
   }
   FALCC_RETURN_IF_ERROR(
-      CheckCompiledMatchesInterpreted(&model, probe_data.value()));
+      CheckKernelsMatchInterpreted(model.pool(), probe_data.value()));
 
   // Serving the accepted model through the sharded fleet must be
   // routing-invisible: decisions bit-identical to the single-sample
@@ -152,16 +153,15 @@ Status FuzzDeltaApply(const FalccModel& base, const std::string& data) {
       model.num_clusters() != base.num_clusters()) {
     return Status::Internal("accepted delta changed the model shape");
   }
-  // The result must serve from the base's compiled pool itself — that
-  // is the incremental-hot-swap guarantee: applying a delta compiles
-  // nothing.
-  if (model.compiled_pool() != base.compiled_pool()) {
-    return Status::Internal("accepted delta did not share the base's "
-                            "compiled kernels");
+  // The result must serve from the base's pool itself, kernels included
+  // — that is the incremental-hot-swap guarantee: applying a delta
+  // decodes and compiles nothing.
+  if (&model.pool() != &base.pool()) {
+    return Status::Internal("accepted delta did not share the base's pool");
   }
 
   // Route the result through the full snapshot contract: probe
-  // classifications, compiled ≡ interpreted, sharded ≡ single loop, and
+  // classifications, kernels ≡ interpreted, sharded ≡ single loop, and
   // the Save∘Load∘Save byte fixed point.
   std::string saved;
   FALCC_RETURN_IF_ERROR(SaveToStringOrError(model, &saved));

@@ -65,10 +65,10 @@ Status FuzzCsvParse(const std::string& data);
 
 /// Contract for FalccModel::ApplyDeltaBytes on arbitrary bytes against
 /// `base`: a clean rejection, or an accepted delta whose result keeps the
-/// base's shape, classifies sanely, shares every unchanged cluster's
-/// compiled kernel pointer-identically with the base, and whose
-/// serialization is a Save∘Load∘Save fixed point. `base` must hold
-/// compiled kernels. Bind the base with a lambda to get a FuzzTarget.
+/// base's shape, classifies sanely, shares the base's pool (and with it
+/// every kernel) pointer-identically, and whose serialization is a
+/// Save∘Load∘Save fixed point. Bind the base with a lambda to get a
+/// FuzzTarget.
 Status FuzzDeltaApply(const FalccModel& base, const std::string& data);
 
 /// Contract for the socket-feed wire codec (replicate/wire.h) on an

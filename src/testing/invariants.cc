@@ -1,6 +1,8 @@
 #include "testing/invariants.h"
 
+#include <bit>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -184,31 +186,25 @@ Status CheckSaveLoadSaveIdempotent(const FalccModel& model) {
   return Status::OK();
 }
 
-Status CheckCompiledMatchesInterpreted(FalccModel* model,
-                                       const Dataset& data) {
-  if (!model->has_compiled_kernels()) model->CompileKernels();
-  const std::vector<double> flat = Flatten(data);
-  const bool previous = model->use_compiled();
-  model->set_use_compiled(false);
-  Result<ClassifyResponse> interpreted =
-      ClassifyDataset(*model, flat, data.num_features());
-  model->set_use_compiled(true);
-  Result<ClassifyResponse> compiled =
-      ClassifyDataset(*model, flat, data.num_features());
-  model->set_use_compiled(previous);
-  if (!interpreted.ok()) return interpreted.status();
-  if (!compiled.ok()) return compiled.status();
-  if (interpreted.value().decisions.size() !=
-      compiled.value().decisions.size()) {
-    return Status::Internal(
-        "compiled and interpreted decision counts differ");
-  }
-  for (size_t i = 0; i < interpreted.value().decisions.size(); ++i) {
-    const SampleDecision& a = interpreted.value().decisions[i];
-    const SampleDecision& b = compiled.value().decisions[i];
-    if (!SameDecision(a, b)) {
-      return Status::Internal("compiled kernel diverged from interpreter: " +
-                              DecisionDiff(i, a, b));
+Status CheckKernelsMatchInterpreted(const ModelPool& pool,
+                                    const Dataset& data) {
+  const size_t n = data.num_rows();
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  std::vector<double> served(n), interpreted(n);
+  for (size_t m = 0; m < pool.size(); ++m) {
+    pool.PredictProbaBatch(m, data, rows, served);
+    pool.model(m).PredictProbaBatch(data, rows, interpreted);
+    for (size_t i = 0; i < n; ++i) {
+      if (std::bit_cast<uint64_t>(served[i]) !=
+          std::bit_cast<uint64_t>(interpreted[i])) {
+        return Status::Internal(
+            "pool model " + std::to_string(m) + " (" +
+            (pool.kernel(m) != nullptr ? "kernel" : "interpreted") +
+            ") diverged from its interpreted model at row " +
+            std::to_string(i) + ": " + std::to_string(served[i]) + " vs " +
+            std::to_string(interpreted[i]));
+      }
     }
   }
   return Status::OK();

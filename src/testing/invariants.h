@@ -54,12 +54,14 @@ Status CheckTrainingThreadInvariance(const Dataset& train,
 /// Save → Load → Save is a byte fixed point for `model`.
 Status CheckSaveLoadSaveIdempotent(const FalccModel& model);
 
-/// The compiled flat-node kernels produce bit-identical decisions to the
-/// interpreted per-model path on every row of `data`: label, probability,
-/// and routing fields all match. Compiles kernels first if the model has
-/// none; flips `use_compiled` both ways and restores the original setting
-/// before returning.
-Status CheckCompiledMatchesInterpreted(FalccModel* model, const Dataset& data);
+/// Every model of `pool`, whether or not any cluster selects it, predicts
+/// through ModelPool::PredictProbaBatch (its kernel, where it has one)
+/// exactly what its interpreted Classifier::PredictProbaBatch predicts,
+/// bit for bit, on every row of `data`. A refresh or a delta may install
+/// any pool model, so none is skipped. `data` must have the width the
+/// pool was validated for.
+Status CheckKernelsMatchInterpreted(const ModelPool& pool,
+                                    const Dataset& data);
 
 /// Routing determinism of the sharded serving fleet: the same rows
 /// submitted through a ShardedEngine at each of `shard_counts` produce

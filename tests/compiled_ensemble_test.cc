@@ -1,8 +1,9 @@
 // Tests of the compiled flat-node inference kernels: bit-identity with
 // the interpreted prediction path for every lowerable model family
 // (including block-edge batch sizes and the one-row walk), the 16-byte
-// node layout and the validation the mmap path relies on, the per-model
-// compiled pool with an interpreted fallback model, bit-identity on the
+// node layout and the validation the mmap path relies on, the pool's
+// per-model kernels with an interpreted fallback model (served decisions
+// equal to the sequential single-sample reference), bit-identity on the
 // checked-in golden models, and classify-during-delta-hot-swap
 // concurrency (the TSan target in tools/check.sh).
 
@@ -213,9 +214,25 @@ std::vector<double> Flatten(const Dataset& data, size_t rows) {
   return flat;
 }
 
-// Each pool model compiles once into the pool every cluster serves from;
-// a model that does not lower keeps an empty entry and its rows take the
-// interpreted path. Whole decisions match the interpreted path at every
+// The batch path's decision for `row` must equal, field by field, what
+// the single-sample entry points give: they route the same way but
+// predict through the interpreted model, never a kernel.
+void ExpectMatchesSequential(const FalccModel& model,
+                             std::span<const double> row,
+                             const SampleDecision& got, size_t i) {
+  const size_t cluster = model.MatchCluster(row);
+  const size_t group = model.GroupOf(row).value();
+  EXPECT_EQ(got.probability, model.ClassifyProba(row)) << i;
+  EXPECT_EQ(got.label, model.Classify(row)) << i;
+  EXPECT_EQ(got.cluster, cluster) << i;
+  EXPECT_EQ(got.group, group) << i;
+  EXPECT_EQ(got.model, model.selected_combinations()[cluster][group]) << i;
+}
+
+// Each pool model compiles once, when the pool adds it; a model that does
+// not lower keeps an empty entry and its rows take the interpreted path.
+// ModelPool::PredictProbaBatch equals each interpreted model, and whole
+// served decisions equal the sequential single-sample reference, at every
 // batch size around the row-block boundary, with rows of both kinds
 // interleaved in one batch.
 TEST(CompiledPoolTest, PerModelKernelsWithInterpretedFallback) {
@@ -255,31 +272,35 @@ TEST(CompiledPoolTest, PerModelKernelsWithInterpretedFallback) {
   }
   FalccModel model = trained.CloneWithRefreshes(refreshes).value();
 
-  ASSERT_TRUE(model.has_compiled_kernels());
-  const CompiledPool& kernels = *model.compiled_pool();
-  ASSERT_EQ(kernels.size(), 3u);
-  EXPECT_TRUE(kernels[0].has_value());
-  EXPECT_FALSE(kernels[1].has_value());  // logistic: interpreted
-  EXPECT_TRUE(kernels[2].has_value());
-  EXPECT_EQ(kernels[0]->kind(), EnsembleKind::kAdaBoost);
-  EXPECT_EQ(kernels[2]->kind(), EnsembleKind::kForest);
+  const ModelPool& served_pool = model.pool();
+  ASSERT_EQ(&served_pool, &trained.pool());  // the clone shares the pool
+  ASSERT_EQ(served_pool.size(), 3u);
+  ASSERT_NE(served_pool.kernel(0), nullptr);
+  EXPECT_EQ(served_pool.kernel(1), nullptr);  // logistic: interpreted
+  ASSERT_NE(served_pool.kernel(2), nullptr);
+  EXPECT_EQ(served_pool.kernel(0)->kind(), EnsembleKind::kAdaBoost);
+  EXPECT_EQ(served_pool.kernel(2)->kind(), EnsembleKind::kForest);
 
-  FalccModel interpreted = trained.CloneWithRefreshes(refreshes).value();
-  interpreted.set_use_compiled(false);
   const size_t width = s.test.num_features();
+  const std::vector<size_t> all = AllRows(s.test.num_rows());
   for (size_t n : {size_t{1}, size_t{15}, size_t{16}, size_t{17},
                    size_t{31}, size_t{32}, size_t{33}, size_t{200}}) {
     SCOPED_TRACE(n);
+    const std::span<const size_t> rows =
+        std::span<const size_t>(all).subspan(0, n);
+    for (size_t m = 0; m < served_pool.size(); ++m) {
+      std::vector<double> pooled(n), interpreted(n);
+      served_pool.PredictProbaBatch(m, s.test, rows, pooled);
+      served_pool.model(m).PredictProbaBatch(s.test, rows, interpreted);
+      EXPECT_EQ(pooled, interpreted) << "model " << m;
+    }
     const std::vector<double> flat = Flatten(s.test, n);
     const ClassifyRequest request{flat, width};
     const ClassifyResponse a = model.ClassifyBatch(request).value();
-    const ClassifyResponse b = interpreted.ClassifyBatch(request).value();
     ASSERT_EQ(a.decisions.size(), n);
     std::set<size_t> models;
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(a.decisions[i].probability, b.decisions[i].probability) << i;
-      EXPECT_EQ(a.decisions[i].label, b.decisions[i].label) << i;
-      EXPECT_EQ(a.decisions[i].model, b.decisions[i].model) << i;
+      ExpectMatchesSequential(model, s.test.Row(i), a.decisions[i], i);
       models.insert(a.decisions[i].model);
     }
     if (n == 200) {
@@ -291,7 +312,8 @@ TEST(CompiledPoolTest, PerModelKernelsWithInterpretedFallback) {
 // The deserializers accept a tree whose nodes share a subtree (they only
 // require forward children), but such a tree has no 16-byte layout. A
 // snapshot carrying one still loads from bytes and from a mapping: that
-// model serves interpreted, the rest of the pool from kernels. The same
+// model serves interpreted, the rest of the pool from kernels, and every
+// decision equals the sequential single-sample reference. The same
 // artifact with a text pool section is rejected.
 TEST(CompiledPoolTest, SharedSubtreeModelLoadsAndServesInterpreted) {
   const TrainValTest s = MakeSplits();
@@ -324,34 +346,33 @@ TEST(CompiledPoolTest, SharedSubtreeModelLoadsAndServesInterpreted) {
     refresh.baseline_loss = 0.0;
     refreshes.push_back(refresh);
   }
-  FalccModel model = trained.CloneWithRefreshes(refreshes).value();
-  model.set_use_compiled(false);
+  const FalccModel model = trained.CloneWithRefreshes(refreshes).value();
   const size_t n = 200;
   const std::vector<double> flat = Flatten(s.test, n);
   const ClassifyRequest request{flat, s.test.num_features()};
-  const ClassifyResponse reference = model.ClassifyBatch(request).value();
   size_t dag_rows = 0;
-  for (const SampleDecision& d : reference.decisions) {
-    dag_rows += d.model == 1 ? 1 : 0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto row = s.test.Row(i);
+    const size_t cluster = model.MatchCluster(row);
+    if (model.selected_combinations()[cluster][model.GroupOf(row).value()] ==
+        1) {
+      ++dag_rows;
+    }
   }
   ASSERT_GT(dag_rows, 0u);
   ASSERT_LT(dag_rows, n);
-  model.set_use_compiled(true);
 
   auto expect_serves = [&](const Result<FalccModel>& loaded) {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ASSERT_TRUE(loaded.value().has_compiled_kernels());
-    const CompiledPool& kernels = *loaded.value().compiled_pool();
-    ASSERT_EQ(kernels.size(), 2u);
-    EXPECT_TRUE(kernels[0].has_value());
-    EXPECT_FALSE(kernels[1].has_value());
+    const ModelPool& pool = loaded.value().pool();
+    ASSERT_EQ(pool.size(), 2u);
+    EXPECT_NE(pool.kernel(0), nullptr);
+    EXPECT_EQ(pool.kernel(1), nullptr);
     const ClassifyResponse got =
         loaded.value().ClassifyBatch(request).value();
     ASSERT_EQ(got.decisions.size(), n);
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got.decisions[i].probability,
-                reference.decisions[i].probability) << i;
-      EXPECT_EQ(got.decisions[i].model, reference.decisions[i].model) << i;
+      ExpectMatchesSequential(model, s.test.Row(i), got.decisions[i], i);
     }
   };
   std::ostringstream saved;
@@ -441,10 +462,10 @@ TEST(CompiledGoldenTest, GoldenModelsCompileBitIdentical) {
 
 // Readers classify continuously while the main thread hot-swaps the
 // engine's snapshot: delta applies that flip cluster 0 between two
-// combinations (sharing the compiled pool, compiling nothing), and full
-// installs of models whose kernels were dropped (forcing Install's
-// compile-before-publish path). Under TSan this is the "concurrent
-// classify during hot-swap" check.
+// combinations (sharing the pool and its kernels, compiling nothing),
+// and full installs of freshly loaded models, each with its own pool
+// and kernels. Under TSan this is the "concurrent classify during
+// hot-swap" check.
 TEST(CompiledConcurrencyTest, ClassifyDuringDeltaHotSwap) {
   const TrainValTest s = MakeSplits();
   FalccModel model =
@@ -501,22 +522,19 @@ TEST(CompiledConcurrencyTest, ClassifyDuringDeltaHotSwap) {
     std::this_thread::yield();
   }
   for (int swap = 0; swap < 8; ++swap) {
-    const std::shared_ptr<const CompiledPool> kernels =
-        engine.snapshot()->compiled_pool();
+    const ModelPool* pool = &engine.snapshot()->pool();
     ASSERT_TRUE(engine.ApplyDeltaBytes(to_b.str()).ok());
     ASSERT_TRUE(engine.ApplyDeltaBytes(to_a.str()).ok());
-    EXPECT_EQ(engine.snapshot()->compiled_pool(), kernels);
+    EXPECT_EQ(&engine.snapshot()->pool(), pool);
 
-    FalccModel next = FalccModel::LoadBytes(bytes).value();
-    next.ClearCompiledKernels();  // force Install to recompile
-    engine.Install(std::move(next));
+    engine.Install(FalccModel::LoadBytes(bytes).value());
+    EXPECT_NE(&engine.snapshot()->pool(), pool);
   }
   stop.store(true, std::memory_order_release);
   reader.join();
 
   EXPECT_GT(served.load(), 0u);
-  EXPECT_TRUE(engine.snapshot()->has_compiled_kernels());
-  EXPECT_GE(engine.GetMetrics().compile.count, 8u);
+  EXPECT_NE(engine.snapshot()->pool().kernel(0), nullptr);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ namespace {
 
 using testing::CheckBatchMatchesSequential;
 using testing::CheckClassifyThreadInvariance;
-using testing::CheckCompiledMatchesInterpreted;
+using testing::CheckKernelsMatchInterpreted;
 using testing::CheckPermutationInvariance;
 using testing::CheckRefreshIsolation;
 using testing::CheckSaveLoadSaveIdempotent;
@@ -117,12 +117,9 @@ TEST(InvariantsTest, SaveLoadSaveIsByteIdempotent) {
 
 TEST(InvariantsTest, CompiledKernelsMatchInterpretedBitForBit) {
   Fixture& f = Shared();
-  ASSERT_TRUE(f.model.has_compiled_kernels());
-  const Status st = CheckCompiledMatchesInterpreted(&f.model, f.splits.test);
+  ASSERT_NE(f.model.pool().kernel(0), nullptr);
+  const Status st = CheckKernelsMatchInterpreted(f.model.pool(), f.splits.test);
   EXPECT_TRUE(st.ok()) << st.ToString();
-
-  // The invariant restores the routing toggle it found.
-  EXPECT_TRUE(f.model.use_compiled());
 }
 
 TEST(InvariantsTest, ShardedServingMatchesSingleLoop) {

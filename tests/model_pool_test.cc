@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
 
+#include "datagen/synthetic.h"
 #include "ml/adaboost.h"
 #include "ml/decision_tree.h"
 #include "ml/logistic_regression.h"
@@ -54,16 +56,36 @@ TEST(ModelPoolTest, RestrictedApplicability) {
   EXPECT_TRUE(pool.Applicable(0, 1));
 }
 
+// PredictMatrix runs each model through the pool's one prediction path:
+// the kernel of a model that lowers (AdaBoost), the interpreted model of
+// one that does not (logistic regression). Either way its votes are
+// exactly PredictAll of the interpreted model.
 TEST(ModelPoolTest, PredictMatrixShape) {
-  const Dataset d = MakeData();
+  SyntheticConfig config;
+  config.num_samples = 300;
+  config.seed = 5;
+  const Dataset d = GenerateImplicitBias(config).value();
+  AdaBoostOptions boost;
+  boost.num_estimators = 10;
+  boost.base.max_depth = 5;
+  auto boosted = std::make_unique<AdaBoost>(boost);
+  ASSERT_TRUE(boosted->Fit(d).ok());
+  auto logistic = std::make_unique<LogisticRegression>();
+  ASSERT_TRUE(logistic->Fit(d).ok());
   ModelPool pool;
-  pool.Add(TrainedTree(d, 1));
-  pool.Add(TrainedTree(d, 2));
+  pool.Add(std::move(boosted));
+  pool.Add(std::move(logistic));
+  ASSERT_NE(pool.kernel(0), nullptr);
+  ASSERT_EQ(pool.kernel(1), nullptr);
+
   const auto votes = pool.PredictMatrix(d);
   ASSERT_EQ(votes.size(), 2u);
-  EXPECT_EQ(votes[0].size(), d.num_rows());
-  for (const auto& row : votes) {
-    for (int v : row) EXPECT_TRUE(v == 0 || v == 1);
+  for (size_t m = 0; m < pool.size(); ++m) {
+    SCOPED_TRACE(m);
+    EXPECT_EQ(votes[m], PredictAll(pool.model(m), d));
+    // Both labels occur, so the comparison is not vacuous.
+    EXPECT_NE(std::count(votes[m].begin(), votes[m].end(), 1), 0);
+    EXPECT_NE(std::count(votes[m].begin(), votes[m].end(), 0), 0);
   }
 }
 

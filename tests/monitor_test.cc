@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -21,6 +22,8 @@
 #include "core/falcc.h"
 #include "data/split.h"
 #include "datagen/synthetic.h"
+#include "ml/adaboost.h"
+#include "ml/logistic_regression.h"
 #include "fairness/loss.h"
 #include "monitor/decision_log.h"
 #include "monitor/drift_detector.h"
@@ -392,10 +395,10 @@ TEST(SnapshotBaselineTest, SnapshotWithoutBaselinesIsRejected) {
 
 TEST(RefreshCompileTest, RefreshClonesShareTheCompiledPool) {
   const TrainValTest s = MakeSplits();
-  FalccModel model =
+  const FalccModel model =
       FalccModel::Train(s.train, s.validation, FastOptions()).value();
-  ASSERT_TRUE(model.has_compiled_kernels());
   ASSERT_GE(model.num_clusters(), 2u);
+  ASSERT_NE(model.pool().kernel(0), nullptr);
 
   // Refresh cluster 0 to a combination that differs from the serving one.
   ModelCombination replacement = model.selected_combinations()[0];
@@ -405,43 +408,113 @@ TEST(RefreshCompileTest, RefreshClonesShareTheCompiledPool) {
   refresh.combination = replacement;
   refresh.baseline_loss = 0.25;
 
-  // The kernels are per pool model, and a refresh only re-picks among
-  // the pool's models: the clone serves from the source's compiled pool
-  // itself — the refresh path compiles nothing.
+  // The kernels belong to the pool, and a refresh only re-picks among
+  // the pool's models: the clone serves from the source's pool itself,
+  // kernels included — the refresh path compiles nothing.
   FalccModel clone = model.CloneWithRefreshes({&refresh, 1}).value();
-  ASSERT_TRUE(clone.has_compiled_kernels());
-  EXPECT_EQ(clone.compiled_pool(), model.compiled_pool());
+  EXPECT_EQ(&clone.pool(), &model.pool());
 
-  // Hot-swapping the clone must not trigger a compile either: the
-  // installed snapshot serves the very pool the clone carried in, and
-  // the engine's compile histogram stays empty.
-  const std::shared_ptr<const CompiledPool> expected = clone.compiled_pool();
+  // Hot-swapping the clone installs that very pool.
   serve::FalccEngine engine;
   engine.Install(std::move(clone));
   const std::shared_ptr<const FalccModel> snapshot = engine.snapshot();
   ASSERT_NE(snapshot, nullptr);
-  EXPECT_EQ(snapshot->compiled_pool(), expected);
-  EXPECT_EQ(engine.GetMetrics().compile.count, 0u);
+  EXPECT_EQ(&snapshot->pool(), &model.pool());
+  EXPECT_EQ(snapshot->selected_combinations()[0], replacement);
 
-  // And the swapped snapshot still serves the refreshed combination
-  // through the compiled path exactly as the interpreter would.
+  // And the swapped snapshot serves the refreshed combination through
+  // the kernels exactly as the sequential interpreted path decides.
   const std::vector<double> flat = Flatten(s.test);
   ClassifyRequest request{flat, s.test.num_features()};
-  const ClassifyResponse compiled_response =
-      engine.ClassifyBatch(request).value();
-  FalccModel interpreted = model.CloneWithRefreshes({&refresh, 1}).value();
-  interpreted.set_use_compiled(false);
-  const ClassifyResponse interpreted_response =
-      interpreted.ClassifyBatch(request).value();
-  ASSERT_EQ(compiled_response.decisions.size(),
-            interpreted_response.decisions.size());
-  for (size_t i = 0; i < compiled_response.decisions.size(); ++i) {
-    const SampleDecision& a = compiled_response.decisions[i];
-    const SampleDecision& b = interpreted_response.decisions[i];
-    EXPECT_EQ(a.label, b.label) << "row " << i;
-    EXPECT_EQ(a.probability, b.probability) << "row " << i;
-    EXPECT_EQ(a.model, b.model) << "row " << i;
+  const ClassifyResponse response = engine.ClassifyBatch(request).value();
+  ASSERT_EQ(response.decisions.size(), s.test.num_rows());
+  for (size_t i = 0; i < response.decisions.size(); ++i) {
+    const auto row = s.test.Row(i);
+    const SampleDecision& d = response.decisions[i];
+    EXPECT_EQ(d.label, snapshot->Classify(row)) << "row " << i;
+    EXPECT_EQ(d.probability, snapshot->ClassifyProba(row)) << "row " << i;
+    EXPECT_EQ(d.model,
+              snapshot->selected_combinations()[snapshot->MatchCluster(row)]
+                                               [snapshot->GroupOf(row).value()])
+        << "row " << i;
   }
+}
+
+// The refresher votes its window through the pool's kernels (and the
+// interpreted path for a model that does not lower). Its losses and the
+// combination it installs must equal a brute-force search with the
+// row-by-row reference over interpreted PredictAll votes of the window.
+TEST(RefresherTest, MatchesBruteForceOverInterpretedVotes) {
+  const TrainValTest s = MakeSplits();
+  ModelPool pool;
+  AdaBoostOptions boost;
+  boost.num_estimators = 12;
+  boost.base.max_depth = 6;
+  auto boosted = std::make_unique<AdaBoost>(boost);
+  ASSERT_TRUE(boosted->Fit(s.train).ok());
+  auto logistic = std::make_unique<LogisticRegression>();
+  ASSERT_TRUE(logistic->Fit(s.train).ok());
+  pool.Add(std::move(boosted));
+  pool.Add(std::move(logistic));
+  FalccModel model =
+      FalccModel::TrainWithPool(std::move(pool), s.validation, FastOptions())
+          .value();
+  ASSERT_NE(model.pool().kernel(0), nullptr);
+  ASSERT_EQ(model.pool().kernel(1), nullptr);  // logistic: interpreted
+
+  // Cluster 0's window: the test rows as its labeled stream.
+  const size_t cluster = 0;
+  ClusterWindow window;
+  window.features = Flatten(s.test);
+  for (size_t i = 0; i < s.test.num_rows(); ++i) {
+    const auto row = s.test.Row(i);
+    window.labels.push_back(s.test.Label(i));
+    window.predictions.push_back(model.Classify(row));
+    window.groups.push_back(model.GroupOf(row).value());
+  }
+
+  // Brute force over interpreted votes.
+  std::vector<std::vector<int>> votes;
+  for (size_t m = 0; m < model.pool().size(); ++m) {
+    votes.push_back(PredictAll(model.pool().model(m), s.test));
+  }
+  AssessmentContext ctx;
+  ctx.votes = &votes;
+  ctx.labels = window.labels;
+  ctx.groups = window.groups;
+  ctx.num_groups = model.num_groups();
+  ctx.mode = model.assess_mode();
+  ctx.metric = model.assess_metric();
+  ctx.lambda = model.assess_lambda();
+  std::vector<size_t> rows(s.test.num_rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  const std::vector<ModelCombination> combos =
+      EnumerateCombinations(model.pool(), model.num_groups()).value();
+  size_t best = 0;
+  size_t worst = 0;
+  std::vector<double> losses;
+  for (size_t c = 0; c < combos.size(); ++c) {
+    losses.push_back(
+        testing::ReferenceAssessCombination(ctx, combos[c], rows).value());
+    if (losses[c] < losses[best]) best = c;
+    if (losses[c] > losses[worst]) worst = c;
+  }
+  // Serve the worst combination on cluster 0, so the refresh must
+  // replace it.
+  ASSERT_LT(losses[best], losses[worst]);
+  ClusterRefresh serving;
+  serving.cluster = cluster;
+  serving.combination = combos[worst];
+  serve::FalccEngine engine;
+  engine.Install(model.CloneWithRefreshes({&serving, 1}).value());
+  monitor::Refresher refresher(&engine);
+  const RefreshOutcome outcome =
+      refresher.RefreshCluster(window, cluster).value();
+  EXPECT_EQ(outcome.current_loss, losses[worst]);
+  EXPECT_EQ(outcome.best_loss, losses[best]);
+  EXPECT_TRUE(outcome.installed);
+  EXPECT_EQ(engine.snapshot()->selected_combinations()[cluster],
+            combos[best]);
 }
 
 // --- End-to-end drift → alarm → refresh --------------------------------

@@ -195,18 +195,31 @@ TEST(SnapshotV2Test, SaveLoadSaveIsByteIdentical) {
             model.ContentHash().value());
 }
 
-// Kernels are derived state and never reach the artifact: a model saves
-// the same bytes under the same hash with or without them.
+// Kernels are derived state and never reach the artifact: the pool
+// section holds exactly the model records SerializeBinary writes, and a
+// pool decoded from it lowers the same kernels again.
 TEST(SnapshotV2Test, CompiledKernelsNeverReachTheArtifact) {
-  const FalccModel with_kernels = TrainTinyModel(42);
-  ASSERT_TRUE(with_kernels.has_compiled_kernels());
-  FalccModel without = TrainTinyModel(42);
-  without.ClearCompiledKernels();
-  ASSERT_FALSE(without.has_compiled_kernels());
-  EXPECT_EQ(without.ContentHash().value(), with_kernels.ContentHash().value());
+  const FalccModel model = TrainTinyModel(42);
+  ASSERT_NE(model.pool().kernel(0), nullptr);
+  const std::string bytes = SaveBytes(model);
+  const io::SnapshotReader reader =
+      io::SnapshotReader::ParseView(bytes).value();
+  std::string records;
+  ASSERT_TRUE(model.pool().SerializeBinary(&records).ok());
+  const std::string_view pool_section = reader.ReadSection("pool").value();
+  EXPECT_EQ(pool_section, records);
 
-  const std::string bytes = SaveBytes(with_kernels);
-  EXPECT_EQ(SaveBytes(without), bytes);
+  const ModelPool decoded =
+      ModelPool::DeserializeBinary(pool_section).value();
+  ASSERT_EQ(decoded.size(), model.pool().size());
+  for (size_t m = 0; m < decoded.size(); ++m) {
+    const CompiledEnsemble* trained = model.pool().kernel(m);
+    const CompiledEnsemble* loaded = decoded.kernel(m);
+    ASSERT_EQ(loaded != nullptr, trained != nullptr);
+    if (loaded == nullptr) continue;
+    EXPECT_EQ(loaded->num_nodes(), trained->num_nodes());
+    EXPECT_EQ(loaded->num_trees(), trained->num_trees());
+  }
 }
 
 TEST(SnapshotV2Test, MappedLoadIsBitIdenticalToByteLoad) {
@@ -332,8 +345,9 @@ TEST(SnapshotDeltaTest, DeltaMatchesCloneWithRefreshes) {
   EXPECT_EQ(applied.value().ContentHash().value(),
             clone.value().ContentHash().value());
 
-  // The applied model shares the base's compiled pool: nothing compiles.
-  EXPECT_EQ(applied.value().compiled_pool(), model.compiled_pool());
+  // The applied model shares the base's pool, kernels included: nothing
+  // decodes or compiles.
+  EXPECT_EQ(&applied.value().pool(), &model.pool());
 }
 
 TEST(SnapshotDeltaTest, IncrementalManifestMatchesFullRecompute) {
@@ -436,7 +450,7 @@ TEST(EngineSnapshotTest, ReloadsFullSnapshotsAndAppliesDeltas) {
   // Incremental hot-swap: the delta's snapshot keeps serving the full
   // snapshot's kernels pointer-identically.
   EXPECT_NE(after, before);
-  EXPECT_EQ(after->compiled_pool(), before->compiled_pool());
+  EXPECT_EQ(&after->pool(), &before->pool());
 
   const std::vector<double> probe = ProbeRows(model, 8);
   ExpectSameDecisions(Decide(next.value(), probe), Decide(*after, probe));

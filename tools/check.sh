@@ -14,10 +14,11 @@
 #      variant this CPU runs (baseline, avx2, avx512f) differs from the
 #      baseline variant bit for bit (its split_gain_kernel case; the same
 #      variant check runs in ctest as tests/split_scan_test.cc in every
-#      build below) — and a short bench_infer run — the binary exits non-zero if the
-#      compiled flat-node kernels' decisions diverge from the
-#      interpreted path, in the model-level, batch and one-row-per-call
-#      serving cases, or if the serving CentroidTable match differs from
+#      build below) — and a short bench_infer run — the binary exits non-zero if a
+#      compiled flat-node kernel's probabilities diverge from its
+#      interpreted model (the model-level cases), if a batch or
+#      one-row-per-call serving decision diverges from the sequential
+#      Classify / ClassifyProba reference, or if the serving CentroidTable match differs from
 #      the NearestCentroid reference on any probe row (its cluster_match
 #      case, run by the ASan pass below too; golden-model bit-identity
 #      itself runs in ctest via compiled_ensemble_test in every build
@@ -43,7 +44,7 @@
 #   2. ThreadSanitizer build run with FALCC_THREADS=4 so data races in the
 #      parallel runtime, the serving engine's hot-swap paths
 #      (including concurrent classify during delta hot-swaps that share
-#      the compiled kernels and installs that compile them,
+#      the pool and its kernels and installs of freshly loaded models,
 #      tests/compiled_ensemble_test.cc; decision-version tagging across
 #      installs, tests/sharded_engine_test.cc), the sharded fleet's lock-free
 #      submit rings, wakeup protocol, and shutdown drain under concurrent
@@ -60,15 +61,15 @@
 #      here too, plus an ASan bench_train_engine --reps=1 pass over the
 #      same engine-vs-seed-trainer identity (grid prefixes included) and
 #      kernel-variant bit-identity checks and a short ASan
-#      bench_infer pass over the same compiled-vs-interpreted decision
-#      check, one-row (n = 1) walks included.
+#      bench_infer pass over the same kernel-vs-interpreted and
+#      batch-vs-sequential decision checks, one-row (n = 1) walks included.
 #
 # --fuzz-only instead runs the adversarial harness (`ctest -L fuzz`:
 # tests/fuzz_test.cc mutation loops over the checked-in snapshot corpus
 # and a freshly trained v2 sectioned snapshot,
 # v2 delta artifacts and binary `pool` section payloads (the
-# decoder every v2 load, checkpoint reload and replica reload runs; kernels
-# are compiled from its output, never read from the file), +
+# decoder every v2 load, checkpoint reload and replica reload runs; the
+# decoded pool lowers its own kernels, never read from the file), +
 # tests/fault_injection_test.cc byte sweeps including the per-section
 # corruption sweep and the delta-prefix sweep against a live engine, +
 # tests/cli_snapshot_test.cmake driving `falcc_cli snapshot inspect|verify`

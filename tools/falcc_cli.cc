@@ -8,8 +8,8 @@
 //                     [--k N] [--seed S]
 //   falcc_cli predict --model model.falcc --data data.csv [--label label]
 //   falcc_cli classify --model model.falcc --data data.csv [--label label]
-//                     [--metrics-out metrics.json] [--compiled on|off]
-//                     [--shards N] [--slo-us K]
+//                     [--metrics-out metrics.json] [--shards N]
+//                     [--slo-us K]
 //                     [--follow dir|tcp://host:port|unix://path]
 //   falcc_cli monitor --model model.falcc --data data.csv [--label label]
 //                     [--chunk 256] [--poll-every 1] [--repeat 1]
@@ -398,16 +398,8 @@ int ClassifySamples(const Args& args) {
   if (!std::isfinite(slo_us) || slo_us <= 0.0) {
     return Fail(Status::InvalidArgument("--slo-us must be positive"));
   }
-  // --compiled=off serves through the interpreted per-model path instead
-  // of the fused flat-node kernels — the A/B switch for comparing the
-  // two (they are bit-identical by contract; see DESIGN.md §13).
-  const std::string compiled = args.Get("compiled", "on");
-  if (compiled != "on" && compiled != "off") {
-    return Fail(Status::InvalidArgument("--compiled must be on or off"));
-  }
   Result<FalccModel> model = FalccModel::LoadMapped(model_path);
   if (!model.ok()) return Fail(model.status());
-  model.value().set_use_compiled(compiled == "on");
 
   Result<CsvTable> table = ReadCsvFile(data_path);
   if (!table.ok()) return Fail(table.status());
