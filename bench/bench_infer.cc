@@ -18,12 +18,23 @@
 //    pool models), the shape of open-loop serving. Besides ns/row it reports
 //    the roofline inputs: the pool's kernel table bytes and the mean
 //    number of distinct 64-byte lines one row's kernel walk touches.
+//  * Kernel variants — every PredictKernels() variant (baseline, then
+//    the SIMD walks the CPU runs) on the serving model, timed in
+//    alternation within each rep so host drift hits them alike, and
+//    reported as ns/row plus the median per-rep speedup over baseline:
+//    `pool_walk` walks the segments stage 3 of ClassifyBatch forms from
+//    4096-row batches (the probe rows grouped by the pool model that
+//    fires).
+//  * Streaming read — one sequential pass over all of the serving pool's
+//    node and leaf tables, the bandwidth ceiling the walks are measured
+//    against: a walk far above its streaming floor is bound by latency.
 //  * Cluster match — the serving model's online centroid match (k = 32)
 //    over the transformed probe rows: CentroidTable::Nearest, the
 //    serving path, vs the NearestCentroid reference scan, in ns/query.
 //
-// Every timed pass re-checks bit-identity: compiled probabilities must
-// equal the interpreted ones exactly, end-to-end decisions (label,
+// Every timed pass re-checks bit-identity: compiled probabilities of
+// every kernel variant must equal the interpreted ones exactly,
+// end-to-end decisions (label,
 // probability, cluster, group, model) must equal the sequential
 // Classify / ClassifyProba / MatchCluster / GroupOf reference, and the
 // table's cluster must equal the reference's for every probe row; the
@@ -31,10 +42,12 @@
 // BENCH_infer.json.
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -104,6 +117,58 @@ double MedianNsPerRow(size_t rows, size_t reps, const Fn& fn) {
   return MedianSeconds(std::move(times)) * 1e9 / static_cast<double>(rows);
 }
 
+/// Whether two probability vectors are equal bit for bit.
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Runs each of `passes` once per rep after one warmup pass each,
+/// rotating the order every rep so slow drift of the host lands on every
+/// pass alike. Returns seconds[pass][rep].
+std::vector<std::vector<double>> TimeAlternating(
+    const std::vector<std::function<void()>>& passes, size_t reps) {
+  for (const auto& pass : passes) pass();
+  std::vector<std::vector<double>> seconds(passes.size(),
+                                           std::vector<double>(reps));
+  for (size_t rep = 0; rep < reps; ++rep) {
+    for (size_t k = 0; k < passes.size(); ++k) {
+      const size_t p = (k + rep) % passes.size();
+      Timer wall;
+      passes[p]();
+      seconds[p][rep] = wall.ElapsedSeconds();
+    }
+  }
+  return seconds;
+}
+
+/// One kernel variant's timing in an alternating comparison.
+struct VariantResult {
+  std::string name;
+  double ns_per_row = 0.0;  ///< median over reps
+  /// Median over reps of (baseline seconds / this variant's seconds),
+  /// both from the same rep.
+  double speedup_vs_baseline = 1.0;
+  bool identical = true;  ///< bit-equal to the interpreted models
+};
+
+/// The pool_walk case: every PredictKernels() variant, in alternation.
+struct PoolWalkResult {
+  size_t rows = 0;
+  std::vector<VariantResult> variants;
+  bool identical() const {
+    for (const VariantResult& v : variants) {
+      if (!v.identical) return false;
+    }
+    return true;
+  }
+};
+
 CaseResult RunModelCase(const std::string& name, const Classifier& model,
                         const Dataset& probe, size_t reps) {
   CaseResult result;
@@ -125,8 +190,14 @@ CaseResult RunModelCase(const std::string& name, const Classifier& model,
       rows.size(), reps,
       [&] { kernel.value().PredictProbaBatch(probe, rows, compiled); });
   result.speedup = result.interpreted_ns_per_row / result.ns_per_row;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (interpreted[i] != compiled[i]) result.decisions_identical = false;
+  result.decisions_identical = SameBits(interpreted, compiled);
+  for (const PredictKernel& variant : PredictKernels()) {
+    variant.fn(kernel.value().parts(), probe, rows, compiled);
+    if (!SameBits(interpreted, compiled)) {
+      std::fprintf(stderr, "bench_infer: %s variant %s diverged\n",
+                   name.c_str(), variant.name);
+      result.decisions_identical = false;
+    }
   }
   return result;
 }
@@ -281,6 +352,128 @@ CaseResult RunServing(const FalccModel& model, const Dataset& probe,
   return result;
 }
 
+/// Every kernel variant over the segments stage 3 of ClassifyBatch
+/// forms when `probe` arrives in 4096-row batches: each batch's rows
+/// grouped by the pool model that fires, ascending within a segment.
+/// Also returns, in `table_bytes_walked`, the summed table bytes of the
+/// model each segment walks — what a walk would read if it streamed its
+/// model's whole table once per segment.
+PoolWalkResult RunPoolWalk(const FalccModel& model, const Dataset& probe,
+                           size_t reps, size_t* table_bytes_walked) {
+  constexpr size_t kBatchRows = 4096;
+  const ModelPool& pool = model.pool();
+  const size_t n = probe.num_rows();
+  std::vector<size_t> fires(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto row = probe.Row(i);
+    fires[i] = model.selected_combinations()[model.MatchCluster(row)]
+                                            [model.GroupOf(row).value()];
+  }
+  struct Segment {
+    size_t model, begin, end;
+  };
+  std::vector<Segment> segments;
+  std::vector<size_t> rows;
+  rows.reserve(n);
+  *table_bytes_walked = 0;
+  for (size_t batch = 0; batch < n; batch += kBatchRows) {
+    const size_t batch_end = std::min(n, batch + kBatchRows);
+    for (size_t m = 0; m < pool.size(); ++m) {
+      const size_t begin = rows.size();
+      for (size_t i = batch; i < batch_end; ++i) {
+        if (fires[i] == m) rows.push_back(i);
+      }
+      if (rows.size() == begin) continue;
+      segments.push_back({m, begin, rows.size()});
+      if (const CompiledEnsemble* kernel = pool.kernel(m)) {
+        *table_bytes_walked += kernel->table_bytes();
+      }
+    }
+  }
+  const auto rows_of = [&](const Segment& seg) {
+    return std::span<const size_t>(rows).subspan(seg.begin,
+                                                  seg.end - seg.begin);
+  };
+  std::vector<double> reference(n);
+  for (const Segment& seg : segments) {
+    pool.model(seg.model).PredictProbaBatch(
+        probe, rows_of(seg),
+        std::span<double>(reference).subspan(seg.begin, seg.end - seg.begin));
+  }
+  const std::span<const PredictKernel> kernels = PredictKernels();
+  std::vector<std::vector<double>> outputs(kernels.size(),
+                                           std::vector<double>(n));
+  std::vector<std::function<void()>> passes;
+  for (size_t k = 0; k < kernels.size(); ++k) {
+    passes.push_back([&, k] {
+      for (const Segment& seg : segments) {
+        const std::span<double> proba = std::span<double>(outputs[k]).subspan(
+            seg.begin, seg.end - seg.begin);
+        if (const CompiledEnsemble* kernel = pool.kernel(seg.model)) {
+          kernels[k].fn(kernel->parts(), probe, rows_of(seg), proba);
+        } else {
+          pool.PredictProbaBatch(seg.model, probe, rows_of(seg), proba);
+        }
+      }
+    });
+  }
+  const std::vector<std::vector<double>> seconds =
+      TimeAlternating(passes, reps);
+  PoolWalkResult result;
+  result.rows = n;
+  for (size_t k = 0; k < kernels.size(); ++k) {
+    VariantResult v;
+    v.name = kernels[k].name;
+    v.ns_per_row = MedianSeconds(seconds[k]) * 1e9 / static_cast<double>(n);
+    std::vector<double> ratios(reps);
+    for (size_t rep = 0; rep < reps; ++rep) {
+      ratios[rep] = seconds[0][rep] / seconds[k][rep];
+    }
+    v.speedup_vs_baseline = MedianSeconds(std::move(ratios));
+    v.identical = SameBits(reference, outputs[k]);
+    result.variants.push_back(v);
+  }
+  return result;
+}
+
+/// One sequential read of every byte of the pool's kernel tables.
+struct StreamResult {
+  size_t bytes = 0;
+  double gb_per_s = 0.0;
+};
+
+StreamResult RunStreamingRead(const ModelPool& pool, size_t reps) {
+  std::vector<std::span<const unsigned char>> tables;
+  StreamResult result;
+  for (size_t m = 0; m < pool.size(); ++m) {
+    const CompiledEnsemble* kernel = pool.kernel(m);
+    if (kernel == nullptr) continue;
+    const CompiledEnsemble::Parts& parts = kernel->parts();
+    tables.push_back(std::span<const unsigned char>(
+        reinterpret_cast<const unsigned char*>(parts.nodes.data()),
+        parts.nodes.size_bytes()));
+    tables.push_back(std::span<const unsigned char>(
+        reinterpret_cast<const unsigned char*>(parts.leaf_proba.data()),
+        parts.leaf_proba.size_bytes()));
+    result.bytes += parts.nodes.size_bytes() + parts.leaf_proba.size_bytes();
+  }
+  volatile uint64_t sink = 0;
+  const double ns_per_byte = MedianNsPerRow(result.bytes, reps, [&] {
+    uint64_t sum = 0;
+    for (const std::span<const unsigned char> table : tables) {
+      const size_t words = table.size() / sizeof(uint64_t);
+      for (size_t w = 0; w < words; ++w) {
+        uint64_t word;
+        std::memcpy(&word, table.data() + w * sizeof(uint64_t), sizeof(word));
+        sum += word;
+      }
+    }
+    sink = sink + sum;
+  });
+  result.gb_per_s = 1.0 / ns_per_byte;
+  return result;
+}
+
 /// The online centroid match alone, table vs reference scan.
 struct MatchCaseResult {
   size_t num_centroids = 0;
@@ -322,9 +515,18 @@ MatchCaseResult RunClusterMatch(const FalccModel& model, const Dataset& probe,
   return result;
 }
 
+/// The measured streaming bandwidth and, for pool_walk and
+/// serving_one_row, the ns/row a walk would take if it only had to
+/// stream its bytes at that rate.
+struct Ceiling {
+  StreamResult stream;
+  double pool_walk_floor_ns_per_row = 0.0;
+  double one_row_floor_ns_per_row = 0.0;
+};
+
 void WriteJson(const std::string& path, size_t rows, size_t reps,
                const std::vector<CaseResult>& results,
-               const MatchCaseResult& match) {
+               const PoolWalkResult& pool_walk, const Ceiling& ceiling, const MatchCaseResult& match) {
   double min_kernel_speedup = 0.0;
   for (const CaseResult& r : results) {
     if (r.end_to_end) continue;
@@ -356,7 +558,16 @@ void WriteJson(const std::string& path, size_t rows, size_t reps,
          "+ one leaf value per tree); cluster_match times the serving "
          "model's centroid match per probe row, CentroidTable (the "
          "serving path) vs the NearestCentroid reference scan, with "
-         "decisions_identical = same cluster for every row\",\n";
+         "decisions_identical = same cluster for every row; "
+         "pool_walk times every PredictKernels() variant on the serving "
+         "model's per-model segments of 4096-row batches, in alternation "
+         "within each rep, with speedup_vs_baseline = median over reps "
+         "of baseline / variant seconds and identical = bit-equal to the "
+         "interpreted models; streaming_read is one sequential pass over "
+         "the serving pool's tables, and each floor is the ns/row of "
+         "streaming a case's bytes at that bandwidth (pool_walk: its "
+         "model's whole table once per segment; one_row: "
+         "serving_one_row's cache_lines_per_row)\",\n";
   out << "  \"cases\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];
@@ -388,6 +599,22 @@ void WriteJson(const std::string& path, size_t rows, size_t reps,
       << ", \"decisions_identical\": "
       << (match.identical ? "true" : "false") << "}\n";
   out << "  ],\n";
+  out << "  \"pool_walk\": {\"rows\": " << pool_walk.rows
+      << ", \"variants\": [";
+  for (size_t k = 0; k < pool_walk.variants.size(); ++k) {
+    const VariantResult& v = pool_walk.variants[k];
+    out << (k == 0 ? "" : ", ") << "{\"variant\": \"" << v.name
+        << "\", \"ns_per_row\": " << v.ns_per_row
+        << ", \"speedup_vs_baseline\": " << v.speedup_vs_baseline
+        << ", \"identical\": " << (v.identical ? "true" : "false") << "}";
+  }
+  out << "]},\n";
+  out << "  \"streaming_read\": {\"table_bytes\": " << ceiling.stream.bytes
+      << ", \"gb_per_s\": " << ceiling.stream.gb_per_s
+      << ", \"pool_walk_floor_ns_per_row\": "
+      << ceiling.pool_walk_floor_ns_per_row
+      << ", \"one_row_floor_ns_per_row\": "
+      << ceiling.one_row_floor_ns_per_row << "},\n";
   out << "  \"min_kernel_speedup\": " << min_kernel_speedup << "\n";
   out << "}\n";
 }
@@ -421,6 +648,8 @@ int Main(int argc, char** argv) {
   const Dataset probe = GenerateImplicitBias(cfg).value();
 
   std::vector<CaseResult> results;
+  PoolWalkResult pool_walk;
+  Ceiling ceiling;
   MatchCaseResult match;
 
   {
@@ -483,6 +712,14 @@ int Main(int argc, char** argv) {
     FALCC_CHECK(model.ok(), "bench_infer: serving model train failed");
     SetParallelism(timed_threads);
     results.push_back(RunServing(model.value(), probe, reps));
+    size_t table_bytes_walked = 0;
+    pool_walk = RunPoolWalk(model.value(), probe, reps, &table_bytes_walked);
+    ceiling.stream = RunStreamingRead(model.value().pool(), reps);
+    ceiling.pool_walk_floor_ns_per_row =
+        static_cast<double>(table_bytes_walked) / ceiling.stream.gb_per_s /
+        static_cast<double>(probe.num_rows());
+    ceiling.one_row_floor_ns_per_row =
+        results.back().cache_lines_per_row * 64.0 / ceiling.stream.gb_per_s;
     match = RunClusterMatch(model.value(), probe, reps);
   }
 
@@ -506,6 +743,18 @@ int Main(int argc, char** argv) {
     }
     all_identical = all_identical && r.decisions_identical;
   }
+  for (const VariantResult& v : pool_walk.variants) {
+    std::printf("%-22s %-9s %9.1f ns/row   speedup %5.2fx   identical=%s\n",
+                "pool_walk", v.name.c_str(), v.ns_per_row,
+                v.speedup_vs_baseline, v.identical ? "true" : "false");
+  }
+  all_identical = all_identical && pool_walk.identical();
+  std::printf(
+      "%-22s %.1f MB at %.2f GB/s   floor: pool_walk %.1f ns/row, "
+      "one_row %.1f ns/row\n",
+      "streaming_read", static_cast<double>(ceiling.stream.bytes) / 1e6,
+      ceiling.stream.gb_per_s, ceiling.pool_walk_floor_ns_per_row,
+      ceiling.one_row_floor_ns_per_row);
   std::printf(
       "%-22s reference %9.1f ns/query table %9.1f ns/query   "
       "speedup %5.2fx   identical=%s   (k = %zu, d = %zu)\n",
@@ -514,13 +763,13 @@ int Main(int argc, char** argv) {
       match.reference_ns_per_query / match.table_ns_per_query,
       match.identical ? "true" : "false", match.num_centroids,
       match.dimensions);
-  WriteJson(json_path, rows, reps, results, match);
+  WriteJson(json_path, rows, reps, results, pool_walk, ceiling, match);
   std::printf("\nwrote %s\n", json_path.c_str());
   if (!all_identical) {
     std::fprintf(stderr,
-                 "bench_infer: compiled probabilities diverged from the "
-                 "interpreted models, or batch decisions from the "
-                 "sequential reference\n");
+                 "bench_infer: compiled probabilities (of some kernel "
+                 "variant) diverged from the interpreted models, or batch "
+                 "decisions from the sequential reference\n");
     return 1;
   }
   if (!match.identical) {

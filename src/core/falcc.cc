@@ -163,38 +163,10 @@ Result<FalccModel> FalccModel::RunOfflinePhase(ModelPool pool,
   if (!val_groups.ok()) return val_groups.status();
   const std::vector<size_t>& groups = val_groups.value();
 
-  std::vector<std::vector<size_t>> region_rows(k);
-  for (size_t i = 0; i < validation.num_rows(); ++i) {
-    region_rows[model.assignment_[i]].push_back(i);
-  }
-
-  // Per-group kd-trees are built lazily: most clusters cover all groups.
-  std::vector<std::vector<bool>> group_masks(num_groups);
-  Result<KdTree> tree = KdTree::Build(points);
-  if (!tree.ok()) return tree.status();
-  auto group_mask = [&](size_t g) -> const std::vector<bool>& {
-    if (group_masks[g].empty()) {
-      group_masks[g].assign(validation.num_rows(), false);
-      for (size_t i = 0; i < validation.num_rows(); ++i) {
-        group_masks[g][i] = groups[i] == g;
-      }
-    }
-    return group_masks[g];
-  };
-
-  for (size_t c = 0; c < k; ++c) {
-    if (region_rows[c].empty()) continue;  // empty cluster: nothing to fill
-    std::vector<bool> present(num_groups, false);
-    for (size_t row : region_rows[c]) present[groups[row]] = true;
-    for (size_t g = 0; g < num_groups; ++g) {
-      if (present[g]) continue;
-      // Pull the gap_fill_k nearest validation samples of group g to the
-      // cluster centroid into this cluster's assessment rows.
-      const std::vector<size_t> nn = tree.value().NearestWhere(
-          model.centroids_[c], options.gap_fill_k, group_mask(g));
-      region_rows[c].insert(region_rows[c].end(), nn.begin(), nn.end());
-    }
-  }
+  Result<std::vector<std::vector<size_t>>> regions = model.BuildRegions(
+      points, groups, options.gap_fill_k);
+  if (!regions.ok()) return regions.status();
+  const std::vector<std::vector<size_t>>& region_rows = regions.value();
   if (stage_times != nullptr) {
     stage_times->cluster_seconds = cluster_timer.ElapsedSeconds();
   }
@@ -258,6 +230,58 @@ Result<FalccModel> FalccModel::RunOfflinePhase(ModelPool pool,
     stage_times->assess_seconds = assess_timer.ElapsedSeconds();
   }
   return model;
+}
+
+Result<std::vector<std::vector<size_t>>> FalccModel::BuildRegions(
+    const std::vector<std::vector<double>>& points,
+    std::span<const size_t> groups, size_t gap_fill_k) const {
+  const size_t num_groups = group_index_.num_groups();
+  std::vector<std::vector<size_t>> region_rows(centroids_.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    region_rows[assignment_[i]].push_back(i);
+  }
+
+  // Per-group kd-trees are built lazily: most clusters cover all groups.
+  std::vector<std::vector<bool>> group_masks(num_groups);
+  Result<KdTree> tree = KdTree::Build(points);
+  if (!tree.ok()) return tree.status();
+  auto group_mask = [&](size_t g) -> const std::vector<bool>& {
+    if (group_masks[g].empty()) {
+      group_masks[g].assign(points.size(), false);
+      for (size_t i = 0; i < points.size(); ++i) {
+        group_masks[g][i] = groups[i] == g;
+      }
+    }
+    return group_masks[g];
+  };
+
+  for (size_t c = 0; c < region_rows.size(); ++c) {
+    if (region_rows[c].empty()) continue;  // empty cluster: nothing to fill
+    std::vector<bool> present(num_groups, false);
+    for (size_t row : region_rows[c]) present[groups[row]] = true;
+    for (size_t g = 0; g < num_groups; ++g) {
+      if (present[g]) continue;
+      // Pull the gap_fill_k nearest validation samples of group g to the
+      // cluster centroid into this cluster's assessment rows.
+      const std::vector<size_t> nn =
+          tree.value().NearestWhere(centroids_[c], gap_fill_k, group_mask(g));
+      region_rows[c].insert(region_rows[c].end(), nn.begin(), nn.end());
+    }
+  }
+  return region_rows;
+}
+
+Result<std::vector<std::vector<size_t>>> FalccModel::AssessmentRegions(
+    const Dataset& validation, size_t gap_fill_k) const {
+  if (validation.num_rows() != assignment_.size()) {
+    return Status::InvalidArgument(
+        "AssessmentRegions: not the validation split the model was "
+        "assessed on (row count differs)");
+  }
+  Result<std::vector<size_t>> groups = group_index_.GroupsOf(validation);
+  if (!groups.ok()) return groups.status();
+  return BuildRegions(clustering_transform_.ApplyAll(validation),
+                      groups.value(), gap_fill_k);
 }
 
 Status FalccModel::BuildCentroidTable() {

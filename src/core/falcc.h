@@ -316,6 +316,13 @@ class FalccModel {
   const std::vector<size_t>& validation_assignment() const {
     return assignment_;
   }
+  /// The rows each cluster's combination was assessed on (§3.5): the
+  /// `validation` rows assigned to it, gap-filled with the `gap_fill_k`
+  /// rows of every missing group nearest its centroid. Empty for a
+  /// cluster no row landed in. `validation` must be the split the model
+  /// was trained against, with the options' gap_fill_k.
+  Result<std::vector<std::vector<size_t>>> AssessmentRegions(
+      const Dataset& validation, size_t gap_fill_k) const;
 
   // --- Monitoring anchors ----------------------------------------------
   //
@@ -339,6 +346,12 @@ class FalccModel {
 
  private:
   FalccModel() = default;
+
+  /// AssessmentRegions over the clustering-space `points` of the
+  /// validation rows and their `groups`.
+  Result<std::vector<std::vector<size_t>>> BuildRegions(
+      const std::vector<std::vector<double>>& points,
+      std::span<const size_t> groups, size_t gap_fill_k) const;
 
   static Result<FalccModel> RunOfflinePhase(ModelPool pool,
                                             const Dataset& validation,

@@ -25,7 +25,11 @@
 // reproduces the interpreted PredictProbaBatch output exactly — same
 // traversal comparisons (`v <= threshold` goes left), same accumulation
 // order (AdaBoost margins in boosting-round order, alpha_sum as the sum
-// of |alpha_t| in the same order), same final arithmetic. Models that
+// of |alpha_t| in the same order), same final arithmetic. The walk has
+// one variant per instruction set (PredictKernels): the scalar
+// "baseline" everywhere, and on x86-64 hosts that run them "avx2" and
+// "avx512f", which walk a full 32-row block in SIMD lanes. Every variant
+// returns the same bits. Models that
 // are not tree ensembles (logistic regression, naive Bayes, kNN), and
 // trees that share a subtree, do not lower; their pool entry is empty
 // and ModelPool::PredictProbaBatch runs the interpreted path for them.
@@ -124,6 +128,8 @@ class CompiledEnsemble {
     std::span<const double> leaf_proba;
     std::span<const TreeRef> trees;
     std::span<const double> alphas;
+    /// Σ |alpha_t| in round order (AdaBoost's normalizer).
+    double alpha_sum = 0.0;
   };
 
   /// Lowers `model`. Fails with FailedPrecondition for classifier types
@@ -148,9 +154,22 @@ class CompiledEnsemble {
   CompiledEnsemble() = default;
 
   Parts parts_;
-  double alpha_sum_ = 0.0;
   std::shared_ptr<const FlatTable> table_;
 };
+
+/// One compiled variant of the kernel walk: P(y = 1) of the kernel
+/// `parts` for `rows` of `data`, written to `out` (same length), with
+/// CompiledEnsemble::PredictProbaBatch's contract.
+struct PredictKernel {
+  const char* name;
+  void (*fn)(const CompiledEnsemble::Parts& parts, const Dataset& data,
+             std::span<const size_t> rows, std::span<double> out);
+};
+
+/// The variants this CPU runs, chosen once with __builtin_cpu_supports:
+/// "baseline" first, then "avx2" and "avx512f" on x86-64 hosts that
+/// support them. CompiledEnsemble::PredictProbaBatch calls the last one.
+std::span<const PredictKernel> PredictKernels();
 
 }  // namespace falcc
 

@@ -167,7 +167,11 @@ size_t DeltaPublisher::GarbageCollect() {
   Result<std::vector<FeedEntry>> entries = feed.Poll(0);
   if (!entries.ok()) return 0;
   // The newest checkpoint's sequence is the GC horizon: a late joiner
-  // bootstraps from it, so everything strictly older is unreachable.
+  // bootstraps from it, so everything strictly older is unreachable —
+  // except the delta right before it. A cadence checkpoint lands in the
+  // same call as that delta, and a replica that applies the delta
+  // consumes the checkpoint (same content hash) without a reload;
+  // removing the delta at once would make it jump the gap with one.
   // Unreadable artifacts never count as checkpoints — retention must
   // not anchor on a corrupt file.
   uint64_t horizon = 0;
@@ -177,6 +181,9 @@ size_t DeltaPublisher::GarbageCollect() {
   size_t removed = 0;
   for (const FeedEntry& entry : entries.value()) {
     if (entry.sequence >= horizon) continue;
+    if (entry.sequence + 1 == horizon && entry.kind == ArtifactKind::kDelta) {
+      continue;
+    }
     std::error_code ec;
     if (std::filesystem::remove(entry.path, ec) && !ec) ++removed;
   }

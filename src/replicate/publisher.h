@@ -6,7 +6,8 @@
 // never see a partial artifact, and maintains the feed's retention
 // contract: a full-snapshot checkpoint every `checkpoint_every` deltas,
 // after each of which every artifact older than that checkpoint is
-// garbage collected. Late joiners therefore bootstrap from the newest
+// garbage collected, except the delta right before it (a replica that
+// applied it skips the checkpoint's reload). Late joiners therefore bootstrap from the newest
 // checkpoint plus the deltas behind it — never by replaying the feed's
 // whole history. Replicas read the directory through a DirectoryFeed,
 // or over a socket from a SocketPublisher serving it (the writer then
@@ -75,7 +76,8 @@ class DeltaPublisher {
                                      uint64_t base_hash);
 
   /// Publishes `model` as a full-snapshot checkpoint, resets the delta
-  /// cadence, and garbage-collects every artifact older than it.
+  /// cadence, and garbage-collects every artifact older than it but the
+  /// delta right before it.
   Result<PublishReport> PublishCheckpoint(const FalccModel& model);
 
   /// The sequence the next published artifact will carry.

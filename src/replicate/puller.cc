@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "io/mapped_file.h"
+#include "io/snapshot.h"
 
 namespace falcc::replicate {
 
@@ -53,6 +54,17 @@ Status DeltaPuller::ApplyDelta(const std::string& path) {
   Result<io::MappedFile> file = io::MappedFile::Open(path);
   if (!file.ok()) return file.status();
   return engine_->ApplyDeltaBytes(file.value().view());
+}
+
+bool DeltaPuller::ServesCheckpoint(const std::string& path) const {
+  const Result<uint64_t> serving = ServingHash();
+  if (!serving.ok()) return false;
+  Result<io::MappedFile> file = io::MappedFile::Open(path);
+  if (!file.ok()) return false;
+  const Result<io::SnapshotReader> reader =
+      io::SnapshotReader::ParseView(file.value().view());
+  return reader.ok() && !reader.value().is_delta() &&
+         reader.value().manifest().ContentHash() == serving.value();
 }
 
 Result<uint64_t> DeltaPuller::ServingHash() const {
@@ -170,6 +182,13 @@ void DeltaPuller::Advance(PullReport* report) {
     }
     switch (entry.kind) {
       case ArtifactKind::kFull: {
+        // The checkpoint written after a delta this replica applied has
+        // the hash the delta produced: reloading it would map the file
+        // and lower every pool kernel again to serve the same snapshot.
+        if (ServesCheckpoint(entry.path)) {
+          ConsumeThrough(entry.sequence);
+          break;
+        }
         const Status loaded = engine_->ReloadMapped(entry.path);
         if (loaded.ok()) {
           ++report->full_reloads;

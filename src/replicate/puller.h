@@ -4,7 +4,10 @@
 // sequence order straight to the engine, by the kind the feed reports:
 // deltas as incremental hot-swaps (FalccEngine::ApplyDeltaBytes over a
 // mapped view of the artifact), checkpoints as full reloads
-// (FalccEngine::ReloadMapped). Bounded
+// (FalccEngine::ReloadMapped). An in-order checkpoint whose manifest
+// content hash equals the serving snapshot's — the one a publisher
+// writes right after a delta this replica applied — is consumed without
+// a reload. Bounded
 // out-of-order arrivals wait in a buffer until the sequence gap in front
 // of them fills; a gap that persists, a delta whose base-hash chain does
 // not match the serving snapshot, or a corrupt artifact all route to the
@@ -131,6 +134,9 @@ class DeltaPuller {
   bool HasSnapshot() const;
   /// Maps the delta at `path` and applies it to the engine's snapshot.
   Status ApplyDelta(const std::string& path);
+  /// Whether the checkpoint at `path` has the content hash of the
+  /// snapshot being served: only its header and manifest are read.
+  bool ServesCheckpoint(const std::string& path) const;
 
   serve::FalccEngine* engine_ = nullptr;
   std::unique_ptr<DeltaFeed> feed_;

@@ -6,7 +6,9 @@
 #include <sstream>
 #include <vector>
 
+#include "core/assessment.h"
 #include "serve/sharded_engine.h"
+#include "testing/reference_loss.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -192,19 +194,101 @@ Status CheckKernelsMatchInterpreted(const ModelPool& pool,
   std::vector<size_t> rows(n);
   std::iota(rows.begin(), rows.end(), 0);
   std::vector<double> served(n), interpreted(n);
-  for (size_t m = 0; m < pool.size(); ++m) {
-    pool.PredictProbaBatch(m, data, rows, served);
-    pool.model(m).PredictProbaBatch(data, rows, interpreted);
+  const auto compare = [&](size_t m, const std::string& path) -> Status {
     for (size_t i = 0; i < n; ++i) {
       if (std::bit_cast<uint64_t>(served[i]) !=
           std::bit_cast<uint64_t>(interpreted[i])) {
         return Status::Internal(
-            "pool model " + std::to_string(m) + " (" +
-            (pool.kernel(m) != nullptr ? "kernel" : "interpreted") +
+            "pool model " + std::to_string(m) + " (" + path +
             ") diverged from its interpreted model at row " +
             std::to_string(i) + ": " + std::to_string(served[i]) + " vs " +
             std::to_string(interpreted[i]));
       }
+    }
+    return Status::OK();
+  };
+  for (size_t m = 0; m < pool.size(); ++m) {
+    pool.model(m).PredictProbaBatch(data, rows, interpreted);
+    pool.PredictProbaBatch(m, data, rows, served);
+    const CompiledEnsemble* kernel = pool.kernel(m);
+    FALCC_RETURN_IF_ERROR(
+        compare(m, kernel != nullptr ? "kernel" : "interpreted"));
+    if (kernel == nullptr) continue;
+    for (const PredictKernel& variant : PredictKernels()) {
+      variant.fn(kernel->parts(), data, rows, served);
+      FALCC_RETURN_IF_ERROR(
+          compare(m, std::string("kernel variant ") + variant.name));
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckRegionsAreLossOptimal(const FalccModel& model,
+                                  const Dataset& validation,
+                                  const FalccOptions& options) {
+  Result<std::vector<std::vector<size_t>>> regions =
+      model.AssessmentRegions(validation, options.gap_fill_k);
+  if (!regions.ok()) return regions.status();
+  std::vector<size_t> groups(validation.num_rows());
+  for (size_t i = 0; i < groups.size(); ++i) {
+    Result<size_t> group = model.GroupOf(validation.Row(i));
+    if (!group.ok()) return group.status();
+    groups[i] = group.value();
+  }
+  const ModelPool& pool = model.pool();
+  std::vector<std::vector<int>> votes(pool.size());
+  for (size_t m = 0; m < pool.size(); ++m) {
+    votes[m] = PredictAll(pool.model(m), validation);
+  }
+  AssessmentContext ctx;
+  ctx.votes = &votes;
+  ctx.labels = validation.labels();
+  ctx.groups = groups;
+  ctx.num_groups = model.num_groups();
+  ctx.mode = model.assess_mode();
+  ctx.metric = model.assess_metric();
+  ctx.lambda = model.assess_lambda();
+  Result<std::vector<ModelCombination>> combos =
+      EnumerateCombinations(pool, model.num_groups());
+  if (!combos.ok()) return combos.status();
+
+  // Lowest-index argmin of the reference L̂ over `rows`.
+  const auto best_of = [&](std::span<const size_t> rows,
+                           size_t* index, double* loss) -> Status {
+    for (size_t i = 0; i < combos.value().size(); ++i) {
+      Result<double> l =
+          ReferenceAssessCombination(ctx, combos.value()[i], rows);
+      if (!l.ok()) return l.status();
+      if (i == 0 || l.value() < *loss) {
+        *index = i;
+        *loss = l.value();
+      }
+    }
+    return Status::OK();
+  };
+  std::vector<size_t> all_rows(validation.num_rows());
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  size_t global_index = 0;
+  double global_loss = 0.0;
+  FALCC_RETURN_IF_ERROR(best_of(all_rows, &global_index, &global_loss));
+
+  for (size_t c = 0; c < model.num_clusters(); ++c) {
+    const std::vector<size_t>& rows = regions.value()[c];
+    size_t index = global_index;
+    double loss = global_loss;
+    if (!rows.empty()) FALCC_RETURN_IF_ERROR(best_of(rows, &index, &loss));
+    if (model.selected_combinations()[c] != combos.value()[index]) {
+      return Status::Internal(
+          "cluster " + std::to_string(c) +
+          " does not hold the lowest-index loss-optimal combination (" +
+          std::to_string(index) + ", L = " + std::to_string(loss) + ")");
+    }
+    const double stored = model.baseline_losses()[c];
+    if (std::bit_cast<uint64_t>(stored) != std::bit_cast<uint64_t>(loss)) {
+      return Status::Internal("cluster " + std::to_string(c) +
+                              " baseline loss " + std::to_string(stored) +
+                              " differs from its L = " +
+                              std::to_string(loss));
     }
   }
   return Status::OK();

@@ -57,9 +57,11 @@ Status CheckSaveLoadSaveIdempotent(const FalccModel& model);
 /// Every model of `pool`, whether or not any cluster selects it, predicts
 /// through ModelPool::PredictProbaBatch (its kernel, where it has one)
 /// exactly what its interpreted Classifier::PredictProbaBatch predicts,
-/// bit for bit, on every row of `data`. A refresh or a delta may install
-/// any pool model, so none is skipped. `data` must have the width the
-/// pool was validated for.
+/// bit for bit, on every row of `data` — and so does every kernel
+/// variant the CPU runs (PredictKernels), not just the one serving
+/// dispatches to. A refresh or a delta may install any pool model, so
+/// none is skipped. `data` must have the width the pool was validated
+/// for.
 Status CheckKernelsMatchInterpreted(const ModelPool& pool,
                                     const Dataset& data);
 
@@ -86,6 +88,19 @@ Status CheckShardedMatchesSingleLoop(const FalccModel& model,
                                      const Dataset& data,
                                      std::span<const size_t> shard_counts,
                                      ShardedFlushCounts* counts = nullptr);
+
+/// The offline phase's selection, re-derived from scratch: every
+/// cluster's stored combination is the lowest-index argmin of L̂ over
+/// EnumerateCombinations on its assessment rows (AssessmentRegions of
+/// `validation`, the split `model` was trained against with `options`),
+/// and its baseline loss is that L̂ bit for bit. A cluster with no rows
+/// holds the argmin over all of `validation`. L̂ comes from the
+/// row-by-row reference evaluator (testing/reference_loss.h) over the
+/// interpreted models' votes, so neither the count-table evaluator nor
+/// the kernels that produced the assessment's votes are trusted.
+Status CheckRegionsAreLossOptimal(const FalccModel& model,
+                                  const Dataset& validation,
+                                  const FalccOptions& options);
 
 /// CloneWithRefreshes applied to `refreshed_cluster` leaves every other
 /// cluster's combination, baseline, and per-sample decisions on `data`

@@ -1,6 +1,7 @@
 // Tests of the compiled flat-node inference kernels: bit-identity with
-// the interpreted prediction path for every lowerable model family
-// (including block-edge batch sizes and the one-row walk), the 16-byte
+// the interpreted prediction path for every lowerable model family and
+// every kernel variant the CPU runs (including block-edge batch sizes,
+// the one-row walk, and padding lanes at the end of a table), the 16-byte
 // node layout and the validation the mmap path relies on, the pool's
 // per-model kernels with an interpreted fallback model (served decisions
 // equal to the sequential single-sample reference), bit-identity on the
@@ -9,7 +10,11 @@
 
 #include "ml/compiled_ensemble.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -52,29 +57,49 @@ std::vector<size_t> AllRows(size_t n) {
   return rows;
 }
 
-// Compiled and interpreted probabilities over `rows` must be equal as
-// doubles — not approximately: the kernel contract is bit-identity.
-void ExpectBitIdentical(const Classifier& model, const CompiledEnsemble& kernel,
-                        const Dataset& data, std::span<const size_t> rows) {
+// `variant`'s probabilities and the interpreted ones over `rows` must
+// be the same bits — not approximately: the kernel contract is
+// bit-identity.
+void ExpectVariantBitIdentical(const PredictKernel& variant,
+                               const Classifier& model,
+                               const CompiledEnsemble& kernel,
+                               const Dataset& data,
+                               std::span<const size_t> rows) {
   std::vector<double> interpreted(rows.size());
   std::vector<double> compiled(rows.size());
   model.PredictProbaBatch(data, rows, interpreted);
-  kernel.PredictProbaBatch(data, rows, compiled);
+  variant.fn(kernel.parts(), data, rows, compiled);
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(interpreted[i], compiled[i]) << "row " << rows[i];
+    EXPECT_EQ(std::bit_cast<uint64_t>(interpreted[i]),
+              std::bit_cast<uint64_t>(compiled[i]))
+        << variant.name << " row " << rows[i] << " of " << rows.size() << ": "
+        << interpreted[i] << " vs " << compiled[i];
   }
 }
 
-// Every batch size around the row-block boundary (the kernel processes
-// rows in fixed-size blocks) plus a full pass.
+// The batch sizes around the row-block boundary (kernels walk rows in
+// 32-row blocks; the SIMD variants in vectors of 4 or 8 lanes).
+constexpr size_t kBlockEdges[] = {1, 7, 8, 9, 31, 32, 33, 69};
+
+// Every batch size around the row-block boundary plus an empty batch
+// and a full pass, through every kernel variant and through the
+// dispatched CompiledEnsemble::PredictProbaBatch.
 void CheckAllBlockEdges(const Classifier& model, const Dataset& data) {
   const Result<CompiledEnsemble> kernel = CompiledEnsemble::Compile(model);
   ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
   const std::vector<size_t> all = AllRows(data.num_rows());
-  for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{17},
-                   size_t{31}, size_t{32}, size_t{33}, data.num_rows()}) {
-    ExpectBitIdentical(model, kernel.value(), data,
-                       std::span<const size_t>(all).subspan(0, n));
+  std::vector<size_t> sizes = {0, 15, 16, 17, data.num_rows()};
+  for (size_t n : kBlockEdges) sizes.push_back(n);
+  for (size_t n : sizes) {
+    const std::span<const size_t> rows =
+        std::span<const size_t>(all).subspan(0, std::min(n, all.size()));
+    for (const PredictKernel& variant : PredictKernels()) {
+      ExpectVariantBitIdentical(variant, model, kernel.value(), data, rows);
+    }
+    std::vector<double> interpreted(rows.size()), dispatched(rows.size());
+    model.PredictProbaBatch(data, rows, interpreted);
+    kernel.value().PredictProbaBatch(data, rows, dispatched);
+    EXPECT_EQ(interpreted, dispatched);
   }
 }
 
@@ -139,6 +164,162 @@ TEST(CompiledEnsembleTest, NonLowerableModelsFailPrecondition) {
   EXPECT_FALSE(kernel.ok());
   EXPECT_EQ(kernel.status().code(), StatusCode::kFailedPrecondition);
 }
+
+// --- Every kernel variant --------------------------------------------
+
+// One instance per variant name the code knows; a variant this CPU does
+// not run is skipped by name.
+class PredictKernelTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    for (const PredictKernel& variant : PredictKernels()) {
+      if (std::string_view(variant.name) == GetParam()) variant_ = &variant;
+    }
+    if (variant_ == nullptr) {
+      GTEST_SKIP() << "kernel variant " << GetParam()
+                   << " is not supported on this CPU";
+    }
+  }
+
+  // All three ensemble kinds at every block-edge batch size, with rows
+  // in order, reversed, and strided (row offsets far apart in one block).
+  void CheckModel(const Classifier& model, const Dataset& data) {
+    const Result<CompiledEnsemble> kernel = CompiledEnsemble::Compile(model);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+    for (size_t n : kBlockEdges) {
+      std::vector<size_t> ascending(n), reversed(n), strided(n);
+      for (size_t i = 0; i < n; ++i) {
+        ascending[i] = i;
+        reversed[i] = data.num_rows() - 1 - i;
+        strided[i] = (i * 37 + 5) % data.num_rows();
+      }
+      for (const auto& rows : {ascending, reversed, strided}) {
+        ExpectVariantBitIdentical(*variant_, model, kernel.value(), data,
+                                  rows);
+      }
+    }
+  }
+
+  const PredictKernel* variant_ = nullptr;
+};
+
+TEST_P(PredictKernelTest, EveryKindBitIdenticalAtBlockEdges) {
+  const Dataset data = MakeData();
+  DecisionTreeOptions tree_options;
+  tree_options.max_depth = 12;
+  DecisionTree tree(tree_options);
+  ASSERT_TRUE(tree.Fit(data).ok());
+  CheckModel(tree, data);
+
+  AdaBoostOptions boost_options;
+  boost_options.num_estimators = 40;
+  boost_options.base.max_depth = 8;
+  AdaBoost boosted(boost_options);
+  ASSERT_TRUE(boosted.Fit(data).ok());
+  CheckModel(boosted, data);
+
+  RandomForestOptions forest_options;
+  forest_options.num_trees = 40;
+  forest_options.base.max_depth = 10;
+  RandomForest forest(forest_options);
+  ASSERT_TRUE(forest.Fit(data).ok());
+  CheckModel(forest, data);
+}
+
+// Memory that ends exactly at an inaccessible page: reading one byte
+// past the end faults.
+class GuardedBuffer {
+ public:
+  explicit GuardedBuffer(size_t bytes) {
+    page_ = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    usable_ = (bytes + page_ - 1) / page_ * page_;
+    void* map = mmap(nullptr, usable_ + page_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (map == MAP_FAILED) return;
+    base_ = static_cast<char*>(map);
+    if (mprotect(base_ + usable_, page_, PROT_NONE) != 0) {
+      munmap(base_, usable_ + page_);
+      base_ = nullptr;
+    }
+  }
+  ~GuardedBuffer() {
+    if (base_ != nullptr) munmap(base_, usable_ + page_);
+  }
+  GuardedBuffer(const GuardedBuffer&) = delete;
+  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
+
+  bool ok() const { return base_ != nullptr; }
+  // `count` Ts ending at the guard page.
+  template <typename T>
+  std::span<T> Tail(size_t count) {
+    return {reinterpret_cast<T*>(base_ + usable_) - count, count};
+  }
+
+ private:
+  size_t page_ = 0;
+  size_t usable_ = 0;
+  char* base_ = nullptr;
+};
+
+// ASan does not instrument gathers, so the rule that no lane reads
+// outside a table is tested directly: the node and leaf tables end at an
+// inaccessible page, and every live cursor ends on the table's last node.
+// A lane that reads past a live cursor's node — as an uninitialized or
+// advanced padding lane of a partial block would — faults the test.
+TEST_P(PredictKernelTest, PaddingLanesStayInsideTheTables) {
+  // Two stumps: root at 0 (resp. 3) splits feature 0 at 0.0; every probe
+  // row has feature 0 = 1, so both walks end on the right leaf, the
+  // second at node 5 — the last of the table.
+  const double inf = std::numeric_limits<double>::infinity();
+  const FlatNode table[] = {{0.0, 0, 1}, {inf, 0, 1}, {inf, 0, 2},
+                            {0.0, 0, 4}, {inf, 0, 4}, {inf, 0, 5}};
+  const double leaves[] = {0.0, 0.25, 0.75, 0.0, 0.1, 0.9};
+  const TreeRef trees[] = {{0, 1}, {3, 1}};
+  const double alphas[] = {0.5, 1.5};
+  GuardedBuffer node_memory(sizeof(table));
+  GuardedBuffer leaf_memory(sizeof(leaves));
+  ASSERT_TRUE(node_memory.ok() && leaf_memory.ok());
+  const std::span<FlatNode> nodes = node_memory.Tail<FlatNode>(6);
+  const std::span<double> leaf_proba = leaf_memory.Tail<double>(6);
+  std::copy(std::begin(table), std::end(table), nodes.begin());
+  std::copy(std::begin(leaves), std::end(leaves), leaf_proba.begin());
+
+  const size_t n = 40;
+  std::vector<double> features(n * 2, 1.0);
+  const Dataset data =
+      Dataset::Create({"a", "b"}, std::move(features), 2,
+                      std::vector<int>(n, 0), {})
+          .value();
+  CompiledEnsemble::Parts parts;
+  parts.nodes = nodes;
+  parts.leaf_proba = leaf_proba;
+  parts.trees = trees;
+  parts.alphas = alphas;
+  parts.alpha_sum = 2.0;
+  const std::vector<size_t> all = AllRows(n);
+  for (EnsembleKind kind :
+       {EnsembleKind::kTree, EnsembleKind::kAdaBoost, EnsembleKind::kForest}) {
+    parts.kind = kind;
+    // kTree takes the last tree's leaf; AdaBoost sums +0.5 + 1.5 of 2.0;
+    // the forest counts two votes of two.
+    const double expected = kind == EnsembleKind::kTree ? 0.9 : 1.0;
+    for (size_t rows : {size_t{1}, size_t{5}, size_t{17}, size_t{31},
+                        size_t{32}, size_t{33}}) {
+      std::vector<double> out(rows);
+      variant_->fn(parts, data,
+                   std::span<const size_t>(all).subspan(0, rows), out);
+      for (size_t i = 0; i < rows; ++i) {
+        EXPECT_EQ(out[i], expected) << "rows " << rows << " row " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, PredictKernelTest,
+                         ::testing::Values("baseline", "avx2", "avx512f"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 // --- Layout and the mmap validation contract ---------------------------
 

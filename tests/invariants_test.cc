@@ -5,6 +5,8 @@
 
 #include "testing/invariants.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "data/split.h"
@@ -18,6 +20,7 @@ using testing::CheckClassifyThreadInvariance;
 using testing::CheckKernelsMatchInterpreted;
 using testing::CheckPermutationInvariance;
 using testing::CheckRefreshIsolation;
+using testing::CheckRegionsAreLossOptimal;
 using testing::CheckSaveLoadSaveIdempotent;
 using testing::CheckShardedMatchesSingleLoop;
 using testing::CheckTrainingThreadInvariance;
@@ -120,6 +123,52 @@ TEST(InvariantsTest, CompiledKernelsMatchInterpretedBitForBit) {
   ASSERT_NE(f.model.pool().kernel(0), nullptr);
   const Status st = CheckKernelsMatchInterpreted(f.model.pool(), f.splits.test);
   EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(InvariantsTest, RegionsHoldTheirLossOptimalCombination) {
+  Fixture& f = Shared();
+  const Status st = CheckRegionsAreLossOptimal(f.model, f.splits.validation,
+                                               FastOptions());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+
+  // A cluster holding any other combination, or its L̂ off by one ulp,
+  // is caught.
+  ClusterRefresh other;
+  other.cluster = 0;
+  other.combination = f.model.selected_combinations()[0];
+  other.combination[0] = (other.combination[0] + 1) % f.model.pool().size();
+  other.baseline_loss = f.model.baseline_losses()[0];
+  const FalccModel swapped = f.model.CloneWithRefreshes({&other, 1}).value();
+  EXPECT_FALSE(CheckRegionsAreLossOptimal(swapped, f.splits.validation,
+                                          FastOptions())
+                   .ok());
+  ClusterRefresh nudged = other;
+  nudged.combination = f.model.selected_combinations()[0];
+  nudged.baseline_loss = std::nextafter(f.model.baseline_losses()[0], 1.0);
+  const FalccModel off = f.model.CloneWithRefreshes({&nudged, 1}).value();
+  EXPECT_FALSE(
+      CheckRegionsAreLossOptimal(off, f.splits.validation, FastOptions()).ok());
+}
+
+// The same selection under the other assessment settings: another group
+// metric and λ, individual fairness (consistency mode), and gap-filled
+// regions (many clusters on a small validation split).
+TEST(InvariantsTest, RegionsAreLossOptimalUnderEveryAssessmentMode) {
+  const TrainValTest s = MakeSplits(13, 900);
+  FalccOptions eq_odds = FastOptions();
+  eq_odds.metric = FairnessMetric::kEqualizedOdds;
+  eq_odds.lambda = 0.3;
+  FalccOptions consistency = FastOptions();
+  consistency.assessment_mode = AssessmentMode::kConsistency;
+  FalccOptions many_regions = FastOptions();
+  many_regions.fixed_k = 24;
+  many_regions.gap_fill_k = 5;
+  for (const FalccOptions& options : {eq_odds, consistency, many_regions}) {
+    const FalccModel model =
+        FalccModel::Train(s.train, s.validation, options).value();
+    const Status st = CheckRegionsAreLossOptimal(model, s.validation, options);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
 }
 
 TEST(InvariantsTest, ShardedServingMatchesSingleLoop) {

@@ -306,7 +306,8 @@ TEST(PublisherTest, SequencesCheckpointsOnCadenceAndGarbageCollects) {
   EXPECT_EQ(first.artifacts[0].kind, ArtifactKind::kDelta);
 
   // Second delta trips the cadence: delta + checkpoint of the post-delta
-  // state + GC of everything the checkpoint supersedes.
+  // state + GC of everything the checkpoint supersedes but that delta,
+  // which an in-order replica applies instead of reloading.
   const size_t clusters1[] = {1};
   const PublishReport second =
       publisher.PublishDelta(v2, clusters1, HashOf(v1)).value();
@@ -315,13 +316,15 @@ TEST(PublisherTest, SequencesCheckpointsOnCadenceAndGarbageCollects) {
   EXPECT_EQ(second.artifacts[0].kind, ArtifactKind::kDelta);
   EXPECT_EQ(second.artifacts[1].sequence, 4u);
   EXPECT_EQ(second.artifacts[1].kind, ArtifactKind::kFull);
-  EXPECT_EQ(second.gc_removed, 3u);  // sequences 1..3 superseded
+  EXPECT_EQ(second.gc_removed, 2u);  // sequences 1..2 superseded
 
   DirectoryFeed feed(dir);
   const std::vector<FeedEntry> remaining = feed.Poll(0).value();
-  ASSERT_EQ(remaining.size(), 1u);
-  EXPECT_EQ(remaining[0].sequence, 4u);
-  EXPECT_EQ(remaining[0].kind, ArtifactKind::kFull);
+  ASSERT_EQ(remaining.size(), 2u);
+  EXPECT_EQ(remaining[0].sequence, 3u);
+  EXPECT_EQ(remaining[0].kind, ArtifactKind::kDelta);
+  EXPECT_EQ(remaining[1].sequence, 4u);
+  EXPECT_EQ(remaining[1].kind, ArtifactKind::kFull);
 
   // No half-written artifacts left behind.
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -492,6 +495,100 @@ TEST(PullerTest, BuffersOutOfOrderArrivalsUntilTheGapFills) {
   EXPECT_EQ(stats.gap_fallbacks, 0u);
   EXPECT_EQ(stats.recoveries, 0u);
   EXPECT_EQ(stats.buffered, 0u);
+}
+
+// Publishes checkpoint(v0), delta(v0 → v1), then checkpoint(`last`) as
+// sequences 1–3, and has a replica consume 1–2 before 3 appears. Returns
+// the report of the poll that sees sequence 3; `pool_before` is the pool
+// the replica served before it.
+PullReport PollCheckpointAfterDelta(const std::string& dir_name,
+                                    const FalccModel& v0, const FalccModel& v1,
+                                    const FalccModel& last,
+                                    serve::FalccEngine* engine,
+                                    DeltaPullerStats* stats,
+                                    const ModelPool** pool_before) {
+  DeltaPublisher publisher = OpenPublisher(FreshDir(dir_name), 0);
+  const PublishedArtifact a1 =
+      publisher.PublishCheckpoint(v0).value().artifacts[0];
+  const size_t c0[] = {0};
+  const PublishedArtifact a2 =
+      publisher.PublishDelta(v1, c0, HashOf(v0)).value().artifacts[0];
+  auto feed = std::make_unique<ScriptedFeed>();
+  ScriptedFeed* script = feed.get();
+  DeltaPuller puller(engine, std::move(feed), FastPuller());
+  script->Expose(a1);
+  script->Expose(a2, HashOf(v0));
+  puller.PollOnce();
+  EXPECT_EQ(puller.ServingHash().value(), HashOf(v1));
+  *pool_before = &engine->snapshot()->pool();
+  // Published only now: a checkpoint garbage-collects what it supersedes.
+  script->Expose(publisher.PublishCheckpoint(last).value().artifacts[0]);
+  const PullReport report = puller.PollOnce();
+  *stats = puller.Stats();
+  return report;
+}
+
+// The checkpoint a publisher writes after a delta has the content hash
+// the replica reached by applying that delta: the replica consumes it
+// without mapping it and lowering every kernel again, so the snapshot —
+// pool and kernels included — is the one it already served.
+TEST(PullerTest, InOrderCheckpointOfTheServedSnapshotIsNotReloaded) {
+  const FalccModel v0 = FreshModel();
+  const FalccModel v1 = NextVersion(v0, 0);
+  serve::FalccEngine engine;
+  DeltaPullerStats stats;
+  const ModelPool* pool_before = nullptr;
+  const PullReport report = PollCheckpointAfterDelta(
+      "replicate_same_checkpoint", v0, v1, v1, &engine, &stats, &pool_before);
+  EXPECT_EQ(report.full_reloads, 0u);
+  EXPECT_EQ(stats.full_reloads, 1u);  // the bootstrap checkpoint only
+  EXPECT_EQ(stats.last_sequence, 3u);
+  EXPECT_EQ(&engine.snapshot()->pool(), pool_before);
+  EXPECT_EQ(engine.snapshot()->ContentHash().value(), HashOf(v1));
+}
+
+// An in-order checkpoint with any other content hash still reloads.
+TEST(PullerTest, InOrderCheckpointOfAnotherSnapshotReloads) {
+  const FalccModel v0 = FreshModel();
+  const FalccModel v1 = NextVersion(v0, 0);
+  const FalccModel v2 = NextVersion(v1, 1);
+  serve::FalccEngine engine;
+  DeltaPullerStats stats;
+  const ModelPool* pool_before = nullptr;
+  const PullReport report = PollCheckpointAfterDelta(
+      "replicate_other_checkpoint", v0, v1, v2, &engine, &stats, &pool_before);
+  EXPECT_EQ(report.full_reloads, 1u);
+  EXPECT_EQ(stats.full_reloads, 2u);
+  EXPECT_EQ(stats.last_sequence, 3u);
+  EXPECT_NE(&engine.snapshot()->pool(), pool_before);
+  EXPECT_EQ(engine.snapshot()->ContentHash().value(), HashOf(v2));
+}
+
+// The cadence path end to end: the delta that trips the cadence and its
+// checkpoint land in one publish, whose GC keeps that delta, so a live
+// replica applies it in order and skips the checkpoint's reload.
+TEST(PullerTest, CadenceCheckpointAfterAnAppliedDeltaIsNotReloaded) {
+  const std::string dir = FreshDir("replicate_cadence_skip");
+  DeltaPublisher publisher = OpenPublisher(dir, /*checkpoint_every=*/1);
+  const FalccModel v0 = FreshModel();
+  const FalccModel v1 = NextVersion(v0, 0);
+  publisher.PublishCheckpoint(v0).value();
+  serve::FalccEngine engine;
+  DeltaPuller puller(&engine, std::make_unique<DirectoryFeed>(dir),
+                     FastPuller());
+  puller.PollOnce();  // bootstraps from the checkpoint
+
+  const size_t c0[] = {0};
+  const PublishReport published =
+      publisher.PublishDelta(v1, c0, HashOf(v0)).value();
+  ASSERT_EQ(published.artifacts.size(), 2u);  // delta 2 + checkpoint 3
+  EXPECT_EQ(published.gc_removed, 1u);        // checkpoint 1 only
+  const PullReport report = puller.PollOnce();
+  EXPECT_EQ(report.deltas_applied, 1u);
+  EXPECT_EQ(report.full_reloads, 0u);
+  EXPECT_EQ(puller.Stats().full_reloads, 1u);  // the bootstrap only
+  EXPECT_EQ(puller.Stats().last_sequence, 3u);
+  EXPECT_EQ(puller.ServingHash().value(), HashOf(v1));
 }
 
 TEST(PullerTest, PersistentGapFallsBackAndCheckpointJumpsIt) {

@@ -15,8 +15,10 @@
 #      baseline variant bit for bit (its split_gain_kernel case; the same
 #      variant check runs in ctest as tests/split_scan_test.cc in every
 #      build below) — and a short bench_infer run — the binary exits non-zero if a
-#      compiled flat-node kernel's probabilities diverge from its
-#      interpreted model (the model-level cases), if a batch or
+#      compiled flat-node kernel's probabilities, in any kernel variant
+#      this CPU runs (baseline, avx2, avx512f), diverge from its
+#      interpreted model (the model-level and pool_walk cases), if a
+#      batch or
 #      one-row-per-call serving decision diverges from the sequential
 #      Classify / ClassifyProba reference, or if the serving CentroidTable match differs from
 #      the NearestCentroid reference on any probe row (its cluster_match

@@ -28,7 +28,8 @@
 //                     [--duration-s N] [--heartbeat-s 0.2]
 //
 // Flags take values as either `--flag value` or `--flag=value`; flags
-// may repeat where noted (--sensitive).
+// may repeat where noted (--sensitive). A flag the command does not read
+// is an error (`unknown flag --X for 'classify'`), never ignored.
 //
 // `generate` writes one of the built-in benchmark stand-ins; `train`
 // runs the offline phase (50/35 train/validation split of the input) and
@@ -79,6 +80,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -112,8 +114,9 @@ namespace falcc {
 namespace {
 
 // Minimal flag parser: `--flag value` and `--flag=value`, bounds-checked.
-// Flags may repeat (for --sensitive); malformed command lines surface as
-// an error Status instead of being silently dropped.
+// Flags may repeat (for --sensitive); malformed command lines and flags
+// the command does not read surface as an error Status instead of being
+// silently dropped.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -143,6 +146,19 @@ class Args {
 
   /// OK unless the command line was malformed.
   const Status& status() const { return status_; }
+
+  /// Fails on the first flag that is not in `known`, the flags
+  /// `command` reads.
+  Status CheckFlags(std::string_view command,
+                    std::initializer_list<std::string_view> known) const {
+    for (const auto& [flag, values] : values_) {
+      if (std::find(known.begin(), known.end(), flag) == known.end()) {
+        return Status::InvalidArgument("unknown flag --" + flag + " for '" +
+                                       std::string(command) + "'");
+      }
+    }
+    return Status::OK();
+  }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
     const auto it = values_.find(key);
@@ -205,6 +221,9 @@ Result<ProxyMitigation> ParseProxy(const std::string& name) {
 }
 
 int Generate(const Args& args) {
+  const Status flags = args.CheckFlags(
+      "generate", {"dataset", "out", "scale", "seed"});
+  if (!flags.ok()) return Fail(flags);
   const std::string name = args.Get("dataset", "compas");
   const std::string out = args.Get("out", "");
   if (out.empty()) return Fail(Status::InvalidArgument("--out required"));
@@ -238,6 +257,10 @@ int Generate(const Args& args) {
 }
 
 int Train(const Args& args) {
+  const Status flags = args.CheckFlags(
+      "train", {"data", "sensitive", "out", "label", "metric", "lambda",
+                "proxy", "k", "seed"});
+  if (!flags.ok()) return Fail(flags);
   const std::string path = args.Get("data", "");
   const std::string out = args.Get("out", "");
   if (path.empty() || out.empty()) {
@@ -279,6 +302,8 @@ int Train(const Args& args) {
 }
 
 int Predict(const Args& args) {
+  const Status flags = args.CheckFlags("predict", {"model", "data", "label"});
+  if (!flags.ok()) return Fail(flags);
   const std::string model_path = args.Get("model", "");
   const std::string data_path = args.Get("data", "");
   if (model_path.empty() || data_path.empty()) {
@@ -385,6 +410,10 @@ Status DrainFeed(serve::FalccEngine* engine, const std::string& spec) {
 // --shards N — emitting the per-sample audit trail. The two paths are
 // bit-identical by contract. Engine metrics go to stderr.
 int ClassifySamples(const Args& args) {
+  const Status flags = args.CheckFlags(
+      "classify", {"model", "data", "label", "metrics-out", "shards", "slo-us",
+                   "follow"});
+  if (!flags.ok()) return Fail(flags);
   const std::string model_path = args.Get("model", "");
   const std::string data_path = args.Get("data", "");
   if (model_path.empty() || data_path.empty()) {
@@ -512,6 +541,13 @@ int ClassifySamples(const Args& args) {
 // polls the monitor between chunks. Alarms and refreshes stream to
 // stderr; the final monitor summary JSON goes to stdout.
 int Monitor(const Args& args) {
+  const Status flags = args.CheckFlags(
+      "monitor",
+      {"model", "data", "label", "chunk", "poll-every", "repeat", "window",
+       "threshold", "slack", "min-samples", "drift-cluster", "drift-start",
+       "metrics-out", "delta-dir", "listen", "checkpoint-every",
+       "log-capacity"});
+  if (!flags.ok()) return Fail(flags);
   const std::string model_path = args.Get("model", "");
   const std::string data_path = args.Get("data", "");
   if (model_path.empty() || data_path.empty()) {
@@ -650,6 +686,9 @@ int Monitor(const Args& args) {
 }
 
 int Audit(const Args& args) {
+  const Status flags = args.CheckFlags(
+      "audit", {"data", "sensitive", "label", "metric", "seed"});
+  if (!flags.ok()) return Fail(flags);
   const std::string path = args.Get("data", "");
   if (path.empty()) return Fail(Status::InvalidArgument("--data required"));
   const std::vector<std::string> sensitive = args.GetAll("sensitive");
@@ -692,6 +731,9 @@ int Audit(const Args& args) {
 }
 
 int Inspect(const Args& args) {
+  const Status flags = args.CheckFlags(
+      "inspect", {"data", "sensitive", "label", "proxy-threshold"});
+  if (!flags.ok()) return Fail(flags);
   const std::string path = args.Get("data", "");
   if (path.empty()) return Fail(Status::InvalidArgument("--data required"));
   const std::vector<std::string> sensitive = args.GetAll("sensitive");
@@ -876,6 +918,11 @@ int Snapshot(int argc, char** argv) {
   // Shift past the action so Args sees `--model ...` at its usual index.
   const Args args(argc - 1, argv + 1);
   if (!args.status().ok()) return Fail(args.status());
+  const Status checked =
+      action == "diff"
+          ? args.CheckFlags("snapshot diff", {"model", "other"})
+          : args.CheckFlags("snapshot " + action, {"model"});
+  if (!checked.ok()) return Fail(checked);
   const std::string model = args.Get("model", "");
   if (model.empty()) return Fail(Status::InvalidArgument("--model required"));
   if (action == "inspect") return SnapshotInspect(model);
@@ -897,6 +944,8 @@ int Snapshot(int argc, char** argv) {
 /// any artifact is unreadable, breaks the chain, fails to load or fails
 /// to apply: each is something a replica would quarantine.
 int ReplicateStatus(const Args& args) {
+  const Status flags = args.CheckFlags("replicate status", {"dir"});
+  if (!flags.ok()) return Fail(flags);
   const std::string dir = args.Get("dir", "");
   if (dir.empty()) return Fail(Status::InvalidArgument("--dir required"));
   replicate::DirectoryFeed feed(dir);
@@ -991,6 +1040,9 @@ int ReplicateStatus(const Args& args) {
 /// the retained feed on SUBSCRIBE. Runs until --duration-s elapses
 /// (forever when 0 or unset).
 int ReplicateServeFeed(const Args& args) {
+  const Status flags = args.CheckFlags(
+      "replicate serve-feed", {"dir", "listen", "duration-s", "heartbeat-s"});
+  if (!flags.ok()) return Fail(flags);
   const std::string dir = args.Get("dir", "");
   const std::string listen = args.Get("listen", "");
   if (dir.empty() || listen.empty()) {
