@@ -100,6 +100,13 @@ Status ManifestError(const std::string& what) {
   return Status::InvalidArgument("snapshot manifest: " + what);
 }
 
+/// A delta's `base <hash>` line.
+bool ParseBaseLine(std::string_view line, uint64_t* hash) {
+  const std::vector<std::string_view> fields = SplitFields(line);
+  return fields.size() == 2 && fields[0] == "base" &&
+         ParseHash(fields[1], hash);
+}
+
 /// Pulls the next '\n'-terminated line off `*rest`.
 Status NextLine(std::string_view* rest, std::string_view* line,
                 size_t* consumed) {
@@ -121,11 +128,22 @@ uint64_t Fnv1a(std::string_view bytes, uint64_t seed) {
   return hash;
 }
 
-ArtifactHeader SniffHeader(std::string_view bytes) {
-  const std::string_view line = bytes.substr(0, bytes.find('\n'));
-  if (line == kSnapshotHeaderV2) return ArtifactHeader::kSnapshotV2;
-  if (line == kDeltaHeaderV2) return ArtifactHeader::kDeltaV2;
-  return ArtifactHeader::kUnknown;
+ArtifactSniff SniffArtifact(std::string_view bytes) {
+  ArtifactSniff sniff;
+  const size_t header_end = bytes.find('\n');
+  const std::string_view header = bytes.substr(0, header_end);
+  if (header == kSnapshotHeaderV2) {
+    sniff.header = ArtifactHeader::kSnapshotV2;
+  } else if (header == kDeltaHeaderV2 &&
+             header_end != std::string_view::npos) {
+    const std::string_view rest = bytes.substr(header_end + 1);
+    const size_t base_end = rest.find('\n');
+    if (base_end != std::string_view::npos &&
+        ParseBaseLine(rest.substr(0, base_end), &sniff.base_hash)) {
+      sniff.header = ArtifactHeader::kDeltaV2;
+    }
+  }
+  return sniff;
 }
 
 std::string HashHex(uint64_t hash) {
@@ -309,9 +327,7 @@ Result<SnapshotReader> SnapshotReader::ParseView(std::string_view data) {
 
   if (reader.is_delta_) {
     FALCC_RETURN_IF_ERROR(NextLine(&rest, &line, &consumed));
-    const std::vector<std::string_view> fields = SplitFields(line);
-    if (fields.size() != 2 || fields[0] != "base" ||
-        !ParseHash(fields[1], &reader.base_hash_)) {
+    if (!ParseBaseLine(line, &reader.base_hash_)) {
       return ManifestError("malformed base line");
     }
   }

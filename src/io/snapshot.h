@@ -80,9 +80,19 @@ std::string HashHex(uint64_t hash);
 /// What an artifact's header line says it is.
 enum class ArtifactHeader { kUnknown, kSnapshotV2, kDeltaV2 };
 
+/// An artifact's kind and, for a delta, the content hash of the
+/// snapshot it applies to.
+struct ArtifactSniff {
+  ArtifactHeader header = ArtifactHeader::kUnknown;
+  uint64_t base_hash = 0;
+};
+
 /// Classifies `bytes` by its header line: the text before the first
-/// '\n', or all of `bytes` if there is none.
-ArtifactHeader SniffHeader(std::string_view bytes);
+/// '\n', or all of `bytes` if there is none. A delta must also carry its
+/// '\n'-terminated base line exactly as SnapshotReader::ParseView reads
+/// it (`base`, one space, 16 lowercase hex digits); otherwise it is
+/// kUnknown.
+ArtifactSniff SniffArtifact(std::string_view bytes);
 
 /// Buffered writer. Usage:
 ///   SnapshotWriter writer(&out);

@@ -1,11 +1,9 @@
 #include "replicate/feed.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 #include <utility>
 
@@ -25,42 +23,23 @@ bool EndsWith(const std::string& s, const char* suffix) {
          std::string_view(s).substr(s.size() - sv.size()) == sv;
 }
 
-/// Sniffs `path`'s kind from its header line and, for deltas, parses the
-/// `base <hex>` line. Never fails: anything unexpected is kUnreadable.
-void SniffArtifact(const std::string& path, FeedEntry* entry) {
-  entry->kind = ArtifactKind::kUnreadable;
-  entry->base_hash = 0;
+/// Sniffs `path`'s kind, and a delta's base hash, from its first lines
+/// (io::SniffArtifact). Never fails: anything unexpected is kUnreadable,
+/// a delta whose base line the loader rejects included — the base hash
+/// is the chain link the puller orders by.
+void SniffEntry(const std::string& path, FeedEntry* entry) {
+  // The header and base lines of a valid artifact fit in this prefix.
+  std::string head(64, '\0');
   std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  std::string line;
-  if (!std::getline(in, line)) return;
-  const io::ArtifactHeader header = io::SniffHeader(line);
-  if (header == io::ArtifactHeader::kSnapshotV2) {
-    entry->kind = ArtifactKind::kFull;
-    return;
-  }
-  if (header != io::ArtifactHeader::kDeltaV2) return;
-  // Delta: the base hash is the chain link the puller orders by, so a
-  // delta whose base line is broken is unreadable, not a delta.
-  if (!std::getline(in, line)) return;
-  std::istringstream base_line(line);
-  std::string tag, hex;
-  if (!(base_line >> tag >> hex) || tag != "base" || hex.size() != 16) return;
-  uint64_t hash = 0;
-  for (char c : hex) {
-    const char lower = static_cast<char>(std::tolower(c));
-    uint64_t digit = 0;
-    if (lower >= '0' && lower <= '9') {
-      digit = static_cast<uint64_t>(lower - '0');
-    } else if (lower >= 'a' && lower <= 'f') {
-      digit = static_cast<uint64_t>(lower - 'a' + 10);
-    } else {
-      return;
-    }
-    hash = (hash << 4) | digit;
-  }
-  entry->base_hash = hash;
-  entry->kind = ArtifactKind::kDelta;
+  in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  head.resize(static_cast<size_t>(in.gcount()));
+  const io::ArtifactSniff sniff = io::SniffArtifact(head);
+  entry->base_hash = sniff.base_hash;
+  entry->kind = sniff.header == io::ArtifactHeader::kSnapshotV2
+                    ? ArtifactKind::kFull
+                : sniff.header == io::ArtifactHeader::kDeltaV2
+                    ? ArtifactKind::kDelta
+                    : ArtifactKind::kUnreadable;
 }
 
 }  // namespace
@@ -159,7 +138,7 @@ Result<std::vector<FeedEntry>> DirectoryFeed::Poll(uint64_t after_sequence) {
     entry.path = dirent.path().string();
     entry.bytes = dirent.file_size(ec);
     if (ec) entry.bytes = 0;
-    SniffArtifact(entry.path, &entry);
+    SniffEntry(entry.path, &entry);
     entries.push_back(std::move(entry));
   }
   std::sort(entries.begin(), entries.end(),

@@ -26,9 +26,16 @@ void FalccEngine::SetObserver(std::shared_ptr<DecisionObserver> observer) {
   observer_raw_.store(observer_.get(), std::memory_order_release);
 }
 
-void FalccEngine::NotifyObserver(const ClassifyResponse& response,
-                                 std::span<const double> features,
-                                 uint64_t version, Metrics* metrics) const {
+void FalccEngine::RecordBatch(const ClassifyResponse& response,
+                              std::span<const double> features,
+                              uint64_t version, Metrics* metrics) const {
+  const ClassifyStageSeconds& stages = response.stages;
+  metrics->validate().Record(stages.validate);
+  metrics->transform().Record(stages.transform);
+  metrics->match().Record(stages.match);
+  metrics->predict().Record(stages.predict);
+  metrics->AddFlushes(1);
+  metrics->AddSamples(response.decisions.size());
   DecisionObserver* observer =
       observer_raw_.load(std::memory_order_acquire);
   if (observer == nullptr || response.decisions.empty()) return;
@@ -94,16 +101,9 @@ Result<ClassifyResponse> FalccEngine::ClassifyBatch(
     metrics_.AddErrors(1);
     return response;
   }
-  const ClassifyStageSeconds& stages = response.value().stages;
-  metrics_.validate().Record(stages.validate);
-  metrics_.transform().Record(stages.transform);
-  metrics_.match().Record(stages.match);
-  metrics_.predict().Record(stages.predict);
   metrics_.total().Record(timer.ElapsedSeconds());
-  metrics_.AddFlushes(1);
-  metrics_.AddSamples(response.value().decisions.size());
-  NotifyObserver(response.value(), request.features, snapshot.version,
-                 &metrics_);
+  RecordBatch(response.value(), request.features, snapshot.version,
+              &metrics_);
   return response;
 }
 

@@ -173,12 +173,14 @@ class FalccEngine {
   MetricsSnapshot GetMetrics() const { return metrics_.Snapshot(); }
 
  protected:
-  /// Fans one successful batch (row-major `features`), served by
-  /// snapshot `version`, out to the observer, if any, counting the
-  /// notified decisions in `metrics`.
-  void NotifyObserver(const ClassifyResponse& response,
-                      std::span<const double> features, uint64_t version,
-                      Metrics* metrics) const;
+  /// Accounts one successful batch (row-major `features`), served by
+  /// snapshot `version`, in `metrics` — its stage histograms, one flush
+  /// and its samples — then fans its decisions out to the observer, if
+  /// any, counting the notified ones. Every classified batch, direct or
+  /// shard-flushed, goes through here.
+  void RecordBatch(const ClassifyResponse& response,
+                   std::span<const double> features, uint64_t version,
+                   Metrics* metrics) const;
 
  private:
   SnapshotPtr snapshot_;

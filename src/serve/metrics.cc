@@ -97,6 +97,7 @@ void Metrics::MergeFrom(const Metrics& other) {
   AddSamples(other.samples_.load(std::memory_order_relaxed));
   AddErrors(other.errors_.load(std::memory_order_relaxed));
   AddFlushes(other.flushes_.load(std::memory_order_relaxed));
+  AddInlineFlushes(other.inline_flushes_.load(std::memory_order_relaxed));
   AddReloads(other.reloads_.load(std::memory_order_relaxed));
   AddObserved(other.observed_.load(std::memory_order_relaxed));
   total_.MergeFrom(other.total_);
@@ -113,6 +114,7 @@ MetricsSnapshot Metrics::Snapshot() const {
   snapshot.samples = samples_.load(std::memory_order_relaxed);
   snapshot.errors = errors_.load(std::memory_order_relaxed);
   snapshot.flushes = flushes_.load(std::memory_order_relaxed);
+  snapshot.inline_flushes = inline_flushes_.load(std::memory_order_relaxed);
   snapshot.reloads = reloads_.load(std::memory_order_relaxed);
   snapshot.observed = observed_.load(std::memory_order_relaxed);
   snapshot.total = total_.Summarize();
@@ -129,7 +131,8 @@ std::string MetricsSnapshot::ToString() const {
   out << "serve metrics:\n"
       << "  requests=" << requests << " samples=" << samples
       << " errors=" << errors << " flushes=" << flushes
-      << " reloads=" << reloads << " observed=" << observed << "\n";
+      << " inline_flushes=" << inline_flushes << " reloads=" << reloads
+      << " observed=" << observed << "\n";
   AppendSummary(&out, "total", total);
   AppendSummary(&out, "queue_wait", queue_wait);
   AppendSummary(&out, "validate", validate);
@@ -146,6 +149,7 @@ std::string MetricsSnapshot::ToJson() const {
       << "  \"samples\": " << samples << ",\n"
       << "  \"errors\": " << errors << ",\n"
       << "  \"flushes\": " << flushes << ",\n"
+      << "  \"inline_flushes\": " << inline_flushes << ",\n"
       << "  \"reloads\": " << reloads << ",\n"
       << "  \"observed\": " << observed << ",\n  ";
   AppendJsonSummary(&out, "total", total);

@@ -67,6 +67,8 @@ struct MetricsSnapshot {
   uint64_t errors = 0;    ///< rejected or failed requests
   uint64_t flushes = 0;   ///< batches classified: shard flushes plus
                           ///< successful direct ClassifyBatch calls
+  uint64_t inline_flushes = 0;  ///< shard flushes a submitting thread ran
+                                ///< itself on an idle shard
   uint64_t reloads = 0;   ///< snapshot installs/hot-swaps
   uint64_t observed = 0;  ///< decisions fanned out to the observer
   LatencySummary total;       ///< per sample, submit → decision available
@@ -92,6 +94,7 @@ class Metrics {
   void AddSamples(uint64_t n) { Add(&samples_, n); }
   void AddErrors(uint64_t n) { Add(&errors_, n); }
   void AddFlushes(uint64_t n) { Add(&flushes_, n); }
+  void AddInlineFlushes(uint64_t n) { Add(&inline_flushes_, n); }
   void AddReloads(uint64_t n) { Add(&reloads_, n); }
   void AddObserved(uint64_t n) { Add(&observed_, n); }
 
@@ -120,6 +123,7 @@ class Metrics {
   std::atomic<uint64_t> samples_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> flushes_{0};
+  std::atomic<uint64_t> inline_flushes_{0};
   std::atomic<uint64_t> reloads_{0};
   std::atomic<uint64_t> observed_{0};
   LatencyHistogram total_;

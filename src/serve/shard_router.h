@@ -11,7 +11,8 @@
 // per-worker scratch), while keyless traffic spreads round-robin.
 //
 // The ring is a bounded Vyukov-style MPMC queue used MPSC: any number of
-// client threads Push, exactly one shard worker Pops. Each cell carries
+// client threads Push, and the shard's worker Pops the whole backlog
+// into its next flush (see sharded_engine.h). Each cell carries
 // a sequence number; producers claim a slot with one CAS and publish with
 // one release store, the consumer reclaims with one release store — no
 // locks anywhere on the ring. A full ring fails Push immediately

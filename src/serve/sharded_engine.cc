@@ -1,11 +1,9 @@
 #include "serve/sharded_engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "util/parallel.h"
-#include "util/timer.h"
 
 namespace falcc::serve {
 
@@ -16,15 +14,8 @@ double Seconds(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
-/// Hard upper bound on one flush, whatever the SLO math allows.
+/// Upper bound on the rows of one flush.
 constexpr size_t kMaxBatch = 8192;
-/// Service-model seeds — per-row cost and fixed per-flush overhead,
-/// from BENCH_infer's compiled-kernel end-to-end numbers, so the first
-/// flushes are sized sanely before feedback kicks in — and its EWMA
-/// blend factor.
-constexpr double kSeedRowSeconds = 2e-6;
-constexpr double kSeedOverheadSeconds = 20e-6;
-constexpr double kEwmaAlpha = 0.125;
 
 /// The calling thread's burst test state: when its previous Submit
 /// returned, and whether that call already came back early.
@@ -38,34 +29,10 @@ size_t DefaultNumShards() {
 
 }  // namespace
 
-void ServiceTimeModel::Update(size_t rows, double seconds) {
-  if (rows == 0 || !(seconds > 0.0)) return;
-  // Attribute the observation with the other term held at its current
-  // estimate; alternating the two EWMAs keeps both identifiable without
-  // a regression solve on the hot path.
-  double per_row = per_row_seconds();
-  double overhead = overhead_seconds();
-  const double row_obs =
-      std::max(0.0, seconds - overhead) / static_cast<double>(rows);
-  per_row += alpha_ * (row_obs - per_row);
-  if (per_row < 1e-9) per_row = 1e-9;
-  const double overhead_obs =
-      std::max(0.0, seconds - per_row * static_cast<double>(rows));
-  overhead += alpha_ * (overhead_obs - overhead);
-  per_row_.store(per_row, std::memory_order_relaxed);
-  overhead_.store(overhead, std::memory_order_relaxed);
-}
-
-ShardedEngine::Shard::Shard(size_t ring_capacity)
-    : ring(ring_capacity),
-      service_model(kSeedRowSeconds, kSeedOverheadSeconds, kEwmaAlpha) {}
-
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(options),
       router_(options.num_shards == 0 ? DefaultNumShards()
                                       : options.num_shards) {
-  FALCC_CHECK(options_.slo_seconds > 0.0,
-              "ShardedEngine: slo_seconds must be > 0");
   const size_t n = router_.num_shards();
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -186,7 +153,7 @@ bool ShardedEngine::TryFlushInline(Shard* shard, ShardTask* task) {
   ScopedParallelismCap cap(1);
   shard->batch.assign(1, task);
   FlushBatch(shard);
-  shard->inline_flushes.fetch_add(1, std::memory_order_relaxed);
+  shard->metrics.AddInlineFlushes(1);
   return true;
 }
 
@@ -230,20 +197,8 @@ void ShardedEngine::Gather(Shard* shard) {
     shard->carry = nullptr;
     shard->occupancy.fetch_sub(1, std::memory_order_release);
   }
-  // Drain the ring greedily — batch size tracks the backlog — but stop
-  // the moment classifying one more row is predicted to push the
-  // *oldest* gathered ticket past its SLO deadline. Under overload
-  // (deadline already unmeetable) degrade to one SLO's worth of
-  // predicted service per flush: throughput-preserving, instead of
-  // collapsing into tiny, already-late batches.
+  // Drain the whole backlog: batch size tracks it (see the header).
   while (batch.size() < kMaxBatch) {
-    if (!batch.empty()) {
-      const double age = Seconds(batch.front()->submitted,
-                                 std::chrono::steady_clock::now());
-      const double budget = std::max(options_.slo_seconds - age,
-                                     0.5 * options_.slo_seconds);
-      if (shard->service_model.Predict(batch.size() + 1) > budget) break;
-    }
     ShardTask* task = shard->ring.Pop();
     if (task == nullptr) break;
     if (!batch.empty() &&
@@ -296,10 +251,8 @@ void ShardedEngine::FlushBatch(Shard* shard) {
   request.features = features;
   request.num_features = width;
 
-  Timer service;
   Result<ClassifyResponse> response =
       snapshot.model->ClassifyBatch(request, &shard->scratch);
-  const double service_seconds = service.ElapsedSeconds();
 
   if (!response.ok()) {
     // E.g. a hot-swap changed the schema between validation and flush:
@@ -310,20 +263,12 @@ void ShardedEngine::FlushBatch(Shard* shard) {
     return;
   }
 
-  shard->metrics.AddFlushes(1);
-  shard->metrics.AddSamples(n);
-  const ClassifyStageSeconds& stages = response.value().stages;
-  shard->metrics.validate().Record(stages.validate);
-  shard->metrics.transform().Record(stages.transform);
-  shard->metrics.match().Record(stages.match);
-  shard->metrics.predict().Record(stages.predict);
-
-  const std::vector<SampleDecision>& decisions = response.value().decisions;
   // Fleet-wide observer fan-in: every shard notifies the store's one
   // observer (multi-writer safe by contract) before completing tickets,
   // so a waiter never sees a decision the observer has not.
-  NotifyObserver(response.value(), request.features, snapshot.version,
-                 &shard->metrics);
+  RecordBatch(response.value(), request.features, snapshot.version,
+              &shard->metrics);
+  const std::vector<SampleDecision>& decisions = response.value().decisions;
   for (size_t i = 0; i < n; ++i) {
     batch[i]->Complete(Status::OK(), decisions[i]);
   }
@@ -333,7 +278,6 @@ void ShardedEngine::FlushBatch(Shard* shard) {
   for (ShardTask* task : batch) {
     shard->metrics.total().Record(Seconds(task->submitted, completed));
   }
-  shard->service_model.Update(n, service_seconds);
   shard->last_flush_batched.store(n > 1, std::memory_order_relaxed);
   owned.clear();
 }
@@ -378,20 +322,6 @@ MetricsSnapshot ShardedEngine::GetMetrics() const {
 MetricsSnapshot ShardedEngine::GetShardMetrics(size_t shard) const {
   FALCC_CHECK(shard < shards_.size(), "GetShardMetrics: shard out of range");
   return shards_[shard]->metrics.Snapshot();
-}
-
-ShardStatus ShardedEngine::GetShardStatus(size_t shard) const {
-  FALCC_CHECK(shard < shards_.size(), "GetShardStatus: shard out of range");
-  const Shard& s = *shards_[shard];
-  ShardStatus status;
-  status.shard = shard;
-  status.ewma_row_seconds = s.service_model.per_row_seconds();
-  status.ewma_overhead_seconds = s.service_model.overhead_seconds();
-  status.inline_flushes = s.inline_flushes.load(std::memory_order_relaxed);
-  const MetricsSnapshot snapshot = s.metrics.Snapshot();
-  status.flushes = snapshot.flushes;
-  status.samples = snapshot.samples;
-  return status;
 }
 
 }  // namespace falcc::serve

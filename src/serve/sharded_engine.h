@@ -1,8 +1,8 @@
 // Sharded serving fleet: the one queued serving path. A ShardedEngine is
 // a FalccEngine snapshot store with N independent shards in front of it,
 // each owning a lock-free MPSC submit ring drained by a dedicated worker
-// into the caller-scratch ClassifyBatch path, with SLO-driven adaptive
-// batch sizing. One shard is the single-queue configuration.
+// into the caller-scratch ClassifyBatch path, one flush per backlog.
+// One shard is the single-queue configuration.
 //
 // Why shards: FALCC inherits the decoupled per-(cluster, group) structure
 // of decoupled classifiers, so serving partitions perfectly: shards share
@@ -32,15 +32,16 @@
 // shard still classifies (and notifies the observer) in submission
 // order.
 //
-// Adaptive batching: each shard worker drains whatever its ring holds —
-// so batch size tracks the backlog, collapsing to 1 under idle traffic
-// (µs-scale latency, no artificial delay) and growing under load — but
-// caps the batch the moment the *oldest* gathered ticket's predicted
-// completion (per-shard EWMA service model, seeded from the
-// compiled-kernel bench numbers) would breach its submit-time + SLO
-// deadline. Under overload, when the deadline is already unmeetable, the
-// cap degrades to "one SLO's worth of service per flush" so throughput
-// is preserved instead of collapsing into tiny late batches.
+// Backlog batching: each worker flush takes the shard's whole backlog —
+// the carried task, then the ring, up to kMaxBatch rows — and stops
+// early only where the feature width changes. So batch size tracks the
+// backlog: 1 under idle traffic (µs-scale latency, no artificial delay),
+// larger under load. No latency target cuts a batch. FALCC classifies
+// every sample on its own, so a flush's size changes its cost, never a
+// decision; and a shard is one FIFO server whose tickets complete when
+// their flush ends. A cut would finish the rows before it sooner, but
+// every row after it would wait for both flushes and pay one more
+// flush's overhead: it can lower a median, never the tail.
 //
 // Oversubscription guard: every flush, on a worker or a submitting
 // thread, pins ParallelFor to one thread via ScopedParallelismCap — N
@@ -75,67 +76,12 @@ struct ShardedEngineOptions {
   /// A full ring rejects Submit with kUnavailable — the backpressure
   /// contract.
   size_t ring_capacity = 1 << 14;
-  /// Per-ticket latency objective, submit → decision available. The
-  /// adaptive flush sizes batches so the oldest ticket's predicted
-  /// completion stays inside this budget.
-  double slo_seconds = 1e-3;
   /// Start the shard worker threads. When false nothing flushes — no
   /// worker runs and submitters never flush an idle shard themselves —
   /// so every accepted sample waits in its ring until Shutdown fails it.
   /// Tests disable this to exercise ring backpressure and drain logic
   /// deterministically.
   bool start_workers = true;
-};
-
-/// Online linear model of batch service time: Predict(n) = overhead +
-/// n · per_row, both terms exponentially-weighted moving averages fed by
-/// Update after every classified batch. Seeds come from the compiled-
-/// kernel benchmark numbers so the very first flush decisions are sane;
-/// the estimate then tracks the deployed model and hardware. One writer
-/// at a time: a shard's model is updated only by whoever holds that
-/// shard's flush lock (its worker or a submitter flushing inline). Any
-/// thread may read it — GetShardStatus does, without the lock, so a
-/// diagnostics poll never delays a flush — and sees each term as some
-/// recent estimate.
-class ServiceTimeModel {
- public:
-  ServiceTimeModel(double seed_row_seconds, double seed_overhead_seconds,
-                   double alpha)
-      : per_row_(seed_row_seconds), overhead_(seed_overhead_seconds),
-        alpha_(alpha) {}
-
-  /// Predicted wall-clock seconds to classify a batch of `rows`.
-  double Predict(size_t rows) const {
-    return overhead_seconds() +
-           static_cast<double>(rows) * per_row_seconds();
-  }
-
-  /// Folds one observed (rows, seconds) batch into the estimate.
-  void Update(size_t rows, double seconds);
-
-  double per_row_seconds() const {
-    return per_row_.load(std::memory_order_relaxed);
-  }
-  double overhead_seconds() const {
-    return overhead_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> per_row_;
-  std::atomic<double> overhead_;
-  double alpha_;
-};
-
-/// Point-in-time view of one shard's adaptive state (diagnostics).
-struct ShardStatus {
-  size_t shard = 0;
-  double ewma_row_seconds = 0.0;
-  double ewma_overhead_seconds = 0.0;
-  uint64_t flushes = 0;
-  uint64_t samples = 0;
-  /// Flushes a submitting thread ran itself on an idle shard (a subset
-  /// of `flushes` when they succeed).
-  uint64_t inline_flushes = 0;
 };
 
 /// N-shard serving front end over immutable FalccModel snapshots.
@@ -195,11 +141,9 @@ class ShardedEngine : public FalccEngine {
   /// true submit-to-completion times.
   MetricsSnapshot GetMetrics() const;
 
-  /// One shard's own metrics.
+  /// One shard's own metrics; `inline_flushes` counts the flushes its
+  /// submitters ran themselves.
   MetricsSnapshot GetShardMetrics(size_t shard) const;
-
-  /// One shard's adaptive-batching state.
-  ShardStatus GetShardStatus(size_t shard) const;
 
   /// Deterministic key → shard mapping (exposed for tests and for
   /// clients that co-locate their own per-shard state).
@@ -207,7 +151,7 @@ class ShardedEngine : public FalccEngine {
 
  private:
   struct Shard {
-    explicit Shard(size_t ring_capacity);
+    explicit Shard(size_t ring_capacity) : ring(ring_capacity) {}
 
     SubmitRing ring;
     /// Samples submitted and not yet gathered into a batch: ring entries
@@ -223,9 +167,8 @@ class ShardedEngine : public FalccEngine {
     /// Whoever holds flush_mu flushes this shard: the worker for a whole
     /// gather + FlushBatch (released before it parks), or a submitter
     /// that found the shard idle (try_lock only). It guards every member
-    /// below; its holder is the service model's one writer.
+    /// below.
     std::mutex flush_mu;
-    ServiceTimeModel service_model;
     ClassifyScratch scratch;
     std::vector<ShardTask*> batch;
     std::vector<std::shared_ptr<ShardTask>> owned;
@@ -233,8 +176,6 @@ class ShardedEngine : public FalccEngine {
     /// Width-mismatched task, the next batch's first; still counted in
     /// `occupancy`.
     ShardTask* carry = nullptr;
-    /// Written under flush_mu, read lock-free by GetShardStatus.
-    std::atomic<uint64_t> inline_flushes{0};
     /// Whether the last successful flush classified more than one row;
     /// written under flush_mu, read by the idle test.
     std::atomic<bool> last_flush_batched{false};
@@ -246,8 +187,8 @@ class ShardedEngine : public FalccEngine {
   /// nothing done) otherwise.
   bool TryFlushInline(Shard* shard, ShardTask* task);
   void WorkerLoop(size_t shard_index);
-  /// Fills `shard->batch` from the carry and the ring. Caller holds
-  /// flush_mu.
+  /// Fills `shard->batch` with the carry and the ring's backlog, up to
+  /// kMaxBatch rows of one width. Caller holds flush_mu.
   void Gather(Shard* shard);
   /// Classifies `shard->batch` (all tasks same width) on the current
   /// snapshot and completes every ticket. Caller holds flush_mu.

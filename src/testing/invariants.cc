@@ -364,11 +364,9 @@ Status CheckShardedMatchesSingleLoop(const FalccModel& model,
       }
     }
     if (counts != nullptr) {
-      for (size_t shard = 0; shard < engine.num_shards(); ++shard) {
-        const serve::ShardStatus status = engine.GetShardStatus(shard);
-        counts->flushes += status.flushes;
-        counts->inline_flushes += status.inline_flushes;
-      }
+      const serve::MetricsSnapshot fleet = engine.GetMetrics();
+      counts->flushes += fleet.flushes;
+      counts->inline_flushes += fleet.inline_flushes;
     }
   }
   return Status::OK();

@@ -1,8 +1,9 @@
 # Every falcc_cli command rejects a flag it does not read with status 1
 # and `unknown flag --X for '<command>'`, before any file is opened (so
-# the model and data paths need not exist): a flag an older version
-# accepted (`classify --compiled`) and a misspelled one (`--shard`, not
-# `--shards`) alike, for plain commands and for subcommands. And every
+# the model and data paths need not exist): flags an older version
+# accepted (`classify --compiled`, `--slo-us`) and a misspelled one
+# (`--shard`, not `--shards`) alike, for plain commands and for
+# subcommands. And every
 # command accepts each flag it documents: given all of them, it fails
 # only on the missing input files.
 #
@@ -21,9 +22,12 @@ function(expect_unknown_flag flag command)
   endif()
 endfunction()
 
-# Removed: the compiled/interpreted switch is gone.
+# Removed: the compiled/interpreted switch and the latency target that
+# cut shard batches are gone.
 expect_unknown_flag(compiled classify
   classify --model missing.falcc --data missing.csv --compiled off)
+expect_unknown_flag(slo-us classify
+  classify --model missing.falcc --data missing.csv --shards 2 --slo-us 1000)
 # Misspelled.
 expect_unknown_flag(shard classify
   classify --model missing.falcc --data missing.csv --shard 2)
@@ -53,7 +57,7 @@ expect_flags_accepted(train --data missing.csv --sensitive race
 expect_flags_accepted(predict --model missing.falcc --data missing.csv
   --label y)
 expect_flags_accepted(classify --model missing.falcc --data missing.csv
-  --label y --metrics-out missing-dir/m.json --shards 2 --slo-us 1000
+  --label y --metrics-out missing-dir/m.json --shards 2
   --follow missing.falcc)
 expect_flags_accepted(monitor --model missing.falcc --data missing.csv
   --label y --chunk 256 --poll-every 1 --repeat 1 --window 512

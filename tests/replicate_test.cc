@@ -281,6 +281,24 @@ TEST(DirectoryFeedTest, OrdersSniffsAndSkipsInProgressWrites) {
   EXPECT_FALSE(missing.Poll(0).ok());
 }
 
+// The feed sniffs a delta's base line exactly as the loader parses it:
+// uppercase hex loads as "malformed base line", so it is no delta.
+TEST(DirectoryFeedTest, UppercaseHexBaseLineIsUnreadable) {
+  const std::string dir = FreshDir("replicate_feed_upper");
+  const FalccModel v0 = FreshModel();
+  std::string bytes = DeltaBytes(NextVersion(v0, 0), 0, 0x0123abcdef456789);
+  const std::string lower = "\nbase 0123abcdef456789\n";
+  const size_t at = bytes.find(lower);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, lower.size(), "\nbase 0123ABCDEF456789\n");
+  WriteFile(dir + "/" + SequencedName(1, "delta.falcc"), bytes);
+
+  const std::vector<FeedEntry> entries = DirectoryFeed(dir).Poll(0).value();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].kind, ArtifactKind::kUnreadable);
+  EXPECT_FALSE(io::SnapshotReader::ParseView(bytes).ok());
+}
+
 // --- Publisher ----------------------------------------------------------
 
 TEST(PublisherTest, SequencesCheckpointsOnCadenceAndGarbageCollects) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <set>
@@ -122,45 +123,6 @@ TEST(SubmitRingTest, ConcurrentProducersLoseNothing) {
   EXPECT_EQ(ring.Pop(), nullptr);
 }
 
-// --- Service-time model ---------------------------------------------------
-
-TEST(ServiceTimeModelTest, ConvergesToObservedCost) {
-  // Seeded wrong on purpose; feed a consistent 10 µs/row + 50 µs
-  // overhead workload and the EWMA must converge near it.
-  serve::ServiceTimeModel model(/*seed_row_seconds=*/1e-6,
-                                /*seed_overhead_seconds=*/1e-6,
-                                /*alpha=*/0.25);
-  const double kRow = 10e-6;
-  const double kOverhead = 50e-6;
-  for (int i = 0; i < 200; ++i) {
-    const size_t rows = 1 + (i % 32);
-    model.Update(rows, kOverhead + static_cast<double>(rows) * kRow);
-  }
-  // Attribution between the two terms is approximate (part of the
-  // overhead can settle in the per-row term); what matters is that the
-  // estimate is bracketed by the true marginal cost and the fully
-  // amortized single-row cost.
-  EXPECT_GE(model.per_row_seconds(), 0.5 * kRow);
-  EXPECT_LE(model.per_row_seconds(), kRow + kOverhead);
-  // Predictions grow monotonically with batch size.
-  EXPECT_LT(model.Predict(1), model.Predict(16));
-  EXPECT_LT(model.Predict(16), model.Predict(256));
-  // Predict(32) lands within 2x of the true cost of a 32-row batch.
-  const double truth = kOverhead + 32 * kRow;
-  EXPECT_GT(model.Predict(32), 0.5 * truth);
-  EXPECT_LT(model.Predict(32), 2.0 * truth);
-}
-
-TEST(ServiceTimeModelTest, SurvivesDegenerateObservations) {
-  serve::ServiceTimeModel model(2e-6, 20e-6, 0.125);
-  model.Update(0, 1.0);       // zero rows: ignored, no divide-by-zero
-  model.Update(8, 0.0);       // faster than the overhead estimate
-  model.Update(8, -1.0);      // clock went backwards
-  EXPECT_GT(model.per_row_seconds(), 0.0);
-  EXPECT_GE(model.overhead_seconds(), 0.0);
-  EXPECT_GT(model.Predict(100), model.Predict(1));
-}
-
 // --- Sharded engine -------------------------------------------------------
 
 TEST(ShardedEngineTest, ShardCountsMatchSingleLoopBitIdentically) {
@@ -274,20 +236,19 @@ TEST(ShardedEngineTest, IdleTrafficCollapsesToTinyBatches) {
   const std::vector<double> sample(width, 0.5);
 
   // Sequential closed-loop traffic: each submit waits for its decision,
-  // so the ring holds at most one task and the adaptive flush must not
-  // sit on it waiting for company (no max_delay stalling).
+  // so the ring holds at most one task and no flush may sit on it
+  // waiting for company (no max_delay stalling).
   const size_t kRequests = 40;
   for (size_t i = 0; i < kRequests; ++i) {
     engine.Classify(sample).value();
   }
-  const serve::ShardStatus status = engine.GetShardStatus(0);
-  EXPECT_EQ(status.samples, kRequests);
+  const serve::MetricsSnapshot metrics = engine.GetShardMetrics(0);
+  EXPECT_EQ(metrics.samples, kRequests);
   // Batch size ≈ 1 when idle: flushes track samples almost 1:1.
-  EXPECT_GE(status.flushes, kRequests / 2);
-  EXPECT_GT(status.ewma_row_seconds, 0.0);
+  EXPECT_GE(metrics.flushes, kRequests / 2);
 }
 
-TEST(ShardedEngineTest, BacklogGrowsBatchesUnderLoad) {
+TEST(ShardedEngineTest, ShutdownFailsTicketsStillQueued) {
   serve::ShardedEngineOptions options;
   options.num_shards = 1;
   options.start_workers = false;  // let a backlog accumulate
@@ -399,7 +360,7 @@ TEST(ShardedEngineTest, ShutdownDrainsPendingAndRejectsNew) {
   // inline), so the drain ran with live workers.
   uint64_t inline_flushes = 0;
   for (size_t shard = 0; shard < engine.num_shards(); ++shard) {
-    inline_flushes += engine.GetShardStatus(shard).inline_flushes;
+    inline_flushes += engine.GetShardMetrics(shard).inline_flushes;
   }
   EXPECT_LT(inline_flushes, tickets.size());
   const Result<serve::ShardTicket> after = engine.Submit(sample);
@@ -648,9 +609,9 @@ TEST(ShardedEngineTest, InlineAndQueuedFlushesKeepPerShardSubmissionOrder) {
   std::vector<std::vector<double>> samples;
   const auto mixed = [&] {
     for (size_t shard = 0; shard < engine.num_shards(); ++shard) {
-      const serve::ShardStatus status = engine.GetShardStatus(shard);
-      if (status.inline_flushes == 0 ||
-          status.flushes <= status.inline_flushes) {
+      const serve::MetricsSnapshot metrics = engine.GetShardMetrics(shard);
+      if (metrics.inline_flushes == 0 ||
+          metrics.flushes <= metrics.inline_flushes) {
         return false;
       }
     }
@@ -725,9 +686,9 @@ TEST(ShardedEngineTest, BurstFromOneThreadReachesTheWorkers) {
   uint64_t flushes = 0;
   uint64_t inline_flushes = 0;
   for (size_t shard = 0; shard < engine.num_shards(); ++shard) {
-    const serve::ShardStatus status = engine.GetShardStatus(shard);
-    flushes += status.flushes;
-    inline_flushes += status.inline_flushes;
+    const serve::MetricsSnapshot metrics = engine.GetShardMetrics(shard);
+    flushes += metrics.flushes;
+    inline_flushes += metrics.inline_flushes;
   }
   // Only the first submissions of a burst flush inline.
   EXPECT_LT(inline_flushes * 2, kWave);
@@ -754,9 +715,82 @@ TEST(ShardedEngineTest, SequentialClientFlushesInline) {
   }
   uint64_t inline_flushes = 0;
   for (size_t shard = 0; shard < engine.num_shards(); ++shard) {
-    inline_flushes += engine.GetShardStatus(shard).inline_flushes;
+    inline_flushes += engine.GetShardMetrics(shard).inline_flushes;
   }
   EXPECT_EQ(inline_flushes, kRequests);
+}
+
+// Blocks the first decision it sees until Release, so a flush can be
+// held mid-way while a backlog queues behind it.
+class FirstDecisionLatch : public serve::DecisionObserver {
+ public:
+  void OnDecision(const SampleDecision&, std::span<const double>,
+                  uint64_t) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (entered_) return;
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+// Backlog batching: a worker flush takes everything queued behind the
+// flush in progress, whatever the rows' age, as one batch.
+TEST(ShardedEngineTest, QueuedBacklogFlushesAsOneBatch) {
+  serve::ShardedEngineOptions options;
+  options.num_shards = 1;
+  serve::ShardedEngine engine(options);
+  engine.Install(TrainSmallModel());
+  const std::shared_ptr<const FalccModel> model = engine.snapshot();
+  auto latch = std::make_shared<FirstDecisionLatch>();
+  engine.SetObserver(latch);
+  const TrainValTest s = MakeSplits();
+
+  // The idle shard's first sample is flushed inline on the helper
+  // thread, which then holds the shard's flush lock inside the observer.
+  std::thread helper([&] {
+    const auto row = s.test.Row(0);
+    EXPECT_EQ(engine.Classify(row).value().probability,
+              model->ClassifyProba(row));
+  });
+  latch->WaitEntered();
+  constexpr size_t kBacklog = 1000;
+  std::vector<serve::ShardTicket> tickets;
+  for (size_t i = 0; i < kBacklog; ++i) {
+    tickets.push_back(engine.Submit(s.test.Row(i % s.test.num_rows())).value());
+  }
+  latch->Release();
+  helper.join();
+  for (size_t i = 0; i < kBacklog; ++i) {
+    const auto row = s.test.Row(i % s.test.num_rows());
+    const SampleDecision d = tickets[i].Wait().value();
+    ASSERT_EQ(d.label, model->Classify(row)) << i;
+    ASSERT_EQ(d.probability, model->ClassifyProba(row)) << i;
+  }
+  // The inline flush, then the whole backlog in one worker flush.
+  const serve::MetricsSnapshot metrics = engine.GetShardMetrics(0);
+  EXPECT_EQ(metrics.inline_flushes, 1u);
+  EXPECT_EQ(metrics.flushes, 2u);
+  EXPECT_EQ(metrics.samples, kBacklog + 1);
 }
 
 TEST(ShardedEngineTest, FleetMetricsAggregateAllShards) {

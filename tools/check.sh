@@ -27,7 +27,8 @@
 #      below) — and a
 #      bench_serve --smoke run, which exits non-zero if sharded-fleet
 #      decisions diverge from the single-loop reference at any shard
-#      count, the fleet's achieved p99 exceeds 10x the configured SLO,
+#      count, the fleet's achieved p99 exceeds 10x bench_serve's own
+#      p99 target (1 ms by default),
 #      or the snapshot-distribution row (full reload vs delta apply,
 #      the "reload" object in BENCH_serve.json) serves
 #      decisions diverging from the reference, and a bench_replicate

@@ -9,7 +9,6 @@
 //   falcc_cli predict --model model.falcc --data data.csv [--label label]
 //   falcc_cli classify --model model.falcc --data data.csv [--label label]
 //                     [--metrics-out metrics.json] [--shards N]
-//                     [--slo-us K]
 //                     [--follow dir|tcp://host:port|unix://path]
 //   falcc_cli monitor --model model.falcc --data data.csv [--label label]
 //                     [--chunk 256] [--poll-every 1] [--repeat 1]
@@ -38,8 +37,8 @@
 // the serving engine's validated batch API and emits one line per sample
 // with the full audit trail (prediction, probability, matched cluster,
 // sensitive group, pool model) — with --shards N the rows go through the
-// sharded serving fleet (per-row affinity keys, SLO-driven adaptive
-// batching at p99 < K µs) instead of one direct batch call, and the
+// sharded serving fleet (per-row affinity keys, each shard flushing its
+// backlog as one batch) instead of one direct batch call, and the
 // audit output is bit-identical either way; `monitor` replays a labeled stream
 // through the serving engine with the drift monitor attached —
 // classifying in chunks, feeding the CSV labels back as delayed ground
@@ -76,7 +75,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -406,13 +404,12 @@ Status DrainFeed(serve::FalccEngine* engine, const std::string& spec) {
 
 // Serving-path classification: routes all rows through the validated
 // serving API — one direct ClassifyBatch call by default, or the sharded
-// fleet (per-row affinity keys, SLO-driven adaptive batching) with
-// --shards N — emitting the per-sample audit trail. The two paths are
-// bit-identical by contract. Engine metrics go to stderr.
+// fleet (per-row affinity keys, backlog batching) with --shards N —
+// emitting the per-sample audit trail. The two paths are bit-identical
+// by contract. Engine metrics go to stderr.
 int ClassifySamples(const Args& args) {
   const Status flags = args.CheckFlags(
-      "classify", {"model", "data", "label", "metrics-out", "shards", "slo-us",
-                   "follow"});
+      "classify", {"model", "data", "label", "metrics-out", "shards", "follow"});
   if (!flags.ok()) return Fail(flags);
   const std::string model_path = args.Get("model", "");
   const std::string data_path = args.Get("data", "");
@@ -420,12 +417,8 @@ int ClassifySamples(const Args& args) {
     return Fail(Status::InvalidArgument("--model and --data required"));
   }
   const long shards = std::atol(args.Get("shards", "0").c_str());
-  const double slo_us = std::atof(args.Get("slo-us", "1000").c_str());
   if (shards < 0) {
     return Fail(Status::InvalidArgument("--shards must be >= 0"));
-  }
-  if (!std::isfinite(slo_us) || slo_us <= 0.0) {
-    return Fail(Status::InvalidArgument("--slo-us must be positive"));
   }
   Result<FalccModel> model = FalccModel::LoadMapped(model_path);
   if (!model.ok()) return Fail(model.status());
@@ -468,7 +461,6 @@ int ClassifySamples(const Args& args) {
     // routing (and any diagnostics) is reproducible run to run.
     serve::ShardedEngineOptions options;
     options.num_shards = static_cast<size_t>(shards);
-    options.slo_seconds = slo_us * 1e-6;
     serve::ShardedEngine engine(options);
     engine.Install(std::move(model).value());
     const std::string follow = args.Get("follow", "");
