@@ -88,16 +88,6 @@ std::vector<size_t> AllRows(size_t n) {
   return rows;
 }
 
-std::vector<double> Flatten(const Dataset& data) {
-  std::vector<double> flat;
-  flat.reserve(data.num_rows() * data.num_features());
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    const auto row = data.Row(i);
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  return flat;
-}
-
 double MedianSeconds(std::vector<double> times) {
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
@@ -186,13 +176,15 @@ CaseResult RunModelCase(const std::string& name, const Classifier& model,
   FALCC_CHECK(kernel.ok(), "bench_infer: compile failed");
   result.num_trees = kernel.value().num_trees();
   result.num_nodes = kernel.value().num_nodes();
-  result.ns_per_row = MedianNsPerRow(
-      rows.size(), reps,
-      [&] { kernel.value().PredictProbaBatch(probe, rows, compiled); });
+  result.ns_per_row = MedianNsPerRow(rows.size(), reps, [&] {
+    kernel.value().PredictProbaBatch(probe.features(), probe.num_features(),
+                                     rows, compiled);
+  });
   result.speedup = result.interpreted_ns_per_row / result.ns_per_row;
   result.decisions_identical = SameBits(interpreted, compiled);
   for (const PredictKernel& variant : PredictKernels()) {
-    variant.fn(kernel.value().parts(), probe, rows, compiled);
+    variant.fn(kernel.value().parts(), probe.features(), probe.num_features(),
+               rows, compiled);
     if (!SameBits(interpreted, compiled)) {
       std::fprintf(stderr, "bench_infer: %s variant %s diverged\n",
                    name.c_str(), variant.name);
@@ -250,8 +242,7 @@ CaseResult RunEndToEnd(const FalccModel& model, const Dataset& probe,
   result.name = "falcc_classify_batch";
   result.end_to_end = true;
   const size_t rows = probe.num_rows();
-  const std::vector<double> flat = Flatten(probe);
-  const ClassifyRequest request{flat, probe.num_features()};
+  const ClassifyRequest request{probe.features(), probe.num_features()};
 
   CountKernels(model.pool(), &result);
   ClassifyResponse response;
@@ -363,6 +354,7 @@ PoolWalkResult RunPoolWalk(const FalccModel& model, const Dataset& probe,
   constexpr size_t kBatchRows = 4096;
   const ModelPool& pool = model.pool();
   const size_t n = probe.num_rows();
+  const size_t width = probe.num_features();
   std::vector<size_t> fires(n);
   for (size_t i = 0; i < n; ++i) {
     const auto row = probe.Row(i);
@@ -410,9 +402,11 @@ PoolWalkResult RunPoolWalk(const FalccModel& model, const Dataset& probe,
         const std::span<double> proba = std::span<double>(outputs[k]).subspan(
             seg.begin, seg.end - seg.begin);
         if (const CompiledEnsemble* kernel = pool.kernel(seg.model)) {
-          kernels[k].fn(kernel->parts(), probe, rows_of(seg), proba);
+          kernels[k].fn(kernel->parts(), probe.features(), width,
+                        rows_of(seg), proba);
         } else {
-          pool.PredictProbaBatch(seg.model, probe, rows_of(seg), proba);
+          pool.PredictProbaBatch(seg.model, probe.features(), width,
+                                 rows_of(seg), proba);
         }
       }
     });

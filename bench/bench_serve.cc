@@ -57,6 +57,7 @@
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -137,17 +138,6 @@ struct ReloadResult {
   bool predictions_identical = true;
 };
 
-/// Flattens the feature matrix of `data` into a row-major vector.
-std::vector<double> Flatten(const Dataset& data) {
-  std::vector<double> flat;
-  flat.reserve(data.num_rows() * data.num_features());
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    const auto row = data.Row(i);
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  return flat;
-}
-
 /// A pool of 24 deep AdaBoost ensembles over 32 local regions — a
 /// serving-scale model whose pool working set exceeds the L2 cache.
 FalccOptions ServingScaleOptions() {
@@ -174,7 +164,7 @@ FalccOptions SmokeOptions() {
 }
 
 ModeResult RunSingleLoop(const FalccModel& model,
-                         const std::vector<double>& flat, size_t width,
+                         std::span<const double> flat, size_t width,
                          size_t threads, size_t reps,
                          const ClassifyResponse& reference) {
   const size_t rows = flat.size() / width;
@@ -258,7 +248,7 @@ LoadPoint RunClosedLoop(size_t rows, size_t clients, size_t reps,
 }
 
 ShardedRow RunSharded(const std::string& model_bytes,
-                      const std::vector<double>& flat, size_t width,
+                      std::span<const double> flat, size_t width,
                       size_t rows, size_t shards,
                       const std::vector<size_t>& client_sweep, size_t reps,
                       double slo_seconds, const ClassifyResponse& reference) {
@@ -350,7 +340,7 @@ struct OpenLoopClient {
 /// the clients' threads, plus the wall time of their Submit calls
 /// (which never block, so their wall time is their CPU).
 OpenLoopPoint RunOpenLoopPoint(const std::string& model_bytes,
-                               const std::vector<double>& flat, size_t width,
+                               std::span<const double> flat, size_t width,
                                size_t shards, double rate, double seconds,
                                const ClassifyResponse& reference) {
   OpenLoopPoint point;
@@ -454,7 +444,7 @@ constexpr size_t kBurstWave = 1024;
 /// kBurstWave keyed submissions from one thread followed by waits on the
 /// wave's tickets; median wall-clock of `reps`, a fresh engine per rep.
 BurstPoint RunBurstPoint(const std::string& model_bytes,
-                         const std::vector<double>& flat, size_t width,
+                         std::span<const double> flat, size_t width,
                          size_t rows, size_t shards, size_t reps,
                          const ClassifyResponse& reference) {
   BurstPoint point;
@@ -507,7 +497,7 @@ BurstPoint RunBurstPoint(const std::string& model_bytes,
 
 ReloadResult RunReloadBench(const FalccModel& model,
                             const std::string& model_bytes, size_t reps,
-                            const std::vector<double>& flat, size_t width,
+                            std::span<const double> flat, size_t width,
                             const ClassifyResponse& reference) {
   ReloadResult result;
   result.full_bytes = model_bytes.size();
@@ -830,7 +820,7 @@ int Main(int argc, char** argv) {
     model_bytes = out.str();
   }
 
-  const std::vector<double> flat = Flatten(probe);
+  const std::span<const double> flat = probe.features();
   const size_t width = probe.num_features();
   ClassifyRequest reference_request;
   reference_request.features = flat;

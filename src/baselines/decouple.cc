@@ -62,8 +62,8 @@ Result<DecoupleModel> DecoupleModel::TrainWithPool(
   model.group_index_ = std::move(index).value();
   model.pool_ = std::move(pool);
 
-  const std::vector<std::vector<int>> votes =
-      model.pool_.PredictMatrix(validation);
+  const std::vector<std::vector<int>> votes = model.pool_.PredictMatrix(
+      validation.features(), validation.num_features());
   Result<std::vector<size_t>> groups =
       model.group_index_.GroupsOf(validation);
   if (!groups.ok()) return groups.status();

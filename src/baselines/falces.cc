@@ -85,7 +85,8 @@ Result<FalcesModel> FalcesModel::TrainWithPool(ModelPool pool,
     model.group_masks_[model.val_groups_[i]][i] = true;
   }
 
-  model.votes_ = model.pool_.PredictMatrix(validation);
+  model.votes_ = model.pool_.PredictMatrix(validation.features(),
+                                           validation.num_features());
 
   Result<std::vector<ModelCombination>> combos =
       EnumerateCombinations(model.pool_, num_groups);

@@ -174,8 +174,8 @@ Result<FalccModel> FalccModel::RunOfflinePhase(ModelPool pool,
 
   // Drop empty regions from assessment but keep centroid indexing intact
   // by assigning them the globally best combination later.
-  const std::vector<std::vector<int>> votes =
-      model.pool_->PredictMatrix(validation);
+  const std::vector<std::vector<int>> votes = model.pool_->PredictMatrix(
+      validation.features(), validation.num_features());
 
   AssessmentContext ctx;
   ctx.votes = &votes;
@@ -344,10 +344,13 @@ double FalccModel::ClassifyProba(std::span<const double> features) const {
   return pool_->model(m).PredictProba(features);
 }
 
-void FalccModel::ClassifyRowsInto(const Dataset& data,
-                                  ClassifyResponse* response,
+void FalccModel::ClassifyRowsInto(std::span<const double> features,
+                                  size_t width, ClassifyResponse* response,
                                   ClassifyScratch* scratch) const {
-  const size_t n = data.num_rows();
+  const size_t n = features.size() / width;
+  const auto row = [&](size_t i) {
+    return features.subspan(i * width, width);
+  };
   std::vector<SampleDecision>& decisions = response->decisions;
   decisions.assign(n, SampleDecision{});
   Timer stage_timer;
@@ -355,14 +358,14 @@ void FalccModel::ClassifyRowsInto(const Dataset& data,
   // Stage 1 — sample processing (§3.7 step 1) straight into one
   // contiguous row-major matrix (caller scratch, reused across batches):
   // no per-sample or per-chunk buffer.
-  const size_t width = clustering_transform_.num_output_features();
+  const size_t point_width = clustering_transform_.num_output_features();
   std::vector<double>& transformed = scratch->transformed;
-  transformed.resize(n * width);
+  transformed.resize(n * point_width);
   ParallelFor(0, n, 256, [&](size_t /*chunk*/, size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       clustering_transform_.ApplyInto(
-          data.Row(i), std::span<double>(transformed.data() + i * width,
-                                         width));
+          row(i), std::span<double>(transformed.data() + i * point_width,
+                                    point_width));
     }
   });
   response->stages.transform = stage_timer.ElapsedSeconds();
@@ -372,10 +375,10 @@ void FalccModel::ClassifyRowsInto(const Dataset& data,
   // group). Neither lookup allocates.
   ParallelFor(0, n, 256, [&](size_t /*chunk*/, size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      const std::span<const double> point(transformed.data() + i * width,
-                                          width);
+      const std::span<const double> point(
+          transformed.data() + i * point_width, point_width);
       const size_t cluster = centroid_table_.Nearest(point);
-      const size_t group = group_index_.GroupOfOrNearest(data.Row(i));
+      const size_t group = group_index_.GroupOfOrNearest(row(i));
       decisions[i].cluster = cluster;
       decisions[i].group = group;
       decisions[i].model = selected_[cluster][group];
@@ -410,7 +413,8 @@ void FalccModel::ClassifyRowsInto(const Dataset& data,
       if (segment_rows.empty()) continue;
       const std::span<double> segment_proba(proba.data() + offsets[m],
                                             segment_rows.size());
-      pool_->PredictProbaBatch(m, data, segment_rows, segment_proba);
+      pool_->PredictProbaBatch(m, features, width, segment_rows,
+                               segment_proba);
       for (size_t j = 0; j < segment_rows.size(); ++j) {
         SampleDecision& d = decisions[segment_rows[j]];
         d.probability = segment_proba[j];
@@ -426,7 +430,8 @@ std::vector<int> FalccModel::ClassifyAll(const Dataset& data) const {
               "ClassifyAll: dataset width differs from model num_features()");
   ClassifyResponse response;
   ClassifyScratch scratch;
-  ClassifyRowsInto(data, &response, &scratch);
+  ClassifyRowsInto(data.features(), data.num_features(), &response,
+                   &scratch);
   std::vector<int> out(data.num_rows());
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = response.decisions[i].label;
@@ -437,8 +442,8 @@ std::vector<int> FalccModel::ClassifyAll(const Dataset& data) const {
 Result<ClassifyResponse> FalccModel::ClassifyBatch(
     const ClassifyRequest& request) const {
   // One scratch per serving thread: steady-state batches reuse the
-  // transform matrix, sort arrays, and the wrapper Dataset without any
-  // per-call allocation. Distinct models on one thread just re-grow it.
+  // transform matrix and sort arrays without any per-call allocation.
+  // Distinct models on one thread just re-grow it.
   static thread_local ClassifyScratch scratch;
   return ClassifyBatch(request, &scratch);
 }
@@ -473,28 +478,7 @@ Result<ClassifyResponse> FalccModel::ClassifyBatch(
   response.stages.validate = validate_timer.ElapsedSeconds();
   if (n == 0) return response;
 
-  // Wrap the request in a Dataset so the kernel (and the per-model
-  // PredictProbaBatch underneath) can run unchanged: placeholder names
-  // and labels, the model's own sensitive columns for group routing.
-  // The wrapper lives in the scratch; when its cached schema still
-  // matches this model, only the feature rows are replaced in place.
-  Dataset& wrap = scratch->wrap;
-  if (scratch->wrap_valid && wrap.num_features() == width &&
-      wrap.sensitive_features() == group_index_.sensitive_features()) {
-    wrap.ReplaceRows(request.features);
-  } else {
-    scratch->wrap_valid = false;
-    std::vector<std::string> names(width);
-    for (size_t j = 0; j < width; ++j) names[j] = "f" + std::to_string(j);
-    Result<Dataset> data = Dataset::Create(
-        std::move(names),
-        std::vector<double>(request.features.begin(), request.features.end()),
-        width, std::vector<int>(n, 0), group_index_.sensitive_features());
-    if (!data.ok()) return data.status();
-    wrap = std::move(data).value();
-    scratch->wrap_valid = true;
-  }
-  ClassifyRowsInto(wrap, &response, scratch);
+  ClassifyRowsInto(request.features, width, &response, scratch);
   return response;
 }
 

@@ -119,21 +119,19 @@ struct ClassifyResponse {
 };
 
 /// Reusable buffers for the online kernel. ClassifyBatch allocates its
-/// transform matrix, counting-sort arrays, probability buffer, and the
-/// request-wrapping Dataset out of one of these instead of per call; the
-/// default entry point keeps one instance per thread, so steady-state
-/// serving performs no per-batch heap allocation beyond the response
-/// itself. A scratch holds no model state — any instance works with any
-/// model (buffers grow, and the wrapper Dataset rebuilds itself when the
-/// schema it cached no longer matches).
+/// transform matrix, counting-sort arrays and probability buffer out of
+/// one of these instead of per call; the default entry point keeps one
+/// instance per thread, so steady-state serving performs no per-batch
+/// heap allocation beyond the response itself. The kernel reads the
+/// request's own rows, so a scratch holds no copy of them and no model
+/// state — any instance works with any model, whatever its width or
+/// sensitive columns (buffers just grow).
 struct ClassifyScratch {
   std::vector<double> transformed;  ///< n × transformed-width matrix
   std::vector<size_t> offsets;      ///< counting sort: segment bounds
   std::vector<size_t> cursor;       ///< counting sort: fill cursors
   std::vector<size_t> rows;         ///< row ids grouped by kernel segment
   std::vector<double> proba;        ///< per-row P(y=1), segment order
-  Dataset wrap;                     ///< ClassifyBatch request wrapper
-  bool wrap_valid = false;
 };
 
 /// One per-cluster replacement applied by CloneWithRefreshes: the
@@ -384,10 +382,12 @@ class FalccModel {
 
   /// Shared online-phase kernel behind ClassifyAll and ClassifyBatch:
   /// transform → nearest-centroid match + group routing → batch
-  /// inference grouped by the selected pool model. `data` rows must already satisfy the width
-  /// contract. Writes one SampleDecision per row (row order) and the
-  /// per-stage wall clock into `*response`.
-  void ClassifyRowsInto(const Dataset& data, ClassifyResponse* response,
+  /// inference grouped by the selected pool model, over the row-major
+  /// matrix `features` (`width` = num_features() values per row, already
+  /// validated against the input contract). Writes one SampleDecision
+  /// per row (row order) and the per-stage wall clock into `*response`.
+  void ClassifyRowsInto(std::span<const double> features, size_t width,
+                        ClassifyResponse* response,
                         ClassifyScratch* scratch) const;
 
   /// Shared, not owned: refresh clones point at the same immutable pool

@@ -39,21 +39,26 @@ bool ModelPool::Applicable(size_t m, size_t g) const {
   return std::find(groups.begin(), groups.end(), g) != groups.end();
 }
 
-void ModelPool::PredictProbaBatch(size_t m, const Dataset& data,
-                                  std::span<const size_t> rows,
+void ModelPool::PredictProbaBatch(size_t m, std::span<const double> features,
+                                  size_t width, std::span<const size_t> rows,
                                   std::span<double> out) const {
   FALCC_CHECK(m < models_.size(),
               "ModelPool::PredictProbaBatch: model out of range");
+  FALCC_CHECK(rows.size() == out.size(),
+              "ModelPool::PredictProbaBatch: rows/out size mismatch");
   if (kernels_[m].has_value()) {
-    kernels_[m]->PredictProbaBatch(data, rows, out);
-  } else {
-    models_[m]->PredictProbaBatch(data, rows, out);
+    kernels_[m]->PredictProbaBatch(features, width, rows, out);
+    return;
+  }
+  for (size_t j = 0; j < rows.size(); ++j) {
+    out[j] =
+        models_[m]->PredictProba(features.subspan(rows[j] * width, width));
   }
 }
 
 std::vector<std::vector<int>> ModelPool::PredictMatrix(
-    const Dataset& data) const {
-  const size_t n = data.num_rows();
+    std::span<const double> features, size_t width) const {
+  const size_t n = features.size() / width;
   std::vector<size_t> rows(n);
   std::iota(rows.begin(), rows.end(), 0);
   // One task per model, each writing its own pre-sized slot.
@@ -62,7 +67,7 @@ std::vector<std::vector<int>> ModelPool::PredictMatrix(
               [&](size_t /*chunk*/, size_t lo, size_t hi) {
                 std::vector<double> proba(n);
                 for (size_t m = lo; m < hi; ++m) {
-                  PredictProbaBatch(m, data, rows, proba);
+                  PredictProbaBatch(m, features, width, rows, proba);
                   votes[m].resize(n);
                   for (size_t i = 0; i < n; ++i) {
                     votes[m][i] = proba[i] >= 0.5 ? 1 : 0;

@@ -10,7 +10,10 @@
 // Each model's compiled flat-node kernel (ml/compiled_ensemble.h) lives
 // next to it in the pool. PredictProbaBatch is the one place that picks
 // the kernel or the interpreted model, and everything that predicts
-// with the pool — serving, assessment, refresh — goes through it.
+// with the pool — serving, assessment, refresh — goes through it. It
+// reads a plain row-major matrix `(features, width)`: a prediction needs
+// no column names, labels or sensitive-column markers, so no caller
+// builds a Dataset to predict.
 
 #ifndef FALCC_CORE_MODEL_POOL_H_
 #define FALCC_CORE_MODEL_POOL_H_
@@ -57,18 +60,21 @@ class ModelPool {
   /// Whether model `m` may serve group `g`.
   bool Applicable(size_t m, size_t g) const;
 
-  /// P(y = 1) of model `m` for `rows` of `data`, written to `out` (same
-  /// length): the model's kernel if it has one, its interpreted
-  /// PredictProbaBatch otherwise — the same doubles either way.
-  void PredictProbaBatch(size_t m, const Dataset& data,
-                         std::span<const size_t> rows,
+  /// P(y = 1) of model `m` for `rows` of the row-major matrix `features`
+  /// (`width` values per row), written to `out` (same length): the
+  /// model's kernel if it has one, its interpreted PredictProba per row
+  /// otherwise — the same doubles either way.
+  void PredictProbaBatch(size_t m, std::span<const double> features,
+                         size_t width, std::span<const size_t> rows,
                          std::span<double> out) const;
 
-  /// Hard predictions of every model on every row: votes[m][row] =
-  /// PredictProbaBatch >= 0.5, equal to PredictAll of each model.
-  /// This is the precomputation that makes offline assessment cheap
-  /// (the grey Pr_m columns of Tab. 2 in the paper).
-  std::vector<std::vector<int>> PredictMatrix(const Dataset& data) const;
+  /// Hard predictions of every model on every row of the row-major
+  /// matrix `features`: votes[m][row] = PredictProbaBatch >= 0.5, equal
+  /// to PredictAll of each model. This is the precomputation that makes
+  /// offline assessment cheap (the grey Pr_m columns of Tab. 2 in the
+  /// paper).
+  std::vector<std::vector<int>> PredictMatrix(std::span<const double> features,
+                                              size_t width) const;
 
   /// The binary layout of the v2 snapshot's `pool` section. All integers
   /// are fixed-width little-endian and every array starts 8-byte aligned

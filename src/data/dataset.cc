@@ -74,14 +74,6 @@ void Dataset::AppendRow(std::span<const double> features, int label) {
   labels_.push_back(label);
 }
 
-void Dataset::ReplaceRows(std::span<const double> features) {
-  FALCC_CHECK(num_cols_ > 0 && features.size() % num_cols_ == 0 &&
-                  !features.empty(),
-              "ReplaceRows: size not a non-zero multiple of num_features()");
-  features_.assign(features.begin(), features.end());
-  labels_.assign(features.size() / num_cols_, 0);
-}
-
 Result<Dataset> ConcatDatasets(const Dataset& a, const Dataset& b) {
   if (a.feature_names() != b.feature_names()) {
     return Status::InvalidArgument("ConcatDatasets: schema mismatch");

@@ -45,6 +45,10 @@ class Dataset {
     return {features_.data() + i * num_cols_, num_cols_};
   }
 
+  /// The whole row-major feature matrix, num_rows() × num_features() —
+  /// what prediction reads (ModelPool::PredictProbaBatch).
+  std::span<const double> features() const { return features_; }
+
   double Feature(size_t row, size_t col) const {
     return features_[row * num_cols_ + col];
   }
@@ -72,13 +76,6 @@ class Dataset {
   /// Appends one row (feature vector + label). The vector length must
   /// equal num_features(); violations abort (internal invariant).
   void AppendRow(std::span<const double> features, int label);
-
-  /// Replaces the entire feature matrix, keeping the schema (names and
-  /// sensitive columns); labels reset to 0. `features.size()` must be a
-  /// non-zero multiple of num_features() (internal invariant, aborts).
-  /// Reuses existing storage — the serving path rebinds its request
-  /// wrapper with this once per batch instead of constructing a Dataset.
-  void ReplaceRows(std::span<const double> features);
 
   /// Fraction of rows with label 1; 0 for an empty dataset.
   double PositiveRate() const;

@@ -129,13 +129,16 @@ using FullBlockFn = void (*)(const CompiledEnsemble::Parts& parts,
 // call — walks PredictBlock: lanes over a partial block's (tree, row)
 // cursors made one-row serving slower, so every variant shares it.
 template <FullBlockFn full>
-void PredictFlat(const CompiledEnsemble::Parts& parts, const Dataset& data,
+void PredictFlat(const CompiledEnsemble::Parts& parts,
+                 std::span<const double> features, size_t width,
                  std::span<const size_t> rows, std::span<double> out) {
   for (size_t begin = 0; begin < rows.size(); begin += kCursors) {
     const size_t n = std::min(kCursors, rows.size() - begin);
     const double* row[kCursors];
     double acc[kCursors] = {};
-    for (size_t r = 0; r < n; ++r) row[r] = data.Row(rows[begin + r]).data();
+    for (size_t r = 0; r < n; ++r) {
+      row[r] = features.data() + rows[begin + r] * width;
+    }
     if (full != nullptr && n == kCursors) {
       full(parts, row, acc);
     } else {
@@ -448,13 +451,14 @@ Result<CompiledEnsemble> CompiledEnsemble::Compile(const Classifier& model) {
   return compiled;
 }
 
-void CompiledEnsemble::PredictProbaBatch(const Dataset& data,
+void CompiledEnsemble::PredictProbaBatch(std::span<const double> features,
+                                         size_t width,
                                          std::span<const size_t> rows,
                                          std::span<double> out) const {
   FALCC_CHECK(rows.size() == out.size(),
               "CompiledEnsemble: rows/out size mismatch");
   static const auto fn = PredictKernels().back().fn;
-  fn(parts_, data, rows, out);
+  fn(parts_, features, width, rows, out);
 }
 
 std::span<const PredictKernel> PredictKernels() {

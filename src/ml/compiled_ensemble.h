@@ -29,7 +29,10 @@
 // one variant per instruction set (PredictKernels): the scalar
 // "baseline" everywhere, and on x86-64 hosts that run them "avx2" and
 // "avx512f", which walk a full 32-row block in SIMD lanes. Every variant
-// returns the same bits. Models that
+// returns the same bits. Every entry reads the rows it predicts as a
+// row-major matrix `(features, width)` — a serving request's own span,
+// a monitor window, or a Dataset's features() — never a Dataset, since
+// a walk needs nothing but feature values. Models that
 // are not tree ensembles (logistic regression, naive Bayes, kNN), and
 // trees that share a subtree, do not lower; their pool entry is empty
 // and ModelPool::PredictProbaBatch runs the interpreted path for them.
@@ -137,8 +140,11 @@ class CompiledEnsemble {
   static Result<CompiledEnsemble> Compile(const Classifier& model);
 
   /// Exactly Classifier::PredictProbaBatch of the source model, bit for
-  /// bit: P(y = 1) for `rows` of `data`, written to `out` (same length).
-  void PredictProbaBatch(const Dataset& data, std::span<const size_t> rows,
+  /// bit: P(y = 1) for `rows` of the row-major matrix `features` (`width`
+  /// values per row), written to `out` (same length). Every row the
+  /// model's feature indices reach must lie inside `features`.
+  void PredictProbaBatch(std::span<const double> features, size_t width,
+                         std::span<const size_t> rows,
                          std::span<double> out) const;
 
   const Parts& parts() const { return parts_; }
@@ -158,11 +164,13 @@ class CompiledEnsemble {
 };
 
 /// One compiled variant of the kernel walk: P(y = 1) of the kernel
-/// `parts` for `rows` of `data`, written to `out` (same length), with
+/// `parts` for `rows` of the row-major matrix `features` (`width` values
+/// per row), written to `out` (same length), with
 /// CompiledEnsemble::PredictProbaBatch's contract.
 struct PredictKernel {
   const char* name;
-  void (*fn)(const CompiledEnsemble::Parts& parts, const Dataset& data,
+  void (*fn)(const CompiledEnsemble::Parts& parts,
+             std::span<const double> features, size_t width,
              std::span<const size_t> rows, std::span<double> out);
 };
 

@@ -2,17 +2,9 @@
 
 #include <algorithm>
 
+#include "util/math.h"
+
 namespace falcc::monitor {
-
-namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
 
 DecisionLog::DecisionLog(size_t capacity, size_t num_features)
     : capacity_(RoundUpPow2(std::max<size_t>(capacity, 2))),

@@ -1,7 +1,6 @@
 #include "monitor/refresher.h"
 
 #include <numeric>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,23 +38,15 @@ Result<RefreshOutcome> Refresher::RefreshCluster(const ClusterWindow& window,
     return Status::InvalidArgument("Refresher: window shape mismatch");
   }
 
-  // The window as a Dataset: PredictMatrix only reads feature rows, so
-  // synthetic column names and no sensitive markers suffice.
-  std::vector<std::string> names(width);
-  for (size_t j = 0; j < width; ++j) names[j] = "f" + std::to_string(j);
-  Result<Dataset> data = Dataset::Create(std::move(names), window.features,
-                                         width, window.labels, {});
-  if (!data.ok()) return data.status();
-
   const std::vector<std::vector<int>> votes =
-      snapshot->pool().PredictMatrix(data.value());
+      snapshot->pool().PredictMatrix(window.features, width);
   Result<std::vector<ModelCombination>> combos =
       EnumerateCombinations(snapshot->pool(), snapshot->num_groups());
   if (!combos.ok()) return combos.status();
 
   AssessmentContext ctx;
   ctx.votes = &votes;
-  ctx.labels = data.value().labels();
+  ctx.labels = window.labels;
   ctx.groups = window.groups;
   ctx.num_groups = snapshot->num_groups();
   ctx.mode = snapshot->assess_mode();

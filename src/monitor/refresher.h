@@ -98,11 +98,13 @@ class Refresher {
   /// samples, see WindowStats::Window) and installs the result if it
   /// strictly improves the windowed L̂. Pure pool re-assessment under
   /// the snapshot's stored assessment parameters: PredictMatrix votes
-  /// the window through the pool's kernels (ModelPool::PredictProbaBatch;
-  /// a model that does not lower votes interpreted, with the same
-  /// result), then ReassessRegion scores every combination of
+  /// the window's row-major `features` through the pool's kernels
+  /// (ModelPool::PredictProbaBatch; a model that does not lower votes
+  /// interpreted, with the same result) without building a Dataset,
+  /// then ReassessRegion scores every combination of
   /// EnumerateCombinations (and AssessCombination the serving one) from
-  /// the window's model × group confusion table (RegionLosses).
+  /// the model × group confusion table of those votes against the
+  /// window's `labels` (RegionLosses).
   Result<RefreshOutcome> RefreshCluster(const ClusterWindow& window,
                                         size_t cluster);
 

@@ -1,52 +1,11 @@
 #include "replicate/wire.h"
 
 #include "io/snapshot.h"
+#include "util/binary.h"
 
 namespace falcc::replicate {
 
 namespace {
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint16_t GetU16(std::string_view data, size_t at) {
-  uint16_t v = 0;
-  for (int i = 1; i >= 0; --i) {
-    v = static_cast<uint16_t>((v << 8) |
-                              static_cast<uint8_t>(data[at + static_cast<size_t>(i)]));
-  }
-  return v;
-}
-
-uint32_t GetU32(std::string_view data, size_t at) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(data[at + static_cast<size_t>(i)]);
-  }
-  return v;
-}
-
-uint64_t GetU64(std::string_view data, size_t at) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(data[at + static_cast<size_t>(i)]);
-  }
-  return v;
-}
 
 uint8_t EncodeKind(ArtifactKind kind) {
   switch (kind) {
@@ -111,38 +70,50 @@ std::string EncodeFrame(const WireFrame& frame) {
   FALCC_CHECK(valid.ok(), ("EncodeFrame: " + valid.ToString()).c_str());
   std::string out;
   out.reserve(kWireHeaderBytes + frame.payload.size());
-  PutU32(&out, kWireMagic);
-  out.push_back(static_cast<char>(frame.type));
-  out.push_back(static_cast<char>(EncodeKind(frame.kind)));
-  PutU16(&out, 0);  // reserved
-  PutU64(&out, frame.sequence);
-  PutU64(&out, frame.base_hash);
-  PutU32(&out, static_cast<uint32_t>(frame.payload.size()));
-  PutU64(&out, io::Fnv1a(frame.payload));
-  out.append(frame.payload);
+  io::BinaryWriter writer(&out);
+  writer.U32(kWireMagic);
+  writer.U8(static_cast<uint8_t>(frame.type));
+  writer.U8(EncodeKind(frame.kind));
+  writer.U16(0);  // reserved
+  writer.U64(frame.sequence);
+  writer.U64(frame.base_hash);
+  writer.U32(static_cast<uint32_t>(frame.payload.size()));
+  writer.U64(io::Fnv1a(frame.payload));
+  writer.Bytes(frame.payload);
   return out;
 }
 
 Result<FrameDecode> DecodeFrame(std::string_view data) {
   FrameDecode decode;
   if (data.size() < kWireHeaderBytes) return decode;  // need more
-  if (GetU32(data, 0) != kWireMagic) {
+  // The header is all there, so every fixed-width read below succeeds.
+  io::BinaryReader header(data.substr(0, kWireHeaderBytes));
+  uint32_t magic = 0, payload_len = 0;
+  uint8_t type = 0, kind = 0;
+  uint16_t reserved = 0;
+  uint64_t sequence = 0, base_hash = 0, checksum = 0;
+  header.U32(&magic);
+  header.U8(&type);
+  header.U8(&kind);
+  header.U16(&reserved);
+  header.U64(&sequence);
+  header.U64(&base_hash);
+  header.U32(&payload_len);
+  header.U64(&checksum);
+  if (magic != kWireMagic) {
     return Status::InvalidArgument("wire: bad magic");
   }
-  const uint8_t type = static_cast<uint8_t>(data[4]);
   if (type < 1 || type > 5) {
     return Status::InvalidArgument("wire: unknown frame type " +
                                    std::to_string(type));
   }
-  const uint8_t kind = static_cast<uint8_t>(data[5]);
   if (kind > 2) {
     return Status::InvalidArgument("wire: unknown artifact kind " +
                                    std::to_string(kind));
   }
-  if (GetU16(data, 6) != 0) {
+  if (reserved != 0) {
     return Status::InvalidArgument("wire: nonzero reserved bits");
   }
-  const uint32_t payload_len = GetU32(data, 24);
   if (payload_len > kWireMaxPayload) {
     return Status::InvalidArgument("wire: payload length " +
                                    std::to_string(payload_len) +
@@ -155,10 +126,9 @@ Result<FrameDecode> DecodeFrame(std::string_view data) {
   frame.kind = kind == 1   ? ArtifactKind::kDelta
                : kind == 2 ? ArtifactKind::kFull
                            : ArtifactKind::kUnreadable;
-  frame.sequence = GetU64(data, 8);
-  frame.base_hash = GetU64(data, 16);
+  frame.sequence = sequence;
+  frame.base_hash = base_hash;
   frame.payload.assign(data.substr(kWireHeaderBytes, payload_len));
-  const uint64_t checksum = GetU64(data, 28);
   if (io::Fnv1a(frame.payload) != checksum) {
     return Status::InvalidArgument("wire: payload checksum mismatch");
   }

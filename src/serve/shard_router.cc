@@ -1,6 +1,9 @@
 #include "serve/shard_router.h"
 
+#include <algorithm>
 #include <utility>
+
+#include "util/math.h"
 
 namespace falcc::serve {
 
@@ -32,18 +35,8 @@ Result<SampleDecision> ShardTicket::Wait() const {
 
 bool TakeWaitedSinceLastCall() { return std::exchange(waited, false); }
 
-namespace {
-
-size_t RoundUpPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 SubmitRing::SubmitRing(size_t min_capacity) {
-  const size_t capacity = RoundUpPowerOfTwo(min_capacity < 2 ? 2 : min_capacity);
+  const size_t capacity = RoundUpPow2(std::max<size_t>(min_capacity, 2));
   cells_ = std::vector<Cell>(capacity);
   mask_ = capacity - 1;
   for (size_t i = 0; i < capacity; ++i) {

@@ -209,13 +209,15 @@ Status CheckKernelsMatchInterpreted(const ModelPool& pool,
   };
   for (size_t m = 0; m < pool.size(); ++m) {
     pool.model(m).PredictProbaBatch(data, rows, interpreted);
-    pool.PredictProbaBatch(m, data, rows, served);
+    pool.PredictProbaBatch(m, data.features(), data.num_features(), rows,
+                           served);
     const CompiledEnsemble* kernel = pool.kernel(m);
     FALCC_RETURN_IF_ERROR(
         compare(m, kernel != nullptr ? "kernel" : "interpreted"));
     if (kernel == nullptr) continue;
     for (const PredictKernel& variant : PredictKernels()) {
-      variant.fn(kernel->parts(), data, rows, served);
+      variant.fn(kernel->parts(), data.features(), data.num_features(),
+                 rows, served);
       FALCC_RETURN_IF_ERROR(
           compare(m, std::string("kernel variant ") + variant.name));
     }

@@ -1,5 +1,5 @@
 // Fixed-width little-endian codec helpers for the binary snapshot
-// sections.
+// sections and the replication wire header.
 //
 // BinaryWriter appends scalars and arrays to a string; BinaryReader is a
 // forward-only, bounds-checked cursor over a byte view. Every read goes
@@ -27,6 +27,8 @@ class BinaryWriter {
  public:
   explicit BinaryWriter(std::string* out) : out_(out) {}
 
+  void U8(uint8_t v) { Put(v); }
+  void U16(uint16_t v) { Put(v); }
   void U32(uint32_t v) { Put(v); }
   void U64(uint64_t v) { Put(v); }
   void F64(double v) { Put(v); }
@@ -56,6 +58,8 @@ class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
+  bool U8(uint8_t* v) { return Get(v); }
+  bool U16(uint16_t* v) { return Get(v); }
   bool U32(uint32_t* v) { return Get(v); }
   bool U64(uint64_t* v) { return Get(v); }
   bool F64(double* v) { return Get(v); }

@@ -1,6 +1,8 @@
 #include "util/math.h"
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/status.h"
 
@@ -223,6 +225,12 @@ LinearFit FitLine(std::span<const double> x, std::span<const double> y) {
   fit.slope = sxy / sxx;
   fit.intercept = my - fit.slope * mx;
   return fit;
+}
+
+size_t RoundUpPow2(size_t n) {
+  FALCC_CHECK(n <= std::bit_floor(std::numeric_limits<size_t>::max()),
+              "RoundUpPow2: no power of two >= n fits in size_t");
+  return std::bit_ceil(n);
 }
 
 }  // namespace falcc

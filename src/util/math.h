@@ -70,6 +70,10 @@ struct LinearFit {
 };
 LinearFit FitLine(std::span<const double> x, std::span<const double> y);
 
+/// The smallest power of two >= n (1 for n = 0). Aborts when n is above
+/// the largest power of two a size_t holds, where no such power exists.
+size_t RoundUpPow2(size_t n);
+
 }  // namespace falcc
 
 #endif  // FALCC_UTIL_MATH_H_

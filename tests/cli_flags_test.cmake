@@ -3,7 +3,9 @@
 # the model and data paths need not exist): flags an older version
 # accepted (`classify --compiled`, `--slo-us`) and a misspelled one
 # (`--shard`, not `--shards`) alike, for plain commands and for
-# subcommands. And every
+# subcommands. A numeric flag whose value is not a whole non-negative
+# integer (sizes) or a finite number (doubles), and `--window 0`, fail
+# the same way with `invalid value 'X' for --flag`. And every
 # command accepts each flag it documents: given all of them, it fails
 # only on the missing input files.
 #
@@ -37,6 +39,56 @@ expect_unknown_flag(other "snapshot verify"
   snapshot verify --model missing.falcc --other missing.falcc)
 expect_unknown_flag(dri "replicate status"
   replicate status --dir missing --dri missing)
+
+function(expect_invalid_value flag value)
+  execute_process(
+    COMMAND ${FALCC_CLI} ${ARGN}
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR "${ARGN}: exit '${code}', want 1\n${err}")
+  endif()
+  string(FIND "${err}" "invalid value '${value}' for --${flag}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${ARGN}: unexpected stderr:\n${err}")
+  endif()
+endfunction()
+
+# A value that is not a number must not read as 0 (direct mode for
+# --shards, lambda = 0 for --lambda), -1 must not wrap to SIZE_MAX (a
+# log capacity with no power-of-two round-up), and a zero window cannot
+# measure anything.
+expect_invalid_value(shards abc
+  classify --model missing.falcc --data missing.csv --shards abc)
+expect_invalid_value(lambda x
+  train --data missing.csv --sensitive race --out m.falcc --lambda x)
+expect_invalid_value(log-capacity -1
+  monitor --model missing.falcc --data missing.csv --log-capacity -1)
+expect_invalid_value(window 0
+  monitor --model missing.falcc --data missing.csv --window 0)
+# Trailing characters, a fraction, a sign, an empty value, non-finite
+# and overflowing numbers.
+expect_invalid_value(k 3x
+  train --data missing.csv --sensitive race --out m.falcc --k 3x)
+expect_invalid_value(seed 1.5
+  audit --data missing.csv --sensitive race --seed 1.5)
+expect_invalid_value(chunk +8
+  monitor --model missing.falcc --data missing.csv --chunk +8)
+expect_invalid_value(drift-cluster ""
+  monitor --model missing.falcc --data missing.csv --drift-cluster=)
+expect_invalid_value(scale inf
+  generate --dataset compas --out missing-dir/d.csv --scale inf)
+expect_invalid_value(threshold nan
+  monitor --model missing.falcc --data missing.csv --threshold nan)
+expect_invalid_value(proxy-threshold 1e999
+  inspect --data missing.csv --sensitive race --proxy-threshold 1e999)
+expect_invalid_value(seed 99999999999999999999
+  generate --dataset compas --out missing-dir/d.csv
+  --seed 99999999999999999999)
+expect_invalid_value(duration-s 0.1s
+  replicate serve-feed --dir missing-dir --listen unix://missing-dir/s.sock
+  --duration-s 0.1s)
 
 function(expect_flags_accepted)
   execute_process(

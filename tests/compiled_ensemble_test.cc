@@ -68,7 +68,8 @@ void ExpectVariantBitIdentical(const PredictKernel& variant,
   std::vector<double> interpreted(rows.size());
   std::vector<double> compiled(rows.size());
   model.PredictProbaBatch(data, rows, interpreted);
-  variant.fn(kernel.parts(), data, rows, compiled);
+  variant.fn(kernel.parts(), data.features(), data.num_features(), rows,
+             compiled);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(std::bit_cast<uint64_t>(interpreted[i]),
               std::bit_cast<uint64_t>(compiled[i]))
@@ -98,7 +99,8 @@ void CheckAllBlockEdges(const Classifier& model, const Dataset& data) {
     }
     std::vector<double> interpreted(rows.size()), dispatched(rows.size());
     model.PredictProbaBatch(data, rows, interpreted);
-    kernel.value().PredictProbaBatch(data, rows, dispatched);
+    kernel.value().PredictProbaBatch(data.features(), data.num_features(),
+                                     rows, dispatched);
     EXPECT_EQ(interpreted, dispatched);
   }
 }
@@ -285,11 +287,7 @@ TEST_P(PredictKernelTest, PaddingLanesStayInsideTheTables) {
   std::copy(std::begin(leaves), std::end(leaves), leaf_proba.begin());
 
   const size_t n = 40;
-  std::vector<double> features(n * 2, 1.0);
-  const Dataset data =
-      Dataset::Create({"a", "b"}, std::move(features), 2,
-                      std::vector<int>(n, 0), {})
-          .value();
+  const std::vector<double> features(n * 2, 1.0);
   CompiledEnsemble::Parts parts;
   parts.nodes = nodes;
   parts.leaf_proba = leaf_proba;
@@ -306,7 +304,7 @@ TEST_P(PredictKernelTest, PaddingLanesStayInsideTheTables) {
     for (size_t rows : {size_t{1}, size_t{5}, size_t{17}, size_t{31},
                         size_t{32}, size_t{33}}) {
       std::vector<double> out(rows);
-      variant_->fn(parts, data,
+      variant_->fn(parts, features, 2,
                    std::span<const size_t>(all).subspan(0, rows), out);
       for (size_t i = 0; i < rows; ++i) {
         EXPECT_EQ(out[i], expected) << "rows " << rows << " row " << i;
@@ -386,15 +384,6 @@ FalccOptions FastOptions() {
   return opt;
 }
 
-std::vector<double> Flatten(const Dataset& data, size_t rows) {
-  std::vector<double> flat;
-  for (size_t i = 0; i < rows; ++i) {
-    const auto row = data.Row(i);
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  return flat;
-}
-
 // The batch path's decision for `row` must equal, field by field, what
 // the single-sample entry points give: they route the same way but
 // predict through the interpreted model, never a kernel.
@@ -471,12 +460,12 @@ TEST(CompiledPoolTest, PerModelKernelsWithInterpretedFallback) {
         std::span<const size_t>(all).subspan(0, n);
     for (size_t m = 0; m < served_pool.size(); ++m) {
       std::vector<double> pooled(n), interpreted(n);
-      served_pool.PredictProbaBatch(m, s.test, rows, pooled);
+      served_pool.PredictProbaBatch(m, s.test.features(), width, rows,
+                                    pooled);
       served_pool.model(m).PredictProbaBatch(s.test, rows, interpreted);
       EXPECT_EQ(pooled, interpreted) << "model " << m;
     }
-    const std::vector<double> flat = Flatten(s.test, n);
-    const ClassifyRequest request{flat, width};
+    const ClassifyRequest request{s.test.features().first(n * width), width};
     const ClassifyResponse a = model.ClassifyBatch(request).value();
     ASSERT_EQ(a.decisions.size(), n);
     std::set<size_t> models;
@@ -529,8 +518,9 @@ TEST(CompiledPoolTest, SharedSubtreeModelLoadsAndServesInterpreted) {
   }
   const FalccModel model = trained.CloneWithRefreshes(refreshes).value();
   const size_t n = 200;
-  const std::vector<double> flat = Flatten(s.test, n);
-  const ClassifyRequest request{flat, s.test.num_features()};
+  const ClassifyRequest request{
+      s.test.features().first(n * s.test.num_features()),
+      s.test.num_features()};
   size_t dag_rows = 0;
   for (size_t i = 0; i < n; ++i) {
     const auto row = s.test.Row(i);
@@ -680,8 +670,7 @@ TEST(CompiledConcurrencyTest, ClassifyDuringDeltaHotSwap) {
   engine.Install(std::move(model));
 
   const size_t width = s.test.num_features();
-  const std::vector<double> batch = Flatten(s.test, 64);
-  ClassifyRequest request{batch, width};
+  ClassifyRequest request{s.test.features().first(64 * width), width};
 
   std::atomic<bool> stop{false};
   std::atomic<size_t> served{0};

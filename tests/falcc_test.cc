@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "data/split.h"
 #include "datagen/synthetic.h"
@@ -304,6 +308,65 @@ TEST(FalccTest, OnlineStepsAreExposed) {
   // Classify is exactly: lookup + predict with the selected model.
   const size_t m = model.selected_combinations()[cluster][group.value()];
   EXPECT_EQ(model.Classify(row), model.pool().model(m).Predict(row));
+}
+
+// One ClassifyScratch shared by two models of different widths and
+// sensitive columns, alternating batch by batch (and between a full and
+// a short batch): each batch reads its own request rows, so every
+// decision equals that model's ClassifyAll and every probability its
+// ClassifyProba, bit for bit, whichever model used the scratch last.
+TEST(FalccTest, ScratchIsSharedAcrossModelsOfDifferentShapes) {
+  SyntheticConfig wide_config;
+  wide_config.num_samples = 1500;
+  wide_config.seed = 7;
+  SyntheticConfig narrow_config = wide_config;
+  narrow_config.num_features = 5;
+  narrow_config.seed = 8;
+  const TrainValTest wide =
+      SplitDatasetDefault(GenerateImplicitBias(wide_config).value(), 11)
+          .value();
+  const TrainValTest narrow =
+      SplitDatasetDefault(GenerateSocialBias(narrow_config).value(), 12)
+          .value();
+  const FalccModel wide_model =
+      FalccModel::Train(wide.train, wide.validation, FastOptions()).value();
+  const FalccModel narrow_model =
+      FalccModel::Train(narrow.train, narrow.validation, FastOptions())
+          .value();
+  ASSERT_NE(wide_model.num_features(), narrow_model.num_features());
+  ASSERT_NE(wide.test.sensitive_features(), narrow.test.sensitive_features());
+
+  struct Served {
+    const FalccModel& model;
+    const Dataset& test;
+    std::vector<int> labels;
+  };
+  const Served served[] = {
+      {wide_model, wide.test, wide_model.ClassifyAll(wide.test)},
+      {narrow_model, narrow.test, narrow_model.ClassifyAll(narrow.test)}};
+  ClassifyScratch scratch;
+  for (size_t round = 0; round < 4; ++round) {
+    for (const Served& s : served) {
+      SCOPED_TRACE("round " + std::to_string(round) + ", width " +
+                   std::to_string(s.test.num_features()));
+      const size_t width = s.test.num_features();
+      const size_t rows = round % 2 == 0 ? s.test.num_rows() : 7;
+      const ClassifyRequest request{s.test.features().first(rows * width),
+                                    width};
+      const Result<ClassifyResponse> response =
+          s.model.ClassifyBatch(request, &scratch);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_EQ(response.value().decisions.size(), rows);
+      for (size_t i = 0; i < rows; ++i) {
+        const SampleDecision& d = response.value().decisions[i];
+        const double reference = s.model.ClassifyProba(s.test.Row(i));
+        EXPECT_EQ(d.label, s.labels[i]) << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(d.probability),
+                  std::bit_cast<uint64_t>(reference))
+            << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -176,5 +176,20 @@ TEST(MathTest, FitLineDegenerateX) {
   EXPECT_DOUBLE_EQ(fit.intercept, 2.0);
 }
 
+TEST(MathTest, RoundUpPow2UpToTheLargestPowerOfTwo) {
+  constexpr size_t kTop = size_t{1} << 63;
+  EXPECT_EQ(RoundUpPow2(0), 1u);
+  EXPECT_EQ(RoundUpPow2(1), 1u);
+  EXPECT_EQ(RoundUpPow2(3), 4u);
+  EXPECT_EQ(RoundUpPow2(4), 4u);
+  EXPECT_EQ(RoundUpPow2(kTop - 1), kTop);
+  EXPECT_EQ(RoundUpPow2(kTop), kTop);
+}
+
+TEST(MathDeathTest, RoundUpPow2PastTheLargestPowerOfTwoAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(RoundUpPow2((size_t{1} << 63) + 1), "RoundUpPow2");
+}
+
 }  // namespace
 }  // namespace falcc

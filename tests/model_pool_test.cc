@@ -78,7 +78,7 @@ TEST(ModelPoolTest, PredictMatrixShape) {
   ASSERT_NE(pool.kernel(0), nullptr);
   ASSERT_EQ(pool.kernel(1), nullptr);
 
-  const auto votes = pool.PredictMatrix(d);
+  const auto votes = pool.PredictMatrix(d.features(), d.num_features());
   ASSERT_EQ(votes.size(), 2u);
   for (size_t m = 0; m < pool.size(); ++m) {
     SCOPED_TRACE(m);

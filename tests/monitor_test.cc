@@ -164,6 +164,14 @@ TEST(DecisionLogTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(log.num_features(), 2u);
 }
 
+// A capacity above the largest power of two a size_t holds has no
+// power-of-two round-up: the log aborts instead of looping forever on a
+// shift that wraps to 0.
+TEST(DecisionLogDeathTest, CapacityPastLargestPowerOfTwoAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(DecisionLog(SIZE_MAX, 2), "RoundUpPow2");
+}
+
 // --- WindowStats -------------------------------------------------------
 
 /// Recomputes the windowed loss from the window's raw samples through

@@ -1017,6 +1017,29 @@ TEST(WireCodecTest, EveryFrameTypeRoundTripsByteIdentically) {
   }
 }
 
+// The layout itself, pinned: a delta ARTIFACT frame's exact bytes —
+// magic, type, kind, reserved, sequence, base hash, payload length and
+// the payload's FNV-1a checksum, little-endian, then the payload.
+TEST(WireCodecTest, DeltaArtifactFrameBytesArePinned) {
+  const std::string bytes = EncodeFrame(
+      ArtifactFrame(0x0102030405060708ull, ArtifactKind::kDelta, "delta",
+                    0x1122334455667788ull));
+  std::string hex;
+  for (const char c : bytes) {
+    char digits[3];
+    std::snprintf(digits, sizeof(digits), "%02x",
+                  static_cast<unsigned char>(c));
+    hex += digits;
+  }
+  EXPECT_EQ(hex,
+            "eecf1cfa" "03" "01" "0000" "0807060504030201"
+            "8877665544332211" "05000000" "c1a013ec75660752" "64656c7461");
+  const Result<FrameDecode> decoded = DecodeFrame(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().frame.sequence, 0x0102030405060708ull);
+  EXPECT_EQ(decoded.value().frame.base_hash, 0x1122334455667788ull);
+}
+
 TEST(WireCodecTest, MalformedFramesRejectWithDescriptiveErrors) {
   const std::string valid =
       EncodeFrame(ArtifactFrame(1, ArtifactKind::kDelta, "payload", 5));

@@ -94,6 +94,13 @@ TEST(SubmitRingTest, FifoAndCapacity) {
   EXPECT_EQ(ring.Pop(), &tasks[4]);
 }
 
+// No power of two >= SIZE_MAX fits in a size_t: the ring aborts instead
+// of looping forever on a shift that wraps to 0.
+TEST(SubmitRingDeathTest, CapacityPastLargestPowerOfTwoAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(serve::SubmitRing ring(SIZE_MAX), "RoundUpPow2");
+}
+
 TEST(SubmitRingTest, ConcurrentProducersLoseNothing) {
   serve::SubmitRing ring(1 << 12);
   const size_t kProducers = 4;

@@ -74,17 +74,20 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -110,6 +113,40 @@
 
 namespace falcc {
 namespace {
+
+// Numeric flags, by name, in every command that reads them. A size is a
+// non-negative decimal integer and a double a finite number, each
+// spelling the whole value; --window must also be positive (an empty
+// window measures nothing).
+constexpr std::string_view kSizeFlags[] = {
+    "seed", "k", "shards", "log-capacity", "window", "min-samples",
+    "checkpoint-every", "chunk", "poll-every", "repeat", "drift-cluster",
+    "drift-start"};
+constexpr std::string_view kDoubleFlags[] = {
+    "scale", "lambda", "threshold", "slack", "proxy-threshold",
+    "duration-s", "heartbeat-s"};
+
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+bool ValidNumber(std::string_view flag, std::string_view text) {
+  const auto is = [&](std::span<const std::string_view> names) {
+    return std::find(names.begin(), names.end(), flag) != names.end();
+  };
+  if (is(kDoubleFlags)) return ParseNumber<double>(text).has_value();
+  if (!is(kSizeFlags)) return true;
+  const std::optional<size_t> size = ParseNumber<size_t>(text);
+  return size.has_value() && (flag != "window" || *size > 0);
+}
 
 // Minimal flag parser: `--flag value` and `--flag=value`, bounds-checked.
 // Flags may repeat (for --sensitive); malformed command lines and flags
@@ -146,13 +183,21 @@ class Args {
   const Status& status() const { return status_; }
 
   /// Fails on the first flag that is not in `known`, the flags
-  /// `command` reads.
+  /// `command` reads, or whose value is not a valid number for a
+  /// numeric flag (kSizeFlags, kDoubleFlags) — before the command opens
+  /// any file.
   Status CheckFlags(std::string_view command,
                     std::initializer_list<std::string_view> known) const {
     for (const auto& [flag, values] : values_) {
       if (std::find(known.begin(), known.end(), flag) == known.end()) {
         return Status::InvalidArgument("unknown flag --" + flag + " for '" +
                                        std::string(command) + "'");
+      }
+      for (const std::string& value : values) {
+        if (!ValidNumber(flag, value)) {
+          return Status::InvalidArgument("invalid value '" + value +
+                                         "' for --" + flag);
+        }
       }
     }
     return Status::OK();
@@ -168,19 +213,25 @@ class Args {
     return it == values_.end() ? std::vector<std::string>{} : it->second;
   }
 
+  /// A numeric flag's value, which CheckFlags has already accepted.
   double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.back().c_str());
+    return GetNumber<double>(key, fallback);
   }
-
   size_t GetSize(const std::string& key, size_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : static_cast<size_t>(std::atol(it->second.back().c_str()));
+    return GetNumber<size_t>(key, fallback);
   }
 
  private:
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::optional<T> value = ParseNumber<T>(it->second.back());
+    FALCC_CHECK(value.has_value(),
+                "flag read as a number but not in kSizeFlags/kDoubleFlags");
+    return *value;
+  }
+
   Status status_;
   std::map<std::string, std::vector<std::string>> values_;
 };
@@ -416,10 +467,7 @@ int ClassifySamples(const Args& args) {
   if (model_path.empty() || data_path.empty()) {
     return Fail(Status::InvalidArgument("--model and --data required"));
   }
-  const long shards = std::atol(args.Get("shards", "0").c_str());
-  if (shards < 0) {
-    return Fail(Status::InvalidArgument("--shards must be >= 0"));
-  }
+  const size_t shards = args.GetSize("shards", 0);
   Result<FalccModel> model = FalccModel::LoadMapped(model_path);
   if (!model.ok()) return Fail(model.status());
 
@@ -460,7 +508,7 @@ int ClassifySamples(const Args& args) {
     // Sharded fleet: one submission per row, keyed by row index so the
     // routing (and any diagnostics) is reproducible run to run.
     serve::ShardedEngineOptions options;
-    options.num_shards = static_cast<size_t>(shards);
+    options.num_shards = shards;
     serve::ShardedEngine engine(options);
     engine.Install(std::move(model).value());
     const std::string follow = args.Get("follow", "");
